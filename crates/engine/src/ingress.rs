@@ -180,6 +180,14 @@ const WAL_SEG_SUFFIX: &str = ".seg";
 /// `len: u32 LE | crc32c(payload): u32 LE` precede every record payload.
 const WAL_RECORD_HEADER: usize = 8;
 
+/// The payload length as the record header stores it; a payload the
+/// `u32` cannot hold is refused rather than written with a wrapped length.
+fn record_len(payload_len: usize) -> Result<u32, SnapshotError> {
+    u32::try_from(payload_len).map_err(|_| SnapshotError::Io {
+        detail: format!("wal record payload of {payload_len} B exceeds the u32 length header"),
+    })
+}
+
 fn segment_path(dir: &Path, base: u64) -> PathBuf {
     dir.join(format!("{WAL_SEG_PREFIX}{base:020}{WAL_SEG_SUFFIX}"))
 }
@@ -275,6 +283,13 @@ pub struct Wal {
     synced_index: u64,
     current: Option<(fs::File, u64)>,
     current_bytes: u64,
+    /// The one record frame, `len | crc | payload`: encoded in place,
+    /// written with a single `write_all`, and reused by the next append.
+    frame: Vec<u8>,
+    /// The first failed record write. The segment may end in a torn
+    /// frame, so every later append is refused with the same error —
+    /// nothing is ever written behind it, and reopening repairs the tail.
+    failed: Option<SnapshotError>,
 }
 
 impl Wal {
@@ -317,6 +332,8 @@ impl Wal {
             synced_index: next_index,
             current,
             current_bytes,
+            frame: Vec::new(),
+            failed: None,
         })
     }
 
@@ -338,7 +355,29 @@ impl Wal {
 
     /// Appends one record, returning its global index. Rolls segments and
     /// batches fsyncs per the [`WalConfig`].
+    ///
+    /// A payload too large for the record header and any write failure
+    /// are typed errors; after a write failure the log refuses every
+    /// further append with that same error (see [`Wal`]'s torn-tail
+    /// repair on reopen).
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, SnapshotError> {
+        self.append_with(|frame| frame.extend_from_slice(payload))
+    }
+
+    /// [`Self::append`] with the payload produced by `encode` directly
+    /// behind the header placeholder in the reused frame buffer, so a
+    /// record costs no allocation and no copy before the write.
+    fn append_with(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<u64, SnapshotError> {
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
+        self.frame.clear();
+        self.frame.extend_from_slice(&[0; WAL_RECORD_HEADER]);
+        encode(&mut self.frame);
+        let (header, payload) = self.frame.split_at_mut(WAL_RECORD_HEADER);
+        header[..4].copy_from_slice(&record_len(payload.len())?.to_le_bytes());
+        header[4..].copy_from_slice(&crc32c(payload).to_le_bytes());
+
         let roll = match &self.current {
             None => true,
             Some(_) => self.current_bytes >= self.config.segment_bytes,
@@ -354,12 +393,12 @@ impl Wal {
             self.current_bytes = 0;
         }
         let (file, _) = self.current.as_mut().expect("segment just opened");
-        let mut frame = Vec::with_capacity(WAL_RECORD_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32c(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        file.write_all(&frame)?;
-        self.current_bytes += frame.len() as u64;
+        if let Err(e) = file.write_all(&self.frame) {
+            let e = SnapshotError::from(e);
+            self.failed = Some(e.clone());
+            return Err(e);
+        }
+        self.current_bytes += self.frame.len() as u64;
         let index = self.next_index;
         self.next_index += 1;
         if self.next_index - self.synced_index >= self.config.sync_every {
@@ -487,10 +526,12 @@ impl<P: Payload> WalIngress<P> {
         msg: &StreamMessage<P>,
         tag: u64,
     ) -> Result<u64, SnapshotError> {
-        let mut w = SnapshotWriter::new();
-        w.put_u64(tag);
-        msg.encode(&mut w);
-        self.wal.append(&w.into_body())
+        self.wal.append_with(|frame| {
+            let mut w = SnapshotWriter::with_buffer(core::mem::take(frame));
+            w.put_u64(tag);
+            msg.encode(&mut w);
+            *frame = w.into_body();
+        })
     }
 
     /// Forces every appended message to stable storage.
@@ -789,6 +830,102 @@ mod tests {
             replay_wal(&dir, 0),
             Err(SnapshotError::Corrupt { .. })
         ));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Bit-at-a-time CRC32C, sharing nothing with `core::snapshot`'s
+    /// kernels: the oracle for what a record's checksum must be.
+    fn crc32c_bitwise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (0x82F6_3B78 & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
+    /// `len | crc | payload`, built by hand.
+    fn golden_record(payload: &[u8]) -> Vec<u8> {
+        let mut rec = (payload.len() as u32).to_le_bytes().to_vec();
+        rec.extend_from_slice(&crc32c_bitwise(payload).to_le_bytes());
+        rec.extend_from_slice(payload);
+        rec
+    }
+
+    #[test]
+    fn wal_segment_bytes_match_the_hand_built_format() {
+        let one_segment = WalConfig {
+            segment_bytes: 1 << 20,
+            sync_every: 64,
+        };
+        let batch = StreamMessage::Batch(EventBatch::from_events(vec![ev(3), ev(1), ev(2)]));
+        let mut tagged = SnapshotWriter::new();
+        tagged.put_u64(9);
+        batch.encode(&mut tagged);
+        let payloads = [vec![0xAB; 300], Vec::new(), tagged.into_body()];
+        let golden: Vec<u8> = payloads.iter().flat_map(|p| golden_record(p)).collect();
+
+        // Written by the log: raw appends, then a typed one reusing the
+        // same frame buffer after a longer and an empty record.
+        let dir = wal_dir("golden-written");
+        let mut wal: WalIngress<u32> = WalIngress::open_with(&dir, one_segment).unwrap();
+        wal.wal.append(&payloads[0]).unwrap();
+        wal.wal.append(&payloads[1]).unwrap();
+        wal.append_tagged(&batch, 9).unwrap();
+        wal.sync().unwrap();
+        assert_eq!(fs::read(segment_path(&dir, 0)).unwrap(), golden);
+
+        // Written by hand: the log reads it back record for record.
+        let hand = wal_dir("golden-hand");
+        fs::create_dir_all(&hand).unwrap();
+        fs::write(segment_path(&hand, 0), &golden).unwrap();
+        let replayed = replay_wal(&hand, 0).unwrap();
+        let expected: Vec<(u64, Vec<u8>)> = (0u64..).zip(payloads).collect();
+        assert_eq!(replayed, expected);
+        assert_eq!(
+            WalIngress::<u32>::replay_tagged_from(&hand, 2).unwrap(),
+            vec![(2, 9, batch)]
+        );
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&hand);
+    }
+
+    #[test]
+    fn wal_refuses_a_payload_the_length_header_cannot_hold() {
+        assert_eq!(record_len(u32::MAX as usize).unwrap(), u32::MAX);
+        #[cfg(target_pointer_width = "64")]
+        assert!(matches!(
+            record_len(u32::MAX as usize + 1),
+            Err(SnapshotError::Io { .. })
+        ));
+    }
+
+    #[test]
+    fn wal_write_failure_latches_and_leaves_a_replayable_log() {
+        let dir = wal_dir("write-fail");
+        let mut wal = Wal::open_with(&dir, WalConfig::default()).unwrap();
+        wal.append(&[1; 16]).unwrap();
+        wal.append(&[2; 16]).unwrap();
+        wal.sync().unwrap();
+        // Swap in a read-only handle on the segment: the next write fails
+        // the way a full or failing disk would.
+        let path = segment_path(&dir, 0);
+        let writable = wal.current.replace((fs::File::open(&path).unwrap(), 0));
+        let err = wal.append(&[3; 16]).unwrap_err();
+        assert!(matches!(err, SnapshotError::Io { .. }), "{err:?}");
+        // Even with a healthy handle back, the log stays failed: nothing
+        // may land behind a possibly torn frame.
+        wal.current = writable;
+        assert_eq!(wal.append(&[4; 16]).unwrap_err(), err);
+        assert_eq!(wal.next_index(), 2);
+        drop(wal);
+        let replayed = replay_wal(&dir, 0).unwrap();
+        assert_eq!(replayed, vec![(0, vec![1; 16]), (1, vec![2; 16])]);
+        // A fresh incarnation appends again.
+        let mut wal = Wal::open_with(&dir, WalConfig::default()).unwrap();
+        assert_eq!(wal.append(&[5; 16]).unwrap(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 

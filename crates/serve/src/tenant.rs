@@ -140,6 +140,7 @@ struct ServeCounters {
     events_out: Counter,
     punctuations: Counter,
     wal_appends: Counter,
+    wal_syncs: Counter,
 }
 
 /// The live runtime of one admitted tenant. See the module docs.
@@ -212,6 +213,7 @@ fn serve_counters(registry: &MetricsRegistry) -> ServeCounters {
         events_out: registry.counter("serve.events_out"),
         punctuations: registry.counter("serve.punctuations"),
         wal_appends: registry.counter("serve.wal_appends"),
+        wal_syncs: registry.counter("serve.wal_syncs"),
     }
 }
 
@@ -462,19 +464,28 @@ impl TenantRuntime {
         Ok(())
     }
 
-    fn journal(&mut self, msg: &StreamMessage<i64>) -> Result<(), ServeError> {
+    /// Group commit: appends every record of one request, then syncs
+    /// once. Callers journal *before* pushing any of `msgs`, so the
+    /// pipeline never consumes — and a checkpoint never covers — a record
+    /// that is not yet durable, and nothing is released to the session
+    /// layer ahead of the sync.
+    fn journal(&mut self, msgs: &[&StreamMessage<i64>]) -> Result<(), ServeError> {
         if let Some(wal) = &self.wal {
             let mut w = wal.lock().unwrap_or_else(|e| e.into_inner());
             // Each record is tagged with the session sequence it was
             // applied under (0 for unsequenced ingest), so WAL durability
             // and session acks advance together: once this returns, the
             // sequence is recoverable and may be acked to the client.
-            w.append_tagged(msg, self.applied_seq.load(Ordering::Relaxed))
-                .and_then(|_| w.sync())
-                .map_err(|e| ServeError::Io {
-                    detail: format!("wal append: {e}"),
-                })?;
-            self.serve.wal_appends.inc();
+            let seq = self.applied_seq.load(Ordering::Relaxed);
+            let failed = |e| ServeError::Io {
+                detail: format!("wal append: {e}"),
+            };
+            for msg in msgs {
+                w.append_tagged(msg, seq).map_err(failed)?;
+                self.serve.wal_appends.inc();
+            }
+            w.sync().map_err(failed)?;
+            self.serve.wal_syncs.inc();
         }
         Ok(())
     }
@@ -533,7 +544,8 @@ impl TenantRuntime {
     }
 
     /// Ingests one disordered batch, then punctuates at
-    /// `watermark − l(t)` if that frontier advanced.
+    /// `watermark − l(t)` if that frontier advanced. A durable tenant
+    /// journals both records and syncs once before either is pushed.
     pub fn ingest(&mut self, batch: Vec<Event<i64>>) -> Result<(), ServeError> {
         self.guard()?;
         if batch.is_empty() {
@@ -546,20 +558,19 @@ impl TenantRuntime {
                 a.observe(e.sync_time);
             }
         }
-        let msg = StreamMessage::batch(batch);
-        self.journal(&msg)?;
-        self.push(msg)?;
-        self.serve.events_in.add(n);
-        self.punctuate_to_frontier()
-    }
-
-    fn punctuate_to_frontier(&mut self) -> Result<(), ServeError> {
-        if self.watermark == Timestamp::MIN {
-            return Ok(());
-        }
+        let batch = StreamMessage::batch(batch);
         let target = self.watermark.saturating_sub(self.current_latency());
-        if self.last_punct.is_none_or(|p| target > p) {
-            self.force_punctuate(target)?;
+        let punctuates =
+            self.watermark != Timestamp::MIN && self.last_punct.is_none_or(|p| target > p);
+        if punctuates {
+            self.journal(&[&batch, &StreamMessage::Punctuation(target)])?;
+        } else {
+            self.journal(&[&batch])?;
+        }
+        self.push(batch)?;
+        self.serve.events_in.add(n);
+        if punctuates {
+            self.push_punctuation(target)?;
         }
         Ok(())
     }
@@ -568,9 +579,13 @@ impl TenantRuntime {
     /// rejected by the pipeline with a typed error.
     pub fn force_punctuate(&mut self, t: Timestamp) -> Result<(), ServeError> {
         self.guard()?;
-        let msg = StreamMessage::Punctuation(t);
-        self.journal(&msg)?;
-        self.push(msg)?;
+        self.journal(&[&StreamMessage::Punctuation(t)])?;
+        self.push_punctuation(t)
+    }
+
+    /// Hands the already-journaled punctuation at `t` to the pipeline.
+    fn push_punctuation(&mut self, t: Timestamp) -> Result<(), ServeError> {
+        self.push(StreamMessage::Punctuation(t))?;
         self.last_punct = Some(t);
         self.serve.punctuations.inc();
         Ok(())
@@ -580,7 +595,7 @@ impl TenantRuntime {
     pub fn complete(&mut self) -> Result<(), ServeError> {
         self.guard()?;
         let msg = StreamMessage::Completed;
-        self.journal(&msg)?;
+        self.journal(&[&msg])?;
         self.push(msg)?;
         self.completed = true;
         Ok(())
@@ -780,6 +795,41 @@ mod tests {
         let reference = solo.drain().events;
         assert_eq!(before.events[..committed], reference[..committed]);
         assert_eq!(after, reference[committed..]);
+    }
+
+    #[test]
+    fn one_request_is_one_sync_however_many_records_it_journals() {
+        let root = scratch("group-commit");
+        let config = TenantConfig::new(spec("t8").with_reorder(ReorderSpec::Fixed {
+            latency: TickDuration::ticks(10),
+        }))
+        .with_durable(true);
+        let mut rt = TenantRuntime::start(config, &root).expect("start");
+        let counter = |rt: &TenantRuntime, name: &str| {
+            rt.metrics()
+                .get("counters")
+                .and_then(|c| c.get(name))
+                .and_then(Json::as_i64)
+                .unwrap_or(0)
+        };
+        // The frontier advances: batch record + punctuation record.
+        rt.ingest((0..100).map(|i| keyed(i, 0, i)).collect())
+            .expect("ingest");
+        assert_eq!(counter(&rt, "serve.punctuations"), 1);
+        assert_eq!(counter(&rt, "serve.wal_appends"), 2);
+        assert_eq!(counter(&rt, "serve.wal_syncs"), 1);
+        // A batch wholly behind the watermark: one record, still one sync.
+        rt.ingest((90..95).map(|i| keyed(i, 0, i)).collect())
+            .expect("ingest");
+        assert_eq!(counter(&rt, "serve.punctuations"), 1);
+        assert_eq!(counter(&rt, "serve.wal_appends"), 3);
+        assert_eq!(counter(&rt, "serve.wal_syncs"), 2);
+        // Both records of the first request were durable before its
+        // output was released: a restart replays them to the same state.
+        let before = rt.drain();
+        assert_eq!(before.puncts, vec![Timestamp::new(89)]);
+        rt.restart().expect("restart");
+        assert_eq!(rt.drain(), before);
     }
 
     #[test]

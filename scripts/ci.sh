@@ -197,6 +197,15 @@ cargo run --release --offline -q -p impatience-bench --bin serve -- \
 cargo run --release --offline -q -p impatience-bench --bin snapshot_check -- \
     BENCH_serve.json --require-service-activity --require-session-activity
 
+echo "== stack benchmark (unit tests + smoke: every workload, both passes, oracle on) =="
+# The BENCHMARK.json benchmark is a package of its own (stackbench/), so
+# the workspace steps above never build it. Its unit tests and a 1/100-size
+# run of every workload, untraced then traced, keep it compiling against
+# the crates and fail CI when any served or in-process output mismatches
+# its independent reference.
+cargo test --release --offline --manifest-path stackbench/Cargo.toml
+cargo run --release --offline --manifest-path stackbench/Cargo.toml -- run --smoke
+
 echo "== perf-regression gate (this run vs bench_results.jsonl history) =="
 # Every throughput measurement of this CI run is compared against the
 # recorded history: per measurement identity (exhibit + mode / shards /

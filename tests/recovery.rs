@@ -19,15 +19,20 @@
 //!
 //! The suite runs `SEEDS × 3 ≥ 500` full crash/recover cycles. Each is
 //! deterministic in its seed, so a failure replays bit-for-bit.
+//!
+//! A further 160 cycles crash *inside* one group-committed request — the
+//! serving layer's two records, one sync, then push — and hold the same
+//! conformance contract (`crash_inside_a_group_committed_request_…`).
 
 use impatience::prelude::*;
 use impatience_core::{StreamError, StreamMessage};
 use impatience_engine::ingress::WalConfig;
 use impatience_engine::{input_stream, punctuate_arrivals, CheckpointCtx, WalIngress};
-use impatience_engine::{InputHandle, Output};
+use impatience_engine::{InputHandle, Output, RecoveryInfo};
 use impatience_sort::ImpatienceSorter;
 use impatience_testkit::crash::{
     corrupt_random_byte, crash_point, files_with_suffix, newest_with_suffix, tear_tail,
+    truncate_file,
 };
 use impatience_testkit::{Rng, SeedableRng, StdRng};
 use std::fs;
@@ -118,8 +123,16 @@ fn build(base: &Path, every_n: u32) -> Incarnation {
 
 /// Opens the run's WAL and wires checkpoint-driven truncation into `ctx`.
 fn attach_wal(ctx: &CheckpointCtx, base: &Path) -> Arc<Mutex<WalIngress<u32>>> {
+    attach_wal_with(ctx, base, wal_config())
+}
+
+fn attach_wal_with(
+    ctx: &CheckpointCtx,
+    base: &Path,
+    config: WalConfig,
+) -> Arc<Mutex<WalIngress<u32>>> {
     let wal = Arc::new(Mutex::new(
-        WalIngress::open_with(base.join("wal"), wal_config()).expect("open wal"),
+        WalIngress::open_with(base.join("wal"), config).expect("open wal"),
     ));
     let w = Arc::clone(&wal);
     ctx.on_checkpoint(move |note| {
@@ -147,6 +160,90 @@ struct SuiteCounts {
     fresh_starts: u64,
 }
 
+/// The uncrashed run of `t` — itself durable, so checkpoint writes are
+/// also shown not to perturb output.
+fn reference_run(t: &[StreamMessage<u32>], every_n: u32, base: &Path) -> Vec<Event<u64>> {
+    let inc = build(base, every_n);
+    let wal = attach_wal(&inc.ctx, base);
+    for msg in t {
+        wal.lock().unwrap().append(msg).unwrap();
+        inc.handle.push(msg.clone()).expect("push");
+    }
+    assert!(
+        inc.out.is_completed(),
+        "{}: reference completed",
+        base.display()
+    );
+    assert!(inc.out.error().is_none());
+    inc.out.events()
+}
+
+/// Incarnation 2: recover from `base`, replay the WAL suffix, resume the
+/// tape, and assert conformance — the crashed run's committed prefix
+/// followed by the recovered output is byte-identical to `reference`.
+/// `Err` is recovery's own typed failure, for the caller to judge.
+fn recover_and_check(
+    what: &str,
+    t: &[StreamMessage<u32>],
+    every_n: u32,
+    base: &Path,
+    events_before: &[Event<u64>],
+    reference: &[Event<u64>],
+    must_complete: bool,
+) -> Result<Option<RecoveryInfo>, StreamError> {
+    let inc = build(base, every_n);
+    if let Some(err) = inc.out.error() {
+        assert!(!inc.out.is_completed());
+        assert!(inc.ctx.recovery().is_none());
+        return Err(err);
+    }
+
+    let rec = inc.ctx.recovery();
+    let m = rec.as_ref().map_or(0, |r| r.messages_seen);
+    let p = rec.as_ref().map_or(0, |r| r.egress_events) as usize;
+    assert!(
+        p <= events_before.len(),
+        "{what}: committed prefix {p} beyond {} crashed events",
+        events_before.len()
+    );
+
+    let wal = attach_wal(&inc.ctx, base);
+    // Replay the surviving log suffix the checkpoint has not covered.
+    for (idx, msg) in WalIngress::<u32>::replay_from(&base.join("wal"), m).unwrap() {
+        assert!(idx >= m);
+        inc.handle.push(msg).expect("push");
+    }
+    // Resume the tape where the log ends. Records torn off the WAL are
+    // re-sent by the source (they were never acknowledged); any that the
+    // restored checkpoint already covers are logged but not re-consumed.
+    let resume = wal.lock().unwrap().next_index();
+    for (i, msg) in t.iter().enumerate().skip(resume as usize) {
+        wal.lock().unwrap().append(msg).unwrap();
+        if i as u64 >= m {
+            inc.handle.push(msg.clone()).expect("push");
+        }
+    }
+
+    if must_complete {
+        assert!(
+            inc.out.is_completed(),
+            "{what}: recovered run did not complete"
+        );
+    }
+    assert!(inc.out.error().is_none(), "{what}");
+
+    // Conformance: committed crashed prefix + recovered output is
+    // byte-identical to the uncrashed run.
+    let combined: Vec<Event<u64>> = events_before
+        .iter()
+        .take(p)
+        .cloned()
+        .chain(inc.out.events())
+        .collect();
+    assert_eq!(reference, combined, "{what}: recovered output diverges");
+    Ok(rec)
+}
+
 /// One full crash/recover cycle; returns what recovery did.
 fn run_one(seed: u64, damage: Damage, counts: &mut SuiteCounts) {
     let t = tape(seed);
@@ -154,20 +251,8 @@ fn run_one(seed: u64, damage: Damage, counts: &mut SuiteCounts) {
     let cp = crash_point(seed ^ 0xc4a5_4e11, t.len());
     counts.runs += 1;
 
-    // Uncrashed reference, itself durable so checkpoint writes are also
-    // shown not to perturb output.
     let ref_base = base_dir(&format!("ref-{seed}-{damage:?}"));
-    let reference = {
-        let inc = build(&ref_base, every_n);
-        let wal = attach_wal(&inc.ctx, &ref_base);
-        for msg in &t {
-            wal.lock().unwrap().append(msg).unwrap();
-            inc.handle.push(msg.clone()).expect("push");
-        }
-        assert!(inc.out.is_completed(), "seed {seed}: reference completed");
-        assert!(inc.out.error().is_none());
-        inc.out
-    };
+    let reference = reference_run(&t, every_n, &ref_base);
 
     // Incarnation 1: log-then-push up to the crash point, then die.
     let base = base_dir(&format!("run-{seed}-{damage:?}"));
@@ -199,87 +284,43 @@ fn run_one(seed: u64, damage: Damage, counts: &mut SuiteCounts) {
         }
     }
 
-    // Incarnation 2: recover, replay the WAL suffix, resume the tape.
-    let inc = build(&base, every_n);
-    if let Some(err) = inc.out.error() {
-        // Only checkpoint corruption may make recovery impossible, and it
-        // must surface as the typed error with no completion — never abort.
-        assert!(
-            matches!(err, StreamError::RecoveryFailed { .. }),
-            "seed {seed} {damage:?}: unexpected error {err:?}"
-        );
-        assert_eq!(
-            damage,
-            Damage::CorruptCkpt,
-            "seed {seed}: recovery failed without checkpoint damage"
-        );
-        assert!(!inc.out.is_completed());
-        assert!(inc.ctx.recovery().is_none());
-        counts.typed_failures += 1;
-        let _ = fs::remove_dir_all(&ref_base);
-        let _ = fs::remove_dir_all(&base);
-        return;
-    }
-
-    let rec = inc.ctx.recovery();
-    match &rec {
-        Some(r) => {
+    let what = format!(
+        "seed {seed} {damage:?} every_n {every_n} crash@{}/{}",
+        cp.after_messages,
+        t.len()
+    );
+    match recover_and_check(
+        &what,
+        &t,
+        every_n,
+        &base,
+        &events_before,
+        &reference,
+        cp.after_messages < t.len(),
+    ) {
+        Err(err) => {
+            // Only checkpoint corruption may make recovery impossible, and
+            // it must surface as the typed error with no completion —
+            // never abort.
+            assert!(
+                matches!(err, StreamError::RecoveryFailed { .. }),
+                "{what}: unexpected error {err:?}"
+            );
+            assert_eq!(
+                damage,
+                Damage::CorruptCkpt,
+                "{what}: recovery failed without checkpoint damage"
+            );
+            counts.typed_failures += 1;
+        }
+        Ok(Some(r)) => {
             counts.restores += 1;
             if r.fallback.is_some() {
                 counts.fallbacks += 1;
             }
         }
-        None => counts.fresh_starts += 1,
+        Ok(None) => counts.fresh_starts += 1,
     }
-    let m = rec.as_ref().map_or(0, |r| r.messages_seen);
-    let p = rec.as_ref().map_or(0, |r| r.egress_events) as usize;
-    assert!(
-        p <= events_before.len(),
-        "seed {seed} {damage:?}: committed prefix {p} beyond {} crashed events",
-        events_before.len()
-    );
-
-    let wal = attach_wal(&inc.ctx, &base);
-    // Replay the surviving log suffix the checkpoint has not covered.
-    for (idx, msg) in WalIngress::<u32>::replay_from(&base.join("wal"), m).unwrap() {
-        assert!(idx >= m);
-        inc.handle.push(msg).expect("push");
-    }
-    // Resume the tape where the log ends. Records torn off the WAL are
-    // re-sent by the source (they were never acknowledged); any that the
-    // restored checkpoint already covers are logged but not re-consumed.
-    let resume = wal.lock().unwrap().next_index();
-    for (i, msg) in t.iter().enumerate().skip(resume as usize) {
-        wal.lock().unwrap().append(msg).unwrap();
-        if i as u64 >= m {
-            inc.handle.push(msg.clone()).expect("push");
-        }
-    }
-
-    if cp.after_messages < t.len() {
-        assert!(
-            inc.out.is_completed(),
-            "seed {seed} {damage:?}: recovered run did not complete"
-        );
-    }
-    assert!(inc.out.error().is_none(), "seed {seed} {damage:?}");
-
-    // Conformance: committed crashed prefix + recovered output is
-    // byte-identical to the uncrashed run.
-    let combined: Vec<Event<u64>> = events_before
-        .iter()
-        .take(p)
-        .cloned()
-        .chain(inc.out.events())
-        .collect();
-    assert_eq!(
-        reference.events(),
-        combined,
-        "seed {seed} {damage:?} every_n {every_n} crash@{}/{}: recovered output diverges",
-        cp.after_messages,
-        t.len()
-    );
-
     let _ = fs::remove_dir_all(&ref_base);
     let _ = fs::remove_dir_all(&base);
 }
@@ -302,6 +343,127 @@ fn crash_anywhere_recovery_is_byte_identical() {
     assert!(counts.fresh_starts > 0, "no pre-checkpoint crash seen");
     // Corruption must have had at least one visible consequence.
     assert!(counts.fallbacks + counts.typed_failures > 0);
+}
+
+/// Where a crash lands inside one group-committed request: the serving
+/// layer appends a request's batch record and its punctuation record,
+/// syncs **once**, and only then pushes either (`TenantRuntime::ingest`).
+#[derive(Debug, Clone, Copy)]
+enum GroupCrash {
+    /// Died between the two appends: batch record whole, no punctuation.
+    PunctAbsent,
+    /// Power loss kept the batch record and part of the punctuation record.
+    PunctTorn,
+    /// Process death after both appends, before the sync: the page cache
+    /// kept every byte, but nothing was pushed or acknowledged.
+    UnsyncedKept,
+    /// Power loss after both appends, before the sync: neither survived.
+    UnsyncedLost,
+}
+
+/// `(segment, length)` for every WAL segment under `base`.
+fn wal_extent(base: &Path) -> Vec<(PathBuf, u64)> {
+    files_with_suffix(base.join("wal"), ".seg")
+        .unwrap()
+        .into_iter()
+        .map(|seg| {
+            let len = fs::metadata(&seg).unwrap().len();
+            (seg, len)
+        })
+        .collect()
+}
+
+/// Cuts the WAL under `base` back to an earlier [`wal_extent`], removing
+/// segments rolled since.
+fn rewind_wal(base: &Path, extent: &[(PathBuf, u64)]) {
+    for (seg, _) in wal_extent(base) {
+        match extent.iter().find(|(kept, _)| *kept == seg) {
+            Some(&(_, len)) => truncate_file(&seg, len).unwrap(),
+            None => fs::remove_file(&seg).unwrap(),
+        }
+    }
+}
+
+/// One crash inside a group-committed `[batch, punctuation]` request.
+fn run_group_commit(seed: u64, crash: GroupCrash) {
+    let t = tape(seed ^ 0x6c07);
+    let every_n = 1 + (seed % 4) as u32;
+    // A request is a batch plus the punctuation it provokes, if any.
+    let pairs: Vec<usize> = (0..t.len() - 1)
+        .filter(|&i| t[i].is_batch() && t[i + 1].is_punctuation())
+        .collect();
+    let crash_at = pairs[(seed as usize) % pairs.len()];
+
+    let ref_base = base_dir(&format!("group-ref-{seed}-{crash:?}"));
+    let reference = reference_run(&t, every_n, &ref_base);
+
+    let base = base_dir(&format!("group-run-{seed}-{crash:?}"));
+    let events_before = {
+        let inc = build(&base, every_n);
+        // Never auto-sync: the one explicit sync per request is the only
+        // durability point, as on the served path.
+        let group_commit = WalConfig {
+            sync_every: u64::MAX,
+            ..wal_config()
+        };
+        let wal = attach_wal_with(&inc.ctx, &base, group_commit);
+        let mut i = 0;
+        while i < crash_at {
+            let request = if pairs.contains(&i) { 2 } else { 1 };
+            for msg in &t[i..i + request] {
+                wal.lock().unwrap().append(msg).unwrap();
+            }
+            wal.lock().unwrap().sync().unwrap();
+            for msg in &t[i..i + request] {
+                inc.handle.push(msg.clone()).expect("push");
+            }
+            i += request;
+        }
+        // The crashing request: appended, never synced, never pushed.
+        let before = wal_extent(&base);
+        wal.lock().unwrap().append(&t[crash_at]).unwrap();
+        let batch_only = wal_extent(&base);
+        wal.lock().unwrap().append(&t[crash_at + 1]).unwrap();
+        let both = wal_extent(&base);
+        drop(wal);
+        match crash {
+            GroupCrash::PunctAbsent => rewind_wal(&base, &batch_only),
+            GroupCrash::PunctTorn => {
+                let (seg, end) = both.last().unwrap();
+                let start = batch_only
+                    .iter()
+                    .find(|(s, _)| s == seg)
+                    .map_or(0, |&(_, len)| len);
+                let kept = 1 + seed % (end - start - 1);
+                truncate_file(seg, start + kept).unwrap();
+            }
+            GroupCrash::UnsyncedKept => {}
+            GroupCrash::UnsyncedLost => rewind_wal(&base, &before),
+        }
+        inc.out.events()
+    };
+
+    let what = format!(
+        "seed {seed} {crash:?} every_n {every_n} crash in request@{crash_at}/{}",
+        t.len()
+    );
+    recover_and_check(&what, &t, every_n, &base, &events_before, &reference, true)
+        .unwrap_or_else(|err| panic!("{what}: no checkpoint was damaged, yet {err:?}"));
+    let _ = fs::remove_dir_all(&ref_base);
+    let _ = fs::remove_dir_all(&base);
+}
+
+/// A crash anywhere inside a group-committed request — between its two
+/// records, through the second, or after both but before the single sync
+/// — recovers byte-identical to the uninterrupted run.
+#[test]
+fn crash_inside_a_group_committed_request_is_byte_identical() {
+    for seed in 0..40 {
+        run_group_commit(seed, GroupCrash::PunctAbsent);
+        run_group_commit(seed, GroupCrash::PunctTorn);
+        run_group_commit(seed, GroupCrash::UnsyncedKept);
+        run_group_commit(seed, GroupCrash::UnsyncedLost);
+    }
 }
 
 fn copy_tree(from: &Path, to: &Path) {
