@@ -17,6 +17,7 @@ use impatience_engine::{input_stream, punctuate_arrivals, BlackHoleSink, Ingress
 use impatience_sort::{ExternalImpatienceSorter, ImpatienceSorter, OnlineSorter};
 use impatience_workloads::Dataset;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::cli::BenchArgs;
 
@@ -162,10 +163,13 @@ fn run_canonical(
     };
     // The sampled pipeline runs durable so every exhibit's snapshot also
     // carries the checkpoint.* / recovery.* counters snapshot_check
-    // demands. Checkpoints land in a scratch directory per process.
+    // demands. Checkpoints land in a scratch directory per run (runs of
+    // one process may overlap: the test harness is multi-threaded).
+    static RUN: AtomicU64 = AtomicU64::new(0);
     let ckpt_dir = std::env::temp_dir().join(format!(
-        "impatience-bench-ckpt-{}-{}",
+        "impatience-bench-ckpt-{}-{}-{}",
         std::process::id(),
+        RUN.fetch_add(1, Ordering::Relaxed),
         ds.name.replace(|c: char| !c.is_ascii_alphanumeric(), "-"),
     ));
     let _ = std::fs::remove_dir_all(&ckpt_dir);

@@ -109,6 +109,14 @@ impl<P: Payload> EventBatch<P> {
         self.iter_visible().cloned().collect()
     }
 
+    /// Consumes the batch, moving the visible events out in row order —
+    /// the owning form of [`visible_to_vec`](Self::visible_to_vec). An
+    /// unfiltered batch hands over its storage as is.
+    pub fn into_visible(mut self) -> Vec<Event<P>> {
+        self.compact();
+        self.events
+    }
+
     /// Drops filtered rows, compacting storage. Used by operators that must
     /// materialize (e.g. the sorter ingests only visible rows).
     pub fn compact(&mut self) {
@@ -254,6 +262,19 @@ mod tests {
         let before = b.events().to_vec();
         b.compact();
         assert_eq!(b.events(), &before[..]);
+    }
+
+    #[test]
+    fn into_visible_moves_what_visible_to_vec_copies() {
+        let mut b = batch(&[5, 1, 9, 3]);
+        assert_eq!(b.clone().into_visible(), b.visible_to_vec());
+        b.filter_mut().filter_out(0);
+        b.filter_mut().filter_out(2);
+        assert_eq!(b.clone().into_visible(), b.visible_to_vec());
+        for i in [1, 3] {
+            b.filter_mut().filter_out(i);
+        }
+        assert!(b.into_visible().is_empty());
     }
 
     #[test]

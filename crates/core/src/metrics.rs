@@ -5,7 +5,9 @@
 //! [`crate::IngressStats`] and [`crate::MemoryMeter`] — but thread-safe, so
 //! one registry can serve the shards of a multi-core pipeline
 //! (`engine::sharded`): counters and gauges are lock-free atomics,
-//! histograms take a short mutex per sample. Operators hold handles; the
+//! histograms take a short mutex per [`Histogram::record`] — or one per
+//! whole batch of samples via [`Histogram::record_batch`], which is what
+//! pipeline stages use. Operators hold handles; the
 //! registry owns the names and renders [`MetricsSnapshot`]s — sorted,
 //! deterministic, and exportable as [`Json`] for machine-readable bench
 //! output or as a compact `Display` "top" view for humans.
@@ -118,6 +120,7 @@ struct HistogramInner {
     buckets: [u64; HISTOGRAM_BUCKETS],
     count: u64,
     sum: u64,
+    /// `u64::MAX` while empty, so that tallying needs no special case.
     min: u64,
     max: u64,
 }
@@ -128,9 +131,34 @@ impl Default for HistogramInner {
             buckets: [0; HISTOGRAM_BUCKETS],
             count: 0,
             sum: 0,
-            min: 0,
+            min: u64::MAX,
             max: 0,
         }
+    }
+}
+
+impl HistogramInner {
+    /// Counts one sample; branch-free.
+    #[inline]
+    fn tally(&mut self, v: u64) {
+        self.buckets[Histogram::bucket_index(v)] += 1;
+        self.count += 1;
+        self.sum = self.sum.saturating_add(v);
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
+    /// Folds in `other` as if its samples had been tallied one by one
+    /// (saturating adds of non-negative terms associate, so the sums merge
+    /// exactly).
+    fn absorb(&mut self, other: &HistogramInner) {
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
     }
 }
 
@@ -155,11 +183,8 @@ impl Histogram {
     /// Bucket index for a sample value.
     #[inline]
     pub fn bucket_index(v: u64) -> usize {
-        if v == 0 {
-            0
-        } else {
-            ((64 - v.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
-        }
+        // The bit length of zero is zero: no special case.
+        ((64 - v.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
     }
 
     /// Half-open value range `[lo, hi)` covered by bucket `i`; the overflow
@@ -175,16 +200,21 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&self, v: u64) {
-        let mut inner = lock(&self.inner);
-        inner.buckets[Self::bucket_index(v)] += 1;
-        if inner.count == 0 || v < inner.min {
-            inner.min = v;
+        lock(&self.inner).tally(v);
+    }
+
+    /// Records every sample of `samples` under **one** lock acquisition:
+    /// they accumulate in a stack-local bucket array first and are merged
+    /// in one step, leaving every field exactly as `record` per sample
+    /// would. An empty batch takes no lock at all.
+    pub fn record_batch(&self, samples: impl IntoIterator<Item = u64>) {
+        let mut local = HistogramInner::default();
+        for v in samples {
+            local.tally(v);
         }
-        if v > inner.max {
-            inner.max = v;
+        if local.count > 0 {
+            lock(&self.inner).absorb(&local);
         }
-        inner.count += 1;
-        inner.sum = inner.sum.saturating_add(v);
     }
 
     /// Number of recorded samples.
@@ -199,7 +229,12 @@ impl Histogram {
 
     /// Smallest recorded sample (zero if empty).
     pub fn min(&self) -> u64 {
-        lock(&self.inner).min
+        let inner = lock(&self.inner);
+        if inner.count == 0 {
+            0
+        } else {
+            inner.min
+        }
     }
 
     /// Largest recorded sample (zero if empty).
@@ -227,7 +262,15 @@ impl Histogram {
 /// operator panicked mid-sample under `catch_unwind`) only risks one torn
 /// histogram entry — recover the data instead of propagating the poison.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    #[cfg(test)]
+    LOCKS_TAKEN.with(|n| n.set(n.get() + 1));
     m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Metric locks this thread has taken (histogram and registry alike).
+    static LOCKS_TAKEN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl core::fmt::Debug for Histogram {
@@ -622,6 +665,69 @@ mod tests {
         assert_eq!(buckets[3], 1); // 4
         assert_eq!(buckets[HISTOGRAM_BUCKETS - 1], 2); // overflow
         assert_eq!(buckets.iter().sum::<u64>(), h.count());
+    }
+
+    fn snapshot_of(h: &Histogram) -> (u64, u64, u64, u64, [u64; HISTOGRAM_BUCKETS]) {
+        (h.count(), h.sum(), h.min(), h.max(), h.bucket_counts())
+    }
+
+    impatience_testkit::props! {
+        cases = 256;
+        /// `record_batch(samples)` ≡ `for s in samples { record(s) }` on
+        /// every field. The shift spreads samples over all 33 buckets
+        /// (zeros, the overflow bucket, sums that saturate), and `seeded`
+        /// samples go in first so the merge also meets a non-empty target.
+        fn record_batch_equals_record_per_sample(
+            seeded in impatience_testkit::prop::vec(
+                (impatience_testkit::prop::any::<u64>(), 0u32..65), 0..4),
+            samples in impatience_testkit::prop::vec(
+                (impatience_testkit::prop::any::<u64>(), 0u32..65), 0..200)
+        ) {
+            let value = |(v, shift): (u64, u32)| v.checked_shr(shift).unwrap_or(0);
+            let (one_by_one, batched) = (Histogram::new(), Histogram::new());
+            for s in seeded {
+                one_by_one.record(value(s));
+                batched.record(value(s));
+            }
+            for &s in &samples {
+                one_by_one.record(value(s));
+            }
+            batched.record_batch(samples.iter().copied().map(value));
+            assert_eq!(snapshot_of(&batched), snapshot_of(&one_by_one));
+        }
+    }
+
+    #[test]
+    fn record_batch_edge_inputs() {
+        // Empty batch: nothing changes, on an empty or a used histogram.
+        let h = Histogram::new();
+        h.record_batch([]);
+        assert_eq!(snapshot_of(&h), snapshot_of(&Histogram::new()));
+        h.record(9);
+        let before = snapshot_of(&h);
+        h.record_batch([]);
+        assert_eq!(snapshot_of(&h), before);
+        // Overflow bucket, a saturating sum, and a new minimum of zero.
+        h.record_batch([u64::MAX, 1 << 31, 0, u64::MAX]);
+        assert_eq!(h.count(), 5);
+        assert_eq!(h.sum(), u64::MAX, "sum saturates as `record` does");
+        assert_eq!((h.min(), h.max()), (0, u64::MAX));
+        assert_eq!(h.bucket_counts()[HISTOGRAM_BUCKETS - 1], 3);
+    }
+
+    #[test]
+    fn record_batch_takes_one_lock_per_non_empty_batch() {
+        let h = Histogram::new();
+        let locks = || LOCKS_TAKEN.with(std::cell::Cell::get);
+        let before = locks();
+        h.record_batch(0..10_000u64);
+        assert_eq!(locks() - before, 1, "10 000 samples, one lock");
+        h.record_batch(std::iter::empty());
+        assert_eq!(locks() - before, 1, "an empty batch takes none");
+        for v in 0..3 {
+            h.record(v);
+        }
+        assert_eq!(locks() - before, 4, "`record` takes one per sample");
     }
 
     #[test]

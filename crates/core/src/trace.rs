@@ -127,8 +127,10 @@ impl SpanKind {
 /// One recorded span (or watermark instant).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Operator label, e.g. `pipeline.02.sort` or `shard01.queue`.
-    pub op: String,
+    /// Operator label, e.g. `pipeline.02.sort` or `shard01.queue`. Shared
+    /// with the recorder that minted it, so recording a span never
+    /// allocates.
+    pub op: Arc<str>,
     /// Shard lane (0 for unsharded stages; the merge uses its own lane).
     pub shard: u32,
     /// What the span measures.
@@ -333,7 +335,7 @@ impl TraceSink {
             .into_iter()
             .map(|s| {
                 let mut fields = vec![
-                    ("name".to_string(), Json::from(s.op.clone())),
+                    ("name".to_string(), Json::from(s.op.to_string())),
                     ("cat".to_string(), Json::from(s.kind.as_str())),
                 ];
                 let mut args = Vec::new();
@@ -755,7 +757,7 @@ mod tests {
 
     fn span(op: &str, shard: u32, kind: SpanKind, start: u64, dur: u64) -> SpanRecord {
         SpanRecord {
-            op: op.to_string(),
+            op: op.into(),
             shard,
             kind,
             start_ns: start,
@@ -799,7 +801,7 @@ mod tests {
         assert_eq!(sink.span_count(), 2);
         assert_eq!(sink.dropped(), 1);
         assert_eq!(sink.recorder_count(), 1);
-        let ops: Vec<String> = sink.spans().into_iter().map(|s| s.op).collect();
+        let ops: Vec<String> = sink.spans().iter().map(|s| s.op.to_string()).collect();
         assert_eq!(ops, ["a", "b"], "the oldest spans survive");
     }
 
@@ -813,7 +815,7 @@ mod tests {
         // Absorb in "wrong" order; export order is by start time.
         sink.absorb(r1);
         sink.absorb(r2);
-        let ops: Vec<String> = sink.spans().into_iter().map(|s| s.op).collect();
+        let ops: Vec<String> = sink.spans().iter().map(|s| s.op.to_string()).collect();
         assert_eq!(ops, ["early", "late"]);
     }
 
@@ -823,7 +825,7 @@ mod tests {
         let mut ring = sink.ring();
         ring.push(span("pipeline.00.sort", 0, SpanKind::Sort, 1_000, 2_500));
         ring.push(SpanRecord {
-            op: "watermark".to_string(),
+            op: "watermark".into(),
             shard: 0,
             kind: SpanKind::Watermark,
             start_ns: 4_000,

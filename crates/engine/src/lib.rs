@@ -17,9 +17,11 @@
 //!   timestamp-adjusting windows §IV-A2, synchronizing union §V-A, ...);
 //! * [`ingress`] — punctuation policies (`watermark − reorder_latency`)
 //!   and disordered-to-ordered entry points;
-//! * [`metered`] — opt-in per-operator instrumentation
-//!   ([`Streamable::instrument`]): traffic counters, busy time,
-//!   watermark-lag histograms, sorter gauges;
+//! * [`shell`] — the one wrapper around every stage ([`StageShell`]):
+//!   opt-in per-operator instrumentation ([`Streamable::instrument`]:
+//!   traffic counters, busy time, watermark-lag histograms, sorter
+//!   gauges), panic fencing ([`Streamable::hardened`]) and span emission,
+//!   in one pass with no shared-state work per event;
 //! * [`checkpoint`] — durable pipelines: operator-state checkpoint/restore
 //!   ([`Streamable::checkpointed`]) backed by two-slot atomic snapshots,
 //!   paired with the write-ahead ingest log ([`ingress::Wal`]) for
@@ -51,12 +53,11 @@
 #![warn(rust_2018_idioms)]
 
 pub mod checkpoint;
-pub mod hardened;
 pub mod ingress;
-pub mod metered;
 pub mod observer;
 pub mod ops;
 pub mod sharded;
+pub mod shell;
 pub mod spec;
 pub mod streamable;
 pub mod traced;
@@ -65,14 +66,13 @@ pub use checkpoint::{
     CheckpointCtx, CheckpointGate, CheckpointMetrics, CheckpointNote, Checkpointable, Checkpointer,
     RecoveryInfo, CHECKPOINT_MAGIC,
 };
-pub use hardened::PanicGuard;
 pub use ingress::{
     disordered_input, ingress_sorted, ingress_sorted_with, punctuate_arrivals, replay_wal,
     IngressPolicy, Wal, WalIngress,
 };
-pub use metered::{EgressProbe, MeteredObserver, OperatorMetrics};
 pub use observer::{BlackHoleSink, CollectorSink, FnSink, Observer, Output, SharedSink};
 pub use sharded::{Pop, ShardCtx, ShardOptions, ShardQueue, TryPush};
+pub use shell::{OperatorMetrics, StageShell};
 pub use spec::{
     BuiltPipeline, CheckpointSpec, OpSpec, PipelineEnv, PipelineSpec, ReorderSpec, SortSpec,
 };

@@ -13,11 +13,11 @@
 
 use crate::checkpoint::Checkpointable;
 use crate::observer::Observer;
+use crate::ops::keymap::{key_map_with_capacity, KeyMap};
 use impatience_core::{
     Event, EventBatch, Payload, SnapshotError, SnapshotReader, SnapshotWriter, StateCodec,
     StreamError, Timestamp,
 };
-use std::collections::HashMap;
 
 /// An incremental, mergeable aggregate function.
 pub trait Aggregate<P: Payload>: Clone + Send + 'static {
@@ -309,7 +309,7 @@ impl<P: Payload, A: Aggregate<P>, S: Observer<A::Out>> Observer<P> for WindowAgg
 pub struct GroupedAggregateOp<P: Payload, A: Aggregate<P>, S> {
     agg: A,
     window: Option<(Timestamp, Timestamp)>,
-    groups: HashMap<u32, A::Acc>,
+    groups: KeyMap<A::Acc>,
     next: S,
 }
 
@@ -319,7 +319,7 @@ impl<P: Payload, A: Aggregate<P>, S> GroupedAggregateOp<P, A, S> {
         GroupedAggregateOp {
             agg,
             window: None,
-            groups: HashMap::new(),
+            groups: KeyMap::default(),
             next,
         }
     }
@@ -371,7 +371,7 @@ impl<P: Payload, A: Aggregate<P>, S: Send> Checkpointable for GroupedAggregateOp
     fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let window = Option::<(Timestamp, Timestamp)>::decode(r)?;
         let n = r.get_count()?;
-        let mut groups = HashMap::with_capacity(n);
+        let mut groups = key_map_with_capacity(n);
         for _ in 0..n {
             let k = u32::decode(r)?;
             let acc = A::Acc::decode(r)?;

@@ -17,11 +17,12 @@
 
 use crate::checkpoint::Checkpointable;
 use crate::observer::Observer;
+use crate::ops::keymap::{key_map_with_capacity, KeyMap};
 use impatience_core::{
     Event, EventBatch, MemoryMeter, Payload, SnapshotError, SnapshotReader, SnapshotWriter,
     StateCodec, StreamError, Timestamp,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Poison-tolerant lock on the shared join core (see `ops::union`).
@@ -31,14 +32,14 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// One side's relation state: per key, the live intervals.
 struct SideState<P> {
-    by_key: HashMap<u32, Vec<Event<P>>>,
+    by_key: KeyMap<Vec<Event<P>>>,
     bytes: usize,
 }
 
 impl<P: Payload> SideState<P> {
     fn new() -> Self {
         SideState {
-            by_key: HashMap::new(),
+            by_key: KeyMap::default(),
             bytes: 0,
         }
     }
@@ -254,7 +255,7 @@ fn encode_relation<P: Payload>(state: &SideState<P>, w: &mut SnapshotWriter) {
 
 fn decode_relation<P: Payload>(r: &mut SnapshotReader<'_>) -> Result<SideState<P>, SnapshotError> {
     let n = r.get_count()?;
-    let mut by_key = HashMap::with_capacity(n);
+    let mut by_key = key_map_with_capacity(n);
     let mut bytes = 0usize;
     for _ in 0..n {
         let k = u32::decode(r)?;

@@ -8,6 +8,7 @@
 pub mod aggregate;
 pub mod filter;
 pub mod join;
+mod keymap;
 pub mod pattern;
 pub mod project;
 pub mod reduce;

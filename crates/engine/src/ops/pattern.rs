@@ -9,11 +9,11 @@
 
 use crate::checkpoint::Checkpointable;
 use crate::observer::Observer;
+use crate::ops::keymap::{key_map_with_capacity, KeyMap};
 use impatience_core::{
     EventBatch, Payload, SnapshotError, SnapshotReader, SnapshotWriter, StateCodec, StreamError,
     TickDuration, Timestamp,
 };
-use std::collections::HashMap;
 
 /// The payload of an emitted match: the second event's payload, timed at
 /// the second event, with `other_time` covering the span since the first.
@@ -22,7 +22,7 @@ pub struct FollowedByOp<P, F1, F2, S> {
     is_second: F2,
     window: TickDuration,
     /// Per-key sync time of the most recent qualifying first event.
-    open: HashMap<u32, Timestamp>,
+    open: KeyMap<Timestamp>,
     matches_emitted: u64,
     next: S,
     _p: core::marker::PhantomData<P>,
@@ -36,7 +36,7 @@ impl<P, F1, F2, S> FollowedByOp<P, F1, F2, S> {
             is_first,
             is_second,
             window,
-            open: HashMap::new(),
+            open: KeyMap::default(),
             matches_emitted: 0,
             next,
             _p: core::marker::PhantomData,
@@ -69,7 +69,7 @@ impl<P: Send, F1: Send, F2: Send, S: Send> Checkpointable for FollowedByOp<P, F1
     fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let matches_emitted = u64::decode(r)?;
         let n = r.get_count()?;
-        let mut open = HashMap::with_capacity(n);
+        let mut open = key_map_with_capacity(n);
         for _ in 0..n {
             let k = u32::decode(r)?;
             open.insert(k, Timestamp::decode(r)?);

@@ -9,17 +9,17 @@
 
 use crate::checkpoint::Checkpointable;
 use crate::observer::Observer;
+use crate::ops::keymap::{key_map_with_capacity, KeyMap};
 use impatience_core::{
     Event, EventBatch, Payload, SnapshotError, SnapshotReader, SnapshotWriter, StateCodec,
     StreamError, Timestamp,
 };
-use std::collections::HashMap;
 
 /// Combines same-window same-key events with a binary payload function.
 pub struct ReduceByKeyOp<P, F, S> {
     combine: F,
     window: Option<(Timestamp, Timestamp)>,
-    groups: HashMap<u32, P>,
+    groups: KeyMap<P>,
     /// Arrival order of keys, for deterministic output.
     order: Vec<u32>,
     next: S,
@@ -31,7 +31,7 @@ impl<P, F, S> ReduceByKeyOp<P, F, S> {
         ReduceByKeyOp {
             combine,
             window: None,
-            groups: HashMap::new(),
+            groups: KeyMap::default(),
             order: Vec::new(),
             next,
         }
@@ -80,7 +80,7 @@ impl<P: Payload, F: Send, S: Send> Checkpointable for ReduceByKeyOp<P, F, S> {
     fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let window = Option::<(Timestamp, Timestamp)>::decode(r)?;
         let order = Vec::<u32>::decode(r)?;
-        let mut groups = HashMap::with_capacity(order.len());
+        let mut groups = key_map_with_capacity(order.len());
         for &k in &order {
             if groups.insert(k, P::decode(r)?).is_some() {
                 return Err(SnapshotError::corrupt(format!(

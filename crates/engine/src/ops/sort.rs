@@ -221,7 +221,7 @@ impl<P: Payload, S> SortOp<P, S> {
         }
     }
 
-    fn handle_late(&mut self, e: &Event<P>) {
+    fn handle_late(&mut self, e: Event<P>) {
         match self.policy.late {
             // RerouteNextPartition is rejected at construction; treat a
             // stray instance as Drop rather than losing the event silently
@@ -233,7 +233,7 @@ impl<P: Payload, S> SortOp<P, S> {
                 self.faults.dead_lettered.inc();
                 if let Some(q) = &self.policy.dead_letters {
                     q.push(
-                        e.clone(),
+                        e,
                         DeadLetterReason::Late {
                             watermark: self.watermark,
                         },
@@ -415,12 +415,12 @@ impl<P: Payload, S: Observer<P>> Observer<P> for SortOp<P, S> {
         if self.failed {
             return;
         }
-        for e in batch.iter_visible() {
+        for e in batch.into_visible() {
             if e.sync_time <= self.watermark {
                 self.handle_late(e);
             } else {
                 self.high = self.high.max(e.sync_time);
-                self.sorter.push(e.clone());
+                self.sorter.push(e);
             }
         }
         self.sync_meter();

@@ -459,7 +459,7 @@ fn shard_worker<P: Payload, Q: Payload>(
     trace: Option<TraceSink>,
 ) {
     let panic_lane = output.clone();
-    let result = crate::hardened::guarded(move || {
+    let result = crate::shell::guarded(move || {
         let (handle, stream) = input_stream::<P>();
         build(stream, ShardCtx { index, shards })
             .subscribe_observer(Box::new(QueueSink { queue: output }));
@@ -468,7 +468,7 @@ fn shard_worker<P: Payload, Q: Payload>(
         // at drain time. A panicking worker loses its ring — acceptable, the
         // typed error it emits is the signal that matters then.
         let mut recorder = trace.as_ref().map(|sink| (sink.clone(), sink.ring()));
-        let queue_label = format!("shard{index:02}.queue");
+        let queue_label: Arc<str> = format!("shard{index:02}.queue").into();
         loop {
             match input.pop() {
                 Some(ShardMsg::Msg(msg, enqueued_ns)) => {

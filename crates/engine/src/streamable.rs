@@ -14,10 +14,9 @@
 //!   the benchmarks and the Impatience framework pump data.
 
 use crate::checkpoint::{CheckpointCtx, CheckpointGate, Checkpointable, Checkpointer};
-use crate::hardened::PanicGuard;
-use crate::metered::{EgressProbe, MeteredObserver, OperatorMetrics};
 use crate::observer::{CollectorSink, FnSink, Observer, Output, SharedSink};
 use crate::ops;
+use crate::shell::{OperatorMetrics, StagePlan};
 use crate::traced::{TraceCtx, TraceState};
 use impatience_core::metrics::Counter;
 use impatience_core::{
@@ -40,29 +39,16 @@ fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Instrumentation context carried along a streamable chain: every stage
 /// appended after [`Streamable::instrument`] registers its operator metrics
-/// under `{prefix}.{stage:02}.{name}` and is wrapped in metering probes.
-#[derive(Clone)]
+/// under `{prefix}.{stage:02}.{name}` and is metered by its shell.
 struct Instrument {
     registry: MetricsRegistry,
     prefix: String,
     stage: usize,
 }
 
-impl Instrument {
-    /// Registers instruments for the next stage and advances the counter.
-    fn next_op(&mut self, name: &str) -> OperatorMetrics {
-        let metrics = OperatorMetrics::register(
-            &self.registry,
-            &format!("{}.{:02}.{name}", self.prefix, self.stage),
-        );
-        self.stage += 1;
-        metrics
-    }
-}
-
-/// A lazily constructed ordered stream of events with payload `P`.
-pub struct Streamable<P: Payload> {
-    connect: Connector<P>,
+/// What a chain carries from stage to stage: the settings every stage
+/// appended later is wrapped by (see [`crate::shell`]).
+struct ChainCtx {
     instr: Option<Instrument>,
     hardened: bool,
     /// Operator panics caught across the chain. Registered as
@@ -79,21 +65,54 @@ pub struct Streamable<P: Payload> {
     trace: Option<TraceState>,
 }
 
+impl ChainCtx {
+    /// Plans the shell of the next stage and advances the stage counters.
+    /// Also returns the name its fence reports: the metrics label on an
+    /// instrumented chain, the bare operator name otherwise.
+    fn next_stage(&mut self, name: &str) -> (StagePlan, String) {
+        let (metrics, label) = match self.instr.as_mut() {
+            Some(ins) => {
+                let label = format!("{}.{:02}.{name}", ins.prefix, ins.stage);
+                ins.stage += 1;
+                (
+                    Some(OperatorMetrics::register(&ins.registry, &label)),
+                    label,
+                )
+            }
+            None => (None, name.to_string()),
+        };
+        let plan = StagePlan {
+            metrics,
+            trace: self.trace.as_mut().map(|t| t.next_stage(name)),
+            panics: self.hardened.then(|| self.panics.clone()),
+        };
+        (plan, label)
+    }
+}
+
+/// A lazily constructed ordered stream of events with payload `P`.
+pub struct Streamable<P: Payload> {
+    connect: Connector<P>,
+    ctx: ChainCtx,
+}
+
 impl<P: Payload> Streamable<P> {
     /// Builds a streamable from a raw connector.
     pub fn from_connector(connect: impl FnOnce(Box<dyn Observer<P>>) + Send + 'static) -> Self {
         Streamable {
             connect: Box::new(connect),
-            instr: None,
-            hardened: false,
-            panics: Counter::new(),
-            ckpt: None,
-            trace: None,
+            ctx: ChainCtx {
+                instr: None,
+                hardened: false,
+                panics: Counter::new(),
+                ckpt: None,
+                trace: None,
+            },
         }
     }
 
     /// Enables per-operator instrumentation: every stage chained after this
-    /// call is wrapped in a [`MeteredObserver`] / [`EgressProbe`] pair whose
+    /// call is metered by its [`StageShell`](crate::StageShell), whose
     /// instruments register in `registry` under
     /// `{prefix}.{stage:02}.{operator}` names (see [`OperatorMetrics`] for
     /// the per-operator instrument set). Instrumentation never alters the
@@ -104,8 +123,8 @@ impl<P: Payload> Streamable<P> {
     /// zero), so every instrumented snapshot carries it whether or not the
     /// chain is also [`hardened`](Streamable::hardened).
     pub fn instrument(mut self, registry: &MetricsRegistry, prefix: &str) -> Self {
-        self.panics = registry.counter(&format!("{prefix}.operator_panics"));
-        self.instr = Some(Instrument {
+        self.ctx.panics = registry.counter(&format!("{prefix}.operator_panics"));
+        self.ctx.instr = Some(Instrument {
             registry: registry.clone(),
             prefix: prefix.to_string(),
             stage: 0,
@@ -119,14 +138,14 @@ impl<P: Payload> Streamable<P> {
     /// [`crate::traced`] for the span and provenance model). Like
     /// instrumentation, tracing never alters the stream.
     pub fn traced(mut self, ctx: TraceCtx) -> Self {
-        self.trace = Some(TraceState::new(ctx));
+        self.ctx.trace = Some(TraceState::new(ctx));
         self
     }
 
     /// Enables panic isolation: every stage chained after this call is
-    /// wrapped in a [`PanicGuard`]. An operator panic no longer aborts the
-    /// process — the guard catches it, **poisons** the chain (all further
-    /// traffic is swallowed), counts it (see
+    /// fenced by its [`StageShell`](crate::StageShell). An operator panic
+    /// no longer aborts the process — the fence catches it, **poisons**
+    /// the chain (all further traffic is swallowed), counts it (see
     /// [`Streamable::instrument`]'s `operator_panics` counter), and
     /// delivers a terminal [`StreamError::OperatorPanicked`] to the
     /// pipeline's sink via [`Observer::on_error`].
@@ -134,7 +153,7 @@ impl<P: Payload> Streamable<P> {
     /// Hardening never alters the stream of a panic-free run: a hardened
     /// pipeline produces exactly the output of a bare one.
     pub fn hardened(mut self) -> Self {
-        self.hardened = true;
+        self.ctx.hardened = true;
         self
     }
 
@@ -175,69 +194,35 @@ impl<P: Payload> Streamable<P> {
         self.apply_named("op", build)
     }
 
-    /// Applies an operator-builder stage under an operator name. When the
-    /// chain is instrumented, the stage is sandwiched between a
-    /// [`MeteredObserver`] (in-traffic, busy time, watermark lag) and an
-    /// [`EgressProbe`] (out-traffic); when traced, the (possibly metered)
-    /// operator is wrapped in a span recorder; when hardened, the result
-    /// is additionally wrapped in a [`PanicGuard`] sharing the stage's
-    /// downstream; otherwise it connects bare.
+    /// Applies an operator-builder stage under an operator name. On an
+    /// instrumented, traced or hardened chain the operator is wrapped in
+    /// one [`StageShell`](crate::StageShell) doing all that was asked for
+    /// (and writes into the shell's metering outlet); otherwise it
+    /// connects bare.
     pub(crate) fn apply_named<Q: Payload>(
         mut self,
         name: &str,
         build: impl FnOnce(Box<dyn Observer<Q>>) -> Box<dyn Observer<P>> + Send + 'static,
     ) -> Streamable<Q> {
         let upstream = self.connect;
-        let hardened = self.hardened;
-        let panics = self.panics.clone();
-        let (metrics, label) = match self.instr.as_mut() {
-            Some(ins) => {
-                let label = format!("{}.{:02}.{name}", ins.prefix, ins.stage);
-                (Some(ins.next_op(name)), label)
-            }
-            None => (None, name.to_string()),
-        };
-        let stage_trace = self.trace.as_mut().map(|t| t.next_stage(name));
+        let (plan, label) = self.ctx.next_stage(name);
         let connect = move |sink: Box<dyn Observer<Q>>| {
-            let downstream: Box<dyn Observer<Q>> = match &metrics {
-                Some(m) => Box::new(EgressProbe::new(m.clone(), sink)),
-                None => sink,
-            };
-            if hardened {
-                // The operator writes into a shared view of its downstream;
-                // the guard writes the terminal error into the same cell if
-                // the operator dies mid-handler.
-                let shared = Arc::new(Mutex::new(downstream));
-                let op = build(Box::new(SharedSink(shared.clone())));
-                let op: Box<dyn Observer<P>> = match metrics {
-                    Some(m) => Box::new(MeteredObserver::new(m, op)),
-                    None => op,
-                };
-                let op = match stage_trace {
-                    Some(t) => t.observer(op),
-                    None => op,
-                };
-                upstream(Box::new(PanicGuard::new(label, op, shared, panics)));
-            } else {
-                let op = build(downstream);
-                let op: Box<dyn Observer<P>> = match metrics {
-                    Some(m) => Box::new(MeteredObserver::new(m, op)),
-                    None => op,
-                };
-                let op = match stage_trace {
-                    Some(t) => t.observer(op),
-                    None => op,
-                };
-                upstream(op);
+            let outlet = plan.outlet(sink);
+            if plan.panics.is_none() {
+                // No fence: the error port is never called.
+                return upstream(plan.shell(&label, build(outlet), drop));
             }
+            // The operator writes into a shared view of its outlet; the
+            // fence writes the terminal error into the same cell if the
+            // operator dies mid-handler.
+            let shared = Arc::new(Mutex::new(outlet));
+            let mut port = SharedSink(shared.clone());
+            let op = build(Box::new(SharedSink(shared)));
+            upstream(plan.shell(&label, op, move |err| port.on_error(err)));
         };
         Streamable {
             connect: Box::new(connect),
-            instr: self.instr,
-            hardened: self.hardened,
-            panics: self.panics,
-            ckpt: self.ckpt,
-            trace: self.trace,
+            ctx: self.ctx,
         }
     }
 
@@ -254,7 +239,7 @@ impl<P: Payload> Streamable<P> {
     where
         O: Observer<P> + Checkpointable + 'static,
     {
-        let ckpt = self.ckpt.clone();
+        let ckpt = self.ctx.ckpt.clone();
         self.apply_named(name, move |sink| {
             let op = build(sink);
             match ckpt {
@@ -287,7 +272,7 @@ impl<P: Payload> Streamable<P> {
     ) -> Result<(Streamable<P>, CheckpointCtx), SnapshotError> {
         let checkpointer = Checkpointer::open(dir)?;
         let ctx = CheckpointCtx::new();
-        self.ckpt = Some(ctx.clone());
+        self.ctx.ckpt = Some(ctx.clone());
         let gate_ctx = ctx.clone();
         let stream = self.apply_named("checkpoint", move |sink| {
             Box::new(CheckpointGate::new(
@@ -304,7 +289,7 @@ impl<P: Payload> Streamable<P> {
     /// the framework crate uses this to enrol partition pipelines with the
     /// ladder's shared context.
     pub fn with_checkpoint(mut self, ctx: &CheckpointCtx) -> Self {
-        self.ckpt = Some(ctx.clone());
+        self.ctx.ckpt = Some(ctx.clone());
         self
     }
 
@@ -313,7 +298,7 @@ impl<P: Payload> Streamable<P> {
     /// which checkpoints persist as the committed output prefix for
     /// exactly-once consumers. A no-op on chains without a context.
     pub fn checkpoint_egress(self) -> Streamable<P> {
-        match &self.ckpt {
+        match &self.ctx.ckpt {
             Some(ctx) => {
                 let counter = ctx.egress_counter();
                 self.apply_named("egress", move |sink| {
@@ -415,23 +400,15 @@ impl<P: Payload> Streamable<P> {
         meter: &MemoryMeter,
     ) -> Streamable<Out> {
         let meter = meter.clone();
-        let hardened = self.hardened;
-        let panics = self.panics.clone();
-        let ckpt = self.ckpt.clone();
-        let mut instr = self.instr.take();
-        // Binary operator: one instrument set shared by both inputs (the
-        // in-side counters sum over the two legs) plus an egress probe.
-        let metrics = instr.as_mut().map(|ins| ins.next_op("join"));
-        let mut trace = self.trace.take();
-        let stage_trace = trace.as_mut().map(|t| t.next_stage("join"));
+        let ckpt = self.ctx.ckpt.clone();
+        // Binary operator: one plan shared by both inputs (the in-side
+        // counters sum over the two legs, each leg records spans under the
+        // same label into its own ring) plus one outlet.
+        let (plan, _) = self.ctx.next_stage("join");
         let left_connect = self.connect;
         let right_connect = other.connect;
         let connect = move |sink: Box<dyn Observer<Out>>| {
-            let downstream: Box<dyn Observer<Out>> = match &metrics {
-                Some(m) => Box::new(EgressProbe::new(m.clone(), sink)),
-                None => sink,
-            };
-            let (l, r) = ops::temporal_join(combine, downstream, meter);
+            let (l, r) = ops::temporal_join(combine, plan.outlet(sink), meter);
             if let Some(ctx) = &ckpt {
                 // One input handle snapshots the whole shared join core.
                 ctx.register(Arc::new(Mutex::new(l.clone())));
@@ -439,45 +416,16 @@ impl<P: Payload> Streamable<P> {
             // A leg's error port is a second handle onto the shared join
             // core: a caught panic fails the core, which forwards one
             // typed error to the sink and stops all further output.
-            let (l_port, r_port) = (l.clone(), r.clone());
-            let l: Box<dyn Observer<P>> = match &metrics {
-                Some(m) => Box::new(MeteredObserver::new(m.clone(), l)),
-                None => Box::new(l),
-            };
-            let r: Box<dyn Observer<R>> = match metrics {
-                Some(m) => Box::new(MeteredObserver::new(m, r)),
-                None => Box::new(r),
-            };
-            // Each leg records under the same stage label into its own ring.
-            let (l, r) = match stage_trace {
-                Some(t) => (t.clone().observer(l), t.observer(r)),
-                None => (l, r),
-            };
-            if hardened {
-                left_connect(Box::new(PanicGuard::new(
-                    "join.left",
-                    l,
-                    Arc::new(Mutex::new(Box::new(l_port) as Box<dyn Observer<P>>)),
-                    panics.clone(),
-                )));
-                right_connect(Box::new(PanicGuard::new(
-                    "join.right",
-                    r,
-                    Arc::new(Mutex::new(Box::new(r_port) as Box<dyn Observer<R>>)),
-                    panics,
-                )));
-            } else {
-                left_connect(l);
-                right_connect(r);
-            }
+            let (mut l_port, mut r_port) = (l.clone(), r.clone());
+            left_connect(
+                plan.clone()
+                    .shell("join.left", Box::new(l), move |err| l_port.on_error(err)),
+            );
+            right_connect(plan.shell("join.right", Box::new(r), move |err| r_port.on_error(err)));
         };
         Streamable {
             connect: Box::new(connect),
-            instr,
-            hardened: self.hardened,
-            panics: self.panics,
-            ckpt: self.ckpt,
-            trace,
+            ctx: self.ctx,
         }
     }
 
@@ -485,65 +433,27 @@ impl<P: Payload> Streamable<P> {
     /// buffered for synchronization are charged to `meter` (§V-A).
     pub fn union(mut self, other: Streamable<P>, meter: &MemoryMeter) -> Streamable<P> {
         let meter = meter.clone();
-        let hardened = self.hardened;
-        let panics = self.panics.clone();
-        let ckpt = self.ckpt.clone();
-        let mut instr = self.instr.take();
-        let metrics = instr.as_mut().map(|ins| ins.next_op("union"));
-        let mut trace = self.trace.take();
-        let stage_trace = trace.as_mut().map(|t| t.next_stage("union"));
+        let ckpt = self.ctx.ckpt.clone();
+        let (plan, _) = self.ctx.next_stage("union");
         let left_connect = self.connect;
         let right_connect = other.connect;
         let connect = move |sink: Box<dyn Observer<P>>| {
-            let downstream: Box<dyn Observer<P>> = match &metrics {
-                Some(m) => Box::new(EgressProbe::new(m.clone(), sink)),
-                None => sink,
-            };
-            let (l, r, probe) = ops::union(downstream, meter);
+            let (l, r, probe) = ops::union(plan.outlet(sink), meter);
             if let Some(ctx) = &ckpt {
                 // The probe views the shared union core: both sides'
                 // synchronization buffers snapshot through it.
                 ctx.register(Arc::new(Mutex::new(probe)));
             }
-            let (l_port, r_port) = (l.clone(), r.clone());
-            let l: Box<dyn Observer<P>> = match &metrics {
-                Some(m) => Box::new(MeteredObserver::new(m.clone(), l)),
-                None => Box::new(l),
-            };
-            let r: Box<dyn Observer<P>> = match metrics {
-                Some(m) => Box::new(MeteredObserver::new(m, r)),
-                None => Box::new(r),
-            };
-            // Each leg records under the same stage label into its own ring.
-            let (l, r) = match stage_trace {
-                Some(t) => (t.clone().observer(l), t.observer(r)),
-                None => (l, r),
-            };
-            if hardened {
-                left_connect(Box::new(PanicGuard::new(
-                    "union.left",
-                    l,
-                    Arc::new(Mutex::new(Box::new(l_port) as Box<dyn Observer<P>>)),
-                    panics.clone(),
-                )));
-                right_connect(Box::new(PanicGuard::new(
-                    "union.right",
-                    r,
-                    Arc::new(Mutex::new(Box::new(r_port) as Box<dyn Observer<P>>)),
-                    panics,
-                )));
-            } else {
-                left_connect(l);
-                right_connect(r);
-            }
+            let (mut l_port, mut r_port) = (l.clone(), r.clone());
+            left_connect(
+                plan.clone()
+                    .shell("union.left", Box::new(l), move |err| l_port.on_error(err)),
+            );
+            right_connect(plan.shell("union.right", Box::new(r), move |err| r_port.on_error(err)));
         };
         Streamable {
             connect: Box::new(connect),
-            instr,
-            hardened: self.hardened,
-            panics: self.panics,
-            ckpt: self.ckpt,
-            trace,
+            ctx: self.ctx,
         }
     }
 
@@ -639,7 +549,7 @@ impl<P: Payload> Streamable<P> {
             ));
         }
         let meter = meter.clone();
-        let (gauges, faults) = match self.instr.as_ref() {
+        let (gauges, faults) = match self.ctx.instr.as_ref() {
             Some(ins) => {
                 let base = format!("{}.{:02}", ins.prefix, ins.stage);
                 (
@@ -750,25 +660,10 @@ impl<P: Payload> InputHandle<P> {
         self.deliver(StreamMessage::Punctuation(t));
     }
 
-    /// The canonical fallible push (supersedes the `push_message` /
-    /// `try_push_message` twin pair): delivers any message, returning
+    /// The canonical fallible push: delivers any message, returning
     /// [`StreamError::PushAfterCompleted`] if the stream is already
     /// complete.
     pub fn push(&self, msg: StreamMessage<P>) -> Result<(), StreamError> {
-        self.try_deliver(msg)
-    }
-
-    /// Pushes any message, panicking after completion.
-    #[deprecated(since = "0.2.0", note = "use the fallible `push`")]
-    pub fn push_message(&self, msg: StreamMessage<P>) {
-        self.deliver(msg);
-    }
-
-    /// Pushes any message, returning
-    /// [`StreamError::PushAfterCompleted`] instead of panicking if the
-    /// stream is already complete.
-    #[deprecated(since = "0.2.0", note = "renamed to `push`")]
-    pub fn try_push_message(&self, msg: StreamMessage<P>) -> Result<(), StreamError> {
         self.try_deliver(msg)
     }
 

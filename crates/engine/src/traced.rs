@@ -3,10 +3,11 @@
 //!
 //! [`Streamable::traced`](crate::Streamable::traced) threads a [`TraceCtx`]
 //! along a chain the same way `instrument` threads a metrics registry:
-//! every stage appended afterwards is wrapped in a [`SpanObserver`] that
-//! records one span per batch/punctuation — labelled
-//! `{prefix}.{stage:02}.{name}` — into a private [`SpanRing`], drained
-//! into the shared [`TraceSink`] at egress (completion, error, or drop).
+//! every stage appended afterwards gets a span recorder in its
+//! [`StageShell`](crate::StageShell), recording one span per
+//! batch/punctuation — labelled `{prefix}.{stage:02}.{name}` — into a
+//! private [`SpanRing`], drained into the shared [`TraceSink`] at egress
+//! (completion, error, or drop).
 //! Spans are *inclusive*: a stage's duration covers its downstream, so the
 //! laminar nesting of intervals reconstructs the operator chain in
 //! `chrome://tracing`.
@@ -35,6 +36,7 @@ use impatience_core::trace::{
     LatencyStage, ProvenanceTracker, SpanKind, SpanRecord, SpanRing, TraceSink,
 };
 use impatience_core::{EventBatch, Payload, StreamError, Timestamp};
+use std::sync::Arc;
 
 /// Tracing context carried along a streamable chain: the shared sink plus
 /// the label prefix and shard lane that stages record under.
@@ -91,7 +93,7 @@ impl TraceState {
         let label = format!("{}.{:02}.{name}", self.ctx.prefix, self.stage);
         self.stage += 1;
         StageTrace {
-            label,
+            label: label.into(),
             kind: kind_of(name),
             shard: self.ctx.shard,
             sink: self.ctx.sink.clone(),
@@ -100,29 +102,23 @@ impl TraceState {
 }
 
 /// Everything a stage needs to record spans. Cloning (binary operators
-/// trace each leg) mints an independent ring per observer.
+/// trace each leg) mints an independent ring per recorder.
 #[derive(Clone)]
 pub(crate) struct StageTrace {
-    label: String,
+    label: Arc<str>,
     kind: SpanKind,
     shard: u32,
     sink: TraceSink,
 }
 
 impl StageTrace {
-    /// Wraps `inner` in a [`SpanObserver`] recording under this stage's
-    /// label.
-    pub(crate) fn observer<P: Payload>(self, inner: Box<dyn Observer<P>>) -> Box<dyn Observer<P>> {
-        let ring = self.sink.ring();
-        Box::new(SpanObserver {
-            label: self.label,
-            kind: self.kind,
-            shard: self.shard,
-            sink: self.sink,
-            ring,
+    /// Mints the stage's span recorder, with a ring of its own.
+    pub(crate) fn recorder(self) -> SpanRecorder {
+        SpanRecorder {
+            ring: self.sink.ring(),
+            stage: self,
             flushed: false,
-            next: inner,
-        })
+        }
     }
 }
 
@@ -140,81 +136,61 @@ fn kind_of(name: &str) -> SpanKind {
     }
 }
 
-/// Records one inclusive span per batch/punctuation handled by the wrapped
-/// observer, plus a watermark instant per punctuation. Spans accumulate in
-/// a private ring (no locking on the hot path) and drain into the sink
-/// exactly once — at completion, error, or drop, whichever comes first —
-/// so even a panic-killed chain surrenders its spans.
-struct SpanObserver<P: Payload> {
-    label: String,
-    kind: SpanKind,
-    shard: u32,
-    sink: TraceSink,
+/// The span half of a [`StageShell`](crate::StageShell): one inclusive
+/// span per batch/punctuation the stage handles, plus a watermark instant
+/// per punctuation. Spans accumulate in a private ring (no locking on the
+/// hot path, and the label is shared, so recording never allocates) and
+/// drain into the sink exactly once — at completion, error, or drop,
+/// whichever comes first — so even a panic-killed chain surrenders its
+/// spans.
+pub(crate) struct SpanRecorder {
+    stage: StageTrace,
     ring: SpanRing,
     flushed: bool,
-    next: Box<dyn Observer<P>>,
 }
 
-impl<P: Payload> SpanObserver<P> {
+impl SpanRecorder {
+    /// The trace clock's reading (a logical clock ticks on every call).
     #[inline]
-    fn record(&mut self, start_ns: u64, events: u64, watermark: Option<i64>) {
-        let end = self.sink.clock().now_ns();
+    pub(crate) fn now(&self) -> u64 {
+        self.stage.sink.clock().now_ns()
+    }
+
+    fn push(&mut self, kind: SpanKind, start_ns: u64, dur_ns: u64, events: u64, wm: Option<i64>) {
         self.ring.push(SpanRecord {
-            op: self.label.clone(),
-            shard: self.shard,
-            kind: self.kind,
+            op: self.stage.label.clone(),
+            shard: self.stage.shard,
+            kind,
             start_ns,
-            dur_ns: end.saturating_sub(start_ns),
+            dur_ns,
             events,
-            watermark,
+            watermark: wm,
         });
     }
 
-    fn flush(&mut self) {
+    /// Records the zero-length instant of a punctuation arriving at `at_ns`.
+    pub(crate) fn watermark_instant(&mut self, at_ns: u64, ticks: i64) {
+        self.push(SpanKind::Watermark, at_ns, 0, 0, Some(ticks));
+    }
+
+    /// Closes a span opened at `start_ns`: reads the clock for its end.
+    pub(crate) fn record(&mut self, start_ns: u64, events: u64, watermark: Option<i64>) {
+        let dur_ns = self.now().saturating_sub(start_ns);
+        self.push(self.stage.kind, start_ns, dur_ns, events, watermark);
+    }
+
+    /// Surrenders the ring to the sink; later calls are no-ops.
+    pub(crate) fn flush(&mut self) {
         if self.flushed {
             return;
         }
         self.flushed = true;
         let ring = std::mem::replace(&mut self.ring, SpanRing::with_capacity(0));
-        self.sink.absorb(ring);
+        self.stage.sink.absorb(ring);
     }
 }
 
-impl<P: Payload> Observer<P> for SpanObserver<P> {
-    fn on_batch(&mut self, batch: EventBatch<P>) {
-        let start = self.sink.clock().now_ns();
-        let events = batch.visible_len() as u64;
-        self.next.on_batch(batch);
-        self.record(start, events, None);
-    }
-
-    fn on_punctuation(&mut self, t: Timestamp) {
-        let start = self.sink.clock().now_ns();
-        self.ring.push(SpanRecord {
-            op: self.label.clone(),
-            shard: self.shard,
-            kind: SpanKind::Watermark,
-            start_ns: start,
-            dur_ns: 0,
-            events: 0,
-            watermark: Some(t.ticks()),
-        });
-        self.next.on_punctuation(t);
-        self.record(start, 0, Some(t.ticks()));
-    }
-
-    fn on_completed(&mut self) {
-        self.next.on_completed();
-        self.flush();
-    }
-
-    fn on_error(&mut self, err: StreamError) {
-        self.next.on_error(err);
-        self.flush();
-    }
-}
-
-impl<P: Payload> Drop for SpanObserver<P> {
+impl Drop for SpanRecorder {
     fn drop(&mut self) {
         self.flush();
     }
@@ -472,7 +448,7 @@ mod tests {
         // One recorder per traced stage: ingress, sort, where, window, count.
         assert_eq!(sink.recorder_count(), 5);
         let ops: std::collections::BTreeSet<String> =
-            sink.spans().into_iter().map(|s| s.op).collect();
+            sink.spans().iter().map(|s| s.op.to_string()).collect();
         for expected in [
             "pipeline.00.ingress",
             "pipeline.01.sort",

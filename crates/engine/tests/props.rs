@@ -10,7 +10,7 @@ use impatience_core::{
     TickDuration, Timestamp,
 };
 use impatience_engine::ops::CountAgg;
-use impatience_engine::{MeteredObserver, Observer, OperatorMetrics, Output, Streamable};
+use impatience_engine::{Observer, OperatorMetrics, Output, StageShell, Streamable};
 use impatience_testkit::prop::{vec, Strategy};
 use impatience_testkit::props;
 use std::collections::BTreeMap;
@@ -167,7 +167,7 @@ props! {
     }
 
     fn metered_identity_is_exact_and_inert(msgs in ordered_messages()) {
-        // A MeteredObserver around an identity operator (here: a bare
+        // A metering StageShell around an identity operator (here: a bare
         // collector) must forward every message unchanged while counting
         // each event and punctuation exactly once.
         let input = flat_events(&msgs);
@@ -185,7 +185,7 @@ props! {
         let (metered_out, metered_sink) = Output::<u32>::new();
         let mut plain: Box<dyn Observer<u32>> = Box::new(plain_sink);
         let mut metered: Box<dyn Observer<u32>> =
-            Box::new(MeteredObserver::new(metrics.clone(), metered_sink));
+            Box::new(StageShell::new(Box::new(metered_sink)).metered(metrics.clone()));
         for m in &msgs {
             plain.on_message(m.clone());
             metered.on_message(m.clone());

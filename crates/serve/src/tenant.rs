@@ -379,7 +379,7 @@ impl TenantRuntime {
     fn apply_replayed(&mut self, msg: &StreamMessage<i64>) {
         match msg {
             StreamMessage::Batch(b) => {
-                for e in b.visible_to_vec() {
+                for e in b.iter_visible() {
                     self.watermark = self.watermark.max(e.sync_time);
                 }
             }
@@ -606,7 +606,7 @@ impl TenantRuntime {
         let mut released = Released::default();
         for msg in self.out.take_messages() {
             match msg {
-                StreamMessage::Batch(b) => released.events.extend(b.visible_to_vec()),
+                StreamMessage::Batch(b) => released.events.extend(b.into_visible()),
                 StreamMessage::Punctuation(t) => released.puncts.push(t),
                 StreamMessage::Completed => released.completed = true,
             }

@@ -134,6 +134,16 @@ impl<T: EventTimed + Clone> ImpatienceSorter<T> {
     }
 }
 
+/// Appends `items` to `out` — by handing the vector over whole when `out`
+/// holds nothing, which is how the engine calls: no copy of what is emitted.
+fn hand_over<T>(items: Vec<T>, out: &mut Vec<T>) {
+    if out.is_empty() {
+        *out = items;
+    } else {
+        out.extend(items);
+    }
+}
+
 impl<T: EventTimed + Clone> Default for ImpatienceSorter<T> {
     fn default() -> Self {
         Self::new()
@@ -168,8 +178,7 @@ impl<T: EventTimed + Clone + StateCodec + Send> OnlineSorter<T> for ImpatienceSo
         } else {
             MergePolicy::Sequential
         };
-        let merged = merge_runs(heads, policy);
-        out.extend(merged);
+        hand_over(merge_runs(heads, policy), out);
     }
 
     fn buffered_len(&self) -> usize {
@@ -187,14 +196,14 @@ impl<T: EventTimed + Clone + StateCodec + Send> OnlineSorter<T> for ImpatienceSo
     fn shed_oldest(&mut self, out: &mut Vec<T>) -> usize {
         let shed = self.runs.shed_oldest_run();
         let n = shed.len();
-        out.extend(shed);
+        hand_over(shed, out);
         n
     }
 
     fn shed_oldest_capped(&mut self, max_items: usize, out: &mut Vec<T>) -> usize {
         let shed = self.runs.shed_oldest_items(max_items);
         let n = shed.len();
-        out.extend(shed);
+        hand_over(shed, out);
         n
     }
 

@@ -262,16 +262,12 @@ impl<T: EventTimed + Clone> RunSet<T> {
         // Remove exhausted runs; tails of survivors are unchanged, so the
         // descending invariant survives removal.
         if self.runs.iter().any(SortedRun::is_empty) {
-            let mut kept_tails = Vec::with_capacity(self.runs.len());
-            let mut kept_runs = Vec::with_capacity(self.runs.len());
-            for (run, tail) in self.runs.drain(..).zip(self.tails.drain(..)) {
-                if !run.is_empty() {
-                    kept_runs.push(run);
-                    kept_tails.push(tail);
-                }
-            }
-            self.runs = kept_runs;
-            self.tails = kept_tails;
+            let (runs, mut i) = (&self.runs, 0);
+            self.tails.retain(|_| {
+                i += 1;
+                !runs[i - 1].is_empty()
+            });
+            self.runs.retain(|run| !run.is_empty());
             self.last_insert = 0;
             if self.runs.is_empty() {
                 // Fully drained: hand all capacity back so an idle sorter

@@ -57,7 +57,7 @@ mod tests {
 
     fn span(shard: u32, start: u64, dur: u64) -> SpanRecord {
         SpanRecord {
-            op: format!("op@{start}"),
+            op: format!("op@{start}").into(),
             shard,
             kind: SpanKind::Operator,
             start_ns: start,

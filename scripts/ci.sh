@@ -206,6 +206,37 @@ echo "== stack benchmark (unit tests + smoke: every workload, both passes, oracl
 cargo test --release --offline --manifest-path stackbench/Cargo.toml
 cargo run --release --offline --manifest-path stackbench/Cargo.toml -- run --smoke
 
+echo "== stage-shell gate (engine-inmem traced: shell <= 15% of end-to-end) =="
+# What instrument + hardened add around every stage must stay a small
+# share of the pipeline they wrap: on the traced pass of `engine-inmem`,
+# `engine.pipeline.shell_ns_per_event` (full pipeline minus the same
+# pipeline built bare) may be at most 15% of `stack.e2e_ns_per_event`
+# (31% before the per-batch StageShell). Both come from one process, so
+# the ratio survives host drift without a recorded history. The shell row
+# is a difference of two medians, so a load spike can push one attempt
+# either way: the gate fails only when three attempts in a row exceed it.
+shell_gate() {
+    local out shell e2e
+    out="$(cargo run --release --offline --quiet --manifest-path stackbench/Cargo.toml -- \
+        bench --workload engine-inmem --seconds 2 --trace 1)"
+    grep -q '"correct":true' <<<"$out" || { echo "engine-inmem: oracle mismatch"; return 2; }
+    metric() { sed -n "s/.*\"$1\":{\"value\":\([^,}]*\).*/\1/p" <<<"$out"; }
+    shell="$(metric engine.pipeline.shell_ns_per_event)"
+    e2e="$(metric stack.e2e_ns_per_event)"
+    awk -v s="$shell" -v e="$e2e" 'BEGIN {
+        printf "shell %.1f ns/event of %.1f ns/event end to end = %.1f%%\n", s, e, 100 * s / e
+        exit !(e > 0 && s <= 0.15 * e)
+    }'
+}
+for attempt in 1 2 3; do
+    if shell_gate; then
+        break
+    elif [ $? -eq 2 ] || [ "$attempt" -eq 3 ]; then
+        echo "stage-shell gate failed"
+        exit 1
+    fi
+done
+
 echo "== perf-regression gate (this run vs bench_results.jsonl history) =="
 # Every throughput measurement of this CI run is compared against the
 # recorded history: per measurement identity (exhibit + mode / shards /
