@@ -34,6 +34,7 @@ fn bench_methods_q1(h: &Harness) {
                 &ladder(),
                 TickDuration::secs(1),
                 10_000,
+                None,
             )
             .events
         });
@@ -54,6 +55,7 @@ fn bench_advanced_queries(h: &Harness) {
                 &ladder(),
                 TickDuration::secs(1),
                 10_000,
+                None,
             )
             .events
         });

@@ -15,8 +15,8 @@
 //! * the output event sequence is identical to an unbudgeted all-in-memory
 //!   Impatience run over the same ingress tape.
 //!
-//! Reported: sustained throughput of the spilling run (this is the
-//! perf-gated `"throughput"` measurement), the spill write amplification
+//! Reported: sustained throughput of the spilling run (the `"throughput"`
+//! measurement), the spill write amplification
 //! (spill bytes written / dataset bytes — >1 means compaction rewrote
 //! data), and the on-disk high-water mark. The sampled pipeline is durable
 //! (checkpoint gate every 16 punctuations), so committed checkpoints also
@@ -255,7 +255,8 @@ fn main() {
         "spill_write_amplification": write_amp,
         "throughput": throughput,
     }));
-    impatience_bench::emit_metrics_json(&args, "external", &ds.name, &registry.snapshot());
+    let expects = args.expects(&["spill"]);
+    impatience_bench::emit_metrics_json(&args, "external", &ds.name, &registry.snapshot(), expects);
 
     let _ = std::fs::remove_dir_all(&ckpt_dir);
     if args.spill_dir.is_none() {

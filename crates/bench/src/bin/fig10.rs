@@ -80,6 +80,7 @@ fn main() {
                     &setup.latencies,
                     setup.window,
                     PUNCT_FREQ,
+                    None,
                 );
                 tp_cells.push(format!("{:.2}", o.meps()));
                 mem_cells.push(format_bytes(o.peak_bytes));
@@ -150,7 +151,7 @@ fn main() {
         // setup, capturing framework routing counters, per-partition
         // reorder-latency gauges, and per-operator instruments.
         let registry = impatience_core::MetricsRegistry::new();
-        let _ = impatience_bench::run_query_metered(
+        let _ = impatience_bench::run_query(
             Query::Q1,
             Method::Advanced,
             &setup.ds,
@@ -165,7 +166,7 @@ fn main() {
             setup.ds.name
         );
         print!("{snap}");
-        impatience_bench::emit_metrics_json(&args, "fig10", &setup.ds.name, &snap);
+        impatience_bench::emit_metrics_json(&args, "fig10", &setup.ds.name, &snap, &[]);
         println!();
     }
 }

@@ -18,7 +18,7 @@
 //!
 //! Each `--json` run appends the two result lines plus a metrics snapshot
 //! from the recovered incarnation whose `recovery.restores` counter is
-//! nonzero (`snapshot_check --require-recovery-activity` keys off it).
+//! nonzero (`snapshot_check` keys off it: the `"recovery"` activity).
 
 use impatience_bench::{emit_metrics_json, BenchArgs};
 use impatience_core::{
@@ -295,7 +295,8 @@ fn main() {
         "recovery_ms": recovery_s * 1e3,
         "conformant": conformant,
     }));
-    emit_metrics_json(&args, "recovery", &ds.name, &registry.snapshot());
+    let expects = args.expects(&["recovery"]);
+    emit_metrics_json(&args, "recovery", &ds.name, &registry.snapshot(), expects);
     let _ = std::fs::remove_dir_all(&base);
 
     if args.check {

@@ -15,13 +15,13 @@
 //! runs via `MetricsSnapshot::merge`: the canonical durable traced
 //! pipeline (the standard `pipeline.*` / `checkpoint.*` / `memory.*`
 //! instruments every exhibit carries) and a shard-instrumented run — so
-//! `snapshot_check --require-shard-activity` can gate on the `shard.*`
-//! counters and `--require-trace-activity` on the trace summary, while
-//! neither run's instruments can alias the other's.
+//! `snapshot_check` can gate on the `shard.*` counters (under `--check`
+//! the metrics line promises `"shard"` activity), while neither run's
+//! instruments can alias the other's.
 
 use impatience_bench::{
-    assert_speedup, emit_metrics_json, emit_trace_json, fmt_throughput, pipeline_metrics_traced,
-    BenchArgs, Row, Table,
+    assert_speedup, emit_metrics_json, emit_trace_json, fmt_throughput, run_canonical, BenchArgs,
+    CanonicalRun, Row, Table,
 };
 use impatience_core::{
     json, EvalPayload, MemoryMeter, MetricsRegistry, StreamMessage, TickDuration, TraceSink,
@@ -168,7 +168,14 @@ fn main() {
     // canonical run, shard-queue/merge spans from the sharded one.
     let sink = TraceSink::new();
     let canonical = MetricsRegistry::new();
-    pipeline_metrics_traced(&canonical, &ds, 10_000, args.memory_budget, &sink);
+    run_canonical(&CanonicalRun {
+        registry: &canonical,
+        ds: &ds,
+        punctuation_frequency: 10_000,
+        budget: args.memory_budget,
+        spill_dir: None,
+        trace: Some(&sink),
+    });
     let sharded = MetricsRegistry::new();
     {
         let opts = ShardOptions::new(2)
@@ -176,7 +183,7 @@ fn main() {
             .with_trace(&sink);
         let (handle, stream) = input_stream::<EvalPayload>();
         stream
-            .sharded_with(opts, move |s, _| {
+            .sharded(opts, move |s, _| {
                 shard_pipeline(s, &MemoryMeter::new(), window)
             })
             .subscribe_observer(Box::new(BlackHoleSink::new()));
@@ -196,6 +203,12 @@ fn main() {
         ds.name
     );
     print!("{snapshot}");
-    emit_metrics_json(&args, "scale", &ds.name, &snapshot);
+    emit_metrics_json(
+        &args,
+        "scale",
+        &ds.name,
+        &snapshot,
+        args.expects(&["shard"]),
+    );
     emit_trace_json(&args, "scale", &ds.name, &sink.summary());
 }

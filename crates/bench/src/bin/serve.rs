@@ -5,24 +5,25 @@
 //! 1. **Throughput** — 8 concurrent tenants (alternating NDJSON and
 //!    binary framing, every one durable + checkpointed + adaptive),
 //!    each driven from its own thread, aggregate events/sec from first
-//!    byte to last completion. The number joins the perf-gated history.
+//!    byte to last completion.
 //! 2. **Per-tenant observability** — after completion every tenant's
 //!    metrics snapshot is appended as its own `{"kind": "metrics"}`
 //!    line: the full pipeline contract (operator counters, failure
 //!    model, durability, sorter gauges, watermark-lag histogram) plus
 //!    the service's `serve.*` counters and `serve.adaptive.*` gauges.
-//!    `snapshot_check --require-service-activity` demands real socket
+//!    Under `--check` each line promises `"service"` activity, so
+//!    `snapshot_check` demands real socket
 //!    traffic and **visible adaptive convergence**: the chosen reorder
 //!    latency must have stepped down from the ladder's top rung
 //!    (gauge value < high-water).
 //! 3. **Session resilience** — one durable tenant streams through the
 //!    testkit's fault proxy under a kill-heavy plan: dozens of
-//!    kill→reconnect→resume cycles, measured end to end and perf-gated
+//!    kill→reconnect→resume cycles, measured end to end and reported
 //!    as `mode: "session-resume"`. The remaining `serve.session.*`
 //!    counters (retries, duplicate drops, heartbeats, slow-consumer
 //!    evictions) are triggered deterministically and emitted as a
-//!    `{"kind": "session"}` line for `snapshot_check
-//!    --require-session-activity`.
+//!    `{"kind": "session"}` line, which `snapshot_check` holds to the
+//!    `"session"` activity the metrics lines promise.
 //! 4. **Isolation** — `--check` replays the seeded chaos property (one
 //!    of four tenants panics, breaches the admission budget, or hits a
 //!    disk fault; the rest must be byte-identical to solo runs) 200+
@@ -68,7 +69,7 @@ fn mode_of(i: usize) -> WireMode {
 /// The fleet tenant: durable, checkpointed, instrumented (the default),
 /// adaptive over a {1, 8, 64}-tick ladder. The workload's disorder is a
 /// handful of ticks, so the controller must step down from rung 64 —
-/// the convergence `snapshot_check --require-service-activity` gates on.
+/// the convergence `snapshot_check` gates on (the `"service"` activity).
 fn fleet_config(i: usize) -> TenantConfig {
     TenantConfig::new(
         PipelineSpec::new(format!("fleet-{i}"))
@@ -358,13 +359,13 @@ fn chaos_run(seed: u64) -> &'static str {
 /// testkit's fault proxy under a kill-heavy plan: every few frames the
 /// connection is severed and the [`SessionClient`] reconnects, resumes by
 /// token, and resends its unacked window — the wall-clock cost of the
-/// whole ordeal joins the perf-gated history as `mode: "session-resume"`.
+/// whole ordeal is reported as `mode: "session-resume"`.
 /// The remaining `serve.session.*` counters are then triggered
 /// deterministically (heartbeat pings; a hand-rolled frame replay for the
 /// retry and duplicate-drop paths; an ack-withholding client for the
 /// slow-consumer eviction) and the server's counter snapshot is emitted
-/// as a `{"kind": "session"}` line for `snapshot_check
-/// --require-session-activity`.
+/// as a `{"kind": "session"}` line for `snapshot_check` (the `"session"`
+/// activity).
 fn run_session_exercise(args: &BenchArgs) {
     let root = scratch("session");
     let _ = std::fs::remove_dir_all(&root);
@@ -372,7 +373,7 @@ fn run_session_exercise(args: &BenchArgs) {
         Server::start(ServerConfig::new(&root).with_park_timeout(Duration::from_secs(20)))
             .expect("session server start");
 
-    // 1. Kill→reconnect cycles through the fault proxy, perf-gated.
+    // 1. Kill→reconnect cycles through the fault proxy, timed.
     let plan: Vec<NetFault> = (0..24)
         .map(|i| NetFault::Kill {
             after_frames: 2 + i % 3,
@@ -654,7 +655,7 @@ fn main() {
         events_per_tenant
     );
     // Socket throughput on a shared machine is noisy; emit one measurement
-    // line per fleet repetition so the perf gate compares medians, not a
+    // line per fleet repetition, so a reader compares medians, not a
     // single unlucky sample.
     const SAMPLES: usize = 3;
     let mut runs = Vec::with_capacity(SAMPLES);
@@ -695,6 +696,8 @@ fn main() {
     table.print();
 
     // Per-tenant observability lines + adaptive convergence evidence.
+    let expects = args.expects(&["service", "session"]);
+    let expects = Json::Array(expects.iter().map(|&e| e.into()).collect());
     let mut converged = 0usize;
     for outcome in &outcomes {
         let (value, high_water) =
@@ -711,6 +714,7 @@ fn main() {
             "kind": "metrics",
             "dataset": outcome.name.as_str(),
             "metrics": outcome.metrics.get("metrics").expect("metrics body").clone(),
+            "expects": expects.clone(),
         }));
     }
     if args.check {

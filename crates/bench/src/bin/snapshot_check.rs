@@ -1,55 +1,12 @@
 //! CI helper: validates the JSON-lines output of a bench-binary run.
 //!
 //! ```sh
-//! snapshot_check <path.jsonl> [--require-fault-activity] \
-//!     [--require-recovery-activity] [--require-shard-activity] \
-//!     [--require-trace-activity] [--require-spill-activity] \
-//!     [--require-service-activity] [--require-session-activity]
+//! snapshot_check <path.jsonl>
 //! ```
 //!
-//! Asserts that every line parses with the in-tree JSON parser and that at
-//! least one line is a `"kind": "metrics"` snapshot carrying the
-//! observability payload the repro binaries promise: per-operator
-//! event/punctuation counters, the failure-model counters (late-dropped /
-//! dead-lettered / shed / operator-panic), sorter run-count and
-//! state-bytes gauges (with high-water marks), and a watermark-lag
-//! histogram — plus the durability payload: a nonzero
-//! `*.checkpoint.written` counter, the `*.recovery.restores` counter, and
-//! a zero `memory.over_releases` counter. With `--require-fault-activity`
-//! it additionally demands that the degradation path actually fired —
-//! nonzero dead-letter **and** shed counts somewhere in the file (for
-//! budgeted runs). With `--require-recovery-activity` it demands a nonzero
-//! `*.recovery.restores` count somewhere in the file (for crash-recovery
-//! runs). With `--require-shard-activity` it demands that a sharded
-//! pipeline actually ran — nonzero `shard.ingress.events` **and**
-//! `shard.merge.events` counts somewhere in the file (for multi-core
-//! scale runs). With `--require-trace-activity` it demands that the
-//! tracing layer actually recorded — a nonzero span total across the
-//! file's `"kind": "trace"` summary lines with **zero** ring-buffer drops
-//! (spans lost to a full ring would silently hollow out the trace).
-//! With `--require-spill-activity` it demands that the lossless spill
-//! ladder actually fired **and stayed lossless**: a nonzero
-//! `*.sorter.spill.runs_spilled` count and a nonzero
-//! `*.sorter.spill.bytes_on_disk` high-water somewhere in the file, with
-//! **zero** dead-lettered and **zero** shed events across the whole file
-//! (spilling that still sheds is not lossless). With
-//! `--require-service-activity` it demands that the multi-tenant serving
-//! layer actually carried traffic — nonzero `serve.events_in` **and**
-//! `serve.events_out` across the file's per-tenant snapshots — and that
-//! the adaptive reorder-latency controller **visibly converged**: at
-//! least one `serve.adaptive.latency` gauge whose value sits below its
-//! high-water mark (the controller started patient and stepped down).
-//! With `--require-session-activity` it demands that the fault-tolerant
-//! session layer was actually exercised: the file's `{"kind": "session"}`
-//! lines must show nonzero `serve.session.resumes`,
-//! `serve.session.retries`, `serve.session.duplicates_dropped`,
-//! `serve.session.heartbeats`, **and**
-//! `serve.session.slow_client_evictions` — every reconnect/dedup/
-//! backpressure path fired at least once.
+//! Every check lives in [`impatience_bench::contract`]: the per-snapshot
+//! payload, and the activities the file's own `"expects"` lists promise.
 //! Exits non-zero with a message on the first violation.
-
-use impatience_bench::{metrics_of_line, trace_of_line};
-use impatience_core::Json;
 
 fn fail(msg: &str) -> ! {
     eprintln!("snapshot_check: {msg}");
@@ -57,374 +14,14 @@ fn fail(msg: &str) -> ! {
 }
 
 fn main() {
-    let mut path: Option<String> = None;
-    let mut require_fault_activity = false;
-    let mut require_recovery_activity = false;
-    let mut require_shard_activity = false;
-    let mut require_trace_activity = false;
-    let mut require_spill_activity = false;
-    let mut require_service_activity = false;
-    let mut require_session_activity = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--require-fault-activity" => require_fault_activity = true,
-            "--require-recovery-activity" => require_recovery_activity = true,
-            "--require-shard-activity" => require_shard_activity = true,
-            "--require-trace-activity" => require_trace_activity = true,
-            "--require-spill-activity" => require_spill_activity = true,
-            "--require-service-activity" => require_service_activity = true,
-            "--require-session-activity" => require_session_activity = true,
-            other if path.is_none() => path = Some(other.to_string()),
-            other => fail(&format!("unexpected argument {other}")),
-        }
-    }
-    let path = path.unwrap_or_else(|| {
-        fail(
-            "usage: snapshot_check <path.jsonl> [--require-fault-activity] \
-             [--require-recovery-activity] [--require-shard-activity] \
-             [--require-trace-activity] [--require-spill-activity] \
-             [--require-service-activity] [--require-session-activity]",
-        )
-    });
+    let mut args = std::env::args().skip(1);
+    let (Some(path), None) = (args.next(), args.next()) else {
+        fail("usage: snapshot_check <path.jsonl>");
+    };
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-
-    let mut lines = 0usize;
-    let mut snapshots = 0usize;
-    let mut dead_lettered = 0u64;
-    let mut shed = 0u64;
-    let mut restores = 0u64;
-    let mut shard_ingress = 0u64;
-    let mut shard_merged = 0u64;
-    let mut spill_runs = 0u64;
-    let mut spill_disk_hwm = 0u64;
-    let mut serve_in = 0u64;
-    let mut serve_out = 0u64;
-    let mut adaptive_converged = 0usize;
-    let mut trace_spans = 0u64;
-    let mut trace_dropped = 0u64;
-    let mut trace_lines = 0usize;
-    const SESSION_COUNTERS: [&str; 5] = [
-        "serve.session.resumes",
-        "serve.session.retries",
-        "serve.session.duplicates_dropped",
-        "serve.session.heartbeats",
-        "serve.session.slow_client_evictions",
-    ];
-    let mut session_lines = 0usize;
-    let mut session_totals = [0u64; 5];
-    for (no, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        lines += 1;
-        let js = Json::parse(line)
-            .unwrap_or_else(|e| fail(&format!("{path}:{}: invalid JSON: {e:?}", no + 1)));
-        if js.get("exhibit").is_none() {
-            fail(&format!("{path}:{}: line has no \"exhibit\" field", no + 1));
-        }
-        if let Some(metrics) = metrics_of_line(&js) {
-            snapshots += 1;
-            let counts = check_snapshot(&path, no + 1, metrics);
-            dead_lettered += counts.dead_lettered;
-            shed += counts.shed;
-            restores += counts.restores;
-            shard_ingress += counts.shard_ingress;
-            shard_merged += counts.shard_merged;
-            spill_runs += counts.spill_runs;
-            spill_disk_hwm = spill_disk_hwm.max(counts.spill_disk_hwm);
-            serve_in += counts.serve_in;
-            serve_out += counts.serve_out;
-            adaptive_converged += counts.adaptive_converged as usize;
-        }
-        if js.get("kind").and_then(Json::as_str) == Some("session") {
-            session_lines += 1;
-            let ctx = format!("{path}:{}", no + 1);
-            let counters = js
-                .get("counters")
-                .unwrap_or_else(|| fail(&format!("{ctx}: session line has no counters object")));
-            for (i, name) in SESSION_COUNTERS.iter().enumerate() {
-                let v = counters
-                    .get(name)
-                    .and_then(Json::as_i64)
-                    .unwrap_or_else(|| fail(&format!("{ctx}: session line lacks \"{name}\"")));
-                session_totals[i] += v.max(0) as u64;
-            }
-        }
-        if let Some(trace) = trace_of_line(&js) {
-            trace_lines += 1;
-            let ctx = format!("{path}:{}", no + 1);
-            let field = |name: &str| -> u64 {
-                trace
-                    .get(name)
-                    .and_then(Json::as_i64)
-                    .unwrap_or_else(|| fail(&format!("{ctx}: trace summary lacks \"{name}\"")))
-                    .max(0) as u64
-            };
-            trace_spans += field("spans");
-            trace_dropped += field("dropped");
-        }
-    }
-    if lines == 0 {
-        fail(&format!("{path}: no JSON lines found"));
-    }
-    if snapshots == 0 {
-        fail(&format!(
-            "{path}: {lines} lines but no \"kind\": \"metrics\" snapshot"
-        ));
-    }
-    if require_fault_activity && (dead_lettered == 0 || shed == 0) {
-        fail(&format!(
-            "{path}: --require-fault-activity: expected nonzero dead-letter and shed activity, \
-             got dead_lettered={dead_lettered} shed_events={shed}"
-        ));
-    }
-    if require_recovery_activity && restores == 0 {
-        fail(&format!(
-            "{path}: --require-recovery-activity: expected a nonzero recovery.restores count \
-             in some snapshot, found none"
-        ));
-    }
-    if require_shard_activity && (shard_ingress == 0 || shard_merged == 0) {
-        fail(&format!(
-            "{path}: --require-shard-activity: expected nonzero shard traffic, got \
-             shard.ingress.events={shard_ingress} shard.merge.events={shard_merged}"
-        ));
-    }
-    if require_spill_activity {
-        if spill_runs == 0 || spill_disk_hwm == 0 {
-            fail(&format!(
-                "{path}: --require-spill-activity: expected nonzero spill traffic, got \
-                 spill.runs_spilled={spill_runs} spill.bytes_on_disk hwm={spill_disk_hwm}"
-            ));
-        }
-        if dead_lettered > 0 || shed > 0 {
-            fail(&format!(
-                "{path}: --require-spill-activity: a lossless spill run must not dead-letter \
-                 or shed, got dead_lettered={dead_lettered} shed_events={shed}"
-            ));
-        }
-    }
-    if require_service_activity {
-        if serve_in == 0 || serve_out == 0 {
-            fail(&format!(
-                "{path}: --require-service-activity: expected nonzero tenant socket traffic, \
-                 got serve.events_in={serve_in} serve.events_out={serve_out}"
-            ));
-        }
-        if adaptive_converged == 0 {
-            fail(&format!(
-                "{path}: --require-service-activity: no snapshot shows the adaptive reorder \
-                 latency below its high-water mark — the controller never stepped down"
-            ));
-        }
-    }
-    if require_session_activity {
-        if session_lines == 0 {
-            fail(&format!(
-                "{path}: --require-session-activity: no \"kind\": \"session\" counter line"
-            ));
-        }
-        for (i, name) in SESSION_COUNTERS.iter().enumerate() {
-            if session_totals[i] == 0 {
-                fail(&format!(
-                    "{path}: --require-session-activity: \"{name}\" is zero — that \
-                     reconnect/dedup/backpressure path never fired"
-                ));
-            }
-        }
-    }
-    if require_trace_activity {
-        if trace_lines == 0 || trace_spans == 0 {
-            fail(&format!(
-                "{path}: --require-trace-activity: expected a \"kind\": \"trace\" summary with \
-                 nonzero spans, got {trace_lines} trace line(s) totalling {trace_spans} span(s)"
-            ));
-        }
-        if trace_dropped > 0 {
-            fail(&format!(
-                "{path}: --require-trace-activity: {trace_dropped} span(s) dropped by full \
-                 ring buffers — raise the ring capacity or lower the span rate"
-            ));
-        }
-    }
-    println!(
-        "snapshot_check: {path}: {lines} lines ok, {snapshots} metrics snapshot(s), \
-         {dead_lettered} dead-lettered, {shed} shed, {restores} restore(s), \
-         {shard_ingress}/{shard_merged} sharded in/out, \
-         {spill_runs} run(s) spilled ({spill_disk_hwm} B on-disk hwm), \
-         {serve_in}/{serve_out} served in/out ({adaptive_converged} converged), \
-         {trace_spans} span(s)/{trace_dropped} dropped in {trace_lines} trace line(s), \
-         {} resume(s) in {session_lines} session line(s)",
-        session_totals[0]
-    );
-}
-
-/// Per-snapshot activity totals returned by [`check_snapshot`] and summed
-/// across the file for the `--require-*-activity` gates.
-struct ActivityCounts {
-    dead_lettered: u64,
-    shed: u64,
-    restores: u64,
-    shard_ingress: u64,
-    shard_merged: u64,
-    spill_runs: u64,
-    spill_disk_hwm: u64,
-    serve_in: u64,
-    serve_out: u64,
-    adaptive_converged: bool,
-}
-
-/// One metrics snapshot must carry per-operator counters, the
-/// failure-model counters, the durability counters (nonzero checkpoint
-/// writes, a recovery.restores counter, zero memory over-releases), sorter
-/// gauges with high-water marks, and a watermark-lag histogram with
-/// buckets. Returns the snapshot's activity totals for the
-/// fault-, recovery-, and shard-activity checks.
-fn check_snapshot(path: &str, no: usize, metrics: &Json) -> ActivityCounts {
-    let ctx = format!("{path}:{no}");
-    let counters = metrics
-        .get("counters")
-        .unwrap_or_else(|| fail(&format!("{ctx}: snapshot has no counters object")));
-    let gauges = metrics
-        .get("gauges")
-        .unwrap_or_else(|| fail(&format!("{ctx}: snapshot has no gauges object")));
-    let histograms = metrics
-        .get("histograms")
-        .unwrap_or_else(|| fail(&format!("{ctx}: snapshot has no histograms object")));
-
-    let (counter_names, gauge_names, histogram_names) = match (counters, gauges, histograms) {
-        (Json::Object(c), Json::Object(g), Json::Object(h)) => (
-            c.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
-            g.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
-            h.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
-        ),
-        _ => fail(&format!("{ctx}: counters/gauges/histograms not objects")),
-    };
-
-    // Per-operator instrument pairs from at least one metered stage.
-    for suffix in ["events_in", "events_out", "punctuations_in"] {
-        if !counter_names.iter().any(|n| n.ends_with(suffix)) {
-            fail(&format!("{ctx}: no per-operator \"*.{suffix}\" counter"));
-        }
-    }
-    // The failure-model counters: every instrumented pipeline publishes
-    // its late/dead-letter/shed accounting and a panic counter, even when
-    // (healthy run) they are all zero.
-    for suffix in [
-        "sort.late_dropped",
-        "sort.dead_lettered",
-        "sort.shed_events",
-        "operator_panics",
-    ] {
-        if !counter_names.iter().any(|n| n.ends_with(suffix)) {
-            fail(&format!("{ctx}: no failure-model \"*.{suffix}\" counter"));
-        }
-    }
-    let sum_of = |suffix: &str| -> u64 {
-        counter_names
-            .iter()
-            .filter(|n| n.ends_with(suffix))
-            .filter_map(|n| counters.get(n).and_then(Json::as_i64))
-            .map(|v| v.max(0) as u64)
-            .sum()
-    };
-    if sum_of("operator_panics") > 0 {
-        fail(&format!("{ctx}: nonzero operator_panics in a bench run"));
-    }
-    // The durability counters: every bench pipeline runs with a checkpoint
-    // gate, so each snapshot must show at least one checkpoint written
-    // (the completion checkpoint at minimum) and publish its restore
-    // counter even when (first incarnation) it is zero.
-    for suffix in ["checkpoint.written", "recovery.restores"] {
-        if !counter_names.iter().any(|n| n.ends_with(suffix)) {
-            fail(&format!("{ctx}: no durability \"*.{suffix}\" counter"));
-        }
-    }
-    if sum_of("checkpoint.written") == 0 {
-        fail(&format!(
-            "{ctx}: checkpoint.written is zero in a durable bench run"
-        ));
-    }
-    // Memory accounting must never go negative anywhere in a bench run.
-    match counters.get("memory.over_releases").and_then(Json::as_i64) {
-        Some(0) => {}
-        Some(n) => fail(&format!(
-            "{ctx}: memory.over_releases = {n}, accounting went negative"
-        )),
-        None => fail(&format!("{ctx}: no \"memory.over_releases\" counter")),
-    }
-    // Sorter gauges, each carrying value + high-water.
-    for suffix in ["sorter.runs", "sorter.state_bytes"] {
-        let name = gauge_names
-            .iter()
-            .find(|n| n.ends_with(suffix))
-            .unwrap_or_else(|| fail(&format!("{ctx}: no \"*.{suffix}\" gauge")));
-        let g = gauges.get(name).expect("gauge by name");
-        if g.get("value").and_then(Json::as_i64).is_none()
-            || g.get("high_water").and_then(Json::as_i64).is_none()
-        {
-            fail(&format!("{ctx}: gauge {name} lacks value/high_water"));
-        }
-    }
-    // A watermark-lag histogram with the fixed log2 bucket layout.
-    let name = histogram_names
-        .iter()
-        .find(|n| n.ends_with("watermark_lag"))
-        .unwrap_or_else(|| fail(&format!("{ctx}: no \"*.watermark_lag\" histogram")));
-    let h = histograms.get(name).expect("histogram by name");
-    let buckets = match h.get("buckets") {
-        Some(Json::Array(b)) => b,
-        _ => fail(&format!("{ctx}: histogram {name} lacks buckets array")),
-    };
-    if buckets.len() != impatience_core::HISTOGRAM_BUCKETS {
-        fail(&format!(
-            "{ctx}: histogram {name} has {} buckets, expected {}",
-            buckets.len(),
-            impatience_core::HISTOGRAM_BUCKETS
-        ));
-    }
-    for field in ["count", "sum", "min", "max"] {
-        if h.get(field).is_none() {
-            fail(&format!("{ctx}: histogram {name} lacks \"{field}\""));
-        }
-    }
-    // Spill activity lives in gauges: `spill.runs_spilled` is a lifetime
-    // count (it survives the sorter's death-tombstone), `spill.
-    // bytes_on_disk` is live with the peak in its high-water mark.
-    let gauge_field = |suffix: &str, field: &str| -> u64 {
-        gauge_names
-            .iter()
-            .filter(|n| n.ends_with(suffix))
-            .filter_map(|n| gauges.get(n))
-            .filter_map(|g| g.get(field).and_then(Json::as_i64))
-            .map(|v| v.max(0) as u64)
-            .sum()
-    };
-    // Service-layer activity: per-tenant socket traffic counters and the
-    // adaptive latency controller's convergence evidence (a value that
-    // stepped down from the high-water rung it started at).
-    let adaptive_converged = gauge_names
-        .iter()
-        .filter(|n| n.ends_with("serve.adaptive.latency"))
-        .filter_map(|n| gauges.get(n))
-        .any(|g| {
-            let value = g.get("value").and_then(Json::as_i64).unwrap_or(0);
-            let hwm = g.get("high_water").and_then(Json::as_i64).unwrap_or(0);
-            hwm > 0 && value < hwm
-        });
-    ActivityCounts {
-        dead_lettered: sum_of("sort.dead_lettered"),
-        shed: sum_of("sort.shed_events"),
-        restores: sum_of("recovery.restores"),
-        // Full names, not suffixes: "shard.merge.events" must not also
-        // match a hypothetical "*.ingress.events".
-        shard_ingress: sum_of("shard.ingress.events"),
-        shard_merged: sum_of("shard.merge.events"),
-        spill_runs: gauge_field("spill.runs_spilled", "value"),
-        spill_disk_hwm: gauge_field("spill.bytes_on_disk", "high_water"),
-        serve_in: sum_of("serve.events_in"),
-        serve_out: sum_of("serve.events_out"),
-        adaptive_converged,
+    match impatience_bench::check_bench_file(&path, &text) {
+        Ok(summary) => println!("snapshot_check: {summary}"),
+        Err(violation) => fail(&violation),
     }
 }

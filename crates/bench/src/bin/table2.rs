@@ -51,7 +51,8 @@ fn main() {
         let mut cells = Vec::new();
         let mut compl_row = Vec::new();
         for (ds, ladder, window) in &setups {
-            let o = impatience_bench::run_query(Query::Q1, method, ds, ladder, *window, 10_000);
+            let o =
+                impatience_bench::run_query(Query::Q1, method, ds, ladder, *window, 10_000, None);
             let latency_str = match method {
                 Method::Advanced | Method::Basic => format!(
                     "{{{}}}",
@@ -128,7 +129,7 @@ fn main() {
     // latencies) as registry metrics.
     let (ds, ladder, window) = &setups[0];
     let registry = impatience_core::MetricsRegistry::new();
-    let _ = impatience_bench::run_query_metered(
+    let _ = impatience_bench::run_query(
         Query::Q1,
         Method::Advanced,
         ds,
@@ -143,5 +144,5 @@ fn main() {
         ds.name
     );
     print!("{snap}");
-    impatience_bench::emit_metrics_json(&args, "table2", &ds.name, &snap);
+    impatience_bench::emit_metrics_json(&args, "table2", &ds.name, &snap, &[]);
 }

@@ -27,8 +27,8 @@
 //! for `flamegraph.pl`) are written next to it.
 
 use impatience_bench::{
-    assert_speedup, emit_metrics_json, emit_trace_json, fmt_throughput, pipeline_metrics_traced,
-    BenchArgs, Row, Table,
+    assert_speedup, emit_metrics_json, emit_trace_json, fmt_throughput, run_canonical, BenchArgs,
+    CanonicalRun, Row, Table,
 };
 use impatience_core::{
     json, EvalPayload, Json, LatencyStage, MemoryMeter, MetricsRegistry, SpanKind, StreamMessage,
@@ -84,8 +84,8 @@ fn traced_shard_pipeline(
             Default::default(),
         )
         .expect("default sort policy")
-        .trace_mark_sorted(&ctx, LatencyStage::Sort)
-        .trace_egress_sorted(&ctx, LatencyStage::Operator)
+        .trace_mark(&ctx, LatencyStage::Sort)
+        .trace_egress(&ctx, LatencyStage::Operator)
         .tumbling_window(window)
         .group_aggregate(SumAgg::new(|p: &EvalPayload| p[0] as i64))
 }
@@ -230,7 +230,7 @@ fn main() {
         }
         let (handle, stream) = input_stream::<EvalPayload>();
         let out = stream
-            .sharded_with(opts, move |s, ctx| match &sink_for_build {
+            .sharded(opts, move |s, ctx| match &sink_for_build {
                 Some(sink) => traced_shard_pipeline(s, window, sink, ctx.index),
                 None => shard_pipeline(s, &MemoryMeter::new(), window),
             })
@@ -254,7 +254,14 @@ fn main() {
     // and trace summary land in --json.
     let sink = TraceSink::new();
     let canonical = MetricsRegistry::new();
-    pipeline_metrics_traced(&canonical, &ds, 10_000, args.memory_budget, &sink);
+    run_canonical(&CanonicalRun {
+        registry: &canonical,
+        ds: &ds,
+        punctuation_frequency: 10_000,
+        budget: args.memory_budget,
+        spill_dir: None,
+        trace: Some(&sink),
+    });
     let sharded = MetricsRegistry::new();
     {
         let opts = ShardOptions::new(TIMED_SHARDS)
@@ -263,7 +270,7 @@ fn main() {
         let export_sink = sink.clone();
         let (handle, stream) = input_stream::<EvalPayload>();
         stream
-            .sharded_with(opts, move |s, ctx| {
+            .sharded(opts, move |s, ctx| {
                 traced_shard_pipeline(s, window, &export_sink, ctx.index)
             })
             .subscribe_observer(Box::new(BlackHoleSink::new()));
@@ -301,7 +308,13 @@ fn main() {
         spans.len()
     );
     let snapshot = canonical.snapshot().merge(&sharded.snapshot());
-    emit_metrics_json(&args, "trace", &ds.name, &snapshot);
+    emit_metrics_json(
+        &args,
+        "trace",
+        &ds.name,
+        &snapshot,
+        args.expects(&["trace"]),
+    );
     emit_trace_json(&args, "trace", &ds.name, &sink.summary());
     if let Some(path) = &args.json {
         let base = path.trim_end_matches(".json");

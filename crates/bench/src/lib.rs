@@ -25,19 +25,19 @@
 #![warn(missing_docs)]
 
 pub mod cli;
+pub mod contract;
 pub mod drive;
 pub mod metrics;
 pub mod queries;
 pub mod report;
 
 pub use cli::BenchArgs;
+pub use contract::check_bench_file;
 pub use drive::{drive_online_sorter, offline_sorter_names, run_offline_sorter, DriveOutcome};
 pub use metrics::{
-    emit_metrics_json, emit_pipeline_metrics, emit_trace_json, metrics_of_line, pipeline_metrics,
-    pipeline_metrics_in, pipeline_metrics_spilled, pipeline_metrics_traced, pipeline_metrics_with,
-    trace_of_line,
+    emit_metrics_json, emit_pipeline_metrics, emit_trace_json, run_canonical, CanonicalRun,
 };
-pub use queries::{run_query, run_query_metered, Method, Query, QueryRunOutcome};
+pub use queries::{run_query, Method, Query, QueryRunOutcome};
 pub use report::{fmt_throughput, Row, Table};
 
 /// Shape-check helper: assert `a >= factor * b` with a readable message.

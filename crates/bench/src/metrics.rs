@@ -31,96 +31,51 @@ pub const METRICS_CHECKPOINT_EVERY: u32 = 16;
 /// (or a pathological dataset) cannot grow it without bound.
 pub const DEAD_LETTER_CAPACITY: usize = 64 * 1024;
 
+/// One run of the canonical instrumented pipeline, for [`run_canonical`].
+pub struct CanonicalRun<'a> {
+    /// Receives every instrument of the run; caller-owned, so a binary can
+    /// combine the canonical pipeline's instruments with additional runs
+    /// (e.g. a sharded pipeline's `shard.*` counters) in one snapshot.
+    pub registry: &'a MetricsRegistry,
+    /// The dataset; a prefix of at most [`METRICS_SAMPLE_EVENTS`] runs.
+    pub ds: &'a Dataset,
+    /// Events per punctuation at ingress.
+    pub punctuation_frequency: usize,
+    /// Sorter-state **budget** (bytes). With a budget, the pipeline runs
+    /// hardened and degraded — late events dead-letter instead of
+    /// dropping, memory pressure sheds the oldest runs into the
+    /// dead-letter queue — and the run asserts the sorter's `state_bytes`
+    /// high water never exceeded the budget.
+    pub budget: Option<usize>,
+    /// With a budget: the lossless ladder instead. The sorter is an
+    /// [`ExternalImpatienceSorter`] spilling under this directory, the
+    /// shed policy is [`ShedPolicy::SpillColdRuns`], and late events drop
+    /// (so a clean run proves **zero** dead-letters and sheds under memory
+    /// pressure). The directory is left on disk for the caller to inspect
+    /// or remove.
+    pub spill_dir: Option<&'a Path>,
+    /// Structured tracing: every stage records spans into this sink
+    /// (ingress, checkpoint gate, sort, window, count), and sampled events
+    /// carry latency provenance from ingress to the sort egress. Drain it
+    /// afterwards with [`TraceSink::summary`] /
+    /// [`TraceSink::to_chrome_trace`].
+    pub trace: Option<&'a TraceSink>,
+}
+
 /// Runs the canonical instrumented pipeline —
 /// `ingress → Impatience sort → tumbling window → count` — over a prefix of
-/// `ds` and returns the registry snapshot. The reorder latency is scaled to
-/// a fifth of the sampled timespan (the Fig 5 tuning) and the window to a
+/// `run.ds` into `run.registry`. The reorder latency is scaled to a fifth
+/// of the sampled timespan (the Fig 5 tuning) and the window to a
 /// fiftieth.
-pub fn pipeline_metrics(ds: &Dataset, punctuation_frequency: usize) -> MetricsSnapshot {
-    pipeline_metrics_with(ds, punctuation_frequency, None)
-}
-
-/// [`pipeline_metrics`] with an optional sorter-state **budget** (bytes).
-/// With a budget, the pipeline runs hardened and degraded — late events
-/// dead-letter instead of dropping, memory pressure sheds the oldest runs
-/// into the dead-letter queue — and this function asserts the sorter's
-/// `state_bytes` high water never exceeded the budget.
-pub fn pipeline_metrics_with(
-    ds: &Dataset,
-    punctuation_frequency: usize,
-    budget: Option<usize>,
-) -> MetricsSnapshot {
-    let registry = MetricsRegistry::new();
-    pipeline_metrics_in(&registry, ds, punctuation_frequency, budget);
-    registry.snapshot()
-}
-
-/// [`pipeline_metrics_with`] against a caller-owned `registry`, so a binary
-/// can combine the canonical pipeline's instruments with additional runs
-/// (e.g. a sharded pipeline's `shard.*` counters) in one snapshot.
-pub fn pipeline_metrics_in(
-    registry: &MetricsRegistry,
-    ds: &Dataset,
-    punctuation_frequency: usize,
-    budget: Option<usize>,
-) {
-    run_canonical(registry, ds, punctuation_frequency, budget, None, None);
-}
-
-/// [`pipeline_metrics_in`] with structured tracing: every stage of the
-/// canonical pipeline records spans into `sink` (ingress, checkpoint gate,
-/// sort, window, count), and sampled events carry latency provenance from
-/// ingress to the sort egress. Drain the sink afterwards with
-/// [`TraceSink::summary`] / [`TraceSink::to_chrome_trace`].
-pub fn pipeline_metrics_traced(
-    registry: &MetricsRegistry,
-    ds: &Dataset,
-    punctuation_frequency: usize,
-    budget: Option<usize>,
-    sink: &TraceSink,
-) {
-    run_canonical(
+pub fn run_canonical(run: &CanonicalRun<'_>) {
+    let &CanonicalRun {
         registry,
         ds,
         punctuation_frequency,
         budget,
-        None,
-        Some(sink),
-    );
-}
-
-/// [`pipeline_metrics_traced`] on the lossless ladder: the sorter is an
-/// [`ExternalImpatienceSorter`] spilling under `spill_dir`, the shed policy
-/// is [`ShedPolicy::SpillColdRuns`], and late events drop (so a clean run
-/// proves **zero** dead-letters and sheds under memory pressure). The
-/// budget high-water assertion still applies. The spill directory is left
-/// on disk for the caller to inspect or remove.
-pub fn pipeline_metrics_spilled(
-    registry: &MetricsRegistry,
-    ds: &Dataset,
-    punctuation_frequency: usize,
-    budget: usize,
-    spill_dir: &Path,
-    sink: &TraceSink,
-) {
-    run_canonical(
-        registry,
-        ds,
-        punctuation_frequency,
-        Some(budget),
-        Some(spill_dir),
-        Some(sink),
-    );
-}
-
-fn run_canonical(
-    registry: &MetricsRegistry,
-    ds: &Dataset,
-    punctuation_frequency: usize,
-    budget: Option<usize>,
-    spill: Option<&Path>,
-    trace: Option<&TraceSink>,
-) {
+        spill_dir: spill,
+        trace,
+    } = run;
     let n = ds.len().min(METRICS_SAMPLE_EVENTS);
     let events: Vec<Event<EvalPayload>> = ds.events[..n].to_vec();
     let span = events
@@ -202,8 +157,8 @@ fn run_canonical(
         .expect("Drop/DeadLetter sort policies are accepted");
     let stream = match &ctx {
         Some(c) => stream
-            .trace_mark_sorted(c, LatencyStage::Sort)
-            .trace_egress_sorted(c, LatencyStage::Operator),
+            .trace_mark(c, LatencyStage::Sort)
+            .trace_egress(c, LatencyStage::Operator),
         None => stream,
     };
     stream
@@ -247,36 +202,49 @@ fn run_canonical(
 pub fn emit_pipeline_metrics(args: &BenchArgs, exhibit: &str, ds: &Dataset) {
     let registry = MetricsRegistry::new();
     let sink = TraceSink::new();
-    match (args.memory_budget, &args.spill_dir) {
-        (Some(b), Some(dir)) => {
-            pipeline_metrics_spilled(&registry, ds, 10_000, b, Path::new(dir), &sink)
-        }
-        _ => pipeline_metrics_traced(&registry, ds, 10_000, args.memory_budget, &sink),
-    }
+    // A budget runs the degradation path, and promises it; with a spill
+    // directory too, the lossless one. Without a budget nothing spills.
+    let (spill_dir, mode, expects): (_, _, &[&str]) = match (args.memory_budget, &args.spill_dir) {
+        (Some(b), Some(dir)) => (
+            Some(Path::new(dir)),
+            format!(", {b}-byte budget, spilling to {dir}"),
+            &["spill"],
+        ),
+        (Some(b), None) => (None, format!(", {b}-byte budget"), &["fault"]),
+        (None, _) => (None, String::new(), &[]),
+    };
+    run_canonical(&CanonicalRun {
+        registry: &registry,
+        ds,
+        punctuation_frequency: 10_000,
+        budget: args.memory_budget,
+        spill_dir,
+        trace: Some(&sink),
+    });
     let snapshot = registry.snapshot();
-    match (args.memory_budget, &args.spill_dir) {
-        (Some(b), Some(dir)) => println!(
-            "\nmetrics snapshot ({}, sampled pipeline, {b}-byte budget, spilling to {dir}):",
-            ds.name
-        ),
-        (Some(b), None) => println!(
-            "\nmetrics snapshot ({}, sampled pipeline, {b}-byte budget):",
-            ds.name
-        ),
-        _ => println!("\nmetrics snapshot ({}, sampled pipeline):", ds.name),
-    }
+    println!("\nmetrics snapshot ({}, sampled pipeline{mode}):", ds.name);
     print!("{snapshot}");
-    emit_metrics_json(args, exhibit, &ds.name, &snapshot);
+    emit_metrics_json(args, exhibit, &ds.name, &snapshot, expects);
     emit_trace_json(args, exhibit, &ds.name, &sink.summary());
 }
 
 /// Appends a snapshot (however it was produced) as a metrics JSON line.
-pub fn emit_metrics_json(args: &BenchArgs, exhibit: &str, dataset: &str, snap: &MetricsSnapshot) {
+/// `expects` names the activities this run's own arguments promise the
+/// file will show — rows of [`crate::contract::ACTIVITY_CONTRACTS`], which
+/// `snapshot_check` then enforces.
+pub fn emit_metrics_json(
+    args: &BenchArgs,
+    exhibit: &str,
+    dataset: &str,
+    snap: &MetricsSnapshot,
+    expects: &[&str],
+) {
     args.emit_json(&json!({
         "exhibit": exhibit,
         "kind": "metrics",
         "dataset": dataset,
         "metrics": snap.to_json(),
+        "expects": Json::Array(expects.iter().map(|&e| Json::from(e)).collect()),
     }));
 }
 
@@ -291,26 +259,6 @@ pub fn emit_trace_json(args: &BenchArgs, exhibit: &str, dataset: &str, summary: 
     }));
 }
 
-/// Extracts the `trace` object from a parsed bench JSON line, if the line
-/// is a trace-summary line.
-pub fn trace_of_line(line: &Json) -> Option<&Json> {
-    if line.get("kind").and_then(Json::as_str) == Some("trace") {
-        line.get("trace")
-    } else {
-        None
-    }
-}
-
-/// Extracts the `metrics` object from a parsed bench JSON line, if the line
-/// is a metrics line.
-pub fn metrics_of_line(line: &Json) -> Option<&Json> {
-    if line.get("kind").and_then(Json::as_str) == Some("metrics") {
-        line.get("metrics")
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,8 +267,16 @@ mod tests {
     #[test]
     fn snapshot_contains_expected_instruments() {
         let ds = generate_cloudlog(&CloudLogConfig::sized(4_000));
-        let snap = pipeline_metrics(&ds, 500);
-        let js = snap.to_json();
+        let registry = MetricsRegistry::new();
+        run_canonical(&CanonicalRun {
+            registry: &registry,
+            ds: &ds,
+            punctuation_frequency: 500,
+            budget: None,
+            spill_dir: None,
+            trace: None,
+        });
+        let js = registry.snapshot().to_json();
         let counters = js.get("counters").expect("counters");
         assert_eq!(
             counters
@@ -365,7 +321,14 @@ mod tests {
         let ds = generate_cloudlog(&CloudLogConfig::sized(4_000));
         let registry = MetricsRegistry::new();
         let sink = TraceSink::new();
-        pipeline_metrics_traced(&registry, &ds, 500, None, &sink);
+        run_canonical(&CanonicalRun {
+            registry: &registry,
+            ds: &ds,
+            punctuation_frequency: 500,
+            budget: None,
+            spill_dir: None,
+            trace: Some(&sink),
+        });
         // Same instruments as the untraced run: sort is still stage 00.
         assert!(
             registry.counter("pipeline.00.sort.events_in").get() > 0,

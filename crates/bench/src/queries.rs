@@ -4,8 +4,7 @@
 use impatience_core::{EvalPayload, MemoryMeter, MetricsRegistry, TickDuration};
 use impatience_engine::{punctuate_arrivals, BlackHoleSink, IngressPolicy, Streamable};
 use impatience_framework::{
-    to_streamables_advanced_metered, to_streamables_basic_metered, DisorderedStreamable,
-    FrameworkStats,
+    to_streamables_advanced, DisorderedStreamable, FrameworkOptions, FrameworkStats,
 };
 use impatience_workloads::Dataset;
 use std::time::Instant;
@@ -106,32 +105,11 @@ impl QueryRunOutcome {
 }
 
 /// Runs `query` under `method` on `ds`, with the given latency ladder,
-/// window size, and punctuation frequency (the paper uses 10,000).
+/// window size, and punctuation frequency (the paper uses 10,000). With a
+/// registry, framework routing counters, per-partition reorder-latency
+/// gauges, and per-operator counts (under `partition{i:02}.*`) accumulate
+/// into it alongside the run.
 pub fn run_query(
-    query: Query,
-    method: Method,
-    ds: &Dataset,
-    latencies: &[TickDuration],
-    window: TickDuration,
-    punctuation_frequency: usize,
-) -> QueryRunOutcome {
-    run_query_metered(
-        query,
-        method,
-        ds,
-        latencies,
-        window,
-        punctuation_frequency,
-        None,
-    )
-}
-
-/// [`run_query`] with optional pipeline-wide instrumentation: when a
-/// registry is supplied, framework routing counters, per-partition
-/// reorder-latency gauges, and per-operator counts (under
-/// `partition{i:02}.*`) accumulate into it alongside the run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_query_metered(
     query: Query,
     method: Method,
     ds: &Dataset,
@@ -157,11 +135,15 @@ pub fn run_query_metered(
     }
     .tumbling_window(window);
 
+    let opts = || FrameworkOptions {
+        registry: registry.cloned(),
+        ..Default::default()
+    };
     let stats;
     match method {
         Method::Basic => {
-            let mut ss =
-                to_streamables_basic_metered(prepped, &ladder, &meter, registry).expect("ladder");
+            let mut ss = to_streamables_advanced(prepped, &ladder, |s| s, |s| s, &meter, opts())
+                .expect("ladder");
             stats = ss.stats();
             for i in 0..ladder.len() {
                 // The basic framework re-runs the full query per stream.
@@ -170,15 +152,15 @@ pub fn run_query_metered(
         }
         _ => {
             let mut ss = match query {
-                Query::Q1 => to_streamables_advanced_metered(
+                Query::Q1 => to_streamables_advanced(
                     prepped,
                     &ladder,
                     |s: Streamable<EvalPayload>| s.count(),
                     |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
                     &meter,
-                    registry,
+                    opts(),
                 ),
-                _ => to_streamables_advanced_metered(
+                _ => to_streamables_advanced(
                     prepped,
                     &ladder,
                     |s: Streamable<EvalPayload>| {
@@ -186,7 +168,7 @@ pub fn run_query_metered(
                     },
                     |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
                     &meter,
-                    registry,
+                    opts(),
                 ),
             }
             .expect("ladder");
@@ -257,7 +239,7 @@ mod tests {
         ];
         for q in Query::all() {
             for m in Method::all() {
-                let o = run_query(q, m, &ds, &ladder, TickDuration::secs(1), 500);
+                let o = run_query(q, m, &ds, &ladder, TickDuration::secs(1), 500, None);
                 assert_eq!(o.events, 5_000, "{} {}", q.name(), m.name());
                 assert!(o.secs > 0.0);
                 assert!(o.completeness > 0.5, "{} {}", q.name(), m.name());
@@ -271,7 +253,7 @@ mod tests {
         let ds = generate_cloudlog(&CloudLogConfig::sized(4_000));
         let ladder = [TickDuration::secs(1), TickDuration::hours(1)];
         let registry = MetricsRegistry::new();
-        let o = run_query_metered(
+        let o = run_query(
             Query::Q2,
             Method::Advanced,
             &ds,
@@ -304,6 +286,7 @@ mod tests {
             &ladder,
             TickDuration::millis(1),
             500,
+            None,
         );
         let hi = run_query(
             Query::Q1,
@@ -312,6 +295,7 @@ mod tests {
             &ladder,
             TickDuration::millis(1),
             500,
+            None,
         );
         assert!(lo.completeness < hi.completeness);
         assert!(hi.completeness > 0.99);

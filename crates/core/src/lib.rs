@@ -30,7 +30,6 @@
 
 pub mod batch;
 pub mod bitmap;
-pub mod columnar;
 pub mod config;
 pub mod error;
 pub mod event;
@@ -46,7 +45,6 @@ pub mod trace;
 
 pub use batch::{EventBatch, DEFAULT_BATCH_SIZE};
 pub use bitmap::FilterBitmap;
-pub use columnar::ColumnarBatch;
 pub use config::{ConfigError, Validate};
 pub use error::{Result, StreamError};
 pub use event::{hash_key, EvalPayload, Event, EventTimed, Payload};

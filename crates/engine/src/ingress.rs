@@ -12,12 +12,12 @@
 //! considered acknowledged, so crash recovery can restore the newest
 //! checkpoint and replay exactly the unprocessed suffix.
 
-use crate::streamable::{input_stream, InputHandle, Streamable};
+use crate::streamable::Streamable;
 use impatience_core::{
     crc32c, Event, EventBatch, IngressStats, MemoryMeter, Payload, SnapshotError, SnapshotReader,
     SnapshotWriter, StateCodec, StreamMessage, TickDuration, Timestamp, DEFAULT_BATCH_SIZE,
 };
-use impatience_sort::{ImpatienceSorter, OnlineSorter};
+use impatience_sort::OnlineSorter;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -98,26 +98,11 @@ pub fn punctuate_arrivals<P: Payload>(
     msgs
 }
 
-/// Full ingress: arrivals → punctuated → sorted ordered [`Streamable`]
-/// using Impatience sort. Late-event drops and throughput counters go to
-/// `stats`; sorter state bytes to `meter`.
+/// Full ingress: arrivals → punctuated → ordered [`Streamable`] through
+/// `sorter` (Impatience sort, or a baseline for comparison). Late-event
+/// drops and throughput counters go to `stats`; sorter state bytes to
+/// `meter`.
 pub fn ingress_sorted<P: Payload>(
-    arrivals: Vec<Event<P>>,
-    policy: &IngressPolicy,
-    meter: &MemoryMeter,
-    stats: &IngressStats,
-) -> Streamable<P> {
-    ingress_sorted_with(
-        arrivals,
-        policy,
-        Box::new(ImpatienceSorter::new()),
-        meter,
-        stats,
-    )
-}
-
-/// [`ingress_sorted`] with an explicit sorter (for baseline comparisons).
-pub fn ingress_sorted_with<P: Payload>(
     arrivals: Vec<Event<P>>,
     policy: &IngressPolicy,
     sorter: Box<dyn OnlineSorter<Event<P>>>,
@@ -138,20 +123,6 @@ pub fn ingress_sorted_with<P: Payload>(
     disordered
         .sorted(sorter, meter, Default::default())
         .expect("default sort policy")
-}
-
-/// A live disordered input plus its sorted view — the shape the framework
-/// crate pumps data through.
-pub fn disordered_input<P: Payload>(
-    sorter: Box<dyn OnlineSorter<Event<P>>>,
-    meter: &MemoryMeter,
-) -> (InputHandle<P>, Streamable<P>) {
-    let (handle, raw) = input_stream::<P>();
-    (
-        handle,
-        raw.sorted(sorter, meter, Default::default())
-            .expect("default sort policy"),
-    )
 }
 
 /// Tuning knobs for the write-ahead ingest log.
@@ -585,6 +556,7 @@ impl<P: Payload> WalIngress<P> {
 mod tests {
     use super::*;
     use impatience_core::validate_punctuation_contract;
+    use impatience_sort::ImpatienceSorter;
 
     fn ev(t: i64) -> Event<u32> {
         Event::point(Timestamp::new(t), t as u32)
@@ -668,7 +640,14 @@ mod tests {
             .iter()
             .map(|&t| ev(t))
             .collect();
-        let out = ingress_sorted(arrivals, &policy, &meter, &stats).collect_output();
+        let out = ingress_sorted(
+            arrivals,
+            &policy,
+            Box::new(ImpatienceSorter::new()),
+            &meter,
+            &stats,
+        )
+        .collect_output();
         let ts: Vec<i64> = out.events().iter().map(|e| e.sync_time.ticks()).collect();
         assert_eq!(ts, vec![3, 5, 6, 7, 8, 9, 11, 12, 14, 15]);
         assert!(impatience_core::validate_ordered_stream(&out.messages()).is_ok());
@@ -688,7 +667,14 @@ mod tests {
         };
         // Event 5 arrives after the watermark has reached 20.
         let arrivals: Vec<Event<u32>> = [10i64, 20, 5, 30].iter().map(|&t| ev(t)).collect();
-        let out = ingress_sorted(arrivals, &policy, &meter, &stats).collect_output();
+        let out = ingress_sorted(
+            arrivals,
+            &policy,
+            Box::new(ImpatienceSorter::new()),
+            &meter,
+            &stats,
+        )
+        .collect_output();
         let ts: Vec<i64> = out.events().iter().map(|e| e.sync_time.ticks()).collect();
         assert_eq!(ts, vec![10, 20, 30], "late event 5 dropped");
     }
@@ -933,18 +919,5 @@ mod tests {
     fn wal_missing_dir_replays_nothing() {
         let dir = wal_dir("missing");
         assert!(replay_wal(&dir, 0).unwrap().is_empty());
-    }
-
-    #[test]
-    fn disordered_input_live() {
-        let meter = MemoryMeter::new();
-        let (handle, stream) = disordered_input::<u32>(Box::new(ImpatienceSorter::new()), &meter);
-        let out = stream.collect_output();
-        handle.push_events(vec![ev(3), ev(1), ev(2)]);
-        handle.push_punctuation(Timestamp::new(2));
-        assert_eq!(out.event_count(), 2);
-        handle.complete();
-        let ts: Vec<i64> = out.events().iter().map(|e| e.sync_time.ticks()).collect();
-        assert_eq!(ts, vec![1, 2, 3]);
     }
 }

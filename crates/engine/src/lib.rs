@@ -66,10 +66,7 @@ pub use checkpoint::{
     CheckpointCtx, CheckpointGate, CheckpointMetrics, CheckpointNote, Checkpointable, Checkpointer,
     RecoveryInfo, CHECKPOINT_MAGIC,
 };
-pub use ingress::{
-    disordered_input, ingress_sorted, ingress_sorted_with, punctuate_arrivals, replay_wal,
-    IngressPolicy, Wal, WalIngress,
-};
+pub use ingress::{ingress_sorted, punctuate_arrivals, replay_wal, IngressPolicy, Wal, WalIngress};
 pub use observer::{BlackHoleSink, CollectorSink, FnSink, Observer, Output, SharedSink};
 pub use sharded::{Pop, ShardCtx, ShardOptions, ShardQueue, TryPush};
 pub use shell::{OperatorMetrics, StageShell};

@@ -150,7 +150,7 @@ impl<P: Payload, S> SortOp<P, S> {
     ///
     /// [`LatePolicy::RerouteNextPartition`] is not accepted here — reroute
     /// needs the framework's partitioner; construct via
-    /// [`crate::Streamable::sorted_with_policy`] to get the typed error.
+    /// [`crate::Streamable::sorted`] to get the typed error.
     pub fn with_policy(
         sorter: Box<dyn OnlineSorter<Event<P>>>,
         meter: MemoryMeter,

@@ -268,7 +268,8 @@ impl ShardCtx {
     }
 }
 
-/// Tuning for [`Streamable::sharded_with`].
+/// Tuning for [`Streamable::sharded`]; `n.into()` is `n` shards with the
+/// defaults.
 #[derive(Clone)]
 pub struct ShardOptions {
     /// Number of worker shards (`>= 1`).
@@ -317,18 +318,6 @@ impl ShardOptions {
         self
     }
 
-    /// Overrides the per-queue capacity.
-    #[deprecated(since = "0.2.0", note = "renamed to `with_queue_capacity`")]
-    pub fn queue_capacity(self, cap: usize) -> Self {
-        self.with_queue_capacity(cap)
-    }
-
-    /// Overrides the merge stall timeout.
-    #[deprecated(since = "0.2.0", note = "renamed to `with_stall_timeout`")]
-    pub fn stall_timeout(self, t: Duration) -> Self {
-        self.with_stall_timeout(t)
-    }
-
     /// Publishes the `shard.*` instruments into `registry`.
     pub fn with_registry(mut self, registry: &MetricsRegistry) -> Self {
         self.registry = Some(registry.clone());
@@ -350,6 +339,12 @@ impl Default for ShardOptions {
     /// A single shard with the standard queue and stall settings.
     fn default() -> Self {
         ShardOptions::new(1)
+    }
+}
+
+impl From<usize> for ShardOptions {
+    fn from(shards: usize) -> Self {
+        ShardOptions::new(shards)
     }
 }
 
@@ -826,27 +821,26 @@ impl<P: Payload> Drop for ShardIngress<P> {
 // ---------------------------------------------------------------------------
 
 impl<P: Payload> Streamable<P> {
-    /// Runs `n` hash-partitioned copies of the `build` pipeline on worker
-    /// threads and re-joins their outputs into one totally ordered stream
-    /// (see the [module docs](self) for the determinism and key-locality
-    /// contracts). `build` is called once per shard, *on* that shard's
-    /// worker thread.
+    /// Runs `opts.shards` hash-partitioned copies of the `build` pipeline
+    /// on worker threads and re-joins their outputs into one totally
+    /// ordered stream (see the [module docs](self) for the determinism and
+    /// key-locality contracts). `opts` is a shard count or a full
+    /// [`ShardOptions`]. `build` is called once per shard, *on* that
+    /// shard's worker thread.
+    ///
+    /// Options that fail [`Validate`](impatience_core::Validate) (zero
+    /// shards, queue capacity or stall timeout) start no thread: the
+    /// stream ends with [`StreamError::InvalidConfig`] at subscribe time.
     pub fn sharded<Q: Payload>(
         self,
-        n: usize,
+        opts: impl Into<ShardOptions>,
         build: impl Fn(Streamable<P>, ShardCtx) -> Streamable<Q> + Send + Sync + 'static,
     ) -> Streamable<Q> {
-        self.sharded_with(ShardOptions::new(n), build)
-    }
-
-    /// [`Streamable::sharded`] with explicit [`ShardOptions`].
-    pub fn sharded_with<Q: Payload>(
-        self,
-        opts: ShardOptions,
-        build: impl Fn(Streamable<P>, ShardCtx) -> Streamable<Q> + Send + Sync + 'static,
-    ) -> Streamable<Q> {
-        assert!(opts.shards >= 1, "sharded() requires at least one shard");
-        Streamable::from_connector(move |downstream: Box<dyn Observer<Q>>| {
+        let opts = opts.into();
+        Streamable::from_connector(move |mut downstream: Box<dyn Observer<Q>>| {
+            if let Err(e) = impatience_core::Validate::validate(&opts) {
+                return downstream.on_error(e.into());
+            }
             let n = opts.shards;
             let metrics = ShardMetrics::new(opts.registry.as_ref());
             metrics.workers.set(n as i64);
@@ -962,7 +956,7 @@ mod tests {
         let events: Vec<Event<u32>> = (0..32).map(|i| ev(i, (i % 4) as u32, i as u32)).collect();
         let opts = ShardOptions::new(4).with_stall_timeout(Duration::from_secs(5));
         let out = source(events, &[31])
-            .sharded_with(opts, |s, ctx| {
+            .sharded(opts, |s, ctx| {
                 let bad = ctx.index == 2;
                 s.select(move |p| {
                     if bad && *p >= 10 {
@@ -1003,7 +997,7 @@ mod tests {
         let events: Vec<Event<u32>> = (0..40).map(|i| ev(i, (i % 8) as u32, i as u32)).collect();
         let opts = ShardOptions::new(4).with_trace(&sink);
         let traced = source(events.clone(), &[10, 25, 39])
-            .sharded_with(opts, |s, _| s)
+            .sharded(opts, |s, _| s)
             .collect_output();
         assert!(traced.is_completed());
         // Tracing must not change the output.

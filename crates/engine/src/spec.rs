@@ -31,7 +31,7 @@
 //! 8. `checkpoint_egress()` — committed-output accounting;
 //!
 //! or, for `shards > 1`, steps 5–7 run *inside* each shard of a
-//! `sharded_with` stage (per-shard sorters, per-shard instrument
+//! `sharded` stage (per-shard sorters, per-shard instrument
 //! prefixes) joined by the deterministic low-watermark merge.
 
 use crate::checkpoint::CheckpointCtx;
@@ -751,6 +751,33 @@ impl PipelineSpec {
             s = s.hardened();
         }
 
+        // Steps 6–7, once per pipeline or once per shard: the sorter under
+        // the spec's policy, then the op chain.
+        let sort_then_ops = {
+            let spec = self.clone();
+            let meter = env.meter.clone();
+            let dead_letters = dead_letters.clone();
+            move |s: Streamable<i64>, spill_dir: Option<PathBuf>| {
+                let sorter: Box<dyn OnlineSorter<Event<i64>>> = if spec.sort.spill {
+                    Box::new(ExternalImpatienceSorter::new(
+                        spill_dir.expect("checked above"),
+                    ))
+                } else {
+                    Box::new(ImpatienceSorter::new())
+                };
+                let mut policy = SortPolicy::new()
+                    .with_late(spec.sort.late)
+                    .with_shed(spec.sort.shed);
+                if let Some(dlq) = &dead_letters {
+                    policy = policy.with_dead_letters(dlq.clone());
+                }
+                let mut s = s.sorted(sorter, &meter, policy)?;
+                for op in &spec.ops {
+                    s = op.apply(s);
+                }
+                Ok::<_, StreamError>(s)
+            }
+        };
         if self.shards > 1 {
             let mut opts = ShardOptions::new(self.shards);
             if let Some(registry) = &env.registry {
@@ -760,10 +787,8 @@ impl PipelineSpec {
             }
             let spec = self.clone();
             let env_registry = env.registry.clone();
-            let meter = env.meter.clone();
-            let policy_dlq = dead_letters.clone();
             let spill_root = env.spill_dir.clone();
-            s = s.sharded_with(opts, move |ss, ctx| {
+            s = s.sharded(opts, move |ss, ctx| {
                 let mut ss = ss;
                 if spec.instrument {
                     if let Some(registry) = &env_registry {
@@ -774,44 +799,11 @@ impl PipelineSpec {
                 if spec.hardened {
                     ss = ss.hardened();
                 }
-                let sorter: Box<dyn OnlineSorter<Event<i64>>> = if spec.sort.spill {
-                    let root = spill_root.clone().expect("checked above");
-                    Box::new(ExternalImpatienceSorter::new(ctx.spill_dir(root)))
-                } else {
-                    Box::new(ImpatienceSorter::new())
-                };
-                let mut policy = SortPolicy::new()
-                    .with_late(spec.sort.late)
-                    .with_shed(spec.sort.shed);
-                if let Some(dlq) = &policy_dlq {
-                    policy = policy.with_dead_letters(dlq.clone());
-                }
-                let mut ss = ss
-                    .sorted(sorter, &meter, policy)
-                    .expect("validated spec: policy accepted");
-                for op in &spec.ops {
-                    ss = op.apply(ss);
-                }
-                ss
+                let spill_dir = spill_root.as_ref().map(|root| ctx.spill_dir(root));
+                sort_then_ops(ss, spill_dir).expect("validated spec: policy accepted")
             });
         } else {
-            let sorter: Box<dyn OnlineSorter<Event<i64>>> = if self.sort.spill {
-                Box::new(ExternalImpatienceSorter::new(
-                    env.spill_dir.clone().expect("checked above"),
-                ))
-            } else {
-                Box::new(ImpatienceSorter::new())
-            };
-            let mut policy = SortPolicy::new()
-                .with_late(self.sort.late)
-                .with_shed(self.sort.shed);
-            if let Some(dlq) = &dead_letters {
-                policy = policy.with_dead_letters(dlq.clone());
-            }
-            s = s.sorted(sorter, &env.meter, policy)?;
-            for op in &self.ops {
-                s = op.apply(s);
-            }
+            s = sort_then_ops(s, env.spill_dir.clone())?;
         }
 
         s = s.checkpoint_egress();

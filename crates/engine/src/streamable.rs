@@ -491,26 +491,11 @@ impl<P: Payload> Streamable<P> {
 /// crate's `DisorderedStreamable`; here it is the raw `sort` stage.
 impl<P: Payload> Streamable<P> {
     /// Sorting stage over a *disordered* upstream: buffers in `sorter`,
-    /// flushing on punctuations. The result is an ordered stream. Buffered
-    /// state is charged to `meter`; late events are dropped and counted.
-    ///
-    /// On an instrumented chain the sorter additionally publishes
-    /// [`SorterGauges`] (run count, buffered events, state-byte high-water
-    /// mark, speculation counters) under `{prefix}.{stage:02}.sorter.*`.
-    #[deprecated(since = "0.2.0", note = "use `sorted` with `SortPolicy::default()`")]
-    pub fn sorted_with(
-        self,
-        sorter: Box<dyn OnlineSorter<Event<P>>>,
-        meter: &MemoryMeter,
-    ) -> Streamable<P> {
-        self.sorted(sorter, meter, ops::SortPolicy::default())
-            .expect("the default sort policy is always accepted")
-    }
-
-    /// [`sorted_with`](Streamable::sorted_with) with an explicit
-    /// failure-model policy: what to do with late events
-    /// ([`LatePolicy`]), and what to shed when `meter` carries an
-    /// enforced budget and the sorter exceeds it
+    /// flushing on punctuations; the result is an ordered stream. Buffered
+    /// state is charged to `meter`. `policy` is the failure model: what
+    /// to do with late events ([`LatePolicy`]; the default drops and
+    /// counts them), and what to shed when `meter` carries an enforced
+    /// budget and the sorter exceeds it
     /// ([`ShedPolicy`](impatience_core::ShedPolicy)).
     ///
     /// Returns [`StreamError::InvalidConfig`] for
@@ -519,22 +504,11 @@ impl<P: Payload> Streamable<P> {
     /// routes late events *before* they reach a sorter; a standalone
     /// sorting stage has no next partition to hand them to.
     ///
-    /// On an instrumented chain the stage additionally registers
-    /// [`SortFaultCounters`](ops::SortFaultCounters) under
-    /// `{prefix}.{stage:02}.sort.*` fault-counter names.
-    #[deprecated(since = "0.2.0", note = "renamed to `sorted`")]
-    pub fn sorted_with_policy(
-        self,
-        sorter: Box<dyn OnlineSorter<Event<P>>>,
-        meter: &MemoryMeter,
-        policy: ops::SortPolicy<P>,
-    ) -> Result<Streamable<P>, StreamError> {
-        self.sorted(sorter, meter, policy)
-    }
-
-    /// The canonical fallible sorting stage (supersedes the
-    /// `sorted_with` / `sorted_with_policy` twin pair): buffers in
-    /// `sorter`, flushing on punctuations under `policy`.
+    /// On an instrumented chain the stage additionally publishes
+    /// [`SorterGauges`] (run count, buffered events, state-byte high-water
+    /// mark, speculation counters) under `{prefix}.{stage:02}.sorter.*`
+    /// and [`SortFaultCounters`](ops::SortFaultCounters) under
+    /// `{prefix}.{stage:02}.sort.*`.
     pub fn sorted(
         self,
         sorter: Box<dyn OnlineSorter<Event<P>>>,
@@ -783,7 +757,7 @@ mod tests {
     }
 
     #[test]
-    fn sorted_with_turns_disorder_into_order() {
+    fn sorted_turns_disorder_into_order() {
         let meter = MemoryMeter::new();
         // Bypass the ordered-stream debug check by pushing via a live input.
         let (handle, stream) = input_stream::<u32>();
@@ -966,7 +940,7 @@ mod tests {
     }
 
     #[test]
-    fn sorted_with_policy_rejects_reroute() {
+    fn sorted_rejects_reroute() {
         let meter = MemoryMeter::new();
         let err = Streamable::from_ordered_events(evs(&[1]))
             .sorted(
@@ -987,7 +961,7 @@ mod tests {
     }
 
     #[test]
-    fn sorted_with_policy_registers_fault_counters() {
+    fn sorted_registers_fault_counters() {
         let registry = MetricsRegistry::new();
         let meter = MemoryMeter::new();
         let (handle, stream) = input_stream::<u32>();

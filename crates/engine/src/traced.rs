@@ -23,9 +23,9 @@
 //!   *before* any window operator: windows rewrite `sync_time`, which is
 //!   half of an event's provenance identity.
 //!
-//! Mark and egress have `_sorted` variants for probes downstream of a
-//! sorter: they exploit tick-ordering to replace the per-event scan with a
-//! per-batch range query over the in-flight sample set.
+//! Mark and egress sit downstream of a sorter: they exploit tick-ordering
+//! to replace a per-event scan with a per-batch range query over the
+//! in-flight sample set.
 //!
 //! Tracing never alters the stream: a traced pipeline produces exactly the
 //! output of an untraced one (proven differentially in
@@ -275,6 +275,15 @@ fn present_in_sorted<P: Payload>(
 }
 
 impl<P: Payload> crate::Streamable<P> {
+    /// A transparent stage named `name` that shows every batch to `f`.
+    fn probe(
+        self,
+        name: &str,
+        f: impl FnMut(&EventBatch<P>) + Send + 'static,
+    ) -> crate::Streamable<P> {
+        self.apply_named(name, move |sink| Box::new(ProvProbe { f, next: sink }))
+    }
+
     /// Provenance entry point: stamps the events selected by the sink's
     /// hash-based sampling predicate. Place it at the pipeline's entry,
     /// before the checkpoint gate and any shard split. Traced chains
@@ -286,103 +295,48 @@ impl<P: Payload> crate::Streamable<P> {
     /// actually contains sampled events. When no rows are filtered the
     /// probe walks the contiguous event slice instead of the bitmap-driven
     /// visible iterator — the common case on hot paths, where the bitmap
-    /// walk would roughly double the scan cost (the mark/egress probes
-    /// take the same fast path).
+    /// walk would roughly double the scan cost.
     pub fn trace_ingress(self, ctx: &TraceCtx) -> crate::Streamable<P> {
         let prov = ctx.sink().provenance().clone();
-        self.apply_named("ingress", move |sink| {
-            Box::new(ProvProbe {
-                f: move |batch: &EventBatch<P>| {
-                    if batch.filter().none_filtered() {
-                        let ids = batch.events().iter().map(|e| (e.sync_time.ticks(), e.key));
-                        prov.ingress_many(ids);
-                    } else {
-                        prov.ingress_many(identities(batch));
-                    }
-                },
-                next: sink,
-            })
+        self.probe("ingress", move |batch| {
+            if batch.filter().none_filtered() {
+                let ids = batch.events().iter().map(|e| (e.sync_time.ticks(), e.key));
+                prov.ingress_many(ids);
+            } else {
+                prov.ingress_many(identities(batch));
+            }
         })
     }
 
-    /// Provenance stage boundary: attributes time-since-last-probe to
-    /// `stage` for every tracked event passing through.
+    /// Provenance stage boundary on the *sorted* side of a sorter:
+    /// attributes time-since-last-probe to `stage` for every tracked event
+    /// passing through. Instead of scanning every event, it range-queries
+    /// the in-flight sample set by the batch's tick bounds and
+    /// binary-searches the few candidates — zero per-event cost, which is
+    /// what keeps full-pipeline tracing inside its overhead budget. The
+    /// batch must be sorted by `sync_time` (debug-asserted).
     pub fn trace_mark(self, ctx: &TraceCtx, stage: LatencyStage) -> crate::Streamable<P> {
         let prov = ctx.sink().provenance().clone();
-        self.apply_named(&probe_name("mark", stage), move |sink| {
-            Box::new(ProvProbe {
-                f: move |batch: &EventBatch<P>| {
-                    if batch.filter().none_filtered() {
-                        let ids = batch.events().iter().map(|e| (e.sync_time.ticks(), e.key));
-                        prov.mark_many(stage, ids);
-                    } else {
-                        prov.mark_many(stage, identities(batch));
-                    }
-                },
-                next: sink,
-            })
+        self.probe(&probe_name("mark", stage), move |batch| {
+            let hits = present_in_sorted(&prov, batch);
+            if !hits.is_empty() {
+                prov.mark_many(stage, hits);
+            }
         })
     }
 
     /// Provenance exit point: closes tracked events (final leg attributed
-    /// to `stage`) and feeds the latency histograms. Must run before any
-    /// window operator rewrites `sync_time`.
+    /// to `stage`) and feeds the latency histograms — same tick-bound
+    /// range query and sortedness contract as
+    /// [`trace_mark`](Self::trace_mark). Must run before any window
+    /// operator rewrites `sync_time`.
     pub fn trace_egress(self, ctx: &TraceCtx, stage: LatencyStage) -> crate::Streamable<P> {
         let prov = ctx.sink().provenance().clone();
-        self.apply_named(&probe_name("egress", stage), move |sink| {
-            Box::new(ProvProbe {
-                f: move |batch: &EventBatch<P>| {
-                    if batch.filter().none_filtered() {
-                        let ids = batch.events().iter().map(|e| (e.sync_time.ticks(), e.key));
-                        prov.finish_many(stage, ids);
-                    } else {
-                        prov.finish_many(stage, identities(batch));
-                    }
-                },
-                next: sink,
-            })
-        })
-    }
-
-    /// [`trace_mark`](Self::trace_mark) for probes on the *sorted* side of
-    /// a sorter: instead of scanning every event, range-queries the
-    /// in-flight sample set by the batch's tick bounds and binary-searches
-    /// the few candidates — zero per-event cost, which is what keeps
-    /// full-pipeline tracing inside its overhead budget. The batch must be
-    /// sorted by `sync_time` (debug-asserted); use
-    /// [`trace_mark`](Self::trace_mark) on unsorted streams.
-    pub fn trace_mark_sorted(self, ctx: &TraceCtx, stage: LatencyStage) -> crate::Streamable<P> {
-        let prov = ctx.sink().provenance().clone();
-        self.apply_named(&probe_name("mark", stage), move |sink| {
-            Box::new(ProvProbe {
-                f: move |batch: &EventBatch<P>| {
-                    let hits = present_in_sorted(&prov, batch);
-                    if !hits.is_empty() {
-                        prov.mark_many(stage, hits);
-                    }
-                },
-                next: sink,
-            })
-        })
-    }
-
-    /// [`trace_egress`](Self::trace_egress) for probes on the *sorted*
-    /// side of a sorter — same tick-bound range query as
-    /// [`trace_mark_sorted`](Self::trace_mark_sorted), same sortedness
-    /// contract, and the same placement rule: before any window operator
-    /// rewrites `sync_time`.
-    pub fn trace_egress_sorted(self, ctx: &TraceCtx, stage: LatencyStage) -> crate::Streamable<P> {
-        let prov = ctx.sink().provenance().clone();
-        self.apply_named(&probe_name("egress", stage), move |sink| {
-            Box::new(ProvProbe {
-                f: move |batch: &EventBatch<P>| {
-                    let hits = present_in_sorted(&prov, batch);
-                    if !hits.is_empty() {
-                        prov.finish_many(stage, hits);
-                    }
-                },
-                next: sink,
-            })
+        self.probe(&probe_name("egress", stage), move |batch| {
+            let hits = present_in_sorted(&prov, batch);
+            if !hits.is_empty() {
+                prov.finish_many(stage, hits);
+            }
         })
     }
 }
@@ -504,38 +458,33 @@ mod tests {
     }
 
     #[test]
-    fn sorted_probes_match_scanning_probes() {
-        let run = |sorted: bool| {
-            let sink = logical_sink(1);
-            let ctx = TraceCtx::new(&sink);
-            let meter = MemoryMeter::new();
-            let (handle, stream) = input_stream::<u32>();
-            let s = stream
-                .traced(ctx.clone())
-                .trace_ingress(&ctx)
-                .sorted(
-                    Box::new(impatience_sort::ImpatienceSorter::new()),
-                    &meter,
-                    Default::default(),
-                )
-                .expect("default sort policy");
-            let out = if sorted {
-                s.trace_mark_sorted(&ctx, LatencyStage::Sort)
-                    .trace_egress_sorted(&ctx, LatencyStage::Operator)
-            } else {
-                s.trace_mark(&ctx, LatencyStage::Sort)
-                    .trace_egress(&ctx, LatencyStage::Operator)
-            }
+    fn range_query_probes_retire_every_sample() {
+        let sink = logical_sink(1);
+        let ctx = TraceCtx::new(&sink);
+        let meter = MemoryMeter::new();
+        let (handle, stream) = input_stream::<u32>();
+        let out = stream
+            .traced(ctx.clone())
+            .trace_ingress(&ctx)
+            .sorted(
+                Box::new(impatience_sort::ImpatienceSorter::new()),
+                &meter,
+                Default::default(),
+            )
+            .expect("default sort policy")
+            .trace_mark(&ctx, LatencyStage::Sort)
+            .trace_egress(&ctx, LatencyStage::Operator)
             .collect_output();
-            handle.push_events(evs(&[5, 2, 4, 1, 3]));
-            handle.push_punctuation(Timestamp::new(5));
-            handle.complete();
-            assert_eq!(out.event_count(), 5);
-            let prov = sink.provenance();
-            (prov.sampled(), prov.completed(), prov.in_flight())
-        };
-        assert_eq!(run(true), run(false), "sorted probes change no outcome");
-        assert_eq!(run(true), (5, 5, 0), "every sample retired at egress");
+        handle.push_events(evs(&[5, 2, 4, 1, 3]));
+        handle.push_punctuation(Timestamp::new(5));
+        handle.complete();
+        assert_eq!(out.event_count(), 5);
+        let prov = sink.provenance();
+        assert_eq!(
+            (prov.sampled(), prov.completed(), prov.in_flight()),
+            (5, 5, 0),
+            "every sample retired at egress"
+        );
     }
 
     #[test]

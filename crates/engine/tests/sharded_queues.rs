@@ -178,7 +178,7 @@ fn punctuation_regression_inside_a_shard_surfaces_typed() {
     // terminate with PunctuationRegressed, not emit unordered output.
     let (handle, stream) = input_stream::<u32>();
     let opts = ShardOptions::new(2).with_stall_timeout(Duration::from_secs(5));
-    let sharded = stream.sharded_with(opts, |s, ctx| {
+    let sharded = stream.sharded(opts, |s, ctx| {
         let bad = ctx.index == 1;
         Streamable::from_connector(move |sink| {
             let relay: Box<dyn Observer<u32>> = if bad {
@@ -211,6 +211,38 @@ fn punctuation_regression_inside_a_shard_surfaces_typed() {
         "unexpected error: {err:?}"
     );
     assert!(!out.is_completed());
+}
+
+#[test]
+fn invalid_shard_options_surface_a_typed_error() {
+    // One entry point validates once: a zero shard count, queue capacity
+    // or stall timeout ends the stream with InvalidConfig at subscribe
+    // time — no panic, and no shard built (a build would panic on its
+    // worker and surface as OperatorPanicked instead).
+    let cases: [(&str, ShardOptions); 3] = [
+        ("shards", 0.into()),
+        (
+            "queue_capacity",
+            ShardOptions::new(2).with_queue_capacity(0),
+        ),
+        (
+            "stall_timeout",
+            ShardOptions::new(2).with_stall_timeout(Duration::ZERO),
+        ),
+    ];
+    for (field, opts) in cases {
+        let (_handle, stream) = input_stream::<u32>();
+        let out = stream
+            .sharded(opts, |_, _| -> Streamable<u32> {
+                panic!("an invalid configuration builds no shard")
+            })
+            .collect_output();
+        match out.error() {
+            Some(StreamError::InvalidConfig(msg)) => assert!(msg.contains(field), "{msg}"),
+            other => panic!("{field} = 0: expected InvalidConfig, got {other:?}"),
+        }
+        assert!(!out.is_completed(), "{field}: error and completion both");
+    }
 }
 
 /// Deterministic seed-derived input: bursts of keyed events with
@@ -251,7 +283,7 @@ fn run_sharded(
     let (handle, stream) = input_stream::<u32>();
     let opts = ShardOptions::new(shards).with_queue_capacity(queue_capacity);
     let out = stream
-        .sharded_with(opts, |s, _| s.where_(|e| e.payload % 5 != 2))
+        .sharded(opts, |s, _| s.where_(|e| e.payload % 5 != 2))
         .collect_output();
     let mut rng = jitter_seed.map(Rng::new);
     for msg in input {

@@ -18,7 +18,7 @@
 use impatience_core::{Event, MemoryMeter, Payload, StreamMessage, TickDuration};
 use impatience_engine::ops::{align_tumbling, window_punctuation, FilterOp, ReKeyOp, SelectOp};
 use impatience_engine::{IngressPolicy, InputHandle, Observer, Streamable};
-use impatience_sort::{ImpatienceSorter, OnlineSorter};
+use impatience_sort::ImpatienceSorter;
 
 type Connector<P> = Box<dyn FnOnce(Box<dyn Observer<P>>) + Send>;
 
@@ -106,18 +106,8 @@ impl<P: Payload> DisorderedStreamable<P> {
     /// Ends the disordered section with an Impatience sorting operator —
     /// the paper's `ToStreamable()`.
     pub fn to_streamable(self, meter: &MemoryMeter) -> Streamable<P> {
-        self.to_streamable_with(Box::new(ImpatienceSorter::new()), meter)
-    }
-
-    /// [`Self::to_streamable`] with an explicit sorter.
-    pub fn to_streamable_with(
-        self,
-        sorter: Box<dyn OnlineSorter<Event<P>>>,
-        meter: &MemoryMeter,
-    ) -> Streamable<P> {
-        let connect = self.connect;
-        Streamable::from_connector(connect)
-            .sorted(sorter, meter, Default::default())
+        Streamable::from_connector(self.connect)
+            .sorted(Box::new(ImpatienceSorter::new()), meter, Default::default())
             .expect("default sort policy")
     }
 
@@ -203,7 +193,7 @@ mod tests {
     }
 
     #[test]
-    fn to_streamable_orders_disordered_input() {
+    fn to_streamable_orders_a_disordered_source() {
         let meter = MemoryMeter::new();
         let ds = DisorderedStreamable::from_messages(msgs(&[9, 2, 7, 1, 8]));
         let out = ds.to_streamable(&meter).collect_output();

@@ -74,32 +74,6 @@ impl<P: Payload> Default for FrameworkPolicy<P> {
     }
 }
 
-impl<P: Payload> FrameworkPolicy<P> {
-    /// The default policy (reroute late events, force punctuation on
-    /// budget, no dead-letter queue).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the late-event routing policy.
-    pub fn with_late(mut self, late: LatePolicy) -> Self {
-        self.late = late;
-        self
-    }
-
-    /// Sets the per-partition shed policy.
-    pub fn with_shed(mut self, shed: ShedPolicy) -> Self {
-        self.shed = shed;
-        self
-    }
-
-    /// Attaches a dead-letter queue.
-    pub fn with_dead_letters(mut self, queue: DeadLetterQueue<P>) -> Self {
-        self.dead_letters = Some(queue);
-        self
-    }
-}
-
 impl<P: Payload> Clone for FrameworkPolicy<P> {
     fn clone(&self) -> Self {
         FrameworkPolicy {
@@ -194,6 +168,7 @@ pub struct Streamables<Q: Payload> {
     streams: Vec<Option<Streamable<Q>>>,
     latencies: Vec<TickDuration>,
     stats: FrameworkStats,
+    ckpt: Option<CheckpointCtx>,
 }
 
 impl<Q: Payload> Streamables<Q> {
@@ -208,24 +183,8 @@ impl<Q: Payload> Streamables<Q> {
     }
 
     /// Takes ownership of output stream `i` (the paper's
-    /// `ss.Streamable(i)`). Panics if already taken.
-    #[deprecated(since = "0.2.0", note = "use the fallible `take_stream`")]
-    pub fn stream(&mut self, i: usize) -> Streamable<Q> {
-        self.take_stream(i)
-            .expect("output stream already subscribed")
-    }
-
-    /// Fallible form of [`Self::take_stream`], kept for source
-    /// compatibility.
-    #[deprecated(since = "0.2.0", note = "renamed to `take_stream`")]
-    pub fn try_stream(&mut self, i: usize) -> Result<Streamable<Q>, StreamError> {
-        self.take_stream(i)
-    }
-
-    /// The canonical fallible accessor (supersedes the `stream` /
-    /// `try_stream` twin pair): takes ownership of output stream `i`,
-    /// returning a typed error for an out-of-range index or an
-    /// already-taken stream.
+    /// `ss.Streamable(i)`), returning a typed error for an out-of-range
+    /// index or an already-taken stream.
     pub fn take_stream(&mut self, i: usize) -> Result<Streamable<Q>, StreamError> {
         let slot = self.streams.get_mut(i).ok_or_else(|| {
             StreamError::InvalidConfig(format!(
@@ -246,6 +205,12 @@ impl<Q: Payload> Streamables<Q> {
     /// Routing statistics (completeness per stream).
     pub fn stats(&self) -> FrameworkStats {
         self.stats.clone()
+    }
+
+    /// The checkpoint context of a durable build
+    /// ([`FrameworkOptions::durable`]); `None` otherwise.
+    pub fn checkpoint(&self) -> Option<&CheckpointCtx> {
+        self.ckpt.as_ref()
     }
 }
 
@@ -395,7 +360,61 @@ impl<P: Payload> Observer<P> for Partitioner<P> {
     }
 }
 
-/// Builds the advanced Impatience framework over `ds` (Fig 6(b)).
+/// Everything a framework build can carry beyond the ladder itself. One
+/// value, one field per aspect; the default is the plain framework.
+pub struct FrameworkOptions<P: Payload> {
+    /// Failure model: late-event routing at the partitioner, shed and
+    /// dead-letter behaviour of every partition sorter.
+    pub policy: FrameworkPolicy<P>,
+    /// Publishes into this registry:
+    ///
+    /// * `framework.partition{i:02}.routed` / `framework.dropped` /
+    ///   `framework.dead_lettered` — the Table-II routing split
+    ///   (completeness of stream `i` is `routed(0..=i) / total`);
+    /// * `framework.partition{i:02}.latency_ticks` — the reorder latency
+    ///   `lᵢ` each partition promises;
+    /// * per-operator metrics and sorter gauges for every partition
+    ///   pipeline, under `partition{i:02}.*` prefixes (see
+    ///   [`Streamable::instrument`]).
+    pub registry: Option<MetricsRegistry>,
+    /// Records every partition pipeline's spans into this sink under a
+    /// `partition{i:02}` label prefix on trace lane `i`, so an exported
+    /// trace shows one track per latency partition — the Table-II
+    /// latency/completeness ladder, rendered. Sampled provenance probes
+    /// can be layered on through `piq` (the closure receives the
+    /// partition's sorted stream, which already carries the trace
+    /// context).
+    pub trace: Option<TraceSink>,
+    /// `(dir, every_n_punctuations)`: makes the whole ladder durable —
+    /// partitioner watermark clock, every partition sorter, every PIQ and
+    /// merge operator, and the union synchronization buffers checkpoint
+    /// into `dir` after every `every_n_punctuations` input punctuations,
+    /// and restore from the newest valid checkpoint when the framework is
+    /// built over a non-empty `dir`.
+    ///
+    /// [`Streamables::checkpoint`] then returns the [`CheckpointCtx`];
+    /// query [`CheckpointCtx::recovery`] after subscribing the outputs to
+    /// learn the ingest replay offset. Output streams carry the context,
+    /// so a [`Streamable::checkpoint_egress`] stage on them feeds the
+    /// committed output prefix. Subscribe all outputs before feeding
+    /// input: traffic buffered in an unsubscribed output relay is not part
+    /// of any operator's checkpointed state.
+    pub durable: Option<(PathBuf, u32)>,
+}
+
+impl<P: Payload> Default for FrameworkOptions<P> {
+    fn default() -> Self {
+        FrameworkOptions {
+            policy: FrameworkPolicy::default(),
+            registry: None,
+            trace: None,
+            durable: None,
+        }
+    }
+}
+
+/// Builds the Impatience framework over `ds` (Fig 6) — the one entry
+/// point; every aspect of a build is a field of `opts`.
 ///
 /// `piq` is instantiated once per partition on the partition's *sorted*
 /// stream; `merge` once per union output. For correct results the pair
@@ -407,170 +426,24 @@ pub fn to_streamables_advanced<P, Q>(
     piq: impl Fn(Streamable<P>) -> Streamable<Q> + 'static,
     merge: impl Fn(Streamable<Q>) -> Streamable<Q> + 'static,
     meter: &MemoryMeter,
+    opts: FrameworkOptions<P>,
 ) -> Result<Streamables<Q>, StreamError>
 where
     P: Payload,
     Q: Payload,
 {
-    to_streamables_advanced_metered(ds, latencies, piq, merge, meter, None)
-}
-
-/// [`to_streamables_advanced`] with optional pipeline-wide instrumentation.
-///
-/// With a registry, the framework publishes:
-///
-/// * `framework.partition{i:02}.routed` / `framework.dropped` — the
-///   Table-II routing split (completeness of stream `i` is
-///   `routed(0..=i) / total`);
-/// * `framework.partition{i:02}.latency_ticks` — the reorder latency `lᵢ`
-///   each partition promises;
-/// * per-operator metrics and sorter gauges for every partition pipeline,
-///   under `partition{i:02}.*` prefixes (see
-///   [`Streamable::instrument`]).
-pub fn to_streamables_advanced_metered<P, Q>(
-    ds: DisorderedStreamable<P>,
-    latencies: &[TickDuration],
-    piq: impl Fn(Streamable<P>) -> Streamable<Q> + 'static,
-    merge: impl Fn(Streamable<Q>) -> Streamable<Q> + 'static,
-    meter: &MemoryMeter,
-    registry: Option<&MetricsRegistry>,
-) -> Result<Streamables<Q>, StreamError>
-where
-    P: Payload,
-    Q: Payload,
-{
-    to_streamables_advanced_with(
-        ds,
-        latencies,
-        piq,
-        merge,
-        meter,
-        registry,
-        FrameworkPolicy::default(),
-    )
-}
-
-/// [`to_streamables_advanced_metered`] with an explicit failure-model
-/// policy: late-event routing at the partitioner and shed/dead-letter
-/// behaviour for every partition sorter (see [`FrameworkPolicy`]).
-pub fn to_streamables_advanced_with<P, Q>(
-    ds: DisorderedStreamable<P>,
-    latencies: &[TickDuration],
-    piq: impl Fn(Streamable<P>) -> Streamable<Q> + 'static,
-    merge: impl Fn(Streamable<Q>) -> Streamable<Q> + 'static,
-    meter: &MemoryMeter,
-    registry: Option<&MetricsRegistry>,
-    policy: FrameworkPolicy<P>,
-) -> Result<Streamables<Q>, StreamError>
-where
-    P: Payload,
-    Q: Payload,
-{
-    let (ss, _ctx) = build_advanced(
-        ds, latencies, piq, merge, meter, registry, policy, None, None,
-    )?;
-    Ok(ss)
-}
-
-/// [`to_streamables_advanced_with`] plus structured tracing: every
-/// partition pipeline records spans into `trace` under a
-/// `partition{i:02}` label prefix on trace lane `i`, so an exported trace
-/// shows one track per latency partition — the Table-II
-/// latency/completeness ladder, rendered. Sampled provenance probes can be
-/// layered on through `piq` (the closure receives the partition's sorted
-/// stream, which already carries the trace context).
-#[allow(clippy::too_many_arguments)]
-pub fn to_streamables_advanced_traced<P, Q>(
-    ds: DisorderedStreamable<P>,
-    latencies: &[TickDuration],
-    piq: impl Fn(Streamable<P>) -> Streamable<Q> + 'static,
-    merge: impl Fn(Streamable<Q>) -> Streamable<Q> + 'static,
-    meter: &MemoryMeter,
-    registry: Option<&MetricsRegistry>,
-    policy: FrameworkPolicy<P>,
-    trace: &TraceSink,
-) -> Result<Streamables<Q>, StreamError>
-where
-    P: Payload,
-    Q: Payload,
-{
-    let (ss, _ctx) = build_advanced(
-        ds,
-        latencies,
-        piq,
-        merge,
-        meter,
-        registry,
-        policy,
-        None,
-        Some(trace),
-    )?;
-    Ok(ss)
-}
-
-/// [`to_streamables_advanced_with`] made durable: the whole ladder —
-/// partitioner watermark clock, every partition sorter, every PIQ and
-/// merge operator, and the union synchronization buffers — checkpoints
-/// into `dir` after every `every_n_punctuations` input punctuations, and
-/// restores from the newest valid checkpoint when the framework is built
-/// over a non-empty `dir`.
-///
-/// Returns the output streams plus the [`CheckpointCtx`]; query
-/// [`CheckpointCtx::recovery`] after subscribing the outputs to learn the
-/// ingest replay offset. Output streams carry the context, so a
-/// [`Streamable::checkpoint_egress`] stage on them feeds the committed
-/// output prefix. Subscribe all outputs before feeding input: traffic
-/// buffered in an unsubscribed output relay is not part of any operator's
-/// checkpointed state.
-#[allow(clippy::too_many_arguments)]
-pub fn to_streamables_advanced_durable<P, Q>(
-    ds: DisorderedStreamable<P>,
-    latencies: &[TickDuration],
-    piq: impl Fn(Streamable<P>) -> Streamable<Q> + 'static,
-    merge: impl Fn(Streamable<Q>) -> Streamable<Q> + 'static,
-    meter: &MemoryMeter,
-    registry: Option<&MetricsRegistry>,
-    policy: FrameworkPolicy<P>,
-    dir: impl Into<PathBuf>,
-    every_n_punctuations: u32,
-) -> Result<(Streamables<Q>, CheckpointCtx), StreamError>
-where
-    P: Payload,
-    Q: Payload,
-{
-    let checkpointer = Checkpointer::open(dir).map_err(|e| StreamError::RecoveryFailed {
-        detail: e.to_string(),
-    })?;
-    let (ss, ctx) = build_advanced(
-        ds,
-        latencies,
-        piq,
-        merge,
-        meter,
-        registry,
-        policy,
-        Some((checkpointer, every_n_punctuations)),
-        None,
-    )?;
-    Ok((ss, ctx.expect("durable build returns a context")))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_advanced<P, Q>(
-    ds: DisorderedStreamable<P>,
-    latencies: &[TickDuration],
-    piq: impl Fn(Streamable<P>) -> Streamable<Q> + 'static,
-    merge: impl Fn(Streamable<Q>) -> Streamable<Q> + 'static,
-    meter: &MemoryMeter,
-    registry: Option<&MetricsRegistry>,
-    policy: FrameworkPolicy<P>,
-    durable: Option<(Checkpointer, u32)>,
-    trace: Option<&TraceSink>,
-) -> Result<(Streamables<Q>, Option<CheckpointCtx>), StreamError>
-where
-    P: Payload,
-    Q: Payload,
-{
+    let registry = opts.registry.as_ref();
+    let policy = opts.policy;
+    let durable = match opts.durable {
+        Some((dir, every_n)) => {
+            let checkpointer =
+                Checkpointer::open(dir).map_err(|e| StreamError::RecoveryFailed {
+                    detail: e.to_string(),
+                })?;
+            Some((checkpointer, every_n))
+        }
+        None => None,
+    };
     validate_latencies(latencies)?;
     let ctx = durable.as_ref().map(|_| CheckpointCtx::new());
     if let (Some(c), Some(r)) = (&ctx, registry) {
@@ -641,7 +514,7 @@ where
     for (i, sink) in sinks.into_iter().enumerate() {
         let (ph, ps) = input_stream::<P>();
         part_handles.push(ph);
-        let ps = match trace {
+        let ps = match &opts.trace {
             // Lane i mirrors the Table-II partition index; the prefix tags
             // every span this partition's sort/PIQ stages record.
             Some(sink) => ps.traced(
@@ -700,72 +573,54 @@ where
     };
     (ds.into_connector())(source_sink);
 
-    Ok((
-        Streamables {
-            streams: out_streams,
-            latencies: latencies.to_vec(),
-            stats,
-        },
-        ctx,
-    ))
+    Ok(Streamables {
+        streams: out_streams,
+        latencies: latencies.to_vec(),
+        stats,
+        ckpt: ctx,
+    })
 }
 
-/// Builds the basic Impatience framework (Fig 6(a)): identity PIQ and
-/// merge, so raw events flow through the sort/union chain and the user
-/// runs their query per output stream — with the redundant-computation and
+/// The basic Impatience framework (Fig 6(a)): identity PIQ and merge, so
+/// raw events flow through the sort/union chain and the user runs their
+/// query per output stream — with the redundant-computation and
 /// raw-event-buffering costs the advanced framework removes.
+///
+/// A spelling of [`to_streamables_advanced`] kept because the frozen
+/// `stackbench/src/framework.rs` imports this name.
 pub fn to_streamables_basic<P: Payload>(
     ds: DisorderedStreamable<P>,
     latencies: &[TickDuration],
     meter: &MemoryMeter,
 ) -> Result<Streamables<P>, StreamError> {
-    to_streamables_advanced(ds, latencies, |s| s, |s| s, meter)
+    to_streamables_advanced(ds, latencies, |s| s, |s| s, meter, Default::default())
 }
 
-/// [`to_streamables_basic`] with optional pipeline-wide instrumentation —
-/// see [`to_streamables_advanced_metered`] for the published metrics.
-pub fn to_streamables_basic_metered<P: Payload>(
+/// [`to_streamables_advanced`] with only [`FrameworkOptions::registry`]
+/// set. Kept because the frozen `stackbench/src/framework.rs` imports
+/// this name; the benchmark change that moves it drops this.
+pub fn to_streamables_advanced_metered<P, Q>(
     ds: DisorderedStreamable<P>,
     latencies: &[TickDuration],
+    piq: impl Fn(Streamable<P>) -> Streamable<Q> + 'static,
+    merge: impl Fn(Streamable<Q>) -> Streamable<Q> + 'static,
     meter: &MemoryMeter,
     registry: Option<&MetricsRegistry>,
-) -> Result<Streamables<P>, StreamError> {
-    to_streamables_advanced_metered(ds, latencies, |s| s, |s| s, meter, registry)
-}
-
-/// [`to_streamables_basic_metered`] with an explicit failure-model policy —
-/// see [`FrameworkPolicy`].
-pub fn to_streamables_basic_with<P: Payload>(
-    ds: DisorderedStreamable<P>,
-    latencies: &[TickDuration],
-    meter: &MemoryMeter,
-    registry: Option<&MetricsRegistry>,
-    policy: FrameworkPolicy<P>,
-) -> Result<Streamables<P>, StreamError> {
-    to_streamables_advanced_with(ds, latencies, |s| s, |s| s, meter, registry, policy)
-}
-
-/// [`to_streamables_basic_with`] made durable — see
-/// [`to_streamables_advanced_durable`].
-pub fn to_streamables_basic_durable<P: Payload>(
-    ds: DisorderedStreamable<P>,
-    latencies: &[TickDuration],
-    meter: &MemoryMeter,
-    registry: Option<&MetricsRegistry>,
-    policy: FrameworkPolicy<P>,
-    dir: impl Into<PathBuf>,
-    every_n_punctuations: u32,
-) -> Result<(Streamables<P>, CheckpointCtx), StreamError> {
-    to_streamables_advanced_durable(
+) -> Result<Streamables<Q>, StreamError>
+where
+    P: Payload,
+    Q: Payload,
+{
+    to_streamables_advanced(
         ds,
         latencies,
-        |s| s,
-        |s| s,
+        piq,
+        merge,
         meter,
-        registry,
-        policy,
-        dir,
-        every_n_punctuations,
+        FrameworkOptions {
+            registry: registry.cloned(),
+            ..Default::default()
+        },
     )
 }
 
@@ -804,6 +659,16 @@ mod tests {
             TickDuration::ticks(30),
             TickDuration::ticks(100),
         ]
+    }
+
+    /// The basic framework (identity PIQ and merge) under `opts`.
+    fn basic_with(
+        ds: DisorderedStreamable<u32>,
+        latencies: &[TickDuration],
+        meter: &MemoryMeter,
+        opts: FrameworkOptions<u32>,
+    ) -> Streamables<u32> {
+        to_streamables_advanced(ds, latencies, |s| s, |s| s, meter, opts).unwrap()
     }
 
     #[test]
@@ -891,6 +756,7 @@ mod tests {
             |s: Streamable<u32>| s.count(),
             |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
             &meter,
+            Default::default(),
         )
         .unwrap();
         let outs: Vec<_> = (0..3)
@@ -933,15 +799,16 @@ mod tests {
         let meter = MemoryMeter::new();
         let window = TickDuration::ticks(20);
         let ds = DisorderedStreamable::from_arrivals(arrivals(), &policy()).tumbling_window(window);
-        let mut ss = to_streamables_advanced_traced(
+        let mut ss = to_streamables_advanced(
             ds,
             &latencies(),
             |s: Streamable<u32>| s.count(),
             |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
             &meter,
-            None,
-            FrameworkPolicy::default(),
-            &sink,
+            FrameworkOptions {
+                trace: Some(sink.clone()),
+                ..Default::default()
+            },
         )
         .unwrap();
         let outs: Vec<_> = (0..3)
@@ -1030,6 +897,7 @@ mod tests {
             |s: Streamable<u32>| s.count(),
             |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
             &adv_meter,
+            Default::default(),
         )
         .unwrap();
         let _a0 = ss
@@ -1089,8 +957,15 @@ mod tests {
         let registry = MetricsRegistry::new();
         let meter = MemoryMeter::new();
         let ds = DisorderedStreamable::from_arrivals(arrivals(), &policy());
-        let mut ss =
-            to_streamables_basic_metered(ds, &latencies(), &meter, Some(&registry)).unwrap();
+        let mut ss = basic_with(
+            ds,
+            &latencies(),
+            &meter,
+            FrameworkOptions {
+                registry: Some(registry.clone()),
+                ..Default::default()
+            },
+        );
         let _outs: Vec<_> = (0..3)
             .map(|i| {
                 ss.take_stream(i)
@@ -1143,7 +1018,15 @@ mod tests {
             late: impatience_core::LatePolicy::Drop,
             ..FrameworkPolicy::default()
         };
-        let mut ss = to_streamables_basic_with(ds, &latencies(), &meter, None, fp).unwrap();
+        let mut ss = basic_with(
+            ds,
+            &latencies(),
+            &meter,
+            FrameworkOptions {
+                policy: fp,
+                ..Default::default()
+            },
+        );
         let outs: Vec<_> = (0..3)
             .map(|i| {
                 ss.take_stream(i)
@@ -1178,7 +1061,15 @@ mod tests {
         // Max latency 30, so the delay-35 event has no partition at all —
         // it is dead-lettered too, not silently dropped.
         let ls = vec![TickDuration::ticks(10), TickDuration::ticks(30)];
-        let mut ss = to_streamables_basic_with(ds, &ls, &meter, None, fp).unwrap();
+        let mut ss = basic_with(
+            ds,
+            &ls,
+            &meter,
+            FrameworkOptions {
+                policy: fp,
+                ..Default::default()
+            },
+        );
         let _outs: Vec<_> = (0..2)
             .map(|i| {
                 ss.take_stream(i)
@@ -1207,8 +1098,16 @@ mod tests {
             late: impatience_core::LatePolicy::DeadLetter,
             ..FrameworkPolicy::default()
         };
-        let mut ss =
-            to_streamables_basic_with(ds, &latencies(), &meter, Some(&registry), fp).unwrap();
+        let mut ss = basic_with(
+            ds,
+            &latencies(),
+            &meter,
+            FrameworkOptions {
+                policy: fp,
+                registry: Some(registry.clone()),
+                ..Default::default()
+            },
+        );
         let _outs: Vec<_> = (0..3)
             .map(|i| {
                 ss.take_stream(i)
@@ -1222,7 +1121,7 @@ mod tests {
     }
 
     #[test]
-    fn try_stream_returns_typed_errors() {
+    fn take_stream_returns_typed_errors() {
         let meter = MemoryMeter::new();
         let ds = DisorderedStreamable::from_arrivals(arrivals(), &policy());
         let mut ss = to_streamables_basic(ds, &[TickDuration::ticks(10)], &meter).unwrap();
@@ -1274,9 +1173,16 @@ mod tests {
         let meter = MemoryMeter::new();
         let ls = vec![TickDuration::ticks(10), TickDuration::ticks(30)];
         let (h, ds) = DisorderedStreamable::live();
-        let (mut ss, ctx) =
-            to_streamables_basic_durable(ds, &ls, &meter, None, FrameworkPolicy::default(), dir, 1)
-                .unwrap();
+        let mut ss = basic_with(
+            ds,
+            &ls,
+            &meter,
+            FrameworkOptions {
+                durable: Some((dir.to_path_buf(), 1)),
+                ..Default::default()
+            },
+        );
+        let ctx = ss.checkpoint().expect("durable build").clone();
         let outs: Vec<_> = (0..2)
             .map(|i| {
                 ss.take_stream(i)

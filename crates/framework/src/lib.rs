@@ -7,11 +7,13 @@
 //!   operators (selection, projection, windowing) run *below* the sorting
 //!   operator, then `to_streamable()` sorts once, as late and as cheaply
 //!   as possible;
-//! * [`to_streamables_basic`] / [`to_streamables_advanced`] — the
-//!   **Impatience framework**: a set of reorder latencies yields a set of
-//!   output streams trading latency against completeness, with the
-//!   advanced form embedding user PIQ/merge functions for single-pass
-//!   evaluation and tiny union buffers.
+//! * [`to_streamables_advanced`] — the **Impatience framework**: a set of
+//!   reorder latencies yields a set of output streams trading latency
+//!   against completeness, with user PIQ/merge functions for single-pass
+//!   evaluation and tiny union buffers ([`to_streamables_basic`] is the
+//!   identity-PIQ spelling); every further aspect of a build — failure
+//!   policy, metrics, tracing, durability — is a field of
+//!   [`FrameworkOptions`].
 //!
 //! ```
 //! use impatience_core::{Event, MemoryMeter, TickDuration, Timestamp};
@@ -34,6 +36,7 @@
 //!     |s: Streamable<u32>| s.count(),
 //!     |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
 //!     &meter,
+//!     Default::default(),
 //! )
 //! .unwrap();
 //! let quick = ss.take_stream(0).expect("take output stream").collect_output();
@@ -51,9 +54,7 @@ pub mod plumbing;
 
 pub use disordered::DisorderedStreamable;
 pub use framework::{
-    to_streamables_advanced, to_streamables_advanced_durable, to_streamables_advanced_metered,
-    to_streamables_advanced_traced, to_streamables_advanced_with, to_streamables_basic,
-    to_streamables_basic_durable, to_streamables_basic_metered, to_streamables_basic_with,
-    FrameworkPolicy, FrameworkStats, Streamables,
+    to_streamables_advanced, to_streamables_advanced_metered, to_streamables_basic,
+    FrameworkOptions, FrameworkPolicy, FrameworkStats, Streamables,
 };
 pub use plumbing::{HandleSink, TeeOp};

@@ -388,7 +388,7 @@ mod tests {
     }
 
     #[test]
-    fn nearly_sorted_with_spikes() {
+    fn nearly_sorted_plus_spikes() {
         // The CloudLog shape: sorted with periodic late groups.
         let mut v: Vec<i64> = (0..20_000).collect();
         for i in (100..v.len()).step_by(500) {

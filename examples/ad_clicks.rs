@@ -57,6 +57,7 @@ fn main() {
         |s: Streamable<u32>| s.group_aggregate(CountAgg),
         |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
         &meter,
+        Default::default(),
     )
     .expect("valid latencies");
 

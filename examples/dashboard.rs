@@ -42,6 +42,7 @@ fn main() {
         |s: Streamable<EvalPayload>| s.count(),
         |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
         &meter,
+        Default::default(),
     )
     .expect("valid latency ladder");
 

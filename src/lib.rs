@@ -47,14 +47,15 @@ pub use impatience_workloads as workloads;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use impatience_core::{
-        ColumnarBatch, EvalPayload, Event, EventBatch, IngressStats, Json, MemoryMeter,
-        MetricsRegistry, MetricsSnapshot, Payload, StreamMessage, TickDuration, Timestamp,
+        EvalPayload, Event, EventBatch, IngressStats, Json, MemoryMeter, MetricsRegistry,
+        MetricsSnapshot, Payload, StreamMessage, TickDuration, Timestamp,
     };
     pub use impatience_disorder::DisorderReport;
     pub use impatience_engine::ops::{CountAgg, MaxAgg, MeanAgg, MinAgg, SumAgg};
     pub use impatience_engine::{IngressPolicy, InputHandle, Output, Streamable};
     pub use impatience_framework::{
-        to_streamables_advanced, to_streamables_basic, DisorderedStreamable, Streamables,
+        to_streamables_advanced, to_streamables_basic, DisorderedStreamable, FrameworkOptions,
+        Streamables,
     };
     pub use impatience_sort::{
         BSortSorter, CutBuffer, HeapSorter, ImpatienceConfig, ImpatienceSorter, OnlineSorter,
@@ -65,3 +66,9 @@ pub mod prelude {
         CloudLogConfig, Dataset, SyntheticConfig,
     };
 }
+
+/// README.md's code blocks, compiled (and, unless `no_run`, executed) as
+/// doctests, so the README can only name functions that exist.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

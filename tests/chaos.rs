@@ -310,7 +310,7 @@ props! {
         let (handle, stream) = impatience_engine::input_stream::<u32>();
         let shard_meter = meter.clone();
         let out = stream
-            .sharded_with(
+            .sharded(
                 ShardOptions::new(4).with_stall_timeout(Duration::from_secs(30)),
                 move |s, ctx| {
                     let meter = shard_meter.clone();

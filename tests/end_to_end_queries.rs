@@ -95,6 +95,7 @@ fn q1_windowed_count_advanced_framework_matches_oracle() {
             |s: Streamable<EvalPayload>| s.count(),
             |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
             &meter,
+            Default::default(),
         )
         .unwrap();
         let complete = ss
@@ -127,6 +128,7 @@ fn q2_grouped_count_matches_oracle() {
             |s: Streamable<EvalPayload>| s.group_aggregate(CountAgg),
             |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
             &meter,
+            Default::default(),
         )
         .unwrap();
         let complete = ss
@@ -161,6 +163,7 @@ fn q4_top5_is_consistent_with_grouped_oracle() {
         |s: Streamable<EvalPayload>| s.group_aggregate(CountAgg),
         |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
         &meter,
+        Default::default(),
     )
     .unwrap();
     let complete = ss
@@ -212,6 +215,7 @@ fn earlier_streams_are_prefixes_in_completeness() {
         |s: Streamable<EvalPayload>| s.count(),
         |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
         &meter,
+        Default::default(),
     )
     .unwrap();
     let outs: Vec<_> = (0..3)

@@ -70,6 +70,7 @@ fn run_advanced(
         |s: Streamable<u32>| s.group_aggregate(CountAgg),
         |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
         &meter,
+        Default::default(),
     )
     .unwrap();
     let outs: Vec<BTreeMap<(i64, u32), u64>> = (0..latencies.len())

@@ -5,7 +5,7 @@
 
 use impatience::prelude::*;
 use impatience_core::Event;
-use impatience_engine::{ingress_sorted_with, IngressPolicy};
+use impatience_engine::{ingress_sorted, IngressPolicy};
 use impatience_sort::{online_sorter_by_name, ONLINE_SORTER_NAMES};
 
 fn datasets() -> Vec<Dataset> {
@@ -55,8 +55,8 @@ fn all_sorters_produce_identical_ordered_output() {
             let meter = MemoryMeter::new();
             let stats = IngressStats::new();
             let sorter = online_sorter_by_name::<Event<EvalPayload>>(name).unwrap();
-            let out = ingress_sorted_with(ds.events.clone(), &policy, sorter, &meter, &stats)
-                .collect_output();
+            let out =
+                ingress_sorted(ds.events.clone(), &policy, sorter, &meter, &stats).collect_output();
             assert!(
                 impatience_core::validate_ordered_stream(&out.messages()).is_ok(),
                 "{name} on {} violates order",
@@ -103,7 +103,7 @@ fn ablation_configs_do_not_change_results() {
     for cfg in configs {
         let meter = MemoryMeter::new();
         let stats = IngressStats::new();
-        let out = ingress_sorted_with(
+        let out = ingress_sorted(
             ds.events.clone(),
             &policy,
             Box::new(ImpatienceSorter::with_config(cfg)),
@@ -136,7 +136,14 @@ fn punctuation_frequency_does_not_change_content() {
             reorder_latency: TickDuration::ticks(2_000),
             batch_size: 1_024,
         };
-        let out = ingress_sorted(ds.events.clone(), &policy, &meter, &stats).collect_output();
+        let out = ingress_sorted(
+            ds.events.clone(),
+            &policy,
+            Box::new(ImpatienceSorter::new()),
+            &meter,
+            &stats,
+        )
+        .collect_output();
         let ts: Vec<i64> = out.events().iter().map(|e| e.sync_time.ticks()).collect();
         match &reference {
             None => reference = Some(ts),
@@ -144,5 +151,3 @@ fn punctuation_frequency_does_not_change_content() {
         }
     }
 }
-
-use impatience_engine::ingress_sorted;

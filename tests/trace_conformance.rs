@@ -151,7 +151,7 @@ fn run_traced(
     let opts = ShardOptions::new(shards).with_trace(&sink);
     let shared = sink.clone();
     let out = stream
-        .sharded_with(opts, move |s, ctx| {
+        .sharded(opts, move |s, ctx| {
             let tctx = TraceCtx::new(&shared)
                 .with_prefix(format!("shard{:02}", ctx.index))
                 .for_shard(ctx.index);
@@ -347,8 +347,8 @@ fn build_durable(base: &Path, every_n: u32, trace: Option<&TraceSink>) -> Durabl
                     Default::default(),
                 )
                 .expect("default sort policy")
-                .trace_mark_sorted(&t, LatencyStage::Sort)
-                .trace_egress_sorted(&t, LatencyStage::Operator)
+                .trace_mark(&t, LatencyStage::Sort)
+                .trace_egress(&t, LatencyStage::Operator)
         }
         None => s
             .sorted(
@@ -525,7 +525,7 @@ fn panicked_shard_tombstones_its_sorter_gauges() {
     let (handle, stream) = input_stream::<u32>();
     let opts = ShardOptions::new(4).with_stall_timeout(Duration::from_secs(10));
     let out = stream
-        .sharded_with(opts, move |s, ctx| {
+        .sharded(opts, move |s, ctx| {
             let bad = ctx.index == 2;
             let meter = MemoryMeter::new();
             s.instrument(&reg, &format!("shard{:02}", ctx.index))
