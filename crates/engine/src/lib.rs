@@ -71,7 +71,8 @@ pub use observer::{BlackHoleSink, CollectorSink, FnSink, Observer, Output, Share
 pub use sharded::{Pop, ShardCtx, ShardOptions, ShardQueue, TryPush};
 pub use shell::{OperatorMetrics, StageShell};
 pub use spec::{
-    BuiltPipeline, CheckpointSpec, OpSpec, PipelineEnv, PipelineSpec, ReorderSpec, SortSpec,
+    BuiltPipeline, CheckpointSpec, OpClass, OpSpec, PipelineEnv, PipelineSpec, Plan, ReorderSpec,
+    SortSpec,
 };
 pub use streamable::{input_stream, InputHandle, Streamable};
 pub use traced::TraceCtx;

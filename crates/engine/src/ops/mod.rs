@@ -26,7 +26,7 @@ pub use join::{temporal_join, JoinInput};
 pub use pattern::FollowedByOp;
 pub use project::{ReKeyOp, SelectOp};
 pub use reduce::ReduceByKeyOp;
-pub use sort::{SortFaultCounters, SortOp, SortPolicy};
+pub use sort::{LateGate, LateGateOp, SortFaultCounters, SortOp, SortPolicy};
 pub use topk::TopKOp;
 pub use union::{union, UnionInput, UnionProbe};
 pub use window::{

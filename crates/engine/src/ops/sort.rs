@@ -25,6 +25,12 @@
 //! rung only fires when the previous one could not get back under budget.
 //! Disk faults surface through [`OnlineSorter::take_fault`] and poison the
 //! chain with a typed error instead of aborting.
+//!
+//! The late decision itself is a [`LateGate`]. [`SortOp`] owns one; when
+//! the spec builder runs per-event operators *below* the sort (§IV), a
+//! second one stands in front of them as a [`LateGateOp`], so lateness is
+//! still decided on an event's original time — before a window rewrites it —
+//! and `SortOp`'s own gate only ever fires after a forced cut.
 
 use crate::checkpoint::Checkpointable;
 use crate::observer::Observer;
@@ -117,12 +123,152 @@ impl SortFaultCounters {
     }
 }
 
+/// The late-event decision of a sorting stage: the watermark events are
+/// judged against, and what the [`LatePolicy`] does with the ones at or
+/// below it.
+pub struct LateGate<P: Payload> {
+    watermark: Timestamp,
+    late: LatePolicy,
+    dead_letters: Option<DeadLetterQueue<P>>,
+    /// The stage's fault counters: the gate counts late events into them,
+    /// and a [`SortOp`] its sheds and forced cuts.
+    faults: SortFaultCounters,
+}
+
+impl<P: Payload> LateGate<P> {
+    /// A gate at watermark `MIN` applying `policy`'s late half, counting
+    /// into `faults`.
+    pub fn new(policy: &SortPolicy<P>, faults: SortFaultCounters) -> Self {
+        LateGate {
+            watermark: Timestamp::MIN,
+            late: policy.late,
+            dead_letters: policy.dead_letters.clone(),
+            faults,
+        }
+    }
+
+    /// Is an event at `t` late (at or below the watermark)?
+    #[inline]
+    pub fn is_late(&self, t: Timestamp) -> bool {
+        t <= self.watermark
+    }
+
+    /// Disposes of one late event under the policy; `event` is only called
+    /// when the event is retained (dead-lettered into a queue).
+    pub fn divert(&self, event: impl FnOnce() -> Event<P>) {
+        match self.late {
+            // RerouteNextPartition is rejected at construction; treat a
+            // stray instance as Drop rather than losing the event silently
+            // AND wrongly — counting keeps the accounting honest.
+            LatePolicy::Drop | LatePolicy::RerouteNextPartition => {
+                self.faults.late_dropped.inc();
+            }
+            LatePolicy::DeadLetter => {
+                self.faults.dead_lettered.inc();
+                if let Some(q) = &self.dead_letters {
+                    q.push(
+                        event(),
+                        DeadLetterReason::Late {
+                            watermark: self.watermark,
+                        },
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A [`LateGate`] as a stage of its own: the front half of a sorting stage
+/// whose [`SortOp`] runs further down the chain, behind per-event operators
+/// that may rewrite timestamps. Late rows are marked in the filter bitmap
+/// (and disposed of under the policy); punctuations advance the watermark
+/// and pass through untranslated, so what reaches the sorter is exactly
+/// what it would have admitted had it come first.
+pub struct LateGateOp<P: Payload, S> {
+    gate: LateGate<P>,
+    failed: bool,
+    next: S,
+}
+
+impl<P: Payload, S> LateGateOp<P, S> {
+    /// Gates `next` with `gate`.
+    pub fn new(gate: LateGate<P>, next: S) -> Self {
+        LateGateOp {
+            gate,
+            failed: false,
+            next,
+        }
+    }
+}
+
+impl<P: Payload, S: Send> Checkpointable for LateGateOp<P, S> {
+    fn state_id(&self) -> &'static str {
+        "engine.late_gate"
+    }
+
+    fn encode_state(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
+        self.gate.watermark.encode(w);
+        Ok(())
+    }
+
+    fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.gate.watermark = Timestamp::decode(r)?;
+        Ok(())
+    }
+}
+
+impl<P: Payload, S: Observer<P>> Observer<P> for LateGateOp<P, S> {
+    fn on_batch(&mut self, mut batch: EventBatch<P>) {
+        if self.failed {
+            return;
+        }
+        for i in 0..batch.len() {
+            if self.gate.is_late(batch.events()[i].sync_time) && batch.is_visible(i) {
+                self.gate.divert(|| batch.events()[i].clone());
+                batch.filter_mut().filter_out(i);
+            }
+        }
+        self.next.on_batch(batch);
+    }
+
+    fn on_punctuation(&mut self, t: Timestamp) {
+        if self.failed {
+            return;
+        }
+        // Same contract as `SortOp`, checked here because a translated
+        // punctuation can hide a regression from the sorter behind it.
+        if t < self.gate.watermark {
+            self.failed = true;
+            self.next.on_error(StreamError::PunctuationRegressed {
+                previous: self.gate.watermark,
+                attempted: t,
+            });
+            return;
+        }
+        self.gate.watermark = t;
+        self.next.on_punctuation(t);
+    }
+
+    fn on_completed(&mut self) {
+        if !self.failed {
+            self.next.on_completed();
+        }
+    }
+
+    fn on_error(&mut self, err: StreamError) {
+        if !self.failed {
+            self.failed = true;
+            self.next.on_error(err);
+        }
+    }
+}
+
 /// Sorting operator over an online sorter.
 pub struct SortOp<P: Payload, S> {
     sorter: Box<dyn OnlineSorter<Event<P>>>,
     meter: MemoryMeter,
     charged: usize,
-    watermark: Timestamp,
+    gate: LateGate<P>,
     /// Highest `sync_time` ever accepted into the sorter — the finite cut a
     /// forced punctuation flushes at.
     high: Timestamp,
@@ -132,7 +278,6 @@ pub struct SortOp<P: Payload, S> {
     /// punctuations as progress rather than regressions.
     watermark_forced: bool,
     policy: SortPolicy<P>,
-    faults: SortFaultCounters,
     failed: bool,
     gauges: Option<SorterGauges>,
     next: S,
@@ -161,11 +306,10 @@ impl<P: Payload, S> SortOp<P, S> {
             sorter,
             meter,
             charged: 0,
-            watermark: Timestamp::MIN,
+            gate: LateGate::new(&policy, SortFaultCounters::new()),
             high: Timestamp::MIN,
             watermark_forced: false,
             policy,
-            faults: SortFaultCounters::new(),
             failed: false,
             gauges: None,
             next,
@@ -184,29 +328,29 @@ impl<P: Payload, S> SortOp<P, S> {
     /// Records fault handling into shared `counters` (for registry-backed
     /// snapshots).
     pub fn with_fault_counters(mut self, counters: SortFaultCounters) -> Self {
-        self.faults = counters;
+        self.gate.faults = counters;
         self
     }
 
     /// Events dropped for arriving at or below an already-emitted
     /// punctuation (under [`LatePolicy::Drop`]).
     pub fn dropped_late(&self) -> u64 {
-        self.faults.late_dropped.get()
+        self.gate.faults.late_dropped.get()
     }
 
     /// Events diverted to the dead-letter channel (late + shed).
     pub fn dead_lettered(&self) -> u64 {
-        self.faults.dead_lettered.get()
+        self.gate.faults.dead_lettered.get()
     }
 
     /// Events evicted under [`ShedPolicy::ShedOldestRuns`].
     pub fn shed_events(&self) -> u64 {
-        self.faults.shed_events.get()
+        self.gate.faults.shed_events.get()
     }
 
     /// Early flushes forced by memory pressure.
     pub fn forced_punctuations(&self) -> u64 {
-        self.faults.forced_punctuations.get()
+        self.gate.faults.forced_punctuations.get()
     }
 
     fn sync_meter(&mut self) {
@@ -218,28 +362,6 @@ impl<P: Payload, S> SortOp<P, S> {
     fn sync_gauges(&self) {
         if let Some(g) = &self.gauges {
             self.sorter.sync_gauges(g);
-        }
-    }
-
-    fn handle_late(&mut self, e: Event<P>) {
-        match self.policy.late {
-            // RerouteNextPartition is rejected at construction; treat a
-            // stray instance as Drop rather than losing the event silently
-            // AND wrongly — counting keeps the accounting honest.
-            LatePolicy::Drop | LatePolicy::RerouteNextPartition => {
-                self.faults.late_dropped.inc();
-            }
-            LatePolicy::DeadLetter => {
-                self.faults.dead_lettered.inc();
-                if let Some(q) = &self.policy.dead_letters {
-                    q.push(
-                        e,
-                        DeadLetterReason::Late {
-                            watermark: self.watermark,
-                        },
-                    );
-                }
-            }
         }
     }
 }
@@ -276,9 +398,9 @@ impl<P: Payload, S: Observer<P>> SortOp<P, S> {
                 break; // no run structure / nothing left: fall through
             }
             progress = true;
-            self.faults.shed_events.add(shed.len() as u64);
+            self.gate.faults.shed_events.add(shed.len() as u64);
             for e in shed.drain(..) {
-                self.faults.dead_lettered.inc();
+                self.gate.faults.dead_lettered.inc();
                 if let Some(q) = &self.policy.dead_letters {
                     q.push(e, DeadLetterReason::Shed);
                 }
@@ -318,7 +440,7 @@ impl<P: Payload, S: Observer<P>> SortOp<P, S> {
     /// watermark to it. The effective reorder latency degrades — events at
     /// or below this cut become late and fall under the late policy.
     fn forced_cut(&mut self) {
-        let cut = self.high.max(self.watermark);
+        let cut = self.high.max(self.gate.watermark);
         let mut out = Vec::new();
         self.sorter.punctuate(cut, &mut out);
         if self.poll_fault() {
@@ -327,8 +449,8 @@ impl<P: Payload, S: Observer<P>> SortOp<P, S> {
         self.sync_meter();
         self.sync_gauges();
         if !out.is_empty() {
-            self.faults.forced_punctuations.inc();
-            self.watermark = cut;
+            self.gate.faults.forced_punctuations.inc();
+            self.gate.watermark = cut;
             self.watermark_forced = true;
             self.next.on_batch(EventBatch::from_events(out));
             self.next.on_punctuation(cut);
@@ -381,7 +503,7 @@ impl<P: Payload, S: Send> Checkpointable for SortOp<P, S> {
     }
 
     fn encode_state(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
-        self.watermark.encode(w);
+        self.gate.watermark.encode(w);
         self.high.encode(w);
         w.put_u8(self.watermark_forced as u8);
         // The sorter decides whether its buffer is snapshottable; baseline
@@ -395,7 +517,7 @@ impl<P: Payload, S: Send> Checkpointable for SortOp<P, S> {
         let high = Timestamp::decode(r)?;
         let watermark_forced = r.get_u8()? != 0;
         self.sorter.restore_state(r)?;
-        self.watermark = watermark;
+        self.gate.watermark = watermark;
         self.high = high;
         self.watermark_forced = watermark_forced;
         self.sync_meter();
@@ -416,8 +538,8 @@ impl<P: Payload, S: Observer<P>> Observer<P> for SortOp<P, S> {
             return;
         }
         for e in batch.into_visible() {
-            if e.sync_time <= self.watermark {
-                self.handle_late(e);
+            if self.gate.is_late(e.sync_time) {
+                self.gate.divert(|| e);
             } else {
                 self.high = self.high.max(e.sync_time);
                 self.sorter.push(e);
@@ -431,7 +553,7 @@ impl<P: Payload, S: Observer<P>> Observer<P> for SortOp<P, S> {
         if self.failed {
             return;
         }
-        if t < self.watermark {
+        if t < self.gate.watermark {
             // After a forced cut the operator's watermark runs ahead of the
             // upstream's; punctuations behind it are stale progress, not
             // regressions, and are swallowed to keep downstream order
@@ -446,12 +568,12 @@ impl<P: Payload, S: Observer<P>> Observer<P> for SortOp<P, S> {
             }
             self.failed = true;
             self.next.on_error(StreamError::PunctuationRegressed {
-                previous: self.watermark,
+                previous: self.gate.watermark,
                 attempted: t,
             });
             return;
         }
-        self.watermark = t;
+        self.gate.watermark = t;
         self.sync_gauges();
         let mut out = Vec::new();
         self.sorter.punctuate(t, &mut out);

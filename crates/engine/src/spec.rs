@@ -33,6 +33,14 @@
 //! or, for `shards > 1`, steps 5–7 run *inside* each shard of a
 //! `sharded` stage (per-shard sorters, per-shard instrument
 //! prefixes) joined by the deterministic low-watermark merge.
+//!
+//! Steps 6–7 are **sort-as-needed** (paper §IV): [`PipelineSpec::plan`]
+//! moves the leading filters and windows of the op chain *below* the sort
+//! when what consumes the sorted stream cannot tell the difference, so the
+//! sorter sees fewer events and fewer distinct timestamps. The stages then
+//! run `late gate → hoisted ops → sort → remaining ops`; their labels
+//! still name spec positions (`{name}.00.sort`, op *i* at
+//! `{name}.{i+1:02}`), wherever the plan put them.
 
 use crate::checkpoint::CheckpointCtx;
 use crate::observer::Observer;
@@ -144,6 +152,45 @@ impl OpSpec {
         }
     }
 
+    /// What this op reads of its input's order — the property the planner
+    /// decides on (see [`PipelineSpec::plan`]).
+    pub fn class(&self) -> OpClass {
+        match self {
+            OpSpec::FilterMin { .. }
+            | OpSpec::Scale { .. }
+            | OpSpec::TumblingWindow { .. }
+            | OpSpec::PanicOn { .. } => OpClass::PerEvent,
+            // Wrapping add is commutative and associative, and keys are
+            // sorted at emit.
+            OpSpec::SumByKey => OpClass::Regrouping,
+            // Equal scores keep their input order.
+            OpSpec::TopK { .. } => OpClass::OrderReading,
+        }
+    }
+
+    /// Does running this per-event op below the sort shrink what is
+    /// sorted? A filter removes events and a window collapses distinct
+    /// timestamps (Proposition 3.2). `Scale` maps i64 to i64 — Fig 9(b)'s
+    /// gain is narrower events — and a later `FilterMin` reads the scaled
+    /// payload; chaos drills pin *when* `PanicOn` fires.
+    fn shrinks_sort(&self) -> bool {
+        matches!(
+            self,
+            OpSpec::FilterMin { .. } | OpSpec::TumblingWindow { .. }
+        )
+    }
+
+    /// The operator name in this op's stage label (`{name}.{stage:02}.*`).
+    fn stage_name(&self) -> &'static str {
+        match self {
+            OpSpec::FilterMin { .. } | OpSpec::PanicOn { .. } => "where",
+            OpSpec::Scale { .. } => "select",
+            OpSpec::TumblingWindow { .. } => "tumbling_window",
+            OpSpec::SumByKey => "reduce_by_key",
+            OpSpec::TopK { .. } => "top_k",
+        }
+    }
+
     fn apply(&self, s: Streamable<i64>) -> Streamable<i64> {
         match self.clone() {
             OpSpec::FilterMin { min } => s.where_(move |e| e.payload >= min),
@@ -156,6 +203,50 @@ impl OpSpec {
                 true
             }),
         }
+    }
+}
+
+/// What an op reads of the order of its input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OpClass {
+    /// Maps or drops one event at a time; reads no order at all.
+    PerEvent,
+    /// Output depends only on the *multiset* of events per timestamp: the
+    /// order among equal timestamps — which the sorter does not fix across
+    /// runs — cannot show.
+    Regrouping,
+    /// Output depends on the order among equal timestamps.
+    OrderReading,
+}
+
+/// The order a spec's stages run in (see [`PipelineSpec::plan`]). Displays
+/// as `gate → 01.where → 02.tumbling_window → 00.sort → 03.reduce_by_key`:
+/// physical order left to right, each stage under its label.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Plan {
+    /// Leading ops that run below (ahead of) the sort, behind a late gate.
+    hoisted: usize,
+    ops: Vec<&'static str>,
+}
+
+impl Plan {
+    /// How many leading ops run below the sort.
+    pub fn hoisted(&self) -> usize {
+        self.hoisted
+    }
+}
+
+impl core::fmt::Display for Plan {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        let op = |i: usize| format!("{:02}.{}", i + 1, self.ops[i]);
+        let mut stages = Vec::with_capacity(self.ops.len() + 2);
+        if self.hoisted > 0 {
+            stages.push("gate".to_string());
+        }
+        stages.extend((0..self.hoisted).map(op));
+        stages.push("00.sort".to_string());
+        stages.extend((self.hoisted..self.ops.len()).map(op));
+        f.write_str(&stages.join(" → "))
     }
 }
 
@@ -239,7 +330,8 @@ pub struct PipelineSpec {
     pub sort: SortSpec,
     /// Ingress reorder-latency selection (data for the ingress driver).
     pub reorder: ReorderSpec,
-    /// The operator chain, applied downstream of the sort.
+    /// The operator chain over the sorted stream ([`plan`](Self::plan)
+    /// decides which leading ops physically run below the sort).
     pub ops: Vec<OpSpec>,
 }
 
@@ -694,6 +786,46 @@ impl core::fmt::Debug for BuiltPipeline {
 }
 
 impl PipelineSpec {
+    /// Sort-as-needed (§IV): which leading ops [`build`](Self::build) runs
+    /// below the sort. A pure function of `ops`.
+    ///
+    /// The *consumer* is the first op that is not [`OpClass::PerEvent`].
+    /// The leading run of ops that shrink the sort (`FilterMin`,
+    /// `TumblingWindow`) is hoisted when the consumer is
+    /// [`OpClass::Regrouping`]: the sorter's order among equal timestamps
+    /// depends on its merge shape, and so on what was filtered or aligned
+    /// before it, and only a consumer that cannot see that order keeps the
+    /// rewrite byte-identical. With an order-reading consumer, or none (the
+    /// sink itself then sees tie order), the plan is sort-first.
+    ///
+    /// A window is hoisted only when it is the one window ahead of the
+    /// consumer. One window translates punctuation `p` to `start(p) − 1`,
+    /// exactly the last window the consumer may close, so the sorter cuts
+    /// where the consumer would have emitted. Two in cascade translate
+    /// conservatively (`start₂(start₁(p) − 1) − 1` lags `start₂(p) − 1`
+    /// while `p` is in the first sub-window of a big one), and the sorter
+    /// would hold a finished window a few punctuations longer than the
+    /// sort-first chain does: same batches, different interleaving. Then
+    /// only the filters ahead of the first window move.
+    pub fn plan(&self) -> Plan {
+        let consumer = self
+            .ops
+            .iter()
+            .position(|op| op.class() != OpClass::PerEvent)
+            .filter(|&at| self.ops[at].class() == OpClass::Regrouping);
+        let ahead = &self.ops[..consumer.unwrap_or(0)];
+        let is_window = |op: &OpSpec| matches!(op, OpSpec::TumblingWindow { .. });
+        let lone_window = ahead.iter().filter(|op| is_window(op)).count() == 1;
+        let hoisted = ahead
+            .iter()
+            .take_while(|op| op.shrinks_sort() && (lone_window || !is_window(op)))
+            .count();
+        Plan {
+            hoisted,
+            ops: self.ops.iter().map(OpSpec::stage_name).collect(),
+        }
+    }
+
     /// Lowers the spec onto the combinator substrate in the canonical
     /// order (see the module docs) and subscribes `sink` as the terminal
     /// observer. Returns the push endpoint plus durable/audit handles.
@@ -752,9 +884,11 @@ impl PipelineSpec {
         }
 
         // Steps 6–7, once per pipeline or once per shard: the sorter under
-        // the spec's policy, then the op chain.
+        // the spec's policy and the op chain, the planned prefix of it
+        // below the sort.
         let sort_then_ops = {
             let spec = self.clone();
+            let hoisted = self.plan().hoisted();
             let meter = env.meter.clone();
             let dead_letters = dead_letters.clone();
             move |s: Streamable<i64>, spill_dir: Option<PathBuf>| {
@@ -771,11 +905,15 @@ impl PipelineSpec {
                 if let Some(dlq) = &dead_letters {
                     policy = policy.with_dead_letters(dlq.clone());
                 }
-                let mut s = s.sorted(sorter, &meter, policy)?;
-                for op in &spec.ops {
-                    s = op.apply(s);
+                let mut s = s;
+                let sort = s.claim_sort(sorter, &meter, policy)?;
+                let (below, above) = spec.ops.split_at(hoisted);
+                if !below.is_empty() {
+                    s = s.late_gate(&sort);
                 }
-                Ok::<_, StreamError>(s)
+                s = below.iter().fold(s, |s, op| op.apply(s));
+                s = s.place_sort(sort);
+                Ok::<_, StreamError>(above.iter().fold(s, |s, op| op.apply(s)))
             }
         };
         if self.shards > 1 {
@@ -946,6 +1084,323 @@ mod tests {
         }
         assert_eq!(from_spec, out2.events());
         assert!(!from_spec.is_empty());
+    }
+
+    #[test]
+    fn planner_truth_table() {
+        use OpSpec::*;
+        let f = FilterMin { min: 3 };
+        let sc = Scale { factor: 2 };
+        let w = TumblingWindow {
+            size: TickDuration::ticks(100),
+        };
+        let w2 = TumblingWindow {
+            size: TickDuration::ticks(1_000),
+        };
+        let sum = SumByKey;
+        let top = TopK { k: 2 };
+        let boom = PanicOn { value: 13 };
+        let cases: Vec<(Vec<OpSpec>, usize, &str)> = vec![
+            (vec![], 0, "00.sort"),
+            // No consumer hides tie order from the sink: sort-first.
+            (vec![f.clone()], 0, "00.sort → 01.where"),
+            (vec![w.clone()], 0, "00.sort → 01.tumbling_window"),
+            (
+                vec![f.clone(), w.clone()],
+                0,
+                "00.sort → 01.where → 02.tumbling_window",
+            ),
+            (vec![sc.clone()], 0, "00.sort → 01.select"),
+            (vec![sum.clone()], 0, "00.sort → 01.reduce_by_key"),
+            // A regrouping consumer: the leading filters and windows go below.
+            (
+                vec![f.clone(), sum.clone()],
+                1,
+                "gate → 01.where → 00.sort → 02.reduce_by_key",
+            ),
+            (
+                vec![w.clone(), sum.clone()],
+                1,
+                "gate → 01.tumbling_window → 00.sort → 02.reduce_by_key",
+            ),
+            (
+                vec![f.clone(), w.clone(), sum.clone()],
+                2,
+                "gate → 01.where → 02.tumbling_window → 00.sort → 03.reduce_by_key",
+            ),
+            (
+                vec![w.clone(), f.clone(), sum.clone()],
+                2,
+                "gate → 01.tumbling_window → 02.where → 00.sort → 03.reduce_by_key",
+            ),
+            // Two windows ahead of the consumer: cascaded punctuation
+            // translation is lossy, so no window moves — only the filters
+            // ahead of the first.
+            (
+                vec![w.clone(), w2.clone(), sum.clone()],
+                0,
+                "00.sort → 01.tumbling_window → 02.tumbling_window → 03.reduce_by_key",
+            ),
+            (
+                vec![f.clone(), w.clone(), w2, sum.clone()],
+                1,
+                "gate → 01.where → 00.sort → 02.tumbling_window → 03.tumbling_window → \
+                 04.reduce_by_key",
+            ),
+            // A window behind the consumer does not count.
+            (
+                vec![w.clone(), sum.clone(), w.clone(), sum.clone()],
+                1,
+                "gate → 01.tumbling_window → 00.sort → 02.reduce_by_key → 03.tumbling_window → \
+                 04.reduce_by_key",
+            ),
+            // What follows the regrouping op does not matter.
+            (
+                vec![w.clone(), sum.clone(), top.clone()],
+                1,
+                "gate → 01.tumbling_window → 00.sort → 02.reduce_by_key → 03.top_k",
+            ),
+            (
+                vec![f.clone(), sum.clone(), w.clone(), sum.clone()],
+                1,
+                "gate → 01.where → 00.sort → 02.reduce_by_key → 03.tumbling_window → \
+                 04.reduce_by_key",
+            ),
+            // An order-reading consumer: sort-first.
+            (
+                vec![w.clone(), top.clone()],
+                0,
+                "00.sort → 01.tumbling_window → 02.top_k",
+            ),
+            (
+                vec![f.clone(), w.clone(), top.clone(), sum.clone()],
+                0,
+                "00.sort → 01.where → 02.tumbling_window → 03.top_k → 04.reduce_by_key",
+            ),
+            // `Scale` and `PanicOn` never move, and end the hoisted run.
+            (
+                vec![sc.clone(), f.clone(), sum.clone()],
+                0,
+                "00.sort → 01.select → 02.where → 03.reduce_by_key",
+            ),
+            (
+                vec![f.clone(), sc, w.clone(), sum.clone()],
+                1,
+                "gate → 01.where → 00.sort → 02.select → 03.tumbling_window → 04.reduce_by_key",
+            ),
+            (
+                vec![boom.clone(), w.clone(), sum.clone()],
+                0,
+                "00.sort → 01.where → 02.tumbling_window → 03.reduce_by_key",
+            ),
+            (
+                vec![w, boom, sum],
+                1,
+                "gate → 01.tumbling_window → 00.sort → 02.where → 03.reduce_by_key",
+            ),
+        ];
+        for (ops, hoisted, shown) in cases {
+            let mut spec = PipelineSpec::new("p");
+            spec.ops = ops;
+            let plan = spec.plan();
+            assert_eq!(plan.hoisted(), hoisted, "{:?}", spec.ops);
+            assert_eq!(plan.to_string(), shown, "{:?}", spec.ops);
+        }
+    }
+
+    #[test]
+    fn planner_rule_holds_for_every_shape_up_to_four_ops() {
+        let kinds = [
+            OpSpec::FilterMin { min: 3 },
+            OpSpec::Scale { factor: 2 },
+            OpSpec::TumblingWindow {
+                size: TickDuration::ticks(100),
+            },
+            OpSpec::SumByKey,
+            OpSpec::TopK { k: 2 },
+            OpSpec::PanicOn { value: 13 },
+        ];
+        // The rule, restated by op name.
+        let expected = |ops: &[OpSpec]| {
+            let mut windows_ahead = 0;
+            let mut regrouped = false;
+            for op in ops {
+                match op {
+                    OpSpec::TumblingWindow { .. } => windows_ahead += 1,
+                    OpSpec::SumByKey => regrouped = true,
+                    OpSpec::TopK { .. } => {}
+                    _ => continue,
+                }
+                if !matches!(op, OpSpec::TumblingWindow { .. }) {
+                    break;
+                }
+            }
+            let mut hoisted = 0;
+            for op in ops {
+                match op {
+                    OpSpec::FilterMin { .. } if regrouped => hoisted += 1,
+                    OpSpec::TumblingWindow { .. } if regrouped && windows_ahead == 1 => {
+                        hoisted += 1
+                    }
+                    _ => break,
+                }
+            }
+            hoisted
+        };
+        let mut shapes: Vec<Vec<OpSpec>> = vec![Vec::new()];
+        let mut checked = 0;
+        for _len in 0..=4 {
+            for ops in &shapes {
+                let mut spec = PipelineSpec::new("p");
+                spec.ops = ops.clone();
+                assert_eq!(spec.plan().hoisted(), expected(ops), "{ops:?}");
+                checked += 1;
+            }
+            shapes = shapes
+                .iter()
+                .flat_map(|ops| {
+                    kinds.iter().map(move |k| {
+                        let mut next = ops.clone();
+                        next.push(k.clone());
+                        next
+                    })
+                })
+                .collect();
+        }
+        assert_eq!(checked, 1 + 6 + 36 + 216 + 1296);
+    }
+
+    #[test]
+    fn labels_name_spec_positions_in_a_hoisted_plan() {
+        let registry = MetricsRegistry::new();
+        let env = PipelineEnv::new().with_registry(&registry);
+        let spec = PipelineSpec::new("h")
+            .with_op(OpSpec::FilterMin { min: 10 })
+            .with_op(OpSpec::TumblingWindow {
+                size: TickDuration::ticks(50),
+            })
+            .with_op(OpSpec::SumByKey);
+        assert_eq!(spec.plan().hoisted(), 2);
+        let (out, sink) = crate::observer::Output::new();
+        let built = spec.build(&env, Box::new(sink)).expect("build");
+        for m in disordered_messages() {
+            built.handle.push(m).expect("push");
+        }
+        assert!(out.is_completed());
+        let count = |name: &str| registry.counter(name).get();
+        // The filter runs first and sees everything the gate let through;
+        // the sorter, third in the chain, is still stage 00.
+        assert_eq!(
+            count("h.01.where.events_in") + count("h.00.sort.late_dropped"),
+            400
+        );
+        assert_eq!(
+            count("h.00.sort.events_in"),
+            count("h.02.tumbling_window.events_out")
+        );
+        assert_eq!(
+            count("h.03.reduce_by_key.events_in"),
+            count("h.00.sort.events_out")
+        );
+        assert!(registry.gauge("h.00.sorter.runs").high_water() > 0);
+    }
+
+    #[test]
+    fn plan_names_every_op_as_its_stage_registers() {
+        // `Plan` prints labels it does not mint; `Streamable` mints them.
+        let ops = [
+            OpSpec::FilterMin { min: 0 },
+            OpSpec::Scale { factor: 1 },
+            OpSpec::TumblingWindow {
+                size: TickDuration::ticks(10),
+            },
+            OpSpec::SumByKey,
+            OpSpec::TopK { k: 1 },
+            OpSpec::PanicOn { value: -1 },
+        ];
+        let registry = MetricsRegistry::new();
+        let mut spec = PipelineSpec::new("n");
+        spec.ops = ops.to_vec();
+        let sink = Box::new(crate::observer::BlackHoleSink::new());
+        let _built = spec
+            .build(&PipelineEnv::new().with_registry(&registry), sink)
+            .expect("build");
+        let snapshot = registry.snapshot().to_json().to_string();
+        // (The gate is the unlabelled front half of stage 00.)
+        for stage in spec
+            .plan()
+            .to_string()
+            .split(" → ")
+            .filter(|s| *s != "gate")
+        {
+            assert!(
+                snapshot.contains(&format!("\"n.{stage}.events_in\"")),
+                "{stage} is not a registered stage"
+            );
+        }
+    }
+
+    #[test]
+    fn late_is_decided_on_original_time_in_a_hoisted_plan() {
+        let spec = PipelineSpec::new("late")
+            .with_op(OpSpec::TumblingWindow {
+                size: TickDuration::ticks(100),
+            })
+            .with_op(OpSpec::SumByKey)
+            .with_sort(SortSpec {
+                late: LatePolicy::DeadLetter,
+                dead_letter_capacity: Some(8),
+                ..SortSpec::default()
+            });
+        let (out, sink) = crate::observer::Output::new();
+        let built = spec
+            .build(&PipelineEnv::new(), Box::new(sink))
+            .expect("build");
+        let push = |m| built.handle.push(m).expect("push");
+        push(StreamMessage::batch(vec![ev(205, 1, 1), ev(231, 1, 2)]));
+        push(StreamMessage::Punctuation(Timestamp::new(230)));
+        // Window 200 is still open and its start is above the translated
+        // cut 199, yet an event at 210 is behind punctuation 230: late.
+        push(StreamMessage::batch(vec![ev(210, 1, 100), ev(240, 1, 4)]));
+        push(StreamMessage::Completed);
+        let sums: Vec<i64> = out.events().iter().map(|e| e.payload).collect();
+        assert_eq!(sums, vec![1 + 2 + 4]);
+        let letters = built.dead_letters.as_ref().expect("queue").drain();
+        assert_eq!(letters.len(), 1);
+        assert_eq!(letters[0].event, ev(210, 1, 100), "the original event");
+        assert_eq!(
+            letters[0].reason,
+            impatience_core::DeadLetterReason::Late {
+                watermark: Timestamp::new(230)
+            }
+        );
+    }
+
+    #[test]
+    fn hoisted_plan_still_fails_a_regressed_punctuation_typed() {
+        let spec = PipelineSpec::new("regress")
+            .with_op(OpSpec::TumblingWindow {
+                size: TickDuration::ticks(100),
+            })
+            .with_op(OpSpec::SumByKey);
+        let (out, sink) = crate::observer::Output::new();
+        let built = spec
+            .build(&PipelineEnv::new(), Box::new(sink))
+            .expect("build");
+        // 230 and 210 both translate to 199: only the gate can see it.
+        for t in [230, 210] {
+            built
+                .handle
+                .push(StreamMessage::Punctuation(Timestamp::new(t)))
+                .expect("push");
+        }
+        assert_eq!(
+            out.error(),
+            Some(StreamError::PunctuationRegressed {
+                previous: Timestamp::new(230),
+                attempted: Timestamp::new(210),
+            })
+        );
     }
 
     #[test]

@@ -65,15 +65,35 @@ struct ChainCtx {
     trace: Option<TraceState>,
 }
 
+/// A stage's number in its chain's labels (`{prefix}.{stage:02}.{name}`),
+/// on the metrics side and on the trace side. Claimed in the order stages
+/// are *described*, which need not be the order they run in: the spec
+/// builder describes the sort first and may place per-event operators
+/// ahead of it, and a label names the described position.
+#[derive(Clone, Copy)]
+struct StageSlot {
+    instr: usize,
+    trace: usize,
+}
+
 impl ChainCtx {
-    /// Plans the shell of the next stage and advances the stage counters.
-    /// Also returns the name its fence reports: the metrics label on an
-    /// instrumented chain, the bare operator name otherwise.
-    fn next_stage(&mut self, name: &str) -> (StagePlan, String) {
-        let (metrics, label) = match self.instr.as_mut() {
+    /// Takes the next stage number on both sides and advances the counters.
+    fn claim_stage(&mut self) -> StageSlot {
+        let instr = self.instr.as_mut().map_or(0, |ins| {
+            ins.stage += 1;
+            ins.stage - 1
+        });
+        let trace = self.trace.as_mut().map_or(0, |t| t.claim_stage());
+        StageSlot { instr, trace }
+    }
+
+    /// Plans the shell of the stage that claimed `slot`. Also returns the
+    /// name its fence reports: the metrics label on an instrumented chain,
+    /// the bare operator name otherwise.
+    fn plan_stage(&self, slot: StageSlot, name: &str) -> (StagePlan, String) {
+        let (metrics, label) = match &self.instr {
             Some(ins) => {
-                let label = format!("{}.{:02}.{name}", ins.prefix, ins.stage);
-                ins.stage += 1;
+                let label = format!("{}.{:02}.{name}", ins.prefix, slot.instr);
                 (
                     Some(OperatorMetrics::register(&ins.registry, &label)),
                     label,
@@ -83,10 +103,32 @@ impl ChainCtx {
         };
         let plan = StagePlan {
             metrics,
-            trace: self.trace.as_mut().map(|t| t.next_stage(name)),
+            trace: self.trace.as_ref().map(|t| t.stage(slot.trace, name)),
             panics: self.hardened.then(|| self.panics.clone()),
         };
         (plan, label)
+    }
+
+    /// Claims and plans the next stage.
+    fn next_stage(&mut self, name: &str) -> (StagePlan, String) {
+        let slot = self.claim_stage();
+        self.plan_stage(slot, name)
+    }
+}
+
+/// Shares a stateful operator with the chain's checkpoint context, when it
+/// has one, so the gate can encode and restore it.
+fn enrol<P: Payload, O>(ckpt: Option<CheckpointCtx>, op: O) -> Box<dyn Observer<P>>
+where
+    O: Observer<P> + Checkpointable + 'static,
+{
+    match ckpt {
+        Some(ctx) => {
+            let shared = Arc::new(Mutex::new(op));
+            ctx.register(shared.clone());
+            Box::new(SharedSink(shared))
+        }
+        None => Box::new(op),
     }
 }
 
@@ -204,8 +246,20 @@ impl<P: Payload> Streamable<P> {
         name: &str,
         build: impl FnOnce(Box<dyn Observer<Q>>) -> Box<dyn Observer<P>> + Send + 'static,
     ) -> Streamable<Q> {
+        let slot = self.ctx.claim_stage();
+        self.apply_at(slot, name, build)
+    }
+
+    /// [`apply_named`](Self::apply_named) under a stage number claimed
+    /// earlier.
+    fn apply_at<Q: Payload>(
+        self,
+        slot: StageSlot,
+        name: &str,
+        build: impl FnOnce(Box<dyn Observer<Q>>) -> Box<dyn Observer<P>> + Send + 'static,
+    ) -> Streamable<Q> {
         let upstream = self.connect;
-        let (plan, label) = self.ctx.next_stage(name);
+        let (plan, label) = self.ctx.plan_stage(slot, name);
         let connect = move |sink: Box<dyn Observer<Q>>| {
             let outlet = plan.outlet(sink);
             if plan.panics.is_none() {
@@ -240,17 +294,7 @@ impl<P: Payload> Streamable<P> {
         O: Observer<P> + Checkpointable + 'static,
     {
         let ckpt = self.ctx.ckpt.clone();
-        self.apply_named(name, move |sink| {
-            let op = build(sink);
-            match ckpt {
-                Some(ctx) => {
-                    let shared = Arc::new(Mutex::new(op));
-                    ctx.register(shared.clone());
-                    Box::new(SharedSink(shared))
-                }
-                None => Box::new(op),
-            }
-        })
+        self.apply_named(name, move |sink| enrol(ckpt, build(sink)))
     }
 
     /// Makes the pipeline durable: attaches a fresh [`CheckpointCtx`] (so
@@ -510,11 +554,26 @@ impl<P: Payload> Streamable<P> {
     /// and [`SortFaultCounters`](ops::SortFaultCounters) under
     /// `{prefix}.{stage:02}.sort.*`.
     pub fn sorted(
-        self,
+        mut self,
         sorter: Box<dyn OnlineSorter<Event<P>>>,
         meter: &MemoryMeter,
         policy: ops::SortPolicy<P>,
     ) -> Result<Streamable<P>, StreamError> {
+        let stage = self.claim_sort(sorter, meter, policy)?;
+        Ok(self.place_sort(stage))
+    }
+
+    /// The first half of [`sorted`](Self::sorted): checks `policy`, takes
+    /// the sorting stage's number and registers its gauges and fault
+    /// counters under it. Stages applied between this call and
+    /// [`place_sort`](Self::place_sort) run *below* the sort (§IV) yet are
+    /// numbered after it.
+    pub(crate) fn claim_sort(
+        &mut self,
+        sorter: Box<dyn OnlineSorter<Event<P>>>,
+        meter: &MemoryMeter,
+        policy: ops::SortPolicy<P>,
+    ) -> Result<SortStage<P>, StreamError> {
         if policy.late == LatePolicy::RerouteNextPartition {
             return Err(StreamError::InvalidConfig(
                 "LatePolicy::RerouteNextPartition requires the partitioned framework; \
@@ -522,35 +581,72 @@ impl<P: Payload> Streamable<P> {
                     .into(),
             ));
         }
-        let meter = meter.clone();
+        let slot = self.ctx.claim_stage();
         let (gauges, faults) = match self.ctx.instr.as_ref() {
             Some(ins) => {
-                let base = format!("{}.{:02}", ins.prefix, ins.stage);
+                let base = format!("{}.{:02}", ins.prefix, slot.instr);
                 (
                     Some(SorterGauges::register(
                         &ins.registry,
                         &format!("{base}.sorter"),
                     )),
-                    Some(ops::SortFaultCounters::register(
-                        &ins.registry,
-                        &format!("{base}.sort"),
-                    )),
+                    ops::SortFaultCounters::register(&ins.registry, &format!("{base}.sort")),
                 )
             }
-            None => (None, None),
+            None => (None, ops::SortFaultCounters::new()),
         };
-        Ok(self.apply_stateful("sort", move |sink| {
-            let op = ops::SortOp::with_policy(sorter, meter, policy, sink);
-            let op = match gauges {
-                Some(g) => op.with_gauges(g),
-                None => op,
-            };
-            match faults {
-                Some(f) => op.with_fault_counters(f),
-                None => op,
-            }
-        }))
+        Ok(SortStage {
+            slot,
+            sorter,
+            meter: meter.clone(),
+            policy,
+            gauges,
+            faults,
+        })
     }
+
+    /// Decides lateness *here*, on original event times, for a sort placed
+    /// further down: a [`LateGateOp`](ops::LateGateOp) under `stage`'s
+    /// policy and counters. It is the front half of that stage, so it
+    /// takes no stage number and no shell of its own; it owns a watermark,
+    /// so it is a checkpoint participant.
+    pub(crate) fn late_gate(self, stage: &SortStage<P>) -> Streamable<P> {
+        let gate = ops::LateGate::new(&stage.policy, stage.faults.clone());
+        let ckpt = self.ctx.ckpt.clone();
+        let upstream = self.connect;
+        Streamable {
+            connect: Box::new(move |sink| upstream(enrol(ckpt, ops::LateGateOp::new(gate, sink)))),
+            ctx: self.ctx,
+        }
+    }
+
+    /// The second half of [`sorted`](Self::sorted): the sorting operator
+    /// at this point of the chain, under the number `stage` claimed.
+    pub(crate) fn place_sort(self, stage: SortStage<P>) -> Streamable<P> {
+        let ckpt = self.ctx.ckpt.clone();
+        self.apply_at(stage.slot, "sort", move |sink| {
+            let op = ops::SortOp::with_policy(stage.sorter, stage.meter, stage.policy, sink)
+                .with_fault_counters(stage.faults);
+            enrol(
+                ckpt,
+                match stage.gauges {
+                    Some(g) => op.with_gauges(g),
+                    None => op,
+                },
+            )
+        })
+    }
+}
+
+/// A sorting stage between [`Streamable::claim_sort`] and
+/// [`Streamable::place_sort`].
+pub(crate) struct SortStage<P: Payload> {
+    slot: StageSlot,
+    sorter: Box<dyn OnlineSorter<Event<P>>>,
+    meter: MemoryMeter,
+    policy: ops::SortPolicy<P>,
+    gauges: Option<SorterGauges>,
+    faults: ops::SortFaultCounters,
 }
 
 /// Counts visible output events into the checkpoint context's egress

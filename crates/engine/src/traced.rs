@@ -88,10 +88,15 @@ impl TraceState {
         TraceState { ctx, stage: 0 }
     }
 
-    /// Mints the recorder for the next stage and advances the counter.
-    pub(crate) fn next_stage(&mut self, name: &str) -> StageTrace {
-        let label = format!("{}.{:02}.{name}", self.ctx.prefix, self.stage);
+    /// Takes the next stage number and advances the counter.
+    pub(crate) fn claim_stage(&mut self) -> usize {
         self.stage += 1;
+        self.stage - 1
+    }
+
+    /// Mints the recorder of the stage that claimed number `stage`.
+    pub(crate) fn stage(&self, stage: usize, name: &str) -> StageTrace {
+        let label = format!("{}.{stage:02}.{name}", self.ctx.prefix);
         StageTrace {
             label: label.into(),
             kind: kind_of(name),

@@ -97,18 +97,21 @@ fn run_demo() {
                 window: 256,
                 hold: 2,
             })
-            .with_op(OpSpec::SumByKey)
             .with_op(OpSpec::TumblingWindow {
                 size: TickDuration::ticks(100),
-            }),
+            })
+            .with_op(OpSpec::SumByKey),
     )
     .with_durable(true);
 
     let mut a = Client::connect(server.addr(), WireMode::Ndjson).expect("connect alerts");
     let mut b = Client::connect(server.addr(), WireMode::Binary).expect("connect totals");
-    a.open(&alerts).expect("open alerts");
-    let info = b.open(&totals).expect("open totals");
-    println!("totals opened: {info}");
+    // The open reply says what each spec became: which ops the planner
+    // runs below the sort.
+    for (client, config) in [(&mut a, &alerts), (&mut b, &totals)] {
+        let info = client.open(config).expect("open tenant");
+        println!("{} opened: {info}", config.name());
+    }
 
     let mut a_events = 0usize;
     let mut b_events = 0usize;

@@ -813,6 +813,7 @@ fn dispatch_inner(
             let info = json!({
                 "tenant": state.runtime.name(),
                 "resumed": false,
+                "plan": state.runtime.config().pipeline.plan().to_string(),
                 "recovery": state.runtime.recovery_info(),
                 "session": session_info(&state),
             });

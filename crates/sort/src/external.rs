@@ -17,7 +17,11 @@
 //! partition of the buffer into sorted sources merges back to the same
 //! sequence, so freezing an *arbitrary* subset of runs to disk (and later
 //! compacting arbitrary subsets of the frozen files) cannot perturb the
-//! output: it is always the stable sort of what was accepted.
+//! output: it is always the stable sort of what was accepted. (The
+//! in-memory [`ImpatienceSorter`](crate::ImpatienceSorter) has no tags and
+//! does *not* share this: among equal event times it keeps arrival order
+//! only within a run, so `spill: true` and `spill: false` agree up to tie
+//! order — see `tests/props.rs`.)
 //!
 //! # Run-file format
 //!

@@ -14,6 +14,13 @@
 //! * **Huffman merge** (§III-E1): head runs are merged smallest-pair-first.
 //! * **Speculative run selection** (§III-E2): the partition phase tries the
 //!   last-inserted run before binary searching.
+//!
+//! Order among *equal* event times: items keep their arrival order within
+//! a run; across runs it follows the merge shape (Huffman pairs
+//! non-adjacent runs, ties favour the first operand). That order is a
+//! function of the input — the same pushes and punctuations always emit
+//! the same sequence — but it is **not** arrival order, so this is not a
+//! stable sort (`tests/props.rs`).
 
 use crate::merge::{merge_runs, MergePolicy};
 use crate::runset::RunSet;

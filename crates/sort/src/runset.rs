@@ -94,14 +94,13 @@ impl<T: EventTimed> SortedRun<T> {
     }
 
     /// Reclaims consumed prefix storage once it dominates the allocation.
-    /// Reallocates to exactly the live length so memory accounting (and the
-    /// allocator) actually get the bytes back.
-    fn maybe_compact(&mut self)
-    where
-        T: Clone,
-    {
+    /// Moves the live items down and shrinks to exactly the live length,
+    /// so memory accounting (and the allocator) actually get the bytes
+    /// back.
+    fn maybe_compact(&mut self) {
         if self.head >= 64 && self.head * 2 >= self.data.len() {
-            self.data = self.data[self.head..].to_vec();
+            self.data.drain(..self.head);
+            self.data.shrink_to_fit();
             self.head = 0;
         }
     }
@@ -112,17 +111,14 @@ impl<T: EventTimed> SortedRun<T> {
     /// compacted to exactly the surviving live length unconditionally, so a
     /// partial shed frees bytes the moment it happens — the memory meter
     /// must see the reclaim, not wait for a later threshold crossing.
-    pub fn shed_head(&mut self, n: usize) -> Vec<T>
-    where
-        T: Clone,
-    {
+    pub fn shed_head(&mut self, n: usize) -> Vec<T> {
         let n = n.min(self.len());
         if n == 0 {
             return Vec::new();
         }
-        let shed = self.data[self.head..self.head + n].to_vec();
-        self.data = self.data[self.head + n..].to_vec();
+        let shed = self.data.drain(..self.head + n).skip(self.head).collect();
         self.head = 0;
+        self.data.shrink_to_fit();
         shed
     }
 

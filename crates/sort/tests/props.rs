@@ -2,12 +2,14 @@
 //!
 //! Core contracts: every sorter is a permutation-preserving, order-correct
 //! sort; every online sorter honours the punctuation contract under random
-//! punctuation schedules; the Propositions 3.1–3.3 run-count bounds hold.
+//! punctuation schedules; the Propositions 3.1–3.3 run-count bounds hold;
+//! Impatience sort's order among *equal* timestamps is run order, not
+//! arrival order.
 //!
 //! On failure the harness prints the failing case seed; replay with
 //! `IMPATIENCE_PROP_SEED=0x<seed> cargo test <test name>`.
 
-use impatience_core::Timestamp;
+use impatience_core::{Event, Timestamp};
 use impatience_sort::*;
 use impatience_testkit::prop::vec;
 use impatience_testkit::props;
@@ -42,8 +44,94 @@ fn drive_online(
     (accepted, out)
 }
 
+/// Arrival-indexed events over `times`, pushed into a fresh Impatience
+/// sorter with a punctuation `lag` behind the high watermark every
+/// `punct_every` arrivals. Returns each cut's output and, from a model of
+/// the partition phase kept alongside (leftmost run whose tail is not
+/// above the item; emptied runs vanish at a cut), the run every accepted
+/// arrival index landed in.
+fn drive_tagged(times: &[i64], punct_every: usize, lag: i64) -> (Vec<Vec<Event<u32>>>, Vec<usize>) {
+    let mut sorter: ImpatienceSorter<Event<u32>> = ImpatienceSorter::new();
+    // Model: (run id, live timestamps), tails descending; ids never reused.
+    let mut runs: Vec<(usize, Vec<i64>)> = Vec::new();
+    let mut next_id = 0;
+    let mut run_of = vec![usize::MAX; times.len()];
+    let mut cuts = Vec::new();
+    let (mut wm, mut high) = (i64::MIN, i64::MIN);
+    for (i, &t) in times.iter().enumerate() {
+        if t > wm {
+            sorter.push(Event::point(Timestamp::new(t), i as u32));
+            high = high.max(t);
+            let at = runs.partition_point(|(_, r)| *r.last().unwrap() > t);
+            if at == runs.len() {
+                runs.push((next_id, Vec::new()));
+                next_id += 1;
+            }
+            runs[at].1.push(t);
+            run_of[i] = runs[at].0;
+        }
+        if i % punct_every == punct_every - 1 && high.saturating_sub(lag) > wm {
+            wm = high - lag;
+            let mut out = Vec::new();
+            sorter.punctuate(Timestamp::new(wm), &mut out);
+            cuts.push(out);
+            for (_, r) in &mut runs {
+                r.retain(|&t| t > wm);
+            }
+            runs.retain(|(_, r)| !r.is_empty());
+        }
+    }
+    let mut out = Vec::new();
+    sorter.drain_all(&mut out);
+    cuts.push(out);
+    (cuts, run_of)
+}
+
+/// What ROADMAP aim 3 used to claim and the sorter does not do: Huffman
+/// merging pairs non-adjacent runs and ties favour the first operand, so
+/// equal timestamps from *different* runs come out in merge order. Kept as
+/// a witness: if an arrival-stable merge lands (ROADMAP item 5), this
+/// fails and the texts saying "not arrival-stable" must change with it.
+#[test]
+fn impatience_is_not_arrival_stable_across_runs() {
+    use impatience_testkit::rng::{Rng, SeedableRng, StdRng};
+    let mut rng = StdRng::seed_from_u64(0x7135);
+    let mut unstable = 0;
+    for _ in 0..20 {
+        let times: Vec<i64> = (0..400).map(|_| rng.gen_range(0i64..40)).collect();
+        let (cuts, _) = drive_tagged(&times, usize::MAX, 0);
+        let mut stable = cuts[0].clone();
+        stable.sort_by_key(|e| (e.sync_time, e.payload));
+        unstable += usize::from(cuts[0] != stable);
+    }
+    assert!(unstable > 0, "every drain matched the arrival-stable sort");
+}
+
 props! {
     cases = 128;
+
+    fn impatience_tie_order_is_run_order_and_repeats(
+        times in vec(0i64..40, 1..400),
+        punct_every in 1usize..60,
+        lag in 0i64..30,
+    ) {
+        let (cuts, run_of) = drive_tagged(&times, punct_every, lag);
+        for out in &cuts {
+            // Sorted on time, and items of one run keep arrival order —
+            // which settles every tie inside a run.
+            assert!(out.windows(2).all(|w| w[0].sync_time <= w[1].sync_time));
+            let mut last_of_run = std::collections::HashMap::new();
+            for e in out {
+                let run = run_of[e.payload as usize];
+                assert_ne!(run, usize::MAX, "a rejected arrival was emitted");
+                if let Some(prev) = last_of_run.insert(run, e.payload) {
+                    assert!(prev < e.payload, "run {run}: {prev} emitted before {}", e.payload);
+                }
+            }
+        }
+        // Ties across runs follow merge shape, which the input fixes.
+        assert_eq!(drive_tagged(&times, punct_every, lag).0, cuts);
+    }
 
     fn online_sorters_sort_correctly(
         data in vec(-10_000i64..10_000, 0..500),

@@ -93,6 +93,17 @@ cargo run --release --offline -q -p impatience-bench --bin scale -- \
     --check --events 60000 --json BENCH_scale.json > /dev/null
 cargo run --release --offline -q -p impatience-bench --bin snapshot_check -- BENCH_scale.json
 
+echo "== plan differential (sort-as-needed plan vs hand-stacked sort-first chain) =="
+# The planner gate: 210 seeded CloudLog/synthetic streams x {drop,
+# dead-letter} x {1, 2 shards} through PipelineSpec::build, whose plan runs
+# filters and windows below the sort, must match the sort-first chain
+# stacked by hand through the Streamable API — messages, dead letters
+# (original events) and late counters. The two hoisted_plan recovery cases
+# hold the plan/checkpoint rule: the late gate's watermark survives a
+# crash, and a sort-first slot is refused with a typed RecoveryFailed.
+cargo test -q --offline --test plan_differential
+cargo test -q --offline --test recovery hoisted_plan
+
 echo "== crash-recovery gate (recovery --check -> BENCH_recovery.json) =="
 # The durability gate: checkpointing every 16 punctuations must cost <= 10%
 # wall-clock over the plain fig5 pipeline, and a run crashed at a seeded
@@ -192,7 +203,15 @@ echo "== stack benchmark (unit tests + smoke: every workload, both passes, oracl
 # the crates and fail CI when any served or in-process output mismatches
 # its independent reference.
 cargo test --release --offline --manifest-path stackbench/Cargo.toml
-cargo run --release --offline --manifest-path stackbench/Cargo.toml -- run --smoke
+# The benchmark reads the spill gauges by name (`eng.00.sorter.spill.*`): a
+# zero here means the sort stage's label moved, not that nothing spilled.
+smoke_json="$(mktemp)"
+trap 'rm -f "$tmp_json" "$tmp_budget_json" "$tmp_spill_json" "$smoke_json"' EXIT
+cargo run --release --offline --manifest-path stackbench/Cargo.toml -- run --smoke --out "$smoke_json"
+grep -q '"sort.external.runs_spilled":{"value":[1-9]' "$smoke_json" || {
+    echo "stack smoke: sort.external.runs_spilled read 0 (stage 00 label lost?)"
+    exit 1
+}
 
 echo "== stage-shell gate (engine-inmem traced: shell <= 15% of end-to-end) =="
 # What instrument + hardened add around every stage must stay a small

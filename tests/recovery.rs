@@ -23,6 +23,11 @@
 //! A further 160 cycles crash *inside* one group-committed request — the
 //! serving layer's two records, one sync, then push — and hold the same
 //! conformance contract (`crash_inside_a_group_committed_request_…`).
+//!
+//! Two `hoisted_plan_…` cases cover the `PipelineSpec` plan that runs a
+//! window below the sort: the late gate's watermark survives a crash, and
+//! a checkpoint written by the sort-first plan is refused with a typed
+//! error instead of being reinterpreted.
 
 use impatience::prelude::*;
 use impatience_core::{StreamError, StreamMessage};
@@ -538,4 +543,107 @@ fn corrupted_checkpoint_slots_fall_back_then_fail_typed() {
     assert!(inc.ctx.recovery().is_none());
     let _ = fs::remove_dir_all(&seeded);
     let _ = fs::remove_dir_all(&case);
+}
+
+/// `[TumblingWindow(100), SumByKey]`, checkpointing every punctuation: the
+/// planner runs the window below the sort, behind a late gate.
+fn hoisted_spec() -> impatience_engine::PipelineSpec {
+    use impatience_engine::{OpSpec, PipelineSpec};
+    let spec = PipelineSpec::new("hoisted")
+        .with_checkpoint(1)
+        .with_op(OpSpec::TumblingWindow {
+            size: TickDuration::ticks(100),
+        })
+        .with_op(OpSpec::SumByKey);
+    assert_eq!(spec.plan().hoisted(), 1);
+    spec
+}
+
+fn keyed(t: i64, payload: i64) -> Event<i64> {
+    Event::keyed(Timestamp::new(t), 1, payload)
+}
+
+/// Crash between a punctuation and a late event of the window that is
+/// still open. The sorter's own watermark is the *translated* cut (199),
+/// which the event's window start (200) clears; only the gate's restored
+/// watermark (230) can still drop it.
+#[test]
+fn hoisted_plan_restores_the_late_gate_watermark() {
+    use impatience_engine::PipelineEnv;
+    let dir = base_dir("hoisted-gate");
+    let spec = hoisted_spec();
+    {
+        let (out, sink) = Output::new();
+        let built = spec
+            .build(
+                &PipelineEnv::new().with_checkpoint_dir(&dir),
+                Box::new(sink),
+            )
+            .expect("build");
+        let push = |m| built.handle.push(m).expect("push");
+        push(StreamMessage::batch(vec![keyed(205, 1), keyed(231, 2)]));
+        push(StreamMessage::Punctuation(Timestamp::new(230)));
+        assert!(out.events().is_empty(), "window 200 is still open");
+        // Crash: dropped without completing.
+    }
+    let registry = MetricsRegistry::new();
+    let env = PipelineEnv::new()
+        .with_checkpoint_dir(&dir)
+        .with_registry(&registry);
+    let (out, sink) = Output::new();
+    let built = spec.build(&env, Box::new(sink)).expect("rebuild");
+    let rec = built.ckpt.as_ref().expect("durable").recovery();
+    assert_eq!(rec.expect("restored").messages_seen, 2);
+    let push = |m| built.handle.push(m).expect("push");
+    push(StreamMessage::batch(vec![keyed(210, 100), keyed(240, 4)]));
+    push(StreamMessage::Completed);
+    let sums: Vec<i64> = out.events().iter().map(|e| e.payload).collect();
+    assert_eq!(sums, vec![1 + 2 + 4], "the event at 210 is behind 230");
+    assert_eq!(registry.counter("hoisted.00.sort.late_dropped").get(), 1);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A slot written by the sort-first plan — the same spec lowered by the
+/// parent of the planner, reproduced here by stacking the chain by hand —
+/// holds no late-gate state. The hoisted plan registers one participant
+/// more, so recovery fails typed rather than reading aligned-domain state
+/// out of an original-domain snapshot.
+#[test]
+fn hoisted_plan_refuses_a_sort_first_checkpoint() {
+    use impatience_engine::PipelineEnv;
+    let dir = base_dir("hoisted-refuse");
+    {
+        let (handle, s) = input_stream::<i64>();
+        let (s, _ctx) = s.checkpointed(&dir, 1).expect("open checkpoint dir");
+        let out = s
+            .sorted(
+                Box::new(ImpatienceSorter::new()),
+                &MemoryMeter::new(),
+                Default::default(),
+            )
+            .expect("default policy")
+            .tumbling_window(TickDuration::ticks(100))
+            .reduce_by_key(|acc, p: i64| *acc = acc.wrapping_add(p))
+            .checkpoint_egress()
+            .collect_output();
+        handle.push_events(vec![keyed(205, 1), keyed(231, 2)]);
+        handle.push_punctuation(Timestamp::new(230));
+        assert!(out.error().is_none());
+    }
+    let (out, sink) = Output::new();
+    let built = hoisted_spec()
+        .build(
+            &PipelineEnv::new().with_checkpoint_dir(&dir),
+            Box::new(sink),
+        )
+        .expect("build itself succeeds; recovery reports through the stream");
+    match out.error() {
+        Some(StreamError::RecoveryFailed { detail }) => assert!(
+            detail.contains("2 operator states") && detail.contains("registered 3"),
+            "{detail}"
+        ),
+        other => panic!("a sort-first slot must be refused typed, got {other:?}"),
+    }
+    assert!(built.ckpt.as_ref().expect("durable").recovery().is_none());
+    let _ = fs::remove_dir_all(&dir);
 }
