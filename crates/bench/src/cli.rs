@@ -77,17 +77,6 @@ impl BenchArgs {
         args
     }
 
-    /// The activities this run promises `snapshot_check` in the
-    /// `"expects"` list of its metrics lines: `on_check` under `--check`,
-    /// whose assertions back them, and nothing otherwise.
-    pub fn expects<'a>(&self, on_check: &'a [&'a str]) -> &'a [&'a str] {
-        if self.check {
-            on_check
-        } else {
-            &[]
-        }
-    }
-
     /// Appends a JSON line to the `--json` file, if configured.
     pub fn emit_json(&self, value: &impatience_core::Json) {
         if let Some(path) = &self.json {

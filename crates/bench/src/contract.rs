@@ -5,11 +5,12 @@
 //! `"exhibit"`, and at least one line must be a `"kind": "metrics"`
 //! snapshot carrying the observability payload the repro binaries promise
 //! (see [`check_snapshot`]). Beyond that, each run declares what it was
-//! asked to do: the binary writes the activities its own arguments imply
-//! (`--memory-budget`, `--spill-dir`, `--check`) into the `"expects"` list
-//! of its metrics lines, and the file must then satisfy the row of
-//! [`ACTIVITY_CONTRACTS`] with that name. Nothing is supplied by the
-//! caller of `snapshot_check`, so a CI script cannot forget a requirement.
+//! asked to do: the binary writes the activity its own arguments imply
+//! (`--memory-budget`: `"fault"`; with `--spill-dir` too: `"spill"`) into
+//! the `"expects"` list of its metrics lines, and the file must then
+//! satisfy the row of [`ACTIVITY_CONTRACTS`] with that name. Nothing is
+//! supplied by the caller of `snapshot_check`, so a CI script cannot
+//! forget a requirement.
 
 use impatience_core::Json;
 use std::collections::BTreeSet;
@@ -33,13 +34,6 @@ pub enum Total {
     /// Largest per-snapshot sum of the `high_water` of the gauges ending
     /// in this name.
     GaugeHighWater(&'static str),
-    /// Snapshots in which a gauge ending in this name sits below its
-    /// nonzero high water — it started high and stepped down.
-    GaugeBelowHighWater(&'static str),
-    /// Sum of this field over the `"kind": "trace"` summary lines.
-    Trace(&'static str),
-    /// Sum of this counter over the `"kind": "session"` lines.
-    Session(&'static str),
 }
 
 /// What a file must show for one activity named in an `"expects"` list.
@@ -54,15 +48,6 @@ pub struct ActivityContract {
     pub why: &'static str,
 }
 
-/// The `serve.session.*` counters every `"kind": "session"` line carries.
-const SESSION_COUNTERS: [&str; 5] = [
-    "serve.session.resumes",
-    "serve.session.retries",
-    "serve.session.duplicates_dropped",
-    "serve.session.heartbeats",
-    "serve.session.slow_client_evictions",
-];
-
 /// One row per activity a bench run can promise.
 pub const ACTIVITY_CONTRACTS: &[ActivityContract] = &[
     ActivityContract {
@@ -73,30 +58,6 @@ pub const ACTIVITY_CONTRACTS: &[ActivityContract] = &[
         ],
         zero: &[],
         why: "a budgeted run must take the degradation path: dead-letter and shed",
-    },
-    ActivityContract {
-        name: "recovery",
-        nonzero: &[Total::Counter("recovery.restores")],
-        zero: &[],
-        why: "a crash-recovery run must restore a checkpoint in some snapshot",
-    },
-    ActivityContract {
-        name: "shard",
-        // Full names, not bare suffixes: "shard.merge.events" must not
-        // also match a hypothetical "*.ingress.events".
-        nonzero: &[
-            Total::Counter("shard.ingress.events"),
-            Total::Counter("shard.merge.events"),
-        ],
-        zero: &[],
-        why: "a sharded pipeline must carry traffic in and out",
-    },
-    ActivityContract {
-        name: "trace",
-        nonzero: &[Total::Trace("spans")],
-        zero: &[Total::Trace("dropped")],
-        why: "the tracing layer must record spans and lose none to a full ring buffer \
-              (raise the ring capacity or lower the span rate)",
     },
     ActivityContract {
         name: "spill",
@@ -111,37 +72,13 @@ pub const ACTIVITY_CONTRACTS: &[ActivityContract] = &[
         why: "the spill ladder must fire and stay lossless: a spilling run must not \
               dead-letter or shed",
     },
-    ActivityContract {
-        name: "service",
-        nonzero: &[
-            Total::Counter("serve.events_in"),
-            Total::Counter("serve.events_out"),
-            Total::GaugeBelowHighWater("serve.adaptive.latency"),
-        ],
-        zero: &[],
-        why: "tenants must carry socket traffic, and the adaptive reorder latency must \
-              step down from the rung it started at",
-    },
-    ActivityContract {
-        name: "session",
-        nonzero: &[
-            Total::Session(SESSION_COUNTERS[0]),
-            Total::Session(SESSION_COUNTERS[1]),
-            Total::Session(SESSION_COUNTERS[2]),
-            Total::Session(SESSION_COUNTERS[3]),
-            Total::Session(SESSION_COUNTERS[4]),
-        ],
-        zero: &[],
-        why: "every reconnect/dedup/backpressure path must fire in a \"kind\": \"session\" line",
-    },
 ];
 
 /// The parts of a bench file the totals read.
 #[derive(Default)]
 struct BenchFile {
     snapshots: Vec<Json>,
-    traces: Vec<Json>,
-    sessions: Vec<Json>,
+    traces: usize,
     expects: BTreeSet<String>,
 }
 
@@ -180,16 +117,6 @@ impl BenchFile {
                 .map(|gs| gs.map(|g| count(g.get("high_water"))).sum())
                 .max()
                 .unwrap_or(0),
-            Total::GaugeBelowHighWater(name) => gauges(name)
-                .filter_map(|mut gs| {
-                    gs.find(|g| {
-                        let high_water = count(g.get("high_water"));
-                        high_water > 0 && count(g.get("value")) < high_water
-                    })
-                })
-                .count() as u64,
-            Total::Trace(field) => self.traces.iter().map(|t| count(t.get(field))).sum(),
-            Total::Session(name) => self.sessions.iter().map(|c| count(c.get(name))).sum(),
         }
     }
 }
@@ -220,24 +147,13 @@ pub fn check_bench_file(path: &str, text: &str) -> Result<String, String> {
                 file.expects.insert(name.to_string());
             }
         }
-        if js.get("kind").and_then(Json::as_str) == Some("session") {
-            let counters = js
-                .get("counters")
-                .ok_or_else(|| format!("{at}: session line has no counters object"))?;
-            for name in SESSION_COUNTERS {
-                if counters.get(name).and_then(Json::as_i64).is_none() {
-                    return Err(format!("{at}: session line lacks \"{name}\""));
-                }
-            }
-            file.sessions.push(counters.clone());
-        }
         if let Some(trace) = body_of(&js, "trace") {
             for field in ["spans", "dropped"] {
                 if trace.get(field).and_then(Json::as_i64).is_none() {
                     return Err(format!("{at}: trace summary lacks \"{field}\""));
                 }
             }
-            file.traces.push(trace.clone());
+            file.traces += 1;
         }
     }
     if lines == 0 {
@@ -270,11 +186,10 @@ pub fn check_bench_file(path: &str, text: &str) -> Result<String, String> {
         shown.push(format!("{name} ({})", totals.join(", ")));
     }
     Ok(format!(
-        "{path}: {lines} lines ok, {} metrics snapshot(s), {} trace and {} session line(s); \
+        "{path}: {lines} lines ok, {} metrics snapshot(s), {} trace line(s); \
          promised and shown: [{}]",
         file.snapshots.len(),
-        file.traces.len(),
-        file.sessions.len(),
+        file.traces,
         shown.join("; "),
     ))
 }
@@ -428,79 +343,36 @@ mod tests {
         with(base, "gauges", extra.collect())
     }
 
-    /// A one-snapshot file promising `expects`, followed by `more` lines.
-    fn file(metrics: Json, expects: &str, more: &[Json]) -> String {
+    /// A one-snapshot file promising `expects`.
+    fn file(metrics: Json, expects: &str) -> String {
         let promise = Json::Array(vec![Json::from(expects)]);
-        let mut lines = vec![
-            json!({ "exhibit": "t", "kind": "metrics", "metrics": metrics, "expects": promise }),
-        ];
-        lines.extend(more.iter().cloned());
-        lines.iter().map(|l| format!("{l}\n")).collect()
+        let line =
+            json!({ "exhibit": "t", "kind": "metrics", "metrics": metrics, "expects": promise });
+        format!("{line}\n")
     }
 
     #[test]
     fn every_contract_row_accepts_its_activity_and_rejects_its_absence() {
         let base = healthy_snapshot();
-        let trace = |dropped: i64| {
-            let summary = json!({ "spans": 12, "dropped": dropped });
-            json!({ "exhibit": "t", "kind": "trace", "trace": summary })
-        };
-        let session = |fired: i64| {
-            let counters = SESSION_COUNTERS.map(|n| (n.to_string(), Json::from(fired)));
-            json!({ "exhibit": "t", "kind": "session", "counters": Json::Object(counters.into()) })
-        };
         let spilled = [
             ("sorter.spill.runs_spilled", 2, 2),
             ("sorter.spill.bytes_on_disk", 0, 4_096),
         ];
         let dead_and_shed = [("sort.dead_lettered", 3), ("sort.shed_events", 2)];
-        let sharded = [("shard.ingress.events", 5), ("shard.merge.events", 5)];
-        let served = counters(&base, &[("serve.events_in", 9), ("serve.events_out", 9)]);
-        let adaptive = |latency| gauges(&served, &[("serve.adaptive.latency", latency, 64)]);
         // (activity, a file that shows it, a file that does not)
         let rows = [
             (
                 "fault",
-                file(counters(&base, &dead_and_shed), "fault", &[]),
-                file(counters(&base, &dead_and_shed[..1]), "fault", &[]),
-            ),
-            (
-                "recovery",
-                file(
-                    counters(&base, &[("recovery.restores", 1)]),
-                    "recovery",
-                    &[],
-                ),
-                file(base.clone(), "recovery", &[]),
-            ),
-            (
-                "shard",
-                file(counters(&base, &sharded), "shard", &[]),
-                file(counters(&base, &sharded[..1]), "shard", &[]),
-            ),
-            (
-                "trace",
-                file(base.clone(), "trace", &[trace(0)]),
-                file(base.clone(), "trace", &[trace(1)]),
+                file(counters(&base, &dead_and_shed), "fault"),
+                file(counters(&base, &dead_and_shed[..1]), "fault"),
             ),
             (
                 "spill",
-                file(gauges(&base, &spilled), "spill", &[]),
+                file(gauges(&base, &spilled), "spill"),
                 file(
                     gauges(&counters(&base, &dead_and_shed[1..]), &spilled),
                     "spill",
-                    &[],
                 ),
-            ),
-            (
-                "service",
-                file(adaptive(8), "service", &[]),
-                file(adaptive(64), "service", &[]),
-            ),
-            (
-                "session",
-                file(base.clone(), "session", &[session(1)]),
-                file(base.clone(), "session", &[session(0)]),
             ),
         ];
         assert_eq!(rows.len(), ACTIVITY_CONTRACTS.len(), "one case per row");
@@ -510,7 +382,7 @@ mod tests {
             let err = check_bench_file("lacks.jsonl", &lacks).expect_err(name);
             assert!(err.contains(&format!("expects \"{name}\"")), "{err}");
         }
-        let unknown = check_bench_file("f.jsonl", &file(base, "telepathy", &[]));
+        let unknown = check_bench_file("f.jsonl", &file(base, "telepathy"));
         assert!(unknown.unwrap_err().contains("unknown activity"));
     }
 }

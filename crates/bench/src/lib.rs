@@ -34,9 +34,7 @@ pub mod report;
 pub use cli::BenchArgs;
 pub use contract::check_bench_file;
 pub use drive::{drive_online_sorter, offline_sorter_names, run_offline_sorter, DriveOutcome};
-pub use metrics::{
-    emit_metrics_json, emit_pipeline_metrics, emit_trace_json, run_canonical, CanonicalRun,
-};
+pub use metrics::{emit_metrics_json, emit_pipeline_metrics, run_canonical, CanonicalRun};
 pub use queries::{run_query, Method, Query, QueryRunOutcome};
 pub use report::{fmt_throughput, Row, Table};
 

@@ -33,9 +33,7 @@ pub const DEAD_LETTER_CAPACITY: usize = 64 * 1024;
 
 /// One run of the canonical instrumented pipeline, for [`run_canonical`].
 pub struct CanonicalRun<'a> {
-    /// Receives every instrument of the run; caller-owned, so a binary can
-    /// combine the canonical pipeline's instruments with additional runs
-    /// (e.g. a sharded pipeline's `shard.*` counters) in one snapshot.
+    /// Receives every instrument of the run.
     pub registry: &'a MetricsRegistry,
     /// The dataset; a prefix of at most [`METRICS_SAMPLE_EVENTS`] runs.
     pub ds: &'a Dataset,
@@ -225,7 +223,12 @@ pub fn emit_pipeline_metrics(args: &BenchArgs, exhibit: &str, ds: &Dataset) {
     println!("\nmetrics snapshot ({}, sampled pipeline{mode}):", ds.name);
     print!("{snapshot}");
     emit_metrics_json(args, exhibit, &ds.name, &snapshot, expects);
-    emit_trace_json(args, exhibit, &ds.name, &sink.summary());
+    args.emit_json(&json!({
+        "exhibit": exhibit,
+        "kind": "trace",
+        "dataset": ds.name.as_str(),
+        "trace": sink.summary(),
+    }));
 }
 
 /// Appends a snapshot (however it was produced) as a metrics JSON line.
@@ -245,17 +248,6 @@ pub fn emit_metrics_json(
         "dataset": dataset,
         "metrics": snap.to_json(),
         "expects": Json::Array(expects.iter().map(|&e| Json::from(e)).collect()),
-    }));
-}
-
-/// Appends a trace summary (from [`TraceSink::summary`]) as a
-/// `{"kind": "trace"}` JSON line.
-pub fn emit_trace_json(args: &BenchArgs, exhibit: &str, dataset: &str, summary: &Json) {
-    args.emit_json(&json!({
-        "exhibit": exhibit,
-        "kind": "trace",
-        "dataset": dataset,
-        "trace": summary.clone(),
     }));
 }
 

@@ -499,71 +499,6 @@ impl MetricsSnapshot {
     }
 }
 
-impl MetricsSnapshot {
-    /// Combines two snapshots taken from parallel contributors (e.g. the
-    /// per-shard registries of a sharded run) into one deterministic,
-    /// name-sorted snapshot.
-    ///
-    /// Disjoint names — the common case, since shard pipelines prefix their
-    /// instruments — pass through unchanged. Shared names combine as if the
-    /// two registries had been one: counters sum, gauge values and
-    /// high-water marks sum (each side is an independent contributor, so
-    /// the combined live value and a conservative combined peak are both
-    /// the sum), histograms add bucket-wise with exact `count`/`sum` and
-    /// the tighter of the two `min`/`max` envelopes.
-    pub fn merge(&self, other: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut counters: BTreeMap<String, u64> = self.counters.iter().cloned().collect();
-        for (name, v) in &other.counters {
-            let slot = counters.entry(name.clone()).or_insert(0);
-            *slot = slot.saturating_add(*v);
-        }
-        let mut gauges: BTreeMap<String, GaugeSnapshot> = self.gauges.iter().cloned().collect();
-        for (name, g) in &other.gauges {
-            match gauges.entry(name.clone()) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(g.clone());
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    let slot = e.get_mut();
-                    slot.value = slot.value.saturating_add(g.value);
-                    slot.high_water = slot.high_water.saturating_add(g.high_water);
-                }
-            }
-        }
-        let mut histograms: BTreeMap<String, HistogramSnapshot> =
-            self.histograms.iter().cloned().collect();
-        for (name, h) in &other.histograms {
-            match histograms.entry(name.clone()) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(h.clone());
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    let slot = e.get_mut();
-                    if slot.buckets.len() < h.buckets.len() {
-                        slot.buckets.resize(h.buckets.len(), 0);
-                    }
-                    for (i, b) in h.buckets.iter().enumerate() {
-                        slot.buckets[i] = slot.buckets[i].saturating_add(*b);
-                    }
-                    slot.min = match (slot.count, h.count) {
-                        (_, 0) => slot.min,
-                        (0, _) => h.min,
-                        _ => slot.min.min(h.min),
-                    };
-                    slot.max = slot.max.max(h.max);
-                    slot.count = slot.count.saturating_add(h.count);
-                    slot.sum = slot.sum.saturating_add(h.sum);
-                }
-            }
-        }
-        MetricsSnapshot {
-            counters: counters.into_iter().collect(),
-            gauges: gauges.into_iter().collect(),
-            histograms: histograms.into_iter().collect(),
-        }
-    }
-}
-
 impl core::fmt::Display for MetricsSnapshot {
     /// Compact "top" view: one aligned line per metric.
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
@@ -797,63 +732,6 @@ mod tests {
             .and_then(Json::as_array)
             .expect("buckets array");
         assert_eq!(buckets.len(), HISTOGRAM_BUCKETS);
-    }
-
-    #[test]
-    fn merge_unions_disjoint_names_sorted() {
-        let a = MetricsRegistry::new();
-        a.counter("shard00.events").add(3);
-        a.gauge("shard00.runs").set(2);
-        let b = MetricsRegistry::new();
-        b.counter("shard01.events").add(5);
-        b.histogram("shard01.lag").record(9);
-        let merged = a.snapshot().merge(&b.snapshot());
-        let names: Vec<&str> = merged.counters.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, ["shard00.events", "shard01.events"]);
-        assert_eq!(merged.counters[0].1, 3);
-        assert_eq!(merged.counters[1].1, 5);
-        assert_eq!(merged.gauges.len(), 1);
-        assert_eq!(merged.histograms.len(), 1);
-        // Disjoint merge is symmetric.
-        assert_eq!(
-            merged.to_json().to_string(),
-            b.snapshot().merge(&a.snapshot()).to_json().to_string()
-        );
-    }
-
-    #[test]
-    fn merge_combines_shared_names() {
-        let a = MetricsRegistry::new();
-        a.counter("events").add(10);
-        a.gauge("buffered").set(4);
-        a.histogram("lag").record(1);
-        a.histogram("lag").record(100);
-        let b = MetricsRegistry::new();
-        b.counter("events").add(7);
-        b.gauge("buffered").set(9);
-        b.histogram("lag").record(50);
-        let m = a.snapshot().merge(&b.snapshot());
-        assert_eq!(m.counters, vec![("events".to_string(), 17)]);
-        assert_eq!(m.gauges[0].1.value, 13);
-        assert_eq!(m.gauges[0].1.high_water, 13);
-        let h = &m.histograms[0].1;
-        assert_eq!(h.count, 3);
-        assert_eq!(h.sum, 151);
-        assert_eq!(h.min, 1);
-        assert_eq!(h.max, 100);
-        assert_eq!(h.buckets.iter().sum::<u64>(), 3);
-    }
-
-    #[test]
-    fn merge_with_empty_histogram_keeps_min() {
-        let a = MetricsRegistry::new();
-        a.histogram("lag").record(5);
-        let b = MetricsRegistry::new();
-        b.histogram("lag"); // registered but empty
-        let m = a.snapshot().merge(&b.snapshot());
-        assert_eq!(m.histograms[0].1.min, 5);
-        let m2 = b.snapshot().merge(&a.snapshot());
-        assert_eq!(m2.histograms[0].1.min, 5);
     }
 
     #[test]

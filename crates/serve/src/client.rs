@@ -5,8 +5,8 @@
 //! reply back, sequence numbers stamped so the server's exactly-once
 //! machinery sees a well-formed session (the NDJSON framing needs
 //! nothing beyond a socket and a JSON library to port). Used by the
-//! `served --demo` walkthrough, the serve bench, the ci smoke gate, and
-//! the isolation suite.
+//! `served --demo` walkthrough, the stack benchmark, and the isolation
+//! suite.
 //!
 //! [`SessionClient`] is the survivable client: it opens its tenant
 //! `resumable`, keeps every sequenced frame in a **bounded send window**

@@ -10,8 +10,8 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== cargo clippy --all-targets -- -D warnings =="
-cargo clippy --all-targets --offline -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== cargo build --release --offline =="
 cargo build --release --offline
@@ -83,16 +83,6 @@ echo "== shard conformance (byte-identical output across shard counts) =="
 # sequences, and their canonical traces must match the unsharded pipeline.
 cargo test -q --offline --test shard_conformance
 
-echo "== sharded scale smoke (scale --check -> BENCH_scale.json) =="
-# A small sharded run must (a) produce byte-identical output across shard
-# counts (asserted inside the binary), (b) pass the 4-vs-1-shard speedup
-# shape check when the machine has >= 4 cores, and (c) emit a snapshot
-# whose shard.* counters show real ingress/merge traffic.
-rm -f BENCH_scale.json
-cargo run --release --offline -q -p impatience-bench --bin scale -- \
-    --check --events 60000 --json BENCH_scale.json > /dev/null
-cargo run --release --offline -q -p impatience-bench --bin snapshot_check -- BENCH_scale.json
-
 echo "== plan differential (sort-as-needed plan vs hand-stacked sort-first chain) =="
 # The planner gate: 210 seeded CloudLog/synthetic streams x {drop,
 # dead-letter} x {1, 2 shards} through PipelineSpec::build, whose plan runs
@@ -104,52 +94,14 @@ echo "== plan differential (sort-as-needed plan vs hand-stacked sort-first chain
 cargo test -q --offline --test plan_differential
 cargo test -q --offline --test recovery hoisted_plan
 
-echo "== crash-recovery gate (recovery --check -> BENCH_recovery.json) =="
-# The durability gate: checkpointing every 16 punctuations must cost <= 10%
-# wall-clock over the plain fig5 pipeline, and a run crashed at a seeded
-# point must — after restoring the newest checkpoint and replaying the WAL
-# suffix — produce output byte-identical to an uncrashed run. The JSON
-# artifact keeps both measurements plus the recovered incarnation's metrics
-# snapshot, whose nonzero recovery.restores counter snapshot_check demands.
-rm -f BENCH_recovery.json
-cargo run --release --offline -q -p impatience-bench --bin recovery -- \
-    --check --json BENCH_recovery.json
-cargo run --release --offline -q -p impatience-bench --bin snapshot_check -- BENCH_recovery.json
-
 echo "== trace conformance (traced pipelines byte-identical, spans laminar) =="
 # The observability determinism gate: traced runs must produce output
 # byte-identical to untraced ones across shard counts, spans must nest,
 # and sampled provenance must survive a crash -> restore -> replay cycle.
 cargo test -q --offline --test trace_conformance
 
-echo "== tracing gate (trace --check -> BENCH_trace.json) =="
-# The observability budget gate: the fully traced canonical CloudLog
-# pipeline (spans + default 1/1024 provenance sampling) must keep >= 95%
-# of untraced throughput on the cleanest interleaved run pair, tracing
-# must not change one output byte, and one combined export must cover
-# every span kind and round-trip the in-tree JSON parser. The snapshot
-# must then show real trace activity: nonzero spans, zero ring drops.
-rm -f BENCH_trace.json BENCH_trace.chrome.json BENCH_trace.folded
-cargo run --release --offline -q -p impatience-bench --bin trace -- \
-    --check --json BENCH_trace.json > /dev/null
-cargo run --release --offline -q -p impatience-bench --bin snapshot_check -- BENCH_trace.json
-
-echo "== external-sort gate (external --check -> BENCH_external.json) =="
-# The spill-to-disk robustness gate: sort a dataset >= 4x the memory budget
-# losslessly — zero dead-letters, zero sheds, zero forced punctuations,
-# output identical to the all-in-memory reference (hard assertions inside
-# the binary) — and record spill write amplification.
-rm -f BENCH_external.json
-spill_dir="target/ci-spill/external"
-rm -rf "$spill_dir"
-cargo run --release --offline -q -p impatience-bench --bin external -- \
-    --check --events 60000 --json BENCH_external.json \
-    --spill-dir "$spill_dir" > /dev/null
-cargo run --release --offline -q -p impatience-bench --bin snapshot_check -- BENCH_external.json
-rm -rf "$spill_dir"
-
 echo "== tenant isolation (seeded chaos across the service boundary) =="
-# The multi-tenant gate: 60 seeded runs each boot a real server, connect
+# The multi-tenant gate: 270 seeded runs each boot a real server, connect
 # four socket tenants, and inject one fault (unhardened operator panic,
 # admission budget breach, disk fault). The faulted tenant must fail with
 # a typed error on its own connection only; every healthy tenant must be
@@ -173,28 +125,32 @@ echo "== wire fuzz (seeded malformed frames against a live server) =="
 # the same server.
 cargo test -q --offline --test wire_fuzz
 
-echo "== service smoke (serve --smoke: socket fleet + one chaos seed per class) =="
-# A seconds-fast pass of the serving path: 8 concurrent socket tenants
-# (NDJSON + binary framing) against their solo baselines, plus one chaos
-# seed per fault class.
-cargo run --release --offline -q -p impatience-bench --bin serve -- --smoke > /dev/null
+# A gate on a ratio of two timings taken inside one process survives host
+# drift without a recorded history, but a load spike can still push one
+# attempt either way: such a gate fails only when three attempts in a row
+# do. An attempt that returns 2 (wrong output, not a timing) fails at once.
+three_attempts() {
+    local name="$1" attempt status
+    shift
+    for attempt in 1 2 3; do
+        status=0
+        "$@" || status=$?
+        [ "$status" -eq 0 ] && return 0
+        if [ "$status" -eq 2 ] || [ "$attempt" -eq 3 ]; then
+            echo "$name failed"
+            exit 1
+        fi
+    done
+}
 
-echo "== service gate (serve --check -> BENCH_serve.json) =="
-# The full serving exhibit: 8 concurrent durable adaptive socket tenants
-# measured end-to-end, one full-contract metrics snapshot per tenant, a
-# session-resilience pass (kill→reconnect cycles through the fault proxy,
-# plus deterministic triggers for every serve.session.* counter), and 210
-# seeded chaos-isolation runs (hard assertions inside the binary). Under
-# --check the tenant lines promise "service" and "session", so
-# snapshot_check then demands real
-# socket traffic (serve.events_in/out), visible adaptive convergence
-# (latency gauge below its high water), and session activity: nonzero
-# resumes, retries, duplicate drops, heartbeats, and slow-client
-# evictions in the {"kind": "session"} counter lines.
-rm -f BENCH_serve.json
-cargo run --release --offline -q -p impatience-bench --bin serve -- \
-    --check --events 200000 --json BENCH_serve.json > /dev/null
-cargo run --release --offline -q -p impatience-bench --bin snapshot_check -- BENCH_serve.json
+echo "== timing budgets (tracing >= 95% of untraced, checkpointing <= 10% over plain) =="
+# The two in-process budgets, `#[ignore]`d so `cargo test` never times
+# anything: the fully traced canonical CloudLog pipeline keeps >= 95% of
+# untraced throughput on the cleanest of 7 interleaved pairs (1 M events),
+# and checkpointing every 16 punctuations costs <= 10% wall-clock over the
+# plain pipeline, best of 5 (2 M events, fixed 1 s latency).
+three_attempts "timing budgets" \
+    cargo test --release --offline --test trace_conformance --test recovery -- --ignored --nocapture
 
 echo "== stack benchmark (unit tests + smoke: every workload, both passes, oracle on) =="
 # The BENCHMARK.json benchmark is a package of its own (stackbench/), so
@@ -235,13 +191,6 @@ shell_gate() {
         exit !(e > 0 && s <= 0.15 * e)
     }'
 }
-for attempt in 1 2 3; do
-    if shell_gate; then
-        break
-    elif [ $? -eq 2 ] || [ "$attempt" -eq 3 ]; then
-        echo "stage-shell gate failed"
-        exit 1
-    fi
-done
+three_attempts "stage-shell gate" shell_gate
 
 echo "CI OK"

@@ -169,6 +169,31 @@ fn counter(metrics: &Json, name: &str) -> i64 {
         .unwrap_or(0)
 }
 
+/// A bare NDJSON connection driven one frame at a time, for sequences no
+/// well-behaved client sends (withheld acks, replays of acked frames).
+/// Returns the request → reply roundtrip.
+fn raw_connection(server: &Server) -> impl FnMut(&ClientFrame) -> ServerMsg {
+    let mode = WireMode::Ndjson;
+    let stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = std::io::BufReader::new(stream);
+    move |frame| {
+        write_client_frame(&mut writer, mode, frame).expect("write frame");
+        read_server_frame(&mut reader, mode)
+            .expect("read frame")
+            .expect("server closed the connection")
+            .msg
+    }
+}
+
+fn open_frame(config: &TenantConfig) -> ClientFrame {
+    ClientFrame::unsequenced(ClientMsg::Open {
+        config: config.to_json(),
+        resume: None,
+        resumable: false,
+    })
+}
+
 #[test]
 fn sessions_survive_seeded_network_chaos() {
     let seeds: Vec<u64> = match std::env::var("IMPATIENCE_PROP_SEED") {
@@ -421,23 +446,9 @@ fn pings_advance_the_ack_horizon_and_free_the_reply_cache() {
         ServerConfig::new(&root).with_reply_cache_bytes(1024),
     )
     .expect("server");
-    let mode = WireMode::Ndjson;
-    let stream = std::net::TcpStream::connect(server.addr()).expect("connect");
-    let mut writer = stream.try_clone().expect("clone");
-    let mut reader = std::io::BufReader::new(stream);
-    let mut roundtrip = |frame: &ClientFrame| -> ServerMsg {
-        write_client_frame(&mut writer, mode, frame).expect("write frame");
-        read_server_frame(&mut reader, mode)
-            .expect("read frame")
-            .expect("server closed the connection")
-            .msg
-    };
+    let mut roundtrip = raw_connection(&server);
 
-    let open = roundtrip(&ClientFrame::unsequenced(ClientMsg::Open {
-        config: tenant("ping-ack", false).to_json(),
-        resume: None,
-        resumable: false,
-    }));
+    let open = roundtrip(&open_frame(&tenant("ping-ack", false)));
     assert!(matches!(open, ServerMsg::Ok { .. }), "{open:?}");
 
     let mut seq = 0u64;
@@ -474,6 +485,93 @@ fn pings_advance_the_ack_horizon_and_free_the_reply_cache() {
         0,
         "the ping's ack must have freed the reply cache"
     );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The other side of the test above: a client that never acks overflows
+/// the byte-bounded reply cache and is evicted with the typed error.
+#[test]
+fn an_unacking_client_is_evicted_as_a_typed_slow_consumer() {
+    let root = scratch("slow-consumer");
+    let mut server =
+        Server::start(ServerConfig::new(&root).with_reply_cache_bytes(4096)).expect("server");
+    let mut roundtrip = raw_connection(&server);
+    let config = TenantConfig::new(
+        PipelineSpec::new("slow-consumer")
+            .with_reorder(ReorderSpec::Fixed {
+                latency: TickDuration::ticks(1),
+            })
+            .with_op(OpSpec::SumByKey),
+    );
+    let open = roundtrip(&open_frame(&config));
+    assert!(matches!(open, ServerMsg::Ok { .. }), "{open:?}");
+
+    let mut t = 0i64;
+    let evicted = (1..=64u64).any(|seq| {
+        let batch: Vec<Event<i64>> = (0..64)
+            .map(|_| {
+                t += 1;
+                Event::keyed(t.into(), (t % 8) as u32, t)
+            })
+            .collect();
+        let reply = roundtrip(&ClientFrame {
+            seq,
+            ack: 0, // never acknowledge: the reply cache can only grow
+            msg: ClientMsg::Events { batch },
+        });
+        match reply {
+            ServerMsg::Out { .. } => false,
+            ServerMsg::Error {
+                error: ServeError::SlowConsumer { .. },
+            } => true,
+            other => panic!("frame {seq} answered {other:?}"),
+        }
+    });
+    assert!(evicted, "the reply cache never overflowed");
+    assert!(counter(&server.metrics(), "serve.session.slow_client_evictions") > 0);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The two server-side dedup paths, told apart: a sequenced frame replayed
+/// *before* its ack is answered from the reply cache (`retries`), the same
+/// frame replayed *after* its ack — the cache entry is gone — is dropped
+/// as a stale duplicate (`duplicates_dropped`). A lossy middlebox sends
+/// both; a well-behaved client neither.
+#[test]
+fn pre_ack_replays_hit_the_reply_cache_and_post_ack_replays_are_dropped() {
+    let root = scratch("dedup-paths");
+    let mut server = Server::start(ServerConfig::new(&root)).expect("server");
+    let mut roundtrip = raw_connection(&server);
+    let config =
+        TenantConfig::new(PipelineSpec::new("dedup-exercise").with_op(OpSpec::Scale { factor: 2 }));
+    let open = roundtrip(&open_frame(&config));
+    assert!(matches!(open, ServerMsg::Ok { .. }), "{open:?}");
+
+    let events = ClientFrame {
+        seq: 1,
+        ack: 0,
+        msg: ClientMsg::Events {
+            batch: vec![Event::keyed(10.into(), 1, 7)],
+        },
+    };
+    let fresh = roundtrip(&events);
+    assert!(matches!(fresh, ServerMsg::Out { .. }), "{fresh:?}");
+    assert_eq!(roundtrip(&events), fresh, "pre-ack replay");
+    assert!(counter(&server.metrics(), "serve.session.retries") > 0);
+    assert_eq!(
+        counter(&server.metrics(), "serve.session.duplicates_dropped"),
+        0
+    );
+
+    match roundtrip(&ClientFrame { ack: 1, ..events }) {
+        ServerMsg::Out { batch, .. } => {
+            assert!(batch.is_empty(), "post-ack duplicate produced {batch:?}")
+        }
+        other => panic!("post-ack duplicate answered {other:?}"),
+    }
+    assert!(counter(&server.metrics(), "serve.session.duplicates_dropped") > 0);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -21,6 +21,11 @@
 //!   uncrashed run — or fails with the typed
 //!   [`StreamError::RecoveryFailed`]; memory accounting never goes
 //!   negative (`memory.over_releases == 0`) in any incarnation.
+//!
+//! One directed case runs the same pipeline uncrashed at scale: CloudLog
+//! under a budget a quarter of its buffered footprint, where spilling
+//! alone — no dead letter, shed or forced punctuation — must hold the
+//! budget and reproduce the unbudgeted in-memory sort.
 
 use impatience::prelude::*;
 use impatience_core::{LatePolicy, MetricsRegistry, ShedPolicy, StreamError, StreamMessage};
@@ -237,23 +242,29 @@ fn tape(seed: u64) -> Vec<StreamMessage<u32>> {
     punctuate_arrivals(arrivals, &policy)
 }
 
-struct Incarnation {
-    handle: InputHandle<u32>,
+struct Incarnation<P: Payload = u32> {
+    handle: InputHandle<P>,
     ctx: CheckpointCtx,
-    out: Output<u32>,
+    out: Output<P>,
     registry: MetricsRegistry,
     _meter: MemoryMeter,
 }
 
-/// The durable spilling pipeline under test: checkpoint gate → external
-/// Impatience sort under a hard budget with `SpillColdRuns`. The spill
-/// directory lives next to the checkpoint directory so both incarnations
-/// share it — exactly the crash layout the recovery path must absorb.
 fn build(base: &Path, every_n: u32) -> Incarnation {
+    build_budgeted(base, every_n, CRASH_BUDGET)
+}
+
+/// The durable spilling pipeline under test: checkpoint gate → external
+/// Impatience sort under a hard budget with `SpillColdRuns`, metered as
+/// `pipeline.00`. The spill directory lives next to the checkpoint
+/// directory so both incarnations share it — exactly the crash layout the
+/// recovery path must absorb — and committed checkpoints drive the
+/// spill-file garbage collector.
+fn build_budgeted<P: Payload>(base: &Path, every_n: u32, budget: usize) -> Incarnation<P> {
     let registry = MetricsRegistry::new();
-    let meter = MemoryMeter::with_budget(CRASH_BUDGET);
+    let meter = MemoryMeter::with_budget(budget);
     meter.bind_over_release_counter(registry.counter("memory.over_releases"));
-    let (handle, s) = input_stream::<u32>();
+    let (handle, s) = input_stream::<P>();
     let (s, ctx) = s
         .checkpointed(base.join("ckpt"), every_n)
         .expect("open checkpoint dir");
@@ -263,6 +274,7 @@ fn build(base: &Path, every_n: u32) -> Incarnation {
         dead_letters: None,
     };
     let out = s
+        .instrument(&registry, "pipeline")
         .sorted(
             Box::new(ExternalImpatienceSorter::new(base.join("spill"))),
             &meter,
@@ -280,7 +292,7 @@ fn build(base: &Path, every_n: u32) -> Incarnation {
     }
 }
 
-fn assert_no_over_release(inc: &Incarnation, seed: u64, stage: &str) {
+fn assert_no_over_release<P: Payload>(inc: &Incarnation<P>, seed: u64, stage: &str) {
     assert_eq!(
         inc.registry.counter("memory.over_releases").get(),
         0,
@@ -429,4 +441,68 @@ fn crashed_spilling_pipelines_recover_byte_identical_or_fail_typed() {
         "budget never tripped into spilling ({} files seen)",
         counts.spill_files_seen
     );
+}
+
+/// Spilling alone holds a budget the buffered footprint exceeds 4×, and
+/// loses nothing. The reorder latency is half the stream's timespan, so
+/// roughly half the dataset is in flight at the peak while the budget
+/// admits a quarter: the spill path must carry the difference, with no
+/// help from the lossy rungs of the ladder (dead letters, sheds) or from
+/// forced punctuations, and emit what the unbudgeted in-memory sorter
+/// emits (timestamps; the two sorters order ties differently).
+#[test]
+fn spilling_alone_holds_a_4x_over_budget_losslessly() {
+    let ds = generate_cloudlog(&CloudLogConfig::sized(60_000));
+    let span = ds.events.iter().map(|e| e.sync_time.ticks()).max();
+    let budget = ds.len() * core::mem::size_of::<Event<EvalPayload>>() / 4;
+    let ingress = IngressPolicy {
+        punctuation_frequency: 10_000,
+        reorder_latency: TickDuration::ticks((span.unwrap_or(1) / 2).max(1)),
+        batch_size: 4_096,
+    };
+    let tape = punctuate_arrivals(ds.events, &ingress);
+    let times = |out: &Output<EvalPayload>| -> Vec<i64> {
+        assert!(out.error().is_none(), "{:?}", out.error());
+        assert!(out.is_completed());
+        out.events().iter().map(|e| e.sync_time.ticks()).collect()
+    };
+
+    let (handle, s) = input_stream::<EvalPayload>();
+    let reference = s
+        .sorted(
+            Box::new(ImpatienceSorter::new()),
+            &MemoryMeter::new(),
+            Default::default(),
+        )
+        .expect("default sort policy")
+        .collect_output();
+    for msg in &tape {
+        handle.push(msg.clone()).expect("push");
+    }
+
+    let base = scratch("lossless");
+    let inc = build_budgeted::<EvalPayload>(&base, 16, budget);
+    for msg in &tape {
+        inc.handle.push(msg.clone()).expect("push");
+    }
+    assert_eq!(times(&inc.out), times(&reference));
+
+    let counter = |name: &str| inc.registry.counter(name).get();
+    assert_eq!(counter("pipeline.00.sort.events_in"), 60_000);
+    assert_eq!(counter("pipeline.00.sort.dead_lettered"), 0);
+    assert_eq!(counter("pipeline.00.sort.shed_events"), 0);
+    assert_eq!(
+        counter("pipeline.00.sort.forced_punctuations"),
+        0,
+        "spilling alone must hold the budget"
+    );
+    assert_no_over_release(&inc, 0, "lossless run");
+    let gauge = |name: &str| inc.registry.gauge(name);
+    let state_hwm = gauge("pipeline.00.sorter.state_bytes").high_water();
+    assert!(
+        state_hwm <= budget as i64,
+        "state_bytes high water {state_hwm} over the {budget}-byte budget"
+    );
+    assert!(gauge("pipeline.00.sorter.spill.runs_spilled").get() > 0);
+    let _ = fs::remove_dir_all(&base);
 }

@@ -11,17 +11,16 @@
 //! * **disk fault** — the tenant's directory is pre-blocked by a plain
 //!   file, so its runtime cannot create `<root>/<name>`.
 //!
-//! The property, replayed across dozens of seeded runs (the serve bench
-//! replays it hundreds more): the faulted tenant receives a **typed**
-//! error on **its own connection only**, every healthy tenant's output
-//! is **byte-identical** to a solo in-process run of the same spec over
-//! the same workload, and the server keeps accepting new tenants
-//! afterwards.
+//! The property, replayed across 270 seeded runs: the faulted tenant
+//! receives a **typed** error on **its own connection only**, every
+//! healthy tenant's output is **byte-identical** to a solo in-process run
+//! of the same spec over the same workload, and the server keeps accepting
+//! new tenants afterwards.
 //!
 //! Replay one run with `IMPATIENCE_PROP_SEED=0x<seed> cargo test
 //! isolation_under_seeded_chaos`.
 
-use impatience_core::{Event, TickDuration, Timestamp};
+use impatience_core::{Event, Json, TickDuration, Timestamp};
 use impatience_engine::{OpSpec, PipelineSpec, ReorderSpec};
 use impatience_serve::{
     Client, Released, ServeError, Server, ServerConfig, TenantConfig, TenantRuntime, WireMode,
@@ -29,7 +28,7 @@ use impatience_serve::{
 use impatience_testkit::rng::{Rng, SeedableRng, StdRng};
 use std::path::PathBuf;
 
-const RUNS: u64 = 60;
+const RUNS: u64 = 270;
 const TENANTS: usize = 4;
 const BATCHES: usize = 8;
 const BATCH_LEN: usize = 40;
@@ -52,20 +51,39 @@ fn scratch(tag: &str, seed: u64) -> PathBuf {
 
 /// A mostly-advancing stream with seeded disorder, split into batches.
 fn workload(rng: &mut StdRng) -> Vec<Vec<Event<i64>>> {
+    workload_with(rng, 6, 0.15, 40, 8)
+}
+
+/// A mostly-*ordered* stream: stragglers at most 6 ticks late, inside rung
+/// 8's tolerance at the 0.99 quality target and far inside rung 64's, so
+/// an adaptive tenant on a {1, 8, 64} ladder must step down.
+fn mostly_ordered(rng: &mut StdRng) -> Vec<Vec<Event<i64>>> {
+    workload_with(rng, 4, 0.1, 7, 16)
+}
+
+/// Advances under `step` ticks per event; with probability `straggle` an
+/// event is under `late` ticks late; keys under `keys`.
+fn workload_with(
+    rng: &mut StdRng,
+    step: i64,
+    straggle: f64,
+    late: i64,
+    keys: u32,
+) -> Vec<Vec<Event<i64>>> {
     let mut t = 1_000i64;
     (0..BATCHES)
         .map(|_| {
             (0..BATCH_LEN)
                 .map(|_| {
-                    t += rng.gen_range(0..6i64);
-                    let sync = if rng.gen_bool(0.15) {
-                        t - rng.gen_range(1..40i64)
+                    t += rng.gen_range(0..step);
+                    let sync = if rng.gen_bool(straggle) {
+                        t - rng.gen_range(1..late)
                     } else {
                         t
                     };
                     Event::keyed(
                         Timestamp::new(sync.max(0)),
-                        rng.gen_range(0..8u32),
+                        rng.gen_range(0..keys),
                         rng.gen_range(0..1_000i64),
                     )
                 })
@@ -335,49 +353,74 @@ fn isolation_under_seeded_chaos() {
 }
 
 /// With no fault armed, four socket tenants each match their solo runs —
-/// the zero-chaos control for the property above.
+/// the zero-chaos control for the property above — under either framing,
+/// and the adaptive tenant, fed a mostly-ordered stream, reports a reorder
+/// latency that has stepped down from the rung it started at.
 #[test]
 fn concurrent_tenants_match_solo_runs() {
+    const ADAPTIVE: usize = 1;
     let seed = 0x000D_15C0;
     let mut rng = StdRng::seed_from_u64(seed);
-    let configs: Vec<TenantConfig> = (0..TENANTS).map(|i| tenant_spec(i, 999)).collect();
-    let batches: Vec<Vec<Vec<Event<i64>>>> = (0..TENANTS).map(|_| workload(&mut rng)).collect();
-    let expected: Vec<Released> = (0..TENANTS)
-        .map(|i| run_solo(configs[i].clone(), &batches[i], seed + i as u64))
-        .collect();
-
-    let root = scratch("ctrl", seed);
-    let mut server = Server::start(ServerConfig::new(&root)).expect("server");
-    let addr = server.addr();
-
-    // Truly concurrent: each tenant drives its own connection from its
-    // own thread.
-    let results: Vec<Released> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..TENANTS)
-            .map(|i| {
-                let config = configs[i].clone();
-                let batches = batches[i].clone();
-                scope.spawn(move || {
-                    let mut client = Client::connect(addr, mode_of(i)).expect("connect");
-                    client.open(&config).expect("open");
-                    let mut got = Released::default();
-                    for batch in batches {
-                        merge(&mut got, client.send(batch).expect("send"));
-                    }
-                    merge(&mut got, client.complete().expect("complete"));
-                    got
-                })
+    // Every tenant speaks NDJSON in one round and binary in the other.
+    for flip in 0..2 {
+        let configs: Vec<TenantConfig> = (0..TENANTS)
+            .map(|i| tenant_spec(i, 999 - flip as u64))
+            .collect();
+        let batches: Vec<Vec<Vec<Event<i64>>>> = (0..TENANTS)
+            .map(|i| match i {
+                ADAPTIVE => mostly_ordered(&mut rng),
+                _ => workload(&mut rng),
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("join"))
-            .collect()
-    });
+        let expected: Vec<Released> = (0..TENANTS)
+            .map(|i| run_solo(configs[i].clone(), &batches[i], seed + i as u64))
+            .collect();
 
-    for i in 0..TENANTS {
-        assert_eq!(results[i], expected[i], "tenant {i} diverged");
+        let root = scratch("ctrl", seed);
+        let mut server = Server::start(ServerConfig::new(&root)).expect("server");
+        let addr = server.addr();
+
+        // Truly concurrent: each tenant drives its own connection from its
+        // own thread.
+        let results: Vec<(Released, Json)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..TENANTS)
+                .map(|i| {
+                    let config = configs[i].clone();
+                    let batches = batches[i].clone();
+                    scope.spawn(move || {
+                        let mut client = Client::connect(addr, mode_of(i + flip)).expect("connect");
+                        client.open(&config).expect("open");
+                        let mut got = Released::default();
+                        for batch in batches {
+                            merge(&mut got, client.send(batch).expect("send"));
+                        }
+                        merge(&mut got, client.complete().expect("complete"));
+                        (got, client.metrics().expect("metrics"))
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("join"))
+                .collect()
+        });
+
+        for i in 0..TENANTS {
+            assert_eq!(results[i].0, expected[i], "tenant {i} diverged");
+        }
+        let latency = results[ADAPTIVE]
+            .1
+            .get("metrics")
+            .and_then(|m| m.get("gauges"))
+            .and_then(|g| g.get("serve.adaptive.latency"))
+            .expect("adaptive gauges in the tenant's snapshot");
+        let read = |field| latency.get(field).and_then(Json::as_i64).expect(field);
+        let (value, high_water) = (read("value"), read("high_water"));
+        assert!(
+            high_water > 0 && value < high_water,
+            "adaptive latency {value} never stepped down from {high_water}"
+        );
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&root);
     }
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&root);
 }

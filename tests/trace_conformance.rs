@@ -19,24 +19,32 @@
 //!   incarnation's tracker retires every identity it stamped — sampling
 //!   is a pure function of event identity, so the decision survives the
 //!   restart by construction;
+//! * **coverage** — one sink fed by that durable pipeline and a traced
+//!   2-shard run carries all six span kinds (ingress, checkpoint, sort,
+//!   operator, queue, merge), drops none, and its Chrome export re-parses;
 //! * **gauge tombstoning** — a shard killed by an operator panic clears
 //!   its live sorter gauges on the way down, so post-mortem snapshots
 //!   never report a dead sorter's buffers as live state.
+//!
+//! One `#[ignore]`d timing test holds the tracing budget (traced ≥ 95% of
+//! untraced throughput); `scripts/ci.sh` runs it in a release build.
 
 use impatience_core::trace::{
     LatencyStage, SpanKind, SpanRecord, TraceClock, TraceConfig, TraceSink,
 };
 use impatience_core::{
-    validate_ordered_stream, Event, MemoryMeter, MetricsRegistry, StreamError, StreamMessage,
-    TickDuration, Timestamp,
+    validate_ordered_stream, EvalPayload, Event, Json, MemoryMeter, MetricsRegistry, Payload,
+    StreamError, StreamMessage, TickDuration, Timestamp,
 };
 use impatience_engine::ingress::WalConfig;
 use impatience_engine::{input_stream, ops::SumAgg, CheckpointCtx, WalIngress};
+use impatience_engine::{punctuate_arrivals, BlackHoleSink, IngressPolicy};
 use impatience_engine::{InputHandle, Output, ShardOptions, Streamable, TraceCtx};
 use impatience_sort::ImpatienceSorter;
 use impatience_testkit::assert_laminar;
 use impatience_testkit::crash::crash_point;
 use impatience_testkit::rng::{Rng, SeedableRng, StdRng};
+use impatience_workloads::{generate_cloudlog, CloudLogConfig};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -145,10 +153,10 @@ fn run_traced(
     input: &[StreamMessage<u32>],
     shape: u64,
     shards: usize,
-) -> (Vec<StreamMessage<i64>>, TraceSink) {
-    let sink = logical_sink();
+    sink: &TraceSink,
+) -> Vec<StreamMessage<i64>> {
     let (handle, stream) = input_stream::<u32>();
-    let opts = ShardOptions::new(shards).with_trace(&sink);
+    let opts = ShardOptions::new(shards).with_trace(sink);
     let shared = sink.clone();
     let out = stream
         .sharded(opts, move |s, ctx| {
@@ -161,7 +169,7 @@ fn run_traced(
     for msg in input {
         handle.push(msg.clone()).expect("push");
     }
-    (out.messages(), sink)
+    out.messages()
 }
 
 fn visible_events(input: &[StreamMessage<u32>]) -> usize {
@@ -206,7 +214,8 @@ fn traced_output_is_byte_identical_across_shard_counts() {
             "seed {seed}: untraced reference unordered"
         );
         for shards in [1usize, 2, 4] {
-            let (got, sink) = run_traced(&input, shape, shards);
+            let sink = logical_sink();
+            let got = run_traced(&input, shape, shards, &sink);
             assert_eq!(
                 got, reference,
                 "seed {seed}, shape {shape}: traced {shards}-shard output \
@@ -328,37 +337,44 @@ struct Durable {
     _meter: MemoryMeter,
 }
 
-/// The durable pipeline under test: checkpoint gate → (optionally traced)
-/// Impatience sort with sorted-side provenance probes → tumbling sum.
+/// With a trace context: span recording for every stage downstream, and
+/// the provenance ingress probe.
+fn traced_entry<P: Payload>(s: Streamable<P>, t: Option<&TraceCtx>) -> Streamable<P> {
+    match t {
+        Some(t) => s.traced(t.clone()).trace_ingress(t),
+        None => s,
+    }
+}
+
+/// Impatience sort, followed — with a trace context — by the sorted-side
+/// provenance probes.
+fn sorted_with_probes<P: Payload>(
+    s: Streamable<P>,
+    meter: &MemoryMeter,
+    t: Option<&TraceCtx>,
+) -> Streamable<P> {
+    let s = s
+        .sorted(Box::new(ImpatienceSorter::new()), meter, Default::default())
+        .expect("default sort policy");
+    match t {
+        Some(t) => s
+            .trace_mark(t, LatencyStage::Sort)
+            .trace_egress(t, LatencyStage::Operator),
+        None => s,
+    }
+}
+
+/// The durable pipeline under test: (optionally traced, from ahead of the
+/// gate so the gate records spans too) checkpoint gate → Impatience sort
+/// with sorted-side provenance probes → tumbling sum.
 fn build_durable(base: &Path, every_n: u32, trace: Option<&TraceSink>) -> Durable {
     let meter = MemoryMeter::new();
     let (handle, s) = input_stream::<u32>();
-    let (s, ctx) = s
+    let t = trace.map(TraceCtx::new);
+    let (s, ctx) = traced_entry(s, t.as_ref())
         .checkpointed(base.join("ckpt"), every_n)
         .expect("open checkpoint dir");
-    let s = match trace {
-        Some(sink) => {
-            let t = TraceCtx::new(sink);
-            s.traced(t.clone())
-                .trace_ingress(&t)
-                .sorted(
-                    Box::new(ImpatienceSorter::new()),
-                    &meter,
-                    Default::default(),
-                )
-                .expect("default sort policy")
-                .trace_mark(&t, LatencyStage::Sort)
-                .trace_egress(&t, LatencyStage::Operator)
-        }
-        None => s
-            .sorted(
-                Box::new(ImpatienceSorter::new()),
-                &meter,
-                Default::default(),
-            )
-            .expect("default sort policy"),
-    };
-    let out = s
+    let out = sorted_with_probes(s, &meter, t.as_ref())
         .tumbling_window(TickDuration::ticks(16))
         .group_aggregate(SumAgg::new(|p: &u32| *p as i64))
         .checkpoint_egress()
@@ -505,6 +521,106 @@ fn sampled_provenance_survives_crash_and_recovery() {
     assert!(
         recovered_completed > 0,
         "no recovered incarnation tracked any provenance"
+    );
+}
+
+/// One sink, every span kind: the durable traced pipeline contributes
+/// ingress, checkpoint, sort and operator spans, a traced 2-shard run the
+/// queue and merge spans; nothing is lost to a full ring and the combined
+/// Chrome trace-event export round-trips the in-tree JSON parser.
+#[test]
+fn one_sink_carries_all_six_span_kinds_and_its_chrome_export_reparses() {
+    let sink = logical_sink();
+    let base = base_dir("six-kinds");
+    let inc = build_durable(&base, 1, Some(&sink));
+    for msg in durable_tape(0) {
+        inc.handle.push(msg).expect("push");
+    }
+    assert!(inc.out.is_completed());
+    run_traced(&generate_case(3), 2, 2, &sink);
+
+    let spans = sink.spans();
+    for kind in [
+        SpanKind::Ingress,
+        SpanKind::Checkpoint,
+        SpanKind::Sort,
+        SpanKind::Operator,
+        SpanKind::Queue,
+        SpanKind::Merge,
+    ] {
+        assert!(
+            spans.iter().any(|s| s.kind == kind),
+            "export is missing {kind:?} spans"
+        );
+    }
+    assert_eq!(sink.dropped(), 0, "export run overflowed its span rings");
+    let chrome = sink.to_chrome_trace().to_string();
+    let parsed = Json::parse(&chrome).expect("chrome trace export must re-parse");
+    let events = parsed.get("traceEvents").and_then(Json::as_array);
+    assert!(events.is_some_and(|a| !a.is_empty()), "empty chrome export");
+    let _ = fs::remove_dir_all(&base);
+}
+
+/// The tracing budget: the fully traced canonical CloudLog pipeline (sort →
+/// tumbling window → grouped sum; per-stage spans plus provenance at the
+/// default 1/1024 sampling) keeps ≥ 95% of untraced throughput. Unsharded,
+/// so the chain is synchronous and no scheduler is in the measurement. The
+/// statistic is the throughput ratio of the *cleanest* of 7 interleaved
+/// pairs: the two modes of one iteration run back to back, so drift
+/// cancels within a pair, and contention on a shared box only ever adds
+/// time — the max ratio is the least-contaminated estimate, while a real
+/// regression depresses every pair. Timing: release build, `--ignored`.
+#[test]
+#[ignore = "timing budget; scripts/ci.sh runs it in a release build"]
+fn tracing_keeps_95_percent_of_untraced_throughput() {
+    const EVENTS: usize = 1_000_000;
+    const RUNS: usize = 7;
+    // Fig 5 workload tuning: latency covers the failure bursts.
+    let span_ticks = (EVENTS / 8) as i64;
+    let mut cfg = CloudLogConfig::sized(EVENTS);
+    cfg.burst_delay = (span_ticks / 8).max(500);
+    let window = TickDuration::ticks((span_ticks / 50).max(1));
+    let policy = IngressPolicy {
+        punctuation_frequency: 10_000,
+        reorder_latency: TickDuration::ticks((span_ticks / 5).max(800)),
+        batch_size: 4_096,
+    };
+    let msgs = punctuate_arrivals(generate_cloudlog(&cfg).events, &policy);
+
+    let timed_run = |traced: bool| -> f64 {
+        let run = msgs.clone(); // clone outside the timer
+        let sink = traced.then(TraceSink::new);
+        let (handle, s) = input_stream::<EvalPayload>();
+        let t = sink
+            .as_ref()
+            .map(|sink| TraceCtx::new(sink).with_prefix("shard00").for_shard(0));
+        let s = traced_entry(s, t.as_ref());
+        sorted_with_probes(s, &MemoryMeter::new(), t.as_ref())
+            .tumbling_window(window)
+            .group_aggregate(SumAgg::new(|p: &EvalPayload| p[0] as i64))
+            .subscribe_observer(Box::new(BlackHoleSink::new()));
+        let start = std::time::Instant::now();
+        for m in run {
+            handle.push(m).expect("push");
+        }
+        let secs = start.elapsed().as_secs_f64();
+        if let Some(sink) = &sink {
+            assert_eq!(sink.dropped(), 0, "timed run overflowed its span rings");
+        }
+        secs
+    };
+    for traced in [false, true] {
+        timed_run(traced); // warmup: page in the dataset, warm the allocator
+    }
+    let mut ratios: Vec<f64> = (0..RUNS)
+        .map(|_| timed_run(false) / timed_run(true))
+        .collect();
+    ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite run times"));
+    let (median, best) = (ratios[RUNS / 2], ratios[RUNS - 1]);
+    println!("traced / untraced throughput: {best:.3} best, {median:.3} median of {RUNS} pairs");
+    assert!(
+        best >= 0.95,
+        "tracing overhead over the 5% budget: cleanest pair {best:.3}, median {median:.3}"
     );
 }
 
