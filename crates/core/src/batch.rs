@@ -124,17 +124,14 @@ impl<P: Payload> EventBatch<P> {
             return;
         }
         let filter = &self.filter;
-        let mut keep = 0usize;
-        for i in 0..self.events.len() {
-            if filter.is_visible(i) {
-                if keep != i {
-                    self.events.swap(keep, i);
-                }
-                keep += 1;
-            }
-        }
-        self.events.truncate(keep);
-        self.filter = FilterBitmap::all_visible(keep);
+        let mut row = 0usize;
+        // `retain` moves each surviving row down once, and none before the
+        // first filtered one.
+        self.events.retain(|_| {
+            row += 1;
+            filter.is_visible(row - 1)
+        });
+        self.filter = FilterBitmap::all_visible(self.events.len());
     }
 
     /// Smallest visible sync time, if any row is visible.
@@ -275,6 +272,25 @@ mod tests {
             b.filter_mut().filter_out(i);
         }
         assert!(b.into_visible().is_empty());
+    }
+
+    #[test]
+    fn compact_keeps_row_order_across_bitmap_words() {
+        let mut b = batch(&(0..200).collect::<Vec<i64>>());
+        let dropped = |i: usize| i % 7 == 3 || i.is_multiple_of(64) || (130..140).contains(&i);
+        for i in (0..200).filter(|&i| dropped(i)) {
+            b.filter_mut().filter_out(i);
+        }
+        let expected: Vec<u32> = (0..200)
+            .filter(|&i| !dropped(i))
+            .map(|i| i as u32)
+            .collect();
+        assert_eq!(b.clone().into_visible(), b.visible_to_vec());
+        b.compact();
+        let got: Vec<u32> = b.events().iter().map(|e| e.payload).collect();
+        assert_eq!(got, expected);
+        assert_eq!(b.visible_len(), expected.len());
+        assert!(b.filter().none_filtered());
     }
 
     #[test]

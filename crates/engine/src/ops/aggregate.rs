@@ -13,7 +13,7 @@
 
 use crate::checkpoint::Checkpointable;
 use crate::observer::Observer;
-use crate::ops::keymap::{key_map_with_capacity, KeyMap};
+use crate::ops::group::GroupTable;
 use impatience_core::{
     Event, EventBatch, Payload, SnapshotError, SnapshotReader, SnapshotWriter, StateCodec,
     StreamError, Timestamp,
@@ -308,8 +308,7 @@ impl<P: Payload, A: Aggregate<P>, S: Observer<A::Out>> Observer<P> for WindowAgg
 /// sample code): one output event per (window, key).
 pub struct GroupedAggregateOp<P: Payload, A: Aggregate<P>, S> {
     agg: A,
-    window: Option<(Timestamp, Timestamp)>,
-    groups: KeyMap<A::Acc>,
+    groups: GroupTable<A::Acc, A::Out>,
     next: S,
 }
 
@@ -318,35 +317,9 @@ impl<P: Payload, A: Aggregate<P>, S> GroupedAggregateOp<P, A, S> {
     pub fn new(agg: A, next: S) -> Self {
         GroupedAggregateOp {
             agg,
-            window: None,
-            groups: KeyMap::default(),
+            groups: GroupTable::new(),
             next,
         }
-    }
-
-    fn emit_window(&mut self)
-    where
-        S: Observer<A::Out>,
-    {
-        let Some((start, end)) = self.window.take() else {
-            return;
-        };
-        // Deterministic output order: ascending key.
-        let mut keys: Vec<u32> = self.groups.keys().copied().collect();
-        keys.sort_unstable();
-        let mut batch = EventBatch::with_capacity(keys.len());
-        for k in keys {
-            let acc = &self.groups[&k];
-            batch.push(Event {
-                sync_time: start,
-                other_time: end,
-                key: k,
-                hash: impatience_core::hash_key(k),
-                payload: self.agg.output(acc),
-            });
-        }
-        self.groups.clear();
-        self.next.on_batch(batch);
     }
 }
 
@@ -355,15 +328,14 @@ impl<P: Payload, A: Aggregate<P>, S: Send> Checkpointable for GroupedAggregateOp
         "engine.grouped_aggregate"
     }
 
+    /// Window, then `(key, accumulator)` pairs ascending by key.
     fn encode_state(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
-        self.window.encode(w);
-        // Sorted keys keep the encoding byte-deterministic across runs.
-        let mut keys: Vec<u32> = self.groups.keys().copied().collect();
-        keys.sort_unstable();
-        w.put_u64(keys.len() as u64);
-        for k in keys {
-            k.encode(w);
-            self.groups[&k].encode(w);
+        let live = self.groups.live_sorted();
+        self.groups.window().encode(w);
+        w.put_u64(live.len() as u64);
+        for (key, acc) in live {
+            key.encode(w);
+            acc.encode(w);
         }
         Ok(())
     }
@@ -371,51 +343,41 @@ impl<P: Payload, A: Aggregate<P>, S: Send> Checkpointable for GroupedAggregateOp
     fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let window = Option::<(Timestamp, Timestamp)>::decode(r)?;
         let n = r.get_count()?;
-        let mut groups = key_map_with_capacity(n);
+        let mut groups = Vec::with_capacity(n);
         for _ in 0..n {
-            let k = u32::decode(r)?;
-            let acc = A::Acc::decode(r)?;
-            groups.insert(k, acc);
+            groups.push((u32::decode(r)?, A::Acc::decode(r)?));
         }
-        self.window = window;
-        self.groups = groups;
+        self.groups = GroupTable::restored("group_aggregate", window, groups)?;
         Ok(())
     }
 }
 
 impl<P: Payload, A: Aggregate<P>, S: Observer<A::Out>> Observer<P> for GroupedAggregateOp<P, A, S> {
     fn on_batch(&mut self, batch: EventBatch<P>) {
+        let agg = &self.agg;
         for i in 0..batch.len() {
             if !batch.is_visible(i) {
                 continue;
             }
             let e = &batch.events()[i];
-            match self.window {
-                Some((start, _)) if start == e.sync_time => {}
-                Some((start, _)) => {
-                    debug_assert!(e.sync_time > start);
-                    self.emit_window();
-                    self.window = Some((e.sync_time, e.other_time));
-                }
-                None => self.window = Some((e.sync_time, e.other_time)),
-            }
-            let (agg, groups) = (&self.agg, &mut self.groups);
-            let acc = groups.entry(e.key).or_insert_with(|| agg.init());
-            agg.fold(acc, e);
+            self.groups
+                .enter((e.sync_time, e.other_time), |acc| agg.output(acc));
+            agg.fold(self.groups.upsert(e.key, || agg.init()).0, e);
         }
+        self.groups.flush(&mut self.next);
     }
 
     fn on_punctuation(&mut self, t: Timestamp) {
-        if let Some((start, _)) = self.window {
-            if start <= t {
-                self.emit_window();
-            }
-        }
+        let agg = &self.agg;
+        self.groups.close_through(t, |acc| agg.output(acc));
+        self.groups.flush(&mut self.next);
         self.next.on_punctuation(t);
     }
 
     fn on_completed(&mut self) {
-        self.emit_window();
+        let agg = &self.agg;
+        self.groups.close(|acc| agg.output(acc));
+        self.groups.flush(&mut self.next);
         self.next.on_completed();
     }
 
@@ -582,5 +544,68 @@ mod tests {
         op.on_batch(b);
         op.on_completed();
         assert_eq!(out.events()[0].payload, 2);
+    }
+
+    type CountOp = GroupedAggregateOp<u32, CountAgg, Box<dyn Observer<u64>>>;
+
+    fn count_op() -> (Output<u64>, CountOp) {
+        let (out, sink) = Output::<u64>::new();
+        (out, GroupedAggregateOp::new(CountAgg, Box::new(sink)))
+    }
+
+    fn finish(out: &Output<u64>, mut op: CountOp) -> Vec<(i64, u32, u64)> {
+        op.on_batch(windowed_batch(&[(0, 5, 0), (10, 9, 0)]));
+        op.on_completed();
+        out.events()
+            .iter()
+            .map(|e| (e.sync_time.ticks(), e.key, e.payload))
+            .collect()
+    }
+
+    #[test]
+    fn grouped_mid_window_checkpoint_round_trips() {
+        let (_, mut op) = count_op();
+        op.on_batch(windowed_batch(&[
+            (-10, 8, 0),
+            (0, 7, 0),
+            (0, 2, 0),
+            (0, 7, 0),
+        ]));
+        let mut w = SnapshotWriter::new();
+        op.encode_state(&mut w).unwrap();
+        let bytes = w.into_body();
+
+        let (out, mut restored) = count_op();
+        let mut r = SnapshotReader::new(&bytes);
+        restored.restore_state(&mut r).unwrap();
+        assert!(r.is_exhausted());
+        let mut again = SnapshotWriter::new();
+        restored.encode_state(&mut again).unwrap();
+        assert_eq!(again.into_body(), bytes);
+        assert_eq!(
+            finish(&out, restored),
+            vec![(0, 2, 1), (0, 5, 1), (0, 7, 2), (10, 9, 1)]
+        );
+    }
+
+    #[test]
+    fn grouped_frame_repeating_a_key_is_refused_and_leaves_the_state_alone() {
+        let mut w = SnapshotWriter::new();
+        Some((Timestamp::new(0), Timestamp::new(10))).encode(&mut w);
+        w.put_u64(3);
+        for (key, acc) in [(4u32, 1u64), (9, 2), (4, 3)] {
+            key.encode(&mut w);
+            acc.encode(&mut w);
+        }
+        let (out, mut op) = count_op();
+        op.on_batch(windowed_batch(&[(0, 7, 0)]));
+        let err = op
+            .restore_state(&mut SnapshotReader::new(&w.into_body()))
+            .expect_err("key 4 twice");
+        assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
+        assert!(err
+            .to_string()
+            .contains("group_aggregate snapshot repeats key 4"));
+        assert_eq!(finish(&out, op), vec![(0, 5, 1), (0, 7, 1), (10, 9, 1)]);
     }
 }

@@ -1,10 +1,12 @@
-//! The key-indexed table of every grouped operator.
+//! The key-indexed map of the operators that keep per-key state across
+//! windows: `temporal_join`'s buffered sides and `followed_by`'s open
+//! matches. (`reduce_by_key` and `group_aggregate` group per window, in
+//! [`super::group`]'s table.)
 //!
 //! Events carry `hash = hash_key(key)`, computed once at ingress (§VI-C);
 //! [`KeyMap`] indexes by that same function instead of re-hashing each
 //! `u32` key with std's SipHash. Nothing observable depends on the
-//! hasher: every operator sorts its keys (or keeps arrival order) before
-//! emitting and before encoding a checkpoint.
+//! hasher: both operators sort their keys before encoding a checkpoint.
 
 use impatience_core::hash_key;
 use std::collections::HashMap;

@@ -7,6 +7,7 @@
 
 pub mod aggregate;
 pub mod filter;
+mod group;
 pub mod join;
 mod keymap;
 pub mod pattern;

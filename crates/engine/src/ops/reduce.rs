@@ -9,19 +9,16 @@
 
 use crate::checkpoint::Checkpointable;
 use crate::observer::Observer;
-use crate::ops::keymap::{key_map_with_capacity, KeyMap};
+use crate::ops::group::GroupTable;
 use impatience_core::{
-    Event, EventBatch, Payload, SnapshotError, SnapshotReader, SnapshotWriter, StateCodec,
-    StreamError, Timestamp,
+    EventBatch, Payload, SnapshotError, SnapshotReader, SnapshotWriter, StateCodec, StreamError,
+    Timestamp,
 };
 
 /// Combines same-window same-key events with a binary payload function.
 pub struct ReduceByKeyOp<P, F, S> {
     combine: F,
-    window: Option<(Timestamp, Timestamp)>,
-    groups: KeyMap<P>,
-    /// Arrival order of keys, for deterministic output.
-    order: Vec<u32>,
+    groups: GroupTable<P, P>,
     next: S,
 }
 
@@ -30,34 +27,9 @@ impl<P, F, S> ReduceByKeyOp<P, F, S> {
     pub fn new(combine: F, next: S) -> Self {
         ReduceByKeyOp {
             combine,
-            window: None,
-            groups: KeyMap::default(),
-            order: Vec::new(),
+            groups: GroupTable::new(),
             next,
         }
-    }
-}
-
-impl<P: Payload, F: FnMut(&mut P, P), S: Observer<P>> ReduceByKeyOp<P, F, S> {
-    fn emit_window(&mut self) {
-        let Some((start, end)) = self.window.take() else {
-            return;
-        };
-        let mut keys = core::mem::take(&mut self.order);
-        keys.sort_unstable();
-        let mut batch = EventBatch::with_capacity(keys.len());
-        for k in keys {
-            let payload = self.groups.remove(&k).expect("key tracked but missing");
-            batch.push(Event {
-                sync_time: start,
-                other_time: end,
-                key: k,
-                hash: impatience_core::hash_key(k),
-                payload,
-            });
-        }
-        debug_assert!(self.groups.is_empty());
-        self.next.on_batch(batch);
     }
 }
 
@@ -66,31 +38,28 @@ impl<P: Payload, F: Send, S: Send> Checkpointable for ReduceByKeyOp<P, F, S> {
         "engine.reduce_by_key"
     }
 
+    /// Window, keys (ascending), then the values in the same order.
     fn encode_state(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
-        self.window.encode(w);
-        // `order` is deterministic (arrival order), so encoding groups in
-        // that sequence is byte-stable and restores both maps exactly.
-        self.order.encode(w);
-        for k in &self.order {
-            self.groups[k].encode(w);
+        let live = self.groups.live_sorted();
+        self.groups.window().encode(w);
+        w.put_u64(live.len() as u64);
+        for (key, _) in &live {
+            key.encode(w);
+        }
+        for (_, value) in &live {
+            value.encode(w);
         }
         Ok(())
     }
 
     fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let window = Option::<(Timestamp, Timestamp)>::decode(r)?;
-        let order = Vec::<u32>::decode(r)?;
-        let mut groups = key_map_with_capacity(order.len());
-        for &k in &order {
-            if groups.insert(k, P::decode(r)?).is_some() {
-                return Err(SnapshotError::corrupt(format!(
-                    "reduce_by_key snapshot repeats key {k}"
-                )));
-            }
+        let keys = Vec::<u32>::decode(r)?;
+        let mut groups = Vec::with_capacity(keys.len());
+        for key in keys {
+            groups.push((key, P::decode(r)?));
         }
-        self.window = window;
-        self.order = order;
-        self.groups = groups;
+        self.groups = GroupTable::restored("reduce_by_key", window, groups)?;
         Ok(())
     }
 }
@@ -104,38 +73,24 @@ impl<P: Payload, F: FnMut(&mut P, P) + Send, S: Observer<P>> Observer<P>
                 continue;
             }
             let e = &batch.events()[i];
-            match self.window {
-                Some((start, _)) if start == e.sync_time => {}
-                Some((start, _)) => {
-                    debug_assert!(e.sync_time > start, "reduce saw out-of-order event");
-                    self.emit_window();
-                    self.window = Some((e.sync_time, e.other_time));
-                }
-                None => self.window = Some((e.sync_time, e.other_time)),
-            }
-            match self.groups.entry(e.key) {
-                std::collections::hash_map::Entry::Occupied(mut o) => {
-                    (self.combine)(o.get_mut(), e.payload.clone());
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(e.payload.clone());
-                    self.order.push(e.key);
-                }
+            self.groups.enter((e.sync_time, e.other_time), P::clone);
+            let (acc, partial) = self.groups.upsert(e.key, || e.payload.clone());
+            if partial {
+                (self.combine)(acc, e.payload.clone());
             }
         }
+        self.groups.flush(&mut self.next);
     }
 
     fn on_punctuation(&mut self, t: Timestamp) {
-        if let Some((start, _)) = self.window {
-            if start <= t {
-                self.emit_window();
-            }
-        }
+        self.groups.close_through(t, P::clone);
+        self.groups.flush(&mut self.next);
         self.next.on_punctuation(t);
     }
 
     fn on_completed(&mut self) {
-        self.emit_window();
+        self.groups.close(P::clone);
+        self.groups.flush(&mut self.next);
         self.next.on_completed();
     }
 
@@ -148,6 +103,7 @@ impl<P: Payload, F: FnMut(&mut P, P) + Send, S: Observer<P>> Observer<P>
 mod tests {
     use super::*;
     use crate::observer::Output;
+    use impatience_core::Event;
 
     fn partial(w: i64, key: u32, count: u64) -> Event<u64> {
         Event::interval(Timestamp::new(w), Timestamp::new(w + 10), key, count)
@@ -208,5 +164,87 @@ mod tests {
         );
         op.on_completed();
         assert_eq!(out.events()[0].payload, 9);
+    }
+
+    type SumOp = ReduceByKeyOp<u64, fn(&mut u64, u64), Box<dyn Observer<u64>>>;
+
+    fn sum_op() -> (crate::observer::Output<u64>, SumOp) {
+        let (out, sink) = Output::<u64>::new();
+        (out, ReduceByKeyOp::new(|a, b| *a += b, Box::new(sink)))
+    }
+
+    /// A `reduce_by_key` state frame: window `[0, 10)`, then `keys` and
+    /// `values` in the order given.
+    fn frame(keys: &[u32], values: &[u64]) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        Some((Timestamp::new(0), Timestamp::new(10))).encode(&mut w);
+        keys.to_vec().encode(&mut w);
+        for v in values {
+            v.encode(&mut w);
+        }
+        w.into_body()
+    }
+
+    fn finish(out: &Output<u64>, mut op: SumOp) -> Vec<(i64, u32, u64)> {
+        op.on_batch([partial(0, 5, 1), partial(10, 9, 2)].into_iter().collect());
+        op.on_completed();
+        out.events()
+            .iter()
+            .map(|e| (e.sync_time.ticks(), e.key, e.payload))
+            .collect()
+    }
+
+    #[test]
+    fn mid_window_checkpoint_round_trips() {
+        let (_, mut op) = sum_op();
+        op.on_batch([partial(-10, 8, 1)].into_iter().collect());
+        op.on_batch(
+            [partial(0, 7, 3), partial(0, 2, 5), partial(0, 7, 4)]
+                .into_iter()
+                .collect(),
+        );
+        let mut w = SnapshotWriter::new();
+        op.encode_state(&mut w).unwrap();
+        let bytes = w.into_body();
+        assert_eq!(
+            bytes,
+            frame(&[2, 7], &[5, 7]),
+            "keys ascending, closed window gone"
+        );
+
+        let (out, mut restored) = sum_op();
+        let mut r = SnapshotReader::new(&bytes);
+        restored.restore_state(&mut r).unwrap();
+        assert!(r.is_exhausted());
+        assert_eq!(
+            finish(&out, restored),
+            vec![(0, 2, 5), (0, 5, 1), (0, 7, 7), (10, 9, 2)]
+        );
+    }
+
+    #[test]
+    fn restores_a_snapshot_laid_out_in_arrival_order() {
+        // What this operator wrote before its keys were kept sorted.
+        let (out, mut op) = sum_op();
+        op.restore_state(&mut SnapshotReader::new(&frame(&[7, 2, 40], &[7, 5, 1])))
+            .unwrap();
+        assert_eq!(
+            finish(&out, op),
+            vec![(0, 2, 5), (0, 5, 1), (0, 7, 7), (0, 40, 1), (10, 9, 2)]
+        );
+    }
+
+    #[test]
+    fn a_frame_repeating_a_key_is_refused_and_leaves_the_state_alone() {
+        let (out, mut op) = sum_op();
+        op.on_batch([partial(0, 7, 3)].into_iter().collect());
+        let err = op
+            .restore_state(&mut SnapshotReader::new(&frame(&[4, 9, 4], &[1, 2, 3])))
+            .expect_err("key 4 twice");
+        assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
+        assert!(err
+            .to_string()
+            .contains("reduce_by_key snapshot repeats key 4"));
+        assert_eq!(finish(&out, op), vec![(0, 5, 1), (0, 7, 3), (10, 9, 2)]);
     }
 }

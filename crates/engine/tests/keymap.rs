@@ -1,14 +1,14 @@
 //! Grouped operators over adversarial key sets: correct output, and
-//! checkpoint bytes that do not depend on the process (the operators' key
-//! tables hash with `hash_key`, not a per-process random state — and sort
-//! their keys before encoding either way).
+//! checkpoint bytes that do not depend on the process (the operators'
+//! group table probes with a fixed multiplicative hash, not a per-process
+//! random state — and writes its keys ascending either way).
 
 use impatience_core::{crc32c, Event, EventBatch, SnapshotWriter, Timestamp};
 use impatience_engine::ops::{CountAgg, GroupedAggregateOp, ReduceByKeyOp};
 use impatience_engine::{Checkpointable, Observer, Output};
 use std::collections::BTreeMap;
 
-/// Key sets a weak `u32` hash would pile into few buckets.
+/// Key sets a weak `u32` hash would pile into few cells.
 fn adversarial_keys() -> Vec<(&'static str, Vec<u32>)> {
     vec![
         (

@@ -542,13 +542,35 @@ fn write_ndjson(w: &mut impl Write, v: &Json) -> Result<(), ServeError> {
         .map_err(|e| ServeError::io("write frame", e))
 }
 
-fn write_binary(w: &mut impl Write, payload: &[u8]) -> Result<(), ServeError> {
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
+/// A binary frame under construction: room for the 4-byte length prefix,
+/// then capacity for a payload of `payload_bytes`.
+fn binary_frame(payload_bytes: usize) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(4 + payload_bytes);
+    frame.extend_from_slice(&[0; 4]);
+    frame
+}
+
+/// Bytes [`encode_events_raw`] appends for `n` events.
+fn raw_events_bytes(n: usize) -> usize {
+    4 + 28 * n
+}
+
+/// Patches the length prefix of a [`binary_frame`] and writes it once.
+fn write_binary(w: &mut impl Write, mut frame: Vec<u8>) -> Result<(), ServeError> {
+    let len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
     w.write_all(&frame)
         .and_then(|_| w.flush())
         .map_err(|e| ServeError::io("write frame", e))
+}
+
+/// A control message as a binary frame: tag `J`, then its JSON text.
+fn json_frame(v: &Json) -> Vec<u8> {
+    let text = v.to_string();
+    let mut frame = binary_frame(1 + text.len());
+    frame.push(b'J');
+    frame.extend_from_slice(text.as_bytes());
+    frame
 }
 
 fn read_binary_payload(r: &mut impl BufRead) -> Result<Option<Vec<u8>>, ServeError> {
@@ -600,17 +622,17 @@ pub fn write_client_frame(
     match mode {
         WireMode::Ndjson => write_ndjson(w, &frame.to_json()),
         WireMode::Binary => {
-            let mut payload = Vec::new();
-            if let ClientMsg::Events { batch } = &frame.msg {
-                payload.push(b'E');
-                payload.extend_from_slice(&frame.seq.to_le_bytes());
-                payload.extend_from_slice(&frame.ack.to_le_bytes());
-                encode_events_raw(&mut payload, batch);
+            let buf = if let ClientMsg::Events { batch } = &frame.msg {
+                let mut buf = binary_frame(1 + 16 + raw_events_bytes(batch.len()));
+                buf.push(b'E');
+                buf.extend_from_slice(&frame.seq.to_le_bytes());
+                buf.extend_from_slice(&frame.ack.to_le_bytes());
+                encode_events_raw(&mut buf, batch);
+                buf
             } else {
-                payload.push(b'J');
-                payload.extend_from_slice(frame.to_json().to_string().as_bytes());
-            }
-            write_binary(w, &payload)
+                json_frame(&frame.to_json())
+            };
+            write_binary(w, buf)
         }
     }
 }
@@ -678,26 +700,27 @@ pub fn write_server_frame(
     match mode {
         WireMode::Ndjson => write_ndjson(w, &frame.to_json()),
         WireMode::Binary => {
-            let mut payload = Vec::new();
-            if let ServerMsg::Out {
+            let buf = if let ServerMsg::Out {
                 batch,
                 puncts,
                 completed,
             } = &frame.msg
             {
-                payload.push(b'O');
-                payload.extend_from_slice(&frame.seq.to_le_bytes());
-                encode_events_raw(&mut payload, batch);
-                payload.extend_from_slice(&(puncts.len() as u32).to_le_bytes());
+                let mut buf =
+                    binary_frame(1 + 8 + raw_events_bytes(batch.len()) + 4 + 8 * puncts.len() + 1);
+                buf.push(b'O');
+                buf.extend_from_slice(&frame.seq.to_le_bytes());
+                encode_events_raw(&mut buf, batch);
+                buf.extend_from_slice(&(puncts.len() as u32).to_le_bytes());
                 for t in puncts {
-                    payload.extend_from_slice(&t.ticks().to_le_bytes());
+                    buf.extend_from_slice(&t.ticks().to_le_bytes());
                 }
-                payload.push(u8::from(*completed));
+                buf.push(u8::from(*completed));
+                buf
             } else {
-                payload.push(b'J');
-                payload.extend_from_slice(frame.to_json().to_string().as_bytes());
-            }
-            write_binary(w, &payload)
+                json_frame(&frame.to_json())
+            };
+            write_binary(w, buf)
         }
     }
 }

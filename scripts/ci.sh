@@ -19,8 +19,9 @@ cargo build --release --offline
 echo "== cargo test -q --offline (root crate: conformance + e2e) =="
 cargo test -q --offline
 
-echo "== cargo test -q --offline --workspace (all member crates) =="
-cargo test -q --offline --workspace
+echo "== cargo test -q --offline --workspace --exclude impatience (member crates) =="
+# The root package's suites just ran; a plain --workspace would run them again.
+cargo test -q --offline --workspace --exclude impatience
 
 echo "== chaos suite (pinned seed, >=1000 fault-injected pipelines) =="
 # The failure-model gate: seeded fault injection (duplicates, stragglers,

@@ -52,18 +52,25 @@ const WINDOW: TickDuration = TickDuration::minutes(10);
 /// Tape index the durable run crashes after.
 const CRASH_AFTER: usize = 40;
 
-/// `size:crc32c` digests recorded from the parent implementation.
+/// `size:crc32c` digests recorded from the parent implementation. The
+/// four `*.output` texts and `metered.metrics` were re-pinned when the
+/// grouped operators began handing on their closed windows once per call
+/// instead of once per window: against the digests recorded before, the
+/// texts lost only batch marks (`b` lines 18 → 17; 18 → 15 under the
+/// dead-letter policy) and one counter moved
+/// (`partition02.01.group_aggregate.batches_out` 4 → 3) — every event,
+/// punctuation, span and checkpoint byte is the same.
 const PINNED: [(&str, &str); 14] = [
-    ("plain.output", "72987:cad26e89"),
+    ("plain.output", "72983:3ce905e1"),
     ("plain.routing", "85:25f664b1"),
-    ("metered.output", "72987:cad26e89"),
-    ("metered.metrics", "5918:8e9e5602"),
-    ("dead_letter.output", "61585:3dcb8b1c"),
+    ("metered.output", "72983:3ce905e1"),
+    ("metered.metrics", "5918:7a5b1341"),
+    ("dead_letter.output", "61573:f6f1008c"),
     ("dead_letter.routing", "79:e274b6fa"),
     ("dead_letter.letters", "1174337:4584eb02"),
-    ("traced.output", "72987:cad26e89"),
+    ("traced.output", "72983:3ce905e1"),
     ("traced.spans", "13389:887edd11"),
-    ("durable.output", "73027:292a0f93"),
+    ("durable.output", "73023:5666eaa3"),
     ("durable.checkpoints", "104:cd618a68"),
     ("canonical.plain", "2550:8e8ad68e"),
     ("canonical.budgeted", "2539:d03e1af6"),
