@@ -59,15 +59,6 @@ pub enum StreamError {
         /// The panic payload, stringified when possible.
         message: String,
     },
-    /// A sharded pipeline's egress merge made no progress within its stall
-    /// timeout: the named shard neither produced output nor terminated, so
-    /// the merge gave up instead of deadlocking the pipeline.
-    ShardStalled {
-        /// Index of the shard the merge was waiting on.
-        shard: usize,
-        /// How long the merge waited for it, in milliseconds.
-        waited_ms: u64,
-    },
     /// Crash recovery could not restore the pipeline's state (every retained
     /// checkpoint generation failed its integrity checks, or a restored
     /// snapshot did not match the pipeline's registered operators). Delivered
@@ -122,9 +113,6 @@ impl fmt::Display for StreamError {
             ),
             StreamError::OperatorPanicked { operator, message } => {
                 write!(f, "operator '{operator}' panicked: {message}")
-            }
-            StreamError::ShardStalled { shard, waited_ms } => {
-                write!(f, "shard {shard} stalled: no progress for {waited_ms} ms")
             }
             StreamError::RecoveryFailed { detail } => {
                 write!(f, "crash recovery failed: {detail}")

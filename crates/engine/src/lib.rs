@@ -28,7 +28,7 @@
 //!   exactly-once crash recovery;
 //! * [`sharded`] — multi-core execution: [`Streamable::sharded`] runs N
 //!   hash-partitioned copies of a pipeline on worker threads behind bounded
-//!   queues and re-joins them with a deterministic low-watermark merge;
+//!   channels and re-joins them with a deterministic low-watermark merge;
 //! * [`traced`] — opt-in structured tracing ([`Streamable::traced`]):
 //!   per-stage span recording into lock-free rings, shard-queue wait
 //!   timing, and sampled ingress→egress latency provenance decomposed by
@@ -68,7 +68,7 @@ pub use checkpoint::{
 };
 pub use ingress::{ingress_sorted, punctuate_arrivals, replay_wal, IngressPolicy, Wal, WalIngress};
 pub use observer::{BlackHoleSink, CollectorSink, FnSink, Observer, Output, SharedSink};
-pub use sharded::{Pop, ShardCtx, ShardOptions, ShardQueue, TryPush};
+pub use sharded::{ShardCtx, ShardOptions, SHARD_QUEUE_MESSAGES};
 pub use shell::{OperatorMetrics, StageShell};
 pub use spec::{
     BuiltPipeline, CheckpointSpec, OpClass, OpSpec, PipelineEnv, PipelineSpec, Plan, ReorderSpec,

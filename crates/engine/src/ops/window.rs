@@ -20,8 +20,8 @@
 //! in the window containing `t`. Both operators forward that conservative
 //! value.
 //!
-//! The pure alignment functions are exposed for reuse by the framework
-//! crate, which applies them to *disordered* events before sorting.
+//! Tumbling alignment is per event, so the framework crate runs
+//! [`TumblingWindowOp`] unchanged on *disordered* events before sorting.
 
 use crate::checkpoint::Checkpointable;
 use crate::observer::Observer;

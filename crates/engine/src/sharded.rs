@@ -2,12 +2,12 @@
 //! on worker threads, joined by a deterministic low-watermark merge.
 //!
 //! [`Streamable::sharded`] splits a stream by `hash(key) % n`, runs one
-//! copy of a user-built pipeline per shard on its own worker thread
-//! (connected by bounded SPSC queues with backpressure), and re-joins the
-//! shard outputs at egress into a single totally ordered stream. Because
-//! each shard receives a `Streamable` and returns a `Streamable`, the
-//! whole combinator surface — `instrument`, `hardened`, checkpointing,
-//! windows, aggregates — composes unchanged inside a shard.
+//! copy of a user-built pipeline per shard on its own worker thread (fed
+//! through a bounded `std::sync::mpsc::sync_channel` — the backpressure
+//! edge), and re-joins the shard outputs at egress into a single totally
+//! ordered stream. Because each shard receives a `Streamable` and returns a
+//! `Streamable`, the whole combinator surface — `instrument`, `hardened`,
+//! checkpointing, windows, aggregates — composes unchanged inside a shard.
 //!
 //! # Determinism
 //!
@@ -38,9 +38,9 @@
 //! A panicking shard (or one that delivers a typed error) terminates the
 //! pipeline with **exactly one** typed [`StreamError`] — the first error
 //! wins, later ones are dropped — while the remaining shards drain and
-//! join within a bounded stall timeout ([`ShardOptions::stall_timeout`]).
-//! A shard that neither produces nor terminates within that timeout
-//! surfaces as [`StreamError::ShardStalled`] instead of deadlocking.
+//! join. There is no watchdog: an idle source is not a fault, and a shard
+//! stuck in user code hangs the pipeline exactly as a stuck operator hangs
+//! an unsharded chain.
 
 use crate::observer::Observer;
 use crate::streamable::{input_stream, Streamable};
@@ -49,200 +49,14 @@ use impatience_core::{
     Counter, Event, EventBatch, Gauge, MetricsRegistry, Payload, StreamError, StreamMessage,
     Timestamp,
 };
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
-fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-// ---------------------------------------------------------------------------
-// Bounded SPSC queue
-// ---------------------------------------------------------------------------
-
-/// Outcome of a [`ShardQueue::try_push`]: the rejected value rides along so
-/// the producer can retry or drop it deliberately.
-#[derive(Debug)]
-pub enum TryPush<T> {
-    /// The queue is at capacity; the value was not enqueued.
-    Full(T),
-    /// The queue is closed; the value was not enqueued.
-    Closed(T),
-}
-
-/// Outcome of a [`ShardQueue::pop_timeout`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum Pop<T> {
-    /// A value was dequeued.
-    Msg(T),
-    /// The timeout elapsed with the queue still empty and open.
-    TimedOut,
-    /// The queue is closed and fully drained.
-    Closed,
-}
-
-struct QueueInner<T> {
-    buf: VecDeque<T>,
-    closed: bool,
-}
-
-/// A bounded blocking queue connecting exactly one producer to one
-/// consumer (SPSC by convention; the implementation tolerates more).
-///
-/// `push` blocks while the queue is full — this is the backpressure edge
-/// between the sharding ingress and each worker, and between each worker
-/// and the egress merge. `close` wakes every waiter: subsequent pushes are
-/// rejected, pops drain the residue and then report
-/// [`Pop::Closed`] / `None`.
-pub struct ShardQueue<T> {
-    cap: usize,
-    inner: Mutex<QueueInner<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-}
-
-impl<T> ShardQueue<T> {
-    /// A queue admitting at most `cap` buffered values (`cap >= 1`).
-    pub fn bounded(cap: usize) -> Self {
-        assert!(cap >= 1, "shard queue capacity must be >= 1");
-        ShardQueue {
-            cap,
-            inner: Mutex::new(QueueInner {
-                buf: VecDeque::new(),
-                closed: false,
-            }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-        }
-    }
-
-    /// Blocking push. Returns `false` (dropping `v`) iff the queue closed.
-    pub fn push(&self, v: T) -> bool {
-        let mut st = lock(&self.inner);
-        loop {
-            if st.closed {
-                return false;
-            }
-            if st.buf.len() < self.cap {
-                st.buf.push_back(v);
-                drop(st);
-                self.not_empty.notify_one();
-                return true;
-            }
-            st = self.not_full.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Non-blocking push.
-    pub fn try_push(&self, v: T) -> Result<(), TryPush<T>> {
-        let mut st = lock(&self.inner);
-        if st.closed {
-            return Err(TryPush::Closed(v));
-        }
-        if st.buf.len() >= self.cap {
-            return Err(TryPush::Full(v));
-        }
-        st.buf.push_back(v);
-        drop(st);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Push that ignores the capacity bound (never blocks): the priority
-    /// lane for terminal errors from a dying worker. Returns `false` iff
-    /// the queue closed.
-    pub fn push_unbounded(&self, v: T) -> bool {
-        let mut st = lock(&self.inner);
-        if st.closed {
-            return false;
-        }
-        st.buf.push_back(v);
-        drop(st);
-        self.not_empty.notify_one();
-        true
-    }
-
-    /// Blocking pop. `None` means closed **and** drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut st = lock(&self.inner);
-        loop {
-            if let Some(v) = st.buf.pop_front() {
-                drop(st);
-                self.not_full.notify_one();
-                return Some(v);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.not_empty.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Non-blocking pop.
-    pub fn try_pop(&self) -> Option<T> {
-        let mut st = lock(&self.inner);
-        let v = st.buf.pop_front();
-        drop(st);
-        if v.is_some() {
-            self.not_full.notify_one();
-        }
-        v
-    }
-
-    /// Pop waiting at most `timeout` for a value.
-    pub fn pop_timeout(&self, timeout: Duration) -> Pop<T> {
-        let deadline = Instant::now() + timeout;
-        let mut st = lock(&self.inner);
-        loop {
-            if let Some(v) = st.buf.pop_front() {
-                drop(st);
-                self.not_full.notify_one();
-                return Pop::Msg(v);
-            }
-            if st.closed {
-                return Pop::Closed;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Pop::TimedOut;
-            }
-            let (guard, _) = self
-                .not_empty
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            st = guard;
-        }
-    }
-
-    /// Closes the queue and wakes every blocked producer and consumer.
-    pub fn close(&self) {
-        lock(&self.inner).closed = true;
-        self.not_full.notify_all();
-        self.not_empty.notify_all();
-    }
-
-    /// Whether [`ShardQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        lock(&self.inner).closed
-    }
-
-    /// Buffered (pushed, not yet popped) values.
-    pub fn len(&self) -> usize {
-        lock(&self.inner).buf.len()
-    }
-
-    /// Whether the queue holds no buffered values.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-}
+/// Capacity of each ingress→worker channel, in messages (not events). A
+/// full channel blocks the source: this is the one backpressure edge.
+pub const SHARD_QUEUE_MESSAGES: usize = 1024;
 
 // ---------------------------------------------------------------------------
 // Options, context, metrics
@@ -268,17 +82,12 @@ impl ShardCtx {
     }
 }
 
-/// Tuning for [`Streamable::sharded`]; `n.into()` is `n` shards with the
-/// defaults.
+/// Options for [`Streamable::sharded`]; `n.into()` is `n` shards with no
+/// registry and no tracing.
 #[derive(Clone)]
 pub struct ShardOptions {
     /// Number of worker shards (`>= 1`).
     pub shards: usize,
-    /// Capacity of each SPSC queue (messages, not events).
-    pub queue_capacity: usize,
-    /// How long the egress merge waits on a silent shard before giving up
-    /// with [`StreamError::ShardStalled`]. Bounds pipeline join time.
-    pub stall_timeout: Duration,
     /// Registry for the `shard.*` counters (ingress/merge traffic, errors,
     /// worker gauge); `None` keeps the instruments private and unexported.
     pub registry: Option<MetricsRegistry>,
@@ -288,34 +97,13 @@ pub struct ShardOptions {
 }
 
 impl ShardOptions {
-    /// Defaults: 1024-message queues, 10 s stall timeout, no registry, no
-    /// tracing.
+    /// `shards` shards, no registry, no tracing.
     pub fn new(shards: usize) -> Self {
         ShardOptions {
             shards,
-            queue_capacity: 1024,
-            stall_timeout: Duration::from_secs(10),
             registry: None,
             trace: None,
         }
-    }
-
-    /// Sets the number of worker shards.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Overrides the per-queue capacity.
-    pub fn with_queue_capacity(mut self, cap: usize) -> Self {
-        self.queue_capacity = cap;
-        self
-    }
-
-    /// Overrides the merge stall timeout.
-    pub fn with_stall_timeout(mut self, t: Duration) -> Self {
-        self.stall_timeout = t;
-        self
     }
 
     /// Publishes the `shard.*` instruments into `registry`.
@@ -335,13 +123,6 @@ impl ShardOptions {
     }
 }
 
-impl Default for ShardOptions {
-    /// A single shard with the standard queue and stall settings.
-    fn default() -> Self {
-        ShardOptions::new(1)
-    }
-}
-
 impl From<usize> for ShardOptions {
     fn from(shards: usize) -> Self {
         ShardOptions::new(shards)
@@ -350,15 +131,8 @@ impl From<usize> for ShardOptions {
 
 impl impatience_core::Validate for ShardOptions {
     fn validate(&self) -> Result<(), impatience_core::ConfigError> {
-        use impatience_core::ConfigError;
         if self.shards == 0 {
-            return Err(ConfigError::new("shards", "must be >= 1"));
-        }
-        if self.queue_capacity == 0 {
-            return Err(ConfigError::new("queue_capacity", "must be >= 1"));
-        }
-        if self.stall_timeout.is_zero() {
-            return Err(ConfigError::new("stall_timeout", "must be positive"));
+            return Err(impatience_core::ConfigError::new("shards", "must be >= 1"));
         }
         Ok(())
     }
@@ -375,81 +149,73 @@ struct ShardMetrics {
 }
 
 impl ShardMetrics {
+    /// Without a registry the instruments live in a private one that
+    /// nothing exports.
     fn new(registry: Option<&MetricsRegistry>) -> Self {
-        match registry {
-            Some(r) => ShardMetrics {
-                ingress_events: r.counter("shard.ingress.events"),
-                ingress_punctuations: r.counter("shard.ingress.punctuations"),
-                merge_events: r.counter("shard.merge.events"),
-                merge_punctuations: r.counter("shard.merge.punctuations"),
-                errors: r.counter("shard.errors"),
-                workers: r.gauge("shard.workers"),
-            },
-            None => ShardMetrics {
-                ingress_events: Counter::new(),
-                ingress_punctuations: Counter::new(),
-                merge_events: Counter::new(),
-                merge_punctuations: Counter::new(),
-                errors: Counter::new(),
-                workers: Gauge::new(),
-            },
+        let r = registry.cloned().unwrap_or_else(MetricsRegistry::new);
+        ShardMetrics {
+            ingress_events: r.counter("shard.ingress.events"),
+            ingress_punctuations: r.counter("shard.ingress.punctuations"),
+            merge_events: r.counter("shard.merge.events"),
+            merge_punctuations: r.counter("shard.merge.punctuations"),
+            errors: r.counter("shard.errors"),
+            workers: r.gauge("shard.workers"),
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Plumbing: queue messages, worker, sink
+// Plumbing: channel messages, worker, sink
 // ---------------------------------------------------------------------------
 
-/// What travels through the shard queues: the stream protocol plus the
-/// error leg (which [`StreamMessage`] does not carry). The `u64` is the
-/// enqueue timestamp (trace-clock ns) used for queue-wait spans; `0` means
-/// "untraced" and is skipped by the consumer.
+/// What travels ingress→worker: the stream protocol plus the error leg
+/// (which [`StreamMessage`] does not carry). The `u64` is the enqueue
+/// timestamp (trace-clock ns) used for queue-wait spans; `0` means
+/// "untraced" and is skipped by the worker.
 enum ShardMsg<P> {
     Msg(StreamMessage<P>, u64),
     Error(StreamError),
 }
 
+/// What travels worker→merge: the shard's output, or its terminal error.
+type ShardOut<Q> = Result<StreamMessage<Q>, StreamError>;
+
 type ShardBuild<P, Q> = dyn Fn(Streamable<P>, ShardCtx) -> Streamable<Q> + Send + Sync;
 
-/// Terminal sink of each worker's pipeline copy: forwards every message
-/// into the shard's output queue (blocking — this is the worker→merge
-/// backpressure edge). Errors take the unbounded priority lane so a dying
-/// pipeline can always report.
-struct QueueSink<Q: Payload> {
-    queue: Arc<ShardQueue<ShardMsg<Q>>>,
+/// Terminal sink of each worker's pipeline copy. The output channel is
+/// unbounded, so a worker never blocks on the merge; a send fails only
+/// once the merge has ended the stream, and the message is moot then.
+struct ChannelSink<Q: Payload> {
+    tx: Sender<ShardOut<Q>>,
 }
 
-impl<Q: Payload> Observer<Q> for QueueSink<Q> {
+impl<Q: Payload> Observer<Q> for ChannelSink<Q> {
     fn on_batch(&mut self, batch: EventBatch<Q>) {
-        // Output-queue wait is merge scheduling, not shard work: no stamp.
-        self.queue
-            .push(ShardMsg::Msg(StreamMessage::Batch(batch), 0));
+        let _ = self.tx.send(Ok(StreamMessage::Batch(batch)));
     }
 
     fn on_punctuation(&mut self, t: Timestamp) {
-        self.queue
-            .push(ShardMsg::Msg(StreamMessage::Punctuation(t), 0));
+        let _ = self.tx.send(Ok(StreamMessage::Punctuation(t)));
     }
 
     fn on_completed(&mut self) {
-        self.queue.push(ShardMsg::Msg(StreamMessage::Completed, 0));
+        let _ = self.tx.send(Ok(StreamMessage::Completed));
     }
 
     fn on_error(&mut self, err: StreamError) {
-        self.queue.push_unbounded(ShardMsg::Error(err));
+        let _ = self.tx.send(Err(err));
     }
 }
 
 /// Worker thread body: build the shard's pipeline copy *on this thread*,
-/// then pump the input queue into it until a terminal message or queue
-/// closure. A panic anywhere (pipeline construction or processing) is
-/// converted into a typed terminal error on the output queue.
+/// then pump the input channel into it until a terminal message or until
+/// the ingress drops its sender. A panic anywhere (pipeline construction or
+/// processing) is converted into a typed terminal error on the output.
 fn shard_worker<P: Payload, Q: Payload>(
     index: usize,
     shards: usize,
-    input: Arc<ShardQueue<ShardMsg<P>>>,
-    output: Arc<ShardQueue<ShardMsg<Q>>>,
+    input: Receiver<ShardMsg<P>>,
+    output: Sender<ShardOut<Q>>,
     build: Arc<ShardBuild<P, Q>>,
     trace: Option<TraceSink>,
 ) {
@@ -457,7 +223,7 @@ fn shard_worker<P: Payload, Q: Payload>(
     let result = crate::shell::guarded(move || {
         let (handle, stream) = input_stream::<P>();
         build(stream, ShardCtx { index, shards })
-            .subscribe_observer(Box::new(QueueSink { queue: output }));
+            .subscribe_observer(Box::new(ChannelSink { tx: output }));
         // Per-shard recorder: queue-wait spans land in a thread-local ring
         // (no cross-thread contention) and are surrendered to the sink once
         // at drain time. A panicking worker loses its ring — acceptable, the
@@ -465,8 +231,8 @@ fn shard_worker<P: Payload, Q: Payload>(
         let mut recorder = trace.as_ref().map(|sink| (sink.clone(), sink.ring()));
         let queue_label: Arc<str> = format!("shard{index:02}.queue").into();
         loop {
-            match input.pop() {
-                Some(ShardMsg::Msg(msg, enqueued_ns)) => {
+            match input.recv() {
+                Ok(ShardMsg::Msg(msg, enqueued_ns)) => {
                     if enqueued_ns > 0 {
                         if let Some((sink, ring)) = recorder.as_mut() {
                             let now = sink.clock().now_ns();
@@ -491,13 +257,14 @@ fn shard_worker<P: Payload, Q: Payload>(
                         break;
                     }
                 }
-                Some(ShardMsg::Error(err)) => {
+                Ok(ShardMsg::Error(err)) => {
                     handle.push_error(err);
                     break;
                 }
-                // Closed without a terminal (the source was dropped):
-                // flush the pipeline so buffered state still drains.
-                None => {
+                // The ingress dropped its sender without a terminal (the
+                // source vanished, or the merge ended the stream): flush
+                // the pipeline so buffered state still drains.
+                Err(_) => {
                     let _ = handle.push(StreamMessage::Completed);
                     break;
                 }
@@ -508,7 +275,7 @@ fn shard_worker<P: Payload, Q: Payload>(
         }
     });
     if let Err(message) = result {
-        panic_lane.push_unbounded(ShardMsg::Error(StreamError::OperatorPanicked {
+        let _ = panic_lane.send(Err(StreamError::OperatorPanicked {
             operator: format!("shard{index:02}"),
             message,
         }));
@@ -519,94 +286,89 @@ fn shard_worker<P: Payload, Q: Payload>(
 // Egress merge
 // ---------------------------------------------------------------------------
 
-/// Releases every buffered event with `sync_time <= w` across all shard
-/// buffers as one batch in `(sync_time, key)` order. Stable sort + shard
-/// index iteration order keep per-shard tie order intact; ties *across*
-/// shards cannot collide on `(sync_time, key)` because shards partition
-/// the key space.
-fn release_up_to<Q: Payload>(
-    buffers: &mut [Vec<Event<Q>>],
-    w: Timestamp,
-    downstream: &mut Box<dyn Observer<Q>>,
-    metrics: &ShardMetrics,
-) -> usize {
-    let mut out: Vec<Event<Q>> = Vec::new();
-    for buf in buffers.iter_mut() {
-        // Shard output is an ordered stream, so the releasable events form
-        // a prefix.
-        let cut = buf.partition_point(|e| e.sync_time <= w);
-        out.extend(buf.drain(..cut));
-    }
-    if out.is_empty() {
-        return 0;
-    }
-    out.sort_by_key(|e| (e.sync_time, e.key));
-    metrics.merge_events.add(out.len() as u64);
-    let released = out.len();
-    downstream.on_batch(EventBatch::from_events(out));
-    released
+/// The merge's output side: per-shard buffers, the downstream observer and
+/// the merge's span ring. Merge spans ride lane `n` (one past the shards)
+/// so they render on their own track in chrome://tracing.
+struct Egress<Q: Payload> {
+    buffers: Vec<Vec<Event<Q>>>,
+    downstream: Box<dyn Observer<Q>>,
+    metrics: ShardMetrics,
+    recorder: Option<(TraceSink, SpanRing)>,
 }
 
-/// Merge thread body — the deterministic lockstep low-watermark merge (see
-/// the module docs for the determinism argument). On exit (completion,
-/// first error, or stall) it closes every queue so workers and the ingress
-/// can never block on a dead pipeline.
-fn shard_merge<Q: Payload>(
-    outputs: Vec<Arc<ShardQueue<ShardMsg<Q>>>>,
-    close_inputs: Vec<Box<dyn Fn() + Send>>,
-    mut downstream: Box<dyn Observer<Q>>,
-    metrics: ShardMetrics,
-    stall_timeout: Duration,
-    trace: Option<TraceSink>,
-) {
-    let n = outputs.len();
-    // Merge spans ride lane `n` (one past the shards) so they render on
-    // their own track in chrome://tracing.
-    let mut recorder = trace.as_ref().map(|sink| (sink.clone(), sink.ring()));
-    let record_release = |recorder: &mut Option<(TraceSink, SpanRing)>,
-                          start_ns: u64,
-                          released: usize,
-                          w: Option<i64>| {
-        if released == 0 {
+impl<Q: Payload> Egress<Q> {
+    /// Releases every buffered event with `sync_time <= w` across all
+    /// shard buffers as one batch in `(sync_time, key)` order, with a merge
+    /// span around a non-empty release. Stable sort + shard index iteration
+    /// order keep per-shard tie order intact; ties *across* shards cannot
+    /// collide on `(sync_time, key)` because shards partition the key space.
+    fn release(&mut self, w: Timestamp, span_watermark: Option<i64>) {
+        let start_ns = self
+            .recorder
+            .as_ref()
+            .map(|(sink, _)| sink.clock().now_ns());
+        let mut out: Vec<Event<Q>> = Vec::new();
+        for buf in self.buffers.iter_mut() {
+            // Shard output is an ordered stream, so the releasable events
+            // form a prefix.
+            let cut = buf.partition_point(|e| e.sync_time <= w);
+            out.extend(buf.drain(..cut));
+        }
+        if out.is_empty() {
             return;
         }
-        if let Some((sink, ring)) = recorder.as_mut() {
-            let end = sink.clock().now_ns();
+        out.sort_by_key(|e| (e.sync_time, e.key));
+        let released = out.len() as u64;
+        self.metrics.merge_events.add(released);
+        self.downstream.on_batch(EventBatch::from_events(out));
+        self.record(SpanKind::Merge, start_ns, released, span_watermark);
+    }
+
+    /// Releases everything at or below `w`, then punctuates at `w`.
+    fn punctuate(&mut self, w: Timestamp) {
+        self.release(w, Some(w.ticks()));
+        self.metrics.merge_punctuations.inc();
+        self.downstream.on_punctuation(w);
+        self.record(SpanKind::Watermark, None, 0, Some(w.ticks()));
+    }
+
+    /// A span from `start_ns` to now, or an instant now without a start.
+    fn record(&mut self, kind: SpanKind, start_ns: Option<u64>, events: u64, w: Option<i64>) {
+        let lane = self.buffers.len() as u32;
+        if let Some((sink, ring)) = self.recorder.as_mut() {
+            let now = sink.clock().now_ns();
+            let start_ns = start_ns.unwrap_or(now);
             ring.push(SpanRecord {
                 op: "merge".into(),
-                shard: n as u32,
-                kind: SpanKind::Merge,
+                shard: lane,
+                kind,
                 start_ns,
-                dur_ns: end.saturating_sub(start_ns),
-                events: released as u64,
+                dur_ns: now.saturating_sub(start_ns),
+                events,
                 watermark: w,
             });
         }
-    };
-    let release_start = |recorder: &Option<(TraceSink, SpanRing)>| -> u64 {
-        recorder
-            .as_ref()
-            .map_or(0, |(sink, _)| sink.clock().now_ns())
-    };
-    let poll = (stall_timeout / 20).clamp(Duration::from_millis(1), Duration::from_millis(25));
-    let mut pending: Vec<VecDeque<ShardMsg<Q>>> = (0..n).map(|_| VecDeque::new()).collect();
-    let mut buffers: Vec<Vec<Event<Q>>> = (0..n).map(|_| Vec::new()).collect();
+    }
+}
+
+/// Merge thread body — the deterministic lockstep low-watermark merge (see
+/// the module docs for the determinism argument). It blocks on exactly the
+/// lockstep target's channel; workers never block on output, so the other
+/// shards keep draining their inputs meanwhile and no cycle of waits can
+/// form. On exit it raises `stopped` *before* the end of the stream becomes
+/// visible downstream, so no source push after that end is routed.
+fn shard_merge<Q: Payload>(
+    outputs: Vec<Receiver<ShardOut<Q>>>,
+    stopped: Arc<AtomicBool>,
+    mut egress: Egress<Q>,
+) {
+    let n = outputs.len();
     let mut wm = vec![Timestamp::MIN; n];
     let mut done = vec![false; n];
     let mut last_w = Timestamp::MIN;
-    // Stall tracking: how long we have been waiting on the *current*
-    // lockstep target without it yielding a message.
-    let mut waiting_on = usize::MAX;
-    let mut waited_since = Instant::now();
-
-    'merge: loop {
+    let end = loop {
         if done.iter().all(|&d| d) {
-            // Final flush: everything left is above the last watermark.
-            let start = release_start(&recorder);
-            let released = release_up_to(&mut buffers, Timestamp::MAX, &mut downstream, &metrics);
-            record_release(&mut recorder, start, released, None);
-            downstream.on_completed();
-            break 'merge;
+            break Ok(());
         }
         // Lockstep rule: only the shard with the minimal watermark may be
         // processed (ties -> lowest index), so progression is a function
@@ -615,106 +377,45 @@ fn shard_merge<Q: Payload>(
             .filter(|&k| !done[k])
             .min_by_key(|&k| (wm[k], k))
             .expect("at least one active shard");
-        if i != waiting_on {
-            waiting_on = i;
-            waited_since = Instant::now();
-        }
-        if let Some(msg) = pending[i].pop_front() {
-            waited_since = Instant::now();
-            match msg {
-                ShardMsg::Msg(StreamMessage::Batch(batch), _enq) => {
-                    for j in 0..batch.len() {
-                        if batch.is_visible(j) {
-                            buffers[i].push(batch.events()[j].clone());
-                        }
-                    }
-                }
-                ShardMsg::Msg(StreamMessage::Punctuation(t), _enq) => {
-                    if t < wm[i] {
-                        metrics.errors.inc();
-                        downstream.on_error(StreamError::PunctuationRegressed {
-                            previous: wm[i],
-                            attempted: t,
-                        });
-                        break 'merge;
-                    }
-                    wm[i] = t;
-                }
-                ShardMsg::Msg(StreamMessage::Completed, _enq) => {
-                    done[i] = true;
-                }
-                ShardMsg::Error(err) => {
-                    // First error wins; the pipeline tears down and later
-                    // shard errors are dropped with their queues.
-                    metrics.errors.inc();
-                    downstream.on_error(err);
-                    break 'merge;
-                }
-            }
-            // A watermark may have advanced (punctuation) or left the min
-            // computation (completion): release and punctuate on advance.
-            if let Some(w) = (0..n).filter(|&k| !done[k]).map(|k| wm[k]).min() {
-                if w > last_w {
-                    last_w = w;
-                    let start = release_start(&recorder);
-                    let released = release_up_to(&mut buffers, w, &mut downstream, &metrics);
-                    record_release(&mut recorder, start, released, Some(w.ticks()));
-                    metrics.merge_punctuations.inc();
-                    downstream.on_punctuation(w);
-                    if let Some((sink, ring)) = recorder.as_mut() {
-                        ring.push(SpanRecord {
-                            op: "merge".into(),
-                            shard: n as u32,
-                            kind: SpanKind::Watermark,
-                            start_ns: sink.clock().now_ns(),
-                            dur_ns: 0,
-                            events: 0,
-                            watermark: Some(w.ticks()),
-                        });
-                    }
-                }
-            }
-            continue;
-        }
-        // The lockstep target has nothing pending: drain every queue
-        // (consuming from non-target shards is buffering, not processing —
-        // it cannot affect emission order, but it unblocks their workers
-        // and, transitively, the ingress; this is what makes the lockstep
-        // rule deadlock-free under bounded queues).
-        for (k, queue) in outputs.iter().enumerate() {
-            while let Some(m) = queue.try_pop() {
-                pending[k].push_back(m);
-            }
-        }
-        if !pending[i].is_empty() {
-            continue;
-        }
-        match outputs[i].pop_timeout(poll) {
-            Pop::Msg(m) => pending[i].push_back(m),
-            // Outputs are only closed by this merge; treat a foreign close
-            // as that worker completing.
-            Pop::Closed => done[i] = true,
-            Pop::TimedOut => {
-                if waited_since.elapsed() >= stall_timeout {
-                    metrics.errors.inc();
-                    downstream.on_error(StreamError::ShardStalled {
-                        shard: i,
-                        waited_ms: waited_since.elapsed().as_millis() as u64,
+        match outputs[i].recv() {
+            Ok(Ok(StreamMessage::Batch(batch))) => egress.buffers[i].extend(batch.into_visible()),
+            Ok(Ok(StreamMessage::Punctuation(t))) => {
+                if t < wm[i] {
+                    break Err(StreamError::PunctuationRegressed {
+                        previous: wm[i],
+                        attempted: t,
                     });
-                    break 'merge;
                 }
+                wm[i] = t;
+            }
+            // A disconnected channel means that worker is done.
+            Ok(Ok(StreamMessage::Completed)) | Err(_) => done[i] = true,
+            // First error wins; later shard errors are dropped with their
+            // channels.
+            Ok(Err(err)) => break Err(err),
+        }
+        // A watermark may have advanced (punctuation) or left the min
+        // computation (completion): release and punctuate on advance.
+        if let Some(w) = (0..n).filter(|&k| !done[k]).map(|k| wm[k]).min() {
+            if w > last_w {
+                last_w = w;
+                egress.punctuate(w);
             }
         }
+    };
+    stopped.store(true, Ordering::Release);
+    match end {
+        Ok(()) => {
+            // Final flush: everything left is above the last watermark.
+            egress.release(Timestamp::MAX, None);
+            egress.downstream.on_completed();
+        }
+        Err(err) => {
+            egress.metrics.errors.inc();
+            egress.downstream.on_error(err);
+        }
     }
-    // Tear down: unblock every worker (closed output swallows their
-    // pushes) and the ingress (closed input swallows its routing).
-    for close in &close_inputs {
-        close();
-    }
-    for queue in &outputs {
-        queue.close();
-    }
-    if let Some((sink, ring)) = recorder {
+    if let Some((sink, ring)) = egress.recorder {
         sink.absorb(ring);
     }
 }
@@ -728,90 +429,97 @@ fn shard_merge<Q: Payload>(
 /// the whole worker/merge fleet when the source terminates (so a finished
 /// subscribe call implies fully delivered downstream output).
 struct ShardIngress<P: Payload> {
-    queues: Vec<Arc<ShardQueue<ShardMsg<P>>>>,
-    workers: Vec<JoinHandle<()>>,
-    merge: Option<JoinHandle<()>>,
+    /// One sender per shard; emptied once the merge has ended the stream.
+    senders: Vec<SyncSender<ShardMsg<P>>>,
+    /// Raised (Release) by the merge when it ends the stream, read
+    /// (Acquire) here; it guards no other data.
+    stopped: Arc<AtomicBool>,
+    /// The workers, then the merge.
+    threads: Vec<JoinHandle<()>>,
     metrics: ShardMetrics,
-    /// Trace clock for enqueue stamps; `None` pushes stamp `0` (untraced).
+    /// Trace clock for enqueue stamps; `None` sends stamp `0` (untraced).
     clock: Option<TraceClock>,
 }
 
 impl<P: Payload> ShardIngress<P> {
-    /// One clock read covers every queue push in the same observer call.
+    /// One clock read covers every send in the same observer call.
     fn stamp(&self) -> u64 {
         self.clock.as_ref().map_or(0, |c| c.now_ns())
     }
 
-    fn broadcast(&self, msg: &StreamMessage<P>) {
+    /// Once the merge has ended the stream, routes nothing more: dropping
+    /// the senders lets every worker drain, complete its pipeline and exit.
+    fn check_stopped(&mut self) {
+        if self.stopped.load(Ordering::Acquire) {
+            self.senders.clear();
+        }
+    }
+
+    /// Sends `msg(stamp)` to every shard; a send to a worker that already
+    /// died fails and is moot.
+    fn broadcast(&mut self, msg: impl Fn(u64) -> ShardMsg<P>) {
         let stamp = self.stamp();
-        for queue in &self.queues {
-            // clone() per shard: punctuations and terminals are tiny.
-            queue.push(ShardMsg::Msg(msg.clone(), stamp));
+        self.check_stopped();
+        for tx in &self.senders {
+            let _ = tx.send(msg(stamp));
         }
     }
 
     fn join_all(&mut self) {
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        if let Some(m) = self.merge.take() {
-            let _ = m.join();
+        self.senders.clear();
+        for t in self.threads.drain(..) {
+            let _ = t.join();
         }
     }
 }
 
 impl<P: Payload> Observer<P> for ShardIngress<P> {
     fn on_batch(&mut self, batch: EventBatch<P>) {
-        let n = self.queues.len();
         let stamp = self.stamp();
-        if n == 1 {
-            self.metrics.ingress_events.add(batch.visible_len() as u64);
-            self.queues[0].push(ShardMsg::Msg(StreamMessage::Batch(batch), stamp));
+        self.check_stopped();
+        let routed = &self.metrics.ingress_events;
+        let n = self.senders.len() as u64;
+        if n <= 1 {
+            if let Some(tx) = self.senders.first() {
+                routed.add(batch.visible_len() as u64);
+                let _ = tx.send(ShardMsg::Msg(StreamMessage::Batch(batch), stamp));
+            }
             return;
         }
-        let mut parts: Vec<Vec<Event<P>>> = vec![Vec::new(); n];
-        for i in 0..batch.len() {
-            if !batch.is_visible(i) {
-                continue;
-            }
-            let e = &batch.events()[i];
-            parts[(e.hash % n as u64) as usize].push(e.clone());
+        let mut parts: Vec<Vec<Event<P>>> = vec![Vec::new(); n as usize];
+        for e in batch.into_visible() {
+            parts[(e.hash % n) as usize].push(e);
         }
-        for (k, events) in parts.into_iter().enumerate() {
-            if events.is_empty() {
+        for (tx, part) in self.senders.iter().zip(parts) {
+            if part.is_empty() {
                 continue;
             }
-            self.metrics.ingress_events.add(events.len() as u64);
-            self.queues[k].push(ShardMsg::Msg(StreamMessage::batch(events), stamp));
+            routed.add(part.len() as u64);
+            let _ = tx.send(ShardMsg::Msg(StreamMessage::batch(part), stamp));
         }
     }
 
     fn on_punctuation(&mut self, t: Timestamp) {
         self.metrics.ingress_punctuations.inc();
-        self.broadcast(&StreamMessage::Punctuation(t));
+        self.broadcast(|stamp| ShardMsg::Msg(StreamMessage::Punctuation(t), stamp));
     }
 
     fn on_completed(&mut self) {
-        self.broadcast(&StreamMessage::Completed);
+        self.broadcast(|stamp| ShardMsg::Msg(StreamMessage::Completed, stamp));
         self.join_all();
     }
 
     fn on_error(&mut self, err: StreamError) {
-        for queue in &self.queues {
-            queue.push(ShardMsg::Error(err.clone()));
-        }
+        self.broadcast(|_| ShardMsg::Error(err.clone()));
         self.join_all();
     }
 }
 
 impl<P: Payload> Drop for ShardIngress<P> {
     fn drop(&mut self) {
-        // Source dropped without a terminal: closing the inputs makes each
-        // worker flush (complete) its pipeline, so buffered state still
-        // drains downstream; then wait the fleet out.
-        for queue in &self.queues {
-            queue.close();
-        }
+        // Source dropped without a terminal: dropping the senders makes
+        // each worker flush (complete) its pipeline, so buffered state
+        // still drains downstream; then wait the fleet out.
         self.join_all();
     }
 }
@@ -829,8 +537,8 @@ impl<P: Payload> Streamable<P> {
     /// shard's worker thread.
     ///
     /// Options that fail [`Validate`](impatience_core::Validate) (zero
-    /// shards, queue capacity or stall timeout) start no thread: the
-    /// stream ends with [`StreamError::InvalidConfig`] at subscribe time.
+    /// shards) start no thread: the stream ends with
+    /// [`StreamError::InvalidConfig`] at subscribe time.
     pub fn sharded<Q: Payload>(
         self,
         opts: impl Into<ShardOptions>,
@@ -844,48 +552,42 @@ impl<P: Payload> Streamable<P> {
             let n = opts.shards;
             let metrics = ShardMetrics::new(opts.registry.as_ref());
             metrics.workers.set(n as i64);
-            let inputs: Vec<Arc<ShardQueue<ShardMsg<P>>>> = (0..n)
-                .map(|_| Arc::new(ShardQueue::bounded(opts.queue_capacity)))
-                .collect();
-            let outputs: Vec<Arc<ShardQueue<ShardMsg<Q>>>> = (0..n)
-                .map(|_| Arc::new(ShardQueue::bounded(opts.queue_capacity)))
-                .collect();
             let build: Arc<ShardBuild<P, Q>> = Arc::new(build);
-            let workers: Vec<JoinHandle<()>> = (0..n)
-                .map(|i| {
-                    let input = inputs[i].clone();
-                    let output = outputs[i].clone();
-                    let build = build.clone();
-                    let trace = opts.trace.clone();
+            let mut senders = Vec::with_capacity(n);
+            let mut outputs = Vec::with_capacity(n);
+            let mut threads = Vec::with_capacity(n + 1);
+            for i in 0..n {
+                let (tx, input) = sync_channel(SHARD_QUEUE_MESSAGES);
+                let (output, rx) = channel();
+                senders.push(tx);
+                outputs.push(rx);
+                let build = build.clone();
+                let trace = opts.trace.clone();
+                threads.push(
                     std::thread::Builder::new()
                         .name(format!("shard{i:02}"))
                         .spawn(move || shard_worker(i, n, input, output, build, trace))
-                        .expect("spawn shard worker")
-                })
-                .collect();
-            let close_inputs: Vec<Box<dyn Fn() + Send>> = inputs
-                .iter()
-                .map(|q| {
-                    let q = q.clone();
-                    Box::new(move || q.close()) as Box<dyn Fn() + Send>
-                })
-                .collect();
-            let merge = {
-                let outputs = outputs.clone();
-                let metrics = metrics.clone();
-                let stall = opts.stall_timeout;
-                let trace = opts.trace.clone();
+                        .expect("spawn shard worker"),
+                );
+            }
+            let stopped = Arc::new(AtomicBool::new(false));
+            let egress = Egress {
+                buffers: (0..n).map(|_| Vec::new()).collect(),
+                downstream,
+                metrics: metrics.clone(),
+                recorder: opts.trace.as_ref().map(|sink| (sink.clone(), sink.ring())),
+            };
+            threads.push({
+                let stopped = stopped.clone();
                 std::thread::Builder::new()
                     .name("shard-merge".into())
-                    .spawn(move || {
-                        shard_merge(outputs, close_inputs, downstream, metrics, stall, trace)
-                    })
+                    .spawn(move || shard_merge(outputs, stopped, egress))
                     .expect("spawn shard merge")
-            };
+            });
             self.subscribe_observer(Box::new(ShardIngress {
-                queues: inputs,
-                workers,
-                merge: Some(merge),
+                senders,
+                stopped,
+                threads,
                 metrics,
                 clock: opts.trace.as_ref().map(|t| t.clock().clone()),
             }));
@@ -897,6 +599,7 @@ impl<P: Payload> Streamable<P> {
 mod tests {
     use super::*;
     use impatience_core::validate_ordered_stream;
+    use std::sync::Mutex;
 
     fn ev(t: i64, key: u32, p: u32) -> Event<u32> {
         Event::keyed(Timestamp::new(t), key, p)
@@ -954,9 +657,8 @@ mod tests {
     #[test]
     fn panicking_shard_yields_exactly_one_typed_error() {
         let events: Vec<Event<u32>> = (0..32).map(|i| ev(i, (i % 4) as u32, i as u32)).collect();
-        let opts = ShardOptions::new(4).with_stall_timeout(Duration::from_secs(5));
         let out = source(events, &[31])
-            .sharded(opts, |s, ctx| {
+            .sharded(4, |s, ctx| {
                 let bad = ctx.index == 2;
                 s.select(move |p| {
                     if bad && *p >= 10 {
@@ -980,12 +682,12 @@ mod tests {
         let record = seen.clone();
         let out = source(vec![ev(1, 0, 1)], &[1])
             .sharded(3, move |s, ctx| {
-                lock(&record).push((ctx.index, ctx.shards));
+                record.lock().unwrap().push((ctx.index, ctx.shards));
                 s
             })
             .collect_output();
         assert!(out.is_completed());
-        let mut got = lock(&seen).clone();
+        let mut got = seen.lock().unwrap().clone();
         got.sort_unstable();
         assert_eq!(got, vec![(0, 3), (1, 3), (2, 3)]);
     }
@@ -1024,22 +726,5 @@ mod tests {
         assert_eq!(sink.dropped(), 0);
         // 4 worker rings + 1 merge ring surrendered.
         assert_eq!(sink.recorder_count(), 5);
-    }
-
-    #[test]
-    fn queue_backpressure_and_close() {
-        let q: ShardQueue<u32> = ShardQueue::bounded(2);
-        assert!(q.try_push(1).is_ok());
-        assert!(q.try_push(2).is_ok());
-        assert!(matches!(q.try_push(3), Err(TryPush::Full(3))));
-        assert_eq!(q.try_pop(), Some(1));
-        assert!(q.try_push(3).is_ok());
-        q.close();
-        assert!(matches!(q.try_push(4), Err(TryPush::Closed(4))));
-        // Residue drains after close, then Closed.
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), Pop::Closed);
     }
 }

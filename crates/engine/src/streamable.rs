@@ -14,7 +14,7 @@
 //!   the benchmarks and the Impatience framework pump data.
 
 use crate::checkpoint::{CheckpointCtx, CheckpointGate, Checkpointable, Checkpointer};
-use crate::observer::{CollectorSink, FnSink, Observer, Output, SharedSink};
+use crate::observer::{FnSink, Observer, Output, SharedSink};
 use crate::ops;
 use crate::shell::{OperatorMetrics, StagePlan};
 use crate::traced::{TraceCtx, TraceState};
@@ -784,9 +784,6 @@ pub fn input_stream<P: Payload>() -> (InputHandle<P>, Streamable<P>) {
     });
     (handle, streamable)
 }
-
-/// Collector sink re-export for custom wiring.
-pub type Collector<P> = CollectorSink<P>;
 
 #[cfg(test)]
 mod tests {

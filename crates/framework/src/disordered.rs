@@ -16,7 +16,7 @@
 //! Fig 9 speedups.
 
 use impatience_core::{Event, MemoryMeter, Payload, StreamMessage, TickDuration};
-use impatience_engine::ops::{align_tumbling, window_punctuation, FilterOp, ReKeyOp, SelectOp};
+use impatience_engine::ops::{FilterOp, ReKeyOp, SelectOp, TumblingWindowOp};
 use impatience_engine::{IngressPolicy, InputHandle, Observer, Streamable};
 use impatience_sort::ImpatienceSorter;
 
@@ -98,9 +98,11 @@ impl<P: Payload> DisorderedStreamable<P> {
 
     /// Tumbling window below the sort (§IV-A2): aligns timestamps on the
     /// *disordered* stream, reducing both distinct values and disorder.
+    /// Alignment is per event, so the engine's in-order operator serves
+    /// unchanged; `size` must be positive.
     pub fn tumbling_window(self, size: TickDuration) -> Self {
         assert!(size.is_positive(), "window size must be positive");
-        self.apply(move |sink| Box::new(DisorderedWindowOp::new(size, sink)))
+        self.apply(move |sink| Box::new(TumblingWindowOp::new(size, sink)))
     }
 
     /// Ends the disordered section with an Impatience sorting operator —
@@ -115,49 +117,6 @@ impl<P: Payload> DisorderedStreamable<P> {
     /// framework builder).
     pub(crate) fn into_connector(self) -> Connector<P> {
         self.connect
-    }
-}
-
-/// Tumbling window over disordered traffic: same alignment as the engine's
-/// in-order operator, but the punctuation conservatism matters more here —
-/// arbitrary late events may align anywhere below the watermark.
-struct DisorderedWindowOp<P, S> {
-    size: TickDuration,
-    next: S,
-    _p: core::marker::PhantomData<fn(P)>,
-}
-
-impl<P: Payload, S: Observer<P>> Observer<P> for DisorderedWindowOp<P, S> {
-    fn on_batch(&mut self, mut batch: impatience_core::EventBatch<P>) {
-        for i in 0..batch.len() {
-            if batch.is_visible(i) {
-                align_tumbling(&mut batch.events_mut()[i], self.size);
-            }
-        }
-        self.next.on_batch(batch);
-    }
-    fn on_punctuation(&mut self, t: impatience_core::Timestamp) {
-        self.next
-            .on_punctuation(window_punctuation(t, self.size, TickDuration::ZERO));
-    }
-    fn on_completed(&mut self) {
-        self.next.on_completed();
-    }
-    fn on_error(&mut self, err: impatience_core::StreamError) {
-        self.next.on_error(err);
-    }
-}
-
-// `DisorderedWindowOp` needs the PhantomData to stay generic over `P`
-// without storing a `P`.
-impl<P, S> DisorderedWindowOp<P, S> {
-    #[allow(dead_code)]
-    fn new(size: TickDuration, next: S) -> Self {
-        DisorderedWindowOp {
-            size,
-            next,
-            _p: core::marker::PhantomData,
-        }
     }
 }
 

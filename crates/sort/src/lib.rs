@@ -52,7 +52,7 @@ pub use heapsort::{heapsort, HeapSorter, HeapsortAlgorithm};
 pub use impatience::{ImpatienceConfig, ImpatienceSorter};
 pub use incremental::CutBuffer;
 pub use loser_tree::{merge_sources, MergeSource, StreamingLoserTree, VecSource};
-pub use merge::{binary_merge, loser_tree_merge, merge_into, merge_runs, LoserTree, MergePolicy};
+pub use merge::{binary_merge, merge_into, merge_runs, MergePolicy};
 pub use patience::{PatienceAlgorithm, PatienceSort};
 pub use quicksort::{insertion_sort, quicksort, QuicksortAlgorithm};
 pub use runset::{RunSet, SortedRun};

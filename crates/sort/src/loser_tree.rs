@@ -1,10 +1,11 @@
 //! Streaming k-way loser-tree merge over fallible sources.
 //!
-//! [`crate::merge::LoserTree`] merges in-memory slices and cannot fail.
 //! The external sorter ([`crate::external`]) merges a mix of in-memory head
 //! runs and on-disk run files whose readers do I/O and verify checksums, so
 //! every pull can fail with a typed [`StreamError`]. [`StreamingLoserTree`]
-//! is the loser tree rebuilt over that pull model: `k` sources are merged
+//! is the workspace's one loser tree, built over that pull model (the
+//! in-memory [`MergePolicy::LoserTree`](crate::MergePolicy::LoserTree)
+//! runs it over infallible [`VecSource`]s): `k` sources are merged
 //! with `⌈log₂ k⌉` comparisons per emitted item, errors propagate out of
 //! [`pop`](StreamingLoserTree::pop) instead of aborting, and ties are broken
 //! by source index so the merge is deterministic and stable toward

@@ -82,7 +82,11 @@ echo "== shard conformance (byte-identical output across shard counts) =="
 # The determinism gate for multi-core execution: ~500 seeded streams, each
 # run at shard counts {1, 2, 4, 8}, must produce byte-identical message
 # sequences, and their canonical traces must match the unsharded pipeline.
+# The engine's `sharded` suite holds the plumbing: seeded producer and
+# worker pacing must not change a byte, an idle source must not end the
+# stream, and a dead shard must stop routing and let every thread join.
 cargo test -q --offline --test shard_conformance
+cargo test -q --offline -p impatience-engine --test sharded
 
 echo "== plan differential (sort-as-needed plan vs hand-stacked sort-first chain) =="
 # The planner gate: 210 seeded CloudLog/synthetic streams x {drop,

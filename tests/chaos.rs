@@ -274,8 +274,7 @@ props! {
     /// corruption, stragglers) confined to ONE of four shards. The merged
     /// pipeline must honour the same contract — valid ordered output XOR
     /// exactly one typed error — with the healthy shards draining and the
-    /// whole fleet joining inside a bounded stall timeout (no deadlock,
-    /// no abort).
+    /// whole fleet joining (no deadlock, no abort).
     fn sharded_chaos_isolates_the_faulty_shard(
         arrivals in arrivals_strategy(),
         freq in 1usize..40,
@@ -283,8 +282,6 @@ props! {
         knobs in 0u32..8,
     ) {
         use impatience_engine::ops::SumAgg;
-        use impatience_engine::ShardOptions;
-        use std::time::Duration;
 
         let (panicky, regressy) = (knobs & 1 != 0, knobs & 2 != 0);
         // Spread the single-key arrival stream over the key space so every
@@ -311,7 +308,7 @@ props! {
         let shard_meter = meter.clone();
         let out = stream
             .sharded(
-                ShardOptions::new(4).with_stall_timeout(Duration::from_secs(30)),
+                4,
                 move |s, ctx| {
                     let meter = shard_meter.clone();
                     let policy = SortPolicy {

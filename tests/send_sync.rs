@@ -9,7 +9,7 @@ use impatience_core::{
     DeadLetterQueue, Event, EventBatch, MemoryMeter, MetricsRegistry, StreamError, StreamMessage,
 };
 use impatience_engine::{
-    CheckpointCtx, InputHandle, Observer, Output, ShardCtx, ShardOptions, ShardQueue, Streamable,
+    CheckpointCtx, InputHandle, Observer, Output, ShardCtx, ShardOptions, Streamable,
 };
 use impatience_sort::{ImpatienceSorter, OnlineSorter};
 
@@ -18,7 +18,7 @@ fn assert_send_sync<T: Send + Sync>() {}
 
 #[test]
 fn stream_protocol_types_are_send() {
-    // The messages themselves: what travels through shard queues.
+    // The messages themselves: what travels through shard channels.
     assert_send::<Event<u32>>();
     assert_send::<EventBatch<u32>>();
     assert_send::<StreamMessage<u32>>();
@@ -58,7 +58,6 @@ fn shared_handles_are_send_and_sync() {
 
 #[test]
 fn sharding_plumbing_is_send_and_sync() {
-    assert_send_sync::<ShardQueue<StreamMessage<u32>>>();
     assert_send::<ShardOptions>();
     assert_send_sync::<ShardCtx>();
     assert_send::<CheckpointCtx>();

@@ -48,7 +48,6 @@ use impatience_workloads::{generate_cloudlog, CloudLogConfig};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// A sink that records everything: logical clock for run-to-run
 /// determinism, 1/1 provenance sampling so every event is tracked.
@@ -639,9 +638,8 @@ fn panicked_shard_tombstones_its_sorter_gauges() {
     let registry = MetricsRegistry::new();
     let reg = registry.clone();
     let (handle, stream) = input_stream::<u32>();
-    let opts = ShardOptions::new(4).with_stall_timeout(Duration::from_secs(10));
     let out = stream
-        .sharded(opts, move |s, ctx| {
+        .sharded(4, move |s, ctx| {
             let bad = ctx.index == 2;
             let meter = MemoryMeter::new();
             s.instrument(&reg, &format!("shard{:02}", ctx.index))
