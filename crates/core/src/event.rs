@@ -80,7 +80,9 @@ pub struct Event<P> {
     pub other_time: Timestamp,
     /// Grouping key.
     pub key: u32,
-    /// Precomputed hash of the grouping key.
+    /// Always [`hash_key`]`(key)`: derived, held in memory only (the
+    /// §VI-C layout) and recomputed on decode — the WAL, spill runs and
+    /// checkpoints never store it.
     pub hash: u64,
     /// User payload.
     pub payload: P,
@@ -90,13 +92,7 @@ impl<P: Payload> Event<P> {
     /// A point event: validity `[t, t+1)`, key 0.
     #[inline]
     pub fn point(t: Timestamp, payload: P) -> Self {
-        Event {
-            sync_time: t,
-            other_time: Timestamp(t.0.saturating_add(1)),
-            key: 0,
-            hash: 0,
-            payload,
-        }
+        Self::keyed(t, 0, payload)
     }
 
     /// A point event with a grouping key; the hash is derived with
@@ -228,6 +224,7 @@ mod tests {
         assert_eq!(e.other_time, Timestamp::new(11));
         assert_eq!(e.lifetime(), TickDuration(1));
         assert_eq!(e.key, 0);
+        assert_eq!(e.hash, hash_key(0));
         assert_eq!(e.payload, 7);
     }
 

@@ -14,13 +14,15 @@
 //! sequences — because boring is what you want to still parse after a crash.
 
 use crate::batch::EventBatch;
-use crate::event::{Event, Payload};
+use crate::event::{hash_key, Event, Payload};
 use crate::message::StreamMessage;
 use crate::time::{TickDuration, Timestamp};
 use core::fmt;
 
 /// Current snapshot frame version. Bump on any incompatible layout change.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Version 2 stopped writing [`Event::hash`]: an event is 20 fixed bytes
+/// plus its payload.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Bytes of framing around a sealed body: magic(8) + version(4) +
 /// body_len(8) before it, crc32c(4) after it.
@@ -780,25 +782,24 @@ impl StateCodec for TickDuration {
 }
 
 impl<P: Payload> StateCodec for Event<P> {
+    /// `sync_time | other_time | key | payload`: the hash is derived.
     fn encode(&self, w: &mut SnapshotWriter) {
-        // The fixed-width fields go out as one append, not four: batches
+        debug_assert_eq!(self.hash, hash_key(self.key));
+        // The fixed-width fields go out as one append, not three: batches
         // of events are the bulk of every WAL record and spill block.
-        let mut head = [0u8; 28];
+        let mut head = [0u8; 20];
         head[..8].copy_from_slice(&self.sync_time.0.to_le_bytes());
         head[8..16].copy_from_slice(&self.other_time.0.to_le_bytes());
-        head[16..20].copy_from_slice(&self.key.to_le_bytes());
-        head[20..].copy_from_slice(&self.hash.to_le_bytes());
+        head[16..].copy_from_slice(&self.key.to_le_bytes());
         w.buf.extend_from_slice(&head);
         self.payload.encode(w);
     }
     fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(Event {
-            sync_time: Timestamp(r.get_i64()?),
-            other_time: Timestamp(r.get_i64()?),
-            key: r.get_u32()?,
-            hash: r.get_u64()?,
-            payload: P::decode(r)?,
-        })
+        let (sync, other, key) = (r.get_i64()?, r.get_i64()?, r.get_u32()?);
+        // `keyed` derives the hash; the validity end is the stored one.
+        let mut e = Event::keyed(Timestamp(sync), key, P::decode(r)?);
+        e.other_time = Timestamp(other);
+        Ok(e)
     }
 }
 
@@ -1056,6 +1057,10 @@ mod tests {
             Event::keyed(Timestamp::new(1), 1, 10u32),
             Event::keyed(Timestamp::new(2), 2, 20u32),
         ]));
+        // Times and key, then the payload: the hash is left to decode.
+        let mut w = SnapshotWriter::new();
+        Event::keyed(Timestamp::new(5), 3, 7u32).encode(&mut w);
+        assert_eq!(w.len(), 20 + 4);
     }
 
     #[test]

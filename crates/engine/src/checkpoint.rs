@@ -17,11 +17,14 @@
 //!   connect time, plus an egress counter for exactly-once accounting;
 //! * [`Checkpointer`] — two alternating on-disk slots (`ckpt-a.bin` /
 //!   `ckpt-b.bin`), each a checksummed frame with a monotonically
-//!   increasing generation. Writes go to a temp file, are fsynced, then
-//!   renamed over the older slot — a crash mid-write can only lose the
-//!   checkpoint being written, never the previous good one. Recovery
-//!   picks the newest checksum-valid slot and falls back to the other
-//!   generation (recording the typed error) when the newest is corrupt;
+//!   increasing generation. A write overwrites the older slot in place and
+//!   pays one `sync_data` — a crash mid-write can only tear the checkpoint
+//!   being written, never the newer good one, and the WAL still holds the
+//!   newer one's replay suffix because truncation trails both slots (the
+//!   write creating a slot goes through a temp file and a rename).
+//!   Recovery picks the newest checksum-valid slot and falls back to the
+//!   other generation (recording the typed error) when the newest is
+//!   corrupt;
 //! * [`CheckpointGate`] — the observer stage that counts ingested
 //!   messages, triggers a checkpoint every N punctuations, restores state
 //!   at connect time, and reports recovery through the shared context.
@@ -332,7 +335,7 @@ fn parse_slot(bytes: &[u8]) -> Result<SlotContents, SnapshotError> {
     })
 }
 
-/// Two-slot atomic checkpoint storage in a directory.
+/// Two-slot checkpoint storage in a directory.
 pub struct Checkpointer {
     dir: PathBuf,
     /// Per-slot `(generation, messages_seen)` of the retained valid
@@ -382,9 +385,14 @@ impl Checkpointer {
             .unwrap_or(0)
     }
 
-    /// Writes one checkpoint over the *older* slot (temp file + fsync +
-    /// rename, so the newer slot survives a crash mid-write). Returns the
-    /// frame size in bytes.
+    /// Writes one checkpoint over the *older* slot, in place: truncate,
+    /// `write_all`, one `sync_data`. A crash mid-write tears only that
+    /// slot — the other holds the newer generation, and its WAL suffix is
+    /// still on disk because truncation runs after this returns and stays
+    /// below [`Self::safe_truncate_index`]. A slot with no valid
+    /// generation yet goes through `<slot>.tmp`, a rename and a directory
+    /// sync: torn in place, a lone first slot could not be told from a
+    /// damaged one. Returns the frame size in bytes.
     pub fn write(
         &mut self,
         messages_seen: u64,
@@ -414,16 +422,14 @@ impl Checkpointer {
             (Some((a, _)), Some((b, _))) => usize::from(a >= b),
         };
         let path = self.dir.join(SLOT_FILES[slot]);
-        let tmp = self.dir.join(format!("{}.tmp", SLOT_FILES[slot]));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&frame)?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, &path)?;
-        // Persist the rename itself (POSIX: fsync the directory).
-        if let Ok(d) = fs::File::open(&self.dir) {
-            let _ = d.sync_all();
+        let tmp = path.with_extension("bin.tmp");
+        let creating = self.retained[slot].is_none();
+        let mut f = fs::File::create(if creating { &tmp } else { &path })?;
+        f.write_all(&frame)?;
+        f.sync_data()?;
+        if creating {
+            fs::rename(&tmp, &path)?;
+            fs::File::open(&self.dir)?.sync_all()?;
         }
         self.retained[slot] = Some((generation, messages_seen));
         self.next_generation += 1;
@@ -432,7 +438,8 @@ impl Checkpointer {
 
     /// Reads the newest checksum-valid checkpoint, if any.
     ///
-    /// * Neither slot exists → `Ok(None)` (fresh start).
+    /// * Neither slot exists → `Ok(None)` (fresh start). A torn first
+    ///   write leaves only `<slot>.tmp`, which is never read.
     /// * Newest-generation slot corrupt, other valid → the valid one, with
     ///   the typed corruption error attached as
     ///   [`RecoveryInfo::fallback`].
@@ -790,6 +797,99 @@ mod tests {
             ck2.read_newest(),
             Err(SnapshotError::Corrupt { .. })
         ));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_first_write_leaves_a_fresh_start() {
+        let dir = tempdir("torn-first");
+        let p = [participant(5) as Arc<Mutex<dyn Checkpointable>>];
+        let (slot_a, tmp) = (dir.join(SLOT_FILES[0]), dir.join("ckpt-a.bin.tmp"));
+        let mut ck = Checkpointer::open(&dir).unwrap();
+        let len = ck.write(10, 0, &p).unwrap() as usize;
+        let frame = fs::read(&slot_a).unwrap();
+        assert!(!tmp.exists(), "the temp file was renamed into place");
+        // A crash inside the first write leaves a prefix of the temp file
+        // and no slot: nothing to restore, nothing truncated from the WAL.
+        for keep in [0, len - 1, len / 2] {
+            fs::remove_file(&slot_a).unwrap();
+            fs::write(&tmp, &frame[..keep]).unwrap();
+            ck = Checkpointer::open(&dir).unwrap();
+            assert!(ck.read_newest().unwrap().is_none(), "keep {keep}");
+            // The retried first write replaces the stale temp file.
+            ck.write(10, 0, &p).unwrap();
+            assert!(!tmp.exists());
+            assert_eq!(fs::read(&slot_a).unwrap(), frame);
+        }
+
+        // An in-place write cut before its first byte falls back, and
+        // says so.
+        ck.write(20, 0, &p).unwrap(); // gen 2 → slot b, created
+        ck.write(30, 0, &p).unwrap(); // gen 3 → slot a, in place
+        fs::write(&slot_a, b"").unwrap();
+        let (slot, fallback) = Checkpointer::open(&dir)
+            .unwrap()
+            .read_newest()
+            .unwrap()
+            .unwrap();
+        assert_eq!(slot.generation, 2);
+        assert!(matches!(fallback, Some(SnapshotError::Corrupt { .. })));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_slot_overwritten_by_a_shorter_frame_has_no_stale_tail() {
+        let dir = tempdir("shorter");
+        let p = participant(7) as Arc<Mutex<dyn Checkpointable>>;
+        let (three, one) = ([p.clone(), p.clone(), p.clone()], [p]);
+        let mut ck = Checkpointer::open(&dir).unwrap();
+        let long = ck.write(10, 0, &three).unwrap(); // slot a
+        ck.write(20, 0, &one).unwrap(); // slot b
+        let short = ck.write(30, 0, &one).unwrap(); // slot a, in place
+        assert!(short < long);
+        assert_eq!(fs::metadata(dir.join(SLOT_FILES[0])).unwrap().len(), short);
+        let (slot, fallback) = Checkpointer::open(&dir)
+            .unwrap()
+            .read_newest()
+            .unwrap()
+            .unwrap();
+        assert_eq!((slot.generation, slot.messages_seen), (3, 30));
+        assert_eq!(slot.frames.len(), 1);
+        assert!(fallback.is_none(), "both slots parse");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_version_1_slot_is_refused_typed() {
+        let dir = tempdir("v1");
+        let p = participant(3);
+        // A well-formed one-participant checkpoint, sealed as version 1.
+        let mut w = SnapshotWriter::new();
+        for header in [1, 10, 0, 1] {
+            w.put_u64(header); // generation, messages, egress, participants
+        }
+        w.put_str("test.sum");
+        let mut state = SnapshotWriter::new();
+        p.lock().unwrap().encode_state(&mut state).unwrap();
+        w.put_bytes(&state.into_body());
+        fs::write(dir.join(SLOT_FILES[0]), w.seal(CHECKPOINT_MAGIC, 1)).unwrap();
+
+        let ctx = CheckpointCtx::new();
+        ctx.register(p);
+        let (out, sink) = Output::<u32>::new();
+        let _gate = CheckpointGate::new(
+            ctx.clone(),
+            Checkpointer::open(&dir).unwrap(),
+            1,
+            Box::new(sink),
+        );
+        match out.error() {
+            Some(StreamError::RecoveryFailed { detail }) => {
+                assert!(detail.contains("version 1"), "{detail}")
+            }
+            other => panic!("expected RecoveryFailed, got {other:?}"),
+        }
+        assert!(ctx.recovery().is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -364,7 +364,14 @@ impl Wal {
             self.current_bytes = 0;
         }
         let (file, _) = self.current.as_mut().expect("segment just opened");
-        if let Err(e) = file.write_all(&self.frame) {
+        // Records synced into a new segment are durable only once its name
+        // is: one directory sync per roll, latched like a failed write.
+        let named = if roll {
+            fs::File::open(&self.dir).and_then(|d| d.sync_all())
+        } else {
+            Ok(())
+        };
+        if let Err(e) = named.and_then(|()| file.write_all(&self.frame)) {
             let e = SnapshotError::from(e);
             self.failed = Some(e.clone());
             return Err(e);
@@ -840,23 +847,50 @@ mod tests {
         rec
     }
 
+    /// One `Event<i64>` as a record holds it, built by hand: sync time,
+    /// other time, key, payload — 28 bytes, no hash.
+    fn golden_event(t: i64, key: u32, payload: i64) -> Vec<u8> {
+        let mut e = t.to_le_bytes().to_vec();
+        e.extend_from_slice(&(t + 1).to_le_bytes());
+        e.extend_from_slice(&key.to_le_bytes());
+        e.extend_from_slice(&payload.to_le_bytes());
+        e
+    }
+
+    /// `tag | batch marker | count | events`, built by hand.
+    fn golden_batch(tag: u64, events: &[Vec<u8>]) -> Vec<u8> {
+        let mut body = tag.to_le_bytes().to_vec();
+        body.push(0);
+        body.extend_from_slice(&(events.len() as u64).to_le_bytes());
+        body.extend(events.concat());
+        body
+    }
+
     #[test]
     fn wal_segment_bytes_match_the_hand_built_format() {
         let one_segment = WalConfig {
             segment_bytes: 1 << 20,
             sync_every: 64,
         };
-        let batch = StreamMessage::Batch(EventBatch::from_events(vec![ev(3), ev(1), ev(2)]));
-        let mut tagged = SnapshotWriter::new();
-        tagged.put_u64(9);
-        batch.encode(&mut tagged);
-        let payloads = [vec![0xAB; 300], Vec::new(), tagged.into_body()];
+        let events = [(3, 1, -7i64), (1, 0, 5), (2, 9, i64::MAX)];
+        let batch = StreamMessage::batch(
+            events
+                .iter()
+                .map(|&(t, k, p)| Event::keyed(Timestamp::new(t), k, p))
+                .collect(),
+        );
+        let hand: Vec<_> = events
+            .iter()
+            .map(|&(t, k, p)| golden_event(t, k, p))
+            .collect();
+        assert!(hand.iter().all(|e| e.len() == 28));
+        let payloads = [vec![0xAB; 300], Vec::new(), golden_batch(9, &hand)];
         let golden: Vec<u8> = payloads.iter().flat_map(|p| golden_record(p)).collect();
 
         // Written by the log: raw appends, then a typed one reusing the
         // same frame buffer after a longer and an empty record.
         let dir = wal_dir("golden-written");
-        let mut wal: WalIngress<u32> = WalIngress::open_with(&dir, one_segment).unwrap();
+        let mut wal: WalIngress<i64> = WalIngress::open_with(&dir, one_segment).unwrap();
         wal.wal.append(&payloads[0]).unwrap();
         wal.wal.append(&payloads[1]).unwrap();
         wal.append_tagged(&batch, 9).unwrap();
@@ -871,11 +905,62 @@ mod tests {
         let expected: Vec<(u64, Vec<u8>)> = (0u64..).zip(payloads).collect();
         assert_eq!(replayed, expected);
         assert_eq!(
-            WalIngress::<u32>::replay_tagged_from(&hand, 2).unwrap(),
+            WalIngress::<i64>::replay_tagged_from(&hand, 2).unwrap(),
             vec![(2, 9, batch)]
         );
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_dir_all(&hand);
+    }
+
+    #[test]
+    fn a_version_1_record_is_typed_corruption_never_a_wrong_event() {
+        let dir = wal_dir("v1-record");
+        let mut wal = Wal::open_with(&dir, WalConfig::default()).unwrap();
+        for n in 1..=4i64 {
+            // Version 1 wrote the key's hash behind the key: 36 B per event.
+            let v1: Vec<_> = (0..n)
+                .map(|t| {
+                    let mut e = golden_event(t, 2, t * 10);
+                    e.splice(20..20, impatience_core::hash_key(2).to_le_bytes());
+                    e
+                })
+                .collect();
+            wal.append(&golden_batch(n as u64, &v1)).unwrap();
+        }
+        wal.sync().unwrap();
+        for start in 0..4u64 {
+            match WalIngress::<i64>::replay_tagged_from(&dir, start) {
+                Err(SnapshotError::Corrupt { detail }) => {
+                    let trailing = format!("{} trailing bytes", 8 * (start + 1));
+                    assert!(detail.contains(&trailing), "{detail}");
+                }
+                other => panic!("record {start}: expected Corrupt, got {other:?}"),
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn truncation_keeps_the_newest_record_however_often_the_log_rolled() {
+        let dir = wal_dir("tail");
+        let mut wal = Wal::open_with(&dir, tiny_config()).unwrap();
+        for i in 0..20u8 {
+            wal.append(&[i; 24]).unwrap();
+        }
+        wal.sync().unwrap();
+        assert!(list_segments(&dir).unwrap().len() >= 4, "three rolls");
+        // Every record lies below the index, yet the tail segment — and
+        // with it the newest record, whose tag is the session high-water
+        // — stays, in this incarnation and the next.
+        wal.truncate_before(wal.next_index()).unwrap();
+        drop(wal);
+        let mut wal = Wal::open_with(&dir, tiny_config()).unwrap();
+        wal.truncate_before(wal.next_index()).unwrap();
+        assert_eq!(
+            replay_wal(&dir, 0).unwrap().last(),
+            Some(&(19, vec![19; 24]))
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

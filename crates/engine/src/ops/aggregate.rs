@@ -15,8 +15,8 @@ use crate::checkpoint::Checkpointable;
 use crate::observer::Observer;
 use crate::ops::group::GroupTable;
 use impatience_core::{
-    Event, EventBatch, Payload, SnapshotError, SnapshotReader, SnapshotWriter, StateCodec,
-    StreamError, Timestamp,
+    hash_key, Event, EventBatch, Payload, SnapshotError, SnapshotReader, SnapshotWriter,
+    StateCodec, StreamError, Timestamp,
 };
 
 /// An incremental, mergeable aggregate function.
@@ -236,7 +236,7 @@ impl<P: Payload, A: Aggregate<P>, S> WindowAggregateOp<P, A, S> {
                 sync_time: start,
                 other_time: end,
                 key: 0,
-                hash: 0,
+                hash: hash_key(0),
                 payload: self.agg.output(&acc),
             });
             self.next.on_batch(batch);

@@ -46,8 +46,8 @@ use crate::observer::Observer;
 use crate::streamable::{input_stream, Streamable};
 use impatience_core::trace::{SpanKind, SpanRecord, SpanRing, TraceClock, TraceSink};
 use impatience_core::{
-    Counter, Event, EventBatch, Gauge, MetricsRegistry, Payload, StreamError, StreamMessage,
-    Timestamp,
+    hash_key, Counter, Event, EventBatch, Gauge, MetricsRegistry, Payload, StreamError,
+    StreamMessage, Timestamp,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
@@ -425,9 +425,9 @@ fn shard_merge<Q: Payload>(
 // ---------------------------------------------------------------------------
 
 /// The observer handed to the upstream source: routes each event to
-/// `hash % n`, broadcasts punctuations/terminals to every shard, and joins
-/// the whole worker/merge fleet when the source terminates (so a finished
-/// subscribe call implies fully delivered downstream output).
+/// `hash_key(key) % n`, broadcasts punctuations/terminals to every shard,
+/// and joins the whole worker/merge fleet when the source terminates (so a
+/// finished subscribe call implies fully delivered downstream output).
 struct ShardIngress<P: Payload> {
     /// One sender per shard; emptied once the merge has ended the stream.
     senders: Vec<SyncSender<ShardMsg<P>>>,
@@ -488,7 +488,7 @@ impl<P: Payload> Observer<P> for ShardIngress<P> {
         }
         let mut parts: Vec<Vec<Event<P>>> = vec![Vec::new(); n as usize];
         for e in batch.into_visible() {
-            parts[(e.hash % n) as usize].push(e);
+            parts[(hash_key(e.key) % n) as usize].push(e);
         }
         for (tx, part) in self.senders.iter().zip(parts) {
             if part.is_empty() {

@@ -31,7 +31,6 @@ use impatience_engine::{
     BuiltPipeline, Output, PipelineEnv, PipelineSpec, ReorderSpec, WalIngress,
 };
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Declarative description of one tenant: the pipeline spec plus the
@@ -160,40 +159,9 @@ pub struct TenantRuntime {
     serve: ServeCounters,
     failed: Option<StreamError>,
     completed: bool,
-    applied_seq: Arc<AtomicU64>,
-}
-
-/// Sidecar file (inside the tenant's `wal` dir) holding the applied
-/// session-sequence high-water. WAL tags are the primary record of
-/// applied sequences; checkpoint-driven truncation deletes tagged
-/// records, so the high-water they carried is persisted here first —
-/// atomically, before any truncation — and a restart takes the max of
-/// this file and the tags still on disk. Without it, a restart behind a
-/// checkpoint that covers the newest records would under-report
-/// `durable_seq` and a contract-following client would resend frames
-/// the server re-applies as fresh.
-const APPLIED_SEQ_FILE: &str = "applied.seq";
-
-fn read_applied_sidecar(wal_dir: &Path) -> u64 {
-    std::fs::read_to_string(wal_dir.join(APPLIED_SEQ_FILE))
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(0)
-}
-
-fn persist_applied_sidecar(wal_dir: &Path, seq: u64) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let tmp = wal_dir.join(format!("{APPLIED_SEQ_FILE}.tmp"));
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(seq.to_string().as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, wal_dir.join(APPLIED_SEQ_FILE))?;
-    if let Ok(d) = std::fs::File::open(wal_dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
+    applied_seq: u64,
+    /// The newest durable WAL record's tag.
+    journaled_seq: u64,
 }
 
 impl core::fmt::Debug for TenantRuntime {
@@ -303,7 +271,8 @@ impl TenantRuntime {
             out,
             failed: None,
             completed: false,
-            applied_seq: Arc::new(AtomicU64::new(0)),
+            applied_seq: 0,
+            journaled_seq: 0,
         };
         runtime.recover()?;
         Ok(runtime)
@@ -324,14 +293,13 @@ impl TenantRuntime {
             .as_ref()
             .and_then(|c| c.recovery())
             .map_or(0, |r| r.messages_seen);
-        // The durable high-water is the max over (a) the sidecar, which
-        // covers tagged records a checkpoint has truncated, and (b) the
-        // tags on every *surviving* WAL record — scanned from the start
-        // of the log, not just the replay suffix: records between the
-        // safe-truncation floor and the newest checkpoint's offset are
-        // not replayed (the checkpoint already holds their state), but
-        // their tags still carry acknowledged sequences.
-        let mut durable_high = read_applied_sidecar(&wal_dir);
+        // The durable high-water is the newest surviving record's tag.
+        // Tags never decrease along the log (each record takes
+        // `applied_seq`, which only grows), and truncation never deletes
+        // the last segment, which holds the newest synced record. So the
+        // scan runs from the start of the log, not the replay suffix: a
+        // checkpoint may cover every record, and then none is replayed.
+        let mut durable_high = 0;
         let replayed =
             WalIngress::<i64>::replay_tagged_from(&wal_dir, 0).map_err(|e| ServeError::Io {
                 detail: format!("replay wal {}: {e}", wal_dir.display()),
@@ -344,34 +312,34 @@ impl TenantRuntime {
             self.apply_replayed(&msg);
             self.push(msg)?;
         }
-        self.applied_seq.fetch_max(durable_high, Ordering::Relaxed);
-        // Reconfigure wipes the WAL dir but carries the live high-water
-        // in memory; re-persist so a crash right after the swap still
-        // recovers it.
-        let live = self.applied_seq.load(Ordering::Relaxed);
-        if live > durable_high {
-            persist_applied_sidecar(&wal_dir, live).map_err(|e| ServeError::Io {
-                detail: format!("persist applied-seq sidecar {}: {e}", wal_dir.display()),
-            })?;
-        }
         let wal = Arc::new(Mutex::new(wal));
         if let Some(ctx) = &self.built.ckpt {
             let w = Arc::clone(&wal);
-            let seq = Arc::clone(&self.applied_seq);
             ctx.on_checkpoint(move |note| {
                 if let Ok(mut w) = w.lock() {
-                    // Truncation deletes tagged records — the other
-                    // durable copy of the applied high-water — so the
-                    // sidecar must land first; if it cannot be written,
-                    // keep the records.
-                    if persist_applied_sidecar(&wal_dir, seq.load(Ordering::Relaxed)).is_ok() {
-                        let _ = w.truncate_before(note.safe_truncate_index);
-                    }
+                    let _ = w.truncate_before(note.safe_truncate_index);
                 }
             });
         }
         self.wal = Some(wal);
+        self.journaled_seq = durable_high;
+        // Reconfigure wiped `wal/` but carries the high-water in memory.
+        self.journal_applied_seq()?;
+        self.applied_seq = self.applied_seq.max(durable_high);
         Ok(())
+    }
+
+    /// Makes `applied_seq` durable when no WAL record carries it yet —
+    /// after `reconfigure` wiped the log, or after sequenced requests
+    /// that journal nothing: one empty batch tagged with it. Pushing it
+    /// keeps WAL index and checkpoint message count aligned.
+    fn journal_applied_seq(&mut self) -> Result<(), ServeError> {
+        if self.wal.is_none() || self.applied_seq <= self.journaled_seq {
+            return Ok(());
+        }
+        let carry = StreamMessage::batch(Vec::new());
+        self.journal(&[&carry])?;
+        self.push(carry)
     }
 
     /// Rebuilds watermark/punctuation cursors from a replayed message so
@@ -476,32 +444,34 @@ impl TenantRuntime {
             // applied under (0 for unsequenced ingest), so WAL durability
             // and session acks advance together: once this returns, the
             // sequence is recoverable and may be acked to the client.
-            let seq = self.applied_seq.load(Ordering::Relaxed);
             let failed = |e| ServeError::Io {
                 detail: format!("wal append: {e}"),
             };
             for msg in msgs {
-                w.append_tagged(msg, seq).map_err(failed)?;
+                w.append_tagged(msg, self.applied_seq).map_err(failed)?;
                 self.serve.wal_appends.inc();
             }
             w.sync().map_err(failed)?;
             self.serve.wal_syncs.inc();
+            self.journaled_seq = self.applied_seq;
         }
         Ok(())
     }
 
-    /// The session sequence most recently applied (and, for durable
-    /// tenants, journaled) by this runtime. Acks up to this value are
-    /// safe: a resuming client need not resend them.
+    /// The session sequence most recently applied by this runtime. For
+    /// durable tenants it is durable once a record carrying it is
+    /// journaled: by the request itself, or — for requests that journal
+    /// nothing — by `drain_shutdown`. Acks up to this value are safe: a
+    /// resuming client need not resend them.
     pub fn applied_seq(&self) -> u64 {
-        self.applied_seq.load(Ordering::Relaxed)
+        self.applied_seq
     }
 
     /// Records the session sequence about to be applied; the next
     /// journaled record carries it as its WAL tag. Called by the session
     /// layer before each sequenced operation.
     pub fn note_seq(&mut self, seq: u64) {
-        self.applied_seq.fetch_max(seq, Ordering::Relaxed);
+        self.applied_seq = self.applied_seq.max(seq);
     }
 
     /// The WAL index the next journaled record will take — the durable
@@ -523,12 +493,16 @@ impl TenantRuntime {
         self.failed.is_some()
     }
 
-    /// Graceful-drain shutdown: punctuate at the watermark (releasing
-    /// everything reorderable), force a checkpoint at that punctuation,
-    /// and sync the WAL — so a restart after shutdown replays (almost)
-    /// nothing. Best-effort: a completed or failed tenant just drains.
+    /// Graceful-drain shutdown: journal the applied sequence if no record
+    /// carries it yet, punctuate at the watermark (releasing everything
+    /// reorderable), force a checkpoint at that punctuation, and sync the
+    /// WAL — so a restart after shutdown replays (almost) nothing.
+    /// Best-effort: a completed or failed tenant just drains.
     pub fn drain_shutdown(&mut self) -> Released {
-        if self.guard().is_ok() && self.watermark != Timestamp::MIN {
+        if self.guard().is_ok()
+            && self.journal_applied_seq().is_ok()
+            && self.watermark != Timestamp::MIN
+        {
             if let Some(ctx) = &self.built.ckpt {
                 ctx.request_checkpoint();
             }
@@ -647,7 +621,8 @@ impl TenantRuntime {
         released.completed = false;
 
         // Durable state described the *old* pipeline; a flushed stream
-        // replays nothing, so reset it for the new shape.
+        // replays nothing, so reset it for the new shape (`recover`
+        // re-journals the applied sequence into the fresh log).
         self.wal = None;
         for sub in ["wal", "ckpt"] {
             let dir = self.root.join(sub);
@@ -901,17 +876,6 @@ mod tests {
     }
 
     #[test]
-    fn applied_sidecar_round_trips_and_tolerates_absence() {
-        let dir = scratch("sidecar");
-        assert_eq!(read_applied_sidecar(&dir), 0, "missing file reads as 0");
-        persist_applied_sidecar(&dir, 41).expect("persist");
-        persist_applied_sidecar(&dir, 42).expect("overwrite");
-        assert_eq!(read_applied_sidecar(&dir), 42);
-        std::fs::write(dir.join(APPLIED_SEQ_FILE), "garbage").expect("corrupt");
-        assert_eq!(read_applied_sidecar(&dir), 0, "corrupt file reads as 0");
-    }
-
-    #[test]
     fn applied_seq_survives_restart_behind_a_covering_checkpoint() {
         let root = scratch("applied-seq");
         let config = TenantConfig::new(
@@ -933,9 +897,9 @@ mod tests {
         // Graceful drain forces a checkpoint covering every journaled
         // record, so the restart replays (almost) nothing. The
         // regression this guards: the high-water must come back from
-        // the sidecar / full-log tag scan, not only from the replayed
-        // suffix — otherwise durable_seq under-reports and a resuming
-        // client's resends would be re-applied as fresh.
+        // the full-log tag scan, not only from the replayed suffix —
+        // otherwise durable_seq under-reports and a resuming client's
+        // resends would be re-applied as fresh.
         let _ = rt.drain_shutdown();
         rt.restart().expect("restart");
         assert_eq!(
@@ -945,11 +909,68 @@ mod tests {
         );
 
         // A second shutdown/restart cycle with no new sequenced work:
-        // nothing left to replay at all, so only the persisted sidecar
-        // can carry the value.
+        // nothing left to replay at all, so only the tags of covered
+        // records — kept by the never-truncated tail segment — carry it.
         let _ = rt.drain_shutdown();
         rt.restart().expect("second restart");
-        assert_eq!(rt.applied_seq(), 10, "sidecar must carry the high-water");
+        assert_eq!(
+            rt.applied_seq(),
+            10,
+            "covered tags must carry the high-water"
+        );
+    }
+
+    #[test]
+    fn applied_seq_survives_a_covered_restart_after_the_wal_rolls() {
+        let root = scratch("applied-seq-rolled");
+        let config = TenantConfig::new(
+            spec("t9")
+                .with_reorder(ReorderSpec::Fixed {
+                    latency: TickDuration::ticks(4),
+                })
+                .with_checkpoint(4),
+        )
+        .with_durable(true);
+        let mut rt = TenantRuntime::start(config, &root).expect("start");
+        // 160 requests of 1 000 events, 28 B each on disk: over 4 MiB of
+        // WAL, so the log rolls and checkpoints delete whole segments of
+        // tagged records.
+        const PER: i64 = 1_000;
+        for seq in 1..=160u64 {
+            let base = (seq as i64 - 1) * PER;
+            rt.note_seq(seq);
+            rt.ingest((base..base + PER).map(|i| keyed(i, 0, i)).collect())
+                .expect("ingest");
+            rt.drain();
+        }
+        let wal = root.join("t9").join("wal");
+        assert!(
+            !wal.join(format!("wal-{:020}.seg", 0)).exists(),
+            "truncation deleted the first segment"
+        );
+
+        let _ = rt.drain_shutdown();
+        rt.restart().expect("restart");
+        assert_eq!(
+            rt.applied_seq(),
+            160,
+            "the tail segment's tags carry the high-water"
+        );
+    }
+
+    #[test]
+    fn a_sequence_that_journals_nothing_survives_a_graceful_restart() {
+        let root = scratch("applied-seq-unjournaled");
+        let config = TenantConfig::new(spec("t10").with_checkpoint(2)).with_durable(true);
+        let mut rt = TenantRuntime::start(config, &root).expect("start");
+        rt.note_seq(1);
+        rt.ingest(vec![keyed(5, 0, 1)]).expect("ingest");
+        rt.note_seq(2);
+        rt.ingest(Vec::new())
+            .expect("an empty ingest journals nothing");
+        let _ = rt.drain_shutdown();
+        rt.restart().expect("restart");
+        assert_eq!(rt.applied_seq(), 2, "drain_shutdown must journal it");
     }
 
     #[test]
@@ -963,8 +984,9 @@ mod tests {
         let next = TenantConfig::new(spec("t7").with_checkpoint(2)).with_durable(true);
         rt.reconfigure(next).expect("reconfigure");
         assert_eq!(rt.applied_seq(), 7, "reconfigure must not reset the seq");
-        // The swap wiped the WAL dir; the carried value must already be
-        // durable again so a crash right after reconfigure recovers it.
+        // The swap wiped the WAL dir; the empty record reconfigure
+        // journals carries the value, so a crash right after the swap
+        // recovers it.
         rt.restart().expect("restart");
         assert_eq!(rt.applied_seq(), 7, "carried seq must be durable");
     }

@@ -56,6 +56,7 @@ use crate::tiered::TieredMergePolicy;
 use crate::traits::OnlineSorter;
 use impatience_core::{
     EventTimed, SnapshotError, SnapshotReader, SnapshotWriter, StateCodec, StreamError, Timestamp,
+    SNAPSHOT_VERSION,
 };
 use std::fs::{self, File};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -63,8 +64,9 @@ use std::path::{Path, PathBuf};
 
 /// Magic for spilled run files.
 pub const RUN_MAGIC: &[u8; 8] = b"IMPRUN\0\0";
-/// Run-file format version.
-pub const RUN_VERSION: u32 = 1;
+/// Run-file format version. Blocks hold [`StateCodec`]-encoded items, so
+/// the run format moves with the codec's.
+pub const RUN_VERSION: u32 = SNAPSHOT_VERSION;
 /// Upper bound accepted for a single frame body when scanning a run file,
 /// so a corrupted length field cannot drive an unbounded allocation.
 const MAX_FRAME_BODY: u64 = 64 * 1024 * 1024;

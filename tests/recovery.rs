@@ -6,19 +6,21 @@
 //! pushing it and truncating the log at every checkpoint. The run is
 //! killed at a seeded crash point, the on-disk state is damaged the way
 //! real crashes damage it (clean stop, torn WAL tail, flipped checkpoint
-//! byte), and a second incarnation recovers. The contract, checked for
-//! **every** seed × damage variant:
+//! byte, checkpoint write torn mid-flight), and a second incarnation
+//! recovers. The contract, checked for **every** seed × damage variant:
 //!
 //! 1. conformance — `reference = crashed[..P] ++ recovered`, where `P` is
 //!    the committed egress prefix recorded in the recovered checkpoint:
 //!    the combined output is byte-identical to an uncrashed run;
 //! 2. corruption never aborts — an unrecoverable checkpoint surfaces as a
 //!    typed [`StreamError::RecoveryFailed`] with no completion;
-//! 3. a corrupted *newest* slot falls back to the previous generation and
-//!    still conforms.
+//! 3. a corrupted or torn *newest* slot falls back to the previous
+//!    generation and still conforms; a torn *first* write is a fresh
+//!    start that conforms.
 //!
-//! The suite runs `SEEDS × 3 ≥ 500` full crash/recover cycles. Each is
-//! deterministic in its seed, so a failure replays bit-for-bit.
+//! The suite runs `SEEDS × 4` = 680 full crash/recover cycles: 510 of the
+//! first three kinds, 170 torn slots. Each is deterministic in its seed, so
+//! a failure replays bit-for-bit.
 //!
 //! A further 160 cycles crash *inside* one group-committed request — the
 //! serving layer's two records, one sync, then push — and hold the same
@@ -47,7 +49,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// Seeds per damage variant; three variants per seed gives ≥500 runs.
+/// Seeds per damage variant; four variants per seed gives 680 runs.
 const SEEDS: u64 = 170;
 
 fn base_dir(tag: &str) -> PathBuf {
@@ -157,6 +159,10 @@ enum Damage {
     TornWal,
     /// Media corruption: one seeded byte of a checkpoint slot flips.
     CorruptCkpt,
+    /// Power loss mid-checkpoint: the slot being overwritten in place —
+    /// or, before both slots exist, the temp file of the write creating
+    /// one — keeps a seeded prefix of its frame, 0 bytes to frame − 1.
+    TornSlot,
 }
 
 #[derive(Default)]
@@ -166,6 +172,10 @@ struct SuiteCounts {
     fallbacks: u64,
     typed_failures: u64,
     fresh_starts: u64,
+    torn_fallbacks: u64,
+    /// Fresh starts over a torn first write, by kept prefix: 0 bytes,
+    /// frame − 1, seeded.
+    torn_first_writes: [u64; 3],
 }
 
 /// The uncrashed run of `t` — itself durable, so checkpoint writes are
@@ -215,6 +225,11 @@ fn recover_and_check(
         registry.counter("pipeline.recovery.restores").get(),
         u64::from(rec.is_some()),
         "{what}: recovery.restores"
+    );
+    assert_eq!(
+        registry.counter("pipeline.recovery.fallbacks").get(),
+        u64::from(rec.as_ref().is_some_and(|r| r.fallback.is_some())),
+        "{what}: recovery.fallbacks"
     );
     let m = rec.as_ref().map_or(0, |r| r.messages_seen);
     let p = rec.as_ref().map_or(0, |r| r.egress_events) as usize;
@@ -285,6 +300,7 @@ fn run_one(seed: u64, damage: Damage, counts: &mut SuiteCounts) {
     };
 
     // Crash-time damage.
+    let mut slots_at_tear = None;
     match damage {
         Damage::Clean => {}
         Damage::TornWal => {
@@ -298,6 +314,35 @@ fn run_one(seed: u64, damage: Damage, counts: &mut SuiteCounts) {
                 let pick = (seed as usize) % slots.len();
                 corrupt_random_byte(&slots[pick], seed ^ 0xf11b).unwrap();
             }
+        }
+        Damage::TornSlot => {
+            // A slot write in flight keeps a seeded prefix of its frame.
+            // With both slots on disk the write is in place, so the
+            // newest generation's slot is torn and recovery must come
+            // back through the other. A write creating a slot goes
+            // through `<slot>.tmp`, so with fewer slots only that temp
+            // file is torn — for the first write, with a frame of the
+            // same layout taken from the reference run.
+            let ckpt = base.join("ckpt");
+            let slots = files_with_suffix(&ckpt, ".bin").unwrap();
+            let (bytes, torn) = match slots.as_slice() {
+                [] => (
+                    fs::read(ref_base.join("ckpt").join("ckpt-a.bin")).unwrap(),
+                    ckpt.join("ckpt-a.bin.tmp"),
+                ),
+                [only] => (fs::read(only).unwrap(), ckpt.join("ckpt-b.bin.tmp")),
+                _ => {
+                    let newest = slots.iter().max_by_key(|s| generation(s)).unwrap();
+                    (fs::read(newest).unwrap(), newest.clone())
+                }
+            };
+            let keep = match seed % 3 {
+                0 => 0,
+                1 => bytes.len() - 1,
+                _ => StdRng::seed_from_u64(seed ^ 0x7051).gen_range(0..bytes.len()),
+            };
+            fs::write(torn, &bytes[..keep]).unwrap();
+            slots_at_tear = Some(slots.len());
         }
     }
 
@@ -335,14 +380,25 @@ fn run_one(seed: u64, damage: Damage, counts: &mut SuiteCounts) {
             if r.fallback.is_some() {
                 counts.fallbacks += 1;
             }
+            if let Some(n) = slots_at_tear {
+                // Only an in-place tear touches a slot that recovery reads.
+                assert_eq!(r.fallback.is_some(), n == 2, "{what}: torn over {n} slots");
+                counts.torn_fallbacks += u64::from(n == 2);
+            }
         }
-        Ok(None) => counts.fresh_starts += 1,
+        Ok(None) => {
+            counts.fresh_starts += 1;
+            if let Some(n) = slots_at_tear {
+                assert_eq!(n, 0, "{what}: fresh start beside a good slot");
+                counts.torn_first_writes[(seed % 3) as usize] += 1;
+            }
+        }
     }
     let _ = fs::remove_dir_all(&ref_base);
     let _ = fs::remove_dir_all(&base);
 }
 
-/// ≥500 seeded crash/recover cycles across all damage variants.
+/// 680 seeded crash/recover cycles across all damage variants.
 #[test]
 fn crash_anywhere_recovery_is_byte_identical() {
     let mut counts = SuiteCounts::default();
@@ -350,16 +406,30 @@ fn crash_anywhere_recovery_is_byte_identical() {
         run_one(seed, Damage::Clean, &mut counts);
         run_one(seed, Damage::TornWal, &mut counts);
         run_one(seed, Damage::CorruptCkpt, &mut counts);
+        run_one(seed, Damage::TornSlot, &mut counts);
     }
-    assert!(counts.runs >= 500, "only {} runs", counts.runs);
+    assert!(counts.runs >= 680, "only {} runs", counts.runs);
     // The suite must actually exercise the interesting paths: plenty of
     // real restores, at least one generation fallback, and fresh starts
     // for crashes before the first checkpoint.
     assert!(counts.restores > 100, "only {} restores", counts.restores);
     assert!(counts.fallbacks > 0, "no fallback to older generation seen");
+    assert!(counts.torn_fallbacks > 0, "no torn slot fell back");
+    assert!(
+        counts.torn_first_writes.iter().all(|&n| n > 0),
+        "torn first writes by kept prefix: {:?}",
+        counts.torn_first_writes
+    );
     assert!(counts.fresh_starts > 0, "no pre-checkpoint crash seen");
     // Corruption must have had at least one visible consequence.
     assert!(counts.fallbacks + counts.typed_failures > 0);
+}
+
+/// A checkpoint slot's generation: the body's first word, after magic,
+/// version and length.
+fn generation(slot: &Path) -> u64 {
+    let bytes = fs::read(slot).unwrap();
+    u64::from_le_bytes(bytes[20..28].try_into().unwrap())
 }
 
 /// Where a crash lands inside one group-committed request: the serving
