@@ -7,7 +7,7 @@
 //! (`engine::sharded`): counters and gauges are lock-free atomics,
 //! histograms take a short mutex per [`Histogram::record`] — or one per
 //! whole batch of samples via [`Histogram::record_batch`], which is what
-//! pipeline stages use. Operators hold handles; the
+//! the sorting stage uses. Operators hold handles; the
 //! registry owns the names and renders [`MetricsSnapshot`]s — sorted,
 //! deterministic, and exportable as [`Json`] for machine-readable bench
 //! output or as a compact `Display` "top" view for humans.

@@ -36,7 +36,6 @@ pub struct DelayWindow {
     max_delay: TickDuration,
     runs: u64,
     prev: Timestamp,
-    seen_any: bool,
     observed: u64,
 }
 
@@ -60,7 +59,6 @@ impl DelayWindow {
             max_delay: TickDuration::ZERO,
             runs: 0,
             prev: Timestamp::MIN,
-            seen_any: false,
             observed: 0,
         })
     }
@@ -68,38 +66,27 @@ impl DelayWindow {
     /// Observes one arrival. Delay is measured against the watermark
     /// *before* this event advances it, matching what an ingress sorter
     /// would have had to buffer to emit it in order.
+    ///
+    /// No branch depends on the data: the watermark starts at `MIN`, so
+    /// the first event's delay saturates to zero and `max` makes it the
+    /// watermark; delay saturates at `i64::MAX`; the rung is the number of
+    /// (strictly increasing) ladder entries the delay exceeds; and an
+    /// unfilled ring evicts nothing by subtracting zero.
     pub fn observe(&mut self, ts: Timestamp) {
-        let delay = if self.seen_any && ts < self.watermark {
-            TickDuration::ticks(self.watermark.abs_diff(ts).min(i64::MAX as u64) as i64)
-        } else {
-            TickDuration::ZERO
-        };
-        if !self.seen_any || ts < self.prev {
-            self.runs += 1;
-        }
+        let delay = self.watermark.ticks().saturating_sub(ts.ticks()).max(0);
+        self.runs += ((ts < self.prev) | (self.observed == 0)) as u64;
         self.prev = ts;
-        if !self.seen_any || ts > self.watermark {
-            self.watermark = ts;
-        }
-        self.seen_any = true;
+        self.watermark = self.watermark.max(ts);
         self.observed += 1;
-        if delay > self.max_delay {
-            self.max_delay = delay;
-        }
-        let rung = self
-            .ladder
-            .iter()
-            .position(|l| delay <= *l)
-            .unwrap_or(self.ladder.len()) as u8;
-        if self.len == self.ring.len() {
-            let evicted = self.ring[self.head];
-            self.counts[evicted as usize] -= 1;
-        } else {
-            self.len += 1;
-        }
-        self.ring[self.head] = rung;
-        self.counts[rung as usize] += 1;
-        self.head = (self.head + 1) % self.ring.len();
+        self.max_delay = self.max_delay.max(TickDuration::ticks(delay));
+        let rung = self.ladder.iter().filter(|l| delay > l.as_ticks()).count();
+        let full = (self.len == self.ring.len()) as usize;
+        self.counts[self.ring[self.head] as usize] -= full as u64;
+        self.len += 1 - full;
+        self.ring[self.head] = rung as u8;
+        self.counts[rung] += 1;
+        let next = self.head + 1;
+        self.head = if next == self.ring.len() { 0 } else { next };
     }
 
     /// Fraction of windowed arrivals a reorder latency of `ladder[rung]`
@@ -428,6 +415,96 @@ mod tests {
                 "rung {rung}: offline {offline} vs online {online}"
             );
         }
+    }
+
+    /// `DelayWindow::observe` as it was written with per-event branches:
+    /// the reference the branch-free version is checked against.
+    fn observe_branchy(w: &mut DelayWindow, seen_any: &mut bool, ts: Timestamp) {
+        let delay = if *seen_any && ts < w.watermark {
+            TickDuration::ticks(w.watermark.abs_diff(ts).min(i64::MAX as u64) as i64)
+        } else {
+            TickDuration::ZERO
+        };
+        if !*seen_any || ts < w.prev {
+            w.runs += 1;
+        }
+        w.prev = ts;
+        if !*seen_any || ts > w.watermark {
+            w.watermark = ts;
+        }
+        *seen_any = true;
+        w.observed += 1;
+        if delay > w.max_delay {
+            w.max_delay = delay;
+        }
+        let rung = w
+            .ladder
+            .iter()
+            .position(|l| delay <= *l)
+            .unwrap_or(w.ladder.len()) as u8;
+        if w.len == w.ring.len() {
+            let evicted = w.ring[w.head];
+            w.counts[evicted as usize] -= 1;
+        } else {
+            w.len += 1;
+        }
+        w.ring[w.head] = rung;
+        w.counts[rung as usize] += 1;
+        w.head = (w.head + 1) % w.ring.len();
+    }
+
+    #[test]
+    fn branch_free_observe_matches_the_branchy_reference() {
+        use impatience_testkit::rng::splitmix64;
+        let edges = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+        let ladders = [
+            ladder(),
+            vec![TickDuration::ticks(0)],
+            vec![TickDuration::ticks(3), TickDuration::ticks(i64::MAX)],
+            (0..255).map(|i| TickDuration::ticks(i * 7)).collect(),
+        ];
+        for seed in 0..64u64 {
+            let mut state = seed;
+            let lad = &ladders[seed as usize % ladders.len()];
+            let capacity = 1 + (splitmix64(&mut state) % 40) as usize;
+            let mut fast = DelayWindow::new(lad, capacity).unwrap();
+            let mut slow = fast.clone();
+            let mut seen_any = false;
+            let mut t = (splitmix64(&mut state) % 2_000) as i64 - 1_000;
+            for step in 0..600 {
+                let r = splitmix64(&mut state);
+                t = match r % 8 {
+                    // An edge value: overflow on both sides of every delay.
+                    0 => edges[(r >> 8) as usize % edges.len()],
+                    // Late by up to ~2000 ticks.
+                    1 | 2 => t.saturating_sub((r >> 8) as i64 % 2_000),
+                    _ => t.saturating_add((r >> 8) as i64 % 50),
+                };
+                let ts = Timestamp::new(t);
+                fast.observe(ts);
+                observe_branchy(&mut slow, &mut seen_any, ts);
+                let at = format!("seed {seed} step {step} ts {t}");
+                assert_eq!(fast.ring, slow.ring, "{at}");
+                assert_eq!(fast.counts, slow.counts, "{at}");
+                assert_eq!(
+                    (fast.head, fast.len, fast.observed, fast.runs),
+                    (slow.head, slow.len, slow.observed, slow.runs),
+                    "{at}"
+                );
+                assert_eq!(
+                    (fast.watermark, fast.max_delay, fast.prev),
+                    (slow.watermark, slow.max_delay, slow.prev),
+                    "{at}"
+                );
+            }
+        }
+        // Saturation, pinned: MIN behind MAX is the largest delay there is.
+        let mut w = DelayWindow::new(&ladder(), 4).unwrap();
+        w.observe(Timestamp::MAX);
+        w.observe(Timestamp::MIN);
+        assert_eq!(w.max_delay(), TickDuration::ticks(i64::MAX));
+        assert_eq!(w.natural_runs(), 2);
+        assert_eq!(w.completeness_at(3), 0.5, "overflow rung");
     }
 
     #[test]

@@ -31,10 +31,19 @@
 //! second one stands in front of them as a [`LateGateOp`], so lateness is
 //! still decided on an event's original time — before a window rewrites it —
 //! and `SortOp`'s own gate only ever fires after a forced cut.
+//!
+//! On an instrumented chain the operator also samples its input's
+//! watermark lag: per visible input event, late ones included,
+//! `sync_time − last punctuation received` in ticks, clamped at zero —
+//! how far ahead of the watermark the input runs, the slack a reorder
+//! latency must cover (Fig 5's disorder quantity). Events seen before any
+//! punctuation are not sampled. It is tallied in the loop that admits the
+//! batch and merged into the histogram under one lock per batch
+//! ([`Histogram::record_batch`]).
 
 use crate::checkpoint::Checkpointable;
 use crate::observer::Observer;
-use impatience_core::metrics::{Counter, MetricsRegistry};
+use impatience_core::metrics::{Counter, Histogram, MetricsRegistry};
 use impatience_core::{
     DeadLetterQueue, DeadLetterReason, Event, EventBatch, LatePolicy, MemoryMeter, Payload,
     ShedPolicy, SnapshotError, SnapshotReader, SnapshotWriter, StateCodec, StreamError, Timestamp,
@@ -280,7 +289,18 @@ pub struct SortOp<P: Payload, S> {
     policy: SortPolicy<P>,
     failed: bool,
     gauges: Option<SorterGauges>,
+    watermark_lag: Option<Histogram>,
+    /// The last punctuation received — not the watermark, which a forced
+    /// cut moves and a checkpoint restores: lag is measured against the
+    /// input's own punctuations since this operator was built.
+    last_punctuation: Option<Timestamp>,
     next: S,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Watermark-lag flushes (one histogram lock each) made on this thread.
+    pub(crate) static LAG_FLUSHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl<P: Payload, S> SortOp<P, S> {
@@ -312,6 +332,8 @@ impl<P: Payload, S> SortOp<P, S> {
             policy,
             failed: false,
             gauges: None,
+            watermark_lag: None,
+            last_punctuation: None,
             next,
         }
     }
@@ -322,6 +344,13 @@ impl<P: Payload, S> SortOp<P, S> {
     /// captures the post-flush level.
     pub fn with_gauges(mut self, gauges: SorterGauges) -> Self {
         self.gauges = Some(gauges);
+        self
+    }
+
+    /// Samples the input's watermark lag into `histogram` (see the module
+    /// docs).
+    pub fn with_watermark_lag(mut self, histogram: Histogram) -> Self {
+        self.watermark_lag = Some(histogram);
         self
     }
 
@@ -537,13 +566,31 @@ impl<P: Payload, S: Observer<P>> Observer<P> for SortOp<P, S> {
         if self.failed {
             return;
         }
-        for e in batch.into_visible() {
-            if self.gate.is_late(e.sync_time) {
-                self.gate.divert(|| e);
+        let SortOp {
+            gate, high, sorter, ..
+        } = self;
+        let mut admit = |e: Event<P>| {
+            if gate.is_late(e.sync_time) {
+                gate.divert(|| e);
             } else {
-                self.high = self.high.max(e.sync_time);
-                self.sorter.push(e);
+                *high = (*high).max(e.sync_time);
+                sorter.push(e);
             }
+        };
+        let events = batch.into_visible();
+        match (&self.watermark_lag, self.last_punctuation) {
+            (Some(histogram), Some(watermark)) => {
+                #[cfg(test)]
+                if !events.is_empty() {
+                    LAG_FLUSHES.with(|n| n.set(n.get() + 1));
+                }
+                histogram.record_batch(events.into_iter().map(|e| {
+                    let lag = e.sync_time.ticks().saturating_sub(watermark.ticks()).max(0);
+                    admit(e);
+                    lag as u64
+                }));
+            }
+            _ => events.into_iter().for_each(admit),
         }
         self.sync_meter();
         self.enforce_budget();
@@ -553,6 +600,7 @@ impl<P: Payload, S: Observer<P>> Observer<P> for SortOp<P, S> {
         if self.failed {
             return;
         }
+        self.last_punctuation = Some(t);
         if t < self.gate.watermark {
             // After a forced cut the operator's watermark runs ahead of the
             // upstream's; punctuations behind it are stale progress, not
@@ -713,6 +761,52 @@ mod tests {
         );
         let ts: Vec<i64> = out.events().iter().map(|e| e.sync_time.ticks()).collect();
         assert_eq!(ts, vec![10, 11], "on-time output unaffected");
+    }
+
+    #[test]
+    fn watermark_lag_sampled_after_first_punctuation() {
+        let lag = Histogram::new();
+        let (_out, sink) = Output::<u32>::new();
+        let mut op = sort_op(sink, MemoryMeter::new()).with_watermark_lag(lag.clone());
+        op.on_batch(batch(&[100])); // before any punctuation: not sampled
+        op.on_punctuation(Timestamp::new(10));
+        op.on_batch(batch(&[13, 10, 74])); // lags 3, 0 (late), 64
+        op.on_completed();
+        assert_eq!(lag.count(), 3);
+        assert_eq!(lag.max(), 64);
+        assert_eq!(lag.min(), 0);
+        assert_eq!(lag.sum(), 67);
+    }
+
+    #[test]
+    fn watermark_lag_skips_filtered_rows_and_clamps_late_ones() {
+        let lag = Histogram::new();
+        let (_out, sink) = Output::<u32>::new();
+        let mut op = sort_op(sink, MemoryMeter::new()).with_watermark_lag(lag.clone());
+        op.on_punctuation(Timestamp::new(10));
+        let mut b = batch(&[4, 50, 12]); // lags 0 (late, clamped), -, 2
+        b.filter_mut().filter_out(1);
+        op.on_batch(b);
+        assert_eq!(op.dropped_late(), 1);
+        assert_eq!(lag.count(), 2);
+        assert_eq!(lag.sum(), 2);
+    }
+
+    #[test]
+    fn watermark_lag_is_measured_against_received_punctuations() {
+        // A forced cut moves the watermark to 19; lag still counts from
+        // the last punctuation the input carried.
+        let budget = 4 * core::mem::size_of::<Event<u32>>();
+        let lag = Histogram::new();
+        let (_out, sink) = Output::<u32>::new();
+        let mut op =
+            sort_op(sink, MemoryMeter::with_budget(budget)).with_watermark_lag(lag.clone());
+        op.on_punctuation(Timestamp::new(10));
+        op.on_batch(batch(&[11, 12, 13, 14, 15, 16, 17, 18, 19]));
+        assert!(op.forced_punctuations() > 0);
+        op.on_batch(batch(&[20]));
+        assert_eq!(lag.count(), 10);
+        assert_eq!(lag.sum(), (1..=10).sum::<u64>());
     }
 
     #[test]

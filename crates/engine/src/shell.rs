@@ -10,29 +10,25 @@
 //!   [`StreamError::OperatorPanicked`] delivered to the stage's downstream,
 //!   which forwards it, unflushed, to the pipeline's sink;
 //! * **metering** ([`crate::Streamable::instrument`]) — batches / events /
-//!   punctuations in, cumulative busy time, and a watermark-lag histogram
-//!   ([`OperatorMetrics`]); the stage's out-traffic is counted by the
-//!   shell's outlet, the port the operator writes into;
+//!   punctuations in and cumulative busy time ([`OperatorMetrics`]); the
+//!   stage's out-traffic is counted by the shell's outlet, the port the
+//!   operator writes into;
 //! * **span emission** ([`crate::Streamable::traced`]) — one inclusive span
 //!   per batch / punctuation plus a watermark instant per punctuation (see
 //!   [`crate::traced`]).
 //!
-//! None of it alters the stream, and none of it does shared-state work per
-//! *event*: counters take one atomic add per batch, and the lag samples of
-//! a batch accumulate in a stack-local bucket array that is merged into
-//! the histogram under one lock
-//! ([`Histogram::record_batch`](impatience_core::metrics::Histogram::record_batch)).
-//! Every flush happens before the callback returns, so a metrics snapshot
-//! taken between callbacks is exact.
+//! None of it alters the stream, and none of it visits an *event*:
+//! counters take one atomic add per batch, so a metrics snapshot taken
+//! between callbacks is exact. The one per-event instrument, watermark
+//! lag, belongs to the sorting stage and is tallied by
+//! [`SortOp`](crate::ops::SortOp) in the loop it already runs: below the
+//! sort other stages see the same events, above it their input is ordered
+//! and its lag is only the punctuation cadence.
 //!
 //! Busy time is *inclusive*: the shell times the wrapped operator's
 //! handler, which itself pushes into everything downstream, so an
 //! operator's exclusive time is its `busy_ns` minus the `busy_ns` of the
-//! next metered operator. The watermark-lag histogram samples, per visible
-//! input event, `sync_time − last punctuation` in ticks (clamped at zero
-//! for late events); it shows how far ahead of the watermark an operator's
-//! input runs — the slack a reorder latency must cover (Fig 5's disorder
-//! quantity). Events seen before any punctuation are not sampled.
+//! next metered operator.
 //!
 //! The fence needs a handle to the operator's downstream that survives the
 //! operator being consumed by the panic, so fenced stages are built with a
@@ -42,8 +38,8 @@
 
 use crate::observer::Observer;
 use crate::traced::{SpanRecorder, StageTrace};
-use impatience_core::metrics::{Counter, Histogram, MetricsRegistry};
-use impatience_core::{Event, EventBatch, Payload, StreamError, Timestamp};
+use impatience_core::metrics::{Counter, MetricsRegistry};
+use impatience_core::{EventBatch, Payload, StreamError, Timestamp};
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
@@ -68,8 +64,6 @@ pub struct OperatorMetrics {
     /// Nanoseconds spent inside the operator's handlers (inclusive of
     /// downstream — see the module docs).
     pub busy_ns: Counter,
-    /// Per-input-event `sync_time − last punctuation` in ticks.
-    pub watermark_lag: Histogram,
 }
 
 impl OperatorMetrics {
@@ -80,8 +74,7 @@ impl OperatorMetrics {
 
     /// Instruments backed by `registry` under `{op}.batches_in`,
     /// `{op}.events_in`, `{op}.punctuations_in`, `{op}.batches_out`,
-    /// `{op}.events_out`, `{op}.punctuations_out`, `{op}.busy_ns`, and
-    /// `{op}.watermark_lag`.
+    /// `{op}.events_out`, `{op}.punctuations_out` and `{op}.busy_ns`.
     pub fn register(registry: &MetricsRegistry, op: &str) -> Self {
         OperatorMetrics {
             batches_in: registry.counter(&format!("{op}.batches_in")),
@@ -91,7 +84,6 @@ impl OperatorMetrics {
             events_out: registry.counter(&format!("{op}.events_out")),
             punctuations_out: registry.counter(&format!("{op}.punctuations_out")),
             busy_ns: registry.counter(&format!("{op}.busy_ns")),
-            watermark_lag: registry.histogram(&format!("{op}.watermark_lag")),
         }
     }
 }
@@ -161,33 +153,12 @@ impl Fence {
     }
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Watermark-lag flushes (one histogram lock each) made on this thread.
-    static LAG_FLUSHES: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Samples the batch's watermark lag into `histogram`: one lock per batch.
-fn sample_lag<P: Payload>(histogram: &Histogram, watermark: Timestamp, batch: &EventBatch<P>) {
-    let lag = |e: &Event<P>| e.sync_time.ticks().saturating_sub(watermark.ticks()).max(0) as u64;
-    if batch.filter().none_filtered() {
-        histogram.record_batch(batch.events().iter().map(lag));
-    } else {
-        histogram.record_batch(batch.iter_visible().map(lag));
-    }
-    #[cfg(test)]
-    if batch.visible_len() > 0 {
-        LAG_FLUSHES.with(|n| n.set(n.get() + 1));
-    }
-}
-
 /// The one wrapper around a stage's operator (see the module docs): a
 /// transparent observer that forwards every message unchanged while
 /// fencing, metering and tracing the operator as configured.
 pub struct StageShell<P: Payload> {
     inner: Box<dyn Observer<P>>,
     metrics: Option<OperatorMetrics>,
-    last_punctuation: Option<Timestamp>,
     spans: Option<SpanRecorder>,
     fence: Option<Fence>,
     poisoned: bool,
@@ -199,15 +170,13 @@ impl<P: Payload> StageShell<P> {
         StageShell {
             inner,
             metrics: None,
-            last_punctuation: None,
             spans: None,
             fence: None,
             poisoned: false,
         }
     }
 
-    /// Records the operator's in-traffic, busy time and watermark lag into
-    /// `metrics`.
+    /// Records the operator's in-traffic and busy time into `metrics`.
     pub fn metered(mut self, metrics: OperatorMetrics) -> Self {
         self.metrics = Some(metrics);
         self
@@ -292,9 +261,6 @@ impl<P: Payload> Observer<P> for StageShell<P> {
         if let Some(m) = &self.metrics {
             m.batches_in.inc();
             m.events_in.add(events);
-            if let Some(watermark) = self.last_punctuation {
-                sample_lag(&m.watermark_lag, watermark, &batch);
-            }
         }
         self.pass(Some((events, None)), move |inner| inner.on_batch(batch));
     }
@@ -306,7 +272,6 @@ impl<P: Payload> Observer<P> for StageShell<P> {
         if let Some(m) = &self.metrics {
             m.punctuations_in.inc();
         }
-        self.last_punctuation = Some(t);
         self.pass(Some((0, Some(t.ticks()))), move |inner| {
             inner.on_punctuation(t)
         });
@@ -415,7 +380,7 @@ mod tests {
     use super::*;
     use crate::input_stream;
     use crate::observer::Output;
-    use impatience_core::TickDuration;
+    use impatience_core::{Event, TickDuration};
 
     fn batch(ts: &[i64]) -> EventBatch<u32> {
         ts.iter()
@@ -443,13 +408,23 @@ mod tests {
     }
 
     #[test]
-    fn one_histogram_lock_per_metered_stage_per_non_empty_batch() {
+    fn one_histogram_lock_per_non_empty_batch_at_the_sort_only() {
+        use crate::ops::sort::LAG_FLUSHES;
+        use crate::ops::SortPolicy;
+        use impatience_core::MemoryMeter;
+        use impatience_sort::ImpatienceSorter;
         let registry = MetricsRegistry::new();
         let (handle, stream) = input_stream::<u32>();
         let _out = stream
             .instrument(&registry, "p")
             .hardened()
             .where_(|e| e.payload != 2)
+            .sorted(
+                Box::new(ImpatienceSorter::new()),
+                &MemoryMeter::new(),
+                SortPolicy::new(),
+            )
+            .expect("drop policy sorts")
             .tumbling_window(TickDuration::ticks(10))
             .count()
             .collect_output();
@@ -462,22 +437,35 @@ mod tests {
         );
         assert_eq!(flushes(), before, "nothing sampled before a punctuation");
         handle.push_punctuation(Timestamp::new(5));
-        // One 1000-event batch passes all three stages.
+        // One 1000-event batch passes all four stages.
         handle.push_events(
             (0..1000)
                 .map(|i| Event::point(Timestamp::new(6 + i / 400), 7))
                 .collect(),
         );
-        assert_eq!(flushes() - before, 3, "one flush per stage, not per event");
+        assert_eq!(
+            flushes() - before,
+            1,
+            "one flush, at the sort, not per event"
+        );
         handle.push_events(Vec::new());
-        assert_eq!(flushes() - before, 3, "an empty batch flushes nothing");
+        assert_eq!(flushes() - before, 1, "an empty batch flushes nothing");
         handle.push_punctuation(Timestamp::new(20)); // closes window [0, 10)
-        assert_eq!(flushes() - before, 3, "the window's count goes to the sink");
+        assert_eq!(flushes() - before, 1, "sorter output is not sampled");
         handle.push_events(vec![Event::point(Timestamp::new(31), 1)]);
-        assert_eq!(flushes() - before, 6);
-        for stage in ["00.where", "01.tumbling_window", "02.count"] {
-            let lag = registry.histogram(&format!("p.{stage}.watermark_lag"));
-            assert_eq!(lag.count(), 1001, "{stage}");
-        }
+        assert_eq!(flushes() - before, 2);
+        let lag = registry.histogram("p.01.sort.watermark_lag");
+        assert_eq!(lag.count(), 1001);
+        let rows: Vec<String> = registry
+            .snapshot()
+            .histograms
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
+        assert_eq!(
+            rows,
+            ["p.01.sort.watermark_lag"],
+            "no other stage has the row"
+        );
     }
 }

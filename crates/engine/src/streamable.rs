@@ -18,7 +18,7 @@ use crate::observer::{FnSink, Observer, Output, SharedSink};
 use crate::ops;
 use crate::shell::{OperatorMetrics, StagePlan};
 use crate::traced::{TraceCtx, TraceState};
-use impatience_core::metrics::Counter;
+use impatience_core::metrics::{Counter, Histogram};
 use impatience_core::{
     Event, EventBatch, LatePolicy, MemoryMeter, MetricsRegistry, Payload, SnapshotError,
     StreamError, StreamMessage, TickDuration, Timestamp,
@@ -550,9 +550,9 @@ impl<P: Payload> Streamable<P> {
     ///
     /// On an instrumented chain the stage additionally publishes
     /// [`SorterGauges`] (run count, buffered events, state-byte high-water
-    /// mark, speculation counters) under `{prefix}.{stage:02}.sorter.*`
-    /// and [`SortFaultCounters`](ops::SortFaultCounters) under
-    /// `{prefix}.{stage:02}.sort.*`.
+    /// mark, speculation counters) under `{prefix}.{stage:02}.sorter.*`,
+    /// and [`SortFaultCounters`](ops::SortFaultCounters) and the input's
+    /// watermark-lag histogram under `{prefix}.{stage:02}.sort.*`.
     pub fn sorted(
         mut self,
         sorter: Box<dyn OnlineSorter<Event<P>>>,
@@ -582,7 +582,7 @@ impl<P: Payload> Streamable<P> {
             ));
         }
         let slot = self.ctx.claim_stage();
-        let (gauges, faults) = match self.ctx.instr.as_ref() {
+        let (gauges, faults, watermark_lag) = match self.ctx.instr.as_ref() {
             Some(ins) => {
                 let base = format!("{}.{:02}", ins.prefix, slot.instr);
                 (
@@ -591,9 +591,13 @@ impl<P: Payload> Streamable<P> {
                         &format!("{base}.sorter"),
                     )),
                     ops::SortFaultCounters::register(&ins.registry, &format!("{base}.sort")),
+                    Some(
+                        ins.registry
+                            .histogram(&format!("{base}.sort.watermark_lag")),
+                    ),
                 )
             }
-            None => (None, ops::SortFaultCounters::new()),
+            None => (None, ops::SortFaultCounters::new(), None),
         };
         Ok(SortStage {
             slot,
@@ -602,6 +606,7 @@ impl<P: Payload> Streamable<P> {
             policy,
             gauges,
             faults,
+            watermark_lag,
         })
     }
 
@@ -625,15 +630,15 @@ impl<P: Payload> Streamable<P> {
     pub(crate) fn place_sort(self, stage: SortStage<P>) -> Streamable<P> {
         let ckpt = self.ctx.ckpt.clone();
         self.apply_at(stage.slot, "sort", move |sink| {
-            let op = ops::SortOp::with_policy(stage.sorter, stage.meter, stage.policy, sink)
+            let mut op = ops::SortOp::with_policy(stage.sorter, stage.meter, stage.policy, sink)
                 .with_fault_counters(stage.faults);
-            enrol(
-                ckpt,
-                match stage.gauges {
-                    Some(g) => op.with_gauges(g),
-                    None => op,
-                },
-            )
+            if let Some(g) = stage.gauges {
+                op = op.with_gauges(g);
+            }
+            if let Some(h) = stage.watermark_lag {
+                op = op.with_watermark_lag(h);
+            }
+            enrol(ckpt, op)
         })
     }
 }
@@ -647,6 +652,7 @@ pub(crate) struct SortStage<P: Payload> {
     policy: ops::SortPolicy<P>,
     gauges: Option<SorterGauges>,
     faults: ops::SortFaultCounters,
+    watermark_lag: Option<Histogram>,
 }
 
 /// Counts visible output events into the checkpoint context's egress

@@ -3,7 +3,8 @@
 //! unit tests of the `MeteredObserver` / `PanicGuard` wrappers the shell
 //! replaced, every assertion kept; what needs the shell's private parts
 //! stays in `src/shell.rs`, the `Streamable`-level tests in
-//! `src/streamable.rs` and `src/traced.rs`.)
+//! `src/streamable.rs` and `src/traced.rs`. Watermark lag is the sorting
+//! stage's and is tested in `src/ops/sort.rs`.)
 
 use impatience_core::metrics::Counter;
 use impatience_core::{Event, EventBatch, MetricsRegistry, StreamError, StreamMessage, Timestamp};
@@ -35,35 +36,6 @@ fn metered_identity_is_transparent() {
     assert_eq!(m.batches_in.get(), 2);
     assert_eq!(m.events_in.get(), 5);
     assert_eq!(m.punctuations_in.get(), 1);
-}
-
-#[test]
-fn watermark_lag_sampled_after_first_punctuation() {
-    let m = OperatorMetrics::new();
-    let (_out, sink) = Output::<u32>::new();
-    let mut obs = StageShell::new(Box::new(sink)).metered(m.clone());
-    obs.on_batch(batch(&[100])); // before any punctuation: not sampled
-    obs.on_punctuation(Timestamp::new(10));
-    obs.on_batch(batch(&[13, 10, 74])); // lags 3, 0, 64
-    obs.on_completed();
-    assert_eq!(m.watermark_lag.count(), 3);
-    assert_eq!(m.watermark_lag.max(), 64);
-    assert_eq!(m.watermark_lag.min(), 0);
-    assert_eq!(m.watermark_lag.sum(), 67);
-}
-
-#[test]
-fn watermark_lag_skips_filtered_rows_and_clamps_late_ones() {
-    let m = OperatorMetrics::new();
-    let (_out, sink) = Output::<u32>::new();
-    let mut obs = StageShell::new(Box::new(sink)).metered(m.clone());
-    obs.on_punctuation(Timestamp::new(10));
-    let mut b = batch(&[4, 50, 12]); // lags 0 (late, clamped), -, 2
-    b.filter_mut().filter_out(1);
-    obs.on_batch(b);
-    assert_eq!(m.events_in.get(), 2);
-    assert_eq!(m.watermark_lag.count(), 2);
-    assert_eq!(m.watermark_lag.sum(), 2);
 }
 
 struct PanicOn {
@@ -165,7 +137,7 @@ fn panic_mid_batch_poisons_once_and_stops_counting() {
     // The batch that killed the operator was counted on the way in;
     // nothing after the poison is.
     assert_eq!(metrics.batches_in.get(), 1);
-    assert_eq!(metrics.watermark_lag.count(), 3);
+    assert_eq!(metrics.events_in.get(), 3);
     guard.on_batch(batch(&[7]));
     guard.on_error(StreamError::PushAfterCompleted);
     assert_eq!(metrics.batches_in.get(), 1);

@@ -186,9 +186,11 @@ fn balanced_rounds<T: EventTimed + Clone>(runs: Vec<Vec<T>>) -> Vec<T> {
     a
 }
 
-/// Huffman merge: repeatedly binary-merge the two shortest runs. Freed run
-/// storage is pooled and reused, so allocator traffic stays constant in
-/// `k`.
+/// Huffman merge: repeatedly binary-merge the two shortest runs. Nothing
+/// is pooled: an interleaving pair merge allocates a fresh output sized to
+/// both inputs and frees them, so a merge of `k` runs makes up to `k − 1`
+/// allocations. A pair that merely concatenates extends the earlier run in
+/// place (which may reallocate it) instead.
 fn huffman_merge<T: EventTimed + Clone>(runs: Vec<Vec<T>>) -> Vec<T> {
     // Min-heap by length. BinaryHeap is a max-heap, so store negated sizes
     // via Reverse-style wrapper over (len, tie-break id).
