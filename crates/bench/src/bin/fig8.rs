@@ -12,10 +12,9 @@
 //! punctuation; Impatience's throughput depends only on punctuation
 //! frequency, not buffered volume.
 
-use impatience_bench::{
-    assert_speedup, drive::online_sorter_for, drive_online_sorter, BenchArgs, Row, Table,
-};
-use impatience_core::TickDuration;
+use impatience_bench::{assert_speedup, drive_online_sorter, BenchArgs, Row, Table};
+use impatience_core::{EvalPayload, Event, TickDuration};
+use impatience_sort::online_sorter_by_name;
 use impatience_workloads::{
     generate_androidlog, generate_cloudlog, generate_synthetic, AndroidLogConfig, CloudLogConfig,
     Dataset, SyntheticConfig,
@@ -47,18 +46,16 @@ fn run_dataset(
     );
     let mut all = Vec::new();
     for name in SERIES {
+        let sorter =
+            || online_sorter_by_name::<Event<EvalPayload>>(name).expect("a Fig 8 series name");
         let mut row = Vec::new();
         for &f in &freqs {
             // Best of two runs, unless the first already shows this cell
             // is painfully slow (the cut-buffer baselines at high
             // punctuation frequency) — one sample tells that story.
-            let mut best = {
-                let mut sorter = online_sorter_for(name);
-                drive_online_sorter(sorter.as_mut(), &ds.events, f, latency)
-            };
+            let mut best = drive_online_sorter(sorter().as_mut(), &ds.events, f, latency);
             if best.secs < 3.0 {
-                let mut sorter = online_sorter_for(name);
-                let second = drive_online_sorter(sorter.as_mut(), &ds.events, f, latency);
+                let second = drive_online_sorter(sorter().as_mut(), &ds.events, f, latency);
                 if second.throughput() > best.throughput() {
                     best = second;
                 }

@@ -7,9 +7,8 @@
 
 use impatience_core::{EvalPayload, Event, EventTimed, TickDuration, Timestamp};
 use impatience_sort::{
-    quicksort, timsort, CutBuffer, HeapSorter, HeapsortAlgorithm, ImpatienceConfig,
-    ImpatienceSorter, OnlineSorter, PatienceAlgorithm, QuicksortAlgorithm, SortAlgorithm,
-    TimsortAlgorithm,
+    quicksort, timsort, HeapsortAlgorithm, ImpatienceConfig, ImpatienceSorter, OnlineSorter,
+    SortAlgorithm,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -86,18 +85,6 @@ impl DriveOutcome {
     }
 }
 
-/// Builds the online sorter for a Fig 8 series name.
-pub fn online_sorter_for(name: &str) -> Box<dyn OnlineSorter<Event<EvalPayload>>> {
-    match name {
-        "Impatience" => Box::new(ImpatienceSorter::new()),
-        "Patience" => Box::new(CutBuffer::<_, PatienceAlgorithm>::new()),
-        "Quicksort" => Box::new(CutBuffer::<_, QuicksortAlgorithm>::new()),
-        "Timsort" => Box::new(CutBuffer::<_, TimsortAlgorithm>::new()),
-        "Heapsort" => Box::new(HeapSorter::new()),
-        other => panic!("unknown online sorter {other}"),
-    }
-}
-
 /// Drives an online sorter over an arrival sequence with a punctuation
 /// every `frequency` events at `watermark − latency` (§VI-B2).
 pub fn drive_online_sorter(
@@ -150,6 +137,7 @@ pub fn drive_online_sorter(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use impatience_sort::{online_sorter_by_name, ONLINE_SORTER_NAMES};
     use impatience_workloads::{generate_synthetic, SyntheticConfig};
 
     fn small() -> Vec<Event<EvalPayload>> {
@@ -172,8 +160,8 @@ mod tests {
     #[test]
     fn online_drive_accounts_for_everything() {
         let evs = small();
-        for name in ["Impatience", "Patience", "Quicksort", "Timsort", "Heapsort"] {
-            let mut s = online_sorter_for(name);
+        for name in ONLINE_SORTER_NAMES {
+            let mut s = online_sorter_by_name(name).unwrap();
             let o = drive_online_sorter(s.as_mut(), &evs, 100, TickDuration::ticks(1_000));
             assert_eq!(o.pushed + o.dropped, evs.len(), "{name}");
             assert_eq!(o.emitted, o.pushed, "{name}: everything pushed must emit");
@@ -184,7 +172,7 @@ mod tests {
     #[test]
     fn tight_latency_drops_events() {
         let evs = small();
-        let mut s = online_sorter_for("Impatience");
+        let mut s = online_sorter_by_name("Impatience").unwrap();
         let o = drive_online_sorter(s.as_mut(), &evs, 10, TickDuration::ticks(0));
         assert!(o.dropped > 0, "zero latency must drop late events");
         assert_eq!(o.pushed + o.dropped, evs.len());

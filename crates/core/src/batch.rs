@@ -139,24 +139,6 @@ impl<P: Payload> EventBatch<P> {
         self.iter_visible().map(|e| e.sync_time).min()
     }
 
-    /// Largest visible sync time, if any row is visible.
-    pub fn max_sync_time(&self) -> Option<Timestamp> {
-        self.iter_visible().map(|e| e.sync_time).max()
-    }
-
-    /// True when visible rows are in nondecreasing sync-time order — the
-    /// contract of every `Streamable` (in-order stream).
-    pub fn is_time_ordered(&self) -> bool {
-        let mut prev = Timestamp::MIN;
-        for e in self.iter_visible() {
-            if e.sync_time < prev {
-                return false;
-            }
-            prev = e.sync_time;
-        }
-        true
-    }
-
     /// Maps visible payloads into a new batch, dropping filtered rows (a
     /// materializing projection).
     pub fn map_visible<Q: Payload>(&self, mut f: impl FnMut(&P) -> Q) -> EventBatch<Q> {
@@ -184,11 +166,6 @@ impl<P: Payload> EventBatch<P> {
                 .iter()
                 .map(|e| e.payload.heap_bytes())
                 .sum::<usize>()
-    }
-
-    /// Consumes the batch, returning the raw events and bitmap.
-    pub fn into_parts(self) -> (Vec<Event<P>>, FilterBitmap) {
-        (self.events, self.filter)
     }
 }
 
@@ -231,7 +208,6 @@ mod tests {
         let b = batch(&[1, 2, 3]);
         assert_eq!(b.len(), 3);
         assert_eq!(b.visible_len(), 3);
-        assert!(b.is_time_ordered());
     }
 
     #[test]
@@ -294,27 +270,17 @@ mod tests {
     }
 
     #[test]
-    fn min_max_respect_filtering() {
+    fn min_respects_filtering() {
         let mut b = batch(&[5, 1, 9, 3]);
         assert_eq!(b.min_sync_time(), Some(Timestamp::new(1)));
-        assert_eq!(b.max_sync_time(), Some(Timestamp::new(9)));
         b.filter_mut().filter_out(1);
         b.filter_mut().filter_out(2);
         assert_eq!(b.min_sync_time(), Some(Timestamp::new(3)));
-        assert_eq!(b.max_sync_time(), Some(Timestamp::new(5)));
         for i in [0, 3] {
             b.filter_mut().filter_out(i);
         }
         assert_eq!(b.min_sync_time(), None);
         assert!(b.all_filtered());
-    }
-
-    #[test]
-    fn is_time_ordered_ignores_filtered_rows() {
-        let mut b = batch(&[1, 100, 2, 3]);
-        assert!(!b.is_time_ordered());
-        b.filter_mut().filter_out(1);
-        assert!(b.is_time_ordered());
     }
 
     #[test]
@@ -341,7 +307,6 @@ mod tests {
         let b: EventBatch<u32> = EventBatch::default();
         assert!(b.is_empty());
         assert_eq!(b.visible_len(), 0);
-        assert!(b.is_time_ordered());
         assert_eq!(b.min_sync_time(), None);
         assert!(!b.all_filtered() || b.is_empty());
     }

@@ -44,13 +44,6 @@ impl FilterBitmap {
         self.words[i >> 6] |= 1u64 << (i & 63);
     }
 
-    /// Clears the filtered mark on row `i`.
-    #[inline]
-    pub fn unfilter(&mut self, i: usize) {
-        debug_assert!(i < self.len);
-        self.words[i >> 6] &= !(1u64 << (i & 63));
-    }
-
     /// Is row `i` still visible?
     #[inline]
     pub fn is_visible(&self, i: usize) -> bool {
@@ -100,15 +93,6 @@ impl FilterBitmap {
         self.len += 1;
         if !visible {
             self.filter_out(i);
-        }
-    }
-
-    /// Unions another bitmap's filtered set into this one (row-wise OR of
-    /// the *filtered* marks). Both must cover the same number of rows.
-    pub fn filter_union(&mut self, other: &FilterBitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w |= *o;
         }
     }
 
@@ -192,7 +176,7 @@ mod tests {
     }
 
     #[test]
-    fn filter_and_unfilter_roundtrip() {
+    fn filter_out_marks_rows() {
         let mut b = FilterBitmap::all_visible(70);
         b.filter_out(0);
         b.filter_out(63);
@@ -203,9 +187,6 @@ mod tests {
         assert!(!b.is_visible(63));
         assert!(!b.is_visible(64));
         assert!(b.is_visible(1));
-        b.unfilter(63);
-        assert!(b.is_visible(63));
-        assert_eq!(b.count_filtered(), 3);
     }
 
     #[test]
@@ -253,18 +234,6 @@ mod tests {
         assert_eq!(b.count_visible(), 50);
         assert!(b.is_visible(0));
         assert!(!b.is_visible(1));
-    }
-
-    #[test]
-    fn filter_union_ors_marks() {
-        let mut a = FilterBitmap::all_visible(8);
-        let mut b = FilterBitmap::all_visible(8);
-        a.filter_out(1);
-        b.filter_out(2);
-        a.filter_union(&b);
-        assert!(!a.is_visible(1));
-        assert!(!a.is_visible(2));
-        assert_eq!(a.count_filtered(), 2);
     }
 
     #[test]

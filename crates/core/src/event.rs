@@ -139,14 +139,6 @@ impl<P: Payload> Event<P> {
         }
     }
 
-    /// Re-keys the event, recomputing the hash.
-    #[inline]
-    pub fn with_key(mut self, key: u32) -> Self {
-        self.key = key;
-        self.hash = hash_key(key);
-        self
-    }
-
     /// Total bytes attributable to this event when buffered: the flat
     /// struct plus any payload heap data. This is what [`crate::memory`]
     /// charges to operators that hold events in state.
@@ -263,13 +255,6 @@ mod tests {
         assert_eq!(f.other_time, e.other_time);
         assert_eq!(f.key, 3);
         assert_eq!(f.hash, e.hash);
-    }
-
-    #[test]
-    fn with_key_rehashes() {
-        let e = Event::point(Timestamp::ZERO, ()).with_key(9);
-        assert_eq!(e.key, 9);
-        assert_eq!(e.hash, hash_key(9));
     }
 
     #[test]

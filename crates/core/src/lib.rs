@@ -16,7 +16,6 @@
 //!   punctuation and ordered-stream contracts;
 //! * [`MemoryMeter`] — deterministic accounting of buffered operator state
 //!   (the paper's Fig 10 memory metric);
-//! * [`IngressStats`] — completeness accounting (the paper's Table II);
 //! * [`MetricsRegistry`] — named counters, gauges, and log2 histograms with
 //!   deterministic JSON snapshot export ([`MetricsSnapshot`]).
 //!
@@ -39,7 +38,6 @@ pub mod message;
 pub mod metrics;
 pub mod policy;
 pub mod snapshot;
-pub mod stats;
 pub mod time;
 pub mod trace;
 
@@ -49,7 +47,7 @@ pub use config::{ConfigError, Validate};
 pub use error::{Result, StreamError};
 pub use event::{hash_key, EvalPayload, Event, EventTimed, Payload};
 pub use json::{Json, JsonError};
-pub use memory::{format_bytes, MemoryMeter, ScopedCharge};
+pub use memory::{format_bytes, MemoryMeter};
 pub use message::{validate_ordered_stream, validate_punctuation_contract, StreamMessage};
 pub use metrics::{
     Counter, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
@@ -60,7 +58,6 @@ pub use snapshot::{
     crc32c, decode_framed, encode_framed, SnapshotError, SnapshotReader, SnapshotWriter,
     StateCodec, SNAPSHOT_VERSION,
 };
-pub use stats::IngressStats;
 pub use time::{TickDuration, Timestamp};
 pub use trace::{
     LatencyStage, ProvenanceTracker, SpanKind, SpanRecord, SpanRing, TraceClock, TraceConfig,

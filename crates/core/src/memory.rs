@@ -66,15 +66,8 @@ impl MemoryMeter {
     /// [`over_budget`]: MemoryMeter::over_budget
     pub fn with_budget(bytes: usize) -> Self {
         let m = Self::default();
-        m.set_budget(Some(bytes));
+        m.inner.budget.store(bytes, Ordering::Relaxed);
         m
-    }
-
-    /// Sets or clears the enforced budget on the shared account.
-    pub fn set_budget(&self, bytes: Option<usize>) {
-        self.inner
-            .budget
-            .store(bytes.unwrap_or(NO_BUDGET), Ordering::Relaxed);
     }
 
     /// The enforced budget, if any.
@@ -185,25 +178,10 @@ impl MemoryMeter {
         self.inner.current.load(Ordering::Relaxed)
     }
 
-    /// High-water mark since creation (or the last [`reset_peak`]).
-    ///
-    /// [`reset_peak`]: MemoryMeter::reset_peak
+    /// High-water mark since creation.
     #[inline]
     pub fn peak(&self) -> usize {
         self.inner.peak.load(Ordering::Relaxed)
-    }
-
-    /// Resets the peak to the current level (to measure a phase).
-    pub fn reset_peak(&self) {
-        self.inner.peak.store(
-            self.inner.current.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-    }
-
-    /// True if this and `other` share the same account.
-    pub fn same_account(&self, other: &MemoryMeter) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
     }
 }
 
@@ -215,41 +193,6 @@ impl core::fmt::Debug for MemoryMeter {
             self.current(),
             self.peak()
         )
-    }
-}
-
-/// RAII charge: charges on creation, releases on drop. Handy for scoped
-/// buffers whose lifetime matches a lexical scope.
-pub struct ScopedCharge {
-    meter: MemoryMeter,
-    bytes: usize,
-}
-
-impl ScopedCharge {
-    /// Charges `bytes` to `meter` until the guard drops.
-    pub fn new(meter: &MemoryMeter, bytes: usize) -> Self {
-        meter.charge(bytes);
-        ScopedCharge {
-            meter: meter.clone(),
-            bytes,
-        }
-    }
-
-    /// Adjusts the live charge to `new_bytes`.
-    pub fn resize(&mut self, new_bytes: usize) {
-        self.meter.recharge(self.bytes, new_bytes);
-        self.bytes = new_bytes;
-    }
-
-    /// Bytes currently held by this guard.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-}
-
-impl Drop for ScopedCharge {
-    fn drop(&mut self) {
-        self.meter.release(self.bytes);
     }
 }
 
@@ -305,34 +248,6 @@ mod tests {
         let m2 = m.clone();
         m2.charge(77);
         assert_eq!(m.current(), 77);
-        assert!(m.same_account(&m2));
-        assert!(!m.same_account(&MemoryMeter::new()));
-    }
-
-    #[test]
-    fn reset_peak_rebases() {
-        let m = MemoryMeter::new();
-        m.charge(500);
-        m.release(500);
-        assert_eq!(m.peak(), 500);
-        m.reset_peak();
-        assert_eq!(m.peak(), 0);
-        m.charge(5);
-        assert_eq!(m.peak(), 5);
-    }
-
-    #[test]
-    fn scoped_charge_releases_on_drop() {
-        let m = MemoryMeter::new();
-        {
-            let mut g = ScopedCharge::new(&m, 64);
-            assert_eq!(m.current(), 64);
-            g.resize(128);
-            assert_eq!(m.current(), 128);
-            assert_eq!(g.bytes(), 128);
-        }
-        assert_eq!(m.current(), 0);
-        assert_eq!(m.peak(), 128);
     }
 
     #[test]
@@ -367,9 +282,6 @@ mod tests {
             }
         );
         assert_eq!(m.current(), 80, "failed try_charge charges nothing");
-        m.set_budget(None);
-        assert!(m.try_charge(30).is_ok());
-        assert!(!m.over_budget());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! and a named [`MetricsRegistry`] with `Arc`-shared handles.
 //!
 //! Handles are cheap clones sharing their storage, in the same idiom as
-//! [`crate::IngressStats`] and [`crate::MemoryMeter`] — but thread-safe, so
+//! [`crate::MemoryMeter`] — but thread-safe, so
 //! one registry can serve the shards of a multi-core pipeline
 //! (`engine::sharded`): counters and gauges are lock-free atomics,
 //! histograms take a short mutex per [`Histogram::record`] — or one per

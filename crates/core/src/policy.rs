@@ -246,11 +246,6 @@ impl<P: Payload> DeadLetterQueue<P> {
     pub fn drain(&self) -> Vec<DeadLetter<P>> {
         self.lock().letters.drain(..).collect()
     }
-
-    /// True if this and `other` share the same queue.
-    pub fn same_queue(&self, other: &DeadLetterQueue<P>) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
 }
 
 #[cfg(test)]
@@ -267,7 +262,6 @@ mod tests {
     fn dead_letter_queue_shares_and_drains() {
         let q: DeadLetterQueue<u32> = DeadLetterQueue::new();
         let q2 = q.clone();
-        assert!(q.same_queue(&q2));
         assert!(q.is_empty());
 
         q2.push(
@@ -292,7 +286,6 @@ mod tests {
         assert_eq!(drained[1].reason, DeadLetterReason::Shed);
         assert!(q.is_empty(), "drain empties the shared queue");
         assert_eq!(q.total(), 2, "total survives the drain");
-        assert!(!q.same_queue(&DeadLetterQueue::new()));
     }
 
     #[test]

@@ -83,11 +83,6 @@ impl TraceClock {
             }
         }
     }
-
-    /// True in deterministic mode.
-    pub fn is_logical(&self) -> bool {
-        matches!(self, TraceClock::Logical(_))
-    }
 }
 
 /// What a span measures; the `cat` field of the Chrome export.

@@ -22,7 +22,6 @@ pub mod distance;
 pub mod interleaved;
 pub mod inversions;
 pub mod online;
-pub mod rem_exc;
 pub mod report;
 pub mod runs;
 
@@ -32,8 +31,5 @@ pub use interleaved::{
 };
 pub use inversions::{count_inversions, count_inversions_naive};
 pub use online::{AdaptiveConfig, AdaptiveGauges, AdaptiveLatency, DelayWindow};
-pub use rem_exc::{
-    longest_nondecreasing, longest_nondecreasing_naive, min_exchanges, min_removals,
-};
 pub use report::DisorderReport;
 pub use runs::{count_natural_runs, mean_run_length, natural_run_lengths};

@@ -3,13 +3,13 @@
 //! The offline measures in this crate score a finished trace; a *serving*
 //! layer needs the same signal live, per tenant, in `O(1)` per event. This
 //! module tracks the empirical **tardiness** distribution (delay of each
-//! arrival behind the running high watermark) over a sliding window, plus
-//! the online natural-run count, and drives an [`AdaptiveLatency`]
-//! controller that picks the smallest reorder latency `l_i` from a
-//! configured ladder whose expected completeness meets a result-quality
-//! target — the quality-driven disorder handling of Ji et al. (see
-//! PAPERS.md) applied to the Impatience ingress contract: punctuations are
-//! issued at `watermark − l(t)` where `l(t)` adapts to the stream.
+//! arrival behind the running high watermark) over a sliding window, and
+//! drives an [`AdaptiveLatency`] controller that picks the smallest
+//! reorder latency `l_i` from a configured ladder whose expected
+//! completeness meets a result-quality target — the quality-driven
+//! disorder handling of Ji et al. (see PAPERS.md) applied to the
+//! Impatience ingress contract: punctuations are issued at
+//! `watermark − l(t)` where `l(t)` adapts to the stream.
 
 use impatience_core::config::{ConfigError, Validate};
 use impatience_core::metrics::{Counter, Gauge};
@@ -34,8 +34,6 @@ pub struct DelayWindow {
     counts: Vec<u64>,
     watermark: Timestamp,
     max_delay: TickDuration,
-    runs: u64,
-    prev: Timestamp,
     observed: u64,
 }
 
@@ -57,8 +55,6 @@ impl DelayWindow {
             counts: vec![0; ladder.len() + 1],
             watermark: Timestamp::MIN,
             max_delay: TickDuration::ZERO,
-            runs: 0,
-            prev: Timestamp::MIN,
             observed: 0,
         })
     }
@@ -74,8 +70,6 @@ impl DelayWindow {
     /// unfilled ring evicts nothing by subtracting zero.
     pub fn observe(&mut self, ts: Timestamp) {
         let delay = self.watermark.ticks().saturating_sub(ts.ticks()).max(0);
-        self.runs += ((ts < self.prev) | (self.observed == 0)) as u64;
-        self.prev = ts;
         self.watermark = self.watermark.max(ts);
         self.observed += 1;
         self.max_delay = self.max_delay.max(TickDuration::ticks(delay));
@@ -128,14 +122,6 @@ impl DelayWindow {
     /// Worst tardiness ever observed.
     pub fn max_delay(&self) -> TickDuration {
         self.max_delay
-    }
-
-    /// Online natural-run count (the offline [`count_natural_runs`]
-    /// computed incrementally over everything observed).
-    ///
-    /// [`count_natural_runs`]: crate::count_natural_runs
-    pub fn natural_runs(&self) -> u64 {
-        self.runs
     }
 }
 
@@ -315,7 +301,7 @@ impl AdaptiveLatency {
         self.switches
     }
 
-    /// The underlying tardiness window (watermark, max delay, runs).
+    /// The underlying tardiness window (watermark, max delay).
     pub fn window(&self) -> &DelayWindow {
         &self.window
     }
@@ -425,10 +411,6 @@ mod tests {
         } else {
             TickDuration::ZERO
         };
-        if !*seen_any || ts < w.prev {
-            w.runs += 1;
-        }
-        w.prev = ts;
         if !*seen_any || ts > w.watermark {
             w.watermark = ts;
         }
@@ -487,13 +469,13 @@ mod tests {
                 assert_eq!(fast.ring, slow.ring, "{at}");
                 assert_eq!(fast.counts, slow.counts, "{at}");
                 assert_eq!(
-                    (fast.head, fast.len, fast.observed, fast.runs),
-                    (slow.head, slow.len, slow.observed, slow.runs),
+                    (fast.head, fast.len, fast.observed),
+                    (slow.head, slow.len, slow.observed),
                     "{at}"
                 );
                 assert_eq!(
-                    (fast.watermark, fast.max_delay, fast.prev),
-                    (slow.watermark, slow.max_delay, slow.prev),
+                    (fast.watermark, fast.max_delay),
+                    (slow.watermark, slow.max_delay),
                     "{at}"
                 );
             }
@@ -503,7 +485,6 @@ mod tests {
         w.observe(Timestamp::MAX);
         w.observe(Timestamp::MIN);
         assert_eq!(w.max_delay(), TickDuration::ticks(i64::MAX));
-        assert_eq!(w.natural_runs(), 2);
         assert_eq!(w.completeness_at(3), 0.5, "overflow rung");
     }
 
@@ -521,16 +502,6 @@ mod tests {
         }
         assert!((w.completeness_at(0) - 1.0).abs() < 1e-9);
         assert_eq!(w.len(), 16);
-    }
-
-    #[test]
-    fn natural_runs_match_offline() {
-        let keys = [5i64, 1, 3, 3, 2, 9, 9, 4];
-        let mut w = DelayWindow::new(&ladder(), 8).unwrap();
-        for &k in &keys {
-            w.observe(Timestamp::new(k));
-        }
-        assert_eq!(w.natural_runs(), crate::count_natural_runs(&keys) as u64);
     }
 
     #[test]

@@ -52,14 +52,6 @@ impl DisorderReport {
     pub fn is_sorted(&self) -> bool {
         self.inversions == 0
     }
-
-    /// Renders one dataset column of Table I.
-    pub fn to_table_row(&self, label: &str) -> String {
-        format!(
-            "{label}: events={} inversions={} distance={} runs={} interleaved={}",
-            self.events, self.inversions, self.distance, self.runs, self.interleaved
-        )
-    }
 }
 
 impl core::fmt::Display for DisorderReport {
@@ -124,10 +116,8 @@ mod tests {
     }
 
     #[test]
-    fn display_and_row_formats() {
+    fn display_format() {
         let r = DisorderReport::compute(&[2i64, 1]);
-        let s = r.to_table_row("test");
-        assert!(s.contains("inversions=1"));
         let d = format!("{r}");
         assert!(d.contains("Inversions"));
         assert!(d.contains("Interleaved"));

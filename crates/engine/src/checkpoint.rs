@@ -29,7 +29,7 @@
 //!   messages, triggers a checkpoint every N punctuations, restores state
 //!   at connect time, and reports recovery through the shared context.
 //!
-//! Combined with the write-ahead ingest log ([`crate::ingress::Wal`]),
+//! Combined with the write-ahead ingest log ([`crate::WalIngress`]),
 //! recovery is: restore the newest valid checkpoint, then replay the WAL
 //! suffix from the checkpoint's message offset. The committed output
 //! prefix is the egress count stored in the checkpoint header — output
@@ -228,11 +228,6 @@ impl CheckpointCtx {
     /// restore a checkpoint (it is, for an unchanged topology).
     pub fn register(&self, participant: Arc<Mutex<dyn Checkpointable>>) {
         lock(&self.inner).participants.push(participant);
-    }
-
-    /// Number of registered stateful operators.
-    pub fn participant_count(&self) -> usize {
-        lock(&self.inner).participants.len()
     }
 
     /// The shared egress counter; bump it once per visible output event

@@ -7,17 +7,15 @@
 //! late events; a high value the reverse (Fig 1, Table II).
 //!
 //! For durable pipelines this module also provides the append-only
-//! **write-ahead ingest log** ([`Wal`] / [`WalIngress`]): every ingested
+//! **write-ahead ingest log** ([`WalIngress`]): every ingested
 //! message is persisted (checksummed, batched fsync) before it is
 //! considered acknowledged, so crash recovery can restore the newest
 //! checkpoint and replay exactly the unprocessed suffix.
 
-use crate::streamable::Streamable;
 use impatience_core::{
-    crc32c, Event, EventBatch, IngressStats, MemoryMeter, Payload, SnapshotError, SnapshotReader,
-    SnapshotWriter, StateCodec, StreamMessage, TickDuration, Timestamp, DEFAULT_BATCH_SIZE,
+    crc32c, Event, EventBatch, Payload, SnapshotError, SnapshotReader, SnapshotWriter, StateCodec,
+    StreamMessage, TickDuration, Timestamp, DEFAULT_BATCH_SIZE,
 };
-use impatience_sort::OnlineSorter;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -96,33 +94,6 @@ pub fn punctuate_arrivals<P: Payload>(
     }
     msgs.push(StreamMessage::Completed);
     msgs
-}
-
-/// Full ingress: arrivals → punctuated → ordered [`Streamable`] through
-/// `sorter` (Impatience sort, or a baseline for comparison). Late-event
-/// drops and throughput counters go to `stats`; sorter state bytes to
-/// `meter`.
-pub fn ingress_sorted<P: Payload>(
-    arrivals: Vec<Event<P>>,
-    policy: &IngressPolicy,
-    sorter: Box<dyn OnlineSorter<Event<P>>>,
-    meter: &MemoryMeter,
-    stats: &IngressStats,
-) -> Streamable<P> {
-    stats.add_ingested(arrivals.len() as u64);
-    let msgs = punctuate_arrivals(arrivals, policy);
-    let stats = stats.clone();
-    let disordered = Streamable::from_connector(move |mut sink| {
-        for m in msgs {
-            if m.is_punctuation() {
-                stats.add_punctuation();
-            }
-            sink.on_message(m);
-        }
-    });
-    disordered
-        .sorted(sorter, meter, Default::default())
-        .expect("default sort policy")
 }
 
 /// Tuning knobs for the write-ahead ingest log.
@@ -247,7 +218,7 @@ fn parse_segment(bytes: &[u8], base: u64, is_last: bool) -> Result<ParsedSegment
 /// [`Wal::truncate_before`] discards segments wholly below a checkpoint's
 /// safe index. Opening an existing log repairs a torn tail (the crash may
 /// have lost only unsynced — unacknowledged — records).
-pub struct Wal {
+struct Wal {
     dir: PathBuf,
     config: WalConfig,
     next_index: u64,
@@ -264,13 +235,8 @@ pub struct Wal {
 }
 
 impl Wal {
-    /// Opens (creating if needed) the log in `dir` with default tuning.
-    pub fn open(dir: impl Into<PathBuf>) -> Result<Self, SnapshotError> {
-        Self::open_with(dir, WalConfig::default())
-    }
-
     /// Opens (creating if needed) the log in `dir`.
-    pub fn open_with(dir: impl Into<PathBuf>, config: WalConfig) -> Result<Self, SnapshotError> {
+    fn open_with(dir: impl Into<PathBuf>, config: WalConfig) -> Result<Self, SnapshotError> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         let segs = list_segments(&dir)?;
@@ -308,20 +274,9 @@ impl Wal {
         })
     }
 
-    /// The log directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Index the next appended record will receive.
-    pub fn next_index(&self) -> u64 {
+    fn next_index(&self) -> u64 {
         self.next_index
-    }
-
-    /// Records at indices below this are guaranteed on stable storage —
-    /// the acknowledgeable prefix.
-    pub fn synced_index(&self) -> u64 {
-        self.synced_index
     }
 
     /// Appends one record, returning its global index. Rolls segments and
@@ -331,7 +286,8 @@ impl Wal {
     /// are typed errors; after a write failure the log refuses every
     /// further append with that same error (see [`Wal`]'s torn-tail
     /// repair on reopen).
-    pub fn append(&mut self, payload: &[u8]) -> Result<u64, SnapshotError> {
+    #[cfg(test)]
+    fn append(&mut self, payload: &[u8]) -> Result<u64, SnapshotError> {
         self.append_with(|frame| frame.extend_from_slice(payload))
     }
 
@@ -386,7 +342,7 @@ impl Wal {
     }
 
     /// Forces every appended record to stable storage.
-    pub fn sync(&mut self) -> Result<(), SnapshotError> {
+    fn sync(&mut self) -> Result<(), SnapshotError> {
         if let Some((file, _)) = &self.current {
             file.sync_all()?;
         }
@@ -397,7 +353,7 @@ impl Wal {
     /// Deletes segments whose records all lie below `index` (typically a
     /// checkpoint's safe-truncation floor). The active segment is never
     /// deleted. Returns the number of segments removed.
-    pub fn truncate_before(&mut self, index: u64) -> Result<usize, SnapshotError> {
+    fn truncate_before(&mut self, index: u64) -> Result<usize, SnapshotError> {
         let segs = list_segments(&self.dir)?;
         let active_base = self.current.as_ref().map(|&(_, base)| base);
         let mut removed = 0usize;
@@ -419,7 +375,7 @@ impl Wal {
 /// acknowledged); a checksum mismatch or a hole anywhere else is a typed
 /// [`SnapshotError::Corrupt`]. An empty or missing directory replays
 /// nothing.
-pub fn replay_wal(dir: &Path, start: u64) -> Result<Vec<(u64, Vec<u8>)>, SnapshotError> {
+fn replay_wal(dir: &Path, start: u64) -> Result<Vec<(u64, Vec<u8>)>, SnapshotError> {
     let segs = match list_segments(dir) {
         Ok(s) => s,
         Err(SnapshotError::Io { .. }) if !dir.exists() => return Ok(Vec::new()),
@@ -479,11 +435,6 @@ impl<P: Payload> WalIngress<P> {
         })
     }
 
-    /// The underlying record log.
-    pub fn wal(&self) -> &Wal {
-        &self.wal
-    }
-
     /// Index the next appended message will receive.
     pub fn next_index(&self) -> u64 {
         self.wal.next_index()
@@ -517,7 +468,8 @@ impl<P: Payload> WalIngress<P> {
         self.wal.sync()
     }
 
-    /// Drops segments wholly below `index`; see [`Wal::truncate_before`].
+    /// Drops segments wholly below `index` (typically a checkpoint's
+    /// safe-truncation floor). The active segment is never deleted.
     pub fn truncate_before(&mut self, index: u64) -> Result<usize, SnapshotError> {
         self.wal.truncate_before(index)
     }
@@ -563,7 +515,6 @@ impl<P: Payload> WalIngress<P> {
 mod tests {
     use super::*;
     use impatience_core::validate_punctuation_contract;
-    use impatience_sort::ImpatienceSorter;
 
     fn ev(t: i64) -> Event<u32> {
         Event::point(Timestamp::new(t), t as u32)
@@ -631,59 +582,6 @@ mod tests {
             .collect();
         assert_eq!(sizes, vec![3, 3, 3, 1]);
         assert!(matches!(msgs.last(), Some(StreamMessage::Completed)));
-    }
-
-    #[test]
-    fn ingress_sorted_end_to_end() {
-        let meter = MemoryMeter::new();
-        let stats = IngressStats::new();
-        let policy = IngressPolicy {
-            punctuation_frequency: 4,
-            reorder_latency: TickDuration::ticks(3),
-            batch_size: 4,
-        };
-        // Mildly disordered arrivals.
-        let arrivals: Vec<Event<u32>> = [5i64, 3, 7, 6, 9, 8, 12, 11, 15, 14]
-            .iter()
-            .map(|&t| ev(t))
-            .collect();
-        let out = ingress_sorted(
-            arrivals,
-            &policy,
-            Box::new(ImpatienceSorter::new()),
-            &meter,
-            &stats,
-        )
-        .collect_output();
-        let ts: Vec<i64> = out.events().iter().map(|e| e.sync_time.ticks()).collect();
-        assert_eq!(ts, vec![3, 5, 6, 7, 8, 9, 11, 12, 14, 15]);
-        assert!(impatience_core::validate_ordered_stream(&out.messages()).is_ok());
-        assert_eq!(stats.ingested(), 10);
-        assert!(stats.punctuations() >= 2);
-        assert_eq!(meter.current(), 0, "all sorter state flushed");
-    }
-
-    #[test]
-    fn low_latency_drops_late_events() {
-        let meter = MemoryMeter::new();
-        let stats = IngressStats::new();
-        let policy = IngressPolicy {
-            punctuation_frequency: 2,
-            reorder_latency: TickDuration::ZERO,
-            batch_size: 2,
-        };
-        // Event 5 arrives after the watermark has reached 20.
-        let arrivals: Vec<Event<u32>> = [10i64, 20, 5, 30].iter().map(|&t| ev(t)).collect();
-        let out = ingress_sorted(
-            arrivals,
-            &policy,
-            Box::new(ImpatienceSorter::new()),
-            &meter,
-            &stats,
-        )
-        .collect_output();
-        let ts: Vec<i64> = out.events().iter().map(|e| e.sync_time.ticks()).collect();
-        assert_eq!(ts, vec![10, 20, 30], "late event 5 dropped");
     }
 
     fn wal_dir(tag: &str) -> PathBuf {

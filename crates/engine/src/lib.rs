@@ -10,13 +10,13 @@
 //! Key pieces:
 //!
 //! * [`Streamable`] — Trill's immutable stream abstraction (§IV-B), with
-//!   `where_` / `select` / `tumbling_window` / `aggregate` /
+//!   `where_` / `select` / `tumbling_window` / `count` / `reduce_by_key` /
 //!   `group_aggregate` / `union` / `top_k` / `followed_by` combinators;
 //! * [`observer`] — the push protocol and terminal sinks;
 //! * [`ops`] — the operator implementations (bitmap selection §VI-C,
 //!   timestamp-adjusting windows §IV-A2, synchronizing union §V-A, ...);
 //! * [`ingress`] — punctuation policies (`watermark − reorder_latency`)
-//!   and disordered-to-ordered entry points;
+//!   and the write-ahead ingest log;
 //! * [`shell`] — the one wrapper around every stage ([`StageShell`]):
 //!   opt-in per-operator instrumentation ([`Streamable::instrument`]:
 //!   traffic counters, busy time, watermark-lag histograms, sorter
@@ -24,7 +24,7 @@
 //!   in one pass with no shared-state work per event;
 //! * [`checkpoint`] — durable pipelines: operator-state checkpoint/restore
 //!   ([`Streamable::checkpointed`]) backed by two-slot atomic snapshots,
-//!   paired with the write-ahead ingest log ([`ingress::Wal`]) for
+//!   paired with the write-ahead ingest log ([`WalIngress`]) for
 //!   exactly-once crash recovery;
 //! * [`sharded`] — multi-core execution: [`Streamable::sharded`] runs N
 //!   hash-partitioned copies of a pipeline on worker threads behind bounded
@@ -66,7 +66,7 @@ pub use checkpoint::{
     CheckpointCtx, CheckpointGate, CheckpointMetrics, CheckpointNote, Checkpointable, Checkpointer,
     RecoveryInfo, CHECKPOINT_MAGIC,
 };
-pub use ingress::{ingress_sorted, punctuate_arrivals, replay_wal, IngressPolicy, Wal, WalIngress};
+pub use ingress::{punctuate_arrivals, IngressPolicy, WalIngress};
 pub use observer::{BlackHoleSink, CollectorSink, FnSink, Observer, Output, SharedSink};
 pub use sharded::{ShardCtx, ShardOptions, SHARD_QUEUE_MESSAGES};
 pub use shell::{OperatorMetrics, StageShell};

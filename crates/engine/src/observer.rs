@@ -148,11 +148,6 @@ impl<P: Payload> Output<P> {
         lock(&self.buf).error.clone()
     }
 
-    /// Drops buffered messages, keeping counters (for long benchmark runs).
-    pub fn discard_messages(&self) {
-        lock(&self.buf).messages.clear();
-    }
-
     /// Atomically drains buffered messages, keeping counters — the
     /// incremental-consumer form of [`Self::messages`] used by the
     /// serving layer to ship output as it is released.
@@ -308,10 +303,9 @@ mod tests {
         assert!(out.is_completed());
         assert_eq!(out.events().len(), 3);
         assert_eq!(out.last_punctuation(), Some(Timestamp::new(2)));
-        assert_eq!(out.messages().len(), 4);
-        out.discard_messages();
+        assert_eq!(out.take_messages().len(), 4);
         assert!(out.messages().is_empty());
-        assert_eq!(out.event_count(), 3, "counters survive discard");
+        assert_eq!(out.event_count(), 3, "counters survive the drain");
     }
 
     #[test]

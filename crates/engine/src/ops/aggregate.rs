@@ -94,120 +94,6 @@ impl<P: Payload, F: Fn(&P) -> i64 + Clone + Send + 'static> Aggregate<P> for Sum
     }
 }
 
-/// `MIN(f(payload))`; `None` only for empty windows (never emitted).
-#[derive(Clone)]
-pub struct MinAgg<P, F: Clone> {
-    f: F,
-    _p: core::marker::PhantomData<fn(P)>,
-}
-
-impl<P, F: Clone> MinAgg<P, F> {
-    /// Minimizes `f(payload)`.
-    pub fn new(f: F) -> Self {
-        MinAgg {
-            f,
-            _p: core::marker::PhantomData,
-        }
-    }
-}
-
-impl<P: Payload, F: Fn(&P) -> i64 + Clone + Send + 'static> Aggregate<P> for MinAgg<P, F> {
-    type Acc = Option<i64>;
-    type Out = i64;
-    fn init(&self) -> Option<i64> {
-        None
-    }
-    fn fold(&self, acc: &mut Option<i64>, e: &Event<P>) {
-        let v = (self.f)(&e.payload);
-        *acc = Some(acc.map_or(v, |a| a.min(v)));
-    }
-    fn output(&self, acc: &Option<i64>) -> i64 {
-        acc.expect("MIN over an empty window")
-    }
-    fn combine(&self, a: &i64, b: &i64) -> i64 {
-        *a.min(b)
-    }
-}
-
-/// `MAX(f(payload))`.
-#[derive(Clone)]
-pub struct MaxAgg<P, F: Clone> {
-    f: F,
-    _p: core::marker::PhantomData<fn(P)>,
-}
-
-impl<P, F: Clone> MaxAgg<P, F> {
-    /// Maximizes `f(payload)`.
-    pub fn new(f: F) -> Self {
-        MaxAgg {
-            f,
-            _p: core::marker::PhantomData,
-        }
-    }
-}
-
-impl<P: Payload, F: Fn(&P) -> i64 + Clone + Send + 'static> Aggregate<P> for MaxAgg<P, F> {
-    type Acc = Option<i64>;
-    type Out = i64;
-    fn init(&self) -> Option<i64> {
-        None
-    }
-    fn fold(&self, acc: &mut Option<i64>, e: &Event<P>) {
-        let v = (self.f)(&e.payload);
-        *acc = Some(acc.map_or(v, |a| a.max(v)));
-    }
-    fn output(&self, acc: &Option<i64>) -> i64 {
-        acc.expect("MAX over an empty window")
-    }
-    fn combine(&self, a: &i64, b: &i64) -> i64 {
-        *a.max(b)
-    }
-}
-
-/// `AVG(f(payload))` — partial output is `(sum, count)` so it stays
-/// mergeable; use [`mean_value`] to read the final average.
-#[derive(Clone)]
-pub struct MeanAgg<P, F: Clone> {
-    f: F,
-    _p: core::marker::PhantomData<fn(P)>,
-}
-
-impl<P, F: Clone> MeanAgg<P, F> {
-    /// Averages `f(payload)`.
-    pub fn new(f: F) -> Self {
-        MeanAgg {
-            f,
-            _p: core::marker::PhantomData,
-        }
-    }
-}
-
-impl<P: Payload, F: Fn(&P) -> i64 + Clone + Send + 'static> Aggregate<P> for MeanAgg<P, F> {
-    type Acc = (i64, u64);
-    type Out = (i64, u64);
-    fn init(&self) -> (i64, u64) {
-        (0, 0)
-    }
-    fn fold(&self, acc: &mut (i64, u64), e: &Event<P>) {
-        acc.0 += (self.f)(&e.payload);
-        acc.1 += 1;
-    }
-    fn output(&self, acc: &(i64, u64)) -> (i64, u64) {
-        *acc
-    }
-    fn combine(&self, a: &(i64, u64), b: &(i64, u64)) -> (i64, u64) {
-        (a.0 + b.0, a.1 + b.1)
-    }
-}
-
-/// Reads the final average out of a [`MeanAgg`] partial.
-pub fn mean_value(partial: &(i64, u64)) -> f64 {
-    if partial.1 == 0 {
-        return 0.0;
-    }
-    partial.0 as f64 / partial.1 as f64
-}
-
 /// Ungrouped windowed aggregation: one output event per window.
 pub struct WindowAggregateOp<P: Payload, A: Aggregate<P>, S> {
     agg: A,
@@ -430,33 +316,12 @@ mod tests {
     }
 
     #[test]
-    fn sum_min_max_mean() {
+    fn sum_per_window() {
         let (out, sink) = Output::<i64>::new();
         let mut op = WindowAggregateOp::new(SumAgg::new(|p: &u32| *p as i64), sink);
         op.on_batch(windowed_batch(&[(0, 0, 5), (0, 0, 7)]));
         op.on_completed();
         assert_eq!(out.events()[0].payload, 12);
-
-        let (out, sink) = Output::<i64>::new();
-        let mut op = WindowAggregateOp::new(MinAgg::new(|p: &u32| *p as i64), sink);
-        op.on_batch(windowed_batch(&[(0, 0, 5), (0, 0, 3), (0, 0, 7)]));
-        op.on_completed();
-        assert_eq!(out.events()[0].payload, 3);
-
-        let (out, sink) = Output::<i64>::new();
-        let mut op = WindowAggregateOp::new(MaxAgg::new(|p: &u32| *p as i64), sink);
-        op.on_batch(windowed_batch(&[(0, 0, 5), (0, 0, 3), (0, 0, 7)]));
-        op.on_completed();
-        assert_eq!(out.events()[0].payload, 7);
-
-        let (out, sink) = Output::<(i64, u64)>::new();
-        let mut op = WindowAggregateOp::new(MeanAgg::new(|p: &u32| *p as i64), sink);
-        op.on_batch(windowed_batch(&[(0, 0, 4), (0, 0, 8)]));
-        op.on_completed();
-        let partial = out.events()[0].payload;
-        assert_eq!(partial, (12, 2));
-        assert!((mean_value(&partial) - 6.0).abs() < 1e-12);
-        assert_eq!(mean_value(&(0, 0)), 0.0);
     }
 
     #[test]
@@ -484,21 +349,6 @@ mod tests {
         assert_eq!(
             s.combine(&run(&s, &a_events), &run(&s, &b_events)),
             run(&s, &all)
-        );
-        let mn = MinAgg::new(|p: &u32| *p as i64);
-        assert_eq!(
-            mn.combine(&run(&mn, &a_events), &run(&mn, &b_events)),
-            run(&mn, &all)
-        );
-        let mx = MaxAgg::new(|p: &u32| *p as i64);
-        assert_eq!(
-            mx.combine(&run(&mx, &a_events), &run(&mx, &b_events)),
-            run(&mx, &all)
-        );
-        let me = MeanAgg::new(|p: &u32| *p as i64);
-        assert_eq!(
-            me.combine(&run(&me, &a_events), &run(&me, &b_events)),
-            run(&me, &all)
         );
     }
 

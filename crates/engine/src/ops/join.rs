@@ -8,7 +8,7 @@
 //! validity intervals `[sync, other)` overlap; the output event carries
 //! the intersection of the intervals and a payload combined from both.
 //!
-//! Implementation: like [`super::union`], the two ordered inputs are
+//! Implementation: like [`super::union()`], the two ordered inputs are
 //! synchronized and processed in global `sync_time` order. Each processed
 //! event probes the opposite side's per-key state for overlapping live
 //! intervals (emitting matches timestamped at the later `sync_time`, which

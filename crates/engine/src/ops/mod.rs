@@ -18,10 +18,7 @@ pub mod topk;
 pub mod union;
 pub mod window;
 
-pub use aggregate::{
-    mean_value, Aggregate, CountAgg, GroupedAggregateOp, MaxAgg, MeanAgg, MinAgg, SumAgg,
-    WindowAggregateOp,
-};
+pub use aggregate::{Aggregate, CountAgg, GroupedAggregateOp, SumAgg, WindowAggregateOp};
 pub use filter::FilterOp;
 pub use join::{temporal_join, JoinInput};
 pub use pattern::FollowedByOp;
@@ -30,6 +27,4 @@ pub use reduce::ReduceByKeyOp;
 pub use sort::{LateGate, LateGateOp, SortFaultCounters, SortOp, SortPolicy};
 pub use topk::TopKOp;
 pub use union::{union, UnionInput, UnionProbe};
-pub use window::{
-    align_tumbling, hop_start, window_punctuation, HoppingWindowOp, TumblingWindowOp,
-};
+pub use window::{align_tumbling, TumblingWindowOp};

@@ -328,12 +328,6 @@ impl<P: Payload> Checkpointable for UnionProbe<P> {
 }
 
 impl<P: Payload> UnionProbe<P> {
-    /// Bytes currently buffered across both sides.
-    pub fn buffered_bytes(&self) -> usize {
-        let c = lock(&self.core);
-        c.left.bytes + c.right.bytes
-    }
-
     /// Peak bytes ever buffered by this union.
     pub fn peak_bytes(&self) -> usize {
         lock(&self.core).peak_bytes
@@ -454,10 +448,10 @@ mod tests {
         l.on_batch(batch(&[1, 2, 3]));
         let held = meter.current();
         assert!(held >= 3 * core::mem::size_of::<Event<u32>>());
-        assert_eq!(probe.buffered_bytes(), held);
+        assert_eq!(probe.buffered_events(), 3);
         r.on_punctuation(Timestamp::new(10));
         assert_eq!(meter.current(), 0, "all released after drain");
-        assert_eq!(probe.buffered_bytes(), 0);
+        assert_eq!(probe.buffered_events(), 0);
         assert!(probe.peak_bytes() >= held);
         l.on_completed();
         r.on_completed();

@@ -5,7 +5,7 @@
 //! `checkpointed` → `instrument` → `hardened` → `sorted` → `sharded`),
 //! and getting that order wrong silently produced un-metered, un-guarded,
 //! or un-checkpointed chains. A [`PipelineSpec`] makes the stack *data*:
-//! it is parsed from [`core::json`](impatience_core::json), validated with
+//! it is parsed from [`core::json`](mod@impatience_core::json), validated with
 //! typed [`ConfigError`]s, and lowered by a single builder
 //! ([`PipelineSpec::build`]) that owns the canonical combinator order. A
 //! multi-tenant service can therefore construct, restart, and
@@ -113,7 +113,8 @@ impl OpSpec {
             }),
             "sum_by_key" => Ok(OpSpec::SumByKey),
             "top_k" => Ok(OpSpec::TopK {
-                k: int("k")? as usize,
+                k: usize::try_from(int("k")?)
+                    .map_err(|_| ConfigError::new(format!("{field}.k"), "must be >= 1"))?,
             }),
             "panic_on" => Ok(OpSpec::PanicOn {
                 value: int("value")?,
@@ -607,9 +608,12 @@ fn parse_reorder(j: &Json) -> Result<ReorderSpec, ConfigError> {
             };
             let hold = match j.get("hold") {
                 None => 3,
-                Some(h) => h.as_i64().filter(|n| *n >= 0).ok_or_else(|| {
-                    ConfigError::new("reorder.hold", "must be a non-negative integer")
-                })? as u32,
+                Some(h) => h
+                    .as_i64()
+                    .and_then(|n| u32::try_from(n).ok())
+                    .ok_or_else(|| {
+                        ConfigError::new("reorder.hold", "must be an integer in 0..=4294967295")
+                    })?,
             };
             Ok(ReorderSpec::Adaptive {
                 ladder,
@@ -1044,6 +1048,15 @@ mod tests {
             (
                 json!({"name": "x", "ops": json!([json!({"op": "top_k", "k": 0})])}),
                 "ops[0].k",
+            ),
+            (
+                json!({"name": "x", "ops": json!([json!({"op": "top_k", "k": -1})])}),
+                "ops[0].k",
+            ),
+            (
+                json!({"name": "x", "reorder":
+                    json!({"mode": "adaptive", "ladder": json!([1, 2]), "hold": 4_294_967_296i64})}),
+                "reorder.hold",
             ),
             (json!({"name": "bad name"}), "name"),
         ];

@@ -380,20 +380,6 @@ impl<P: Payload> Streamable<P> {
         })
     }
 
-    /// Hopping window of `size` advancing every `hop`.
-    pub fn hopping_window(self, size: TickDuration, hop: TickDuration) -> Streamable<P> {
-        self.apply_stateful("hopping_window", move |sink| {
-            ops::HoppingWindowOp::new(size, hop, sink)
-        })
-    }
-
-    /// Windowed aggregate over the whole stream (one result per window).
-    pub fn aggregate<A: ops::Aggregate<P>>(self, agg: A) -> Streamable<A::Out> {
-        self.apply_stateful("aggregate", move |sink| {
-            ops::WindowAggregateOp::new(agg, sink)
-        })
-    }
-
     /// Windowed aggregate per grouping key.
     pub fn group_aggregate<A: ops::Aggregate<P>>(self, agg: A) -> Streamable<A::Out> {
         self.apply_stateful("group_aggregate", move |sink| {

@@ -147,25 +147,6 @@ props! {
         assert_eq!(meter.current(), 0);
     }
 
-    fn hopping_window_replicates_correctly(
-        msgs in ordered_messages(),
-        hop in 1i64..20,
-        copies in 1i64..5,
-    ) {
-        let input = flat_events(&msgs);
-        let size = TickDuration::ticks(hop * copies);
-        let out = Streamable::from_messages(msgs)
-            .hopping_window(size, TickDuration::ticks(hop))
-            .collect_output();
-        // Every input event appears exactly `copies` times, each within a
-        // window containing it.
-        assert_eq!(out.events().len(), input.len() * copies as usize);
-        for e in out.events() {
-            assert_eq!(e.other_time - e.sync_time, size);
-        }
-        assert!(validate_ordered_stream(&out.messages()).is_ok());
-    }
-
     fn metered_identity_is_exact_and_inert(msgs in ordered_messages()) {
         // A metering StageShell around an identity operator (here: a bare
         // collector) must forward every message unchanged while counting

@@ -24,7 +24,6 @@ pub const DEFAULT_TENANT_CHARGE: usize = 8 << 20;
 pub struct AdmissionController {
     meter: MemoryMeter,
     max_tenants: usize,
-    default_charge: usize,
     active: Mutex<HashSet<String>>,
     admitted: Counter,
     rejected: Counter,
@@ -48,17 +47,10 @@ impl AdmissionController {
         AdmissionController {
             meter,
             max_tenants,
-            default_charge: DEFAULT_TENANT_CHARGE,
             active: Mutex::new(HashSet::new()),
             admitted: registry.counter("serve.admitted"),
             rejected: registry.counter("serve.rejected"),
         }
-    }
-
-    /// Overrides the charge for tenants that declare no budget.
-    pub fn with_default_charge(mut self, bytes: usize) -> Self {
-        self.default_charge = bytes;
-        self
     }
 
     /// Currently active tenant count.
@@ -77,7 +69,7 @@ impl AdmissionController {
             self.rejected.inc();
             Err(ServeError::Admission { reason })
         };
-        let bytes = declared_budget.unwrap_or(self.default_charge);
+        let bytes = declared_budget.unwrap_or(DEFAULT_TENANT_CHARGE);
         {
             let mut active = self.active.lock().unwrap_or_else(|e| e.into_inner());
             if active.contains(name) {

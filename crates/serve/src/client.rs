@@ -77,19 +77,11 @@ impl core::fmt::Debug for Client {
 impl Client {
     /// Connects and announces the chosen framing (binary sessions send
     /// the magic immediately; NDJSON is recognized by its first `{`).
+    /// Socket reads and writes carry [`DEFAULT_IO_DEADLINE`], so a wedged
+    /// or vanished server surfaces as a typed I/O error instead of
+    /// blocking forever.
     pub fn connect(addr: impl ToSocketAddrs, mode: WireMode) -> Result<Client, ServeError> {
-        Client::connect_with(addr, mode, DEFAULT_IO_DEADLINE)
-    }
-
-    /// [`Client::connect`] with an explicit socket read/write deadline —
-    /// a wedged or vanished server surfaces as a typed I/O error instead
-    /// of blocking forever.
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        mode: WireMode,
-        io_deadline: Duration,
-    ) -> Result<Client, ServeError> {
-        let (writer, reader) = connect_stream(addr, mode, io_deadline)?;
+        let (writer, reader) = connect_stream(addr, mode, DEFAULT_IO_DEADLINE)?;
         Ok(Client {
             writer,
             reader,
@@ -183,25 +175,6 @@ impl Client {
             resume: None,
             resumable: true,
         })
-    }
-
-    /// Re-attaches to a parked session by resume token. The reply's
-    /// `session.durable_seq` is the applied high-water; this client's
-    /// sequence counter realigns to it.
-    pub fn open_resume(&mut self, config: &TenantConfig, token: &str) -> Result<Json, ServeError> {
-        let info = self.open_inner(ClientMsg::Open {
-            config: config.to_json(),
-            resume: Some(token.to_string()),
-            resumable: true,
-        })?;
-        if let Some(durable) = info
-            .get("session")
-            .and_then(|s| s.get("durable_seq"))
-            .and_then(Json::as_i64)
-        {
-            self.next_seq = self.next_seq.max(durable as u64 + 1);
-        }
-        Ok(info)
     }
 
     fn open_inner(&mut self, msg: ClientMsg) -> Result<Json, ServeError> {

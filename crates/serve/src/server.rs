@@ -295,11 +295,6 @@ impl Server {
         self.shared.admission.active_tenants()
     }
 
-    /// Currently parked (disconnected but resumable) session count.
-    pub fn parked_sessions(&self) -> usize {
-        self.shared.sessions.len()
-    }
-
     /// Graceful drain: stop accepting, notify live connections with a
     /// typed `Close` frame, punctuate/flush/checkpoint every tenant
     /// (live and parked), and join connection threads against the drain

@@ -13,9 +13,8 @@
 //! **Adaptive punctuation.** The service, not the client, emits
 //! punctuations: after each ingested batch it punctuates at
 //! `watermark − l(t)` where `l(t)` is either the spec's fixed reorder
-//! latency or the live choice of an
-//! [`AdaptiveLatency`](impatience_disorder::AdaptiveLatency) controller
-//! fed every arrival (§III of the paper, made a service property). The
+//! latency or the live choice of an [`AdaptiveLatency`] controller fed
+//! every arrival (§III of the paper, made a service property). The
 //! chosen latency, rung, windowed completeness, and switch count are
 //! published as `serve.adaptive.*` gauges in the tenant's registry.
 
@@ -218,6 +217,48 @@ fn adaptive_of(
     }
 }
 
+/// What a tenant's config lowers to: the trace sink (when traced), the
+/// built pipeline and its output, and the reorder-latency controller.
+struct Lowered {
+    trace: Option<TraceSink>,
+    built: BuiltPipeline,
+    out: Output<i64>,
+    adaptive: Option<AdaptiveLatency>,
+    fixed_latency: TickDuration,
+}
+
+/// Builds `config`'s pipeline against the tenant's registry and meter,
+/// with checkpoints and spills under `root` — the one build path of
+/// [`TenantRuntime::start`] and [`TenantRuntime::reconfigure`].
+fn lower(
+    config: &TenantConfig,
+    root: &Path,
+    registry: &MetricsRegistry,
+    meter: &MemoryMeter,
+) -> Result<Lowered, ServeError> {
+    let trace = config.pipeline.traced.then(TraceSink::logical);
+    let mut env = PipelineEnv::new().with_registry(registry).with_meter(meter);
+    if let Some(sink) = &trace {
+        env = env.with_trace(TraceCtx::new(sink));
+    }
+    if config.pipeline.checkpoint.is_some() {
+        env = env.with_checkpoint_dir(root.join("ckpt"));
+    }
+    if config.pipeline.sort.spill {
+        env = env.with_spill_dir(root.join("spill"));
+    }
+    let (out, sink) = Output::new();
+    let built = config.pipeline.build(&env, Box::new(sink))?;
+    let (adaptive, fixed_latency) = adaptive_of(registry, &config.pipeline.reorder)?;
+    Ok(Lowered {
+        trace,
+        built,
+        out,
+        adaptive,
+        fixed_latency,
+    })
+}
+
 impl TenantRuntime {
     /// Admits the tenant onto disk and builds its pipeline. For durable
     /// tenants this is also crash recovery: the newest checkpoint is
@@ -236,24 +277,13 @@ impl TenantRuntime {
             None => MemoryMeter::new(),
         };
         meter.bind_over_release_counter(registry.counter("memory.over_releases"));
-        let trace = config.pipeline.traced.then(TraceSink::logical);
-
-        let mut env = PipelineEnv::new()
-            .with_registry(&registry)
-            .with_meter(&meter);
-        if let Some(sink) = &trace {
-            env = env.with_trace(TraceCtx::new(sink));
-        }
-        if config.pipeline.checkpoint.is_some() {
-            env = env.with_checkpoint_dir(root.join("ckpt"));
-        }
-        if config.pipeline.sort.spill {
-            env = env.with_spill_dir(root.join("spill"));
-        }
-
-        let (out, sink) = Output::new();
-        let built = config.pipeline.build(&env, Box::new(sink))?;
-        let (adaptive, fixed_latency) = adaptive_of(&registry, &config.pipeline.reorder)?;
+        let Lowered {
+            trace,
+            built,
+            out,
+            adaptive,
+            fixed_latency,
+        } = lower(&config, &root, &registry, &meter)?;
 
         let mut runtime = TenantRuntime {
             serve: serve_counters(&registry),
@@ -632,25 +662,12 @@ impl TenantRuntime {
             }
         }
 
-        let mut env = PipelineEnv::new()
-            .with_registry(&self.registry)
-            .with_meter(&self.meter);
-        self.trace = config.pipeline.traced.then(TraceSink::logical);
-        if let Some(sink) = &self.trace {
-            env = env.with_trace(TraceCtx::new(sink));
-        }
-        if config.pipeline.checkpoint.is_some() {
-            env = env.with_checkpoint_dir(self.root.join("ckpt"));
-        }
-        if config.pipeline.sort.spill {
-            env = env.with_spill_dir(self.root.join("spill"));
-        }
-        let (out, sink) = Output::new();
-        self.built = config.pipeline.build(&env, Box::new(sink))?;
-        let (adaptive, fixed_latency) = adaptive_of(&self.registry, &config.pipeline.reorder)?;
-        self.adaptive = adaptive;
-        self.fixed_latency = fixed_latency;
-        self.out = out;
+        let lowered = lower(&config, &self.root, &self.registry, &self.meter)?;
+        self.trace = lowered.trace;
+        self.built = lowered.built;
+        self.out = lowered.out;
+        self.adaptive = lowered.adaptive;
+        self.fixed_latency = lowered.fixed_latency;
         self.config = config;
         self.failed = None;
         self.completed = false;

@@ -211,16 +211,16 @@ fn event_from_json(v: &Json) -> Result<Event<i64>, ServeError> {
             .and_then(Json::as_i64)
             .ok_or_else(|| bad("event fields must be integers"))
     };
+    // The key is a u32, as in the binary framing; no other value narrows.
+    let key = |i: usize| -> Result<u32, ServeError> {
+        u32::try_from(num(i)?).map_err(|_| bad("event key must be in 0..=4294967295"))
+    };
     match parts.len() {
         // [sync, key, payload] — a point event.
-        3 => Ok(Event::keyed(
-            Timestamp::new(num(0)?),
-            num(1)? as u32,
-            num(2)?,
-        )),
+        3 => Ok(Event::keyed(Timestamp::new(num(0)?), key(1)?, num(2)?)),
         // [sync, other, key, payload] — full interval form.
         4 => {
-            let mut e = Event::keyed(Timestamp::new(num(0)?), num(2)? as u32, num(3)?);
+            let mut e = Event::keyed(Timestamp::new(num(0)?), key(2)?, num(3)?);
             e.other_time = Timestamp::new(num(1)?);
             Ok(e)
         }
@@ -959,5 +959,29 @@ mod tests {
         e.other_time = Timestamp::new(55);
         let back = event_from_json(&event_to_json(&e)).expect("parse");
         assert_eq!(back, e);
+    }
+
+    #[test]
+    fn ndjson_keys_outside_u32_are_refused_not_wrapped() {
+        let parse = |text: &str| event_from_json(&Json::parse(text).expect("json"));
+        for bad in [
+            "[1, -1, 7]",
+            "[1, 4294967296, 7]",
+            "[1, 2, -1, 7]",
+            "[1, 2, 4294967296, 7]",
+        ] {
+            let got = parse(bad);
+            assert!(
+                matches!(got, Err(ServeError::Protocol { .. })),
+                "{bad}: {got:?}"
+            );
+        }
+        let top = parse("[1, 4294967295, 7]").expect("largest key");
+        assert_eq!(
+            (top.key, top.hash),
+            (u32::MAX, impatience_core::hash_key(u32::MAX))
+        );
+        let top = parse("[1, 2, 4294967295, 7]").expect("largest key, interval form");
+        assert_eq!(top.key, u32::MAX);
     }
 }

@@ -855,13 +855,6 @@ impl<T: EventTimed + Clone + StateCodec + Send> OnlineSorter<T> for ExternalImpa
         "ExternalImpatience"
     }
 
-    fn shed_oldest(&mut self, out: &mut Vec<T>) -> usize {
-        let shed = self.hot.shed_oldest_run();
-        let n = shed.len();
-        out.extend(shed.into_iter().map(|t| t.item));
-        n
-    }
-
     fn shed_oldest_capped(&mut self, max_items: usize, out: &mut Vec<T>) -> usize {
         let shed = self.hot.shed_oldest_items(max_items);
         let n = shed.len();

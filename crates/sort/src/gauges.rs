@@ -6,7 +6,7 @@
 //! [`Gauge`] handles registered under a common name prefix, so the engine's
 //! sorting operator can publish sorter state (the paper's Fig 5 run-count
 //! and Fig 10 memory quantities) through a
-//! [`MetricsRegistry`](impatience_core::MetricsRegistry).
+//! [`MetricsRegistry`].
 
 use impatience_core::{Gauge, MetricsRegistry};
 

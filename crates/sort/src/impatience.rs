@@ -200,13 +200,6 @@ impl<T: EventTimed + Clone + StateCodec + Send> OnlineSorter<T> for ImpatienceSo
         "Impatience"
     }
 
-    fn shed_oldest(&mut self, out: &mut Vec<T>) -> usize {
-        let shed = self.runs.shed_oldest_run();
-        let n = shed.len();
-        hand_over(shed, out);
-        n
-    }
-
     fn shed_oldest_capped(&mut self, max_items: usize, out: &mut Vec<T>) -> usize {
         let shed = self.runs.shed_oldest_items(max_items);
         let n = shed.len();
@@ -426,7 +419,7 @@ mod tests {
         // Runs: [100,101,102], [50,51], [5,6] — tails 102 > 51 > 6.
         assert_eq!(s.run_count(), 3);
         let mut shed = Vec::new();
-        let n = s.shed_oldest(&mut shed);
+        let n = s.shed_oldest_capped(usize::MAX, &mut shed);
         assert_eq!(n, 2);
         assert_eq!(shed, vec![5, 6], "most-delayed run evicted, in order");
         assert_eq!(s.buffered_len(), 5);
@@ -436,7 +429,7 @@ mod tests {
         assert_eq!(out, vec![50, 51, 100, 101, 102]);
         // Empty sorter sheds nothing (engine falls back to forced cuts).
         let mut empty: ImpatienceSorter<i64> = ImpatienceSorter::new();
-        assert_eq!(empty.shed_oldest(&mut shed), 0);
+        assert_eq!(empty.shed_oldest_capped(usize::MAX, &mut shed), 0);
     }
 
     #[test]

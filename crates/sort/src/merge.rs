@@ -67,7 +67,7 @@ const MIN_GALLOP: usize = 7;
 /// Merges two sorted slices, appending to `out`. Ties favour `a`.
 ///
 /// Adaptive, timsort-style: a tight element-wise loop handles finely
-/// interleaved data; after [`MIN_GALLOP`] consecutive wins by one side it
+/// interleaved data; after `MIN_GALLOP` (7) consecutive wins by one side it
 /// switches to exponential search + bulk `extend_from_slice`, so runs with
 /// long winning stretches merge at memcpy speed.
 pub fn merge_into<T: EventTimed + Clone>(a: &[T], b: &[T], out: &mut Vec<T>) {

@@ -7,7 +7,7 @@
 //! * natural-run detection with strictly-descending runs reversed in place;
 //! * short runs extended to `min_run` with binary insertion sort;
 //! * a run stack maintaining the (post-2015-bugfix) length invariants;
-//! * galloping merges once one side wins [`MIN_GALLOP`] times in a row.
+//! * galloping merges once one side wins `MIN_GALLOP` (7) times in a row.
 //!
 //! Simplifications relative to CPython's listsort, documented for honesty:
 //! the temp buffer always holds the *left* run (no `merge_hi` mirror), and

@@ -46,30 +46,18 @@ pub trait OnlineSorter<T: EventTimed>: Send {
     /// Human-readable algorithm name (figure legends).
     fn name(&self) -> &'static str;
 
-    /// Sheds the oldest (most severely delayed) buffered run wholesale,
-    /// appending its items to `out` (sorted within the run) and returning
-    /// the item count. Used by the engine's
+    /// Sheds at most `max_items` of the oldest (most severely delayed)
+    /// buffered items — the head of the oldest run, or the whole run when
+    /// the cap covers it — appending them to `out` (sorted) and returning
+    /// the count. Used by the engine's
     /// [`ShedPolicy::ShedOldestRuns`](impatience_core::ShedPolicy) under
-    /// memory pressure; the shed items are *removed*, not emitted, and
-    /// become dead letters upstream. The default — for sorters without a
-    /// run structure — sheds nothing and returns 0, which signals the
-    /// engine to fall back to a forced punctuation.
-    fn shed_oldest(&mut self, _out: &mut Vec<T>) -> usize {
+    /// memory pressure; the cap lets it shed only the budget *overage*.
+    /// The shed items are *removed*, not emitted, and become dead letters
+    /// upstream. The default — for sorters without a run structure —
+    /// sheds nothing and returns 0, which signals the engine to fall back
+    /// to a forced punctuation.
+    fn shed_oldest_capped(&mut self, _max_items: usize, _out: &mut Vec<T>) -> usize {
         0
-    }
-
-    /// Sheds at most `max_items` of the oldest buffered items, appending
-    /// them to `out` (sorted) and returning the count. The cap lets the
-    /// engine shed only the budget *overage* instead of dead-lettering a
-    /// whole run when only part of it exceeds the budget. The default
-    /// ignores the cap and delegates to
-    /// [`shed_oldest`](OnlineSorter::shed_oldest) — correct (it only
-    /// over-sheds), so sorters without partial-shed support keep working.
-    fn shed_oldest_capped(&mut self, max_items: usize, out: &mut Vec<T>) -> usize {
-        if max_items == 0 {
-            return 0;
-        }
-        self.shed_oldest(out)
     }
 
     /// Spills cold state to disk until `state_bytes() <= target_bytes`,

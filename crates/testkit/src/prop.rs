@@ -5,7 +5,7 @@
 //!
 //! * **Strategies** ([`Strategy`]) generate values from a seeded
 //!   [`StdRng`] and know how to propose *smaller* variants of a value
-//!   ([`Strategy::shrink`]). Integer ranges (`-100i64..100`), [`vec`],
+//!   ([`Strategy::shrink`]). Integer ranges (`-100i64..100`), [`vec()`],
 //!   tuples, [`any`], [`weighted_bool`] and [`Strategy::prop_map`] cover
 //!   everything the workspace's properties need.
 //! * **The runner** ([`check`]) executes N seeded cases. On failure it
@@ -208,7 +208,7 @@ impl Strategy for WeightedBool {
     }
 }
 
-/// Vector strategy; see [`vec`].
+/// Vector strategy; see [`vec()`].
 #[derive(Clone)]
 pub struct VecStrategy<S> {
     elem: S,

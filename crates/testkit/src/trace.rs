@@ -4,7 +4,7 @@
 //! spans either nest (one entirely inside the other) or are disjoint —
 //! partial overlap means an orphaned close or a clock that ran backwards
 //! mid-span. [`assert_laminar`] checks that invariant over a drained
-//! [`TraceSink`], and is the backbone of the differential trace
+//! [`TraceSink`](impatience_core::TraceSink), and is the backbone of the differential trace
 //! conformance suite.
 
 use impatience_core::{SpanKind, SpanRecord};

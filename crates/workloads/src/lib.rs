@@ -31,30 +31,3 @@ pub use androidlog::{generate_androidlog, AndroidLogConfig};
 pub use cloudlog::{generate_cloudlog, CloudLogConfig};
 pub use dataset::Dataset;
 pub use synthetic::{generate_synthetic, SyntheticConfig};
-
-/// The three dataset families of the evaluation, by paper name.
-///
-/// `scale` is the number of events (the paper uses 20M; benchmarks default
-/// lower so a laptop run finishes quickly).
-pub fn dataset_by_name(name: &str, scale: usize) -> Option<Dataset> {
-    match name {
-        "CloudLog" => Some(generate_cloudlog(&CloudLogConfig::sized(scale))),
-        "AndroidLog" => Some(generate_androidlog(&AndroidLogConfig::sized(scale))),
-        "Synthetic" => Some(generate_synthetic(&SyntheticConfig::paper_default(scale))),
-        _ => None,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn dataset_factory() {
-        for name in ["CloudLog", "AndroidLog", "Synthetic"] {
-            let d = dataset_by_name(name, 5_000).unwrap();
-            assert_eq!(d.len(), 5_000, "{name}");
-        }
-        assert!(dataset_by_name("Nope", 10).is_none());
-    }
-}

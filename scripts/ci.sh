@@ -13,6 +13,11 @@ cargo fmt --check
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo doc --workspace --no-deps (warnings are errors) =="
+# Catches doc links that a rename or deletion leaves dangling, and public
+# docs that link private items.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 

@@ -47,11 +47,11 @@ pub use impatience_workloads as workloads;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use impatience_core::{
-        EvalPayload, Event, EventBatch, IngressStats, Json, MemoryMeter, MetricsRegistry,
-        MetricsSnapshot, Payload, StreamMessage, TickDuration, Timestamp,
+        EvalPayload, Event, EventBatch, Json, MemoryMeter, MetricsRegistry, MetricsSnapshot,
+        Payload, StreamMessage, TickDuration, Timestamp,
     };
     pub use impatience_disorder::DisorderReport;
-    pub use impatience_engine::ops::{CountAgg, MaxAgg, MeanAgg, MinAgg, SumAgg};
+    pub use impatience_engine::ops::{CountAgg, SumAgg};
     pub use impatience_engine::{IngressPolicy, InputHandle, Output, Streamable};
     pub use impatience_framework::{
         to_streamables_advanced, to_streamables_basic, DisorderedStreamable, FrameworkOptions,

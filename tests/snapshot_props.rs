@@ -185,7 +185,7 @@ struct Durable {
     _meter: MemoryMeter,
 }
 
-/// Deep single-input chain: sorter, hopping window, grouped aggregate,
+/// Deep single-input chain: sorter, tumbling window, grouped aggregate,
 /// reduce-by-key, top-k, followed-by, windowed count.
 fn pipeline_a(base: &Path) -> Durable {
     let meter = MemoryMeter::new();
@@ -200,7 +200,7 @@ fn pipeline_a(base: &Path) -> Durable {
             Default::default(),
         )
         .expect("default sort policy")
-        .hopping_window(TickDuration::ticks(64), TickDuration::ticks(32))
+        .tumbling_window(TickDuration::ticks(64))
         .group_aggregate(CountAgg)
         .reduce_by_key(|a, b| *a += b)
         .top_k(2, |c: &u64| *c as i64)

@@ -189,7 +189,7 @@ fn run_chaos_conformance(
         if shed_prob > 0.0 && i.is_multiple_of(7) && rng.gen_bool(shed_prob) {
             let before = sorter.buffered_len();
             let mut shed = Vec::new();
-            let n = sorter.shed_oldest(&mut shed);
+            let n = sorter.shed_oldest_capped(usize::MAX, &mut shed);
             assert_eq!(n, shed.len(), "{name}: shed count ≠ items (seed {seed})");
             assert_eq!(
                 sorter.buffered_len(),

@@ -5,8 +5,26 @@
 
 use impatience::prelude::*;
 use impatience_core::Event;
-use impatience_engine::{ingress_sorted, IngressPolicy};
+use impatience_engine::{input_stream, punctuate_arrivals, IngressPolicy};
 use impatience_sort::{online_sorter_by_name, ONLINE_SORTER_NAMES};
+
+/// Arrivals → punctuated per `policy` → ordered through `sorter`: the
+/// ingress pipeline every sorter is plugged into.
+fn ingress_sorted(
+    arrivals: &[Event<EvalPayload>],
+    policy: &IngressPolicy,
+    sorter: Box<dyn OnlineSorter<Event<EvalPayload>>>,
+) -> Output<EvalPayload> {
+    let (handle, stream) = input_stream();
+    let out = stream
+        .sorted(sorter, &MemoryMeter::new(), Default::default())
+        .expect("default sort policy")
+        .collect_output();
+    for m in punctuate_arrivals(arrivals.to_vec(), policy) {
+        handle.push(m).expect("well-formed arrivals");
+    }
+    out
+}
 
 fn datasets() -> Vec<Dataset> {
     let n = 20_000;
@@ -52,11 +70,8 @@ fn all_sorters_produce_identical_ordered_output() {
         let policy = policy_for(&ds);
         let mut reference: Option<Vec<Event<EvalPayload>>> = None;
         for name in ONLINE_SORTER_NAMES {
-            let meter = MemoryMeter::new();
-            let stats = IngressStats::new();
             let sorter = online_sorter_by_name::<Event<EvalPayload>>(name).unwrap();
-            let out =
-                ingress_sorted(ds.events.clone(), &policy, sorter, &meter, &stats).collect_output();
+            let out = ingress_sorted(&ds.events, &policy, sorter);
             assert!(
                 impatience_core::validate_ordered_stream(&out.messages()).is_ok(),
                 "{name} on {} violates order",
@@ -101,16 +116,11 @@ fn ablation_configs_do_not_change_results() {
     ];
     let mut reference: Option<Vec<i64>> = None;
     for cfg in configs {
-        let meter = MemoryMeter::new();
-        let stats = IngressStats::new();
         let out = ingress_sorted(
-            ds.events.clone(),
+            &ds.events,
             &policy,
             Box::new(ImpatienceSorter::with_config(cfg)),
-            &meter,
-            &stats,
-        )
-        .collect_output();
+        );
         let ts: Vec<i64> = out.events().iter().map(|e| e.sync_time.ticks()).collect();
         match &reference {
             None => reference = Some(ts),
@@ -129,21 +139,12 @@ fn punctuation_frequency_does_not_change_content() {
     });
     let mut reference: Option<Vec<i64>> = None;
     for freq in [10usize, 100, 1_000, 10_000, 100_000] {
-        let meter = MemoryMeter::new();
-        let stats = IngressStats::new();
         let policy = IngressPolicy {
             punctuation_frequency: freq,
             reorder_latency: TickDuration::ticks(2_000),
             batch_size: 1_024,
         };
-        let out = ingress_sorted(
-            ds.events.clone(),
-            &policy,
-            Box::new(ImpatienceSorter::new()),
-            &meter,
-            &stats,
-        )
-        .collect_output();
+        let out = ingress_sorted(&ds.events, &policy, Box::new(ImpatienceSorter::new()));
         let ts: Vec<i64> = out.events().iter().map(|e| e.sync_time.ticks()).collect();
         match &reference {
             None => reference = Some(ts),

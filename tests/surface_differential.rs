@@ -32,8 +32,8 @@
 
 use impatience_core::trace::{TraceClock, TraceConfig, TraceSink};
 use impatience_core::{
-    crc32c, DeadLetterQueue, EvalPayload, Event, IngressStats, Json, LatePolicy, LatencyStage,
-    MemoryMeter, MetricsRegistry, ShedPolicy, StreamMessage, TickDuration,
+    crc32c, DeadLetterQueue, EvalPayload, Event, Json, LatePolicy, LatencyStage, MemoryMeter,
+    MetricsRegistry, ShedPolicy, StreamMessage, TickDuration,
 };
 use impatience_engine::ops::{CountAgg, SortPolicy};
 use impatience_engine::{
@@ -81,6 +81,11 @@ const DEAD_LETTER_CAPACITY: usize = 64 * 1024;
 /// `01.tumbling_window` and `02.count`, spilling `01.mark_sort`,
 /// `02.egress_operator`, `03.tumbling_window`, `04.count`), and every
 /// `*.sort.watermark_lag` row and every other row stayed byte for byte.
+/// The three canonical digests were re-pinned when the ingress counters
+/// went: each run lost exactly its four `ingress.*` rows (the sort stage's
+/// own `events_in` / `events_out` / `punctuations_in` carry the same
+/// counts, and `dropped_late` was the first minus the second), and every
+/// other row stayed byte for byte.
 const PINNED: [(&str, &str); 14] = [
     ("plain.output", "72983:3ce905e1"),
     ("plain.routing", "85:25f664b1"),
@@ -93,9 +98,9 @@ const PINNED: [(&str, &str); 14] = [
     ("traced.spans", "13389:887edd11"),
     ("durable.output", "73023:5666eaa3"),
     ("durable.checkpoints", "104:7ee54736"),
-    ("canonical.plain", "2174:e95470b8"),
-    ("canonical.budgeted", "2196:23b7f3fa"),
-    ("canonical.spilled", "2766:dea2fdb5"),
+    ("canonical.plain", "2072:635155b1"),
+    ("canonical.budgeted", "2093:d75bc915"),
+    ("canonical.spilled", "2664:81ee7e3d"),
 ];
 
 fn digest(text: &str) -> String {
@@ -199,7 +204,6 @@ fn canonical(
     let latency = TickDuration::ticks((span / 5).max(1));
     let window = TickDuration::ticks((span / 50).max(1));
 
-    let stats = IngressStats::registered(registry);
     let meter = match budget {
         Some(b) => MemoryMeter::with_budget(b),
         None => MemoryMeter::new(),
@@ -273,17 +277,9 @@ fn canonical(
         reorder_latency: latency,
         batch_size: 4_096,
     };
-    stats.add_ingested(events.len() as u64);
     for m in punctuate_arrivals(events, &policy) {
-        if matches!(m, StreamMessage::Punctuation(_)) {
-            stats.add_punctuation();
-        }
         handle.push(m).expect("push");
     }
-    // Events surviving the sort stage (ingested minus dropped-late).
-    let sorted_out = registry.counter("pipeline.00.sort.events_out").get();
-    stats.add_emitted(sorted_out);
-    stats.add_dropped_late(stats.ingested().saturating_sub(sorted_out));
     if let Some(b) = budget {
         let hwm = registry
             .gauge("pipeline.00.sorter.state_bytes")
