@@ -65,11 +65,12 @@ impl Timestamp {
     /// `eventTime - eventTime % 1000` example, §IV-A2).
     ///
     /// Negative timestamps align toward `-∞` so that windows tile the whole
-    /// axis consistently.
+    /// axis consistently. Within one window of `i64::MIN` the start is not
+    /// representable and saturates at [`Timestamp::MIN`].
     #[inline]
     pub const fn align_down(self, size: TickDuration) -> Timestamp {
         debug_assert!(size.0 > 0);
-        Timestamp(self.0.div_euclid(size.0) * size.0)
+        Timestamp(self.0.div_euclid(size.0).saturating_mul(size.0))
     }
 
     /// Euclidean distance in ticks between two instants.
@@ -286,6 +287,29 @@ mod tests {
         // non-overlapping.
         assert_eq!(Timestamp::new(-1).align_down(w), Timestamp::new(-1000));
         assert_eq!(Timestamp::new(-1000).align_down(w), Timestamp::new(-1000));
+    }
+
+    #[test]
+    fn align_down_saturates_within_one_window_of_either_end() {
+        let w = TickDuration::ticks(100);
+        // The start of i64::MIN + 5's window lies below i64::MIN.
+        assert_eq!(Timestamp::new(i64::MIN + 5).align_down(w), Timestamp::MIN);
+        assert_eq!(Timestamp::MIN.align_down(w), Timestamp::MIN);
+        // The first representable start is still exact.
+        let first = -9_223_372_036_854_775_800;
+        assert_eq!(
+            Timestamp::new(first + 7).align_down(w),
+            Timestamp::new(first)
+        );
+        // At the top the start is representable; only its end is not.
+        assert_eq!(
+            Timestamp::new(i64::MAX - 5).align_down(w),
+            Timestamp::new(9_223_372_036_854_775_800)
+        );
+        assert_eq!(
+            Timestamp::MAX.align_down(w),
+            Timestamp::new(9_223_372_036_854_775_800)
+        );
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub use sharded::{ShardCtx, ShardOptions, SHARD_QUEUE_MESSAGES};
 pub use shell::{OperatorMetrics, StageShell};
 pub use spec::{
     BuiltPipeline, CheckpointSpec, OpClass, OpSpec, PipelineEnv, PipelineSpec, Plan, ReorderSpec,
-    SortSpec,
+    SortSpec, SorterChoice,
 };
 pub use streamable::{input_stream, InputHandle, Streamable};
 pub use traced::TraceCtx;

@@ -8,9 +8,9 @@
 //! keys first seen in a window wait in `fresh` and are merged into that
 //! order once, when the window closes.
 //!
-//! The index is probed with a one-multiply hash of its own rather than
-//! [`Event::hash`]: that field is only as good as whoever built the event
-//! (`Event::point` leaves it 0), and nothing observable depends on the
+//! The index is probed with a one-multiply hash of the key rather than
+//! [`Event::hash`]: `upsert` is handed a key, not an event, and a
+//! multiply is all a `u32` key needs. Nothing observable depends on the
 //! probe order — output and checkpoints are key-ascending.
 
 use crate::observer::Observer;

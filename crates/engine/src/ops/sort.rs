@@ -30,7 +30,7 @@
 //! the spec builder runs per-event operators *below* the sort (§IV), a
 //! second one stands in front of them as a [`LateGateOp`], so lateness is
 //! still decided on an event's original time — before a window rewrites it —
-//! and `SortOp`'s own gate only ever fires after a forced cut.
+//! and `SortOp`'s own gate then judges only what a forced cut made late.
 //!
 //! On an instrumented chain the operator also samples its input's
 //! watermark lag: per visible input event, late ones included,
@@ -286,6 +286,12 @@ pub struct SortOp<P: Payload, S> {
     /// restore the operator must still recognise replayed stale
     /// punctuations as progress rather than regressions.
     watermark_forced: bool,
+    /// True when a [`LateGateOp`] upstream already judged lateness on
+    /// original times: the own gate then judges only what a forced cut
+    /// made late. Without a forced cut it could only misjudge: a window
+    /// start saturated at `Timestamp::MIN` sits on the watermark `MIN`
+    /// that means "no punctuation yet".
+    behind_gate: bool,
     policy: SortPolicy<P>,
     failed: bool,
     gauges: Option<SorterGauges>,
@@ -329,6 +335,7 @@ impl<P: Payload, S> SortOp<P, S> {
             gate: LateGate::new(&policy, SortFaultCounters::new()),
             high: Timestamp::MIN,
             watermark_forced: false,
+            behind_gate: false,
             policy,
             failed: false,
             gauges: None,
@@ -351,6 +358,13 @@ impl<P: Payload, S> SortOp<P, S> {
     /// docs).
     pub fn with_watermark_lag(mut self, histogram: Histogram) -> Self {
         self.watermark_lag = Some(histogram);
+        self
+    }
+
+    /// Marks this operator as placed behind a [`LateGateOp`] (see the
+    /// module docs).
+    pub(crate) fn behind_late_gate(mut self) -> Self {
+        self.behind_gate = true;
         self
     }
 
@@ -566,11 +580,12 @@ impl<P: Payload, S: Observer<P>> Observer<P> for SortOp<P, S> {
         if self.failed {
             return;
         }
+        let judge = !self.behind_gate || self.watermark_forced;
         let SortOp {
             gate, high, sorter, ..
         } = self;
         let mut admit = |e: Event<P>| {
-            if gate.is_late(e.sync_time) {
+            if judge && gate.is_late(e.sync_time) {
                 gate.divert(|| e);
             } else {
                 *high = (*high).max(e.sync_time);

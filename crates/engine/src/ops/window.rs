@@ -14,7 +14,9 @@
 //! Punctuation adjustment: if the input guarantees "no future event
 //! `<= t`", the output can only guarantee "no future window-start
 //! `<= floor(t) - 1`" — a future event just above `t` may land in the
-//! window containing `t`. The operator forwards that conservative value.
+//! window containing `t`. The operator forwards that conservative value,
+//! and nothing while `t` lies in the lowest window, whose start saturates
+//! at `Timestamp::MIN`: no timestamp lies below it.
 //!
 //! Tumbling alignment is per event, so the framework crate runs
 //! [`TumblingWindowOp`] unchanged on *disordered* events before sorting.
@@ -23,23 +25,31 @@ use crate::observer::Observer;
 use impatience_core::{Event, EventBatch, Payload, StreamError, TickDuration, Timestamp};
 
 /// Aligns one event to its tumbling window (the paper's
-/// `eventTime - eventTime % 1000` / `+ 60000` formulas).
+/// `eventTime - eventTime % 1000` / `+ 60000` formulas). Within one window
+/// of either end of `i64` a bound is not representable and saturates: the
+/// lowest window starts at [`Timestamp::MIN`], the highest ends at
+/// [`Timestamp::MAX`].
 #[inline]
 pub fn align_tumbling<P>(e: &mut Event<P>, size: TickDuration) {
-    let start = e.sync_time.align_down(size);
-    e.sync_time = start;
-    e.other_time = start + size;
+    // Both bounds from the window number: the lowest window's start
+    // saturates, its end does not.
+    let window = e.sync_time.ticks().div_euclid(size.as_ticks());
+    e.sync_time = Timestamp(window.saturating_mul(size.as_ticks()));
+    e.other_time = Timestamp((window + 1).saturating_mul(size.as_ticks()));
 }
 
 /// Conservative output punctuation for windows aligned on `grid`, given
 /// input punctuation `t`: the largest timestamp no future window-start can
-/// be at or below.
+/// be at or below. `None` while `t` lies in the lowest window: a future
+/// event may still start at [`Timestamp::MIN`], so there is nothing to
+/// promise.
 #[inline]
-fn window_punctuation(t: Timestamp, grid: TickDuration) -> Timestamp {
+fn window_punctuation(t: Timestamp, grid: TickDuration) -> Option<Timestamp> {
     if t == Timestamp::MAX {
-        return Timestamp::MAX;
+        return Some(Timestamp::MAX);
     }
-    Timestamp(t.align_down(grid).ticks().saturating_sub(1))
+    let start = t.align_down(grid);
+    (start > Timestamp::MIN).then(|| Timestamp(start.ticks() - 1))
 }
 
 /// Tumbling (fixed, non-overlapping) window operator.
@@ -73,7 +83,9 @@ impl<P: Payload, S: Observer<P>> Observer<P> for TumblingWindowOp<P, S> {
     }
 
     fn on_punctuation(&mut self, t: Timestamp) {
-        self.next.on_punctuation(window_punctuation(t, self.size));
+        if let Some(p) = window_punctuation(t, self.size) {
+            self.next.on_punctuation(p);
+        }
     }
 
     fn on_completed(&mut self) {
@@ -150,6 +162,33 @@ mod tests {
         align_tumbling(&mut e, TickDuration::ticks(10));
         assert_eq!(e.sync_time, Timestamp::new(-10));
         assert_eq!(e.other_time, Timestamp::new(0));
+    }
+
+    #[test]
+    fn windows_saturate_at_both_ends_of_i64() {
+        let size = TickDuration::ticks(100);
+        let mut low = Event::point(Timestamp::new(i64::MIN + 5), ());
+        align_tumbling(&mut low, size);
+        assert_eq!(low.sync_time, Timestamp::MIN);
+        assert_eq!(low.other_time, Timestamp::new(-9_223_372_036_854_775_800));
+        let mut high = Event::point(Timestamp::new(i64::MAX - 5), ());
+        align_tumbling(&mut high, size);
+        assert_eq!(high.sync_time, Timestamp::new(9_223_372_036_854_775_800));
+        assert_eq!(high.other_time, Timestamp::MAX);
+        // In the lowest window no start lies below the saturated one: the
+        // punctuation is swallowed. From the next window on it is exact.
+        let (out, sink) = Output::<u32>::new();
+        let mut op = TumblingWindowOp::new(size, sink);
+        op.on_punctuation(Timestamp::MIN);
+        op.on_punctuation(Timestamp::new(i64::MIN + 7));
+        assert_eq!(out.last_punctuation(), None);
+        op.on_punctuation(Timestamp::new(i64::MIN + 8));
+        assert_eq!(out.last_punctuation(), Some(Timestamp::new(i64::MIN + 7)));
+        op.on_punctuation(Timestamp::new(i64::MAX - 5));
+        assert_eq!(
+            out.last_punctuation(),
+            Some(Timestamp::new(9_223_372_036_854_775_799))
+        );
     }
 
     #[test]

@@ -25,8 +25,9 @@
 //! 4. `instrument(registry, name)` + checkpoint metric binding;
 //! 5. `hardened()` — panic isolation;
 //! 6. `sorted(sorter, meter, policy)` — the only disorder-tolerant stage
-//!    (in-memory Impatience sort, or the external spilling sorter when
-//!    the spec opts into `spill`);
+//!    (in-memory Impatience sort, the external spilling sorter when the
+//!    spec opts into `spill`, or the bucket sorter when a window runs
+//!    below it — see below);
 //! 7. the [`OpSpec`] chain;
 //! 8. `checkpoint_egress()` — committed-output accounting;
 //!
@@ -40,7 +41,12 @@
 //! sorter sees fewer events and fewer distinct timestamps. The stages then
 //! run `late gate → hoisted ops → sort → remaining ops`; their labels
 //! still name spec positions (`{name}.00.sort`, op *i* at
-//! `{name}.{i+1:02}`), wherever the plan put them.
+//! `{name}.{i+1:02}`), wherever the plan put them. When a tumbling window
+//! is among the hoisted ops, every event reaching the sort carries a
+//! window start, and the plan sorts them with a
+//! [`BucketSorter`] — one bucket per window start — instead of building
+//! Impatience runs, unless the `sort` section asks for something only
+//! Impatience runs can do (spilling, or shedding the oldest run).
 
 use crate::checkpoint::CheckpointCtx;
 use crate::observer::Observer;
@@ -53,7 +59,7 @@ use impatience_core::{
     json, ConfigError, DeadLetterQueue, Event, LatePolicy, MemoryMeter, MetricsRegistry,
     ShedPolicy, StreamError, TickDuration, Validate,
 };
-use impatience_sort::{ExternalImpatienceSorter, ImpatienceSorter, OnlineSorter};
+use impatience_sort::{BucketSorter, ExternalImpatienceSorter, ImpatienceSorter, OnlineSorter};
 use std::path::PathBuf;
 
 /// One operator in the fixed `i64` op algebra.
@@ -220,13 +226,30 @@ pub enum OpClass {
     OrderReading,
 }
 
-/// The order a spec's stages run in (see [`PipelineSpec::plan`]). Displays
-/// as `gate → 01.where → 02.tumbling_window → 00.sort → 03.reduce_by_key`:
-/// physical order left to right, each stage under its label.
+/// The sorter a plan's sort stage runs (see [`PipelineSpec::plan`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SorterChoice {
+    /// [`ImpatienceSorter`], or under `sort.spill` the external sorter
+    /// built on it.
+    Impatience,
+    /// [`BucketSorter`], guessing buckets `step` apart: the hoisted
+    /// window's size.
+    Bucket {
+        /// The hoisted window's size.
+        step: TickDuration,
+    },
+}
+
+/// The order a spec's stages run in and the sorter its sort stage runs
+/// (see [`PipelineSpec::plan`]). Displays as
+/// `gate → 01.where → 02.tumbling_window → 00.sort[bucket] → 03.reduce_by_key`:
+/// physical order left to right, each stage under its label, and the sort
+/// marked `[bucket]` when it runs the [`BucketSorter`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plan {
     /// Leading ops that run below (ahead of) the sort, behind a late gate.
     hoisted: usize,
+    sorter: SorterChoice,
     ops: Vec<&'static str>,
 }
 
@@ -234,6 +257,11 @@ impl Plan {
     /// How many leading ops run below the sort.
     pub fn hoisted(&self) -> usize {
         self.hoisted
+    }
+
+    /// Which sorter the sort stage runs.
+    pub fn sorter(&self) -> SorterChoice {
+        self.sorter
     }
 }
 
@@ -245,7 +273,10 @@ impl core::fmt::Display for Plan {
             stages.push("gate".to_string());
         }
         stages.extend((0..self.hoisted).map(op));
-        stages.push("00.sort".to_string());
+        stages.push(match self.sorter {
+            SorterChoice::Impatience => "00.sort".to_string(),
+            SorterChoice::Bucket { .. } => "00.sort[bucket]".to_string(),
+        });
         stages.extend((self.hoisted..self.ops.len()).map(op));
         f.write_str(&stages.join(" → "))
     }
@@ -791,7 +822,8 @@ impl core::fmt::Debug for BuiltPipeline {
 
 impl PipelineSpec {
     /// Sort-as-needed (§IV): which leading ops [`build`](Self::build) runs
-    /// below the sort. A pure function of `ops`.
+    /// below the sort, and which sorter sorts what they leave. A pure
+    /// function of `ops` and the `sort` section.
     ///
     /// The *consumer* is the first op that is not [`OpClass::PerEvent`].
     /// The leading run of ops that shrink the sort (`FilterMin`,
@@ -811,6 +843,13 @@ impl PipelineSpec {
     /// would hold a finished window a few punctuations longer than the
     /// sort-first chain does: same batches, different interleaving. Then
     /// only the filters ahead of the first window move.
+    ///
+    /// With a window hoisted, the sort stage runs a [`BucketSorter`]: the
+    /// few dozen window starts in flight get one bucket each. Its order
+    /// among equal times is arrival order, not Impatience's merge order,
+    /// which is legal for the same reason the hoist is: the consumer is
+    /// regrouping. `sort.spill` and [`ShedPolicy::ShedOldestRuns`] keep
+    /// Impatience, because spilling and shedding work on its runs.
     pub fn plan(&self) -> Plan {
         let consumer = self
             .ops
@@ -824,8 +863,19 @@ impl PipelineSpec {
             .iter()
             .take_while(|op| op.shrinks_sort() && (lone_window || !is_window(op)))
             .count();
+        let window = ahead[..hoisted].iter().find_map(|op| match op {
+            OpSpec::TumblingWindow { size } => Some(*size),
+            _ => None,
+        });
+        let sorter = match window {
+            Some(step) if !self.sort.spill && self.sort.shed != ShedPolicy::ShedOldestRuns => {
+                SorterChoice::Bucket { step }
+            }
+            _ => SorterChoice::Impatience,
+        };
         Plan {
             hoisted,
+            sorter,
             ops: self.ops.iter().map(OpSpec::stage_name).collect(),
         }
     }
@@ -892,16 +942,16 @@ impl PipelineSpec {
         // below the sort.
         let sort_then_ops = {
             let spec = self.clone();
-            let hoisted = self.plan().hoisted();
+            let plan = self.plan();
             let meter = env.meter.clone();
             let dead_letters = dead_letters.clone();
             move |s: Streamable<i64>, spill_dir: Option<PathBuf>| {
-                let sorter: Box<dyn OnlineSorter<Event<i64>>> = if spec.sort.spill {
-                    Box::new(ExternalImpatienceSorter::new(
-                        spill_dir.expect("checked above"),
-                    ))
-                } else {
-                    Box::new(ImpatienceSorter::new())
+                let sorter: Box<dyn OnlineSorter<Event<i64>>> = match plan.sorter() {
+                    SorterChoice::Bucket { step } => Box::new(BucketSorter::new(step)),
+                    SorterChoice::Impatience if spec.sort.spill => Box::new(
+                        ExternalImpatienceSorter::new(spill_dir.expect("checked above")),
+                    ),
+                    SorterChoice::Impatience => Box::new(ImpatienceSorter::new()),
                 };
                 let mut policy = SortPolicy::new()
                     .with_late(spec.sort.late)
@@ -910,10 +960,10 @@ impl PipelineSpec {
                     policy = policy.with_dead_letters(dlq.clone());
                 }
                 let mut s = s;
-                let sort = s.claim_sort(sorter, &meter, policy)?;
-                let (below, above) = spec.ops.split_at(hoisted);
+                let mut sort = s.claim_sort(sorter, &meter, policy)?;
+                let (below, above) = spec.ops.split_at(plan.hoisted());
                 if !below.is_empty() {
-                    s = s.late_gate(&sort);
+                    s = s.late_gate(&mut sort);
                 }
                 s = below.iter().fold(s, |s, op| op.apply(s));
                 s = s.place_sort(sort);
@@ -1134,17 +1184,17 @@ mod tests {
             (
                 vec![w.clone(), sum.clone()],
                 1,
-                "gate → 01.tumbling_window → 00.sort → 02.reduce_by_key",
+                "gate → 01.tumbling_window → 00.sort[bucket] → 02.reduce_by_key",
             ),
             (
                 vec![f.clone(), w.clone(), sum.clone()],
                 2,
-                "gate → 01.where → 02.tumbling_window → 00.sort → 03.reduce_by_key",
+                "gate → 01.where → 02.tumbling_window → 00.sort[bucket] → 03.reduce_by_key",
             ),
             (
                 vec![w.clone(), f.clone(), sum.clone()],
                 2,
-                "gate → 01.tumbling_window → 02.where → 00.sort → 03.reduce_by_key",
+                "gate → 01.tumbling_window → 02.where → 00.sort[bucket] → 03.reduce_by_key",
             ),
             // Two windows ahead of the consumer: cascaded punctuation
             // translation is lossy, so no window moves — only the filters
@@ -1164,14 +1214,14 @@ mod tests {
             (
                 vec![w.clone(), sum.clone(), w.clone(), sum.clone()],
                 1,
-                "gate → 01.tumbling_window → 00.sort → 02.reduce_by_key → 03.tumbling_window → \
+                "gate → 01.tumbling_window → 00.sort[bucket] → 02.reduce_by_key → 03.tumbling_window → \
                  04.reduce_by_key",
             ),
             // What follows the regrouping op does not matter.
             (
                 vec![w.clone(), sum.clone(), top.clone()],
                 1,
-                "gate → 01.tumbling_window → 00.sort → 02.reduce_by_key → 03.top_k",
+                "gate → 01.tumbling_window → 00.sort[bucket] → 02.reduce_by_key → 03.top_k",
             ),
             (
                 vec![f.clone(), sum.clone(), w.clone(), sum.clone()],
@@ -1207,9 +1257,9 @@ mod tests {
                 "00.sort → 01.where → 02.tumbling_window → 03.reduce_by_key",
             ),
             (
-                vec![w, boom, sum],
+                vec![w.clone(), boom, sum.clone()],
                 1,
-                "gate → 01.tumbling_window → 00.sort → 02.where → 03.reduce_by_key",
+                "gate → 01.tumbling_window → 00.sort[bucket] → 02.where → 03.reduce_by_key",
             ),
         ];
         for (ops, hoisted, shown) in cases {
@@ -1218,6 +1268,52 @@ mod tests {
             let plan = spec.plan();
             assert_eq!(plan.hoisted(), hoisted, "{:?}", spec.ops);
             assert_eq!(plan.to_string(), shown, "{:?}", spec.ops);
+        }
+        // The sort section picks the sorter, never the hoist: spilling and
+        // shedding the oldest run need Impatience's runs.
+        let shed = |shed| SortSpec {
+            shed,
+            ..SortSpec::default()
+        };
+        let bucket = SorterChoice::Bucket {
+            step: TickDuration::ticks(100),
+        };
+        let sections = [
+            (shed(ShedPolicy::ForcePunctuation), bucket),
+            (shed(ShedPolicy::SpillColdRuns), bucket),
+            (shed(ShedPolicy::ShedOldestRuns), SorterChoice::Impatience),
+            (
+                SortSpec {
+                    spill: true,
+                    ..SortSpec::default()
+                },
+                SorterChoice::Impatience,
+            ),
+            (
+                SortSpec {
+                    spill: true,
+                    shed: ShedPolicy::SpillColdRuns,
+                    ..SortSpec::default()
+                },
+                SorterChoice::Impatience,
+            ),
+        ];
+        for (sort, sorter) in sections {
+            let spec = PipelineSpec::new("p")
+                .with_sort(sort.clone())
+                .with_op(w.clone())
+                .with_op(sum.clone());
+            let plan = spec.plan();
+            assert_eq!((plan.hoisted(), plan.sorter()), (1, sorter), "{sort:?}");
+            let shown = match sorter {
+                SorterChoice::Impatience => "00.sort",
+                SorterChoice::Bucket { .. } => "00.sort[bucket]",
+            };
+            assert_eq!(
+                plan.to_string(),
+                format!("gate → 01.tumbling_window → {shown} → 02.reduce_by_key"),
+                "{sort:?}"
+            );
         }
     }
 
@@ -1315,7 +1411,102 @@ mod tests {
             count("h.03.reduce_by_key.events_in"),
             count("h.00.sort.events_out")
         );
-        assert!(registry.gauge("h.00.sorter.runs").high_water() > 0);
+        // The bucket sorter publishes what it holds, and no runs.
+        assert!(registry.gauge("h.00.sorter.buffered_events").high_water() > 0);
+        assert_eq!(registry.gauge("h.00.sorter.runs").high_water(), 0);
+    }
+
+    /// Each event and punctuation of `msgs`, one line each: where a run of
+    /// events is cut into batches is the consumer's business.
+    fn lines(msgs: Vec<StreamMessage<i64>>) -> Vec<String> {
+        let mut lines = Vec::new();
+        for m in msgs {
+            match m {
+                StreamMessage::Batch(b) => lines.extend(b.iter_visible().map(|e| format!("{e:?}"))),
+                other => lines.push(format!("{other:?}")),
+            }
+        }
+        lines
+    }
+
+    /// The spec's window, run sort-first by hand.
+    fn sort_first_sums(msgs: &[StreamMessage<i64>]) -> Vec<StreamMessage<i64>> {
+        let (handle, s) = input_stream::<i64>();
+        let out = s
+            .hardened()
+            .sorted(
+                Box::new(ImpatienceSorter::new()),
+                &MemoryMeter::new(),
+                SortPolicy::default(),
+            )
+            .expect("sorted")
+            .tumbling_window(TickDuration::ticks(100))
+            .reduce_by_key(|acc, p| *acc = acc.wrapping_add(p))
+            .collect_output();
+        for m in msgs {
+            handle.push(m.clone()).expect("push");
+        }
+        out.messages()
+    }
+
+    #[test]
+    fn windows_at_both_ends_of_i64_match_the_sort_first_chain() {
+        let spec = PipelineSpec::new("ends")
+            .with_op(OpSpec::TumblingWindow {
+                size: TickDuration::ticks(100),
+            })
+            .with_op(OpSpec::SumByKey);
+        assert!(matches!(spec.plan().sorter(), SorterChoice::Bucket { .. }));
+        // Before the first punctuation the gate admits even `MIN + 5`; its
+        // window start saturates at `MIN`, and the end of `MAX − 5`'s
+        // window at `MAX`. Punctuation `MIN + 3` translates to `MIN` too,
+        // and `MIN + 7` after it is still on time.
+        let msgs = vec![
+            StreamMessage::batch(vec![
+                ev(i64::MAX - 5, 1, 1),
+                ev(i64::MIN + 5, 1, 2),
+                ev(0, 1, 4),
+            ]),
+            StreamMessage::Punctuation(Timestamp::new(i64::MIN + 3)),
+            StreamMessage::batch(vec![
+                ev(i64::MIN + 7, 1, 8),
+                ev(i64::MIN + 60, 1, 16),
+                ev(i64::MAX - 1, 1, 32),
+            ]),
+            StreamMessage::Punctuation(Timestamp::new(0)),
+            StreamMessage::Completed,
+        ];
+        let (out, sink) = crate::observer::Output::new();
+        let built = spec
+            .build(&PipelineEnv::new(), Box::new(sink))
+            .expect("build");
+        for m in &msgs {
+            built.handle.push(m.clone()).expect("push");
+        }
+        assert_eq!(out.error(), None);
+        assert_eq!(lines(out.messages()), lines(sort_first_sums(&msgs)));
+        let windows: Vec<(Timestamp, Timestamp, i64)> = out
+            .events()
+            .iter()
+            .map(|e| (e.sync_time, e.other_time, e.payload))
+            .collect();
+        assert_eq!(
+            windows,
+            vec![
+                (Timestamp::MIN, Timestamp::new(i64::MIN + 8), 2 + 8),
+                (
+                    Timestamp::new(i64::MIN + 8),
+                    Timestamp::new(i64::MIN + 108),
+                    16
+                ),
+                (Timestamp::new(0), Timestamp::new(100), 4),
+                (
+                    Timestamp::new(9_223_372_036_854_775_800),
+                    Timestamp::MAX,
+                    1 + 32
+                ),
+            ]
+        );
     }
 
     #[test]

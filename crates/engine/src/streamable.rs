@@ -593,6 +593,7 @@ impl<P: Payload> Streamable<P> {
             gauges,
             faults,
             watermark_lag,
+            behind_gate: false,
         })
     }
 
@@ -601,7 +602,8 @@ impl<P: Payload> Streamable<P> {
     /// policy and counters. It is the front half of that stage, so it
     /// takes no stage number and no shell of its own; it owns a watermark,
     /// so it is a checkpoint participant.
-    pub(crate) fn late_gate(self, stage: &SortStage<P>) -> Streamable<P> {
+    pub(crate) fn late_gate(self, stage: &mut SortStage<P>) -> Streamable<P> {
+        stage.behind_gate = true;
         let gate = ops::LateGate::new(&stage.policy, stage.faults.clone());
         let ckpt = self.ctx.ckpt.clone();
         let upstream = self.connect;
@@ -624,6 +626,9 @@ impl<P: Payload> Streamable<P> {
             if let Some(h) = stage.watermark_lag {
                 op = op.with_watermark_lag(h);
             }
+            if stage.behind_gate {
+                op = op.behind_late_gate();
+            }
             enrol(ckpt, op)
         })
     }
@@ -639,6 +644,9 @@ pub(crate) struct SortStage<P: Payload> {
     gauges: Option<SorterGauges>,
     faults: ops::SortFaultCounters,
     watermark_lag: Option<Histogram>,
+    /// A [`late_gate`](Streamable::late_gate) stands in front of the
+    /// stages placed below the sort.
+    behind_gate: bool,
 }
 
 /// Counts visible output events into the checkpoint context's egress

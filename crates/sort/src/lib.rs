@@ -12,6 +12,8 @@
 //!   turns any offline algorithm into an incremental one;
 //! * [`HeapSorter`] — the priority-queue incremental sorter of
 //!   first-generation SPEs;
+//! * [`BucketSorter`] — one bucket per distinct time, for input a tumbling
+//!   window below the sort has already aligned (§IV);
 //! * [`merge`] — binary / Huffman / loser-tree run merging.
 //!
 //! ```
@@ -29,6 +31,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod bsort;
+pub mod bucket;
 pub mod external;
 pub mod gauges;
 pub mod heapsort;
@@ -44,6 +47,7 @@ pub mod timsort;
 pub mod traits;
 
 pub use bsort::BSortSorter;
+pub use bucket::BucketSorter;
 pub use external::{
     ExternalImpatienceSorter, ExternalSortConfig, SpillStats, Tagged, RUN_MAGIC, RUN_VERSION,
 };

@@ -72,9 +72,13 @@ echo "== plan differential (sort-as-needed plan vs hand-stacked sort-first chain
 # dead-letter} x {1, 2 shards} through PipelineSpec::build, whose plan runs
 # filters and windows below the sort, must match the sort-first chain
 # stacked by hand through the Streamable API — messages, dead letters
-# (original events) and late counters. The two hoisted_plan recovery cases
-# hold the plan/checkpoint rule: the late gate's watermark survives a
-# crash, and a sort-first slot is refused with a typed RecoveryFailed.
+# (original events) and late counters. Where a window runs below the sort
+# (three of the five shapes) the planned sort stage runs the bucket sorter,
+# elsewhere Impatience; each run asserts which one ran. The four
+# hoisted_plan recovery cases hold the plan/checkpoint rule: the late
+# gate's watermark and the bucket sorter's buffered windows survive a
+# crash, and a sort-first slot or an Impatience-state slot is refused with
+# a typed RecoveryFailed.
 cargo test -q --offline --test plan_differential
 cargo test -q --offline --test recovery hoisted_plan
 

@@ -6,7 +6,11 @@
 //! reference.
 //!
 //! 210 seeded CloudLog / synthetic streams × {`Drop`, `DeadLetter`} ×
-//! {1, 2 shards}, over five hoistable op shapes. Compared per run:
+//! {1, 2 shards}, over five hoistable op shapes. Three of them hoist a
+//! window, so the planned sort stage runs the bucket sorter, whose order
+//! among equal times is arrival order; in the other two only the filter
+//! moves and it runs Impatience, like the reference. Each run checks which
+//! one ran. Compared per run:
 //!
 //! * the output **messages** — the events between each pair of
 //!   punctuations, the punctuations, completion — byte for byte. Where a
@@ -30,7 +34,7 @@ use impatience_core::{
 };
 use impatience_engine::ops::SortPolicy;
 use impatience_engine::{
-    input_stream, OpSpec, Output, PipelineEnv, PipelineSpec, SortSpec, Streamable,
+    input_stream, OpSpec, Output, PipelineEnv, PipelineSpec, SortSpec, SorterChoice, Streamable,
 };
 use impatience_sort::ImpatienceSorter;
 use impatience_workloads::{
@@ -83,6 +87,7 @@ fn stream(seed: u64) -> Vec<StreamMessage<i64>> {
 
 /// Five shapes the planner hoists from, cycled by seed. In the last, two
 /// windows stand ahead of the consumer, so only the filter moves.
+/// Shapes 0, 1 and 3 hoist a window (see [`hoists_a_window`]).
 fn ops(seed: u64) -> Vec<OpSpec> {
     let filter = OpSpec::FilterMin { min: 10 };
     let window = |size| OpSpec::TumblingWindow {
@@ -96,6 +101,11 @@ fn ops(seed: u64) -> Vec<OpSpec> {
         3 => vec![window(narrow), filter, OpSpec::SumByKey],
         _ => vec![filter, window(narrow), window(1_000), OpSpec::SumByKey],
     }
+}
+
+/// Does shape `seed % 5` run a window below the sort?
+fn hoists_a_window(seed: u64) -> bool {
+    matches!(seed % 5, 0 | 1 | 3)
 }
 
 /// What one run shows from outside.
@@ -160,8 +170,21 @@ fn observe(
     }
 }
 
-/// The spec, through `PipelineSpec::build` and whatever its plan says.
-fn run_planned(spec: &PipelineSpec, input: &[StreamMessage<i64>]) -> Observed {
+/// Stage 00's `runs` high water, summed over the run's shards: what the
+/// Impatience sorter publishes and the bucket sorter does not.
+fn runs_high_water(registry: &MetricsRegistry, prefix: &str, shards: usize) -> i64 {
+    let gauge = |name: String| registry.gauge(&name).high_water();
+    if shards == 1 {
+        return gauge(format!("{prefix}.00.sorter.runs"));
+    }
+    (0..shards)
+        .map(|i| gauge(format!("{prefix}.shard{i:02}.00.sorter.runs")))
+        .sum()
+}
+
+/// The spec, through `PipelineSpec::build` and whatever its plan says,
+/// and stage 00's `runs` high water.
+fn run_planned(spec: &PipelineSpec, input: &[StreamMessage<i64>]) -> (Observed, i64) {
     let registry = MetricsRegistry::new();
     let env = PipelineEnv::new().with_registry(&registry);
     let (out, sink) = Output::new();
@@ -171,7 +194,10 @@ fn run_planned(spec: &PipelineSpec, input: &[StreamMessage<i64>]) -> Observed {
     }
     let dlq = built.dead_letters.clone().expect("spec asked for a queue");
     drop(built);
-    observe(out, &dlq, &registry, &spec.name, spec.shards)
+    (
+        observe(out, &dlq, &registry, &spec.name, spec.shards),
+        runs_high_water(&registry, &spec.name, spec.shards),
+    )
 }
 
 /// One op through the public `Streamable` API, as `OpSpec` documents it.
@@ -225,6 +251,7 @@ fn run_reference(spec: &PipelineSpec, input: &[StreamMessage<i64>]) -> Observed 
 #[test]
 fn planned_pipeline_matches_the_hand_built_sort_first_chain() {
     let (mut late_total, mut letters_total, mut events_out) = (0u64, 0usize, 0usize);
+    let mut bucket_runs = 0;
     for seed in 0..STREAMS {
         let input = stream(seed);
         for late in [LatePolicy::Drop, LatePolicy::DeadLetter] {
@@ -239,7 +266,17 @@ fn planned_pipeline_matches_the_hand_built_sort_first_chain() {
                         });
                 spec.ops = ops(seed);
                 assert!(spec.plan().hoisted() > 0, "seed {seed}: nothing to compare");
-                let planned = run_planned(&spec, &input);
+                let bucket = matches!(spec.plan().sorter(), SorterChoice::Bucket { .. });
+                assert_eq!(
+                    bucket,
+                    hoists_a_window(seed),
+                    "seed {seed}: {}",
+                    spec.plan()
+                );
+                let (planned, runs) = run_planned(&spec, &input);
+                // The sorter that ran says which it was.
+                assert_eq!(runs == 0, bucket, "seed {seed}: runs high water {runs}");
+                bucket_runs += usize::from(bucket);
                 let reference = run_reference(&spec, &input);
                 assert_eq!(
                     planned,
@@ -264,4 +301,8 @@ fn planned_pipeline_matches_the_hand_built_sort_first_chain() {
     assert!(late_total > 10_000, "late events: {late_total}");
     assert!(letters_total > 5_000, "dead letters: {letters_total}");
     assert!(events_out > 100_000, "output events: {events_out}");
+    assert_eq!(
+        bucket_runs, 504,
+        "3 of 5 shapes × 2 policies × 2 shard counts"
+    );
 }

@@ -29,13 +29,15 @@
 //! One `#[ignore]`d timing test holds the checkpointing budget (≤ 10%
 //! over the plain pipeline); `scripts/ci.sh` runs it in a release build.
 //!
-//! Two `hoisted_plan_…` cases cover the `PipelineSpec` plan that runs a
-//! window below the sort: the late gate's watermark survives a crash, and
-//! a checkpoint written by the sort-first plan is refused with a typed
-//! error instead of being reinterpreted.
+//! Four `hoisted_plan_…` cases cover the `PipelineSpec` plan that runs a
+//! window below the sort, whose sort stage runs the bucket sorter: the
+//! late gate's watermark and the sorter's buckets survive a crash, and a
+//! checkpoint written by the sort-first plan, or by the same plan while it
+//! ran Impatience, is refused with a typed error instead of being
+//! reinterpreted.
 
 use impatience::prelude::*;
-use impatience_core::{StreamError, StreamMessage};
+use impatience_core::{ShedPolicy, StreamError, StreamMessage};
 use impatience_engine::ingress::WalConfig;
 use impatience_engine::{input_stream, punctuate_arrivals, CheckpointCtx, WalIngress};
 use impatience_engine::{InputHandle, Output, RecoveryInfo};
@@ -813,6 +815,113 @@ fn hoisted_plan_refuses_a_sort_first_checkpoint() {
         ),
         other => panic!("a sort-first slot must be refused typed, got {other:?}"),
     }
+    assert!(built.ckpt.as_ref().expect("durable").recovery().is_none());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Crash while the bucket sorter holds three open windows: the recovered
+/// pipeline, fed the rest of the input, emits exactly what an uncrashed
+/// one does.
+#[test]
+fn hoisted_plan_bucket_state_survives_a_crash() {
+    use impatience_engine::{PipelineEnv, SorterChoice};
+    let spec = hoisted_spec();
+    assert!(matches!(spec.plan().sorter(), SorterChoice::Bucket { .. }));
+    let before = [
+        StreamMessage::batch(vec![
+            keyed(205, 1),
+            keyed(431, 2),
+            keyed(310, 4),
+            keyed(231, 8),
+        ]),
+        StreamMessage::Punctuation(Timestamp::new(230)),
+    ];
+    let after = [
+        StreamMessage::batch(vec![keyed(250, 16), keyed(399, 32), keyed(500, 64)]),
+        StreamMessage::Punctuation(Timestamp::new(420)),
+        StreamMessage::Completed,
+    ];
+    let run = |dir: &Path, meter: &MemoryMeter, msgs: &[StreamMessage<i64>]| {
+        let (out, sink) = Output::new();
+        let env = PipelineEnv::new()
+            .with_checkpoint_dir(dir)
+            .with_meter(meter);
+        let built = spec.build(&env, Box::new(sink)).expect("build");
+        let recovered = built.ckpt.as_ref().expect("durable").recovery();
+        let charged = meter.current();
+        for m in msgs {
+            built.handle.push(m.clone()).expect("push");
+        }
+        assert_eq!(out.error(), None);
+        (out.messages(), recovered, charged)
+    };
+
+    let reference_dir = base_dir("hoisted-bucket-reference");
+    let whole: Vec<_> = before.iter().chain(&after).cloned().collect();
+    let (reference, _, _) = run(&reference_dir, &MemoryMeter::new(), &whole);
+
+    let dir = base_dir("hoisted-bucket-crash");
+    let (crashed, _, _) = run(&dir, &MemoryMeter::new(), &before);
+    assert_eq!(
+        crashed,
+        vec![StreamMessage::Punctuation(Timestamp::new(199))],
+        "windows 200, 300 and 400 are all still buffered"
+    );
+    let (recovered, info, charged) = run(&dir, &MemoryMeter::new(), &after);
+    assert_eq!(info.expect("restored").messages_seen, 2);
+    assert!(charged > 0, "the restored buckets are charged to the meter");
+    assert_eq!([crashed, recovered].concat(), reference);
+    let _ = fs::remove_dir_all(&reference_dir);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A slot written while the same spec ran Impatience — here under
+/// `ShedOldestRuns`, which keeps it on Impatience with the same three
+/// participants (late gate, sort, reduce-by-key) — holds run state, not
+/// buckets. Rebuilt with the default shed policy the spec runs the bucket
+/// sorter, which refuses that state typed instead of reinterpreting it.
+#[test]
+fn hoisted_plan_refuses_an_impatience_state_slot() {
+    use impatience_engine::{PipelineEnv, SortSpec, SorterChoice};
+    let dir = base_dir("hoisted-impatience-slot");
+    let shedding = hoisted_spec().with_sort(SortSpec {
+        shed: ShedPolicy::ShedOldestRuns,
+        ..SortSpec::default()
+    });
+    assert_eq!(shedding.plan().sorter(), SorterChoice::Impatience);
+    assert_eq!(shedding.plan().hoisted(), 1);
+    {
+        let (out, sink) = Output::new();
+        let built = shedding
+            .build(
+                &PipelineEnv::new().with_checkpoint_dir(&dir),
+                Box::new(sink),
+            )
+            .expect("build");
+        built
+            .handle
+            .push(StreamMessage::batch(vec![keyed(205, 1), keyed(231, 2)]))
+            .expect("push");
+        built
+            .handle
+            .push(StreamMessage::Punctuation(Timestamp::new(230)))
+            .expect("push");
+        assert_eq!(out.error(), None);
+    }
+    let (out, sink) = Output::new();
+    let built = hoisted_spec()
+        .build(
+            &PipelineEnv::new().with_checkpoint_dir(&dir),
+            Box::new(sink),
+        )
+        .expect("build itself succeeds; recovery reports through the stream");
+    match out.error() {
+        Some(StreamError::RecoveryFailed { detail }) => {
+            assert!(detail.contains("not a bucket sorter snapshot"), "{detail}")
+        }
+        other => panic!("an Impatience-state slot must be refused typed, got {other:?}"),
+    }
+    assert!(!out.is_completed());
     assert!(built.ckpt.as_ref().expect("durable").recovery().is_none());
     let _ = fs::remove_dir_all(&dir);
 }

@@ -10,17 +10,23 @@
 //!    version, length, body, or checksum) makes decoding return a typed
 //!    [`SnapshotError`] — never a panic, never a silently wrong value;
 //! 3. **operators** — every `Checkpointable` operator the engine ships
-//!    (Impatience sorter, tumbling/hopping windows, grouped and windowed
+//!    (Impatience and bucket sorters, the late gate, grouped and windowed
 //!    aggregates, reduce-by-key, top-k, followed-by, union, join)
 //!    round-trips its state through a real on-disk checkpoint, and a
 //!    seeded one-byte corruption of the only retained slot surfaces as a
-//!    typed [`StreamError::RecoveryFailed`] with no completion.
+//!    typed [`StreamError::RecoveryFailed`] with no completion. The bucket
+//!    sorter and the late gate are reached the way the engine reaches
+//!    them: through the `PipelineSpec` plan that runs a window below the
+//!    sort.
 
 use impatience::prelude::*;
 use impatience_core::{
     decode_framed, encode_framed, SnapshotReader, SnapshotWriter, StreamError, StreamMessage,
 };
-use impatience_engine::{input_stream, CheckpointCtx, InputHandle};
+use impatience_engine::{
+    input_stream, CheckpointCtx, InputHandle, OpSpec, Output, PipelineEnv, PipelineSpec,
+    SorterChoice,
+};
 use impatience_sort::ImpatienceSorter;
 use impatience_testkit::crash::{corrupt_byte, files_with_suffix};
 use impatience_testkit::props;
@@ -177,7 +183,7 @@ fn open_tape(seed: u64) -> Vec<StreamMessage<u32>> {
 }
 
 struct Durable {
-    main: InputHandle<u32>,
+    main: Box<dyn Fn(StreamMessage<u32>)>,
     others: Vec<InputHandle<u32>>,
     ctx: CheckpointCtx,
     error: Option<StreamError>,
@@ -209,7 +215,7 @@ fn pipeline_a(base: &Path) -> Durable {
         .checkpoint_egress()
         .collect_output();
     Durable {
-        main: h,
+        main: Box::new(move |m| h.push(m).expect("push")),
         others: Vec::new(),
         ctx,
         error: out.error(),
@@ -235,8 +241,48 @@ fn pipeline_b(base: &Path) -> Durable {
         .checkpoint_egress()
         .collect_output();
     Durable {
-        main: h,
+        main: Box::new(move |m| h.push(m).expect("push")),
         others: vec![h2, h3],
+        ctx,
+        error: out.error(),
+        completed: out.is_completed(),
+        _meter: meter,
+    }
+}
+
+/// `[TumblingWindow(64), SumByKey]` through `PipelineSpec::build`: late
+/// gate, window, bucket sorter, reduce-by-key.
+fn pipeline_c(base: &Path) -> Durable {
+    let meter = MemoryMeter::new();
+    let spec = PipelineSpec::new("hoisted")
+        .with_checkpoint(1)
+        .with_op(OpSpec::TumblingWindow {
+            size: TickDuration::ticks(64),
+        })
+        .with_op(OpSpec::SumByKey);
+    assert!(matches!(spec.plan().sorter(), SorterChoice::Bucket { .. }));
+    let env = PipelineEnv::new()
+        .with_meter(&meter)
+        .with_checkpoint_dir(base.join("ckpt"));
+    let (out, sink) = Output::new();
+    let built = spec.build(&env, Box::new(sink)).expect("spec builds");
+    let ctx = built.ckpt.clone().expect("durable spec");
+    let handle = built.handle;
+    Durable {
+        main: Box::new(move |m: StreamMessage<u32>| {
+            let m = match m {
+                StreamMessage::Batch(b) => StreamMessage::batch(
+                    b.into_visible()
+                        .into_iter()
+                        .map(|e| e.map_payload(i64::from))
+                        .collect(),
+                ),
+                StreamMessage::Punctuation(t) => StreamMessage::Punctuation(t),
+                StreamMessage::Completed => StreamMessage::Completed,
+            };
+            handle.push(m).expect("push")
+        }),
+        others: Vec::new(),
         ctx,
         error: out.error(),
         completed: out.is_completed(),
@@ -248,7 +294,7 @@ fn pipeline_b(base: &Path) -> Durable {
 /// into the side inputs so union/join buffers hold real state.
 fn feed(d: &Durable, tape: &[StreamMessage<u32>]) {
     for msg in tape {
-        d.main.push(msg.clone()).expect("push");
+        (d.main)(msg.clone());
         if let StreamMessage::Punctuation(t) = msg {
             for (i, h) in d.others.iter().enumerate() {
                 h.push_events(vec![Event::keyed(*t, i as u32, 7)]);
@@ -306,5 +352,10 @@ props! {
     /// Layer 3: the union + join topology.
     fn operator_states_round_trip_and_detect_corruption_join(seed in 0u64..1_000_000) {
         checkpoint_round_trip_and_corruption(pipeline_b, "join", seed);
+    }
+
+    /// Layer 3: the plan that runs a window below the bucket sorter.
+    fn operator_states_round_trip_and_detect_corruption_hoisted(seed in 0u64..1_000_000) {
+        checkpoint_round_trip_and_corruption(pipeline_c, "hoisted", seed);
     }
 }

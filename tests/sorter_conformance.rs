@@ -15,15 +15,22 @@
 //! empty and singleton inputs, sorted/reversed extremes, and varied
 //! punctuation cadences and lags.
 
-use impatience_core::{SnapshotReader, SnapshotWriter, Timestamp};
+use impatience_core::{SnapshotReader, SnapshotWriter, TickDuration, Timestamp};
 use impatience_sort::{
-    online_sorter_by_name, CutBuffer, ExternalImpatienceSorter, ExternalSortConfig,
-    HeapsortAlgorithm, OnlineSorter, TieredMergePolicy, ONLINE_SORTER_NAMES,
+    online_sorter_by_name, BucketSorter, CutBuffer, ExternalImpatienceSorter, ExternalSortConfig,
+    HeapsortAlgorithm, ImpatienceSorter, OnlineSorter, TieredMergePolicy, ONLINE_SORTER_NAMES,
 };
 use impatience_testkit::rng::{Rng, SeedableRng, StdRng};
 
-/// The 6 factory sorters plus the generic incremental adapter
-/// (`CutBuffer<_, HeapsortAlgorithm>`), which the factory does not name.
+/// A bucket sorter guessing buckets 16 ticks apart: the streams below are
+/// not aligned to any grid, so its guess misses as often as it hits.
+fn bucket_sorter<T: impatience_core::EventTimed>() -> BucketSorter<T> {
+    BucketSorter::new(TickDuration::ticks(16))
+}
+
+/// The 6 factory sorters, the generic incremental adapter
+/// (`CutBuffer<_, HeapsortAlgorithm>`) and the bucket sorter, which the
+/// factory does not name.
 fn all_sorters() -> Vec<(&'static str, Box<dyn OnlineSorter<i64>>)> {
     let mut v: Vec<(&'static str, Box<dyn OnlineSorter<i64>>)> = Vec::new();
     for name in ONLINE_SORTER_NAMES {
@@ -34,6 +41,7 @@ fn all_sorters() -> Vec<(&'static str, Box<dyn OnlineSorter<i64>>)> {
         "Incremental(Heapsort)",
         Box::new(CutBuffer::<i64, HeapsortAlgorithm>::new()),
     ));
+    v.push(("Bucket", Box::new(bucket_sorter())));
     v
 }
 
@@ -418,6 +426,152 @@ fn external_sorter_conforms_with_spills_and_restores() {
     for seed in 0..STREAMS {
         let case = generate_case(seed);
         run_external_conformance(&case, seed);
+    }
+}
+
+type Arrival = (Timestamp, u32);
+
+/// Punctuates `sorter` at `t`: does the cut equal the stable sort by time
+/// of what `pending` holds at or below `t`?
+fn cut_is_stable(
+    sorter: &mut dyn OnlineSorter<Arrival>,
+    pending: &mut Vec<Arrival>,
+    t: Timestamp,
+) -> bool {
+    let mut out = Vec::new();
+    sorter.punctuate(t, &mut out);
+    let (mut expect, rest): (Vec<_>, Vec<_>) = pending.iter().partition(|(at, _)| *at <= t);
+    expect.sort_by_key(|(at, _)| *at);
+    *pending = rest;
+    out == expect
+}
+
+/// Drives `sorter` through a stream of `(time, arrival)` items and checks
+/// every cut against the *stable* sort by time. Returns whether the
+/// output matched it everywhere.
+fn stable_everywhere(sorter: &mut dyn OnlineSorter<Arrival>, seed: u64) -> bool {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x57AB_1E00);
+    let mut pending: Vec<Arrival> = Vec::new();
+    let (mut wm, mut high) = (i64::MIN, i64::MIN);
+    let mut stable = true;
+    for arrival in 0..rng.gen_range(20u32..300) {
+        // Window starts with heavy repetition, and a few times off the grid.
+        let t = if rng.gen_bool(0.1) {
+            rng.gen_range(0i64..800)
+        } else {
+            rng.gen_range(0i64..8) * 100
+        };
+        if t > wm {
+            sorter.push((Timestamp::new(t), arrival));
+            pending.push((Timestamp::new(t), arrival));
+            high = high.max(t);
+        }
+        if arrival % 17 == 16 && high - 300 > wm {
+            wm = high - 300;
+            stable &= cut_is_stable(sorter, &mut pending, Timestamp::new(wm));
+        }
+    }
+    stable & cut_is_stable(sorter, &mut pending, Timestamp::MAX)
+}
+
+#[test]
+fn bucket_sorter_keeps_arrival_order_among_equal_times() {
+    let mut impatience_unstable = 0;
+    for seed in 0..200 {
+        assert!(
+            stable_everywhere(&mut bucket_sorter(), seed),
+            "Bucket: not arrival-stable (seed {seed})"
+        );
+        if !stable_everywhere(&mut ImpatienceSorter::new(), seed) {
+            impatience_unstable += 1;
+        }
+    }
+    // The check has teeth: Impatience's merge order among equal times is
+    // not arrival order.
+    assert!(impatience_unstable > 100, "{impatience_unstable} of 200");
+}
+
+#[test]
+fn outliers_near_both_ends_of_i64_sort_like_the_rest() {
+    let near_min = |d: i64| i64::MIN + 1 + d;
+    let near_max = |d: i64| i64::MAX - d;
+    let mut rng = StdRng::seed_from_u64(0x0071_1E25);
+    let data: Vec<i64> = (0..400)
+        .map(|_| match rng.gen_range(0u32..10) {
+            0 => near_min(rng.gen_range(0i64..3)),
+            1 => near_max(rng.gen_range(0i64..3)),
+            _ => rng.gen_range(0i64..50) * 16,
+        })
+        .collect();
+    let case = StreamCase {
+        data,
+        punct_every: 23,
+        lag: 400,
+    };
+    for (name, mut sorter) in all_sorters() {
+        run_conformance(name, sorter.as_mut(), &case, 0);
+    }
+    // Ten distinct outliers and fifty grid points: the buckets between
+    // them are never materialised.
+    let mut s = bucket_sorter();
+    for &x in &case.data {
+        s.push(x);
+    }
+    assert!(s.bucket_count() <= 56, "{} buckets", s.bucket_count());
+}
+
+#[test]
+fn bucket_sorter_conforms_across_a_mid_stream_snapshot_restore() {
+    for seed in 0..1_000u64 {
+        let case = generate_case(seed);
+        if case.data.is_empty() {
+            continue;
+        }
+        let restore_at = StdRng::seed_from_u64(seed ^ 0xB0C4).gen_range(0..case.data.len());
+        let mut sorter: BucketSorter<i64> = bucket_sorter();
+        let (mut pending, mut wm, mut high) = (Vec::new(), i64::MIN, i64::MIN);
+        for (i, &x) in case.data.iter().enumerate() {
+            if x > wm {
+                sorter.push(x);
+                pending.push(x);
+                high = high.max(x);
+            }
+            if i == restore_at {
+                let mut w = SnapshotWriter::new();
+                sorter.encode_state(&mut w).expect("encodes");
+                let body = w.into_body();
+                let mut fresh = bucket_sorter();
+                let mut r = SnapshotReader::new(&body);
+                fresh.restore_state(&mut r).expect("restores");
+                assert!(r.is_exhausted(), "Bucket: trailing bytes (seed {seed})");
+                assert_eq!(fresh.buffered_len(), sorter.buffered_len());
+                assert_eq!(fresh.state_bytes() > 0, sorter.state_bytes() > 0);
+                sorter = fresh;
+            }
+            if i % case.punct_every == case.punct_every - 1 && high > i64::MIN {
+                let t = high.saturating_sub(case.lag);
+                if t > wm {
+                    wm = t;
+                    let mut out = Vec::new();
+                    sorter.punctuate(Timestamp::new(t), &mut out);
+                    let mut expect: Vec<i64> =
+                        pending.iter().copied().filter(|&v| v <= t).collect();
+                    expect.sort();
+                    assert_eq!(
+                        out, expect,
+                        "Bucket: cut at T={t} after restore (seed {seed})"
+                    );
+                    pending.retain(|&v| v > t);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        sorter.drain_all(&mut out);
+        pending.sort();
+        assert_eq!(
+            out, pending,
+            "Bucket: final drain after restore (seed {seed})"
+        );
     }
 }
 
