@@ -240,6 +240,24 @@ pub enum SorterChoice {
     },
 }
 
+impl SorterChoice {
+    /// The one rule for which sorter sorts an input, shared by
+    /// [`PipelineSpec::plan`] and the framework's rungs. `window` is the
+    /// size of the tumbling window that aligned the input below the sort,
+    /// if any. Aligned input carries a few window starts, one bucket each,
+    /// so it runs the [`BucketSorter`] — unless `spill` is set or `shed` is
+    /// [`ShedPolicy::ShedOldestRuns`]: spilling and shedding the oldest run
+    /// work on Impatience's runs.
+    pub fn for_input(window: Option<TickDuration>, spill: bool, shed: ShedPolicy) -> Self {
+        match window {
+            Some(step) if !spill && shed != ShedPolicy::ShedOldestRuns => {
+                SorterChoice::Bucket { step }
+            }
+            _ => SorterChoice::Impatience,
+        }
+    }
+}
+
 /// The order a spec's stages run in and the sorter its sort stage runs
 /// (see [`PipelineSpec::plan`]). Displays as
 /// `gate → 01.where → 02.tumbling_window → 00.sort[bucket] → 03.reduce_by_key`:
@@ -849,7 +867,8 @@ impl PipelineSpec {
     /// among equal times is arrival order, not Impatience's merge order,
     /// which is legal for the same reason the hoist is: the consumer is
     /// regrouping. `sort.spill` and [`ShedPolicy::ShedOldestRuns`] keep
-    /// Impatience, because spilling and shedding work on its runs.
+    /// Impatience, because spilling and shedding work on its runs
+    /// ([`SorterChoice::for_input`], the rule the framework's rungs share).
     pub fn plan(&self) -> Plan {
         let consumer = self
             .ops
@@ -867,15 +886,9 @@ impl PipelineSpec {
             OpSpec::TumblingWindow { size } => Some(*size),
             _ => None,
         });
-        let sorter = match window {
-            Some(step) if !self.sort.spill && self.sort.shed != ShedPolicy::ShedOldestRuns => {
-                SorterChoice::Bucket { step }
-            }
-            _ => SorterChoice::Impatience,
-        };
         Plan {
             hoisted,
-            sorter,
+            sorter: SorterChoice::for_input(window, self.sort.spill, self.sort.shed),
             ops: self.ops.iter().map(OpSpec::stage_name).collect(),
         }
     }

@@ -14,6 +14,13 @@
 //! the sorted set, projection shrinks the events, windows collapse
 //! distinct timestamps (Proposition 3.2) and *reduce disorder* — the
 //! Fig 9 speedups.
+//!
+//! The surface remembers the size of its last tumbling window: selection,
+//! projection and re-keying never touch `sync_time`, so what leaves them is
+//! still aligned. The framework reads that record to give each rung the
+//! sorter [`SorterChoice::for_input`](impatience_engine::SorterChoice::for_input)
+//! picks for aligned input. [`DisorderedStreamable::to_streamable`] ignores
+//! it and always sorts with Impatience (see its docs).
 
 use impatience_core::{Event, MemoryMeter, Payload, StreamMessage, TickDuration};
 use impatience_engine::ops::{FilterOp, ReKeyOp, SelectOp, TumblingWindowOp};
@@ -25,6 +32,9 @@ type Connector<P> = Box<dyn FnOnce(Box<dyn Observer<P>>) + Send>;
 /// A disordered stream admitting only order-insensitive operators.
 pub struct DisorderedStreamable<P: Payload> {
     connect: Connector<P>,
+    /// Size of the last tumbling window applied, whose starts every event
+    /// now carries; `None` for unaligned input.
+    window: Option<TickDuration>,
 }
 
 impl<P: Payload> DisorderedStreamable<P> {
@@ -32,6 +42,7 @@ impl<P: Payload> DisorderedStreamable<P> {
     pub fn from_connector(connect: impl FnOnce(Box<dyn Observer<P>>) + Send + 'static) -> Self {
         DisorderedStreamable {
             connect: Box::new(connect),
+            window: None,
         }
     }
 
@@ -69,13 +80,17 @@ impl<P: Payload> DisorderedStreamable<P> {
         )
     }
 
-    /// Applies an operator-builder stage (crate-internal plumbing).
+    /// Applies an operator-builder stage that leaves `sync_time` alone, so
+    /// the window record carries over (crate-internal plumbing).
     pub(crate) fn apply<Q: Payload>(
         self,
         build: impl FnOnce(Box<dyn Observer<Q>>) -> Box<dyn Observer<P>> + Send + 'static,
     ) -> DisorderedStreamable<Q> {
         let upstream = self.connect;
-        DisorderedStreamable::from_connector(move |sink| upstream(build(sink)))
+        DisorderedStreamable {
+            connect: Box::new(move |sink| upstream(build(sink))),
+            window: self.window,
+        }
     }
 
     /// Selection (order-insensitive).
@@ -102,21 +117,29 @@ impl<P: Payload> DisorderedStreamable<P> {
     /// unchanged; `size` must be positive.
     pub fn tumbling_window(self, size: TickDuration) -> Self {
         assert!(size.is_positive(), "window size must be positive");
-        self.apply(move |sink| Box::new(TumblingWindowOp::new(size, sink)))
+        let mut aligned = self.apply(move |sink| Box::new(TumblingWindowOp::new(size, sink)));
+        aligned.window = Some(size);
+        aligned
     }
 
     /// Ends the disordered section with an Impatience sorting operator —
     /// the paper's `ToStreamable()`.
+    ///
+    /// Always Impatience, even over windowed input, where the framework's
+    /// rungs run the bucket sorter: this is §IV-B's first code sample, and
+    /// Fig 9(c) uses it to measure what a pushed-down window does to
+    /// *Impatience* sort.
     pub fn to_streamable(self, meter: &MemoryMeter) -> Streamable<P> {
         Streamable::from_connector(self.connect)
             .sorted(Box::new(ImpatienceSorter::new()), meter, Default::default())
             .expect("default sort policy")
     }
 
-    /// Consumes the handle, returning the raw connector (used by the
-    /// framework builder).
-    pub(crate) fn into_connector(self) -> Connector<P> {
-        self.connect
+    /// Consumes the handle, returning the raw connector and the size of the
+    /// window that aligned its events, if any (used by the framework
+    /// builder).
+    pub(crate) fn into_parts(self) -> (Connector<P>, Option<TickDuration>) {
+        (self.connect, self.window)
     }
 }
 

@@ -23,6 +23,16 @@
 //! counted) if even the largest latency cannot accommodate it. Partition i
 //! is punctuated at `watermark − l_i` on every input punctuation, so its
 //! sorter flushes on exactly the cadence its latency promises.
+//!
+//! Every partition picks its sorter by the planner's rule,
+//! [`SorterChoice::for_input`], from the surface the user built: when a
+//! tumbling window aligned the disordered input, a rung sees only window
+//! starts and runs the [`BucketSorter`], one bucket per start; without a
+//! window, or under [`ShedPolicy::ShedOldestRuns`], it runs Impatience.
+//! The framework never spills. The bucket sorter keeps arrival order among
+//! equal times and a union takes ties from its faster (left) side first,
+//! so with it the basic framework's output streams order equal times by
+//! partition, then by arrival.
 
 use crate::disordered::DisorderedStreamable;
 use crate::plumbing::{HandleSink, TeeOp};
@@ -35,9 +45,9 @@ use impatience_core::{
 use impatience_engine::ops::{union as build_union, SortPolicy};
 use impatience_engine::{
     input_stream, CheckpointCtx, CheckpointGate, Checkpointable, Checkpointer, InputHandle,
-    Observer, SharedSink, Streamable, TraceCtx,
+    Observer, SharedSink, SorterChoice, Streamable, TraceCtx,
 };
-use impatience_sort::{ImpatienceConfig, ImpatienceSorter};
+use impatience_sort::{BucketSorter, ImpatienceSorter, OnlineSorter};
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -59,6 +69,8 @@ pub struct FrameworkPolicy<P: Payload> {
     /// Routing of events that missed the fastest partition.
     pub late: LatePolicy,
     /// Per-partition sorter shedding under memory pressure.
+    /// [`ShedPolicy::ShedOldestRuns`] keeps every rung on Impatience, whose
+    /// runs it sheds (see the module docs).
     pub shed: ShedPolicy,
     /// Destination for dead-lettered events (partitioner and sorters).
     pub dead_letters: Option<DeadLetterQueue<P>>,
@@ -238,6 +250,9 @@ struct Partitioner<P: Payload> {
     latencies: Vec<TickDuration>,
     parts: Vec<InputHandle<P>>,
     scratch: Vec<Vec<Event<P>>>,
+    /// Events routed to each partition in the current batch, added to
+    /// `stats.routed` once per batch rather than once per event.
+    tally: Vec<u64>,
     wm: Timestamp,
     last_punct: Vec<Timestamp>,
     stats: FrameworkStats,
@@ -246,6 +261,15 @@ struct Partitioner<P: Payload> {
 }
 
 impl<P: Payload> Partitioner<P> {
+    /// Publishes the batch's routing tally.
+    fn publish_tally(&mut self) {
+        for (routed, n) in self.stats.routed.iter().zip(&mut self.tally) {
+            if *n > 0 {
+                routed.add(core::mem::take(n));
+            }
+        }
+    }
+
     fn flush_scratch(&mut self) {
         for (i, buf) in self.scratch.iter_mut().enumerate() {
             if !buf.is_empty() {
@@ -264,9 +288,9 @@ impl<P: Payload> Partitioner<P> {
 
 /// The partitioner's durable state is its watermark clock: the high
 /// watermark that delays are measured against and the last punctuation
-/// emitted into each partition. `scratch` is always empty at a
-/// punctuation boundary (every batch flushes it), and the routing stats
-/// are advisory metrics rather than replay-critical state.
+/// emitted into each partition. `scratch` and `tally` are always empty at
+/// a punctuation boundary (every batch flushes them), and the routing
+/// stats are advisory metrics rather than replay-critical state.
 impl<P: Payload> Checkpointable for Partitioner<P> {
     fn state_id(&self) -> &'static str {
         "framework.partitioner"
@@ -300,11 +324,18 @@ impl<P: Payload> Observer<P> for Partitioner<P> {
             if e.sync_time > self.wm {
                 self.wm = e.sync_time;
             }
-            let delay = self.wm - e.sync_time;
+            // `wm ≥ sync_time` here, so `abs_diff` is the delay; unlike
+            // `wm − sync_time` it cannot overflow between the ends of `i64`.
+            let delay = self.wm.abs_diff(e.sync_time);
             // First partition whose latency strictly exceeds the delay
             // (strictness matches the partition's punctuation rule
-            // `wm − lᵢ`: admitted events are strictly above it).
-            match self.latencies.iter().position(|&l| delay < l) {
+            // `wm − lᵢ`: admitted events are strictly above it). Latencies
+            // were validated non-negative.
+            match self
+                .latencies
+                .iter()
+                .position(|l| delay < l.as_ticks() as u64)
+            {
                 Some(i) => {
                     // An event that missed the fastest partition is *late*;
                     // walking to partition i is the reroute policy.
@@ -316,7 +347,7 @@ impl<P: Payload> Observer<P> for Partitioner<P> {
                         }
                         continue;
                     }
-                    self.stats.routed[i].inc();
+                    self.tally[i] += 1;
                     self.scratch[i].push(e.clone());
                 }
                 None => {
@@ -330,6 +361,7 @@ impl<P: Payload> Observer<P> for Partitioner<P> {
                 }
             }
         }
+        self.publish_tally();
         self.flush_scratch();
     }
 
@@ -504,7 +536,10 @@ where
         ));
     }
 
-    // Partition pipelines: relay → Impatience sort → PIQ → stage sink.
+    // Partition pipelines: relay → sort → PIQ → stage sink. The sorter is
+    // the planner's pick for this input: buckets when a window aligned it.
+    let (connect, window) = ds.into_parts();
+    let sorter_choice = SorterChoice::for_input(window, false, policy.shed);
     let mut part_handles: Vec<InputHandle<P>> = Vec::with_capacity(k);
     let mut sinks: Vec<Box<dyn Observer<Q>>> = Vec::with_capacity(k);
     sinks.push(stage_sink);
@@ -532,7 +567,10 @@ where
             Some(c) => ps.with_checkpoint(c),
             None => ps,
         };
-        let sorter = ImpatienceSorter::with_config(ImpatienceConfig::default());
+        let sorter: Box<dyn OnlineSorter<Event<P>>> = match sorter_choice {
+            SorterChoice::Bucket { step } => Box::new(BucketSorter::new(step)),
+            SorterChoice::Impatience => Box::new(ImpatienceSorter::new()),
+        };
         // The partitioner already filtered per-partition late events, so
         // any residual late event at a sorter is dropped (and counted);
         // shed/dead-letter behaviour follows the framework policy.
@@ -541,7 +579,7 @@ where
             shed: policy.shed,
             dead_letters: policy.dead_letters.clone(),
         };
-        piq(ps.sorted(Box::new(sorter), meter, sort_policy)?).subscribe_observer(sink);
+        piq(ps.sorted(sorter, meter, sort_policy)?).subscribe_observer(sink);
     }
 
     // Wire the partitioner onto the disordered source — behind the
@@ -551,6 +589,7 @@ where
     let partitioner = Partitioner {
         latencies: latencies.to_vec(),
         scratch: (0..k).map(|_| Vec::new()).collect(),
+        tally: vec![0; k],
         parts: part_handles,
         wm: Timestamp::MIN,
         last_punct: vec![Timestamp::MIN; k],
@@ -571,7 +610,7 @@ where
         }
         _ => Box::new(partitioner),
     };
-    (ds.into_connector())(source_sink);
+    connect(source_sink);
 
     Ok(Streamables {
         streams: out_streams,
@@ -1007,6 +1046,90 @@ mod tests {
             .collect();
         for (a, b) in _outs.iter().zip(&plain_outs) {
             assert_eq!(a.messages(), b.messages());
+        }
+    }
+
+    /// `ds`, aligned by a tumbling window of `window` when one is given.
+    fn maybe_windowed(
+        ds: DisorderedStreamable<u32>,
+        window: Option<TickDuration>,
+    ) -> DisorderedStreamable<u32> {
+        match window {
+            Some(w) => ds.tumbling_window(w),
+            None => ds,
+        }
+    }
+
+    /// Each rung picks its sorter by the planner's rule: over window starts
+    /// it buckets (no Impatience runs), also behind a later `where_`;
+    /// without the window, or under `ShedOldestRuns`, it keeps Impatience.
+    #[test]
+    fn rungs_bucket_window_aligned_input() {
+        let window = Some(TickDuration::ticks(20));
+        let cases = [
+            (window, ShedPolicy::default(), true),
+            (None, ShedPolicy::default(), false),
+            (window, ShedPolicy::ShedOldestRuns, false),
+        ];
+        for (window, shed, bucket) in cases {
+            let registry = MetricsRegistry::new();
+            let meter = MemoryMeter::new();
+            let ds = DisorderedStreamable::from_arrivals(arrivals(), &policy());
+            let mut ss = basic_with(
+                maybe_windowed(ds, window).where_(|e| e.payload != 7),
+                &latencies(),
+                &meter,
+                FrameworkOptions {
+                    policy: FrameworkPolicy {
+                        shed,
+                        ..FrameworkPolicy::default()
+                    },
+                    registry: Some(registry.clone()),
+                    ..Default::default()
+                },
+            );
+            for i in 0..3 {
+                let out = ss
+                    .take_stream(i)
+                    .expect("take output stream")
+                    .collect_output();
+                assert!(out.is_completed());
+                let runs = registry
+                    .gauge(&format!("partition{i:02}.00.sorter.runs"))
+                    .high_water();
+                assert_eq!(
+                    runs == 0,
+                    bucket,
+                    "rung {i} runs high water {runs} ({window:?}, {shed:?})"
+                );
+            }
+        }
+    }
+
+    /// An arrival at `i64::MIN + 5` behind a watermark of 1000: its delay
+    /// does not fit in an `i64` and exceeds every latency, so the event is
+    /// dropped, neither wrapped into the fastest rung nor a panic. A window
+    /// aligns it to `MIN`, which changes nothing.
+    #[test]
+    fn delay_between_the_ends_of_i64_drops_the_event() {
+        for window in [None, Some(TickDuration::ticks(10))] {
+            let meter = MemoryMeter::new();
+            let ds =
+                DisorderedStreamable::from_arrivals(vec![ev(1000), ev(i64::MIN + 5)], &policy());
+            let mut ss = to_streamables_basic(maybe_windowed(ds, window), &latencies(), &meter)
+                .expect("valid ladder");
+            for i in 0..3 {
+                let out = ss
+                    .take_stream(i)
+                    .expect("take output stream")
+                    .collect_output();
+                let ts: Vec<i64> = out.events().iter().map(|e| e.sync_time.ticks()).collect();
+                assert_eq!(ts, vec![1000], "stream {i} ({window:?})");
+            }
+            let stats = ss.stats();
+            let routed: Vec<u64> = (0..3).map(|i| stats.routed(i)).collect();
+            assert_eq!(routed, vec![1, 0, 0], "{window:?}");
+            assert_eq!(stats.dropped(), 1, "{window:?}");
         }
     }
 

@@ -82,6 +82,20 @@ echo "== plan differential (sort-as-needed plan vs hand-stacked sort-first chain
 cargo test -q --offline --test plan_differential
 cargo test -q --offline --test recovery hoisted_plan
 
+echo "== framework differential (ladder rungs under the planner's sorter rule) =="
+# The framework gate. Each rung picks its sorter by the planner's rule:
+# where a tumbling window runs below the framework every rung runs the
+# bucket sorter, elsewhere (and under ShedOldestRuns) Impatience. The props
+# hold every tier to a batch oracle, and the basic framework's tiers over
+# windowed input to an exact tie order (time, then partition, then
+# arrival). surface_differential pins the ladder's output, routing, dead
+# letters and spans byte for byte; its metered.metrics and
+# durable.checkpoints digests record the bucket sorter (runs and
+# speculation gauges at 0, bucket-sorter snapshots). A durable slot written
+# while the rungs ran Impatience is refused with a typed RecoveryFailed.
+cargo test -q --offline --test framework_props --test surface_differential
+cargo test -q --offline --test recovery framework_refuses_an_impatience_state_slot
+
 echo "== trace conformance (traced pipelines byte-identical, spans laminar) =="
 # The observability determinism gate: traced runs must produce output
 # byte-identical to untraced ones across shard counts, spans must nest,

@@ -1,7 +1,9 @@
 //! Property tests over the full stack: for arbitrary arrival sequences and
 //! latency ladders, the Impatience framework must agree with a batch
 //! oracle, the basic and advanced frameworks must agree with each other,
-//! and output streams must be ordered and monotone in completeness.
+//! output streams must be ordered and monotone in completeness, and over
+//! windowed input the basic framework's streams must order equal times
+//! exactly: by partition, then by arrival.
 //!
 //! On failure the harness prints the failing case seed; replay with
 //! `IMPATIENCE_PROP_SEED=0x<seed> cargo test <test name>`.
@@ -26,6 +28,23 @@ fn arrivals_strategy() -> impl Strategy<Value = Vec<Event<u32>>> {
             t += advance;
             let sync = if late { (t - 100).max(0) } else { t };
             out.push(Event::keyed(Timestamp::new(sync), key, key));
+        }
+        out
+    })
+}
+
+/// Arrivals that straggle more often and by varying amounts, so every rung
+/// holds several sorted runs sharing window starts — where Impatience's
+/// merge order among equal times would show. The payload is the arrival
+/// index, so that order is visible in the output.
+fn scattered_arrivals_strategy() -> impl Strategy<Value = Vec<Event<u32>>> {
+    pvec((0i64..40, weighted_bool(0.3), 0i64..400, 0u32..8), 1..400).prop_map(|steps| {
+        let mut t = 0i64;
+        let mut out = Vec::new();
+        for (advance, late, back, key) in steps {
+            t += advance;
+            let sync = if late { (t - back).max(0) } else { t };
+            out.push(Event::keyed(Timestamp::new(sync), key, out.len() as u32));
         }
         out
     })
@@ -114,8 +133,64 @@ fn run_basic_with_query(
         .collect()
 }
 
+/// What each output stream of the basic framework over the windowed input
+/// must hold, as `(window start, key, payload)`: the events the aligned
+/// watermark-delay rule routes to partitions `0..=i`, stably sorted by
+/// `(window start, partition)`. Each rung's bucket sorter keeps arrival
+/// order within a window start, and each union takes ties from its faster
+/// (left) side first, which holds the lower partitions.
+fn tier_oracle(arrivals: &[Event<u32>], latencies: &[TickDuration]) -> Vec<Vec<(i64, u32, u32)>> {
+    let mut wm = Timestamp::MIN;
+    let mut routed = Vec::new();
+    for e in arrivals {
+        let aligned = e.sync_time.align_down(window());
+        wm = wm.max(aligned);
+        if let Some(p) = latencies.iter().position(|&l| wm - aligned < l) {
+            routed.push((aligned.ticks(), p, e.key, e.payload));
+        }
+    }
+    routed.sort_by_key(|&(t, p, ..)| (t, p)); // `sort_by_key` is stable
+    (0..latencies.len())
+        .map(|i| {
+            routed
+                .iter()
+                .filter(|&&(_, p, ..)| p <= i)
+                .map(|&(t, _, key, payload)| (t, key, payload))
+                .collect()
+        })
+        .collect()
+}
+
 props! {
     cases = 64;
+
+    fn basic_tiers_hold_admitted_events_in_time_then_partition_order(
+        arrivals in scattered_arrivals_strategy(),
+        freq in 1usize..60,
+    ) {
+        let ls = vec![
+            TickDuration::ticks(16),
+            TickDuration::ticks(64),
+            TickDuration::ticks(400),
+        ];
+        let expect = tier_oracle(&arrivals, &ls);
+        let meter = MemoryMeter::new();
+        let ds = DisorderedStreamable::from_arrivals(arrivals, &policy(freq)).tumbling_window(window());
+        let mut ss = to_streamables_basic(ds, &ls, &meter).unwrap();
+        for (i, expect) in expect.iter().enumerate() {
+            let o = ss
+                .take_stream(i)
+                .expect("take output stream")
+                .collect_output();
+            assert!(o.is_completed());
+            let got: Vec<(i64, u32, u32)> = o
+                .events()
+                .iter()
+                .map(|e| (e.sync_time.ticks(), e.key, e.payload))
+                .collect();
+            assert_eq!(&got, expect, "tier {i}");
+        }
+    }
 
     fn final_stream_matches_oracle(
         arrivals in arrivals_strategy(),

@@ -34,7 +34,8 @@
 //! late gate's watermark and the sorter's buckets survive a crash, and a
 //! checkpoint written by the sort-first plan, or by the same plan while it
 //! ran Impatience, is refused with a typed error instead of being
-//! reinterpreted.
+//! reinterpreted. `framework_refuses_an_impatience_state_slot` holds the
+//! same rule for the framework, whose rungs bucket windowed input.
 
 use impatience::prelude::*;
 use impatience_core::{ShedPolicy, StreamError, StreamMessage};
@@ -923,5 +924,79 @@ fn hoisted_plan_refuses_an_impatience_state_slot() {
     }
     assert!(!out.is_completed());
     assert!(built.ckpt.as_ref().expect("durable").recovery().is_none());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The framework's counterpart: a durable ladder slot written while its
+/// rungs ran Impatience — under `ShedOldestRuns`, which keeps every rung
+/// on Impatience over the same windowed input and the same participants —
+/// holds run state. Rebuilt with the default shed policy the rungs run the
+/// bucket sorter, which refuses that state: every output stream ends in a
+/// typed `RecoveryFailed`, never a panic or a silent fresh start.
+#[test]
+fn framework_refuses_an_impatience_state_slot() {
+    use impatience_framework::FrameworkPolicy;
+    let dir = base_dir("framework-impatience-slot");
+    let ladder = [TickDuration::ticks(100), TickDuration::ticks(1_000)];
+    let build = |shed: ShedPolicy| {
+        let (handle, ds) = DisorderedStreamable::<i64>::live();
+        let mut ss = to_streamables_advanced(
+            ds.tumbling_window(TickDuration::ticks(100)),
+            &ladder,
+            |s| s,
+            |s| s,
+            &MemoryMeter::new(),
+            FrameworkOptions {
+                policy: FrameworkPolicy {
+                    shed,
+                    ..FrameworkPolicy::default()
+                },
+                durable: Some((dir.clone(), 1)),
+                ..Default::default()
+            },
+        )
+        .expect("valid ladder");
+        let ctx = ss.checkpoint().expect("durable build").clone();
+        let outs: Vec<Output<i64>> = (0..ladder.len())
+            .map(|i| {
+                ss.take_stream(i)
+                    .expect("take output stream")
+                    .checkpoint_egress()
+                    .collect_output()
+            })
+            .collect();
+        (handle, ctx, outs)
+    };
+    {
+        let (handle, ctx, outs) = build(ShedPolicy::ShedOldestRuns);
+        assert!(ctx.recovery().is_none(), "first incarnation is fresh");
+        handle
+            .push(StreamMessage::batch(vec![
+                keyed(205, 1),
+                keyed(431, 2),
+                keyed(310, 4),
+            ]))
+            .expect("push");
+        handle
+            .push(StreamMessage::Punctuation(Timestamp::new(230)))
+            .expect("push");
+        assert!(outs.iter().all(|o| o.error().is_none()));
+    }
+    let (handle, ctx, outs) = build(ShedPolicy::default());
+    // Input after the refusal is not an abort either.
+    let _ = handle.push(StreamMessage::batch(vec![keyed(500, 8)]));
+    for (i, out) in outs.iter().enumerate() {
+        match out.error() {
+            Some(StreamError::RecoveryFailed { detail }) => assert!(
+                detail.contains("not a bucket sorter snapshot"),
+                "stream {i}: {detail}"
+            ),
+            other => {
+                panic!("stream {i}: an Impatience-state slot must be refused typed, got {other:?}")
+            }
+        }
+        assert!(!out.is_completed(), "stream {i}");
+    }
+    assert!(ctx.recovery().is_none());
     let _ = fs::remove_dir_all(&dir);
 }
