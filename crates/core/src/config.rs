@@ -10,6 +10,7 @@
 //! impl, keeping existing signatures unchanged.
 
 use crate::error::StreamError;
+use crate::time::TickDuration;
 
 /// A typed configuration-validation failure: which field, which rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,6 +57,27 @@ impl From<ConfigError> for StreamError {
 pub trait Validate {
     /// Checks the configuration, naming the first offending field.
     fn validate(&self) -> core::result::Result<(), ConfigError>;
+}
+
+/// The one rule for a ladder of reorder latencies — the adaptive
+/// controller's candidates, a spec's `reorder.ladder` and the framework's
+/// rungs: non-empty, at most 255 rungs (a rung index fits in a byte),
+/// non-negative and strictly increasing. The error names the field
+/// `ladder`; callers scope it (`reorder.ladder`).
+pub fn validate_ladder(ladder: &[TickDuration]) -> core::result::Result<(), ConfigError> {
+    if ladder.is_empty() {
+        return Err(ConfigError::new("ladder", "must not be empty"));
+    }
+    if ladder.len() > 255 {
+        return Err(ConfigError::new("ladder", "at most 255 rungs"));
+    }
+    if ladder[0] < TickDuration::ZERO {
+        return Err(ConfigError::new("ladder", "latencies must be non-negative"));
+    }
+    if ladder.windows(2).any(|w| w[1] <= w[0]) {
+        return Err(ConfigError::new("ladder", "must be strictly increasing"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

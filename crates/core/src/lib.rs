@@ -43,7 +43,7 @@ pub mod trace;
 
 pub use batch::{EventBatch, DEFAULT_BATCH_SIZE};
 pub use bitmap::FilterBitmap;
-pub use config::{ConfigError, Validate};
+pub use config::{validate_ladder, ConfigError, Validate};
 pub use error::{Result, StreamError};
 pub use event::{hash_key, EvalPayload, Event, EventTimed, Payload};
 pub use json::{Json, JsonError};

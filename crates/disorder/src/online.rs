@@ -11,7 +11,7 @@
 //! Impatience ingress contract: punctuations are issued at
 //! `watermark − l(t)` where `l(t)` adapts to the stream.
 
-use impatience_core::config::{ConfigError, Validate};
+use impatience_core::config::{validate_ladder, ConfigError, Validate};
 use impatience_core::metrics::{Counter, Gauge};
 use impatience_core::{TickDuration, Timestamp};
 
@@ -123,24 +123,6 @@ impl DelayWindow {
     pub fn max_delay(&self) -> TickDuration {
         self.max_delay
     }
-}
-
-fn validate_ladder(ladder: &[TickDuration]) -> Result<(), ConfigError> {
-    if ladder.is_empty() {
-        return Err(ConfigError::new("ladder", "must not be empty"));
-    }
-    if ladder.len() > 255 {
-        return Err(ConfigError::new("ladder", "at most 255 rungs"));
-    }
-    if ladder[0] < TickDuration::ZERO {
-        return Err(ConfigError::new("ladder", "latencies must be non-negative"));
-    }
-    for pair in ladder.windows(2) {
-        if pair[1] <= pair[0] {
-            return Err(ConfigError::new("ladder", "must be strictly increasing"));
-        }
-    }
-    Ok(())
 }
 
 /// Configuration for an [`AdaptiveLatency`] controller.

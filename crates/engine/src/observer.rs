@@ -156,7 +156,10 @@ impl<P: Payload> Output<P> {
     }
 }
 
-/// Terminal observer that records everything into an [`Output`].
+/// Terminal observer that records everything into an [`Output`]. A clone
+/// records into the same output: a caller can keep one to record a
+/// failure that never reached the pipeline's sink.
+#[derive(Clone)]
 pub struct CollectorSink<P> {
     buf: Arc<Mutex<OutputBuf<P>>>,
 }

@@ -56,8 +56,8 @@ use crate::streamable::{input_stream, InputHandle, Streamable};
 use crate::traced::TraceCtx;
 use impatience_core::json::Json;
 use impatience_core::{
-    json, ConfigError, DeadLetterQueue, Event, LatePolicy, MemoryMeter, MetricsRegistry,
-    ShedPolicy, StreamError, TickDuration, Validate,
+    json, validate_ladder, ConfigError, DeadLetterQueue, Event, LatePolicy, MemoryMeter,
+    MetricsRegistry, Payload, ShedPolicy, StreamError, TickDuration, Validate,
 };
 use impatience_sort::{BucketSorter, ExternalImpatienceSorter, ImpatienceSorter, OnlineSorter};
 use std::path::PathBuf;
@@ -254,6 +254,17 @@ impl SorterChoice {
                 SorterChoice::Bucket { step }
             }
             _ => SorterChoice::Impatience,
+        }
+    }
+
+    /// Builds the chosen sorter. Impatience spills into `spill_dir` when it
+    /// is given one (the [`ExternalImpatienceSorter`]) and sorts in memory
+    /// otherwise; the bucket sorter never spills.
+    pub fn sorter<P: Payload>(self, spill_dir: Option<PathBuf>) -> Box<dyn OnlineSorter<Event<P>>> {
+        match (self, spill_dir) {
+            (SorterChoice::Bucket { step }, _) => Box::new(BucketSorter::new(step)),
+            (SorterChoice::Impatience, Some(dir)) => Box::new(ExternalImpatienceSorter::new(dir)),
+            (SorterChoice::Impatience, None) => Box::new(ImpatienceSorter::new()),
         }
     }
 }
@@ -731,18 +742,7 @@ impl Validate for PipelineSpec {
                 window,
                 ..
             } => {
-                if ladder.is_empty() {
-                    return Err(ConfigError::new("reorder.ladder", "must not be empty"));
-                }
-                if ladder[0] < TickDuration::ZERO {
-                    return Err(ConfigError::new("reorder.ladder", "must be non-negative"));
-                }
-                if ladder.windows(2).any(|w| w[1] <= w[0]) {
-                    return Err(ConfigError::new(
-                        "reorder.ladder",
-                        "must be strictly increasing",
-                    ));
-                }
+                validate_ladder(ladder).map_err(|e| e.scoped("reorder"))?;
                 if !(*quality > 0.0 && *quality <= 1.0) {
                     return Err(ConfigError::new("reorder.quality", "must be in (0, 1]"));
                 }
@@ -952,20 +952,15 @@ impl PipelineSpec {
 
         // Steps 6–7, once per pipeline or once per shard: the sorter under
         // the spec's policy and the op chain, the planned prefix of it
-        // below the sort.
+        // below the sort. Only a `spill` spec's sorter is given a directory.
+        let spill_root = env.spill_dir.clone().filter(|_| self.sort.spill);
         let sort_then_ops = {
             let spec = self.clone();
             let plan = self.plan();
             let meter = env.meter.clone();
             let dead_letters = dead_letters.clone();
             move |s: Streamable<i64>, spill_dir: Option<PathBuf>| {
-                let sorter: Box<dyn OnlineSorter<Event<i64>>> = match plan.sorter() {
-                    SorterChoice::Bucket { step } => Box::new(BucketSorter::new(step)),
-                    SorterChoice::Impatience if spec.sort.spill => Box::new(
-                        ExternalImpatienceSorter::new(spill_dir.expect("checked above")),
-                    ),
-                    SorterChoice::Impatience => Box::new(ImpatienceSorter::new()),
-                };
+                let sorter = plan.sorter().sorter(spill_dir);
                 let mut policy = SortPolicy::new()
                     .with_late(spec.sort.late)
                     .with_shed(spec.sort.shed);
@@ -992,7 +987,6 @@ impl PipelineSpec {
             }
             let spec = self.clone();
             let env_registry = env.registry.clone();
-            let spill_root = env.spill_dir.clone();
             s = s.sharded(opts, move |ss, ctx| {
                 let mut ss = ss;
                 if spec.instrument {
@@ -1008,7 +1002,7 @@ impl PipelineSpec {
                 sort_then_ops(ss, spill_dir).expect("validated spec: policy accepted")
             });
         } else {
-            s = sort_then_ops(s, env.spill_dir.clone())?;
+            s = sort_then_ops(s, spill_root)?;
         }
 
         s = s.checkpoint_egress();
@@ -1122,6 +1116,12 @@ mod tests {
                 "reorder.hold",
             ),
             (json!({"name": "bad name"}), "name"),
+            // One more rung than a byte can index.
+            (
+                json!({"name": "x", "reorder": json!({"mode": "adaptive",
+                    "ladder": Json::Array((0..256).map(Json::Int).collect())})}),
+                "reorder.ladder",
+            ),
         ];
         for (j, field) in cases {
             let err = PipelineSpec::from_json(&j).expect_err(&format!("{j} must be rejected"));

@@ -758,7 +758,25 @@ impl<P: Payload> InputHandle<P> {
     }
 }
 
-///// Creates a live input: push into the [`InputHandle`], consume via the
+/// An input handle is also the observer that feeds its stream: it turns an
+/// observer-level edge (a union's output, one side of a fan-out) into the
+/// source of a chain built on [`input_stream`].
+impl<P: Payload> Observer<P> for InputHandle<P> {
+    fn on_batch(&mut self, batch: EventBatch<P>) {
+        self.push_batch(batch);
+    }
+    fn on_punctuation(&mut self, t: Timestamp) {
+        self.push_punctuation(t);
+    }
+    fn on_completed(&mut self) {
+        self.complete();
+    }
+    fn on_error(&mut self, err: StreamError) {
+        self.push_error(err);
+    }
+}
+
+/// Creates a live input: push into the [`InputHandle`], consume via the
 /// [`Streamable`]. Messages pushed before subscription are buffered and
 /// replayed at subscribe time.
 pub fn input_stream<P: Payload>() -> (InputHandle<P>, Streamable<P>) {

@@ -27,27 +27,31 @@
 //! Every partition picks its sorter by the planner's rule,
 //! [`SorterChoice::for_input`], from the surface the user built: when a
 //! tumbling window aligned the disordered input, a rung sees only window
-//! starts and runs the [`BucketSorter`], one bucket per start; without a
-//! window, or under [`ShedPolicy::ShedOldestRuns`], it runs Impatience.
-//! The framework never spills. The bucket sorter keeps arrival order among
-//! equal times and a union takes ties from its faster (left) side first,
-//! so with it the basic framework's output streams order equal times by
-//! partition, then by arrival.
+//! starts and runs the [`BucketSorter`](impatience_sort::BucketSorter),
+//! one bucket per start; without a window, or under
+//! [`ShedPolicy::ShedOldestRuns`], it runs Impatience. The framework never
+//! spills. The bucket sorter keeps arrival order among equal times and a
+//! union takes ties from its faster (left) side first, so with it the basic
+//! framework's output streams order equal times by partition, then by
+//! arrival.
+//!
+//! The latencies must pass [`validate_ladder`], the rule every latency
+//! ladder in the workspace shares: non-empty, at most 255 rungs,
+//! non-negative and strictly increasing.
 
 use crate::disordered::DisorderedStreamable;
-use crate::plumbing::{HandleSink, TeeOp};
+use crate::plumbing::TeeOp;
 use impatience_core::metrics::{Counter, MetricsRegistry};
 use impatience_core::{
-    DeadLetterQueue, DeadLetterReason, Event, LatePolicy, MemoryMeter, Payload, ShedPolicy,
-    SnapshotError, SnapshotReader, SnapshotWriter, StateCodec, StreamError, TickDuration,
-    Timestamp, TraceSink,
+    validate_ladder, DeadLetterQueue, DeadLetterReason, Event, LatePolicy, MemoryMeter, Payload,
+    ShedPolicy, SnapshotError, SnapshotReader, SnapshotWriter, StateCodec, StreamError,
+    TickDuration, Timestamp, TraceSink,
 };
 use impatience_engine::ops::{union as build_union, SortPolicy};
 use impatience_engine::{
-    input_stream, CheckpointCtx, CheckpointGate, Checkpointable, Checkpointer, InputHandle,
-    Observer, SharedSink, SorterChoice, Streamable, TraceCtx,
+    input_stream, CheckpointCtx, Checkpointable, InputHandle, Observer, SharedSink, SorterChoice,
+    Streamable, TraceCtx,
 };
-use impatience_sort::{BucketSorter, ImpatienceSorter, OnlineSorter};
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -106,27 +110,21 @@ pub struct FrameworkStats {
 }
 
 impl FrameworkStats {
-    fn new(k: usize) -> Self {
-        FrameworkStats {
-            routed: Arc::new((0..k).map(|_| Counter::new()).collect()),
-            dropped: Counter::new(),
-            dead_lettered: Counter::new(),
-        }
-    }
-
     /// Counters backed by `registry` under
     /// `framework.partition{i:02}.routed`, `framework.dropped`, and
     /// `framework.dead_lettered`, so the Table-II routing split appears in
-    /// snapshots.
-    fn registered(k: usize, registry: &MetricsRegistry) -> Self {
+    /// snapshots. Without a registry they live in a private one that
+    /// nothing exports.
+    fn registered(k: usize, registry: Option<&MetricsRegistry>) -> Self {
+        let r = registry.cloned().unwrap_or_else(MetricsRegistry::new);
         FrameworkStats {
             routed: Arc::new(
                 (0..k)
-                    .map(|i| registry.counter(&format!("framework.partition{i:02}.routed")))
+                    .map(|i| r.counter(&format!("framework.partition{i:02}.routed")))
                     .collect(),
             ),
-            dropped: registry.counter("framework.dropped"),
-            dead_lettered: registry.counter("framework.dead_lettered"),
+            dropped: r.counter("framework.dropped"),
+            dead_lettered: r.counter("framework.dead_lettered"),
         }
     }
 
@@ -224,25 +222,6 @@ impl<Q: Payload> Streamables<Q> {
     pub fn checkpoint(&self) -> Option<&CheckpointCtx> {
         self.ckpt.as_ref()
     }
-}
-
-fn validate_latencies(latencies: &[TickDuration]) -> Result<(), StreamError> {
-    if latencies.is_empty() {
-        return Err(StreamError::InvalidConfig(
-            "at least one reorder latency required".into(),
-        ));
-    }
-    if latencies.iter().any(|l| l.as_ticks() < 0) {
-        return Err(StreamError::InvalidConfig(
-            "reorder latencies must be non-negative".into(),
-        ));
-    }
-    if latencies.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(StreamError::InvalidConfig(
-            "reorder latencies must be strictly increasing".into(),
-        ));
-    }
-    Ok(())
 }
 
 /// The delay-based partitioning operator (Fig 6's "partition").
@@ -464,28 +443,30 @@ where
     P: Payload,
     Q: Payload,
 {
+    validate_ladder(latencies)?;
     let registry = opts.registry.as_ref();
     let policy = opts.policy;
-    let durable = match opts.durable {
+    // The disordered source, behind the checkpoint gate when durable, so
+    // the gate counts exactly the messages the partitioner consumes.
+    let (connect, window) = ds.into_parts();
+    let source = Streamable::from_connector(connect);
+    let (source, ctx) = match opts.durable {
         Some((dir, every_n)) => {
-            let checkpointer =
-                Checkpointer::open(dir).map_err(|e| StreamError::RecoveryFailed {
-                    detail: e.to_string(),
-                })?;
-            Some((checkpointer, every_n))
+            let (source, ctx) =
+                source
+                    .checkpointed(dir, every_n)
+                    .map_err(|e| StreamError::RecoveryFailed {
+                        detail: e.to_string(),
+                    })?;
+            (source, Some(ctx))
         }
-        None => None,
+        None => (source, None),
     };
-    validate_latencies(latencies)?;
-    let ctx = durable.as_ref().map(|_| CheckpointCtx::new());
     if let (Some(c), Some(r)) = (&ctx, registry) {
         c.bind_metrics(r, "framework");
     }
     let k = latencies.len();
-    let stats = match registry {
-        Some(r) => FrameworkStats::registered(k, r),
-        None => FrameworkStats::new(k),
-    };
+    let stats = FrameworkStats::registered(k, registry);
     if let Some(r) = registry {
         for (i, l) in latencies.iter().enumerate() {
             r.gauge(&format!("framework.partition{i:02}.latency_ticks"))
@@ -512,8 +493,7 @@ where
     // build order is deterministic, which makes the checkpoint
     // registration order stable across the runs that write and restore.
     let mut right_inputs: Vec<Option<Box<dyn Observer<Q>>>> = (0..k).map(|_| None).collect();
-    let mut stage_sink: Box<dyn Observer<Q>> =
-        Box::new(HandleSink::new(out_handles[k - 1].clone()));
+    let mut stage_sink: Box<dyn Observer<Q>> = Box::new(out_handles[k - 1].clone());
     for i in (1..k).rev() {
         // union_i → merge_i → stage i's sink.
         let (merge_handle, merge_stream) = input_stream::<Q>();
@@ -522,23 +502,18 @@ where
             None => merge_stream,
         };
         merge(merge_stream).subscribe_observer(stage_sink);
-        let (left, right, probe) =
-            build_union(Box::new(HandleSink::new(merge_handle)), meter.clone());
+        let (left, right, probe) = build_union(Box::new(merge_handle), meter.clone());
         if let Some(c) = &ctx {
             // The ladder union's synchronization buffers are durable state.
             c.register(Arc::new(Mutex::new(probe)));
         }
         right_inputs[i] = Some(Box::new(right));
         // Stage i−1 fans out: to output i−1 and into union_i's left input.
-        stage_sink = Box::new(TeeOp::new(
-            HandleSink::new(out_handles[i - 1].clone()),
-            left,
-        ));
+        stage_sink = Box::new(TeeOp::new(out_handles[i - 1].clone(), left));
     }
 
     // Partition pipelines: relay → sort → PIQ → stage sink. The sorter is
     // the planner's pick for this input: buckets when a window aligned it.
-    let (connect, window) = ds.into_parts();
     let sorter_choice = SorterChoice::for_input(window, false, policy.shed);
     let mut part_handles: Vec<InputHandle<P>> = Vec::with_capacity(k);
     let mut sinks: Vec<Box<dyn Observer<Q>>> = Vec::with_capacity(k);
@@ -567,10 +542,6 @@ where
             Some(c) => ps.with_checkpoint(c),
             None => ps,
         };
-        let sorter: Box<dyn OnlineSorter<Event<P>>> = match sorter_choice {
-            SorterChoice::Bucket { step } => Box::new(BucketSorter::new(step)),
-            SorterChoice::Impatience => Box::new(ImpatienceSorter::new()),
-        };
         // The partitioner already filtered per-partition late events, so
         // any residual late event at a sorter is dropped (and counted);
         // shed/dead-letter behaviour follows the framework policy.
@@ -579,13 +550,11 @@ where
             shed: policy.shed,
             dead_letters: policy.dead_letters.clone(),
         };
-        piq(ps.sorted(sorter, meter, sort_policy)?).subscribe_observer(sink);
+        piq(ps.sorted(sorter_choice.sorter(None), meter, sort_policy)?).subscribe_observer(sink);
     }
 
-    // Wire the partitioner onto the disordered source — behind the
-    // checkpoint gate when durable, so the gate counts exactly the
-    // messages the partitioner consumes. The gate is constructed last:
-    // its recovery pass runs after every participant has registered.
+    // Subscribing the partitioner builds the checkpoint gate last, so its
+    // recovery pass runs after every participant has registered.
     let partitioner = Partitioner {
         latencies: latencies.to_vec(),
         scratch: (0..k).map(|_| Vec::new()).collect(),
@@ -597,20 +566,15 @@ where
         late: policy.late,
         dead_letters: policy.dead_letters,
     };
-    let source_sink: Box<dyn Observer<P>> = match (&ctx, durable) {
-        (Some(c), Some((checkpointer, every_n))) => {
+    let partitioner: Box<dyn Observer<P>> = match &ctx {
+        Some(c) => {
             let shared = Arc::new(Mutex::new(partitioner));
             c.register(shared.clone());
-            Box::new(CheckpointGate::new(
-                c.clone(),
-                checkpointer,
-                every_n,
-                Box::new(SharedSink(shared)),
-            ))
+            Box::new(SharedSink(shared))
         }
-        _ => Box::new(partitioner),
+        None => Box::new(partitioner),
     };
-    connect(source_sink);
+    source.subscribe_observer(partitioner);
 
     Ok(Streamables {
         streams: out_streams,
@@ -724,6 +688,7 @@ mod tests {
                 "decreasing",
             ),
             (vec![TickDuration::ticks(-1)], "negative"),
+            ((0..256).map(TickDuration::ticks).collect(), "256 rungs"),
         ];
         for (ls, label) in bad {
             let ds = DisorderedStreamable::<u32>::from_messages(vec![]);

@@ -57,4 +57,4 @@ pub use framework::{
     to_streamables_advanced, to_streamables_advanced_metered, to_streamables_basic,
     FrameworkOptions, FrameworkPolicy, FrameworkStats, Streamables,
 };
-pub use plumbing::{HandleSink, TeeOp};
+pub use plumbing::TeeOp;

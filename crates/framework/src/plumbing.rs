@@ -1,35 +1,8 @@
-//! Small observer adapters used to wire the framework DAG.
+//! The fan-out adapter that wires the framework DAG. An edge into a
+//! `Streamable` needs none: an `InputHandle` is itself an observer.
 
 use impatience_core::{EventBatch, Payload, StreamError, Timestamp};
-use impatience_engine::{InputHandle, Observer};
-
-/// Observer that forwards traffic into an [`InputHandle`] — the bridge
-/// between an observer-level DAG edge and a `Streamable`-level stage.
-pub struct HandleSink<P: Payload> {
-    handle: InputHandle<P>,
-}
-
-impl<P: Payload> HandleSink<P> {
-    /// Wraps `handle`.
-    pub fn new(handle: InputHandle<P>) -> Self {
-        HandleSink { handle }
-    }
-}
-
-impl<P: Payload> Observer<P> for HandleSink<P> {
-    fn on_batch(&mut self, batch: EventBatch<P>) {
-        self.handle.push_batch(batch);
-    }
-    fn on_punctuation(&mut self, t: Timestamp) {
-        self.handle.push_punctuation(t);
-    }
-    fn on_completed(&mut self) {
-        self.handle.complete();
-    }
-    fn on_error(&mut self, err: StreamError) {
-        self.handle.push_error(err);
-    }
-}
+use impatience_engine::Observer;
 
 /// Observer that duplicates traffic to two downstreams — the fan-out the
 /// basic framework pays for (each output stream is also fed into the next
@@ -74,23 +47,10 @@ impl<P: Payload, A: Observer<P>, B: Observer<P>> Observer<P> for TeeOp<P, A, B> 
 mod tests {
     use super::*;
     use impatience_core::{Event, StreamMessage};
-    use impatience_engine::{input_stream, Output};
+    use impatience_engine::Output;
 
     fn ev(t: i64) -> Event<u32> {
         Event::point(Timestamp::new(t), t as u32)
-    }
-
-    #[test]
-    fn handle_sink_bridges_messages() {
-        let (handle, stream) = input_stream::<u32>();
-        let out = stream.collect_output();
-        let mut sink = HandleSink::new(handle);
-        sink.on_batch([ev(1)].into_iter().collect());
-        sink.on_punctuation(Timestamp::new(5));
-        sink.on_completed();
-        assert_eq!(out.event_count(), 1);
-        assert_eq!(out.last_punctuation(), Some(Timestamp::new(5)));
-        assert!(out.is_completed());
     }
 
     #[test]

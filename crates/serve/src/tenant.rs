@@ -27,7 +27,8 @@ use impatience_core::{
 use impatience_disorder::{AdaptiveConfig, AdaptiveGauges, AdaptiveLatency};
 use impatience_engine::traced::TraceCtx;
 use impatience_engine::{
-    BuiltPipeline, Output, PipelineEnv, PipelineSpec, ReorderSpec, WalIngress,
+    BuiltPipeline, CollectorSink, Observer, Output, PipelineEnv, PipelineSpec, ReorderSpec,
+    WalIngress,
 };
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -44,7 +45,9 @@ pub struct TenantConfig {
     pub memory_budget: Option<usize>,
     /// Journal every ingested message to a per-tenant WAL so the tenant
     /// can be restarted; combined with `pipeline.checkpoint` this gives
-    /// exactly-once recovery (checkpoint restore + WAL suffix replay).
+    /// exactly-once recovery (checkpoint restore + WAL suffix replay). A
+    /// checkpoint is for a durable tenant only: without the WAL a restored
+    /// slot has no suffix to replay, so validation refuses it.
     pub durable: bool,
 }
 
@@ -118,6 +121,12 @@ impl Validate for TenantConfig {
                 "durable tenants must be unsharded (WAL replay targets one pipeline)",
             ));
         }
+        if !self.durable && self.pipeline.checkpoint.is_some() {
+            return Err(ConfigError::new(
+                "pipeline.checkpoint",
+                "needs a durable tenant (without the WAL a restored slot has no suffix to replay)",
+            ));
+        }
         Ok(())
     }
 }
@@ -154,10 +163,13 @@ pub struct TenantRuntime {
     watermark: Timestamp,
     last_punct: Option<Timestamp>,
     built: BuiltPipeline,
+    /// The pipeline's output: what it released, and whether it failed or
+    /// completed — the one record of either.
     out: Output<i64>,
+    /// A second handle onto `out`, for the one failure the pipeline cannot
+    /// deliver to its own sink: a panic unwinding out of an unhardened push.
+    out_sink: CollectorSink<i64>,
     serve: ServeCounters,
-    failed: Option<StreamError>,
-    completed: bool,
     applied_seq: u64,
     /// The newest durable WAL record's tag.
     journaled_seq: u64,
@@ -169,7 +181,7 @@ impl core::fmt::Debug for TenantRuntime {
             .field("name", &self.config.pipeline.name)
             .field("durable", &self.config.durable)
             .field("watermark", &self.watermark)
-            .field("failed", &self.failed)
+            .field("error", &self.out.error())
             .finish_non_exhaustive()
     }
 }
@@ -223,13 +235,16 @@ struct Lowered {
     trace: Option<TraceSink>,
     built: BuiltPipeline,
     out: Output<i64>,
+    out_sink: CollectorSink<i64>,
     adaptive: Option<AdaptiveLatency>,
     fixed_latency: TickDuration,
 }
 
 /// Builds `config`'s pipeline against the tenant's registry and meter,
 /// with checkpoints and spills under `root` — the one build path of
-/// [`TenantRuntime::start`] and [`TenantRuntime::reconfigure`].
+/// [`TenantRuntime::start`] and [`TenantRuntime::reconfigure`]. A pipeline
+/// that fails while it is built (a checkpoint slot it cannot restore) is a
+/// typed error here.
 fn lower(
     config: &TenantConfig,
     root: &Path,
@@ -247,13 +262,17 @@ fn lower(
     if config.pipeline.sort.spill {
         env = env.with_spill_dir(root.join("spill"));
     }
-    let (out, sink) = Output::new();
-    let built = config.pipeline.build(&env, Box::new(sink))?;
+    let (out, out_sink) = Output::new();
+    let built = config.pipeline.build(&env, Box::new(out_sink.clone()))?;
+    if let Some(e) = out.error() {
+        return Err(e.into());
+    }
     let (adaptive, fixed_latency) = adaptive_of(registry, &config.pipeline.reorder)?;
     Ok(Lowered {
         trace,
         built,
         out,
+        out_sink,
         adaptive,
         fixed_latency,
     })
@@ -281,6 +300,7 @@ impl TenantRuntime {
             trace,
             built,
             out,
+            out_sink,
             adaptive,
             fixed_latency,
         } = lower(&config, &root, &registry, &meter)?;
@@ -299,8 +319,7 @@ impl TenantRuntime {
             last_punct: None,
             built,
             out,
-            failed: None,
-            completed: false,
+            out_sink,
             applied_seq: 0,
             journaled_seq: 0,
         };
@@ -384,7 +403,7 @@ impl TenantRuntime {
             StreamMessage::Punctuation(t) => {
                 self.last_punct = Some(self.last_punct.map_or(*t, |p| p.max(*t)));
             }
-            StreamMessage::Completed => self.completed = true,
+            StreamMessage::Completed => {}
         }
     }
 
@@ -423,21 +442,25 @@ impl TenantRuntime {
         }
     }
 
+    /// Refuses a request to a tenant whose pipeline failed (every request
+    /// after the one that failed it) or completed.
     fn guard(&self) -> Result<(), ServeError> {
-        if let Some(e) = &self.failed {
+        if let Some(e) = self.out.error() {
             return Err(ServeError::TenantFailed {
                 tenant: self.config.pipeline.name.clone(),
                 detail: e.to_string(),
             });
         }
-        if self.completed {
+        if self.out.is_completed() {
             return Err(ServeError::Stream(StreamError::PushAfterCompleted));
         }
         Ok(())
     }
 
-    /// Pushes one message, converting a raw panic (an unhardened chaos
-    /// operator) into a typed terminal failure of *this* tenant.
+    /// Pushes one message and returns the pipeline's failure, if the push
+    /// failed it: an error the pipeline delivered to its sink (a hardened
+    /// stage's panic, a punctuation regression), or a raw panic out of an
+    /// unhardened chain, which is recorded into the same output first.
     fn push(&mut self, msg: StreamMessage<i64>) -> Result<(), ServeError> {
         let handle = &self.built.handle;
         let pushed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.push(msg)));
@@ -456,10 +479,12 @@ impl TenantRuntime {
             }
         };
         if let Err(e) = result {
-            self.failed = Some(e.clone());
-            return Err(e.into());
+            self.out_sink.on_error(e);
         }
-        Ok(())
+        match self.out.error() {
+            Some(e) => Err(e.into()),
+            None => Ok(()),
+        }
     }
 
     /// Group commit: appends every record of one request, then syncs
@@ -515,12 +540,12 @@ impl TenantRuntime {
 
     /// Whether the tenant's stream has completed.
     pub fn is_completed(&self) -> bool {
-        self.completed
+        self.out.is_completed()
     }
 
     /// Whether the tenant's pipeline has terminally failed.
     pub fn is_failed(&self) -> bool {
-        self.failed.is_some()
+        self.out.error().is_some()
     }
 
     /// Graceful-drain shutdown: journal the applied sequence if no record
@@ -600,9 +625,7 @@ impl TenantRuntime {
         self.guard()?;
         let msg = StreamMessage::Completed;
         self.journal(&[&msg])?;
-        self.push(msg)?;
-        self.completed = true;
-        Ok(())
+        self.push(msg)
     }
 
     /// Drains output released since the last drain.
@@ -644,7 +667,7 @@ impl TenantRuntime {
             );
         }
         // A failed pipeline is replaced wholesale; only a live one flushes.
-        if self.failed.is_none() && !self.completed {
+        if self.guard().is_ok() {
             self.push(StreamMessage::Completed)?;
         }
         let mut released = self.drain();
@@ -666,11 +689,10 @@ impl TenantRuntime {
         self.trace = lowered.trace;
         self.built = lowered.built;
         self.out = lowered.out;
+        self.out_sink = lowered.out_sink;
         self.adaptive = lowered.adaptive;
         self.fixed_latency = lowered.fixed_latency;
         self.config = config;
-        self.failed = None;
-        self.completed = false;
         self.recover()?;
         Ok(released)
     }
@@ -729,6 +751,10 @@ mod tests {
         let bad = Json::parse(r#"{"pipeline": {"name": "x"}, "memory_budget": -5}"#).expect("json");
         let err = TenantConfig::from_json(&bad).expect_err("negative budget");
         assert_eq!(err.field, "memory_budget");
+        let bad = Json::parse(r#"{"pipeline": {"name": "x", "checkpoint": {"every_n": 4}}}"#)
+            .expect("json");
+        let err = TenantConfig::from_json(&bad).expect_err("checkpoint without durable");
+        assert_eq!(err.field, "pipeline.checkpoint");
     }
 
     #[test]
@@ -869,27 +895,93 @@ mod tests {
         );
     }
 
+    /// A pipeline failure fails the request that hit it with the typed
+    /// cause and every later request with `TenantFailed`: a panic fenced
+    /// by the default hardened spec (delivered to the pipeline's sink), a
+    /// panic unwinding out of an unhardened push, and a punctuation below
+    /// the served one (the tenant punctuated at 100, latency 0).
     #[test]
-    fn unhardened_panic_becomes_a_typed_tenant_failure() {
-        let root = scratch("panic");
-        let mut pipeline = PipelineSpec::new("t4").with_op(OpSpec::PanicOn { value: 13 });
-        pipeline.hardened = false;
-        let mut rt = TenantRuntime::start(TenantConfig::new(pipeline), &root).expect("start");
-        let err = rt
-            .ingest((0..20).map(|i| keyed(i, 0, i)).collect())
-            .expect_err("poison payload");
+    fn a_pipeline_failure_is_typed_now_and_tenant_failed_later() {
+        type Request = fn(&mut TenantRuntime) -> Result<(), ServeError>;
+        let ingest: Request = |rt| rt.ingest((0..=100).map(|i| keyed(i, 0, i)).collect());
+        let regress: Request = |rt| {
+            rt.ingest((0..=100).map(|i| keyed(i, 0, i)).collect())?;
+            rt.force_punctuate(Timestamp::new(50))
+        };
+        let poisoned = PipelineSpec::new("t4").with_op(OpSpec::PanicOn { value: 13 });
+        let cases = [
+            (poisoned.clone(), ingest, "OperatorPanicked"),
+            (poisoned.with_hardened(false), ingest, "OperatorPanicked"),
+            (PipelineSpec::new("t11"), regress, "PunctuationRegressed"),
+        ];
+        for (i, (pipeline, request, cause)) in cases.into_iter().enumerate() {
+            let root = scratch(&format!("failure-{i}"));
+            let mut rt = TenantRuntime::start(TenantConfig::new(pipeline), &root).expect("start");
+            match request(&mut rt) {
+                Err(ServeError::Stream(e)) => assert!(format!("{e:?}").starts_with(cause), "{e:?}"),
+                other => panic!("case {i}: expected {cause}, got {other:?}"),
+            }
+            assert!(rt.is_failed(), "case {i}");
+            for later in [rt.ingest(vec![keyed(200, 0, 1)]), rt.complete()] {
+                assert!(
+                    matches!(later, Err(ServeError::TenantFailed { .. })),
+                    "case {i}: {later:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_slot_that_cannot_be_restored_refuses_the_start_and_the_open() {
+        let root = scratch("unrestorable");
+        let config = TenantConfig::new(spec("t12").with_checkpoint(1)).with_durable(true);
+        let mut rt = TenantRuntime::start(config.clone(), &root).expect("start");
+        // Two punctuations, two checkpoints: both slots are written.
+        rt.ingest(vec![keyed(1, 0, 1)]).expect("ingest");
+        rt.ingest(vec![keyed(2, 0, 2)]).expect("ingest");
+        drop(rt);
+        let ckpt = root.join("t12").join("ckpt");
+        for slot in ["ckpt-a.bin", "ckpt-b.bin"] {
+            assert!(ckpt.join(slot).exists(), "{slot} written");
+            std::fs::write(ckpt.join(slot), b"not a checkpoint").expect("corrupt slot");
+        }
+        let err = TenantRuntime::start(config.clone(), &root).expect_err("unrestorable");
         assert!(
-            matches!(
-                err,
-                ServeError::Stream(StreamError::OperatorPanicked { .. })
-            ),
+            matches!(err, ServeError::Stream(StreamError::RecoveryFailed { .. })),
             "{err:?}"
         );
-        // The tenant is dead; further pushes are typed, not panics.
-        let err = rt
-            .ingest(vec![keyed(30, 0, 30)])
-            .expect_err("failed tenant");
-        assert!(matches!(err, ServeError::TenantFailed { .. }), "{err:?}");
+
+        // Over a socket, `open` answers with the typed error frame.
+        let mut server =
+            crate::Server::start(crate::ServerConfig::new(&root)).expect("server start");
+        let mut client =
+            crate::Client::connect(server.addr(), crate::WireMode::Binary).expect("connect");
+        let err = client.open(&config).expect_err("unrestorable");
+        assert!(
+            matches!(&err, ServeError::Stream(_) if err.to_string().contains("crash recovery")),
+            "{err:?}"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_ladder_past_255_rungs_is_refused_before_the_tenant_touches_disk() {
+        let root = scratch("ladder");
+        let config = TenantConfig::new(spec("t13").with_reorder(ReorderSpec::Adaptive {
+            ladder: (0..256).map(TickDuration::ticks).collect(),
+            quality: 0.99,
+            window: 64,
+            hold: 2,
+        }));
+        let err = TenantRuntime::start(config, &root).expect_err("256 rungs");
+        assert!(
+            matches!(&err, ServeError::Config(e) if e.field == "pipeline.reorder.ladder"),
+            "{err:?}"
+        );
+        assert!(
+            !root.join("t13").exists(),
+            "no tenant directory left behind"
+        );
     }
 
     #[test]

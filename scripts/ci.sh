@@ -12,6 +12,10 @@ cargo fmt --check
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
+# A comment line opening with four or more slashes is no doc comment, and
+# clippy's `four_forward_slashes` does not flag five: rustdoc then renders
+# the item's docs from the following line.
+if grep -rnE '^[[:space:]]*////' --include='*.rs' crates src tests examples; then echo "comment lines above start with ////"; exit 1; fi
 
 echo "== cargo doc --workspace --no-deps (warnings are errors) =="
 # Catches doc links that a rename or deletion leaves dangling, and public
@@ -104,11 +108,21 @@ cargo test -q --offline --test trace_conformance
 
 echo "== tenant isolation (seeded chaos across the service boundary) =="
 # The multi-tenant gate: 270 seeded runs each boot a real server, connect
-# four socket tenants, and inject one fault (unhardened operator panic,
-# admission budget breach, disk fault). The faulted tenant must fail with
-# a typed error on its own connection only; every healthy tenant must be
-# byte-identical to a solo in-process run; the server must keep accepting.
+# four socket tenants, and inject one fault (an operator panic — under the
+# default hardened spec on alternate panic runs, unhardened on the others
+# — an admission budget breach, or a disk fault). The faulted tenant must
+# fail with a typed error on its own connection only; every healthy tenant
+# must be byte-identical to a solo in-process run; the server must keep
+# accepting. The tenant's own tests pin that it reads failure from its
+# pipeline: a panic either way, a punctuation regression and an
+# unrestorable slot each fail typed, and a config that could only fail
+# later (past 255 rungs, a checkpoint without durable) is refused up front.
 cargo test -q --offline --test tenant_isolation
+cargo test -q --offline -p impatience-serve --lib -- \
+    tenant::tests::a_pipeline_failure_is_typed_now_and_tenant_failed_later \
+    tenant::tests::a_slot_that_cannot_be_restored_refuses_the_start_and_the_open \
+    tenant::tests::a_ladder_past_255_rungs_is_refused_before_the_tenant_touches_disk \
+    tenant::tests::config_rejections_are_field_precise
 
 echo "== network chaos (seeded kill/reset/stall/dup faults, exactly-once resume) =="
 # The session-survivability gate: 200+ seeded kill→reconnect→resume cycles

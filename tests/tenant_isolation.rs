@@ -4,8 +4,10 @@
 //! connects four tenants over real sockets (alternating NDJSON and
 //! binary framing), and injects exactly one fault into one of them:
 //!
-//! * **panic** — the tenant's pipeline carries an unhardened
-//!   `PanicOn` operator whose poison payload is planted in its workload;
+//! * **panic** — the tenant's pipeline carries a `PanicOn` operator whose
+//!   poison payload is planted in its workload; alternate panic runs keep
+//!   the default hardened spec (the fence delivers the panic to the
+//!   pipeline's sink) or turn hardening off (the panic unwinds the push);
 //! * **budget breach** — the tenant declares a memory budget the
 //!   service-wide admission meter cannot cover;
 //! * **disk fault** — the tenant's directory is pre-blocked by a plain
@@ -177,6 +179,12 @@ fn mode_of(i: usize) -> WireMode {
     }
 }
 
+/// Whether a panic run keeps the default hardened spec: consecutive panic
+/// seeds are three apart, so the two arms alternate.
+fn hardened_arm(seed: u64) -> bool {
+    (seed / 3).is_multiple_of(2)
+}
+
 /// One seeded chaos run; returns the faulted tenant's typed error for
 /// the caller's bookkeeping.
 fn chaos_run(seed: u64) -> ServeError {
@@ -201,12 +209,12 @@ fn chaos_run(seed: u64) -> ServeError {
     let mut server_config = ServerConfig::new(&root);
     match fault {
         Fault::Panic => {
-            // Plant a poison payload mid-stream and panic on it, with the
-            // hardened wrapper off so a real panic unwinds the push.
+            // Plant a poison payload mid-stream and panic on it, fenced by
+            // the hardened wrapper or, with it off, unwinding the push.
             let poison = batches[faulted][BATCHES / 2][BATCH_LEN / 2].payload;
             let spec = &mut configs[faulted].pipeline;
             spec.ops.insert(0, OpSpec::PanicOn { value: poison });
-            spec.hardened = false;
+            spec.hardened = hardened_arm(seed);
         }
         Fault::BudgetBreach => {
             server_config = server_config.with_memory_budget(16 << 20);
@@ -335,20 +343,23 @@ fn isolation_under_seeded_chaos() {
         eprintln!("seed {seed:#x}: fault surfaced as {err}");
         return;
     }
-    let (mut panics, mut budgets, mut disks) = (0u32, 0u32, 0u32);
+    // Panics split by arm: [unhardened, hardened].
+    let (mut panics, mut budgets, mut disks) = ([0u32; 2], 0u32, 0u32);
     for run in 0..RUNS {
         let seed = 0xC0FF_EE00_0000_0000 | run;
         match chaos_run(seed) {
-            ServeError::Stream(_) | ServeError::TenantFailed { .. } => panics += 1,
+            ServeError::Stream(_) | ServeError::TenantFailed { .. } => {
+                panics[hardened_arm(seed) as usize] += 1
+            }
             ServeError::Admission { .. } => budgets += 1,
             ServeError::Io { .. } => disks += 1,
             other => panic!("seed {seed:#x}: unexpected fault class {other:?}"),
         }
     }
-    // All three fault classes actually exercised.
+    // All three fault classes, and both panic arms, actually exercised.
     assert!(
-        panics > 0 && budgets > 0 && disks > 0,
-        "{panics}/{budgets}/{disks}"
+        panics[0] > 0 && panics[1] > 0 && budgets > 0 && disks > 0,
+        "{panics:?}/{budgets}/{disks}"
     );
 }
 
