@@ -1,8 +1,8 @@
 //! Shared configuration-validation vocabulary.
 //!
-//! Every builder in the workspace (`ShardOptions`, `SortPolicy`,
-//! `FrameworkPolicy`, the serving layer's `TenantConfig`, and the
-//! declarative `PipelineSpec`) validates against the same typed error:
+//! Every builder in the workspace (`SortPolicy`, `FrameworkPolicy`, the
+//! serving layer's `TenantConfig`, and the declarative `PipelineSpec`)
+//! validates against the same typed error:
 //! a [`ConfigError`] names the offending field and the rule it broke, so
 //! a service front-end can echo a precise diagnostic back over the wire
 //! instead of a stringly `InvalidConfig`. The lossy bridge into the

@@ -68,7 +68,7 @@ pub use checkpoint::{
 };
 pub use ingress::{punctuate_arrivals, IngressPolicy, WalIngress};
 pub use observer::{BlackHoleSink, CollectorSink, FnSink, Observer, Output, SharedSink};
-pub use sharded::{ShardCtx, ShardOptions, SHARD_QUEUE_MESSAGES};
+pub use sharded::{ShardCtx, SHARD_QUEUE_MESSAGES};
 pub use shell::{OperatorMetrics, StageShell};
 pub use spec::{
     BuiltPipeline, CheckpointSpec, OpClass, OpSpec, PipelineEnv, PipelineSpec, Plan, ReorderSpec,

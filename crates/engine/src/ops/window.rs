@@ -32,10 +32,11 @@ use impatience_core::{Event, EventBatch, Payload, StreamError, TickDuration, Tim
 #[inline]
 pub fn align_tumbling<P>(e: &mut Event<P>, size: TickDuration) {
     // Both bounds from the window number: the lowest window's start
-    // saturates, its end does not.
+    // saturates, and so does the highest window's end (with one-tick
+    // windows the window number is the time itself, so `+ 1` can overflow).
     let window = e.sync_time.ticks().div_euclid(size.as_ticks());
     e.sync_time = Timestamp(window.saturating_mul(size.as_ticks()));
-    e.other_time = Timestamp((window + 1).saturating_mul(size.as_ticks()));
+    e.other_time = Timestamp(window.saturating_add(1).saturating_mul(size.as_ticks()));
 }
 
 /// Conservative output punctuation for windows aligned on `grid`, given
@@ -175,6 +176,17 @@ mod tests {
         align_tumbling(&mut high, size);
         assert_eq!(high.sync_time, Timestamp::new(9_223_372_036_854_775_800));
         assert_eq!(high.other_time, Timestamp::MAX);
+        // A one-tick window at either end: the window number is the time
+        // itself, so the end at `MAX` must saturate rather than overflow.
+        let one = TickDuration::ticks(1);
+        let mut lowest = Event::point(Timestamp::MIN, ());
+        align_tumbling(&mut lowest, one);
+        assert_eq!(lowest.sync_time, Timestamp::MIN);
+        assert_eq!(lowest.other_time, Timestamp::new(i64::MIN + 1));
+        let mut highest = Event::point(Timestamp::MAX, ());
+        align_tumbling(&mut highest, one);
+        assert_eq!(highest.sync_time, Timestamp::MAX);
+        assert_eq!(highest.other_time, Timestamp::MAX);
         // In the lowest window no start lies below the saturated one: the
         // punctuation is swallowed. From the next window on it is exact.
         let (out, sink) = Output::<u32>::new();

@@ -6,8 +6,18 @@
 //! through a bounded `std::sync::mpsc::sync_channel` — the backpressure
 //! edge), and re-joins the shard outputs at egress into a single totally
 //! ordered stream. Because each shard receives a `Streamable` and returns a
-//! `Streamable`, the whole combinator surface — `instrument`, `hardened`,
-//! checkpointing, windows, aggregates — composes unchanged inside a shard.
+//! `Streamable`, the whole combinator surface — windows, aggregates,
+//! sorting — composes unchanged inside a shard.
+//!
+//! # The boundary carries the chain
+//!
+//! Settings live on the chain, and `sharded` hands them to every shard:
+//! shard `i`'s input is instrumented under `{prefix}.shard{i:02}`, fenced
+//! when the chain is hardened, and traced under `{trace prefix}.shard{i:02}`
+//! on lane `i`. The `shard.*` counters register in the chain's registry,
+//! and the queue-wait and merge spans record into its trace sink. The
+//! checkpoint context stays behind: a gate's quiescence argument holds on
+//! one thread only.
 //!
 //! # Determinism
 //!
@@ -43,11 +53,11 @@
 //! an unsharded chain.
 
 use crate::observer::Observer;
-use crate::streamable::{input_stream, Streamable};
+use crate::streamable::{input_stream, ChainCtx, Streamable};
 use impatience_core::trace::{SpanKind, SpanRecord, SpanRing, TraceClock, TraceSink};
 use impatience_core::{
-    hash_key, Counter, Event, EventBatch, Gauge, MetricsRegistry, Payload, StreamError,
-    StreamMessage, Timestamp,
+    hash_key, ConfigError, Counter, Event, EventBatch, Gauge, MetricsRegistry, Payload,
+    StreamError, StreamMessage, Timestamp,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
@@ -59,11 +69,11 @@ use std::thread::JoinHandle;
 pub const SHARD_QUEUE_MESSAGES: usize = 1024;
 
 // ---------------------------------------------------------------------------
-// Options, context, metrics
+// Context, metrics
 // ---------------------------------------------------------------------------
 
 /// Per-shard build context handed to the pipeline factory: which copy this
-/// is and how many exist (e.g. for per-shard metric prefixes).
+/// is and how many exist (e.g. for per-shard spill directories).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardCtx {
     /// This shard's index in `0..shards`.
@@ -79,62 +89,6 @@ impl ShardCtx {
     /// lazily on first spill.
     pub fn spill_dir(&self, root: impl AsRef<std::path::Path>) -> std::path::PathBuf {
         root.as_ref().join(format!("shard-{:02}", self.index))
-    }
-}
-
-/// Options for [`Streamable::sharded`]; `n.into()` is `n` shards with no
-/// registry and no tracing.
-#[derive(Clone)]
-pub struct ShardOptions {
-    /// Number of worker shards (`>= 1`).
-    pub shards: usize,
-    /// Registry for the `shard.*` counters (ingress/merge traffic, errors,
-    /// worker gauge); `None` keeps the instruments private and unexported.
-    pub registry: Option<MetricsRegistry>,
-    /// Trace sink for shard-queue wait spans and merge spans (see
-    /// [`crate::traced`]); `None` disables span recording entirely.
-    pub trace: Option<TraceSink>,
-}
-
-impl ShardOptions {
-    /// `shards` shards, no registry, no tracing.
-    pub fn new(shards: usize) -> Self {
-        ShardOptions {
-            shards,
-            registry: None,
-            trace: None,
-        }
-    }
-
-    /// Publishes the `shard.*` instruments into `registry`.
-    pub fn with_registry(mut self, registry: &MetricsRegistry) -> Self {
-        self.registry = Some(registry.clone());
-        self
-    }
-
-    /// Enables span recording into `sink`: the ingress stamps each queued
-    /// message, workers turn the stamps into `shardNN.queue` wait spans,
-    /// and the egress merge records release spans plus watermark instants
-    /// (all on the sink's clock, so a logical-clock sink keeps sharded
-    /// traces deterministic in structure).
-    pub fn with_trace(mut self, sink: &TraceSink) -> Self {
-        self.trace = Some(sink.clone());
-        self
-    }
-}
-
-impl From<usize> for ShardOptions {
-    fn from(shards: usize) -> Self {
-        ShardOptions::new(shards)
-    }
-}
-
-impl impatience_core::Validate for ShardOptions {
-    fn validate(&self) -> Result<(), impatience_core::ConfigError> {
-        if self.shards == 0 {
-            return Err(impatience_core::ConfigError::new("shards", "must be >= 1"));
-        }
-        Ok(())
     }
 }
 
@@ -214,14 +168,16 @@ impl<Q: Payload> Observer<Q> for ChannelSink<Q> {
 fn shard_worker<P: Payload, Q: Payload>(
     index: usize,
     shards: usize,
+    chain: ChainCtx,
     input: Receiver<ShardMsg<P>>,
     output: Sender<ShardOut<Q>>,
     build: Arc<ShardBuild<P, Q>>,
-    trace: Option<TraceSink>,
 ) {
     let panic_lane = output.clone();
+    let trace = chain.trace_sink().cloned();
     let result = crate::shell::guarded(move || {
-        let (handle, stream) = input_stream::<P>();
+        let (handle, mut stream) = input_stream::<P>();
+        stream.ctx = chain;
         build(stream, ShardCtx { index, shards })
             .subscribe_observer(Box::new(ChannelSink { tx: output }));
         // Per-shard recorder: queue-wait spans land in a thread-local ring
@@ -529,53 +485,63 @@ impl<P: Payload> Drop for ShardIngress<P> {
 // ---------------------------------------------------------------------------
 
 impl<P: Payload> Streamable<P> {
-    /// Runs `opts.shards` hash-partitioned copies of the `build` pipeline
-    /// on worker threads and re-joins their outputs into one totally
-    /// ordered stream (see the [module docs](self) for the determinism and
-    /// key-locality contracts). `opts` is a shard count or a full
-    /// [`ShardOptions`]. `build` is called once per shard, *on* that
-    /// shard's worker thread.
+    /// Runs `shards` hash-partitioned copies of the `build` pipeline on
+    /// worker threads and re-joins their outputs into one totally ordered
+    /// stream (see the [module docs](self) for the determinism and
+    /// key-locality contracts). `build` is called once per shard, *on*
+    /// that shard's worker thread.
     ///
-    /// Options that fail [`Validate`](impatience_core::Validate) (zero
-    /// shards) start no thread: the stream ends with
+    /// Each shard's input inherits this chain's instruments, fence and
+    /// trace ([the boundary carries the
+    /// chain](self#the-boundary-carries-the-chain)); a `build` that calls
+    /// `instrument` or `traced` itself overrides what it inherited. Stages
+    /// chained onto the returned stream keep this chain's instruments,
+    /// fence and trace, but not its checkpoint context: they run on the
+    /// merge's thread.
+    ///
+    /// Zero shards start no thread: the stream ends with
     /// [`StreamError::InvalidConfig`] at subscribe time.
     pub fn sharded<Q: Payload>(
         self,
-        opts: impl Into<ShardOptions>,
+        shards: usize,
         build: impl Fn(Streamable<P>, ShardCtx) -> Streamable<Q> + Send + Sync + 'static,
     ) -> Streamable<Q> {
-        let opts = opts.into();
-        Streamable::from_connector(move |mut downstream: Box<dyn Observer<Q>>| {
-            if let Err(e) = impatience_core::Validate::validate(&opts) {
-                return downstream.on_error(e.into());
+        let Streamable {
+            connect: source,
+            ctx,
+        } = self;
+        let chains: Vec<ChainCtx> = (0..shards).map(|i| ctx.for_shard(i)).collect();
+        let registry = ctx.registry().cloned();
+        let trace = ctx.trace_sink().cloned();
+        let connect = move |mut downstream: Box<dyn Observer<Q>>| {
+            if shards == 0 {
+                return downstream.on_error(ConfigError::new("shards", "must be >= 1").into());
             }
-            let n = opts.shards;
-            let metrics = ShardMetrics::new(opts.registry.as_ref());
-            metrics.workers.set(n as i64);
+            let metrics = ShardMetrics::new(registry.as_ref());
+            metrics.workers.set(shards as i64);
             let build: Arc<ShardBuild<P, Q>> = Arc::new(build);
-            let mut senders = Vec::with_capacity(n);
-            let mut outputs = Vec::with_capacity(n);
-            let mut threads = Vec::with_capacity(n + 1);
-            for i in 0..n {
+            let mut senders = Vec::with_capacity(shards);
+            let mut outputs = Vec::with_capacity(shards);
+            let mut threads = Vec::with_capacity(shards + 1);
+            for (i, chain) in chains.into_iter().enumerate() {
                 let (tx, input) = sync_channel(SHARD_QUEUE_MESSAGES);
                 let (output, rx) = channel();
                 senders.push(tx);
                 outputs.push(rx);
                 let build = build.clone();
-                let trace = opts.trace.clone();
                 threads.push(
                     std::thread::Builder::new()
                         .name(format!("shard{i:02}"))
-                        .spawn(move || shard_worker(i, n, input, output, build, trace))
+                        .spawn(move || shard_worker(i, shards, chain, input, output, build))
                         .expect("spawn shard worker"),
                 );
             }
             let stopped = Arc::new(AtomicBool::new(false));
             let egress = Egress {
-                buffers: (0..n).map(|_| Vec::new()).collect(),
+                buffers: (0..shards).map(|_| Vec::new()).collect(),
                 downstream,
                 metrics: metrics.clone(),
-                recorder: opts.trace.as_ref().map(|sink| (sink.clone(), sink.ring())),
+                recorder: trace.as_ref().map(|sink| (sink.clone(), sink.ring())),
             };
             threads.push({
                 let stopped = stopped.clone();
@@ -584,14 +550,18 @@ impl<P: Payload> Streamable<P> {
                     .spawn(move || shard_merge(outputs, stopped, egress))
                     .expect("spawn shard merge")
             });
-            self.subscribe_observer(Box::new(ShardIngress {
+            source(Box::new(ShardIngress {
                 senders,
                 stopped,
                 threads,
                 metrics,
-                clock: opts.trace.as_ref().map(|t| t.clock().clone()),
+                clock: trace.as_ref().map(|t| t.clock().clone()),
             }));
-        })
+        };
+        Streamable {
+            connect: Box::new(connect),
+            ctx: ctx.past_merge(),
+        }
     }
 }
 
@@ -697,9 +667,9 @@ mod tests {
         use impatience_core::trace::{TraceClock, TraceConfig};
         let sink = TraceSink::with(TraceClock::logical(), TraceConfig::default());
         let events: Vec<Event<u32>> = (0..40).map(|i| ev(i, (i % 8) as u32, i as u32)).collect();
-        let opts = ShardOptions::new(4).with_trace(&sink);
         let traced = source(events.clone(), &[10, 25, 39])
-            .sharded(opts, |s, _| s)
+            .traced(crate::TraceCtx::new(&sink))
+            .sharded(4, |s, _| s)
             .collect_output();
         assert!(traced.is_completed());
         // Tracing must not change the output.

@@ -31,9 +31,11 @@
 //! 7. the [`OpSpec`] chain;
 //! 8. `checkpoint_egress()` — committed-output accounting;
 //!
-//! or, for `shards > 1`, steps 5–7 run *inside* each shard of a
-//! `sharded` stage (per-shard sorters, per-shard instrument
-//! prefixes) joined by the deterministic low-watermark merge.
+//! or, for `shards > 1`, steps 6–7 run *inside* each shard of a
+//! `sharded` stage (per-shard sorters) joined by the deterministic
+//! low-watermark merge. Each shard inherits steps 2, 4 and 5 from the
+//! chain: spans under `{trace prefix}.shard{NN}` on lane `NN`, instruments
+//! under `{name}.shard{NN}`, and the fence.
 //!
 //! Steps 6–7 are **sort-as-needed** (paper §IV): [`PipelineSpec::plan`]
 //! moves the leading filters and windows of the op chain *below* the sort
@@ -51,7 +53,6 @@
 use crate::checkpoint::CheckpointCtx;
 use crate::observer::Observer;
 use crate::ops::SortPolicy;
-use crate::sharded::ShardOptions;
 use crate::streamable::{input_stream, InputHandle, Streamable};
 use crate::traced::TraceCtx;
 use impatience_core::json::Json;
@@ -712,12 +713,6 @@ impl Validate for PipelineSpec {
                  not yet defined); drop `checkpoint` or set shards to 1",
             ));
         }
-        if self.shards > 1 && self.traced {
-            return Err(ConfigError::new(
-                "shards",
-                "traced + sharded specs are not supported; trace the unsharded form",
-            ));
-        }
         if self.sort.late == LatePolicy::RerouteNextPartition {
             return Err(ConfigError::new(
                 "sort.late",
@@ -979,25 +974,7 @@ impl PipelineSpec {
             }
         };
         if self.shards > 1 {
-            let mut opts = ShardOptions::new(self.shards);
-            if let Some(registry) = &env.registry {
-                if self.instrument {
-                    opts = opts.with_registry(registry);
-                }
-            }
-            let spec = self.clone();
-            let env_registry = env.registry.clone();
-            s = s.sharded(opts, move |ss, ctx| {
-                let mut ss = ss;
-                if spec.instrument {
-                    if let Some(registry) = &env_registry {
-                        ss = ss
-                            .instrument(registry, &format!("{}.shard{:02}", spec.name, ctx.index));
-                    }
-                }
-                if spec.hardened {
-                    ss = ss.hardened();
-                }
+            s = s.sharded(self.shards, move |ss, ctx| {
                 let spill_dir = spill_root.as_ref().map(|root| ctx.spill_dir(root));
                 sort_then_ops(ss, spill_dir).expect("validated spec: policy accepted")
             });

@@ -19,6 +19,7 @@ use crate::ops;
 use crate::shell::{OperatorMetrics, StagePlan};
 use crate::traced::{TraceCtx, TraceState};
 use impatience_core::metrics::{Counter, Histogram};
+use impatience_core::trace::TraceSink;
 use impatience_core::{
     Event, EventBatch, LatePolicy, MemoryMeter, MetricsRegistry, Payload, SnapshotError,
     StreamError, StreamMessage, TickDuration, Timestamp,
@@ -48,7 +49,7 @@ struct Instrument {
 
 /// What a chain carries from stage to stage: the settings every stage
 /// appended later is wrapped by (see [`crate::shell`]).
-struct ChainCtx {
+pub(crate) struct ChainCtx {
     instr: Option<Instrument>,
     hardened: bool,
     /// Operator panics caught across the chain. Registered as
@@ -77,6 +78,60 @@ struct StageSlot {
 }
 
 impl ChainCtx {
+    /// No settings: stages connect bare.
+    fn bare() -> Self {
+        ChainCtx {
+            instr: None,
+            hardened: false,
+            panics: Counter::new(),
+            ckpt: None,
+            trace: None,
+        }
+    }
+
+    /// Meters every stage claimed from here on under `{prefix}.{stage:02}`
+    /// in `registry`, and counts caught panics in `{prefix}.operator_panics`.
+    fn instrument(&mut self, registry: &MetricsRegistry, prefix: &str) {
+        self.panics = registry.counter(&format!("{prefix}.operator_panics"));
+        self.instr = Some(Instrument {
+            registry: registry.clone(),
+            prefix: prefix.to_string(),
+            stage: 0,
+        });
+    }
+
+    /// What shard `index` of a [`Streamable::sharded`] split inherits: the
+    /// instruments under `{prefix}.shard{index:02}` from stage 0, the
+    /// fence, and the trace context under `{prefix}.shard{index:02}` on
+    /// lane `index`. Not the checkpoint context: a gate's quiescence
+    /// argument holds on one thread only.
+    pub(crate) fn for_shard(&self, index: usize) -> ChainCtx {
+        let mut ctx = ChainCtx::bare();
+        if let Some(ins) = &self.instr {
+            ctx.instrument(&ins.registry, &format!("{}.shard{index:02}", ins.prefix));
+        }
+        ctx.hardened = self.hardened;
+        ctx.trace = self.trace.as_ref().map(|t| t.for_shard(index));
+        ctx
+    }
+
+    /// What stages chained after a shard merge carry: all but the
+    /// checkpoint context, since they run on the merge's thread.
+    pub(crate) fn past_merge(mut self) -> ChainCtx {
+        self.ckpt = None;
+        self
+    }
+
+    /// The registry an instrumented chain meters into.
+    pub(crate) fn registry(&self) -> Option<&MetricsRegistry> {
+        self.instr.as_ref().map(|ins| &ins.registry)
+    }
+
+    /// The sink a traced chain records into.
+    pub(crate) fn trace_sink(&self) -> Option<&TraceSink> {
+        self.trace.as_ref().map(TraceState::sink)
+    }
+
     /// Takes the next stage number on both sides and advances the counters.
     fn claim_stage(&mut self) -> StageSlot {
         let instr = self.instr.as_mut().map_or(0, |ins| {
@@ -134,8 +189,8 @@ where
 
 /// A lazily constructed ordered stream of events with payload `P`.
 pub struct Streamable<P: Payload> {
-    connect: Connector<P>,
-    ctx: ChainCtx,
+    pub(crate) connect: Connector<P>,
+    pub(crate) ctx: ChainCtx,
 }
 
 impl<P: Payload> Streamable<P> {
@@ -143,13 +198,7 @@ impl<P: Payload> Streamable<P> {
     pub fn from_connector(connect: impl FnOnce(Box<dyn Observer<P>>) + Send + 'static) -> Self {
         Streamable {
             connect: Box::new(connect),
-            ctx: ChainCtx {
-                instr: None,
-                hardened: false,
-                panics: Counter::new(),
-                ckpt: None,
-                trace: None,
-            },
+            ctx: ChainCtx::bare(),
         }
     }
 
@@ -165,18 +214,13 @@ impl<P: Payload> Streamable<P> {
     /// zero), so every instrumented snapshot carries it whether or not the
     /// chain is also [`hardened`](Streamable::hardened).
     pub fn instrument(mut self, registry: &MetricsRegistry, prefix: &str) -> Self {
-        self.ctx.panics = registry.counter(&format!("{prefix}.operator_panics"));
-        self.ctx.instr = Some(Instrument {
-            registry: registry.clone(),
-            prefix: prefix.to_string(),
-            stage: 0,
-        });
+        self.ctx.instrument(registry, prefix);
         self
     }
 
     /// Enables structured tracing: every stage chained after this call
     /// records spans — labelled `{prefix}.{stage:02}.{name}` — into the
-    /// context's [`TraceSink`](impatience_core::TraceSink) (see
+    /// context's [`TraceSink`] (see
     /// [`crate::traced`] for the span and provenance model). Like
     /// instrumentation, tracing never alters the stream.
     pub fn traced(mut self, ctx: TraceCtx) -> Self {

@@ -88,6 +88,18 @@ impl TraceState {
         TraceState { ctx, stage: 0 }
     }
 
+    /// Shard `index`'s context: labels under `{prefix}.shard{index:02}`
+    /// on lane `index`, stage numbers from 0.
+    pub(crate) fn for_shard(&self, index: usize) -> Self {
+        let prefix = format!("{}.shard{index:02}", self.ctx.prefix);
+        TraceState::new(self.ctx.clone().with_prefix(prefix).for_shard(index))
+    }
+
+    /// The sink this chain records into.
+    pub(crate) fn sink(&self) -> &TraceSink {
+        self.ctx.sink()
+    }
+
     /// Takes the next stage number and advances the counter.
     pub(crate) fn claim_stage(&mut self) -> usize {
         self.stage += 1;

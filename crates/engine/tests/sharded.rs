@@ -4,11 +4,11 @@
 //! not change a byte of output.
 
 use impatience_core::{
-    validate_ordered_stream, Event, EventBatch, StreamError, StreamMessage, Timestamp,
+    validate_ordered_stream, Event, EventBatch, MetricsRegistry, StreamError, StreamMessage,
+    Timestamp,
 };
 use impatience_engine::{
-    input_stream, Observer, Output, PipelineEnv, PipelineSpec, ShardOptions, Streamable,
-    SHARD_QUEUE_MESSAGES,
+    input_stream, Observer, Output, PipelineEnv, PipelineSpec, Streamable, SHARD_QUEUE_MESSAGES,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -147,6 +147,73 @@ fn a_dead_shard_stops_routing_and_every_thread_joins() {
     assert!(!out.is_completed(), "error and completion both delivered");
 }
 
+/// An `instrument(&r, "p").hardened()` chain split two ways over sixteen
+/// keys (both shards get traffic), `where_` in each shard, `select` after
+/// the merge; `bad` names a shard whose `where_` panics.
+fn inheriting_run(bad: Option<usize>) -> (MetricsRegistry, Output<u32>) {
+    let registry = MetricsRegistry::new();
+    let (handle, stream) = input_stream::<u32>();
+    let out = stream
+        .instrument(&registry, "p")
+        .hardened()
+        .sharded(2, move |s, ctx| {
+            let poisoned = bad == Some(ctx.index);
+            s.where_(move |_| {
+                assert!(!poisoned, "shard under test blew up");
+                true
+            })
+        })
+        .select(|p| *p)
+        .collect_output();
+    handle.push_events(
+        (0..16u32)
+            .map(|k| Event::keyed(Timestamp::new(1), k, k))
+            .collect(),
+    );
+    handle.push_punctuation(Timestamp::new(1));
+    handle.complete();
+    (registry, out)
+}
+
+#[test]
+fn shards_inherit_the_chains_instruments_and_fence() {
+    // A panic in shard 1 is caught by the inherited fence, named by the
+    // inherited label and counted under the shard's prefix.
+    let (r, out) = inheriting_run(Some(1));
+    match out.error() {
+        Some(StreamError::OperatorPanicked { operator, message }) => {
+            assert_eq!(operator, "p.shard01.00.where");
+            assert!(message.contains("shard under test blew up"), "{message}");
+        }
+        other => panic!("expected OperatorPanicked, got {other:?}"),
+    }
+    assert!(!out.is_completed(), "error and completion both delivered");
+    assert_eq!(r.counter("p.shard01.operator_panics").get(), 1);
+    assert_eq!(r.counter("p.shard00.operator_panics").get(), 0);
+    assert!(r.counter("p.shard00.00.where.events_in").get() > 0);
+    assert_eq!(r.counter("shard.ingress.events").get(), 16);
+
+    // Healthy: every shard is metered under its prefix, the `shard.*`
+    // counters land in the chain's registry, and the stage after the
+    // merge is metered under the chain's own prefix.
+    let (r, out) = inheriting_run(None);
+    assert!(out.is_completed() && out.error().is_none());
+    assert_eq!(out.event_count(), 16);
+    let shard_in = |i: usize| {
+        r.counter(&format!("p.shard{i:02}.00.where.events_in"))
+            .get()
+    };
+    assert!(
+        shard_in(0) > 0 && shard_in(1) > 0,
+        "both shards got traffic"
+    );
+    assert_eq!(shard_in(0) + shard_in(1), 16);
+    assert_eq!(r.counter("shard.ingress.events").get(), 16);
+    assert_eq!(r.counter("shard.merge.events").get(), 16);
+    assert_eq!(r.counter("p.00.select.events_in").get(), 16);
+    assert_eq!(r.counter("p.operator_panics").get(), 0);
+}
+
 /// Relays traffic unchanged, but after each punctuation at or above
 /// `trip_at` re-issues one `regress_by` ticks lower.
 struct Regressor {
@@ -222,7 +289,7 @@ fn invalid_shard_options_surface_a_typed_error() {
     // instead).
     let (_handle, stream) = input_stream::<u32>();
     let out = stream
-        .sharded(ShardOptions::new(0), |_, _| -> Streamable<u32> {
+        .sharded(0, |_, _| -> Streamable<u32> {
             panic!("an invalid configuration builds no shard")
         })
         .collect_output();

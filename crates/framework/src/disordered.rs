@@ -1,9 +1,10 @@
 //! `DisorderedStreamable`: the sort-as-needed programming surface (§IV-B).
 //!
 //! A [`DisorderedStreamable`] represents a stream that has **not** been
-//! sorted yet. It exposes only order-insensitive operators — selection,
-//! projection, re-keying, and the (timestamp-adjusting) tumbling window —
-//! and two ways out:
+//! sorted yet. It is an engine [`Streamable`] whose surface exposes only
+//! order-insensitive operators — selection, projection, re-keying, and
+//! the (timestamp-adjusting) tumbling window, each the engine's own
+//! combinator — and two ways out:
 //!
 //! * [`DisorderedStreamable::to_streamable`] — run a sorting operator and
 //!   obtain an ordered [`Streamable`] (the paper's first code sample);
@@ -23,46 +24,31 @@
 //! it and always sorts with Impatience (see its docs).
 
 use impatience_core::{Event, MemoryMeter, Payload, StreamMessage, TickDuration};
-use impatience_engine::ops::{FilterOp, ReKeyOp, SelectOp, TumblingWindowOp};
-use impatience_engine::{IngressPolicy, InputHandle, Observer, Streamable};
+use impatience_engine::{input_stream, IngressPolicy, InputHandle, Streamable};
 use impatience_sort::ImpatienceSorter;
-
-type Connector<P> = Box<dyn FnOnce(Box<dyn Observer<P>>) + Send>;
 
 /// A disordered stream admitting only order-insensitive operators.
 pub struct DisorderedStreamable<P: Payload> {
-    connect: Connector<P>,
+    /// The (possibly) disordered traffic, with every stage applied so far.
+    pub(crate) stream: Streamable<P>,
     /// Size of the last tumbling window applied, whose starts every event
     /// now carries; `None` for unaligned input.
-    window: Option<TickDuration>,
+    pub(crate) window: Option<TickDuration>,
 }
 
 impl<P: Payload> DisorderedStreamable<P> {
-    /// Wraps a raw connector producing (possibly) disordered traffic.
-    pub fn from_connector(connect: impl FnOnce(Box<dyn Observer<P>>) + Send + 'static) -> Self {
-        DisorderedStreamable {
-            connect: Box::new(connect),
-            window: None,
-        }
-    }
-
     /// A static disordered source: replays `msgs` at subscribe time.
     /// Unlike [`Streamable::from_messages`], no ordering is required —
     /// only the punctuation contract matters, and even that is enforced
     /// downstream by dropping late events.
     pub fn from_messages(msgs: Vec<StreamMessage<P>>) -> Self {
-        DisorderedStreamable::from_connector(move |mut sink| {
-            let mut completed = false;
-            for m in msgs {
-                if matches!(m, StreamMessage::Completed) {
-                    completed = true;
-                }
-                sink.on_message(m);
-            }
-            if !completed {
-                sink.on_completed();
-            }
-        })
+        let (handle, ds) = Self::live();
+        // The input buffers until subscribed; a push past the first
+        // completion (the closing one included) is refused and moot.
+        for m in msgs.into_iter().chain([StreamMessage::Completed]) {
+            let _ = handle.push(m);
+        }
+        ds
     }
 
     /// A static disordered source from arrival-ordered events, punctuated
@@ -73,29 +59,20 @@ impl<P: Payload> DisorderedStreamable<P> {
 
     /// A live disordered input.
     pub fn live() -> (InputHandle<P>, DisorderedStreamable<P>) {
-        let (handle, stream) = impatience_engine::input_stream::<P>();
-        (
-            handle,
-            DisorderedStreamable::from_connector(move |sink| stream.subscribe_observer(sink)),
-        )
-    }
-
-    /// Applies an operator-builder stage that leaves `sync_time` alone, so
-    /// the window record carries over (crate-internal plumbing).
-    pub(crate) fn apply<Q: Payload>(
-        self,
-        build: impl FnOnce(Box<dyn Observer<Q>>) -> Box<dyn Observer<P>> + Send + 'static,
-    ) -> DisorderedStreamable<Q> {
-        let upstream = self.connect;
-        DisorderedStreamable {
-            connect: Box::new(move |sink| upstream(build(sink))),
-            window: self.window,
-        }
+        let (handle, stream) = input_stream::<P>();
+        let ds = DisorderedStreamable {
+            stream,
+            window: None,
+        };
+        (handle, ds)
     }
 
     /// Selection (order-insensitive).
     pub fn where_(self, pred: impl FnMut(&Event<P>) -> bool + Send + 'static) -> Self {
-        self.apply(move |sink| Box::new(FilterOp::new(pred, sink)))
+        DisorderedStreamable {
+            stream: self.stream.where_(pred),
+            window: self.window,
+        }
     }
 
     /// Projection (order-insensitive).
@@ -103,12 +80,18 @@ impl<P: Payload> DisorderedStreamable<P> {
         self,
         f: impl FnMut(&P) -> Q + Send + 'static,
     ) -> DisorderedStreamable<Q> {
-        self.apply(move |sink| Box::new(SelectOp::new(f, sink)))
+        DisorderedStreamable {
+            stream: self.stream.select(f),
+            window: self.window,
+        }
     }
 
     /// Re-keying (order-insensitive).
     pub fn re_key(self, f: impl FnMut(&Event<P>) -> u32 + Send + 'static) -> Self {
-        self.apply(move |sink| Box::new(ReKeyOp::new(f, sink)))
+        DisorderedStreamable {
+            stream: self.stream.re_key(f),
+            window: self.window,
+        }
     }
 
     /// Tumbling window below the sort (§IV-A2): aligns timestamps on the
@@ -117,9 +100,10 @@ impl<P: Payload> DisorderedStreamable<P> {
     /// unchanged; `size` must be positive.
     pub fn tumbling_window(self, size: TickDuration) -> Self {
         assert!(size.is_positive(), "window size must be positive");
-        let mut aligned = self.apply(move |sink| Box::new(TumblingWindowOp::new(size, sink)));
-        aligned.window = Some(size);
-        aligned
+        DisorderedStreamable {
+            stream: self.stream.tumbling_window(size),
+            window: Some(size),
+        }
     }
 
     /// Ends the disordered section with an Impatience sorting operator —
@@ -130,16 +114,9 @@ impl<P: Payload> DisorderedStreamable<P> {
     /// Fig 9(c) uses it to measure what a pushed-down window does to
     /// *Impatience* sort.
     pub fn to_streamable(self, meter: &MemoryMeter) -> Streamable<P> {
-        Streamable::from_connector(self.connect)
+        self.stream
             .sorted(Box::new(ImpatienceSorter::new()), meter, Default::default())
             .expect("default sort policy")
-    }
-
-    /// Consumes the handle, returning the raw connector and the size of the
-    /// window that aligned its events, if any (used by the framework
-    /// builder).
-    pub(crate) fn into_parts(self) -> (Connector<P>, Option<TickDuration>) {
-        (self.connect, self.window)
     }
 }
 

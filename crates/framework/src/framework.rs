@@ -448,8 +448,10 @@ where
     let policy = opts.policy;
     // The disordered source, behind the checkpoint gate when durable, so
     // the gate counts exactly the messages the partitioner consumes.
-    let (connect, window) = ds.into_parts();
-    let source = Streamable::from_connector(connect);
+    let DisorderedStreamable {
+        stream: source,
+        window,
+    } = ds;
     let (source, ctx) = match opts.durable {
         Some((dir, every_n)) => {
             let (source, ctx) =

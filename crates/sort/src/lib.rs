@@ -14,7 +14,8 @@
 //!   first-generation SPEs;
 //! * [`BucketSorter`] — one bucket per distinct time, for input a tumbling
 //!   window below the sort has already aligned (§IV);
-//! * [`merge`] — binary / Huffman / loser-tree run merging.
+//! * [`merge`] — binary / Huffman run merging; [`loser_tree`] — the
+//!   fallible k-way merge the external sorter runs over spilled runs.
 //!
 //! ```
 //! use impatience_core::Timestamp;
@@ -55,7 +56,7 @@ pub use gauges::SorterGauges;
 pub use heapsort::{heapsort, HeapSorter, HeapsortAlgorithm};
 pub use impatience::{ImpatienceConfig, ImpatienceSorter};
 pub use incremental::CutBuffer;
-pub use loser_tree::{merge_sources, MergeSource, StreamingLoserTree, VecSource};
+pub use loser_tree::{MergeSource, StreamingLoserTree, VecSource};
 pub use merge::{binary_merge, merge_into, merge_runs, MergePolicy};
 pub use patience::{PatienceAlgorithm, PatienceSort};
 pub use quicksort::{insertion_sort, quicksort, QuicksortAlgorithm};

@@ -3,10 +3,9 @@
 //! The external sorter ([`crate::external`]) merges a mix of in-memory head
 //! runs and on-disk run files whose readers do I/O and verify checksums, so
 //! every pull can fail with a typed [`StreamError`]. [`StreamingLoserTree`]
-//! is the workspace's one loser tree, built over that pull model (the
-//! in-memory [`MergePolicy::LoserTree`](crate::MergePolicy::LoserTree)
-//! runs it over infallible [`VecSource`]s): `k` sources are merged
-//! with `⌈log₂ k⌉` comparisons per emitted item, errors propagate out of
+//! is the workspace's one loser tree, built over that pull model: `k`
+//! sources (run files, or infallible [`VecSource`]s over head runs) are
+//! merged with `⌈log₂ k⌉` comparisons per emitted item, errors propagate out of
 //! [`pop`](StreamingLoserTree::pop) instead of aborting, and ties are broken
 //! by source index so the merge is deterministic and stable toward
 //! earlier sources.
@@ -155,24 +154,24 @@ where
     }
 }
 
-/// Merges all sources to completion into a vector.
-pub fn merge_sources<S, K, F>(sources: Vec<S>, key: F) -> Result<Vec<S::Item>, StreamError>
-where
-    S: MergeSource,
-    K: Ord + Copy,
-    F: Fn(&S::Item) -> K,
-{
-    let mut tree = StreamingLoserTree::new(sources, key)?;
-    let mut out = Vec::new();
-    while let Some(item) = tree.pop()? {
-        out.push(item);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Merges all sources to completion into a vector.
+    fn merge_sources<S, K, F>(sources: Vec<S>, key: F) -> Result<Vec<S::Item>, StreamError>
+    where
+        S: MergeSource,
+        K: Ord + Copy,
+        F: Fn(&S::Item) -> K,
+    {
+        let mut tree = StreamingLoserTree::new(sources, key)?;
+        let mut out = Vec::new();
+        while let Some(item) = tree.pop()? {
+            out.push(item);
+        }
+        Ok(out)
+    }
 
     /// A source that fails after yielding `ok` items.
     struct Flaky {

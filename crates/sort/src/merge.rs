@@ -1,19 +1,18 @@
 //! Run-merging machinery.
 //!
-//! Three strategies for merging `k` sorted runs into one:
+//! Two strategies for merging `k` sorted runs into one:
 //!
 //! * [`MergePolicy::Huffman`] — the paper's §III-E1 optimization: binary-
 //!   merge the two *smallest* runs first. With the run-size skew typical of
 //!   nearly sorted data, this minimizes total element moves; the reduction
 //!   to Huffman coding makes it optimal among binary merge trees.
 //! * [`MergePolicy::Sequential`] — balanced pairwise merge rounds in
-//!   arrival order; the natural "no optimization" baseline.
-//! * [`MergePolicy::LoserTree`] — classic heap-style k-way merge in a
-//!   single pass, the strategy traditional Patience sort used before
-//!   Chandramouli & Goldstein's SIGMOD 2014 paper showed binary merges win
-//!   on modern CPUs.
+//!   arrival order; the natural "no optimization" baseline (Fig 7's
+//!   "Impt w/o HM" series).
+//!
+//! The workspace's k-way loser tree ([`crate::loser_tree`]) merges the
+//! external sorter's spilled runs, whose reads can fail.
 
-use crate::loser_tree::{merge_sources, VecSource};
 use impatience_core::EventTimed;
 use std::collections::BinaryHeap;
 
@@ -26,8 +25,6 @@ pub enum MergePolicy {
     /// Balanced pairwise rounds in arrival order (`O(n log k)` but blind
     /// to run sizes) — the honest "no Huffman optimization" baseline.
     Sequential,
-    /// Single-pass k-way merge with a loser tree.
-    LoserTree,
 }
 
 /// Merges two sorted vectors into one sorted vector.
@@ -145,7 +142,6 @@ pub fn merge_runs<T: EventTimed + Clone>(runs: Vec<Vec<T>>, policy: MergePolicy)
     match policy {
         MergePolicy::Huffman => huffman_merge(runs),
         MergePolicy::Sequential => balanced_rounds(runs),
-        MergePolicy::LoserTree => loser_tree_merge(runs),
     }
 }
 
@@ -254,15 +250,6 @@ fn huffman_merge<T: EventTimed + Clone>(runs: Vec<Vec<T>>) -> Vec<T> {
     heap.pop().map(|e| e.run).unwrap_or_default()
 }
 
-/// A loser-tree (tournament) k-way merge: the streaming tree of
-/// [`crate::loser_tree`] over in-memory sources, which cannot fail. Each
-/// output element costs `⌈log₂ k⌉` comparisons and is moved, not cloned;
-/// ties go to the lower run index.
-fn loser_tree_merge<T: EventTimed>(runs: Vec<Vec<T>>) -> Vec<T> {
-    let sources = runs.into_iter().map(VecSource::new).collect();
-    merge_sources(sources, T::event_time).expect("in-memory sources cannot fail")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,11 +286,7 @@ mod tests {
     fn check_all_policies(runs: Vec<Vec<i64>>) {
         let mut expect: Vec<i64> = runs.iter().flatten().copied().collect();
         expect.sort_unstable();
-        for policy in [
-            MergePolicy::Huffman,
-            MergePolicy::Sequential,
-            MergePolicy::LoserTree,
-        ] {
+        for policy in [MergePolicy::Huffman, MergePolicy::Sequential] {
             let got = merge_runs(runs.clone(), policy);
             assert_eq!(got, expect, "policy {policy:?}");
         }
@@ -331,30 +314,6 @@ mod tests {
             runs.push(vec![i * 97 + 1]);
         }
         check_all_policies(runs);
-    }
-
-    #[test]
-    fn loser_tree_single_run() {
-        let out = loser_tree_merge(vec![vec![1i64, 2, 3]]);
-        assert_eq!(out, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn loser_tree_empty() {
-        let out: Vec<i64> = loser_tree_merge(vec![]);
-        assert!(out.is_empty());
-        let out: Vec<i64> = loser_tree_merge(vec![vec![], vec![]]);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn loser_tree_many_runs() {
-        let runs: Vec<Vec<i64>> = (0..17)
-            .map(|r| (0..50).map(|i| (i * 17 + r) as i64).collect())
-            .collect();
-        let mut expect: Vec<i64> = runs.iter().flatten().copied().collect();
-        expect.sort_unstable();
-        assert_eq!(loser_tree_merge(runs), expect);
     }
 
     #[test]

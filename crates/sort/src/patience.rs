@@ -3,46 +3,29 @@
 //! The classic two-phase algorithm: **partition** the input into sorted runs
 //! (each element appended to the first run whose tail `<= x`, found by
 //! binary search over the strictly descending tails), then **merge** all
-//! runs. Following Chandramouli & Goldstein (SIGMOD 2014), the default
-//! merge uses binary merges rather than a heap; the k-way loser tree is
-//! available for comparison via [`MergePolicy::LoserTree`].
+//! runs. Following Chandramouli & Goldstein (SIGMOD 2014), the merge is
+//! Huffman-ordered binary merges rather than a heap.
 
 use crate::merge::{merge_runs, MergePolicy};
 use crate::runset::RunSet;
 use crate::traits::SortAlgorithm;
 use impatience_core::{EventTimed, Timestamp};
 
-/// Offline Patience sort with a configurable merge policy.
+/// Offline Patience sort with Huffman merges.
 #[derive(Debug, Clone, Copy)]
-pub struct PatienceSort {
-    /// How the partitioned runs are merged.
-    pub merge_policy: MergePolicy,
-}
-
-impl Default for PatienceSort {
-    fn default() -> Self {
-        PatienceSort {
-            merge_policy: MergePolicy::Huffman,
-        }
-    }
-}
+pub struct PatienceSort;
 
 impl PatienceSort {
-    /// Patience sort merging with the given policy.
-    pub fn with_policy(merge_policy: MergePolicy) -> Self {
-        PatienceSort { merge_policy }
-    }
-
     /// Sorts `items`, returning the sorted vector and the number of runs
     /// the partition phase created (the paper's `k`).
-    pub fn sort_counting_runs<T: EventTimed + Clone>(&self, items: Vec<T>) -> (Vec<T>, usize) {
+    pub fn sort_counting_runs<T: EventTimed + Clone>(items: Vec<T>) -> (Vec<T>, usize) {
         let mut rs: RunSet<T> = RunSet::new(false);
         for item in items {
             rs.insert(item);
         }
         let k = rs.run_count();
         let runs = rs.cut_heads(Timestamp::MAX);
-        (merge_runs(runs, self.merge_policy), k)
+        (merge_runs(runs, MergePolicy::Huffman), k)
     }
 
     /// Runs only the partition phase, returning the run count — used by the
@@ -64,7 +47,7 @@ impl SortAlgorithm for PatienceAlgorithm {
 
     fn sort<T: EventTimed + Clone>(items: &mut Vec<T>) {
         let taken = core::mem::take(items);
-        let (sorted, _) = PatienceSort::default().sort_counting_runs(taken);
+        let (sorted, _) = PatienceSort::sort_counting_runs(taken);
         *items = sorted;
     }
 }
@@ -77,24 +60,18 @@ mod tests {
     #[test]
     fn paper_example_runs_and_order() {
         let v = vec![2i64, 6, 5, 1, 4, 3, 7, 8];
-        let (sorted, k) = PatienceSort::default().sort_counting_runs(v);
+        let (sorted, k) = PatienceSort::sort_counting_runs(v);
         assert_eq!(sorted, vec![1, 2, 3, 4, 5, 6, 7, 8]);
         assert_eq!(k, 4, "Fig 3 creates exactly 4 runs");
     }
 
     #[test]
-    fn all_policies_sort_correctly() {
+    fn sorts_a_scrambled_input() {
         let data: Vec<i64> = (0..3000).map(|i| (i * 7919) % 2011).collect();
         let mut expect = data.clone();
         expect.sort_unstable();
-        for policy in [
-            MergePolicy::Huffman,
-            MergePolicy::Sequential,
-            MergePolicy::LoserTree,
-        ] {
-            let (sorted, _) = PatienceSort::with_policy(policy).sort_counting_runs(data.clone());
-            assert_eq!(sorted, expect, "{policy:?}");
-        }
+        let (sorted, _) = PatienceSort::sort_counting_runs(data);
+        assert_eq!(sorted, expect);
     }
 
     #[test]

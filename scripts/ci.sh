@@ -68,8 +68,13 @@ echo "== shard conformance (byte-identical output across shard counts) =="
 # The engine's `sharded` suite holds the plumbing: seeded producer and
 # worker pacing must not change a byte, an idle source must not end the
 # stream, and a dead shard must stop routing and let every thread join.
+# The boundary carries the chain: each shard inherits the chain's
+# instruments (under `{prefix}.shardNN`), fence and trace, and the
+# `shard.*` counters land in the chain's registry. The inheritance test
+# runs by name too, so a regression names itself.
 cargo test -q --offline --test shard_conformance
 cargo test -q --offline -p impatience-engine --test sharded
+cargo test -q --offline -p impatience-engine --test sharded shards_inherit_the_chains_instruments_and_fence
 
 echo "== plan differential (sort-as-needed plan vs hand-stacked sort-first chain) =="
 # The planner gate: 210 seeded CloudLog/synthetic streams x {drop,
@@ -104,7 +109,12 @@ echo "== trace conformance (traced pipelines byte-identical, spans laminar) =="
 # The observability determinism gate: traced runs must produce output
 # byte-identical to untraced ones across shard counts, spans must nest,
 # and sampled provenance must survive a crash -> restore -> replay cycle.
+# A spec-built traced pipeline with two shards builds, matches its
+# untraced output, and records each shard's stage and queue spans on that
+# shard's lane and the merge's on lane 2; the engine unit test holds the
+# queue, merge and watermark spans of a traced chain split four ways.
 cargo test -q --offline --test trace_conformance
+cargo test -q --offline -p impatience-engine --lib sharded::tests::traced_sharded_records_queue_merge_and_watermark_spans
 
 echo "== tenant isolation (seeded chaos across the service boundary) =="
 # The multi-tenant gate: 270 seeded runs each boot a real server, connect

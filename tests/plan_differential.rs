@@ -231,14 +231,11 @@ fn run_reference(spec: &PipelineSpec, input: &[StreamMessage<i64>]) -> Observed 
         }
     };
     let (handle, s) = input_stream::<i64>();
+    let s = s.instrument(&registry, "ref").hardened();
     let out = if spec.shards == 1 {
-        sort_first(s.instrument(&registry, "ref").hardened())
+        sort_first(s)
     } else {
-        let registry = registry.clone();
-        s.sharded(spec.shards, move |ss, ctx| {
-            let prefix = format!("ref.shard{:02}", ctx.index);
-            sort_first(ss.instrument(&registry, &prefix).hardened())
-        })
+        s.sharded(spec.shards, move |ss, _| sort_first(ss))
     }
     .collect_output();
     for m in input {

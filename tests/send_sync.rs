@@ -8,9 +8,7 @@ use impatience_core::metrics::{Counter, Gauge, Histogram};
 use impatience_core::{
     DeadLetterQueue, Event, EventBatch, MemoryMeter, MetricsRegistry, StreamError, StreamMessage,
 };
-use impatience_engine::{
-    CheckpointCtx, InputHandle, Observer, Output, ShardCtx, ShardOptions, Streamable,
-};
+use impatience_engine::{CheckpointCtx, InputHandle, Observer, Output, ShardCtx, Streamable};
 use impatience_sort::{ImpatienceSorter, OnlineSorter};
 
 fn assert_send<T: Send>() {}
@@ -58,7 +56,6 @@ fn shared_handles_are_send_and_sync() {
 
 #[test]
 fn sharding_plumbing_is_send_and_sync() {
-    assert_send::<ShardOptions>();
     assert_send_sync::<ShardCtx>();
     assert_send::<CheckpointCtx>();
 }

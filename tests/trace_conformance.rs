@@ -12,6 +12,9 @@
 //!   are disjoint ([`assert_laminar`]); queue-wait spans are excluded on
 //!   sharded runs because they deliberately measure cross-thread waiting
 //!   (an enqueue on the ingress thread can land mid-batch on the worker);
+//! * **shards inherit the trace** — a traced spec with two shards builds,
+//!   matches its untraced output byte for byte, and records each shard's
+//!   stage and queue spans on that shard's lane and the merge's on lane 2;
 //! * **provenance survives crash → recover** — a traced durable pipeline
 //!   (checkpoint gate + WAL, the `tests/recovery.rs` machinery) is killed
 //!   at a seeded crash point and recovered; the combined output stays
@@ -39,7 +42,8 @@ use impatience_core::{
 use impatience_engine::ingress::WalConfig;
 use impatience_engine::{input_stream, ops::SumAgg, CheckpointCtx, WalIngress};
 use impatience_engine::{punctuate_arrivals, BlackHoleSink, IngressPolicy};
-use impatience_engine::{InputHandle, Output, ShardOptions, Streamable, TraceCtx};
+use impatience_engine::{InputHandle, OpSpec, Output, PipelineEnv, PipelineSpec};
+use impatience_engine::{Streamable, TraceCtx};
 use impatience_sort::ImpatienceSorter;
 use impatience_testkit::assert_laminar;
 use impatience_testkit::crash::crash_point;
@@ -145,9 +149,9 @@ fn run_untraced(input: &[StreamMessage<u32>], shape: u64) -> Vec<StreamMessage<i
     out.messages()
 }
 
-/// Fully traced sharded run: per-shard span recording (prefix + lane per
-/// shard), queue/merge spans via [`ShardOptions::with_trace`], and 1/1
-/// provenance stamping at each shard's entry.
+/// Fully traced sharded run: the traced chain hands each shard its span
+/// recording (prefix `pipeline.shardNN`, lane `NN`) and records the queue
+/// and merge spans itself; 1/1 provenance stamping at each shard's entry.
 fn run_traced(
     input: &[StreamMessage<u32>],
     shape: u64,
@@ -155,14 +159,11 @@ fn run_traced(
     sink: &TraceSink,
 ) -> Vec<StreamMessage<i64>> {
     let (handle, stream) = input_stream::<u32>();
-    let opts = ShardOptions::new(shards).with_trace(sink);
-    let shared = sink.clone();
+    let ctx = TraceCtx::new(sink);
     let out = stream
-        .sharded(opts, move |s, ctx| {
-            let tctx = TraceCtx::new(&shared)
-                .with_prefix(format!("shard{:02}", ctx.index))
-                .for_shard(ctx.index);
-            build_pipeline(shape, s.traced(tctx.clone()).trace_ingress(&tctx))
+        .traced(ctx.clone())
+        .sharded(shards, move |s, _| {
+            build_pipeline(shape, s.trace_ingress(&ctx))
         })
         .collect_output();
     for msg in input {
@@ -273,6 +274,77 @@ fn unsharded_traced_spans_nest_and_cover_every_stage() {
         assert_eq!(sink.dropped(), 0);
         assert_laminar(&sink.spans());
     }
+}
+
+/// A traced spec may shard: the chain hands each shard its trace context,
+/// so shard `NN`'s stages record under `pipeline.shardNN` on lane `NN`, its
+/// queue-wait spans ride the same lane, and the merge records on lane 2 —
+/// with output byte-identical to the same spec untraced.
+#[test]
+fn traced_sharded_spec_records_each_shard_on_its_own_lane() {
+    let spec = PipelineSpec::new("t")
+        .with_shards(2)
+        .with_op(OpSpec::TumblingWindow {
+            size: TickDuration::ticks(16),
+        })
+        .with_op(OpSpec::SumByKey);
+    // Mild disorder over eight keys, punctuated behind the arrivals.
+    let mut input = Vec::new();
+    for chunk in 0..10i64 {
+        let events = (0..20i64)
+            .map(|i| {
+                let n = chunk * 20 + i;
+                Event::keyed(Timestamp::new(n - (n % 3) * 4), (n % 8) as u32, n)
+            })
+            .collect();
+        input.push(StreamMessage::batch(events));
+        input.push(StreamMessage::Punctuation(Timestamp::new(chunk * 20 + 5)));
+    }
+    input.push(StreamMessage::Completed);
+    let run = |spec: &PipelineSpec, env: &PipelineEnv| {
+        let (out, sink) = Output::new();
+        let built = spec.build(env, Box::new(sink)).expect("spec builds");
+        for m in &input {
+            built.handle.push(m.clone()).expect("push");
+        }
+        drop(built);
+        out.messages()
+    };
+    let plain = run(&spec, &PipelineEnv::new());
+    assert!(matches!(plain.last(), Some(StreamMessage::Completed)));
+    let sink = logical_sink();
+    let traced = run(
+        &spec.clone().with_traced(true),
+        &PipelineEnv::new().with_trace(TraceCtx::new(&sink)),
+    );
+    assert_eq!(traced, plain, "tracing changed the sharded spec's output");
+    assert_eq!(sink.dropped(), 0);
+
+    let spans = sink.spans();
+    let mut seen = std::collections::BTreeSet::new();
+    for s in &spans {
+        let (what, lane) = if let Some(rest) = s.op.strip_prefix("pipeline.shard") {
+            ("stage", rest[..2].parse::<u32>().expect("two-digit shard"))
+        } else if let Some(rest) = s.op.strip_prefix("shard") {
+            assert_eq!(s.kind, SpanKind::Queue, "{s:?}");
+            assert_eq!(&rest[2..], ".queue", "{s:?}");
+            ("queue", rest[..2].parse::<u32>().expect("two-digit shard"))
+        } else {
+            assert_eq!(&*s.op, "merge", "unexpected span label: {s:?}");
+            ("merge", 2)
+        };
+        assert_eq!(s.shard, lane, "{what} span on the wrong lane: {s:?}");
+        seen.insert((what, lane));
+    }
+    let expected = [
+        ("merge", 2),
+        ("queue", 0),
+        ("queue", 1),
+        ("stage", 0),
+        ("stage", 1),
+    ];
+    assert_eq!(seen.into_iter().collect::<Vec<_>>(), expected);
+    assert_laminar(&single_threaded_lanes(spans));
 }
 
 // ---------------------------------------------------------------------------
