@@ -35,6 +35,7 @@
 //! prefix is the egress count stored in the checkpoint header — output
 //! beyond it is regenerated identically by the replay.
 
+use crate::lock;
 use crate::observer::Observer;
 use impatience_core::metrics::{Counter, MetricsRegistry};
 use impatience_core::{
@@ -44,13 +45,7 @@ use impatience_core::{
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Checkpoint machinery never holds a lock across user code, so a poison
-/// can at worst tear one registration — recover rather than cascade.
-fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::{Arc, Mutex};
 
 /// Magic prefix of a checkpoint frame.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"IMPCKPT\0";

@@ -76,3 +76,12 @@ pub use spec::{
 };
 pub use streamable::{input_stream, InputHandle, Streamable};
 pub use traced::TraceCtx;
+
+/// Locks `m`, recovering the data from a poisoned lock. No engine lock is
+/// held across a panic that is not already turned into a typed error (a
+/// hardened stage catches an operator's panic before it unwinds through
+/// its caller's lock), so a poison can at worst tear one push or one
+/// registration: recover rather than cascade the panic into every reader.
+pub(crate) fn lock<T: ?Sized>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -7,8 +7,9 @@
 //! unless explicitly documented otherwise — the whole point of the paper's
 //! architecture is that only the sorting operator ever sees disorder.
 
+use crate::lock;
 use impatience_core::{Event, EventBatch, Payload, StreamError, StreamMessage, Timestamp};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 /// A consumer of stream traffic.
 ///
@@ -91,13 +92,6 @@ impl<P> Default for OutputBuf<P> {
 #[derive(Clone)]
 pub struct Output<P> {
     buf: Arc<Mutex<OutputBuf<P>>>,
-}
-
-/// Collector buffers are never locked across user code, so a poisoning
-/// panic (e.g. inside a hardened chaos pipeline) can at worst tear one
-/// push — recover the data rather than cascading the panic into readers.
-fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 impl<P: Payload> Output<P> {

@@ -8,27 +8,21 @@
 //! validity intervals `[sync, other)` overlap; the output event carries
 //! the intersection of the intervals and a payload combined from both.
 //!
-//! Implementation: like [`super::union()`], the two ordered inputs are
-//! synchronized and processed in global `sync_time` order. Each processed
-//! event probes the opposite side's per-key state for overlapping live
-//! intervals (emitting matches timestamped at the later `sync_time`, which
-//! keeps the output ordered), then joins its own side's state. State is
-//! garbage-collected as the joint watermark passes interval ends.
+//! Implementation: the two ordered inputs are synchronized like a
+//! [`super::union()`]'s ([`super::sync`]) and taken in global `sync_time`
+//! order. What the join adds is the merge: each event probes the opposite
+//! side's per-key relation for overlapping live intervals (emitting
+//! matches timestamped at the later `sync_time`, which keeps the output
+//! ordered), then joins its own side's relation. A relation drops the
+//! intervals the joint watermark passed.
 
-use crate::checkpoint::Checkpointable;
+use super::sync::{sync, Merge, Progress, SyncInput};
 use crate::observer::Observer;
 use crate::ops::keymap::{key_map_with_capacity, KeyMap};
 use impatience_core::{
-    Event, EventBatch, MemoryMeter, Payload, SnapshotError, SnapshotReader, SnapshotWriter,
-    StateCodec, StreamError, Timestamp,
+    Event, MemoryMeter, Payload, SnapshotError, SnapshotReader, SnapshotWriter, StateCodec,
+    Timestamp,
 };
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Poison-tolerant lock on the shared join core (see `ops::union`).
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// One side's relation state: per key, the live intervals.
 struct SideState<P> {
@@ -67,38 +61,52 @@ impl<P: Payload> SideState<P> {
             !v.is_empty()
         });
     }
-}
 
-struct PendingSide<P> {
-    buf: VecDeque<Event<P>>,
-    wm: Timestamp,
-    last_seen: Timestamp,
-    done: bool,
-}
-
-impl<P: Payload> PendingSide<P> {
-    fn new() -> Self {
-        PendingSide {
-            buf: VecDeque::new(),
-            wm: Timestamp::MIN,
-            last_seen: Timestamp::MIN,
-            done: false,
+    fn encode(&self, w: &mut SnapshotWriter) {
+        let mut keys: Vec<u32> = self.by_key.keys().copied().collect();
+        keys.sort_unstable();
+        w.put_u64(keys.len() as u64);
+        for k in keys {
+            k.encode(w);
+            self.by_key[&k].encode(w);
         }
     }
 
-    fn floor(&self) -> Timestamp {
-        if self.done {
-            Timestamp::MAX
-        } else {
-            self.wm.max(self.last_seen)
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let n = r.get_count()?;
+        let mut by_key = key_map_with_capacity(n);
+        let mut bytes = 0usize;
+        for _ in 0..n {
+            let k = u32::decode(r)?;
+            let v = Vec::<Event<P>>::decode(r)?;
+            bytes += v.iter().map(Event::state_bytes).sum::<usize>();
+            if by_key.insert(k, v).is_some() {
+                return Err(SnapshotError::corrupt(format!(
+                    "join snapshot repeats key {k}"
+                )));
+            }
         }
+        Ok(SideState { by_key, bytes })
     }
+}
 
-    fn punct_floor(&self) -> Timestamp {
-        if self.done {
-            Timestamp::MAX
-        } else {
-            self.wm
+/// Appends a match for every interval of `others` under `e`'s key that
+/// overlaps `e`, stamped with the intersection and `e`'s key and hash.
+fn probe<P, Q, Out>(
+    e: &Event<P>,
+    others: &SideState<Q>,
+    out: &mut Vec<Event<Out>>,
+    mut pay: impl FnMut(&P, &Q) -> Out,
+) {
+    for o in others.by_key.get(&e.key).into_iter().flatten() {
+        if o.other_time > e.sync_time && e.other_time > o.sync_time {
+            out.push(Event {
+                sync_time: e.sync_time.max(o.sync_time),
+                other_time: e.other_time.min(o.other_time),
+                key: e.key,
+                hash: e.hash,
+                payload: pay(&e.payload, &o.payload),
+            });
         }
     }
 }
@@ -107,300 +115,68 @@ impl<P: Payload> PendingSide<P> {
 /// `Send` so the whole join core can live on a sharded worker thread.
 type Combine<L, R, Out> = Box<dyn FnMut(&L, &R) -> Out + Send>;
 
-struct JoinCore<L: Payload, R: Payload, Out: Payload> {
-    left_pending: PendingSide<L>,
-    right_pending: PendingSide<R>,
-    left_state: SideState<L>,
-    right_state: SideState<R>,
+/// The join's merge: both sides' relations and the combining closure.
+pub struct Relations<L, R, Out> {
+    left: SideState<L>,
+    right: SideState<R>,
     combine: Combine<L, R, Out>,
-    sink: Box<dyn Observer<Out>>,
-    meter: MemoryMeter,
-    out_wm: Timestamp,
-    completed: bool,
-    failed: bool,
 }
 
-impl<L: Payload, R: Payload, Out: Payload> JoinCore<L, R, Out> {
-    /// Processes buffered events in global sync order as far as progress
-    /// allows.
-    fn drain(&mut self) {
-        let mut out = EventBatch::with_capacity(0);
-        loop {
-            let lf = self.left_pending.buf.front().map(|e| e.sync_time);
-            let rf = self.right_pending.buf.front().map(|e| e.sync_time);
-            let take_left = match (lf, rf) {
-                (Some(l), Some(r)) => l <= r,
-                (Some(l), None) => {
-                    if l <= self.right_pending.floor() {
-                        true
-                    } else {
-                        break;
-                    }
-                }
-                (None, Some(r)) => {
-                    if r <= self.left_pending.floor() {
-                        false
-                    } else {
-                        break;
-                    }
-                }
-                (None, None) => break,
-            };
-            if take_left {
-                let e = self.left_pending.buf.pop_front().unwrap();
-                // Probe right state.
-                if let Some(cands) = self.right_state.by_key.get(&e.key) {
-                    for r in cands {
-                        if r.other_time > e.sync_time && e.other_time > r.sync_time {
-                            out.push(Event {
-                                sync_time: e.sync_time.max(r.sync_time),
-                                other_time: e.other_time.min(r.other_time),
-                                key: e.key,
-                                hash: e.hash,
-                                payload: (self.combine)(&e.payload, &r.payload),
-                            });
-                        }
-                    }
-                }
-                self.left_state.insert(e, &self.meter);
-            } else {
-                let e = self.right_pending.buf.pop_front().unwrap();
-                if let Some(cands) = self.left_state.by_key.get(&e.key) {
-                    for l in cands {
-                        if l.other_time > e.sync_time && e.other_time > l.sync_time {
-                            out.push(Event {
-                                sync_time: e.sync_time.max(l.sync_time),
-                                other_time: e.other_time.min(l.other_time),
-                                key: e.key,
-                                hash: e.hash,
-                                payload: (self.combine)(&l.payload, &e.payload),
-                            });
-                        }
-                    }
-                }
-                self.right_state.insert(e, &self.meter);
-            }
-        }
-        if !out.is_empty() {
-            self.sink.on_batch(out);
-        }
+impl<L: Payload, R: Payload, Out: Payload> Merge<L, R> for Relations<L, R, Out> {
+    type Out = Out;
+    const STATE_ID: &'static str = "engine.join";
+
+    fn left(&mut self, e: Event<L>, out: &mut Vec<Event<Out>>, meter: &MemoryMeter) {
+        probe(&e, &self.right, out, |l, r| (self.combine)(l, r));
+        self.left.insert(e, meter);
     }
 
-    fn advance_punctuation(&mut self) {
-        let p = self
-            .left_pending
-            .punct_floor()
-            .min(self.right_pending.punct_floor());
-        if p > self.out_wm && p != Timestamp::MAX {
-            self.out_wm = p;
-            // State whose interval ended at or before the watermark can
-            // never match future events (their sync > watermark).
-            self.left_state.gc(p, &self.meter);
-            self.right_state.gc(p, &self.meter);
-            self.sink.on_punctuation(p);
-        }
+    fn right(&mut self, e: Event<R>, out: &mut Vec<Event<Out>>, meter: &MemoryMeter) {
+        probe(&e, &self.left, out, |r, l| (self.combine)(l, r));
+        self.right.insert(e, meter);
     }
 
-    fn fail(&mut self, err: StreamError) {
-        if self.failed || self.completed {
-            return;
-        }
-        self.failed = true;
-        self.sink.on_error(err);
+    /// An interval that ended at or before the watermark can never match
+    /// a future event (its sync is above the watermark).
+    fn expire(&mut self, horizon: Timestamp, meter: &MemoryMeter) {
+        self.left.gc(horizon, meter);
+        self.right.gc(horizon, meter);
     }
 
-    fn maybe_complete(&mut self) {
-        if self.left_pending.done && self.right_pending.done && !self.completed && !self.failed {
-            self.completed = true;
-            self.left_state.gc(Timestamp::MAX, &self.meter);
-            self.right_state.gc(Timestamp::MAX, &self.meter);
-            self.sink.on_completed();
-        }
+    fn bytes(&self) -> usize {
+        self.left.bytes + self.right.bytes
+    }
+
+    /// Both relations, `out_wm`, then `completed`. The `combine` closure
+    /// is code, not state, so it is not part of the frame.
+    fn encode(&self, progress: Progress, w: &mut SnapshotWriter) {
+        self.left.encode(w);
+        self.right.encode(w);
+        progress.out_wm.encode(w);
+        progress.completed.encode(w);
+    }
+
+    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<Progress, SnapshotError> {
+        let left = SideState::decode(r)?;
+        let right = SideState::decode(r)?;
+        let progress = Progress {
+            out_wm: Timestamp::decode(r)?,
+            completed: bool::decode(r)?,
+            peak_bytes: 0,
+        };
+        self.left = left;
+        self.right = right;
+        Ok(progress)
     }
 }
 
-fn encode_pending<P: Payload>(side: &PendingSide<P>, w: &mut SnapshotWriter) {
-    w.put_u64(side.buf.len() as u64);
-    for e in &side.buf {
-        e.encode(w);
-    }
-    side.wm.encode(w);
-    side.last_seen.encode(w);
-    side.done.encode(w);
-}
-
-fn decode_pending<P: Payload>(r: &mut SnapshotReader<'_>) -> Result<PendingSide<P>, SnapshotError> {
-    let n = r.get_count()?;
-    let mut buf = VecDeque::with_capacity(n);
-    for _ in 0..n {
-        buf.push_back(Event::<P>::decode(r)?);
-    }
-    Ok(PendingSide {
-        buf,
-        wm: Timestamp::decode(r)?,
-        last_seen: Timestamp::decode(r)?,
-        done: bool::decode(r)?,
-    })
-}
-
-fn encode_relation<P: Payload>(state: &SideState<P>, w: &mut SnapshotWriter) {
-    let mut keys: Vec<u32> = state.by_key.keys().copied().collect();
-    keys.sort_unstable();
-    w.put_u64(keys.len() as u64);
-    for k in keys {
-        k.encode(w);
-        state.by_key[&k].encode(w);
-    }
-}
-
-fn decode_relation<P: Payload>(r: &mut SnapshotReader<'_>) -> Result<SideState<P>, SnapshotError> {
-    let n = r.get_count()?;
-    let mut by_key = key_map_with_capacity(n);
-    let mut bytes = 0usize;
-    for _ in 0..n {
-        let k = u32::decode(r)?;
-        let v = Vec::<Event<P>>::decode(r)?;
-        bytes += v.iter().map(Event::state_bytes).sum::<usize>();
-        if by_key.insert(k, v).is_some() {
-            return Err(SnapshotError::corrupt(format!(
-                "join snapshot repeats key {k}"
-            )));
-        }
-    }
-    Ok(SideState { by_key, bytes })
-}
-
-/// The left input handle snapshots the whole shared join core: both
-/// pending buffers, both relation states, and the output watermark. The
-/// `combine` closure is code, not state, so it is not part of the frame.
-impl<L: Payload, R: Payload, Out: Payload> Checkpointable for JoinInput<L, R, Out, true> {
-    fn state_id(&self) -> &'static str {
-        "engine.join"
-    }
-
-    fn encode_state(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
-        let core = lock(&self.core);
-        encode_pending(&core.left_pending, w);
-        encode_pending(&core.right_pending, w);
-        encode_relation(&core.left_state, w);
-        encode_relation(&core.right_state, w);
-        core.out_wm.encode(w);
-        core.completed.encode(w);
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let left_pending = decode_pending::<L>(r)?;
-        let right_pending = decode_pending::<R>(r)?;
-        let left_state = decode_relation::<L>(r)?;
-        let right_state = decode_relation::<R>(r)?;
-        let out_wm = Timestamp::decode(r)?;
-        let completed = bool::decode(r)?;
-        let mut core = lock(&self.core);
-        let old = core.left_state.bytes + core.right_state.bytes;
-        core.meter
-            .recharge(old, left_state.bytes + right_state.bytes);
-        core.left_pending = left_pending;
-        core.right_pending = right_pending;
-        core.left_state = left_state;
-        core.right_state = right_state;
-        core.out_wm = out_wm;
-        core.completed = completed;
-        Ok(())
-    }
-}
-
-/// One input endpoint of a temporal join.
-pub struct JoinInput<L: Payload, R: Payload, Out: Payload, const LEFT: bool> {
-    core: Arc<Mutex<JoinCore<L, R, Out>>>,
-}
-
-impl<L: Payload, R: Payload, Out: Payload, const LEFT: bool> Clone for JoinInput<L, R, Out, LEFT> {
-    fn clone(&self) -> Self {
-        JoinInput {
-            core: self.core.clone(),
-        }
-    }
-}
-
-impl<L: Payload, R: Payload, Out: Payload> Observer<L> for JoinInput<L, R, Out, true> {
-    fn on_batch(&mut self, batch: EventBatch<L>) {
-        let mut core = lock(&self.core);
-        if core.failed {
-            return;
-        }
-        for e in batch.iter_visible() {
-            debug_assert!(e.sync_time >= core.left_pending.last_seen);
-            core.left_pending.last_seen = e.sync_time;
-            core.left_pending.buf.push_back(e.clone());
-        }
-        core.drain();
-    }
-    fn on_punctuation(&mut self, t: Timestamp) {
-        let mut core = lock(&self.core);
-        if core.failed {
-            return;
-        }
-        core.left_pending.wm = core.left_pending.wm.max(t);
-        core.drain();
-        core.advance_punctuation();
-    }
-    fn on_completed(&mut self) {
-        let mut core = lock(&self.core);
-        if core.failed {
-            return;
-        }
-        core.left_pending.done = true;
-        core.drain();
-        core.advance_punctuation();
-        core.maybe_complete();
-    }
-
-    fn on_error(&mut self, err: StreamError) {
-        lock(&self.core).fail(err);
-    }
-}
-
-impl<L: Payload, R: Payload, Out: Payload> Observer<R> for JoinInput<L, R, Out, false> {
-    fn on_batch(&mut self, batch: EventBatch<R>) {
-        let mut core = lock(&self.core);
-        if core.failed {
-            return;
-        }
-        for e in batch.iter_visible() {
-            debug_assert!(e.sync_time >= core.right_pending.last_seen);
-            core.right_pending.last_seen = e.sync_time;
-            core.right_pending.buf.push_back(e.clone());
-        }
-        core.drain();
-    }
-    fn on_punctuation(&mut self, t: Timestamp) {
-        let mut core = lock(&self.core);
-        if core.failed {
-            return;
-        }
-        core.right_pending.wm = core.right_pending.wm.max(t);
-        core.drain();
-        core.advance_punctuation();
-    }
-    fn on_completed(&mut self) {
-        let mut core = lock(&self.core);
-        if core.failed {
-            return;
-        }
-        core.right_pending.done = true;
-        core.drain();
-        core.advance_punctuation();
-        core.maybe_complete();
-    }
-
-    fn on_error(&mut self, err: StreamError) {
-        lock(&self.core).fail(err);
-    }
-}
+/// One input endpoint of a temporal join; the left one (`LEFT = true`) is
+/// the join's checkpoint participant.
+pub type JoinInput<L, R, Out, const LEFT: bool> = SyncInput<L, R, Relations<L, R, Out>, LEFT>;
 
 /// Builds a temporal equi-join: returns the left and right input
-/// observers. Matches go to `sink`; relation state is charged to `meter`.
+/// observers. Matches go to `sink`. Events waiting for the other side and
+/// both relations are charged to `meter`.
 pub fn temporal_join<L, R, Out>(
     combine: impl FnMut(&L, &R) -> Out + Send + 'static,
     sink: Box<dyn Observer<Out>>,
@@ -411,19 +187,12 @@ where
     R: Payload,
     Out: Payload,
 {
-    let core = Arc::new(Mutex::new(JoinCore {
-        left_pending: PendingSide::new(),
-        right_pending: PendingSide::new(),
-        left_state: SideState::new(),
-        right_state: SideState::new(),
+    let relations = Relations {
+        left: SideState::new(),
+        right: SideState::new(),
         combine: Box::new(combine),
-        sink,
-        meter,
-        out_wm: Timestamp::MIN,
-        completed: false,
-        failed: false,
-    }));
-    (JoinInput { core: core.clone() }, JoinInput { core })
+    };
+    sync(relations, sink, meter)
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@
 //!   the benchmarks and the Impatience framework pump data.
 
 use crate::checkpoint::{CheckpointCtx, CheckpointGate, Checkpointable, Checkpointer};
+use crate::lock;
 use crate::observer::{FnSink, Observer, Output, SharedSink};
 use crate::ops;
 use crate::shell::{OperatorMetrics, StagePlan};
@@ -26,17 +27,11 @@ use impatience_core::{
 };
 use impatience_sort::{OnlineSorter, SorterGauges};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 /// Connectors are `Send` so a whole pipeline description can move onto a
 /// sharded worker thread and be built there (`crate::sharded`).
 type Connector<P> = Box<dyn FnOnce(Box<dyn Observer<P>>) + Send>;
-
-/// Input/shared-cell locks are never held across a poisoning panic that we
-/// don't already convert to a typed error — recover rather than cascade.
-fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Instrumentation context carried along a streamable chain: every stage
 /// appended after [`Streamable::instrument`] registers its operator metrics
@@ -465,65 +460,66 @@ impl<P: Payload> Streamable<P> {
 
     /// Temporal equi-join with `other`: matches events with equal keys and
     /// overlapping validity intervals, combining payloads with `combine`.
-    /// Relation state is charged to `meter`. An order-sensitive operator
-    /// (§IV-A): both inputs must be ordered streams.
+    /// Events waiting for the other input and relation state are charged
+    /// to `meter`. An order-sensitive operator (§IV-A): both inputs must be
+    /// ordered streams.
     pub fn join<R: Payload, Out: Payload>(
-        mut self,
+        self,
         other: Streamable<R>,
         combine: impl FnMut(&P, &R) -> Out + Send + 'static,
         meter: &MemoryMeter,
     ) -> Streamable<Out> {
         let meter = meter.clone();
-        let ckpt = self.ctx.ckpt.clone();
-        // Binary operator: one plan shared by both inputs (the in-side
-        // counters sum over the two legs, each leg records spans under the
-        // same label into its own ring) plus one outlet.
-        let (plan, _) = self.ctx.next_stage("join");
-        let left_connect = self.connect;
-        let right_connect = other.connect;
-        let connect = move |sink: Box<dyn Observer<Out>>| {
-            let (l, r) = ops::temporal_join(combine, plan.outlet(sink), meter);
-            if let Some(ctx) = &ckpt {
-                // One input handle snapshots the whole shared join core.
-                ctx.register(Arc::new(Mutex::new(l.clone())));
-            }
-            // A leg's error port is a second handle onto the shared join
-            // core: a caught panic fails the core, which forwards one
-            // typed error to the sink and stops all further output.
-            let (mut l_port, mut r_port) = (l.clone(), r.clone());
-            left_connect(
-                plan.clone()
-                    .shell("join.left", Box::new(l), move |err| l_port.on_error(err)),
-            );
-            right_connect(plan.shell("join.right", Box::new(r), move |err| r_port.on_error(err)));
-        };
-        Streamable {
-            connect: Box::new(connect),
-            ctx: self.ctx,
-        }
+        self.binary(other, "join", move |sink| {
+            ops::temporal_join(combine, sink, meter)
+        })
     }
 
     /// Merges this stream with `other` into one ordered stream; events
-    /// buffered for synchronization are charged to `meter` (§V-A).
-    pub fn union(mut self, other: Streamable<P>, meter: &MemoryMeter) -> Streamable<P> {
+    /// waiting for synchronization are charged to `meter` (§V-A).
+    pub fn union(self, other: Streamable<P>, meter: &MemoryMeter) -> Streamable<P> {
         let meter = meter.clone();
+        self.binary(other, "union", move |sink| ops::union(sink, meter))
+    }
+
+    /// A two-input stage named `op`, whose endpoints `build` makes around
+    /// the stage's outlet. One plan is shared by both inputs (the in-side
+    /// counters sum over the two legs, each leg records spans under the
+    /// same label into its own ring) plus one outlet. The left endpoint
+    /// snapshots the whole stage when the chain checkpoints. A leg's error
+    /// port is a second handle onto the shared core: a caught panic fails
+    /// the core, which forwards one typed error to the sink and stops all
+    /// further output.
+    fn binary<R, Out, LeftIn, RightIn>(
+        mut self,
+        other: Streamable<R>,
+        op: &'static str,
+        build: impl FnOnce(Box<dyn Observer<Out>>) -> (LeftIn, RightIn) + Send + 'static,
+    ) -> Streamable<Out>
+    where
+        R: Payload,
+        Out: Payload,
+        LeftIn: Observer<P> + Checkpointable + Clone + 'static,
+        RightIn: Observer<R> + Clone + 'static,
+    {
         let ckpt = self.ctx.ckpt.clone();
-        let (plan, _) = self.ctx.next_stage("union");
-        let left_connect = self.connect;
-        let right_connect = other.connect;
-        let connect = move |sink: Box<dyn Observer<P>>| {
-            let (l, r, probe) = ops::union(plan.outlet(sink), meter);
+        let (plan, _) = self.ctx.next_stage(op);
+        let (left_connect, right_connect) = (self.connect, other.connect);
+        let connect = move |sink: Box<dyn Observer<Out>>| {
+            let (l, r) = build(plan.outlet(sink));
             if let Some(ctx) = &ckpt {
-                // The probe views the shared union core: both sides'
-                // synchronization buffers snapshot through it.
-                ctx.register(Arc::new(Mutex::new(probe)));
+                ctx.register(Arc::new(Mutex::new(l.clone())));
             }
             let (mut l_port, mut r_port) = (l.clone(), r.clone());
             left_connect(
                 plan.clone()
-                    .shell("union.left", Box::new(l), move |err| l_port.on_error(err)),
+                    .shell(&format!("{op}.left"), Box::new(l), move |err| {
+                        l_port.on_error(err)
+                    }),
             );
-            right_connect(plan.shell("union.right", Box::new(r), move |err| r_port.on_error(err)));
+            right_connect(plan.shell(&format!("{op}.right"), Box::new(r), move |err| {
+                r_port.on_error(err)
+            }));
         };
         Streamable {
             connect: Box::new(connect),

@@ -6,11 +6,14 @@
 //! `IMPATIENCE_PROP_SEED=0x<seed> cargo test <test name>`.
 
 use impatience_core::{
-    validate_ordered_stream, Event, EventBatch, MemoryMeter, MetricsRegistry, StreamMessage,
-    TickDuration, Timestamp,
+    validate_ordered_stream, Event, EventBatch, MemoryMeter, MetricsRegistry, SnapshotReader,
+    SnapshotWriter, StreamError, StreamMessage, TickDuration, Timestamp,
 };
-use impatience_engine::ops::CountAgg;
-use impatience_engine::{Observer, OperatorMetrics, Output, StageShell, Streamable};
+use impatience_engine::ops::{self, CountAgg};
+use impatience_engine::{
+    input_stream, Checkpointable, InputHandle, Observer, OperatorMetrics, Output, StageShell,
+    Streamable,
+};
 use impatience_testkit::prop::{vec, Strategy};
 use impatience_testkit::props;
 use std::collections::BTreeMap;
@@ -210,4 +213,98 @@ props! {
                 "window {win}");
         }
     }
+}
+
+/// Two live inputs into a two-input stage built by `stage`.
+fn two_live_inputs(
+    stage: impl FnOnce(Streamable<u32>, Streamable<u32>, &MemoryMeter) -> Streamable<u32>,
+) -> (InputHandle<u32>, InputHandle<u32>, Output<u32>, MemoryMeter) {
+    let meter = MemoryMeter::new();
+    let (l, ls) = input_stream::<u32>();
+    let (r, rs) = input_stream::<u32>();
+    let out = stage(ls, rs, &meter).collect_output();
+    (l, r, out, meter)
+}
+
+fn union_stage(l: Streamable<u32>, r: Streamable<u32>, m: &MemoryMeter) -> Streamable<u32> {
+    l.union(r, m)
+}
+
+fn join_stage(l: Streamable<u32>, r: Streamable<u32>, m: &MemoryMeter) -> Streamable<u32> {
+    l.join(r, |a, b| a ^ b, m)
+}
+
+/// Punctuations 10 / 10 / 5: the third regresses its side's watermark.
+/// Both stages end in the one typed error, in debug and release alike.
+#[test]
+fn a_regressed_punctuation_into_a_two_input_stage_fails_typed() {
+    for (name, stage) in [
+        ("union", union_stage as fn(_, _, &_) -> _),
+        ("join", join_stage),
+    ] {
+        let (l, r, out, _meter) = two_live_inputs(stage);
+        l.push_punctuation(Timestamp::new(10));
+        r.push_punctuation(Timestamp::new(10));
+        l.push_punctuation(Timestamp::new(5));
+        l.complete();
+        r.complete();
+        assert_eq!(
+            out.error(),
+            Some(StreamError::PunctuationRegressed {
+                previous: Timestamp::new(10),
+                attempted: Timestamp::new(5),
+            }),
+            "{name}"
+        );
+        assert!(!out.is_completed(), "{name}: failed, not completed");
+    }
+}
+
+/// Events waiting for the other side are charged to the stage's meter,
+/// the same bytes for a union and a join, and released by completion.
+#[test]
+fn a_two_input_stage_charges_its_waiting_events() {
+    let waiting = 1_000 * core::mem::size_of::<Event<u32>>();
+    for (name, stage) in [
+        ("union", union_stage as fn(_, _, &_) -> _),
+        ("join", join_stage),
+    ] {
+        let (l, r, out, meter) = two_live_inputs(stage);
+        l.push_events(
+            (0..1_000)
+                .map(|t| Event::point(Timestamp::new(t), 1))
+                .collect(),
+        );
+        assert_eq!(meter.current(), waiting, "{name}: right side silent");
+        l.complete();
+        r.complete();
+        assert!(out.is_completed(), "{name}");
+        assert_eq!(meter.current(), 0, "{name}: released by completion");
+    }
+}
+
+/// A restored join charges its meter with the waiting events it restored,
+/// as the join that wrote the snapshot did.
+#[test]
+fn a_restored_join_recharges_its_waiting_events() {
+    let waiting = 1_000 * core::mem::size_of::<Event<u32>>();
+    let join = |meter: &MemoryMeter| {
+        let (_out, sink) = Output::<u32>::new();
+        ops::temporal_join(|a: &u32, b: &u32| a ^ b, Box::new(sink), meter.clone())
+    };
+    let (mut l, _r) = join(&MemoryMeter::new());
+    l.on_batch(
+        (0..1_000)
+            .map(|t| Event::point(Timestamp::new(t), 1))
+            .collect(),
+    );
+    let mut w = SnapshotWriter::new();
+    l.encode_state(&mut w).expect("encode");
+    let body = w.into_body();
+    let meter = MemoryMeter::new();
+    let (mut restored, _r) = join(&meter);
+    restored
+        .restore_state(&mut SnapshotReader::new(&body))
+        .expect("restore");
+    assert_eq!(meter.current(), waiting);
 }

@@ -504,10 +504,11 @@ where
             None => merge_stream,
         };
         merge(merge_stream).subscribe_observer(stage_sink);
-        let (left, right, probe) = build_union(Box::new(merge_handle), meter.clone());
+        let (left, right) = build_union(Box::new(merge_handle), meter.clone());
         if let Some(c) = &ctx {
-            // The ladder union's synchronization buffers are durable state.
-            c.register(Arc::new(Mutex::new(probe)));
+            // The ladder union's synchronization buffers are durable state;
+            // its left input snapshots the whole union.
+            c.register(Arc::new(Mutex::new(left.clone())));
         }
         right_inputs[i] = Some(Box::new(right));
         // Stage i−1 fans out: to output i−1 and into union_i's left input.

@@ -105,6 +105,22 @@ echo "== framework differential (ladder rungs under the planner's sorter rule) =
 cargo test -q --offline --test framework_props --test surface_differential
 cargo test -q --offline --test recovery framework_refuses_an_impatience_state_slot
 
+echo "== two-input stages (union and join on one synchronizer) =="
+# Union and join share one synchronizer (ops::sync) and differ only in
+# their merge. The property suite feeds each through two live inputs in
+# seeded interleavings: the union must emit exactly the multiset of its
+# inputs, the join exactly a nested-loop interval join, each as an ordered,
+# completed stream with its meter back at 0. The frame pin holds the bytes
+# of a checkpointed union's and a checkpointed join's slot files. The
+# engine tests run in release as well as debug: a punctuation that
+# regresses on either input fails typed, and events waiting for the other
+# side are charged to the meter, in both profiles.
+cargo test -q --offline --test two_input_props -- \
+    union_of_interleaved_live_inputs_is_their_multiset \
+    join_of_interleaved_live_inputs_is_the_nested_loop_join \
+    two_input_frames_are_pinned
+cargo test -q --release --offline -p impatience-engine --test props two_input_stage
+
 echo "== trace conformance (traced pipelines byte-identical, spans laminar) =="
 # The observability determinism gate: traced runs must produce output
 # byte-identical to untraced ones across shard counts, spans must nest,
