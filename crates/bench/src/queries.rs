@@ -3,7 +3,7 @@
 
 use impatience_core::{EvalPayload, MemoryMeter, TickDuration};
 use impatience_engine::{punctuate_arrivals, BlackHoleSink, IngressPolicy, Streamable};
-use impatience_framework::{to_streamables_advanced, DisorderedStreamable, FrameworkOptions};
+use impatience_framework::{to_streamables_advanced, DisorderedStreamable};
 use impatience_workloads::Dataset;
 use std::time::Instant;
 
@@ -130,15 +130,9 @@ pub fn run_query(
     let stats;
     match method {
         Method::Basic => {
-            let mut ss = to_streamables_advanced(
-                prepped,
-                &ladder,
-                |s| s,
-                |s| s,
-                &meter,
-                FrameworkOptions::default(),
-            )
-            .expect("ladder");
+            let mut ss =
+                to_streamables_advanced(prepped, &ladder, |s| s, |s| s, &meter, Default::default())
+                    .expect("ladder");
             stats = ss.stats();
             for i in 0..ladder.len() {
                 // The basic framework re-runs the full query per stream.
@@ -153,7 +147,7 @@ pub fn run_query(
                     |s: Streamable<EvalPayload>| s.count(),
                     |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
                     &meter,
-                    FrameworkOptions::default(),
+                    Default::default(),
                 ),
                 _ => to_streamables_advanced(
                     prepped,
@@ -163,7 +157,7 @@ pub fn run_query(
                     },
                     |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
                     &meter,
-                    FrameworkOptions::default(),
+                    Default::default(),
                 ),
             }
             .expect("ladder");

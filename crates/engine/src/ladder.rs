@@ -1,0 +1,508 @@
+//! The Impatience framework's latency ladder (§V), as one combinator:
+//! [`Streamable::ladder`].
+//!
+//! Given reorder latencies `{l₁ < l₂ < … < l_k}`, the ladder partitions a
+//! disordered input by *event delay* into k in-order streams (the rungs)
+//! and produces k output streams, where output i contains every event that
+//! arrived within `l_i`, delivered with latency `l_i` — the
+//! latency/completeness tradeoff as a user specification rather than a
+//! single forced choice (Fig 1, Fig 6). A user-supplied **PIQ** (partial
+//! input query) runs once per rung on its sorted stream and a **merge**
+//! recombines partials after each union, so every input event is
+//! evaluated once and unions buffer only intermediate results (Fig 6(b));
+//! identity PIQ and merge give the basic framework (Fig 6(a)).
+//!
+//! Delay partitioning uses the ingress watermark clock: an event's delay
+//! is `high_watermark − sync_time` at arrival; it is routed to the first
+//! rung whose latency strictly exceeds that delay, or dropped (and
+//! counted) if even the largest latency cannot accommodate it. Rung i is
+//! punctuated at `watermark − l_i` on every input punctuation, so its
+//! sorter flushes on exactly the cadence its latency promises.
+//!
+//! Every rung picks its sorter by the planner's rule,
+//! [`SorterChoice::for_input`], from the `window` the caller aligned the
+//! input to: over window starts a rung runs the
+//! [`BucketSorter`](impatience_sort::BucketSorter), one bucket per start;
+//! without a window, or under [`ShedPolicy::ShedOldestRuns`], it runs
+//! Impatience. The ladder never spills. The bucket sorter keeps arrival
+//! order among equal times and a union takes ties from its faster (left)
+//! side first, so with it the basic framework's output streams order
+//! equal times by rung, then by arrival.
+//!
+//! The latencies must pass [`validate_ladder`], the rule every latency
+//! ladder in the workspace shares: non-empty, at most 255 rungs,
+//! non-negative and strictly increasing.
+//!
+//! # The boundary carries the chain
+//!
+//! As [`Streamable::sharded`] does for a shard, the ladder hands the
+//! source chain's settings to every rung: rung `i`'s input is instrumented
+//! and traced under `partition{i:02}` (the trace on lane `i`), fenced when
+//! the chain is hardened, and — unlike a shard's — carries the checkpoint
+//! context, since a ladder runs on the source's one thread. The merge and
+//! output relays carry the fence and the checkpoint context only. The
+//! routing split (`framework.partition{i:02}.routed`, `framework.dropped`,
+//! `framework.dead_lettered`) and each rung's latency
+//! (`framework.partition{i:02}.latency_ticks`) land in the chain's
+//! registry. Subscribe all outputs before feeding a durable ladder:
+//! traffic buffered in an unsubscribed output relay is not part of any
+//! operator's checkpointed state.
+
+use crate::checkpoint::Checkpointable;
+use crate::observer::Observer;
+use crate::ops::{union as build_union, SortPolicy};
+use crate::spec::SorterChoice;
+use crate::streamable::{enrol, input_stream, InputHandle, Streamable};
+use impatience_core::metrics::{Counter, MetricsRegistry};
+use impatience_core::{
+    validate_ladder, DeadLetterQueue, DeadLetterReason, Event, EventBatch, LatePolicy, MemoryMeter,
+    Payload, ShedPolicy, SnapshotError, SnapshotReader, SnapshotWriter, StateCodec, StreamError,
+    TickDuration, Timestamp,
+};
+use std::sync::{Arc, Mutex};
+
+/// Failure-model configuration for a ladder.
+///
+/// `late` decides the fate of an event whose delay exceeds the *fastest*
+/// latency `l₀`: [`LatePolicy::RerouteNextPartition`] (the paper's §V
+/// behaviour and the default) walks it into the first rung that can still
+/// accommodate it; [`LatePolicy::Drop`] discards it immediately;
+/// [`LatePolicy::DeadLetter`] diverts it to `dead_letters`. Events too
+/// delayed even for the largest latency are dropped (counted) under the
+/// first two policies and dead-lettered under the third.
+///
+/// `shed` and `dead_letters` are handed to every rung's sorting operator,
+/// so a budget on the shared [`MemoryMeter`] degrades gracefully instead
+/// of growing without bound.
+#[derive(Clone)]
+pub struct FrameworkPolicy<P: Payload> {
+    /// Routing of events that missed the fastest rung.
+    pub late: LatePolicy,
+    /// Per-rung sorter shedding under memory pressure.
+    /// [`ShedPolicy::ShedOldestRuns`] keeps every rung on Impatience, whose
+    /// runs it sheds (see the module docs).
+    pub shed: ShedPolicy,
+    /// Destination for dead-lettered events (partitioner and sorters).
+    pub dead_letters: Option<DeadLetterQueue<P>>,
+}
+
+impl<P: Payload> Default for FrameworkPolicy<P> {
+    fn default() -> Self {
+        FrameworkPolicy {
+            late: LatePolicy::RerouteNextPartition,
+            shed: ShedPolicy::default(),
+            dead_letters: None,
+        }
+    }
+}
+
+/// Shared routing counters for completeness accounting (Table II), built on
+/// the core metrics primitives so they can surface in a registry snapshot.
+#[derive(Clone)]
+pub struct FrameworkStats {
+    routed: Arc<Vec<Counter>>,
+    dropped: Counter,
+    dead_lettered: Counter,
+}
+
+impl FrameworkStats {
+    /// Counters backed by `registry` under
+    /// `framework.partition{i:02}.routed`, `framework.dropped`, and
+    /// `framework.dead_lettered`, so the Table-II routing split appears in
+    /// snapshots. Without a registry they live in a private one that
+    /// nothing exports.
+    fn registered(k: usize, registry: Option<&MetricsRegistry>) -> Self {
+        let r = registry.cloned().unwrap_or_else(MetricsRegistry::new);
+        FrameworkStats {
+            routed: Arc::new(
+                (0..k)
+                    .map(|i| r.counter(&format!("framework.partition{i:02}.routed")))
+                    .collect(),
+            ),
+            dropped: r.counter("framework.dropped"),
+            dead_lettered: r.counter("framework.dead_lettered"),
+        }
+    }
+
+    /// Events routed to rung `i`.
+    pub fn routed(&self, i: usize) -> u64 {
+        self.routed[i].get()
+    }
+
+    /// Events dropped because they exceeded the largest latency.
+    pub fn dropped(&self) -> u64 {
+        self.dropped.get()
+    }
+
+    /// Events diverted to the dead-letter channel at the partitioner.
+    pub fn dead_lettered(&self) -> u64 {
+        self.dead_lettered.get()
+    }
+
+    /// Total events seen (routed + dropped + dead-lettered).
+    pub fn total(&self) -> u64 {
+        self.routed.iter().map(Counter::get).sum::<u64>() + self.dropped() + self.dead_lettered()
+    }
+
+    /// Fraction of input events present in output stream `i` (which
+    /// contains rungs `0..=i`).
+    pub fn completeness(&self, i: usize) -> f64 {
+        let total = self.total();
+        if total == 0 {
+            return 1.0;
+        }
+        let in_stream: u64 = self.routed.iter().take(i + 1).map(Counter::get).sum();
+        in_stream as f64 / total as f64
+    }
+}
+
+impl core::fmt::Debug for FrameworkStats {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(
+            f,
+            "FrameworkStats(routed={:?}, dropped={}, dead_lettered={})",
+            self.routed.iter().map(Counter::get).collect::<Vec<_>>(),
+            self.dropped(),
+            self.dead_lettered()
+        )
+    }
+}
+
+/// The sequence of output streams produced by a ladder — the paper's
+/// `Streamables` abstraction (§V-C).
+pub struct Streamables<Q: Payload> {
+    streams: Vec<Option<Streamable<Q>>>,
+    latencies: Vec<TickDuration>,
+    stats: FrameworkStats,
+}
+
+impl<Q: Payload> Streamables<Q> {
+    /// Number of output streams (= number of reorder latencies).
+    pub fn len(&self) -> usize {
+        self.streams.len()
+    }
+
+    /// True when no streams were produced (never for a valid ladder).
+    pub fn is_empty(&self) -> bool {
+        self.streams.is_empty()
+    }
+
+    /// Takes ownership of output stream `i` (the paper's
+    /// `ss.Streamable(i)`), returning a typed error for an out-of-range
+    /// index or an already-taken stream.
+    pub fn take_stream(&mut self, i: usize) -> Result<Streamable<Q>, StreamError> {
+        let slot = self.streams.get_mut(i).ok_or_else(|| {
+            StreamError::InvalidConfig(format!(
+                "output stream {i} out of range (framework has {} streams)",
+                self.latencies.len()
+            ))
+        })?;
+        slot.take().ok_or_else(|| {
+            StreamError::InvalidConfig(format!("output stream {i} already subscribed"))
+        })
+    }
+
+    /// Reorder latency of output stream `i`.
+    pub fn latency(&self, i: usize) -> TickDuration {
+        self.latencies[i]
+    }
+
+    /// Routing statistics (completeness per stream).
+    pub fn stats(&self) -> FrameworkStats {
+        self.stats.clone()
+    }
+}
+
+/// The delay-based partitioning operator (Fig 6's "partition").
+struct Partitioner<P: Payload> {
+    latencies: Vec<TickDuration>,
+    parts: Vec<InputHandle<P>>,
+    scratch: Vec<Vec<Event<P>>>,
+    /// Events routed to each rung in the current batch, added to
+    /// `stats.routed` once per batch rather than once per event.
+    tally: Vec<u64>,
+    wm: Timestamp,
+    last_punct: Vec<Timestamp>,
+    stats: FrameworkStats,
+    late: LatePolicy,
+    dead_letters: Option<DeadLetterQueue<P>>,
+}
+
+impl<P: Payload> Partitioner<P> {
+    /// Publishes the batch's routing tally.
+    fn publish_tally(&mut self) {
+        for (routed, n) in self.stats.routed.iter().zip(&mut self.tally) {
+            if *n > 0 {
+                routed.add(core::mem::take(n));
+            }
+        }
+    }
+
+    fn flush_scratch(&mut self) {
+        for (i, buf) in self.scratch.iter_mut().enumerate() {
+            if !buf.is_empty() {
+                self.parts[i].push_events(core::mem::take(buf));
+            }
+        }
+    }
+
+    fn divert(&mut self, e: &Event<P>) {
+        self.stats.dead_lettered.inc();
+        if let Some(q) = &self.dead_letters {
+            q.push(e.clone(), DeadLetterReason::Late { watermark: self.wm });
+        }
+    }
+}
+
+/// The partitioner's durable state is its watermark clock: the high
+/// watermark that delays are measured against and the last punctuation
+/// emitted into each rung. `scratch` and `tally` are always empty at a
+/// punctuation boundary (every batch flushes them), and the routing stats
+/// are advisory metrics rather than replay-critical state.
+impl<P: Payload> Checkpointable for Partitioner<P> {
+    fn state_id(&self) -> &'static str {
+        "framework.partitioner"
+    }
+
+    fn encode_state(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
+        self.wm.encode(w);
+        self.last_punct.encode(w);
+        Ok(())
+    }
+
+    fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        let wm = Timestamp::decode(r)?;
+        let last_punct = Vec::<Timestamp>::decode(r)?;
+        if last_punct.len() != self.latencies.len() {
+            return Err(SnapshotError::corrupt(format!(
+                "partitioner snapshot has {} partitions but the framework built {}",
+                last_punct.len(),
+                self.latencies.len()
+            )));
+        }
+        self.wm = wm;
+        self.last_punct = last_punct;
+        Ok(())
+    }
+}
+
+impl<P: Payload> Observer<P> for Partitioner<P> {
+    fn on_batch(&mut self, batch: EventBatch<P>) {
+        for e in batch.iter_visible() {
+            if e.sync_time > self.wm {
+                self.wm = e.sync_time;
+            }
+            // `wm ≥ sync_time` here, so `abs_diff` is the delay; unlike
+            // `wm − sync_time` it cannot overflow between the ends of `i64`.
+            let delay = self.wm.abs_diff(e.sync_time);
+            // First rung whose latency strictly exceeds the delay
+            // (strictness matches the rung's punctuation rule `wm − lᵢ`:
+            // admitted events are strictly above it). Latencies were
+            // validated non-negative.
+            match self
+                .latencies
+                .iter()
+                .position(|l| delay < l.as_ticks() as u64)
+            {
+                Some(i) => {
+                    // An event that missed the fastest rung is *late*;
+                    // walking to rung i is the reroute policy.
+                    if i > 0 && self.late != LatePolicy::RerouteNextPartition {
+                        match self.late {
+                            LatePolicy::Drop => self.stats.dropped.inc(),
+                            LatePolicy::DeadLetter => self.divert(e),
+                            LatePolicy::RerouteNextPartition => unreachable!(),
+                        }
+                        continue;
+                    }
+                    self.tally[i] += 1;
+                    self.scratch[i].push(e.clone());
+                }
+                None => {
+                    // Too delayed even for the largest latency: no rung
+                    // exists to reroute into.
+                    if self.late == LatePolicy::DeadLetter {
+                        self.divert(e);
+                    } else {
+                        self.stats.dropped.inc();
+                    }
+                }
+            }
+        }
+        self.publish_tally();
+        self.flush_scratch();
+    }
+
+    fn on_punctuation(&mut self, _t: Timestamp) {
+        // Input punctuations are a cadence signal; each rung is punctuated
+        // from the ladder's own watermark clock.
+        for i in 0..self.parts.len() {
+            let p = self.wm.saturating_sub(self.latencies[i]);
+            if p > self.last_punct[i] {
+                self.last_punct[i] = p;
+                self.parts[i].push_punctuation(p);
+            }
+        }
+    }
+
+    fn on_completed(&mut self) {
+        self.flush_scratch();
+        for h in &self.parts {
+            h.complete();
+        }
+    }
+
+    fn on_error(&mut self, err: StreamError) {
+        self.flush_scratch();
+        for h in &self.parts {
+            h.push_error(err.clone());
+        }
+    }
+}
+
+/// The ladder's fan-out: output stream i−1's traffic also feeds union i's
+/// left input (Fig 6).
+struct Tee<A, B> {
+    a: A,
+    b: B,
+}
+
+impl<P: Payload, A: Observer<P>, B: Observer<P>> Observer<P> for Tee<A, B> {
+    fn on_batch(&mut self, batch: EventBatch<P>) {
+        self.a.on_batch(batch.clone());
+        self.b.on_batch(batch);
+    }
+    fn on_punctuation(&mut self, t: Timestamp) {
+        self.a.on_punctuation(t);
+        self.b.on_punctuation(t);
+    }
+    fn on_completed(&mut self) {
+        self.a.on_completed();
+        self.b.on_completed();
+    }
+    fn on_error(&mut self, err: StreamError) {
+        self.a.on_error(err.clone());
+        self.b.on_error(err);
+    }
+}
+
+impl<P: Payload> Streamable<P> {
+    /// Runs this (disordered) stream through the Impatience framework's
+    /// latency ladder (see the [module docs](self)) and returns its `k`
+    /// output streams. `window` is the tumbling window the input is
+    /// aligned to, if any: it picks each rung's sorter.
+    ///
+    /// `piq` is instantiated once per rung on the rung's *sorted* stream;
+    /// `merge` once per union output. For correct results the pair must
+    /// satisfy the usual partial-aggregation law (e.g. per-window partial
+    /// counts + addition). Each rung inherits this chain's instruments,
+    /// fence, trace and checkpoint context ([the boundary carries the
+    /// chain](self#the-boundary-carries-the-chain)).
+    ///
+    /// The ladder is built, and the source subscribed, by this call; an
+    /// invalid ladder is refused before any rung or relay is built.
+    pub fn ladder<Q: Payload>(
+        self,
+        window: Option<TickDuration>,
+        latencies: &[TickDuration],
+        piq: impl Fn(Streamable<P>) -> Streamable<Q> + 'static,
+        merge: impl Fn(Streamable<Q>) -> Streamable<Q> + 'static,
+        meter: &MemoryMeter,
+        policy: FrameworkPolicy<P>,
+    ) -> Result<Streamables<Q>, StreamError> {
+        validate_ladder(latencies)?;
+        let Streamable {
+            connect: source,
+            ctx,
+        } = self;
+        let ckpt = ctx.checkpoint();
+        let k = latencies.len();
+        let stats = FrameworkStats::registered(k, ctx.registry());
+        if let Some(r) = ctx.registry() {
+            for (i, l) in latencies.iter().enumerate() {
+                r.gauge(&format!("framework.partition{i:02}.latency_ticks"))
+                    .set(l.as_ticks());
+            }
+        }
+        let relay = || {
+            let (h, mut s) = input_stream::<Q>();
+            s.ctx = ctx.for_relay();
+            (h, s)
+        };
+
+        // Output relays (buffer until subscribed).
+        let (out_handles, out_streams): (Vec<_>, Vec<_>) = (0..k)
+            .map(|_| {
+                let (h, s) = relay();
+                (h, Some(s))
+            })
+            .unzip();
+
+        // Build the union/merge chain from the deepest stage (k-1) downward.
+        // `stage_sink` consumes the current output stream's traffic. This
+        // build order is deterministic, which makes the checkpoint
+        // registration order stable across the runs that write and restore.
+        let mut sinks: Vec<Box<dyn Observer<Q>>> = Vec::with_capacity(k);
+        let mut stage_sink: Box<dyn Observer<Q>> = Box::new(out_handles[k - 1].clone());
+        for i in (1..k).rev() {
+            // union_i → merge_i → stage i's sink.
+            let (merge_handle, merge_stream) = relay();
+            merge(merge_stream).subscribe_observer(stage_sink);
+            let (left, right) = build_union(Box::new(merge_handle), meter.clone());
+            if let Some(c) = ckpt {
+                // The ladder union's synchronization buffers are durable
+                // state; its left input snapshots the whole union.
+                c.register(Arc::new(Mutex::new(left.clone())));
+            }
+            sinks.push(Box::new(right));
+            // Stage i−1 fans out: to output i−1 and into union_i's left input.
+            stage_sink = Box::new(Tee {
+                a: out_handles[i - 1].clone(),
+                b: left,
+            });
+        }
+        sinks.push(stage_sink);
+        sinks.reverse();
+
+        // Rungs: relay → sort → PIQ → stage sink. The sorter is the
+        // planner's pick for this input: buckets when a window aligned it.
+        // The partitioner already filtered per-rung late events, so any
+        // residual late event at a sorter is dropped (and counted).
+        let sorter_choice = SorterChoice::for_input(window, false, policy.shed);
+        let mut parts = Vec::with_capacity(k);
+        for (i, sink) in sinks.into_iter().enumerate() {
+            let (h, mut rung) = input_stream::<P>();
+            rung.ctx = ctx.for_rung(i);
+            parts.push(h);
+            let sort_policy = SortPolicy {
+                late: LatePolicy::Drop,
+                shed: policy.shed,
+                dead_letters: policy.dead_letters.clone(),
+            };
+            piq(rung.sorted(sorter_choice.sorter(None), meter, sort_policy)?)
+                .subscribe_observer(sink);
+        }
+
+        // Subscribing the partitioner connects the source's checkpoint gate
+        // last, so its recovery pass runs after every participant has
+        // registered.
+        let partitioner = Partitioner {
+            latencies: latencies.to_vec(),
+            scratch: (0..k).map(|_| Vec::new()).collect(),
+            tally: vec![0; k],
+            parts,
+            wm: Timestamp::MIN,
+            last_punct: vec![Timestamp::MIN; k],
+            stats: stats.clone(),
+            late: policy.late,
+            dead_letters: policy.dead_letters,
+        };
+        source(enrol(ckpt.cloned(), partitioner));
+
+        Ok(Streamables {
+            streams: out_streams,
+            latencies: latencies.to_vec(),
+            stats,
+        })
+    }
+}

@@ -29,6 +29,10 @@
 //! * [`sharded`] — multi-core execution: [`Streamable::sharded`] runs N
 //!   hash-partitioned copies of a pipeline on worker threads behind bounded
 //!   channels and re-joins them with a deterministic low-watermark merge;
+//! * [`ladder`] — the Impatience framework's latency ladder (§V):
+//!   [`Streamable::ladder`] partitions a disordered stream by delay into
+//!   in-order rungs, runs a partial query per rung and merges them through
+//!   unions into one output stream per reorder latency;
 //! * [`traced`] — opt-in structured tracing ([`Streamable::traced`]):
 //!   per-stage span recording into lock-free rings, shard-queue wait
 //!   timing, and sampled ingress→egress latency provenance decomposed by
@@ -54,6 +58,7 @@
 
 pub mod checkpoint;
 pub mod ingress;
+pub mod ladder;
 pub mod observer;
 pub mod ops;
 pub mod sharded;
@@ -67,6 +72,7 @@ pub use checkpoint::{
     RecoveryInfo, CHECKPOINT_MAGIC,
 };
 pub use ingress::{punctuate_arrivals, IngressPolicy, WalIngress};
+pub use ladder::{FrameworkPolicy, FrameworkStats, Streamables};
 pub use observer::{BlackHoleSink, CollectorSink, FnSink, Observer, Output, SharedSink};
 pub use sharded::{ShardCtx, SHARD_QUEUE_MESSAGES};
 pub use shell::{OperatorMetrics, StageShell};

@@ -52,8 +52,8 @@ pub(crate) struct ChainCtx {
     /// a private counter.
     panics: Counter,
     /// Checkpoint context: when present, stateful stages chained after
-    /// [`Streamable::checkpointed`] (or [`Streamable::with_checkpoint`])
-    /// register themselves for state capture at connect time.
+    /// [`Streamable::checkpointed`] register themselves for state capture
+    /// at connect time.
     ckpt: Option<CheckpointCtx>,
     /// Tracing context: when present, stages chained after
     /// [`Streamable::traced`] record spans into the context's sink (see
@@ -95,19 +95,47 @@ impl ChainCtx {
         });
     }
 
+    /// The chain a branch of a split starts from: the instruments and the
+    /// trace context, each under the prefix `relabel` makes of its own,
+    /// from stage 0 (the trace on `lane`), and the fence.
+    fn branch(&self, relabel: impl Fn(&str) -> String, lane: usize) -> ChainCtx {
+        let mut ctx = ChainCtx::bare();
+        if let Some(ins) = &self.instr {
+            ctx.instrument(&ins.registry, &relabel(&ins.prefix));
+        }
+        ctx.hardened = self.hardened;
+        ctx.trace = self.trace.as_ref().map(|t| t.branch(&relabel, lane));
+        ctx
+    }
+
     /// What shard `index` of a [`Streamable::sharded`] split inherits: the
     /// instruments under `{prefix}.shard{index:02}` from stage 0, the
     /// fence, and the trace context under `{prefix}.shard{index:02}` on
     /// lane `index`. Not the checkpoint context: a gate's quiescence
     /// argument holds on one thread only.
     pub(crate) fn for_shard(&self, index: usize) -> ChainCtx {
-        let mut ctx = ChainCtx::bare();
-        if let Some(ins) = &self.instr {
-            ctx.instrument(&ins.registry, &format!("{}.shard{index:02}", ins.prefix));
-        }
-        ctx.hardened = self.hardened;
-        ctx.trace = self.trace.as_ref().map(|t| t.for_shard(index));
+        self.branch(|prefix| format!("{prefix}.shard{index:02}"), index)
+    }
+
+    /// What rung `index` of a [`Streamable::ladder`] inherits: the
+    /// instruments and the trace context under `partition{index:02}`, the
+    /// trace on lane `index`, the fence, and — unlike a shard — the
+    /// checkpoint context, since a ladder runs on the source's one thread.
+    pub(crate) fn for_rung(&self, index: usize) -> ChainCtx {
+        let mut ctx = self.branch(|_| format!("partition{index:02}"), index);
+        ctx.ckpt = self.ckpt.clone();
         ctx
+    }
+
+    /// What a ladder's merge and output relays carry: the fence and the
+    /// checkpoint context, no instruments and no trace.
+    pub(crate) fn for_relay(&self) -> ChainCtx {
+        ChainCtx {
+            hardened: self.hardened,
+            panics: self.panics.clone(),
+            ckpt: self.ckpt.clone(),
+            ..ChainCtx::bare()
+        }
     }
 
     /// What stages chained after a shard merge carry: all but the
@@ -125,6 +153,11 @@ impl ChainCtx {
     /// The sink a traced chain records into.
     pub(crate) fn trace_sink(&self) -> Option<&TraceSink> {
         self.trace.as_ref().map(TraceState::sink)
+    }
+
+    /// The checkpoint context a durable chain registers its stages with.
+    pub(crate) fn checkpoint(&self) -> Option<&CheckpointCtx> {
+        self.ckpt.as_ref()
     }
 
     /// Takes the next stage number on both sides and advances the counters.
@@ -168,7 +201,7 @@ impl ChainCtx {
 
 /// Shares a stateful operator with the chain's checkpoint context, when it
 /// has one, so the gate can encode and restore it.
-fn enrol<P: Payload, O>(ckpt: Option<CheckpointCtx>, op: O) -> Box<dyn Observer<P>>
+pub(crate) fn enrol<P: Payload, O>(ckpt: Option<CheckpointCtx>, op: O) -> Box<dyn Observer<P>>
 where
     O: Observer<P> + Checkpointable + 'static,
 {
@@ -368,14 +401,6 @@ impl<P: Payload> Streamable<P> {
         Ok((stream, ctx))
     }
 
-    /// Attaches an existing checkpoint context without inserting a gate —
-    /// the framework crate uses this to enrol partition pipelines with the
-    /// ladder's shared context.
-    pub fn with_checkpoint(mut self, ctx: &CheckpointCtx) -> Self {
-        self.ctx.ckpt = Some(ctx.clone());
-        self
-    }
-
     /// Marks this point as the pipeline's visible output: every event
     /// passing through bumps the checkpoint context's egress counter,
     /// which checkpoints persist as the committed output prefix for
@@ -570,7 +595,7 @@ impl<P: Payload> Streamable<P> {
     ///
     /// Returns [`StreamError::InvalidConfig`] for
     /// [`LatePolicy::RerouteNextPartition`]: reroute requires the
-    /// partitioned Impatience framework (`impatience-framework`), which
+    /// partitioned Impatience framework ([`Streamable::ladder`]), which
     /// routes late events *before* they reach a sorter; a standalone
     /// sorting stage has no next partition to hand them to.
     ///

@@ -12,7 +12,8 @@
 //! laminar nesting of intervals reconstructs the operator chain in
 //! `chrome://tracing`.
 //!
-//! Latency provenance rides on three probe combinators:
+//! Latency provenance rides on three probe combinators, which read the
+//! chain's own trace context (on an untraced chain they are no-ops):
 //!
 //! * [`trace_ingress`](crate::Streamable::trace_ingress) — stamps the
 //!   sampled subset of events at the pipeline's entry;
@@ -57,23 +58,6 @@ impl TraceCtx {
             shard: 0,
         }
     }
-
-    /// Replaces the label prefix (e.g. `shard01`, `partition02`).
-    pub fn with_prefix(mut self, prefix: impl Into<String>) -> Self {
-        self.prefix = prefix.into();
-        self
-    }
-
-    /// Assigns the shard lane (the `tid` of the Chrome export).
-    pub fn for_shard(mut self, shard: usize) -> Self {
-        self.shard = shard as u32;
-        self
-    }
-
-    /// The shared sink this context records into.
-    pub fn sink(&self) -> &TraceSink {
-        &self.sink
-    }
 }
 
 /// Per-chain trace state: the context plus the stage counter (mirrors the
@@ -88,16 +72,20 @@ impl TraceState {
         TraceState { ctx, stage: 0 }
     }
 
-    /// Shard `index`'s context: labels under `{prefix}.shard{index:02}`
-    /// on lane `index`, stage numbers from 0.
-    pub(crate) fn for_shard(&self, index: usize) -> Self {
-        let prefix = format!("{}.shard{index:02}", self.ctx.prefix);
-        TraceState::new(self.ctx.clone().with_prefix(prefix).for_shard(index))
+    /// A branch's context (a shard, a ladder rung): labels under the
+    /// prefix `relabel` makes of this one, on `lane` (the `tid` of the
+    /// Chrome export), stage numbers from 0.
+    pub(crate) fn branch(&self, relabel: impl Fn(&str) -> String, lane: usize) -> Self {
+        TraceState::new(TraceCtx {
+            sink: self.ctx.sink.clone(),
+            prefix: relabel(&self.ctx.prefix),
+            shard: lane as u32,
+        })
     }
 
     /// The sink this chain records into.
     pub(crate) fn sink(&self) -> &TraceSink {
-        self.ctx.sink()
+        &self.ctx.sink
     }
 
     /// Takes the next stage number and advances the counter.
@@ -292,19 +280,26 @@ fn present_in_sorted<P: Payload>(
 }
 
 impl<P: Payload> crate::Streamable<P> {
-    /// A transparent stage named `name` that shows every batch to `f`.
-    fn probe(
-        self,
-        name: &str,
-        f: impl FnMut(&EventBatch<P>) + Send + 'static,
-    ) -> crate::Streamable<P> {
+    /// On a traced chain, a transparent stage named `name` that shows
+    /// every batch to the closure `make` builds from the sink's provenance
+    /// tracker; an untraced chain comes back unchanged.
+    fn probe<F>(self, name: &str, make: impl FnOnce(ProvenanceTracker) -> F) -> crate::Streamable<P>
+    where
+        F: FnMut(&EventBatch<P>) + Send + 'static,
+    {
+        let Some(sink) = self.ctx.trace_sink() else {
+            return self;
+        };
+        let f = make(sink.provenance().clone());
         self.apply_named(name, move |sink| Box::new(ProvProbe { f, next: sink }))
     }
 
-    /// Provenance entry point: stamps the events selected by the sink's
-    /// hash-based sampling predicate. Place it at the pipeline's entry,
-    /// before the checkpoint gate and any shard split. Traced chains
-    /// record an `ingress` span for the probe itself.
+    /// Provenance entry point: stamps the events selected by the chain's
+    /// trace sink's hash-based sampling predicate, and records an
+    /// `ingress` span for the probe itself. Place it at the pipeline's
+    /// entry, after [`traced`](crate::Streamable::traced) and before the
+    /// checkpoint gate and any shard split. An untraced chain comes back
+    /// unchanged, as from each provenance probe.
     ///
     /// The sampling decision is a pure function of each event's identity,
     /// so the common per-event cost is a handful of ALU ops with no lock
@@ -313,14 +308,15 @@ impl<P: Payload> crate::Streamable<P> {
     /// probe walks the contiguous event slice instead of the bitmap-driven
     /// visible iterator — the common case on hot paths, where the bitmap
     /// walk would roughly double the scan cost.
-    pub fn trace_ingress(self, ctx: &TraceCtx) -> crate::Streamable<P> {
-        let prov = ctx.sink().provenance().clone();
-        self.probe("ingress", move |batch| {
-            if batch.filter().none_filtered() {
-                let ids = batch.events().iter().map(|e| (e.sync_time.ticks(), e.key));
-                prov.ingress_many(ids);
-            } else {
-                prov.ingress_many(identities(batch));
+    pub fn trace_ingress(self) -> crate::Streamable<P> {
+        self.probe("ingress", |prov| {
+            move |batch: &EventBatch<P>| {
+                if batch.filter().none_filtered() {
+                    let ids = batch.events().iter().map(|e| (e.sync_time.ticks(), e.key));
+                    prov.ingress_many(ids);
+                } else {
+                    prov.ingress_many(identities(batch));
+                }
             }
         })
     }
@@ -332,12 +328,13 @@ impl<P: Payload> crate::Streamable<P> {
     /// binary-searches the few candidates — zero per-event cost, which is
     /// what keeps full-pipeline tracing inside its overhead budget. The
     /// batch must be sorted by `sync_time` (debug-asserted).
-    pub fn trace_mark(self, ctx: &TraceCtx, stage: LatencyStage) -> crate::Streamable<P> {
-        let prov = ctx.sink().provenance().clone();
-        self.probe(&probe_name("mark", stage), move |batch| {
-            let hits = present_in_sorted(&prov, batch);
-            if !hits.is_empty() {
-                prov.mark_many(stage, hits);
+    pub fn trace_mark(self, stage: LatencyStage) -> crate::Streamable<P> {
+        self.probe(&probe_name("mark", stage), |prov| {
+            move |batch: &EventBatch<P>| {
+                let hits = present_in_sorted(&prov, batch);
+                if !hits.is_empty() {
+                    prov.mark_many(stage, hits);
+                }
             }
         })
     }
@@ -347,12 +344,13 @@ impl<P: Payload> crate::Streamable<P> {
     /// range query and sortedness contract as
     /// [`trace_mark`](Self::trace_mark). Must run before any window
     /// operator rewrites `sync_time`.
-    pub fn trace_egress(self, ctx: &TraceCtx, stage: LatencyStage) -> crate::Streamable<P> {
-        let prov = ctx.sink().provenance().clone();
-        self.probe(&probe_name("egress", stage), move |batch| {
-            let hits = present_in_sorted(&prov, batch);
-            if !hits.is_empty() {
-                prov.finish_many(stage, hits);
+    pub fn trace_egress(self, stage: LatencyStage) -> crate::Streamable<P> {
+        self.probe(&probe_name("egress", stage), |prov| {
+            move |batch: &EventBatch<P>| {
+                let hits = present_in_sorted(&prov, batch);
+                if !hits.is_empty() {
+                    prov.finish_many(stage, hits);
+                }
             }
         })
     }
@@ -389,7 +387,7 @@ mod tests {
             let stream = match sink {
                 Some(s) => {
                     let ctx = TraceCtx::new(s);
-                    stream.traced(ctx.clone()).trace_ingress(&ctx)
+                    stream.traced(ctx).trace_ingress()
                 }
                 None => stream,
             };
@@ -449,16 +447,16 @@ mod tests {
         let meter = MemoryMeter::new();
         let (handle, stream) = input_stream::<u32>();
         let out = stream
-            .traced(ctx.clone())
-            .trace_ingress(&ctx)
+            .traced(ctx)
+            .trace_ingress()
             .sorted(
                 Box::new(impatience_sort::ImpatienceSorter::new()),
                 &meter,
                 Default::default(),
             )
             .expect("default sort policy")
-            .trace_mark(&ctx, LatencyStage::Sort)
-            .trace_egress(&ctx, LatencyStage::Operator)
+            .trace_mark(LatencyStage::Sort)
+            .trace_egress(LatencyStage::Operator)
             .collect_output();
         handle.push_events(evs(&[3, 1, 2]));
         handle.push_punctuation(Timestamp::new(3));
@@ -481,16 +479,16 @@ mod tests {
         let meter = MemoryMeter::new();
         let (handle, stream) = input_stream::<u32>();
         let out = stream
-            .traced(ctx.clone())
-            .trace_ingress(&ctx)
+            .traced(ctx)
+            .trace_ingress()
             .sorted(
                 Box::new(impatience_sort::ImpatienceSorter::new()),
                 &meter,
                 Default::default(),
             )
             .expect("default sort policy")
-            .trace_mark(&ctx, LatencyStage::Sort)
-            .trace_egress(&ctx, LatencyStage::Operator)
+            .trace_mark(LatencyStage::Sort)
+            .trace_egress(LatencyStage::Operator)
             .collect_output();
         handle.push_events(evs(&[5, 2, 4, 1, 3]));
         handle.push_punctuation(Timestamp::new(5));

@@ -1,0 +1,226 @@
+//! The ladder boundary carries the chain: every rung of
+//! [`Streamable::ladder`] inherits the source chain's instruments (under
+//! `partitionNN`), fence, trace (under `partitionNN`, lane `NN`) and
+//! checkpoint context, while its merge and output relays carry only the
+//! fence and the checkpoint context.
+
+use impatience_core::trace::{TraceClock, TraceConfig, TraceSink};
+use impatience_core::{
+    Event, MemoryMeter, MetricsRegistry, StreamError, StreamMessage, TickDuration, Timestamp,
+};
+use impatience_engine::{input_stream, FrameworkPolicy, Output, Streamable, TraceCtx};
+
+/// The key whose event only rung 1 sees, and on which its PIQ panics.
+const BAD: u32 = 7;
+
+fn ladder() -> [TickDuration; 3] {
+    [
+        TickDuration::ticks(10),
+        TickDuration::ticks(30),
+        TickDuration::ticks(100),
+    ]
+}
+
+fn ev(t: i64, key: u32) -> Event<u32> {
+    Event::keyed(Timestamp::new(t), key, key)
+}
+
+#[test]
+fn rungs_inherit_the_chains_instruments_trace_and_fence() {
+    let r = MetricsRegistry::new();
+    let sink = TraceSink::with(TraceClock::logical(), TraceConfig::default());
+    let meter = MemoryMeter::new();
+    let (handle, stream) = input_stream::<u32>();
+    let mut ss = stream
+        .instrument(&r, "q")
+        .traced(TraceCtx::new(&sink))
+        .hardened()
+        .ladder(
+            None,
+            &ladder(),
+            |s: Streamable<u32>| {
+                s.where_(|e| {
+                    assert!(e.key != BAD, "rung under test blew up");
+                    true
+                })
+            },
+            |s: Streamable<u32>| s.select(|p| *p),
+            &meter,
+            FrameworkPolicy::default(),
+        )
+        .expect("valid ladder");
+    let outs: Vec<Output<u32>> = (0..3)
+        .map(|i| {
+            ss.take_stream(i)
+                .expect("take output stream")
+                .select(|p| *p)
+                .collect_output()
+        })
+        .collect();
+    // Delays 0, 0, 15 (the bad key: rung 1), 0, 70 (rung 2), 0.
+    handle.push_events(vec![
+        ev(100, 0),
+        ev(110, 1),
+        ev(95, BAD),
+        ev(120, 2),
+        ev(50, 3),
+        ev(130, 4),
+    ]);
+    handle.push_punctuation(Timestamp::new(130));
+    handle.complete();
+
+    // Rung 1's panic is caught by the inherited fence, named by the
+    // inherited label, and ends exactly the outputs it feeds.
+    let ts =
+        |o: &Output<u32>| -> Vec<i64> { o.events().iter().map(|e| e.sync_time.ticks()).collect() };
+    assert!(outs[0].is_completed() && outs[0].error().is_none());
+    assert_eq!(ts(&outs[0]), vec![100, 110, 120, 130]);
+    for out in &outs[1..] {
+        match out.error() {
+            Some(StreamError::OperatorPanicked { operator, message }) => {
+                assert_eq!(operator, "partition01.01.where");
+                assert!(message.contains("rung under test blew up"), "{message}");
+            }
+            other => panic!("expected OperatorPanicked, got {other:?}"),
+        }
+        assert!(!out.is_completed(), "error and completion both delivered");
+    }
+
+    // Every rung meters into the chain's registry under its own prefix;
+    // the routing split and latencies land there under `framework.*`;
+    // the merge and output relays register nothing.
+    let snap = r.snapshot();
+    let counter = |name: &str| {
+        snap.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .unwrap_or_else(|| panic!("{name} not registered"))
+            .1
+    };
+    assert_eq!(counter("partition01.operator_panics"), 1);
+    assert_eq!(counter("partition00.operator_panics"), 0);
+    assert_eq!(counter("partition02.operator_panics"), 0);
+    assert_eq!(counter("q.operator_panics"), 0);
+    assert_eq!(counter("partition00.00.sort.events_in"), 4);
+    assert_eq!(counter("partition02.01.where.events_in"), 1);
+    let routed: Vec<u64> = (0..3)
+        .map(|i| counter(&format!("framework.partition{i:02}.routed")))
+        .collect();
+    assert_eq!(routed, vec![4, 1, 1]);
+    assert_eq!(ss.stats().routed(1), 1);
+    assert!(snap
+        .gauges
+        .iter()
+        .any(|(n, g)| n == "framework.partition02.latency_ticks" && g.value == 100));
+    let names = snap
+        .counters
+        .iter()
+        .map(|(n, _)| n)
+        .chain(snap.gauges.iter().map(|(n, _)| n))
+        .chain(snap.histograms.iter().map(|(n, _)| n));
+    for name in names {
+        assert!(
+            [
+                "partition00.",
+                "partition01.",
+                "partition02.",
+                "framework.",
+                "q."
+            ]
+            .iter()
+            .any(|p| name.starts_with(p)),
+            "{name} registered outside the rungs and the routing split"
+        );
+        assert!(!name.contains("select"), "a relay registered {name}");
+    }
+
+    // Every rung's stages record on its own lane under its own prefix;
+    // the relays record nothing.
+    let spans = sink.spans();
+    for i in 0..3u32 {
+        let tag = format!("partition{i:02}.");
+        let mine: Vec<_> = spans.iter().filter(|s| s.op.starts_with(&tag)).collect();
+        assert!(!mine.is_empty(), "no spans for rung {i}");
+        assert!(mine.iter().all(|s| s.shard == i), "rung {i} off its lane");
+    }
+    assert!(
+        spans.iter().all(|s| s.op.starts_with("partition")),
+        "a span outside the rungs"
+    );
+}
+
+/// The tape the durable case feeds: batches and punctuations interleaved
+/// so checkpoints land at known indices.
+fn tape() -> Vec<StreamMessage<u32>> {
+    vec![
+        StreamMessage::batch(vec![ev(10, 0), ev(20, 1), ev(15, 2)]),
+        StreamMessage::punctuation(20),
+        StreamMessage::batch(vec![ev(30, 0), ev(5, 1)]),
+        StreamMessage::punctuation(30),
+        StreamMessage::batch(vec![ev(40, 2), ev(25, 0)]),
+        StreamMessage::punctuation(40),
+        StreamMessage::Completed,
+    ]
+}
+
+/// A ladder whose source is checkpointed into `dir` on every punctuation,
+/// with a windowed count per rung merged by addition. Feeds the tape from
+/// the offset the caller's context reports (0 on a fresh start) up to
+/// `until`, and returns that offset with each output's events.
+fn durable_run(dir: &std::path::Path, until: usize) -> (u64, Vec<Output<u64>>) {
+    let meter = MemoryMeter::new();
+    let (handle, stream) = input_stream::<u32>();
+    let (stream, ctx) = stream.checkpointed(dir, 1).expect("open checkpoint dir");
+    let mut ss = stream
+        .ladder(
+            None,
+            &ladder()[..2],
+            |s: Streamable<u32>| s.tumbling_window(TickDuration::ticks(10)).count(),
+            |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
+            &meter,
+            FrameworkPolicy::default(),
+        )
+        .expect("valid ladder");
+    let outs: Vec<Output<u64>> = (0..2)
+        .map(|i| {
+            ss.take_stream(i)
+                .expect("take output stream")
+                .checkpoint_egress()
+                .collect_output()
+        })
+        .collect();
+    let from = ctx.recovery().map_or(0, |rec| rec.messages_seen);
+    for m in &tape()[from as usize..until] {
+        handle.push(m.clone()).expect("push");
+    }
+    (from, outs)
+}
+
+#[test]
+fn a_checkpointed_source_restores_the_ladder_across_a_crash() {
+    let base = std::env::temp_dir().join(format!("impatience-ladder-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let (from, reference) = durable_run(&base.join("reference"), 7);
+    assert_eq!(from, 0, "a fresh directory starts at the beginning");
+
+    // Crash right after the punctuation at index 3 (the gate checkpointed
+    // with 4 messages seen), then recover and replay from the offset the
+    // caller's context reports.
+    let crashed = base.join("crashed");
+    let (_, first) = durable_run(&crashed, 4);
+    let before: Vec<Vec<Event<u64>>> = first.iter().map(Output::events).collect();
+    drop(first);
+    let (from, second) = durable_run(&crashed, 7);
+    assert_eq!(from, 4, "replay the ingest tape from index 4");
+    for (i, reference) in reference.iter().enumerate() {
+        assert!(reference.is_completed() && second[i].is_completed());
+        let mut combined = before[i].clone();
+        combined.extend(second[i].events());
+        assert_eq!(
+            reference.events(),
+            combined,
+            "stream {i} diverged across the crash"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&base);
+}

@@ -11,6 +11,13 @@
 //! * `to_streamables` (in [`crate::framework`]) — enter the Impatience
 //!   framework with a set of reorder latencies.
 //!
+//! The settings a chain carries — a registry, a trace sink, a checkpoint
+//! directory — are set here with the engine's own combinators
+//! ([`instrument`](DisorderedStreamable::instrument),
+//! [`traced`](DisorderedStreamable::traced),
+//! [`checkpointed`](DisorderedStreamable::checkpointed)), and the ladder
+//! hands them to every rung.
+//!
 //! Pushing operators below the sort is the whole point: selection shrinks
 //! the sorted set, projection shrinks the events, windows collapse
 //! distinct timestamps (Proposition 3.2) and *reduce disorder* — the
@@ -23,9 +30,14 @@
 //! picks for aligned input. [`DisorderedStreamable::to_streamable`] ignores
 //! it and always sorts with Impatience (see its docs).
 
-use impatience_core::{Event, MemoryMeter, Payload, StreamMessage, TickDuration};
-use impatience_engine::{input_stream, IngressPolicy, InputHandle, Streamable};
+use impatience_core::{
+    Event, MemoryMeter, MetricsRegistry, Payload, SnapshotError, StreamMessage, TickDuration,
+};
+use impatience_engine::{
+    input_stream, CheckpointCtx, IngressPolicy, InputHandle, Streamable, TraceCtx,
+};
 use impatience_sort::ImpatienceSorter;
+use std::path::PathBuf;
 
 /// A disordered stream admitting only order-insensitive operators.
 pub struct DisorderedStreamable<P: Payload> {
@@ -67,12 +79,21 @@ impl<P: Payload> DisorderedStreamable<P> {
         (handle, ds)
     }
 
-    /// Selection (order-insensitive).
-    pub fn where_(self, pred: impl FnMut(&Event<P>) -> bool + Send + 'static) -> Self {
+    /// The engine's `f` applied to the stream; `sync_time` is untouched,
+    /// so the window record holds.
+    fn map<Q: Payload>(
+        self,
+        f: impl FnOnce(Streamable<P>) -> Streamable<Q>,
+    ) -> DisorderedStreamable<Q> {
         DisorderedStreamable {
-            stream: self.stream.where_(pred),
+            stream: f(self.stream),
             window: self.window,
         }
+    }
+
+    /// Selection (order-insensitive).
+    pub fn where_(self, pred: impl FnMut(&Event<P>) -> bool + Send + 'static) -> Self {
+        self.map(|s| s.where_(pred))
     }
 
     /// Projection (order-insensitive).
@@ -80,18 +101,38 @@ impl<P: Payload> DisorderedStreamable<P> {
         self,
         f: impl FnMut(&P) -> Q + Send + 'static,
     ) -> DisorderedStreamable<Q> {
-        DisorderedStreamable {
-            stream: self.stream.select(f),
-            window: self.window,
-        }
+        self.map(|s| s.select(f))
     }
 
     /// Re-keying (order-insensitive).
     pub fn re_key(self, f: impl FnMut(&Event<P>) -> u32 + Send + 'static) -> Self {
-        DisorderedStreamable {
-            stream: self.stream.re_key(f),
-            window: self.window,
-        }
+        self.map(|s| s.re_key(f))
+    }
+
+    /// Meters every stage chained after this call, and every ladder rung
+    /// (see [`Streamable::instrument`]).
+    pub fn instrument(self, registry: &MetricsRegistry, prefix: &str) -> Self {
+        self.map(|s| s.instrument(registry, prefix))
+    }
+
+    /// Records spans of every stage chained after this call, and of every
+    /// ladder rung (see [`Streamable::traced`]).
+    pub fn traced(self, ctx: TraceCtx) -> Self {
+        self.map(|s| s.traced(ctx))
+    }
+
+    /// Makes the section durable from this point, the ladder built on it
+    /// included (see [`Streamable::checkpointed`]). Query the returned
+    /// context's [`recovery`](CheckpointCtx::recovery) after subscribing
+    /// the outputs to learn the ingest replay offset.
+    pub fn checkpointed(
+        self,
+        dir: impl Into<PathBuf>,
+        every_n_punctuations: u32,
+    ) -> Result<(Self, CheckpointCtx), SnapshotError> {
+        let window = self.window;
+        let (stream, ctx) = self.stream.checkpointed(dir, every_n_punctuations)?;
+        Ok((DisorderedStreamable { stream, window }, ctx))
     }
 
     /// Tumbling window below the sort (§IV-A2): aligns timestamps on the

@@ -11,9 +11,12 @@
 //!   reorder latencies yields a set of output streams trading latency
 //!   against completeness, with user PIQ/merge functions for single-pass
 //!   evaluation and tiny union buffers ([`to_streamables_basic`] is the
-//!   identity-PIQ spelling); every further aspect of a build — failure
-//!   policy, metrics, tracing, durability — is a field of
-//!   [`FrameworkOptions`].
+//!   identity-PIQ spelling). Each is one expression over the engine's
+//!   [`Streamable::ladder`](impatience_engine::Streamable::ladder); the
+//!   failure model is a [`FrameworkPolicy`], and metrics, tracing and
+//!   durability are set on the disordered section
+//!   ([`DisorderedStreamable::instrument`] / `traced` / `checkpointed`),
+//!   whose settings every rung of the ladder inherits.
 //!
 //! ```
 //! use impatience_core::{Event, MemoryMeter, TickDuration, Timestamp};
@@ -50,11 +53,9 @@
 
 pub mod disordered;
 pub mod framework;
-pub mod plumbing;
 
 pub use disordered::DisorderedStreamable;
 pub use framework::{
     to_streamables_advanced, to_streamables_advanced_metered, to_streamables_basic,
-    FrameworkOptions, FrameworkPolicy, FrameworkStats, Streamables,
 };
-pub use plumbing::TeeOp;
+pub use impatience_engine::{FrameworkPolicy, FrameworkStats, Streamables};

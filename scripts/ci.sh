@@ -92,16 +92,27 @@ cargo test -q --offline --test plan_differential
 cargo test -q --offline --test recovery hoisted_plan
 
 echo "== framework differential (ladder rungs under the planner's sorter rule) =="
-# The framework gate. Each rung picks its sorter by the planner's rule:
-# where a tumbling window runs below the framework every rung runs the
-# bucket sorter, elsewhere (and under ShedOldestRuns) Impatience. The props
+# The framework gate. The ladder is a boundary the chain owns: each rung
+# inherits the chain's instruments and trace (under `partitionNN`, the
+# trace on lane NN), its fence and — unlike a shard, since a ladder runs
+# on the source's one thread — its checkpoint context; the merge and
+# output relays carry only the fence and the checkpoint context. The
+# inheritance test runs by name, so a regression names itself; the
+# durable case restores the ladder from a checkpointed source at the
+# replay offset the caller's context reports. Each rung picks its sorter
+# by the planner's rule: where a tumbling window runs below the framework
+# every rung runs the bucket sorter, elsewhere (and under ShedOldestRuns)
+# Impatience. The props
 # hold every tier to a batch oracle, and the basic framework's tiers over
 # windowed input to an exact tie order (time, then partition, then
 # arrival). surface_differential pins the ladder's output, routing, dead
 # letters and spans byte for byte; its metered.metrics and
 # durable.checkpoints digests record the bucket sorter (runs and
-# speculation gauges at 0, bucket-sorter snapshots). A durable slot written
+# speculation gauges at 0, bucket-sorter snapshots), and the checkpoint
+# digest covers each slot's bytes, not only its size. A durable slot written
 # while the rungs ran Impatience is refused with a typed RecoveryFailed.
+cargo test -q --offline -p impatience-engine --test ladder
+cargo test -q --offline -p impatience-engine --test ladder rungs_inherit_the_chains_instruments_trace_and_fence
 cargo test -q --offline --test framework_props --test surface_differential
 cargo test -q --offline --test recovery framework_refuses_an_impatience_state_slot
 

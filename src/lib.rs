@@ -54,8 +54,7 @@ pub mod prelude {
     pub use impatience_engine::ops::{CountAgg, SumAgg};
     pub use impatience_engine::{IngressPolicy, InputHandle, Output, Streamable};
     pub use impatience_framework::{
-        to_streamables_advanced, to_streamables_basic, DisorderedStreamable, FrameworkOptions,
-        Streamables,
+        to_streamables_advanced, to_streamables_basic, DisorderedStreamable, Streamables,
     };
     pub use impatience_sort::{
         BSortSorter, CutBuffer, HeapSorter, ImpatienceConfig, ImpatienceSorter, OnlineSorter,

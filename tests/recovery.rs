@@ -940,23 +940,22 @@ fn framework_refuses_an_impatience_state_slot() {
     let ladder = [TickDuration::ticks(100), TickDuration::ticks(1_000)];
     let build = |shed: ShedPolicy| {
         let (handle, ds) = DisorderedStreamable::<i64>::live();
+        let (ds, ctx) = ds
+            .tumbling_window(TickDuration::ticks(100))
+            .checkpointed(&dir, 1)
+            .expect("open checkpoint dir");
         let mut ss = to_streamables_advanced(
-            ds.tumbling_window(TickDuration::ticks(100)),
+            ds,
             &ladder,
             |s| s,
             |s| s,
             &MemoryMeter::new(),
-            FrameworkOptions {
-                policy: FrameworkPolicy {
-                    shed,
-                    ..FrameworkPolicy::default()
-                },
-                durable: Some((dir.clone(), 1)),
-                ..Default::default()
+            FrameworkPolicy {
+                shed,
+                ..FrameworkPolicy::default()
             },
         )
         .expect("valid ladder");
-        let ctx = ss.checkpoint().expect("durable build").clone();
         let outs: Vec<Output<i64>> = (0..ladder.len())
             .map(|i| {
                 ss.take_stream(i)

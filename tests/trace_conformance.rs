@@ -159,12 +159,9 @@ fn run_traced(
     sink: &TraceSink,
 ) -> Vec<StreamMessage<i64>> {
     let (handle, stream) = input_stream::<u32>();
-    let ctx = TraceCtx::new(sink);
     let out = stream
-        .traced(ctx.clone())
-        .sharded(shards, move |s, _| {
-            build_pipeline(shape, s.trace_ingress(&ctx))
-        })
+        .traced(TraceCtx::new(sink))
+        .sharded(shards, move |s, _| build_pipeline(shape, s.trace_ingress()))
         .collect_output();
     for msg in input {
         handle.push(msg.clone()).expect("push");
@@ -254,10 +251,9 @@ fn unsharded_traced_spans_nest_and_cover_every_stage() {
         let reference = out.messages();
 
         let sink = logical_sink();
-        let ctx = TraceCtx::new(&sink);
         let (handle, stream) = input_stream::<u32>();
-        let out =
-            build_pipeline(shape, stream.traced(ctx.clone()).trace_ingress(&ctx)).collect_output();
+        let out = build_pipeline(shape, stream.traced(TraceCtx::new(&sink)).trace_ingress())
+            .collect_output();
         for msg in &input {
             handle.push(msg.clone()).expect("push");
         }
@@ -408,31 +404,22 @@ struct Durable {
     _meter: MemoryMeter,
 }
 
-/// With a trace context: span recording for every stage downstream, and
-/// the provenance ingress probe.
-fn traced_entry<P: Payload>(s: Streamable<P>, t: Option<&TraceCtx>) -> Streamable<P> {
-    match t {
-        Some(t) => s.traced(t.clone()).trace_ingress(t),
+/// Into `sink`, when there is one: span recording for every stage
+/// downstream, and the provenance ingress probe.
+fn traced_entry<P: Payload>(s: Streamable<P>, sink: Option<&TraceSink>) -> Streamable<P> {
+    match sink {
+        Some(sink) => s.traced(TraceCtx::new(sink)).trace_ingress(),
         None => s,
     }
 }
 
-/// Impatience sort, followed — with a trace context — by the sorted-side
-/// provenance probes.
-fn sorted_with_probes<P: Payload>(
-    s: Streamable<P>,
-    meter: &MemoryMeter,
-    t: Option<&TraceCtx>,
-) -> Streamable<P> {
-    let s = s
-        .sorted(Box::new(ImpatienceSorter::new()), meter, Default::default())
-        .expect("default sort policy");
-    match t {
-        Some(t) => s
-            .trace_mark(t, LatencyStage::Sort)
-            .trace_egress(t, LatencyStage::Operator),
-        None => s,
-    }
+/// Impatience sort, followed by the sorted-side provenance probes (which
+/// an untraced chain passes through unchanged).
+fn sorted_with_probes<P: Payload>(s: Streamable<P>, meter: &MemoryMeter) -> Streamable<P> {
+    s.sorted(Box::new(ImpatienceSorter::new()), meter, Default::default())
+        .expect("default sort policy")
+        .trace_mark(LatencyStage::Sort)
+        .trace_egress(LatencyStage::Operator)
 }
 
 /// The durable pipeline under test: (optionally traced, from ahead of the
@@ -441,11 +428,10 @@ fn sorted_with_probes<P: Payload>(
 fn build_durable(base: &Path, every_n: u32, trace: Option<&TraceSink>) -> Durable {
     let meter = MemoryMeter::new();
     let (handle, s) = input_stream::<u32>();
-    let t = trace.map(TraceCtx::new);
-    let (s, ctx) = traced_entry(s, t.as_ref())
+    let (s, ctx) = traced_entry(s, trace)
         .checkpointed(base.join("ckpt"), every_n)
         .expect("open checkpoint dir");
-    let out = sorted_with_probes(s, &meter, t.as_ref())
+    let out = sorted_with_probes(s, &meter)
         .tumbling_window(TickDuration::ticks(16))
         .group_aggregate(SumAgg::new(|p: &u32| *p as i64))
         .checkpoint_egress()
@@ -662,11 +648,8 @@ fn tracing_keeps_95_percent_of_untraced_throughput() {
         let run = msgs.clone(); // clone outside the timer
         let sink = traced.then(TraceSink::new);
         let (handle, s) = input_stream::<EvalPayload>();
-        let t = sink
-            .as_ref()
-            .map(|sink| TraceCtx::new(sink).with_prefix("shard00").for_shard(0));
-        let s = traced_entry(s, t.as_ref());
-        sorted_with_probes(s, &MemoryMeter::new(), t.as_ref())
+        let s = traced_entry(s, sink.as_ref());
+        sorted_with_probes(s, &MemoryMeter::new())
             .tumbling_window(window)
             .group_aggregate(SumAgg::new(|p: &EvalPayload| p[0] as i64))
             .subscribe_observer(Box::new(BlackHoleSink::new()));
