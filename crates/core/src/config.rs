@@ -80,6 +80,26 @@ pub fn validate_ladder(ladder: &[TickDuration]) -> core::result::Result<(), Conf
     Ok(())
 }
 
+/// The one rule for an adaptive controller's settings — a spec's
+/// `reorder` in adaptive mode and the controller's own config: the ladder
+/// passes [`validate_ladder`], the quality target is in `(0, 1]` and the
+/// window holds at least one arrival. The error names the field (`ladder`,
+/// `quality`, `window`); callers scope it (`reorder.quality`).
+pub fn validate_adaptive(
+    ladder: &[TickDuration],
+    quality: f64,
+    window: usize,
+) -> core::result::Result<(), ConfigError> {
+    validate_ladder(ladder)?;
+    if !(quality > 0.0 && quality <= 1.0) {
+        return Err(ConfigError::new("quality", "must be in (0, 1]"));
+    }
+    if window == 0 {
+        return Err(ConfigError::new("window", "must be >= 1"));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -43,7 +43,7 @@ pub mod trace;
 
 pub use batch::{EventBatch, DEFAULT_BATCH_SIZE};
 pub use bitmap::FilterBitmap;
-pub use config::{validate_ladder, ConfigError, Validate};
+pub use config::{validate_adaptive, validate_ladder, ConfigError, Validate};
 pub use error::{Result, StreamError};
 pub use event::{hash_key, EvalPayload, Event, EventTimed, Payload};
 pub use json::{Json, JsonError};
@@ -58,7 +58,7 @@ pub use snapshot::{
     crc32c, decode_framed, encode_framed, SnapshotError, SnapshotReader, SnapshotWriter,
     StateCodec, SNAPSHOT_VERSION,
 };
-pub use time::{TickDuration, Timestamp};
+pub use time::{TickDuration, Timestamp, WatermarkClock};
 pub use trace::{
     LatencyStage, ProvenanceTracker, SpanKind, SpanRecord, SpanRing, TraceClock, TraceConfig,
     TraceSink,

@@ -14,7 +14,7 @@
 //! 1 min, 1 h}` reorder latencies).
 
 use core::fmt;
-use std::ops::{Add, AddAssign, Sub, SubAssign};
+use std::ops::{Add, Sub};
 
 /// A logical instant measured in ticks (milliseconds by convention).
 ///
@@ -78,12 +78,6 @@ impl Timestamp {
     pub const fn abs_diff(self, other: Timestamp) -> u64 {
         self.0.abs_diff(other.0)
     }
-
-    /// True for the `±∞` sentinels.
-    #[inline]
-    pub const fn is_sentinel(self) -> bool {
-        self.0 == i64::MIN || self.0 == i64::MAX
-    }
 }
 
 impl fmt::Debug for Timestamp {
@@ -117,13 +111,6 @@ impl Add<TickDuration> for Timestamp {
     }
 }
 
-impl AddAssign<TickDuration> for Timestamp {
-    #[inline]
-    fn add_assign(&mut self, rhs: TickDuration) {
-        self.0 += rhs.0;
-    }
-}
-
 impl Sub<TickDuration> for Timestamp {
     type Output = Timestamp;
     #[inline]
@@ -132,18 +119,89 @@ impl Sub<TickDuration> for Timestamp {
     }
 }
 
-impl SubAssign<TickDuration> for Timestamp {
-    #[inline]
-    fn sub_assign(&mut self, rhs: TickDuration) {
-        self.0 -= rhs.0;
-    }
-}
-
 impl Sub<Timestamp> for Timestamp {
     type Output = TickDuration;
     #[inline]
     fn sub(self, rhs: Timestamp) -> TickDuration {
         TickDuration(self.0 - rhs.0)
+    }
+}
+
+/// The ingress watermark clock: the one rule that decides lateness
+/// (§III-A). An arrival's delay is `high − t` against the high watermark
+/// *before* it (`MIN` before the first), unclamped — negative when it
+/// raises the watermark — and saturating at the ends of `i64`. It is
+/// inside latency `l` iff its delay is `< l`: the sort's `t > high − l`,
+/// restated. Latency `l` allows the punctuation `high − l`, issued only
+/// when it advances past the last one (`MIN` before the first, like a
+/// sort's own watermark).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WatermarkClock {
+    /// The largest event time seen.
+    pub high: Timestamp,
+    /// The last punctuation issued.
+    pub last: Timestamp,
+}
+
+impl WatermarkClock {
+    /// A clock before its first arrival.
+    pub const NEW: WatermarkClock = WatermarkClock {
+        high: Timestamp::MIN,
+        last: Timestamp::MIN,
+    };
+
+    /// Records an arrival at `t` and returns its delay in ticks.
+    #[inline]
+    pub fn arrive(&mut self, t: Timestamp) -> i64 {
+        let delay = self.high.0.saturating_sub(t.0);
+        self.high = self.high.max(t);
+        delay
+    }
+
+    /// The first rung of a validated ladder an arrival with `delay` is inside
+    /// (`ladder.len()` past the top), counted without a branch per rung.
+    #[inline]
+    pub fn rung(delay: i64, ladder: &[TickDuration]) -> usize {
+        ladder.iter().filter(|l| l.0 <= delay).count()
+    }
+
+    /// The punctuation latency `l` allows now, if it advances.
+    #[inline]
+    pub fn punctuation(&self, l: TickDuration) -> Option<Timestamp> {
+        Some(self.high.saturating_sub(l)).filter(|p| *p > self.last)
+    }
+
+    /// [`punctuation`](Self::punctuation), issued: it becomes the last.
+    #[inline]
+    pub fn punctuate(&mut self, l: TickDuration) -> Option<Timestamp> {
+        self.last = self.punctuation(l)?;
+        Some(self.last)
+    }
+
+    /// Each rung's last punctuation when a ladder is punctuated from one
+    /// cut (the punctuation at latency 0): the last cut less its latency.
+    pub fn rung_punctuations(
+        self,
+        ladder: &[TickDuration],
+    ) -> impl Iterator<Item = Timestamp> + '_ {
+        ladder.iter().map(move |l| self.last.saturating_sub(*l))
+    }
+
+    /// When the cut advances, rung `i` takes its new
+    /// [`rung_punctuations`](Self::rung_punctuations) entry, unless that
+    /// saturates at `MIN` and so has not advanced.
+    pub fn punctuate_ladder(
+        &mut self,
+        ladder: &[TickDuration],
+        mut emit: impl FnMut(usize, Timestamp),
+    ) {
+        if self.punctuate(TickDuration::ZERO).is_some() {
+            for (i, p) in self.rung_punctuations(ladder).enumerate() {
+                if p > Timestamp::MIN {
+                    emit(i, p);
+                }
+            }
+        }
     }
 }
 
@@ -262,9 +320,6 @@ mod tests {
         assert!(Timestamp::new(-5) < Timestamp::ZERO);
         assert!(Timestamp::ZERO < Timestamp::new(7));
         assert!(Timestamp::new(7) < Timestamp::MAX);
-        assert!(Timestamp::MIN.is_sentinel());
-        assert!(Timestamp::MAX.is_sentinel());
-        assert!(!Timestamp::new(0).is_sentinel());
     }
 
     #[test]
@@ -328,6 +383,57 @@ mod tests {
         assert_eq!(wm.saturating_sub(TickDuration::hours(1)), Timestamp::MIN);
         let hi = Timestamp::new(i64::MAX - 1);
         assert_eq!(hi.saturating_add(TickDuration::hours(1)), Timestamp::MAX);
+    }
+
+    #[test]
+    fn clock_delay_is_unclamped_against_the_high_before_the_arrival() {
+        let mut c = WatermarkClock::NEW;
+        assert_eq!(c.arrive(Timestamp::new(10)), i64::MIN, "first arrival");
+        assert_eq!(c.arrive(Timestamp::new(20)), -10, "raises the watermark");
+        assert_eq!(c.arrive(Timestamp::new(15)), 5);
+        assert_eq!(c.arrive(Timestamp::new(20)), 0, "equal to the high");
+        assert_eq!(c.arrive(Timestamp::MIN), i64::MAX, "saturates");
+        assert_eq!(c.high, Timestamp::new(20));
+        // Inside `l` iff delay < `l`: a delay equal to a rung is outside it.
+        let ladder = [0, 5, 10].map(TickDuration::ticks);
+        let rungs = [-10, 0, 4, 5, 9, 10, i64::MAX].map(|d| WatermarkClock::rung(d, &ladder));
+        assert_eq!(rungs, [0, 1, 1, 2, 2, 3, 3]);
+    }
+
+    #[test]
+    fn clock_punctuates_only_when_it_advances() {
+        let mut c = WatermarkClock::NEW;
+        assert_eq!(c.punctuate(TickDuration::ZERO), None, "nothing seen");
+        c.arrive(Timestamp::new(100));
+        assert_eq!(
+            c.punctuation(TickDuration::ticks(10)),
+            Some(Timestamp::new(90))
+        );
+        assert_eq!(
+            c.punctuate(TickDuration::ticks(10)),
+            Some(Timestamp::new(90))
+        );
+        assert_eq!(c.punctuate(TickDuration::ticks(10)), None, "no advance");
+        assert_eq!(
+            c.punctuate(TickDuration::ticks(20)),
+            None,
+            "behind the last"
+        );
+        assert_eq!(
+            c.punctuate(TickDuration::ticks(5)),
+            Some(Timestamp::new(95))
+        );
+        // A ladder's rungs take the cut less their latency; one that
+        // saturates at MIN has not advanced.
+        let mut c = WatermarkClock::NEW;
+        c.arrive(Timestamp::new(i64::MIN + 50));
+        let ladder = [10, 100].map(TickDuration::ticks);
+        let mut got = Vec::new();
+        c.punctuate_ladder(&ladder, |i, p| got.push((i, p.ticks())));
+        assert_eq!(got, vec![(0, i64::MIN + 40)]);
+        c.punctuate_ladder(&ladder, |i, p| got.push((i, p.ticks())));
+        assert_eq!(got.len(), 1, "the cut did not advance");
+        assert_eq!(c.last, Timestamp::new(i64::MIN + 50));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! The offline measures in this crate score a finished trace; a *serving*
 //! layer needs the same signal live, per tenant, in `O(1)` per event. This
 //! module tracks the empirical **tardiness** distribution (delay of each
-//! arrival behind the running high watermark) over a sliding window, and
+//! arrival behind the running high watermark, by the one lateness rule of
+//! [`WatermarkClock`]) over a sliding window, and
 //! drives an [`AdaptiveLatency`] controller that picks the smallest
 //! reorder latency `l_i` from a configured ladder whose expected
 //! completeness meets a result-quality target — the quality-driven
@@ -11,19 +12,19 @@
 //! Impatience ingress contract: punctuations are issued at
 //! `watermark − l(t)` where `l(t)` adapts to the stream.
 
-use impatience_core::config::{validate_ladder, ConfigError, Validate};
+use impatience_core::config::{validate_adaptive, validate_ladder, ConfigError, Validate};
 use impatience_core::metrics::{Counter, Gauge};
-use impatience_core::{TickDuration, Timestamp};
+use impatience_core::{TickDuration, Timestamp, WatermarkClock};
 
 /// Sliding-window tardiness tracker, bucketed by a latency ladder.
 ///
 /// Each observed arrival is classified against a strictly increasing
 /// ladder `l_0 < l_1 < … < l_{k-1}`: the event lands in the rung of the
-/// smallest `l_i` that would have been *sufficient* to sort it (its delay
-/// behind the watermark is `≤ l_i`), or in an overflow bucket when even
-/// the top rung would have been too small. Rung counts over the last
-/// `capacity` events give the empirical completeness of every candidate
-/// latency at once, in `O(1)` per event.
+/// smallest `l_i` that would have been *sufficient* to sort it (it is
+/// inside `l_i`: its delay is `< l_i`, [`WatermarkClock::rung`]), or in an
+/// overflow bucket when even the top rung would have been too small. Rung
+/// counts over the last `capacity` events give the empirical completeness
+/// of every candidate latency at once, in `O(1)` per event.
 #[derive(Debug, Clone)]
 pub struct DelayWindow {
     ladder: Vec<TickDuration>,
@@ -32,7 +33,7 @@ pub struct DelayWindow {
     head: usize,
     len: usize,
     counts: Vec<u64>,
-    watermark: Timestamp,
+    clock: WatermarkClock,
     max_delay: TickDuration,
     observed: u64,
 }
@@ -53,27 +54,25 @@ impl DelayWindow {
             head: 0,
             len: 0,
             counts: vec![0; ladder.len() + 1],
-            watermark: Timestamp::MIN,
+            clock: WatermarkClock::NEW,
             max_delay: TickDuration::ZERO,
             observed: 0,
         })
     }
 
-    /// Observes one arrival. Delay is measured against the watermark
-    /// *before* this event advances it, matching what an ingress sorter
-    /// would have had to buffer to emit it in order.
+    /// Observes one arrival. Its delay is the clock's: against the
+    /// watermark *before* this event advances it, matching what an ingress
+    /// sorter would have had to buffer to emit it in order.
     ///
-    /// No branch depends on the data: the watermark starts at `MIN`, so
-    /// the first event's delay saturates to zero and `max` makes it the
-    /// watermark; delay saturates at `i64::MAX`; the rung is the number of
-    /// (strictly increasing) ladder entries the delay exceeds; and an
+    /// No branch depends on the data: the clock's delay and rung have
+    /// none, the worst tardiness starts at zero so `max` ignores the
+    /// negative delays of arrivals that raise the watermark, and an
     /// unfilled ring evicts nothing by subtracting zero.
     pub fn observe(&mut self, ts: Timestamp) {
-        let delay = self.watermark.ticks().saturating_sub(ts.ticks()).max(0);
-        self.watermark = self.watermark.max(ts);
+        let delay = self.clock.arrive(ts);
         self.observed += 1;
         self.max_delay = self.max_delay.max(TickDuration::ticks(delay));
-        let rung = self.ladder.iter().filter(|l| delay > l.as_ticks()).count();
+        let rung = WatermarkClock::rung(delay, &self.ladder);
         let full = (self.len == self.ring.len()) as usize;
         self.counts[self.ring[self.head] as usize] -= full as u64;
         self.len += 1 - full;
@@ -84,7 +83,7 @@ impl DelayWindow {
     }
 
     /// Fraction of windowed arrivals a reorder latency of `ladder[rung]`
-    /// would have sorted (delay ≤ `l`). Returns 1.0 on an empty window.
+    /// would have sorted (delay < `l`). Returns 1.0 on an empty window.
     pub fn completeness_at(&self, rung: usize) -> f64 {
         assert!(rung < self.ladder.len(), "rung out of range");
         if self.len == 0 {
@@ -112,11 +111,6 @@ impl DelayWindow {
     /// Total arrivals ever observed.
     pub fn observed(&self) -> u64 {
         self.observed
-    }
-
-    /// Running high watermark (max event time seen).
-    pub fn watermark(&self) -> Timestamp {
-        self.watermark
     }
 
     /// Worst tardiness ever observed.
@@ -191,14 +185,7 @@ impl AdaptiveConfig {
 
 impl Validate for AdaptiveConfig {
     fn validate(&self) -> Result<(), ConfigError> {
-        validate_ladder(&self.ladder)?;
-        if !(self.quality > 0.0 && self.quality <= 1.0) {
-            return Err(ConfigError::new("quality", "must be in (0, 1]"));
-        }
-        if self.window == 0 {
-            return Err(ConfigError::new("window", "must be >= 1"));
-        }
-        Ok(())
+        validate_adaptive(&self.ladder, self.quality, self.window)
     }
 }
 
@@ -283,7 +270,7 @@ impl AdaptiveLatency {
         self.switches
     }
 
-    /// The underlying tardiness window (watermark, max delay).
+    /// The underlying tardiness window (completeness per rung, max delay).
     pub fn window(&self) -> &DelayWindow {
         &self.window
     }
@@ -366,17 +353,18 @@ mod tests {
             let t = i * 4;
             ts.push(if i % 2 == 1 { t - 10 } else { t });
         }
-        let mut watermark = i64::MIN;
+        // Delay against the high before each arrival, unclamped; inside
+        // latency `l` iff it is below `l`.
+        let mut high = i64::MIN;
         let mut delays = Vec::new();
         for &t in &ts {
-            let d = if watermark > t { watermark - t } else { 0 };
-            delays.push(d);
-            watermark = watermark.max(t);
+            delays.push(high.saturating_sub(t));
+            high = high.max(t);
             w.observe(Timestamp::new(t));
         }
         for (rung, l) in ladder().iter().enumerate() {
             let offline =
-                delays.iter().filter(|d| **d <= l.as_ticks()).count() as f64 / delays.len() as f64;
+                delays.iter().filter(|d| **d < l.as_ticks()).count() as f64 / delays.len() as f64;
             let online = w.completeness_at(rung);
             assert!(
                 (offline - online).abs() < 1e-9,
@@ -385,26 +373,32 @@ mod tests {
         }
     }
 
-    /// `DelayWindow::observe` as it was written with per-event branches:
-    /// the reference the branch-free version is checked against.
-    fn observe_branchy(w: &mut DelayWindow, seen_any: &mut bool, ts: Timestamp) {
-        let delay = if *seen_any && ts < w.watermark {
-            TickDuration::ticks(w.watermark.abs_diff(ts).min(i64::MAX as u64) as i64)
+    /// `DelayWindow::observe` written with per-event branches: the
+    /// reference the branch-free version is checked against. The delay is
+    /// taken against the high before the arrival (`MIN` before the first),
+    /// unclamped and clamped to `i64` only at its ends; the event lands in
+    /// the first rung whose latency exceeds it.
+    fn observe_branchy(w: &mut DelayWindow, ts: Timestamp) {
+        let high = w.clock.high;
+        let wide = high.ticks() as i128 - ts.ticks() as i128;
+        let delay = if wide > i64::MAX as i128 {
+            i64::MAX
+        } else if wide < i64::MIN as i128 {
+            i64::MIN
         } else {
-            TickDuration::ZERO
+            wide as i64
         };
-        if !*seen_any || ts > w.watermark {
-            w.watermark = ts;
+        if ts > high {
+            w.clock.high = ts;
         }
-        *seen_any = true;
         w.observed += 1;
-        if delay > w.max_delay {
-            w.max_delay = delay;
+        if delay > w.max_delay.as_ticks() {
+            w.max_delay = TickDuration::ticks(delay);
         }
         let rung = w
             .ladder
             .iter()
-            .position(|l| delay <= *l)
+            .position(|l| delay < l.as_ticks())
             .unwrap_or(w.ladder.len()) as u8;
         if w.len == w.ring.len() {
             let evicted = w.ring[w.head];
@@ -433,7 +427,6 @@ mod tests {
             let capacity = 1 + (splitmix64(&mut state) % 40) as usize;
             let mut fast = DelayWindow::new(lad, capacity).unwrap();
             let mut slow = fast.clone();
-            let mut seen_any = false;
             let mut t = (splitmix64(&mut state) % 2_000) as i64 - 1_000;
             for step in 0..600 {
                 let r = splitmix64(&mut state);
@@ -446,7 +439,7 @@ mod tests {
                 };
                 let ts = Timestamp::new(t);
                 fast.observe(ts);
-                observe_branchy(&mut slow, &mut seen_any, ts);
+                observe_branchy(&mut slow, ts);
                 let at = format!("seed {seed} step {step} ts {t}");
                 assert_eq!(fast.ring, slow.ring, "{at}");
                 assert_eq!(fast.counts, slow.counts, "{at}");
@@ -456,8 +449,8 @@ mod tests {
                     "{at}"
                 );
                 assert_eq!(
-                    (fast.watermark, fast.max_delay),
-                    (slow.watermark, slow.max_delay),
+                    (fast.clock, fast.max_delay),
+                    (slow.clock, slow.max_delay),
                     "{at}"
                 );
             }
@@ -468,6 +461,19 @@ mod tests {
         w.observe(Timestamp::MIN);
         assert_eq!(w.max_delay(), TickDuration::ticks(i64::MAX));
         assert_eq!(w.completeness_at(3), 0.5, "overflow rung");
+    }
+
+    #[test]
+    fn a_delay_equal_to_a_rung_is_outside_it() {
+        let mut w =
+            DelayWindow::new(&[TickDuration::ticks(0), TickDuration::ticks(5)], 16).unwrap();
+        // In order (each raises the watermark: inside every rung), then a
+        // repeat of the high (delay 0) and one exactly 5 behind it.
+        for t in (1..=10).chain([10, 5]) {
+            w.observe(Timestamp::new(t));
+        }
+        assert_eq!(w.completeness_at(0), 10.0 / 12.0);
+        assert_eq!(w.completeness_at(1), 11.0 / 12.0);
     }
 
     #[test]

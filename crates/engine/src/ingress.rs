@@ -14,7 +14,7 @@
 
 use impatience_core::{
     crc32c, Event, EventBatch, Payload, SnapshotError, SnapshotReader, SnapshotWriter, StateCodec,
-    StreamMessage, TickDuration, Timestamp, DEFAULT_BATCH_SIZE,
+    StreamMessage, TickDuration, WatermarkClock, DEFAULT_BATCH_SIZE,
 };
 use std::fs;
 use std::io::Write as _;
@@ -54,19 +54,20 @@ impl IngressPolicy {
 }
 
 /// Converts an arrival-ordered event sequence into punctuated disordered
-/// messages per `policy`. Does **not** sort or drop anything — that is the
-/// sorting operator's job downstream.
+/// messages per `policy`: every `punctuation_frequency` arrivals it
+/// punctuates at `high − reorder_latency` when the [`WatermarkClock`]
+/// allows it. Does **not** sort or drop anything — that is the sorting
+/// operator's job downstream.
 pub fn punctuate_arrivals<P: Payload>(
     arrivals: Vec<Event<P>>,
     policy: &IngressPolicy,
 ) -> Vec<StreamMessage<P>> {
     let mut msgs = Vec::new();
     let mut batch = EventBatch::with_capacity(policy.batch_size.min(arrivals.len()));
-    let mut high = Timestamp::MIN;
-    let mut last_punct = Timestamp::MIN;
+    let mut clock = WatermarkClock::NEW;
     let mut since_punct = 0usize;
     for e in arrivals {
-        high = high.max(e.sync_time);
+        clock.arrive(e.sync_time);
         batch.push(e);
         since_punct += 1;
         let batch_full = batch.len() >= policy.batch_size;
@@ -81,9 +82,7 @@ pub fn punctuate_arrivals<P: Payload>(
             }
             if punct_due {
                 since_punct = 0;
-                let p = high.saturating_sub(policy.reorder_latency);
-                if p > last_punct {
-                    last_punct = p;
+                if let Some(p) = clock.punctuate(policy.reorder_latency) {
                     msgs.push(StreamMessage::Punctuation(p));
                 }
             }
@@ -514,7 +513,7 @@ impl<P: Payload> WalIngress<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use impatience_core::validate_punctuation_contract;
+    use impatience_core::{validate_punctuation_contract, Timestamp};
 
     fn ev(t: i64) -> Event<u32> {
         Event::point(Timestamp::new(t), t as u32)

@@ -12,12 +12,14 @@
 //! evaluated once and unions buffer only intermediate results (Fig 6(b));
 //! identity PIQ and merge give the basic framework (Fig 6(a)).
 //!
-//! Delay partitioning uses the ingress watermark clock: an event's delay
-//! is `high_watermark − sync_time` at arrival; it is routed to the first
-//! rung whose latency strictly exceeds that delay, or dropped (and
-//! counted) if even the largest latency cannot accommodate it. Rung i is
-//! punctuated at `watermark − l_i` on every input punctuation, so its
-//! sorter flushes on exactly the cadence its latency promises.
+//! Delay partitioning reads the one lateness rule, [`WatermarkClock`]: an
+//! event is inside latency `l` iff its delay — `high − sync_time` against
+//! the high watermark *before* it arrived, unclamped — is `< l`. It is
+//! routed to the first rung it is inside, or dropped (and counted) if even
+//! the largest latency cannot accommodate it; an event that raises the
+//! watermark fits every rung, a 0-tick one included. Rung i is punctuated
+//! at `high − l_i` on every input punctuation that advances the clock, so
+//! its sorter flushes on exactly the cadence its latency promises.
 //!
 //! Every rung picks its sorter by the planner's rule,
 //! [`SorterChoice::for_input`], from the `window` the caller aligned the
@@ -57,14 +59,14 @@ use impatience_core::metrics::{Counter, MetricsRegistry};
 use impatience_core::{
     validate_ladder, DeadLetterQueue, DeadLetterReason, Event, EventBatch, LatePolicy, MemoryMeter,
     Payload, ShedPolicy, SnapshotError, SnapshotReader, SnapshotWriter, StateCodec, StreamError,
-    TickDuration, Timestamp,
+    TickDuration, Timestamp, WatermarkClock,
 };
 use std::sync::{Arc, Mutex};
 
 /// Failure-model configuration for a ladder.
 ///
-/// `late` decides the fate of an event whose delay exceeds the *fastest*
-/// latency `l₀`: [`LatePolicy::RerouteNextPartition`] (the paper's §V
+/// `late` decides the fate of an event outside the *fastest* latency `l₀`
+/// (its delay reaches `l₀`): [`LatePolicy::RerouteNextPartition`] (the paper's §V
 /// behaviour and the default) walks it into the first rung that can still
 /// accommodate it; [`LatePolicy::Drop`] discards it immediately;
 /// [`LatePolicy::DeadLetter`] diverts it to `dead_letters`. Events too
@@ -221,8 +223,8 @@ struct Partitioner<P: Payload> {
     /// Events routed to each rung in the current batch, added to
     /// `stats.routed` once per batch rather than once per event.
     tally: Vec<u64>,
-    wm: Timestamp,
-    last_punct: Vec<Timestamp>,
+    /// Delays, and each rung's punctuation: the last cut less its latency.
+    clock: WatermarkClock,
     stats: FrameworkStats,
     late: LatePolicy,
     dead_letters: Option<DeadLetterQueue<P>>,
@@ -249,39 +251,49 @@ impl<P: Payload> Partitioner<P> {
     fn divert(&mut self, e: &Event<P>) {
         self.stats.dead_lettered.inc();
         if let Some(q) = &self.dead_letters {
-            q.push(e.clone(), DeadLetterReason::Late { watermark: self.wm });
+            q.push(
+                e.clone(),
+                DeadLetterReason::Late {
+                    watermark: self.clock.high,
+                },
+            );
         }
     }
 }
 
-/// The partitioner's durable state is its watermark clock: the high
-/// watermark that delays are measured against and the last punctuation
-/// emitted into each rung. `scratch` and `tally` are always empty at a
-/// punctuation boundary (every batch flushes them), and the routing stats
-/// are advisory metrics rather than replay-critical state.
+/// The partitioner's durable state is its watermark clock, framed as the
+/// high watermark then each rung's last punctuation. `scratch` and
+/// `tally` are always empty at a punctuation boundary (every batch flushes
+/// them), and the routing stats are advisory metrics rather than
+/// replay-critical state.
 impl<P: Payload> Checkpointable for Partitioner<P> {
     fn state_id(&self) -> &'static str {
         "framework.partitioner"
     }
 
     fn encode_state(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
-        self.wm.encode(w);
-        self.last_punct.encode(w);
+        self.clock.high.encode(w);
+        let rungs = self.clock.rung_punctuations(&self.latencies);
+        rungs.collect::<Vec<_>>().encode(w);
         Ok(())
     }
 
     fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let wm = Timestamp::decode(r)?;
-        let last_punct = Vec::<Timestamp>::decode(r)?;
-        if last_punct.len() != self.latencies.len() {
-            return Err(SnapshotError::corrupt(format!(
-                "partitioner snapshot has {} partitions but the framework built {}",
-                last_punct.len(),
-                self.latencies.len()
-            )));
+        let high = Timestamp::decode(r)?;
+        let rungs = Vec::<Timestamp>::decode(r)?;
+        // While rung 0 sits at `MIN` no rung has advanced: a cut at `MIN`.
+        let last = rungs.first().filter(|p| **p > Timestamp::MIN);
+        let last = last.map_or(Timestamp::MIN, |p| p.saturating_add(self.latencies[0]));
+        let clock = WatermarkClock { high, last };
+        if !clock
+            .rung_punctuations(&self.latencies)
+            .eq(rungs.iter().copied())
+        {
+            let k = self.latencies.len();
+            let why = format!("partitioner snapshot {rungs:?} does not fit the {k} rungs built");
+            return Err(SnapshotError::corrupt(why));
         }
-        self.wm = wm;
-        self.last_punct = last_punct;
+        self.clock = clock;
         Ok(())
     }
 }
@@ -289,44 +301,18 @@ impl<P: Payload> Checkpointable for Partitioner<P> {
 impl<P: Payload> Observer<P> for Partitioner<P> {
     fn on_batch(&mut self, batch: EventBatch<P>) {
         for e in batch.iter_visible() {
-            if e.sync_time > self.wm {
-                self.wm = e.sync_time;
-            }
-            // `wm ≥ sync_time` here, so `abs_diff` is the delay; unlike
-            // `wm − sync_time` it cannot overflow between the ends of `i64`.
-            let delay = self.wm.abs_diff(e.sync_time);
-            // First rung whose latency strictly exceeds the delay
-            // (strictness matches the rung's punctuation rule `wm − lᵢ`:
-            // admitted events are strictly above it). Latencies were
-            // validated non-negative.
-            match self
-                .latencies
-                .iter()
-                .position(|l| delay < l.as_ticks() as u64)
+            let i = WatermarkClock::rung(self.clock.arrive(e.sync_time), &self.latencies);
+            // An event that missed the fastest rung is *late*; walking to
+            // rung i is the reroute policy. Past the largest latency no
+            // rung exists to reroute into.
+            if i < self.latencies.len() && (i == 0 || self.late == LatePolicy::RerouteNextPartition)
             {
-                Some(i) => {
-                    // An event that missed the fastest rung is *late*;
-                    // walking to rung i is the reroute policy.
-                    if i > 0 && self.late != LatePolicy::RerouteNextPartition {
-                        match self.late {
-                            LatePolicy::Drop => self.stats.dropped.inc(),
-                            LatePolicy::DeadLetter => self.divert(e),
-                            LatePolicy::RerouteNextPartition => unreachable!(),
-                        }
-                        continue;
-                    }
-                    self.tally[i] += 1;
-                    self.scratch[i].push(e.clone());
-                }
-                None => {
-                    // Too delayed even for the largest latency: no rung
-                    // exists to reroute into.
-                    if self.late == LatePolicy::DeadLetter {
-                        self.divert(e);
-                    } else {
-                        self.stats.dropped.inc();
-                    }
-                }
+                self.tally[i] += 1;
+                self.scratch[i].push(e.clone());
+            } else if self.late == LatePolicy::DeadLetter {
+                self.divert(e);
+            } else {
+                self.stats.dropped.inc();
             }
         }
         self.publish_tally();
@@ -336,13 +322,9 @@ impl<P: Payload> Observer<P> for Partitioner<P> {
     fn on_punctuation(&mut self, _t: Timestamp) {
         // Input punctuations are a cadence signal; each rung is punctuated
         // from the ladder's own watermark clock.
-        for i in 0..self.parts.len() {
-            let p = self.wm.saturating_sub(self.latencies[i]);
-            if p > self.last_punct[i] {
-                self.last_punct[i] = p;
-                self.parts[i].push_punctuation(p);
-            }
-        }
+        let parts = &self.parts;
+        self.clock
+            .punctuate_ladder(&self.latencies, |i, p| parts[i].push_punctuation(p));
     }
 
     fn on_completed(&mut self) {
@@ -491,8 +473,7 @@ impl<P: Payload> Streamable<P> {
             scratch: (0..k).map(|_| Vec::new()).collect(),
             tally: vec![0; k],
             parts,
-            wm: Timestamp::MIN,
-            last_punct: vec![Timestamp::MIN; k],
+            clock: WatermarkClock::NEW,
             stats: stats.clone(),
             late: policy.late,
             dead_letters: policy.dead_letters,

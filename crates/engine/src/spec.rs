@@ -57,7 +57,7 @@ use crate::streamable::{input_stream, InputHandle, Streamable};
 use crate::traced::TraceCtx;
 use impatience_core::json::Json;
 use impatience_core::{
-    json, validate_ladder, ConfigError, DeadLetterQueue, Event, LatePolicy, MemoryMeter,
+    json, validate_adaptive, ConfigError, DeadLetterQueue, Event, LatePolicy, MemoryMeter,
     MetricsRegistry, Payload, ShedPolicy, StreamError, TickDuration, Validate,
 };
 use impatience_sort::{BucketSorter, ExternalImpatienceSorter, ImpatienceSorter, OnlineSorter};
@@ -737,13 +737,7 @@ impl Validate for PipelineSpec {
                 window,
                 ..
             } => {
-                validate_ladder(ladder).map_err(|e| e.scoped("reorder"))?;
-                if !(*quality > 0.0 && *quality <= 1.0) {
-                    return Err(ConfigError::new("reorder.quality", "must be in (0, 1]"));
-                }
-                if *window == 0 {
-                    return Err(ConfigError::new("reorder.window", "must be >= 1"));
-                }
+                validate_adaptive(ladder, *quality, *window).map_err(|e| e.scoped("reorder"))?;
             }
         }
         for (i, op) in self.ops.iter().enumerate() {

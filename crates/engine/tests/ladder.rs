@@ -149,6 +149,48 @@ fn rungs_inherit_the_chains_instruments_trace_and_fence() {
     );
 }
 
+/// In-order arrivals 1..=10, each punctuated: every one raises the
+/// watermark, so its delay is negative and it fits every rung, a 0-tick
+/// one included.
+#[test]
+fn arrivals_that_raise_the_watermark_fit_a_zero_tick_rung() {
+    for latencies in [vec![0], vec![0, 5]] {
+        let latencies: Vec<TickDuration> = latencies.into_iter().map(TickDuration::ticks).collect();
+        let (handle, stream) = input_stream::<u32>();
+        let mut ss = stream
+            .ladder(
+                None,
+                &latencies,
+                |s: Streamable<u32>| s,
+                |s: Streamable<u32>| s,
+                &MemoryMeter::new(),
+                FrameworkPolicy::default(),
+            )
+            .expect("valid ladder");
+        let fastest = ss
+            .take_stream(0)
+            .expect("take output stream")
+            .collect_output();
+        for t in 1..=10 {
+            handle.push_events(vec![ev(t, 0)]);
+            handle.push_punctuation(Timestamp::new(t));
+        }
+        handle.complete();
+        let stats = ss.stats();
+        let routed: Vec<u64> = (0..latencies.len()).map(|i| stats.routed(i)).collect();
+        let mut expected = vec![0; latencies.len()];
+        expected[0] = 10;
+        assert_eq!(routed, expected, "{latencies:?}");
+        assert_eq!(stats.dropped(), 0, "{latencies:?}");
+        let ts: Vec<i64> = fastest
+            .events()
+            .iter()
+            .map(|e| e.sync_time.ticks())
+            .collect();
+        assert_eq!(ts, (1..=10).collect::<Vec<_>>(), "{latencies:?}");
+    }
+}
+
 /// The tape the durable case feeds: batches and punctuations interleaved
 /// so checkpoints land at known indices.
 fn tape() -> Vec<StreamMessage<u32>> {

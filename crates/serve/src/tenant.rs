@@ -12,17 +12,18 @@
 //!
 //! **Adaptive punctuation.** The service, not the client, emits
 //! punctuations: after each ingested batch it punctuates at
-//! `watermark − l(t)` where `l(t)` is either the spec's fixed reorder
-//! latency or the live choice of an [`AdaptiveLatency`] controller fed
-//! every arrival (§III of the paper, made a service property). The
-//! chosen latency, rung, windowed completeness, and switch count are
-//! published as `serve.adaptive.*` gauges in the tenant's registry.
+//! `high − l(t)`, when that advances, by the tenant's [`WatermarkClock`],
+//! where `l(t)` is either the spec's fixed reorder latency or the live
+//! choice of an [`AdaptiveLatency`] controller fed every arrival (§III of
+//! the paper, made a service property). The chosen latency, rung,
+//! windowed completeness, and switch count are published as
+//! `serve.adaptive.*` gauges in the tenant's registry.
 
 use crate::error::ServeError;
 use impatience_core::trace::TraceSink;
 use impatience_core::{
     json, ConfigError, Counter, Event, Json, MemoryMeter, MetricsRegistry, StreamError,
-    StreamMessage, TickDuration, Timestamp, Validate,
+    StreamMessage, TickDuration, Timestamp, Validate, WatermarkClock,
 };
 use impatience_disorder::{AdaptiveConfig, AdaptiveGauges, AdaptiveLatency};
 use impatience_engine::traced::TraceCtx;
@@ -160,8 +161,9 @@ pub struct TenantRuntime {
     wal: Option<Arc<Mutex<WalIngress<i64>>>>,
     adaptive: Option<AdaptiveLatency>,
     fixed_latency: TickDuration,
-    watermark: Timestamp,
-    last_punct: Option<Timestamp>,
+    /// The high watermark and the last punctuation pushed; carried across
+    /// a reconfigure, rebuilt by WAL replay.
+    clock: WatermarkClock,
     built: BuiltPipeline,
     /// The pipeline's output: what it released, and whether it failed or
     /// completed — the one record of either.
@@ -180,7 +182,7 @@ impl core::fmt::Debug for TenantRuntime {
         f.debug_struct("TenantRuntime")
             .field("name", &self.config.pipeline.name)
             .field("durable", &self.config.durable)
-            .field("watermark", &self.watermark)
+            .field("watermark", &self.clock.high)
             .field("error", &self.out.error())
             .finish_non_exhaustive()
     }
@@ -315,8 +317,7 @@ impl TenantRuntime {
             wal: None,
             adaptive,
             fixed_latency,
-            watermark: Timestamp::MIN,
-            last_punct: None,
+            clock: WatermarkClock::NEW,
             built,
             out,
             out_sink,
@@ -358,7 +359,14 @@ impl TenantRuntime {
             if index < replay_from {
                 continue;
             }
-            self.apply_replayed(&msg);
+            // The clock sees what the live run pushed, in the same order.
+            match &msg {
+                StreamMessage::Batch(b) => b.iter_visible().for_each(|e| {
+                    self.clock.arrive(e.sync_time);
+                }),
+                StreamMessage::Punctuation(t) => self.clock.last = *t,
+                StreamMessage::Completed => {}
+            }
             self.push(msg)?;
         }
         let wal = Arc::new(Mutex::new(wal));
@@ -389,22 +397,6 @@ impl TenantRuntime {
         let carry = StreamMessage::batch(Vec::new());
         self.journal(&[&carry])?;
         self.push(carry)
-    }
-
-    /// Rebuilds watermark/punctuation cursors from a replayed message so
-    /// post-recovery punctuation stays monotone.
-    fn apply_replayed(&mut self, msg: &StreamMessage<i64>) {
-        match msg {
-            StreamMessage::Batch(b) => {
-                for e in b.iter_visible() {
-                    self.watermark = self.watermark.max(e.sync_time);
-                }
-            }
-            StreamMessage::Punctuation(t) => {
-                self.last_punct = Some(self.last_punct.map_or(*t, |p| p.max(*t)));
-            }
-            StreamMessage::Completed => {}
-        }
     }
 
     /// The tenant's name.
@@ -556,13 +548,13 @@ impl TenantRuntime {
     pub fn drain_shutdown(&mut self) -> Released {
         if self.guard().is_ok()
             && self.journal_applied_seq().is_ok()
-            && self.watermark != Timestamp::MIN
+            && self.clock.high != Timestamp::MIN
         {
             if let Some(ctx) = &self.built.ckpt {
                 ctx.request_checkpoint();
             }
-            if self.last_punct.is_none_or(|p| self.watermark > p) {
-                let _ = self.force_punctuate(self.watermark);
+            if let Some(high) = self.clock.punctuation(TickDuration::ZERO) {
+                let _ = self.force_punctuate(high);
             }
         }
         if let Some(wal) = &self.wal {
@@ -572,9 +564,9 @@ impl TenantRuntime {
         self.drain()
     }
 
-    /// Ingests one disordered batch, then punctuates at
-    /// `watermark − l(t)` if that frontier advanced. A durable tenant
-    /// journals both records and syncs once before either is pushed.
+    /// Ingests one disordered batch, then punctuates at `high − l(t)` if
+    /// that frontier advanced. A durable tenant journals both records and
+    /// syncs once before either is pushed.
     pub fn ingest(&mut self, batch: Vec<Event<i64>>) -> Result<(), ServeError> {
         self.guard()?;
         if batch.is_empty() {
@@ -582,24 +574,21 @@ impl TenantRuntime {
         }
         let n = batch.len() as u64;
         for e in &batch {
-            self.watermark = self.watermark.max(e.sync_time);
+            self.clock.arrive(e.sync_time);
             if let Some(a) = &mut self.adaptive {
                 a.observe(e.sync_time);
             }
         }
         let batch = StreamMessage::batch(batch);
-        let target = self.watermark.saturating_sub(self.current_latency());
-        let punctuates =
-            self.watermark != Timestamp::MIN && self.last_punct.is_none_or(|p| target > p);
-        if punctuates {
-            self.journal(&[&batch, &StreamMessage::Punctuation(target)])?;
-        } else {
-            self.journal(&[&batch])?;
+        let target = self.clock.punctuation(self.current_latency());
+        match target {
+            Some(t) => self.journal(&[&batch, &StreamMessage::Punctuation(t)])?,
+            None => self.journal(&[&batch])?,
         }
         self.push(batch)?;
         self.serve.events_in.add(n);
-        if punctuates {
-            self.push_punctuation(target)?;
+        if let Some(t) = target {
+            self.push_punctuation(t)?;
         }
         Ok(())
     }
@@ -615,7 +604,7 @@ impl TenantRuntime {
     /// Hands the already-journaled punctuation at `t` to the pipeline.
     fn push_punctuation(&mut self, t: Timestamp) -> Result<(), ServeError> {
         self.push(StreamMessage::Punctuation(t))?;
-        self.last_punct = Some(t);
+        self.clock.last = t;
         self.serve.punctuations.inc();
         Ok(())
     }

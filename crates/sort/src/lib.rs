@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod bsort;
 pub mod bucket;
 pub mod external;
 pub mod gauges;
@@ -47,7 +46,6 @@ pub mod tiered;
 pub mod timsort;
 pub mod traits;
 
-pub use bsort::BSortSorter;
 pub use bucket::BucketSorter;
 pub use external::{
     ExternalImpatienceSorter, ExternalSortConfig, SpillStats, Tagged, RUN_MAGIC, RUN_VERSION,
@@ -80,7 +78,6 @@ pub fn online_sorter_by_name<
         "Quicksort" => Some(Box::new(CutBuffer::<T, QuicksortAlgorithm>::new())),
         "Timsort" => Some(Box::new(CutBuffer::<T, TimsortAlgorithm>::new())),
         "Heapsort" => Some(Box::new(HeapSorter::new())),
-        "BSort" => Some(Box::new(BSortSorter::new())),
         _ => None,
     }
 }

@@ -1,6 +1,6 @@
 //! Dataset container shared by all generators.
 
-use impatience_core::{EvalPayload, Event, TickDuration, Timestamp};
+use impatience_core::{EvalPayload, Event, TickDuration, Timestamp, WatermarkClock};
 
 /// A generated out-of-order dataset: events in **arrival (processing)
 /// order**, each carrying its logical event time in `sync_time`.
@@ -31,34 +31,19 @@ impl Dataset {
         self.events.iter().map(|e| e.sync_time).collect()
     }
 
-    /// How long after its event time each event arrived, assuming arrival
-    /// times advance with the maximum event time seen so far (the
-    /// high-watermark clock an ingress would observe). Used for Table II
-    /// completeness analysis.
-    pub fn delays(&self) -> Vec<TickDuration> {
-        let mut wm = Timestamp::MIN;
-        self.events
-            .iter()
-            .map(|e| {
-                wm = wm.max(e.sync_time);
-                wm - e.sync_time
-            })
-            .collect()
-    }
-
-    /// Fraction of events whose delay (see [`Dataset::delays`]) is at most
-    /// `latency` — an upper bound on the completeness a single-latency
-    /// buffer-and-sort plan can achieve (Table II).
+    /// Fraction of events inside `latency` by the one lateness rule
+    /// ([`WatermarkClock`]: delay against the high watermark before the
+    /// arrival, `< latency`) — the completeness a single-latency
+    /// buffer-and-sort plan punctuated after every arrival achieves
+    /// (Table II).
     pub fn completeness_at(&self, latency: TickDuration) -> f64 {
         if self.events.is_empty() {
             return 1.0;
         }
-        let ok = self
-            .delays()
-            .into_iter()
-            .filter(|&d| d.as_ticks() <= latency.as_ticks())
-            .count();
-        ok as f64 / self.events.len() as f64
+        let mut clock = WatermarkClock::NEW;
+        let delays = self.events.iter().map(|e| clock.arrive(e.sync_time));
+        let inside = delays.filter(|d| *d < latency.as_ticks()).count();
+        inside as f64 / self.events.len() as f64
     }
 }
 
@@ -78,19 +63,14 @@ mod tests {
     }
 
     #[test]
-    fn delays_track_watermark() {
-        let d = ds(&[10, 20, 15, 30]);
-        let delays: Vec<i64> = d.delays().iter().map(|d| d.as_ticks()).collect();
-        assert_eq!(delays, vec![0, 0, 5, 0]);
-    }
-
-    #[test]
     fn completeness_at_latency() {
         let d = ds(&[10, 20, 15, 5, 30]);
-        // Delays: 0, 0, 5, 15, 0.
+        // Delays: first, -10, 5, 15, -10; a delay equal to the latency is
+        // outside it.
         assert_eq!(d.completeness_at(TickDuration::ticks(0)), 3.0 / 5.0);
-        assert_eq!(d.completeness_at(TickDuration::ticks(5)), 4.0 / 5.0);
-        assert_eq!(d.completeness_at(TickDuration::ticks(15)), 1.0);
+        assert_eq!(d.completeness_at(TickDuration::ticks(5)), 3.0 / 5.0);
+        assert_eq!(d.completeness_at(TickDuration::ticks(15)), 4.0 / 5.0);
+        assert_eq!(d.completeness_at(TickDuration::ticks(16)), 1.0);
         assert_eq!(ds(&[]).completeness_at(TickDuration::ZERO), 1.0);
     }
 

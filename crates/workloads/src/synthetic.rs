@@ -141,7 +141,14 @@ mod tests {
             amount_disorder: 1024.0,
             ..Default::default()
         });
-        let max_delay = |d: &Dataset| d.delays().iter().map(|x| x.as_ticks()).max().unwrap();
+        let max_delay = |d: &Dataset| {
+            let mut clock = impatience_core::WatermarkClock::NEW;
+            d.events
+                .iter()
+                .map(|e| clock.arrive(e.sync_time))
+                .max()
+                .unwrap()
+        };
         assert!(max_delay(&large) > 10 * max_delay(&small));
     }
 

@@ -32,20 +32,24 @@ echo "== cargo test -q --offline --workspace --exclude impatience (member crates
 # The root package's suites just ran; a plain --workspace would run them again.
 cargo test -q --offline --workspace --exclude impatience
 
-echo "== chaos suite (pinned seed, >=1000 fault-injected pipelines) =="
+# The two steps above run every suite once, in the debug profile. The gates
+# below say what those suites hold; they run only what is new — single
+# tests by name (so a regression names itself), release-mode properties,
+# the ignored timing budgets, the exhibits and the stack benchmark.
+
+# == chaos suite (pinned seed, >=1000 fault-injected pipelines): tests/chaos.rs ==
 # The failure-model gate: seeded fault injection (duplicates, stragglers,
 # punctuation regressions, corruption, operator panics) must never abort
 # the process — only typed errors or contract-valid output. Case seeds are
 # derived deterministically from each property's name, so runs replay
 # bit-for-bit; a reported failure replays with IMPATIENCE_PROP_SEED=<seed>.
-cargo test -q --offline --test chaos
 
-echo "== spill conformance (external sorter vs oracle, disk faults, crashes) =="
+# == spill conformance (external sorter vs oracle, disk faults, crashes):
+# tests/sorter_conformance.rs, tests/spill_faults.rs ==
 # The external-sort gate: 1000 seeded streams with mid-stream budget trips
 # and snapshot/restore cycles must stay byte-identical to the stable-sort
 # oracle, and 500+ seeded disk-fault/crash cycles must each end in either
 # byte-identical output or one typed error — never an abort.
-cargo test -q --offline --test sorter_conformance --test spill_faults
 
 echo "== paper shapes (table1, fig5, table2 --check at default sizes) =="
 # Table I, Fig 5 and Table II check counts — inversions and runs,
@@ -71,9 +75,8 @@ echo "== shard conformance (byte-identical output across shard counts) =="
 # The boundary carries the chain: each shard inherits the chain's
 # instruments (under `{prefix}.shardNN`), fence and trace, and the
 # `shard.*` counters land in the chain's registry. The inheritance test
-# runs by name too, so a regression names itself.
-cargo test -q --offline --test shard_conformance
-cargo test -q --offline -p impatience-engine --test sharded
+# runs by name, so a regression names itself (tests/shard_conformance.rs
+# and the engine's tests/sharded.rs run whole above).
 cargo test -q --offline -p impatience-engine --test sharded shards_inherit_the_chains_instruments_and_fence
 
 echo "== plan differential (sort-as-needed plan vs hand-stacked sort-first chain) =="
@@ -87,8 +90,7 @@ echo "== plan differential (sort-as-needed plan vs hand-stacked sort-first chain
 # hoisted_plan recovery cases hold the plan/checkpoint rule: the late
 # gate's watermark and the bucket sorter's buffered windows survive a
 # crash, and a sort-first slot or an Impatience-state slot is refused with
-# a typed RecoveryFailed.
-cargo test -q --offline --test plan_differential
+# a typed RecoveryFailed. tests/plan_differential.rs runs whole above.
 cargo test -q --offline --test recovery hoisted_plan
 
 echo "== framework differential (ladder rungs under the planner's sorter rule) =="
@@ -111,9 +113,9 @@ echo "== framework differential (ladder rungs under the planner's sorter rule) =
 # speculation gauges at 0, bucket-sorter snapshots), and the checkpoint
 # digest covers each slot's bytes, not only its size. A durable slot written
 # while the rungs ran Impatience is refused with a typed RecoveryFailed.
-cargo test -q --offline -p impatience-engine --test ladder
+# The engine's tests/ladder.rs, tests/framework_props.rs and
+# tests/surface_differential.rs run whole above.
 cargo test -q --offline -p impatience-engine --test ladder rungs_inherit_the_chains_instruments_trace_and_fence
-cargo test -q --offline --test framework_props --test surface_differential
 cargo test -q --offline --test recovery framework_refuses_an_impatience_state_slot
 
 echo "== two-input stages (union and join on one synchronizer) =="
@@ -140,7 +142,7 @@ echo "== trace conformance (traced pipelines byte-identical, spans laminar) =="
 # untraced output, and records each shard's stage and queue spans on that
 # shard's lane and the merge's on lane 2; the engine unit test holds the
 # queue, merge and watermark spans of a traced chain split four ways.
-cargo test -q --offline --test trace_conformance
+# tests/trace_conformance.rs runs whole above.
 cargo test -q --offline -p impatience-engine --lib sharded::tests::traced_sharded_records_queue_merge_and_watermark_spans
 
 echo "== tenant isolation (seeded chaos across the service boundary) =="
@@ -154,29 +156,32 @@ echo "== tenant isolation (seeded chaos across the service boundary) =="
 # pipeline: a panic either way, a punctuation regression and an
 # unrestorable slot each fail typed, and a config that could only fail
 # later (past 255 rungs, a checkpoint without durable) is refused up front.
-cargo test -q --offline --test tenant_isolation
+# An adaptive tenant realises its quality target, less the window's
+# sampling error, in every phase of an in-order / disordered / in-order
+# stream punctuated after every arrival. tests/tenant_isolation.rs and
+# tests/adaptive_quality.rs run whole above.
 cargo test -q --offline -p impatience-serve --lib -- \
     tenant::tests::a_pipeline_failure_is_typed_now_and_tenant_failed_later \
     tenant::tests::a_slot_that_cannot_be_restored_refuses_the_start_and_the_open \
     tenant::tests::a_ladder_past_255_rungs_is_refused_before_the_tenant_touches_disk \
     tenant::tests::config_rejections_are_field_precise
 
-echo "== network chaos (seeded kill/reset/stall/dup faults, exactly-once resume) =="
+# == network chaos (seeded kill/reset/stall/dup faults, exactly-once resume):
+# tests/session_resume.rs ==
 # The session-survivability gate: 200+ seeded kill→reconnect→resume cycles
 # across both framings and both durability modes, each run's output
 # byte-identical to an unbroken run of the same workload (zero duplicated,
 # zero lost events), with the server's serve.session.* counters accounting
 # for every resume. A failing cell replays with IMPATIENCE_PROP_SEED=<seed>.
-cargo test -q --offline --test session_resume
 
-echo "== wire fuzz (seeded malformed frames against a live server) =="
+# == wire fuzz (seeded malformed frames against a live server):
+# tests/wire_fuzz.rs ==
 # The protocol-robustness gate: nine seeded attack classes (bad magic,
 # truncated/oversize/zero length prefixes, mid-frame EOF, garbage JSON,
 # unknown tags, noise) against a live server. Every hostile connection must
 # end in a typed error frame or a clean close within a bounded window —
 # never a hang or panic — while a healthy tenant streams unperturbed on
 # the same server.
-cargo test -q --offline --test wire_fuzz
 
 # A gate on a ratio of two timings taken inside one process survives host
 # drift without a recorded history, but a load spike can still push one

@@ -57,8 +57,8 @@ pub mod prelude {
         to_streamables_advanced, to_streamables_basic, DisorderedStreamable, Streamables,
     };
     pub use impatience_sort::{
-        BSortSorter, CutBuffer, HeapSorter, ImpatienceConfig, ImpatienceSorter, OnlineSorter,
-        PatienceSort, SortAlgorithm,
+        CutBuffer, HeapSorter, ImpatienceConfig, ImpatienceSorter, OnlineSorter, PatienceSort,
+        SortAlgorithm,
     };
     pub use impatience_workloads::{
         generate_androidlog, generate_cloudlog, generate_synthetic, AndroidLogConfig,

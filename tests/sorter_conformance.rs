@@ -28,7 +28,7 @@ fn bucket_sorter<T: impatience_core::EventTimed>() -> BucketSorter<T> {
     BucketSorter::new(TickDuration::ticks(16))
 }
 
-/// The 6 factory sorters, the generic incremental adapter
+/// The 5 factory sorters, the generic incremental adapter
 /// (`CutBuffer<_, HeapsortAlgorithm>`) and the bucket sorter, which the
 /// factory does not name.
 fn all_sorters() -> Vec<(&'static str, Box<dyn OnlineSorter<i64>>)> {
@@ -36,7 +36,6 @@ fn all_sorters() -> Vec<(&'static str, Box<dyn OnlineSorter<i64>>)> {
     for name in ONLINE_SORTER_NAMES {
         v.push((name, online_sorter_by_name::<i64>(name).unwrap()));
     }
-    v.push(("BSort", online_sorter_by_name::<i64>("BSort").unwrap()));
     v.push((
         "Incremental(Heapsort)",
         Box::new(CutBuffer::<i64, HeapsortAlgorithm>::new()),
