@@ -31,6 +31,25 @@
 //! side first, so with it the basic framework's output streams order
 //! equal times by rung, then by arrival.
 //!
+//! # Fused rungs
+//!
+//! A bucket-sorting rung whose PIQ opens with
+//! [`group_aggregate`](Streamable::group_aggregate) does not sort: the two
+//! stages fuse into the rung's sort stage, which folds each admitted
+//! event into one group table per open window start and, on a
+//! punctuation, closes every window at or below it — in window order,
+//! keys ascending. It is legal because the PIQ regroups: over
+//! window-aligned input a grouped aggregate's output depends only on the
+//! multiset of `(window, key)` per window, folded in arrival order within
+//! a window, which is the order the bucket sorter keeps. The stage emits
+//! exactly the events sort → aggregate would, in fewer batches, and keeps
+//! the sort's late gate, budget ladder, gauges and counters
+//! (`partitionNN.00.sorter.*`, `.00.sort.*`) and its checkpoint frame,
+//! whose sorter state is then the open windows' groups; the rung holds
+//! groups, never raw events. Every other rung — an identity PIQ, any other
+//! first stage, no window, `ShedOldestRuns` — sorts, then runs the PIQ. A
+//! durable slot written by one plan is refused, typed, by the other.
+//!
 //! The latencies must pass [`validate_ladder`], the rule every latency
 //! ladder in the workspace shares: non-empty, at most 255 rungs,
 //! non-negative and strictly increasing.
@@ -374,8 +393,10 @@ impl<P: Payload> Streamable<P> {
     /// output streams. `window` is the tumbling window the input is
     /// aligned to, if any: it picks each rung's sorter.
     ///
-    /// `piq` is instantiated once per rung on the rung's *sorted* stream;
-    /// `merge` once per union output. For correct results the pair must
+    /// `piq` is instantiated once per rung on the rung's *sorted* stream —
+    /// or, when it opens with `group_aggregate` on a bucket-sorting rung,
+    /// fused with the sort ([fused rungs](self#fused-rungs)); `merge` once
+    /// per union output. For correct results the pair must
     /// satisfy the usual partial-aggregation law (e.g. per-window partial
     /// counts + addition). Each rung inherits this chain's instruments,
     /// fence, trace and checkpoint context ([the boundary carries the
@@ -396,7 +417,8 @@ impl<P: Payload> Streamable<P> {
         let Streamable {
             connect: source,
             ctx,
-        } = self;
+            ..
+        } = self.settle();
         let ckpt = ctx.checkpoint();
         let k = latencies.len();
         let stats = FrameworkStats::registered(k, ctx.registry());
@@ -448,8 +470,10 @@ impl<P: Payload> Streamable<P> {
 
         // Rungs: relay → sort → PIQ → stage sink. The sorter is the
         // planner's pick for this input: buckets when a window aligned it.
-        // The partitioner already filtered per-rung late events, so any
-        // residual late event at a sorter is dropped (and counted).
+        // It is left unplaced for the PIQ, whose opening `group_aggregate`
+        // fuses with a bucket sort. The partitioner already filtered
+        // per-rung late events, so any residual late event at a sorter is
+        // dropped (and counted).
         let sorter_choice = SorterChoice::for_input(window, false, policy.shed);
         let mut parts = Vec::with_capacity(k);
         for (i, sink) in sinks.into_iter().enumerate() {
@@ -461,8 +485,7 @@ impl<P: Payload> Streamable<P> {
                 shed: policy.shed,
                 dead_letters: policy.dead_letters.clone(),
             };
-            piq(rung.sorted(sorter_choice.sorter(None), meter, sort_policy)?)
-                .subscribe_observer(sink);
+            piq(rung.sorted_unplaced(sorter_choice, meter, sort_policy)?).subscribe_observer(sink);
         }
 
         // Subscribing the partitioner connects the source's checkpoint gate

@@ -1,4 +1,6 @@
-//! The per-window group store of `reduce_by_key` and `group_aggregate`.
+//! The per-window group store of `reduce_by_key` and `group_aggregate`,
+//! and [`WindowTables`], one store per open window, which a ladder rung's
+//! sort and its PIQ's `group_aggregate` fuse into.
 //!
 //! Log streams group by a key set that recurs window after window, so the
 //! table is built once and *outlives* the window: a key keeps its slot, a
@@ -14,7 +16,13 @@
 //! probe order — output and checkpoints are key-ascending.
 
 use crate::observer::Observer;
-use impatience_core::{hash_key, Event, EventBatch, Payload, SnapshotError, Timestamp};
+use crate::ops::Aggregate;
+use impatience_core::{
+    hash_key, Event, EventBatch, Payload, SnapshotError, SnapshotReader, SnapshotWriter,
+    StateCodec, TickDuration, Timestamp,
+};
+use impatience_sort::OnlineSorter;
+use std::collections::VecDeque;
 
 /// An index cell pointing at no slot.
 const EMPTY: u32 = u32::MAX;
@@ -71,6 +79,25 @@ impl<V, O> GroupTable<V, O> {
     /// The open window, if any.
     pub(crate) fn window(&self) -> Option<(Timestamp, Timestamp)> {
         self.window
+    }
+
+    /// Opens `window` on a table with none open.
+    fn open(&mut self, window: (Timestamp, Timestamp)) {
+        debug_assert!(self.window.is_none(), "a window is already open");
+        self.window = Some(window);
+    }
+
+    /// Groups in the open window.
+    fn live(&self) -> usize {
+        self.live
+    }
+
+    /// Bytes of capacity the table holds.
+    fn heap_bytes(&self) -> usize {
+        self.cells.capacity() * core::mem::size_of::<u32>()
+            + self.slots.capacity() * core::mem::size_of::<Slot<V>>()
+            + (self.order.capacity() + self.fresh.capacity()) * core::mem::size_of::<u32>()
+            + self.closed.capacity() * core::mem::size_of::<Event<O>>()
     }
 
     fn open_start(&self) -> Option<Timestamp> {
@@ -254,6 +281,225 @@ impl<V, O> GroupTable<V, O> {
     }
 }
 
+/// First byte of a [`WindowTables`] snapshot. The bucket sorter's opens
+/// with `B` and Impatience's with its Huffman flag, 0 or 1, so each refuses
+/// the others' state as corrupt.
+const TABLES_TAG: u8 = b'W';
+
+/// The group table of `A`'s accumulators over `P`.
+type Table<P, A> = GroupTable<<A as Aggregate<P>>::Acc, <A as Aggregate<P>>::Out>;
+
+/// A ladder rung's sort fused with the `group_aggregate` that opens its
+/// PIQ: one [`GroupTable`] per open window start. Each admitted event is
+/// folded into its window's table as it arrives; a punctuation closes
+/// every window at or below it, in window order, keys ascending, so it
+/// hands on exactly the groups the aggregate would have emitted over the
+/// sorted events — with no event buffered and none sorted.
+///
+/// * **Legal because the PIQ regroups.** Over window-aligned input a
+///   grouped aggregate's output is a function of the multiset of
+///   `(window, key)` per window, folded in arrival order within a window
+///   — the order the bucket sorter it replaces would have kept.
+/// * **Finding the window** is the bucket sorter's: tables sit in a
+///   `VecDeque` in ascending start order, a push guesses the index
+///   `(t − front) / step` and falls back to a binary search, which opens
+///   a table for an unseen start. Before guessing it tries the table the
+///   last push landed in: log arrivals come in runs within one window.
+/// * **Few allocations.** A closed table keeps its key slots and becomes a
+///   spare for the next window to open, so windows over a recurring key
+///   set allocate nothing. Spares the next batch leaves unused go at the
+///   next punctuation, and one that drains every window frees them all.
+///
+/// State bytes count every table's capacity, spares included; buffered
+/// items are the open groups.
+pub(crate) struct WindowTables<P: Payload, A: Aggregate<P>> {
+    agg: A,
+    /// `(start, table)` in ascending start order; every table is open and
+    /// holds at least one group.
+    windows: VecDeque<(Timestamp, Table<P, A>)>,
+    /// Tables the last punctuation closed, kept for the windows the next
+    /// batch opens.
+    spares: Vec<Table<P, A>>,
+    /// The expected distance between adjacent window starts, ticks.
+    step: u64,
+    /// Index of the table the last push landed in.
+    hit: usize,
+    last_punctuation: Timestamp,
+    _payload: core::marker::PhantomData<fn(P)>,
+}
+
+impl<P: Payload, A: Aggregate<P>> WindowTables<P, A> {
+    /// Tables for `agg` over windows expected `step` ticks apart (the
+    /// window's size). Any positive `step` groups correctly.
+    pub(crate) fn new(agg: A, step: TickDuration) -> Self {
+        assert!(step.is_positive(), "window step must be positive");
+        WindowTables {
+            agg,
+            windows: VecDeque::new(),
+            spares: Vec::new(),
+            step: step.as_ticks() as u64,
+            hit: 0,
+            last_punctuation: Timestamp::MIN,
+            _payload: core::marker::PhantomData,
+        }
+    }
+
+    /// The index of the table for start `t`, opening one ending at `end`
+    /// if there is none. Arrivals come in runs within one window, so the
+    /// table the last push landed in is tried first, then the guess.
+    #[inline]
+    fn position(&mut self, t: Timestamp, end: Timestamp) -> usize {
+        let last = self.windows.get(self.hit);
+        if last.is_none_or(|(start, _)| *start != t) {
+            self.hit = self.guess(t).unwrap_or_else(|| self.searched(t, end));
+        }
+        self.hit
+    }
+
+    /// The index `(t − front) / step`, if the table there starts at `t`.
+    #[inline]
+    fn guess(&self, t: Timestamp) -> Option<usize> {
+        let (front, _) = self.windows.front()?;
+        // `abs_diff` cannot overflow, even between `MIN` and `MAX`.
+        let last = self.windows.len() as u64 - 1;
+        let guess = (t.abs_diff(*front) / self.step).min(last) as usize;
+        (self.windows[guess].0 == t).then_some(guess)
+    }
+
+    /// The guess missed: binary search, opening a table for a new start.
+    #[cold]
+    fn searched(&mut self, t: Timestamp, end: Timestamp) -> usize {
+        match self.windows.binary_search_by_key(&t, |(start, _)| *start) {
+            Ok(at) => at,
+            Err(at) => {
+                let mut table = self.spares.pop().unwrap_or_else(GroupTable::new);
+                table.open((t, end));
+                self.windows.insert(at, (t, table));
+                at
+            }
+        }
+    }
+}
+
+impl<P: Payload, A: Aggregate<P>> OnlineSorter<Event<P>, Event<A::Out>> for WindowTables<P, A> {
+    #[inline]
+    fn push(&mut self, e: Event<P>) {
+        // A window start saturated at `Timestamp::MIN` may arrive while
+        // `last_punctuation` still reads `MIN`, meaning "none yet".
+        debug_assert!(
+            e.sync_time > self.last_punctuation || e.sync_time == Timestamp::MIN,
+            "event at {:?} violates punctuation {:?}",
+            e.sync_time,
+            self.last_punctuation
+        );
+        let at = self.position(e.sync_time, e.other_time);
+        let agg = &self.agg;
+        agg.fold(self.windows[at].1.upsert(e.key, || agg.init()).0, &e);
+    }
+
+    fn punctuate(&mut self, t: Timestamp, out: &mut Vec<Event<A::Out>>) {
+        debug_assert!(
+            t >= self.last_punctuation,
+            "punctuation regressed: {t:?} after {:?}",
+            self.last_punctuation
+        );
+        self.last_punctuation = t;
+        // Spares the last batch did not use go.
+        self.spares.clear();
+        let ready = self.windows.partition_point(|(start, _)| *start <= t);
+        out.reserve(self.windows.range(..ready).map(|(_, w)| w.live()).sum());
+        let agg = &self.agg;
+        for (_, mut table) in self.windows.drain(..ready) {
+            // The table closes into `out`, lent to it as its `closed` list.
+            core::mem::swap(&mut table.closed, out);
+            table.close(|acc| agg.output(acc));
+            core::mem::swap(&mut table.closed, out);
+            self.spares.push(table);
+        }
+        if self.windows.is_empty() {
+            // Fully drained — a forced cut always is: an idle stage
+            // accounts for zero bytes.
+            self.windows = VecDeque::new();
+            self.spares = Vec::new();
+        }
+    }
+
+    fn buffered_len(&self) -> usize {
+        self.windows.iter().map(|(_, table)| table.live()).sum()
+    }
+
+    fn state_bytes(&self) -> usize {
+        let tables = self.windows.iter().map(|(_, table)| table);
+        tables
+            .chain(&self.spares)
+            .map(GroupTable::heap_bytes)
+            .sum::<usize>()
+            + self.windows.capacity() * core::mem::size_of::<(Timestamp, Table<P, A>)>()
+            + self.spares.capacity() * core::mem::size_of::<Table<P, A>>()
+    }
+
+    fn name(&self) -> &'static str {
+        "WindowTables"
+    }
+
+    /// Tag, last punctuation, then each window: its bounds, then its
+    /// `(key, accumulator)` pairs ascending by key.
+    fn encode_state(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
+        w.put_u8(TABLES_TAG);
+        w.put_i64(self.last_punctuation.ticks());
+        w.put_u64(self.windows.len() as u64);
+        for (_, table) in &self.windows {
+            table.window().encode(w);
+            let live = table.live_sorted();
+            w.put_u64(live.len() as u64);
+            for (key, acc) in live {
+                key.encode(w);
+                acc.encode(w);
+            }
+        }
+        Ok(())
+    }
+
+    /// Re-validates what `push` guarantees — every window open and
+    /// non-empty, starts strictly ascending, each key once per window — so
+    /// corrupt data that survives the frame checksum still cannot poison
+    /// the stage. A failed restore leaves the tables untouched.
+    fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        let tag = r.get_u8()?;
+        if tag != TABLES_TAG {
+            return Err(SnapshotError::corrupt(format!(
+                "not a window-table snapshot (tag {tag})"
+            )));
+        }
+        let last_punctuation = Timestamp::new(r.get_i64()?);
+        let count = r.get_count()?;
+        let mut windows = VecDeque::with_capacity(count);
+        for _ in 0..count {
+            let Some(window) = Option::<(Timestamp, Timestamp)>::decode(r)? else {
+                return Err(SnapshotError::corrupt("closed window in snapshot"));
+            };
+            let n = r.get_count()?;
+            if n == 0 {
+                return Err(SnapshotError::corrupt("empty window in snapshot"));
+            }
+            if windows.back().is_some_and(|(start, _)| *start >= window.0) {
+                return Err(SnapshotError::corrupt(
+                    "window starts not strictly ascending in snapshot",
+                ));
+            }
+            let groups = (0..n)
+                .map(|_| Ok((u32::decode(r)?, A::Acc::decode(r)?)))
+                .collect::<Result<Vec<_>, SnapshotError>>()?;
+            let table = GroupTable::restored("window table", Some(window), groups)?;
+            windows.push_back((window.0, table));
+        }
+        self.windows = windows;
+        self.spares = Vec::new();
+        self.last_punctuation = last_punctuation;
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,6 +602,198 @@ mod tests {
         assert_eq!(out.len(), 200_000);
         assert!(out.windows(2).all(|p| p[0].key < p[1].key));
         assert!(out.iter().all(|e| u64::from(e.key) == 3 * e.payload));
+    }
+
+    type Tables = WindowTables<u32, crate::ops::CountAgg>;
+
+    fn tables() -> Tables {
+        WindowTables::new(crate::ops::CountAgg, TickDuration::ticks(10))
+    }
+
+    /// An event in the 10-tick window starting at `start`.
+    fn windowed(start: i64, key: u32) -> Event<u32> {
+        Event::interval(Timestamp::new(start), Timestamp::new(start + 10), key, key)
+    }
+
+    /// `(start, key, count)` per emitted group, checking each one's bounds.
+    fn groups(out: &[Event<u64>]) -> Vec<(i64, u32, u64)> {
+        out.iter()
+            .map(|e| {
+                assert_eq!(e.other_time.ticks(), e.sync_time.ticks() + 10);
+                assert_eq!(e.hash, hash_key(e.key));
+                (e.sync_time.ticks(), e.key, e.payload)
+            })
+            .collect()
+    }
+
+    impatience_testkit::props! {
+        cases = 64;
+
+        /// Folding on arrival emits, at every punctuation, exactly what
+        /// sorting the admitted events and then counting per window and key
+        /// would: windows ascending, keys ascending within a window.
+        fn window_tables_match_sort_then_group(
+            arrivals in vec((0i64..24, 0u32..12), 1..300),
+            cut_every in 1usize..40,
+        ) {
+            let mut tables = tables();
+            let mut pending: BTreeMap<(i64, u32), u64> = BTreeMap::new();
+            let mut punctuation = i64::MIN;
+            let mut out = Vec::new();
+            for (i, &(w, key)) in arrivals.iter().enumerate() {
+                let start = 10 * w;
+                if start > punctuation {
+                    tables.push(windowed(start, key));
+                    *pending.entry((start, key)).or_default() += 1;
+                }
+                assert_eq!(tables.buffered_len(), pending.len());
+                if i % cut_every == cut_every - 1 {
+                    punctuation = punctuation.max(start - 25);
+                    out.clear();
+                    tables.punctuate(Timestamp::new(punctuation), &mut out);
+                    let rest = pending.split_off(&(punctuation + 1, 0));
+                    let want: Vec<(i64, u32, u64)> =
+                        pending.iter().map(|(&(s, k), &n)| (s, k, n)).collect();
+                    assert_eq!(groups(&out), want, "punctuation {punctuation}");
+                    pending = rest;
+                }
+            }
+            out.clear();
+            tables.drain_all(&mut out);
+            let want: Vec<(i64, u32, u64)> =
+                pending.iter().map(|(&(s, k), &n)| (s, k, n)).collect();
+            assert_eq!(groups(&out), want, "drain");
+            assert_eq!(tables.buffered_len(), 0);
+            assert_eq!(tables.state_bytes(), 0, "a drained stage holds nothing");
+        }
+    }
+
+    #[test]
+    fn a_closed_table_is_the_next_windows_and_keeps_its_keys() {
+        let mut t = tables();
+        for key in 0..40 {
+            t.push(windowed(0, key));
+            t.push(windowed(10, key));
+        }
+        let mut out = Vec::new();
+        t.punctuate(Timestamp::new(0), &mut out);
+        assert_eq!(out.len(), 40);
+        assert_eq!(t.spares.len(), 1, "the closed window became a spare");
+        let before = t.state_bytes();
+        for key in 0..40 {
+            t.push(windowed(20, key));
+        }
+        assert!(t.spares.is_empty(), "the new window took the spare");
+        assert_eq!(t.state_bytes(), before, "known keys: nothing allocated");
+        t.punctuate(Timestamp::new(10), &mut Vec::new());
+        t.push(windowed(30, 1));
+        t.punctuate(Timestamp::new(20), &mut Vec::new());
+        assert_eq!(
+            t.spares.len(),
+            1,
+            "unused spares go at the next punctuation"
+        );
+    }
+
+    fn encode(tables: &dyn OnlineSorter<Event<u32>, Event<u64>>) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        tables.encode_state(&mut w).expect("encodes");
+        w.into_body()
+    }
+
+    #[test]
+    fn window_tables_round_trip_mid_window() {
+        let mut live = tables();
+        for (start, key) in [(0, 3), (10, 1), (20, 5), (10, 1), (20, 2), (0, 3)] {
+            live.push(windowed(start, key));
+        }
+        live.punctuate(Timestamp::new(5), &mut Vec::new());
+        let mut restored = tables();
+        restored
+            .restore_state(&mut SnapshotReader::new(&encode(&live)))
+            .expect("restores");
+        assert_eq!(restored.buffered_len(), live.buffered_len());
+        assert_eq!(restored.last_punctuation, live.last_punctuation);
+        assert_eq!(encode(&restored), encode(&live), "re-encodes byte for byte");
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for t in [&mut live, &mut restored] {
+            t.push(windowed(20, 2));
+            t.push(windowed(30, 0));
+        }
+        live.drain_all(&mut a);
+        restored.drain_all(&mut b);
+        assert_eq!(groups(&a), groups(&b));
+        assert_eq!(
+            groups(&a),
+            vec![(10, 1, 2), (20, 2, 2), (20, 5, 1), (30, 0, 1)]
+        );
+    }
+
+    /// A window-table frame written window by window, as `encode_state`
+    /// lays it out.
+    fn frame(windows: &[(i64, &[(u32, u64)])]) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.put_u8(TABLES_TAG);
+        w.put_i64(i64::MIN);
+        w.put_u64(windows.len() as u64);
+        for &(start, groups) in windows {
+            Some((Timestamp::new(start), Timestamp::new(start + 10))).encode(&mut w);
+            w.put_u64(groups.len() as u64);
+            for (key, count) in groups {
+                key.encode(&mut w);
+                count.encode(&mut w);
+            }
+        }
+        w.into_body()
+    }
+
+    fn refusal(bytes: &[u8]) -> String {
+        let mut target = tables();
+        target.push(windowed(40, 9));
+        let before = encode(&target);
+        let err = target
+            .restore_state(&mut SnapshotReader::new(bytes))
+            .expect_err("refused");
+        assert_eq!(encode(&target), before, "a failed restore left state");
+        match err {
+            SnapshotError::Corrupt { detail } => detail,
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn window_table_restore_refuses_what_push_could_not_have_built() {
+        let ok = frame(&[(0, &[(1, 2), (4, 1)]), (10, &[(1, 1)])]);
+        tables()
+            .restore_state(&mut SnapshotReader::new(&ok))
+            .expect("a valid layout restores");
+        assert!(refusal(&frame(&[(10, &[(1, 1)]), (0, &[(2, 1)])])).contains("strictly ascending"));
+        assert!(refusal(&frame(&[(0, &[(1, 1)]), (0, &[(2, 1)])])).contains("strictly ascending"));
+        assert!(refusal(&frame(&[(0, &[(3, 1), (3, 2)])])).contains("repeats key 3"));
+        assert!(refusal(&frame(&[(0, &[])])).contains("empty window"));
+    }
+
+    #[test]
+    fn a_bucket_frame_and_a_table_frame_refuse_each_other() {
+        use impatience_sort::BucketSorter;
+        let mut bucket: BucketSorter<Event<u32>> = BucketSorter::new(TickDuration::ticks(10));
+        let mut table = tables();
+        for start in [20, 0, 10] {
+            bucket.push(windowed(start, 1));
+            table.push(windowed(start, 1));
+        }
+        let mut w = SnapshotWriter::new();
+        bucket.encode_state(&mut w).expect("encodes");
+        assert!(refusal(&w.into_body()).contains("not a window-table snapshot"));
+        let mut target: BucketSorter<Event<u32>> = BucketSorter::new(TickDuration::ticks(10));
+        let err = target
+            .restore_state(&mut SnapshotReader::new(&encode(&table)))
+            .expect_err("refused");
+        assert!(
+            matches!(&err, SnapshotError::Corrupt { detail } if detail.contains("not a bucket sorter snapshot")),
+            "{err:?}"
+        );
+        assert_eq!(target.buffered_len(), 0);
     }
 
     #[test]

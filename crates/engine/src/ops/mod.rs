@@ -29,6 +29,7 @@ pub mod window;
 
 pub use aggregate::{Aggregate, CountAgg, GroupedAggregateOp, SumAgg, WindowAggregateOp};
 pub use filter::FilterOp;
+pub(crate) use group::WindowTables;
 pub use join::{temporal_join, JoinInput};
 pub use pattern::FollowedByOp;
 pub use project::{ReKeyOp, SelectOp};

@@ -272,9 +272,14 @@ impl<P: Payload, S: Observer<P>> Observer<P> for LateGateOp<P, S> {
     }
 }
 
-/// Sorting operator over an online sorter.
-pub struct SortOp<P: Payload, S> {
-    sorter: Box<dyn OnlineSorter<Event<P>>>,
+/// Sorting operator over an online sorter. It emits `Event<Q>`: the
+/// sorted events themselves (`Q = P`), or what a folding sorter makes of
+/// them — a ladder rung's fused sort and grouped aggregate hands on one
+/// group per window and key (`ops::group::WindowTables`). Lateness, the
+/// budget ladder, gauges, counters and the checkpoint frame are the same
+/// either way.
+pub struct SortOp<P: Payload, S, Q: Payload = P> {
+    sorter: Box<dyn OnlineSorter<Event<P>, Event<Q>>>,
     meter: MemoryMeter,
     charged: usize,
     gate: LateGate<P>,
@@ -309,11 +314,15 @@ thread_local! {
     pub(crate) static LAG_FLUSHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-impl<P: Payload, S> SortOp<P, S> {
+impl<P: Payload, S, Q: Payload> SortOp<P, S, Q> {
     /// Wraps `sorter` with the default policy (drop late events, force
     /// punctuation under memory pressure); buffered state is charged to
     /// `meter`.
-    pub fn new(sorter: Box<dyn OnlineSorter<Event<P>>>, meter: MemoryMeter, next: S) -> Self {
+    pub fn new(
+        sorter: Box<dyn OnlineSorter<Event<P>, Event<Q>>>,
+        meter: MemoryMeter,
+        next: S,
+    ) -> Self {
         Self::with_policy(sorter, meter, SortPolicy::default(), next)
     }
 
@@ -323,7 +332,7 @@ impl<P: Payload, S> SortOp<P, S> {
     /// needs the framework's partitioner; construct via
     /// [`crate::Streamable::sorted`] to get the typed error.
     pub fn with_policy(
-        sorter: Box<dyn OnlineSorter<Event<P>>>,
+        sorter: Box<dyn OnlineSorter<Event<P>, Event<Q>>>,
         meter: MemoryMeter,
         policy: SortPolicy<P>,
         next: S,
@@ -409,7 +418,7 @@ impl<P: Payload, S> SortOp<P, S> {
     }
 }
 
-impl<P: Payload, S: Observer<P>> SortOp<P, S> {
+impl<P: Payload, S: Observer<Q>, Q: Payload> SortOp<P, S, Q> {
     /// Polls the sorter for a pending disk fault (recorded inside
     /// `punctuate`, whose signature cannot fail) and poisons the chain with
     /// it. Returns `true` if the chain just failed.
@@ -540,7 +549,7 @@ impl<P: Payload, S: Observer<P>> SortOp<P, S> {
     }
 }
 
-impl<P: Payload, S: Send> Checkpointable for SortOp<P, S> {
+impl<P: Payload, S: Send, Q: Payload> Checkpointable for SortOp<P, S, Q> {
     fn state_id(&self) -> &'static str {
         "engine.sort"
     }
@@ -575,7 +584,7 @@ impl<P: Payload, S: Send> Checkpointable for SortOp<P, S> {
     }
 }
 
-impl<P: Payload, S: Observer<P>> Observer<P> for SortOp<P, S> {
+impl<P: Payload, S: Observer<Q>, Q: Payload> Observer<P> for SortOp<P, S, Q> {
     fn on_batch(&mut self, batch: EventBatch<P>) {
         if self.failed {
             return;
@@ -683,7 +692,7 @@ impl<P: Payload, S: Observer<P>> Observer<P> for SortOp<P, S> {
     }
 }
 
-impl<P: Payload, S> Drop for SortOp<P, S> {
+impl<P: Payload, S, Q: Payload> Drop for SortOp<P, S, Q> {
     fn drop(&mut self) {
         // Covers every death the observer protocol doesn't: panic-unwind
         // inside a shard worker, a dropped half-built chain, teardown after

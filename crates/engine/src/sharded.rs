@@ -509,7 +509,8 @@ impl<P: Payload> Streamable<P> {
         let Streamable {
             connect: source,
             ctx,
-        } = self;
+            ..
+        } = self.settle();
         let chains: Vec<ChainCtx> = (0..shards).map(|i| ctx.for_shard(i)).collect();
         let registry = ctx.registry().cloned();
         let trace = ctx.trace_sink().cloned();
@@ -558,10 +559,9 @@ impl<P: Payload> Streamable<P> {
                 clock: trace.as_ref().map(|t| t.clock().clone()),
             }));
         };
-        Streamable {
-            connect: Box::new(connect),
-            ctx: ctx.past_merge(),
-        }
+        let mut merged = Streamable::from_connector(connect);
+        merged.ctx = ctx.past_merge();
+        merged
     }
 }
 

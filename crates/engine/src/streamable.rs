@@ -18,6 +18,7 @@ use crate::lock;
 use crate::observer::{FnSink, Observer, Output, SharedSink};
 use crate::ops;
 use crate::shell::{OperatorMetrics, StagePlan};
+use crate::spec::SorterChoice;
 use crate::traced::{TraceCtx, TraceState};
 use impatience_core::metrics::{Counter, Histogram};
 use impatience_core::trace::TraceSink;
@@ -219,6 +220,11 @@ where
 pub struct Streamable<P: Payload> {
     pub(crate) connect: Connector<P>,
     pub(crate) ctx: ChainCtx,
+    /// A sorting stage claimed but not yet placed: only a ladder rung
+    /// carries one (see [`sorted_unplaced`](Self::sorted_unplaced)).
+    /// Whatever comes next [`settle`](Self::settle)s it first — except a
+    /// `group_aggregate` over the bucket sorter, which fuses with it.
+    unplaced: Option<SortStage<P>>,
 }
 
 impl<P: Payload> Streamable<P> {
@@ -227,6 +233,18 @@ impl<P: Payload> Streamable<P> {
         Streamable {
             connect: Box::new(connect),
             ctx: ChainCtx::bare(),
+            unplaced: None,
+        }
+    }
+
+    /// Places the sorting stage this stream carries unplaced, if any — the
+    /// first step of anything that builds on the stream, reads its
+    /// connector or changes its settings, so the sort runs where it was
+    /// claimed and under the settings it was claimed with.
+    pub(crate) fn settle(mut self) -> Self {
+        match self.unplaced.take() {
+            Some(stage) => self.place_sort(stage),
+            None => self,
         }
     }
 
@@ -241,9 +259,10 @@ impl<P: Payload> Streamable<P> {
     /// A `{prefix}.operator_panics` counter is registered eagerly (at
     /// zero), so every instrumented snapshot carries it whether or not the
     /// chain is also [`hardened`](Streamable::hardened).
-    pub fn instrument(mut self, registry: &MetricsRegistry, prefix: &str) -> Self {
-        self.ctx.instrument(registry, prefix);
-        self
+    pub fn instrument(self, registry: &MetricsRegistry, prefix: &str) -> Self {
+        let mut this = self.settle();
+        this.ctx.instrument(registry, prefix);
+        this
     }
 
     /// Enables structured tracing: every stage chained after this call
@@ -251,9 +270,10 @@ impl<P: Payload> Streamable<P> {
     /// context's [`TraceSink`] (see
     /// [`crate::traced`] for the span and provenance model). Like
     /// instrumentation, tracing never alters the stream.
-    pub fn traced(mut self, ctx: TraceCtx) -> Self {
-        self.ctx.trace = Some(TraceState::new(ctx));
-        self
+    pub fn traced(self, ctx: TraceCtx) -> Self {
+        let mut this = self.settle();
+        this.ctx.trace = Some(TraceState::new(ctx));
+        this
     }
 
     /// Enables panic isolation: every stage chained after this call is
@@ -266,9 +286,10 @@ impl<P: Payload> Streamable<P> {
     ///
     /// Hardening never alters the stream of a panic-free run: a hardened
     /// pipeline produces exactly the output of a bare one.
-    pub fn hardened(mut self) -> Self {
-        self.ctx.hardened = true;
-        self
+    pub fn hardened(self) -> Self {
+        let mut this = self.settle();
+        this.ctx.hardened = true;
+        this
     }
 
     /// A static source that replays `msgs` at subscribe time. The messages
@@ -330,8 +351,9 @@ impl<P: Payload> Streamable<P> {
         name: &str,
         build: impl FnOnce(Box<dyn Observer<Q>>) -> Box<dyn Observer<P>> + Send + 'static,
     ) -> Streamable<Q> {
-        let upstream = self.connect;
-        let (plan, label) = self.ctx.plan_stage(slot, name);
+        let this = self.settle();
+        let upstream = this.connect;
+        let (plan, label) = this.ctx.plan_stage(slot, name);
         let connect = move |sink: Box<dyn Observer<Q>>| {
             let outlet = plan.outlet(sink);
             if plan.panics.is_none() {
@@ -348,7 +370,8 @@ impl<P: Payload> Streamable<P> {
         };
         Streamable {
             connect: Box::new(connect),
-            ctx: self.ctx,
+            ctx: this.ctx,
+            unplaced: None,
         }
     }
 
@@ -382,15 +405,16 @@ impl<P: Payload> Streamable<P> {
     /// [`recovery`](CheckpointCtx::recovery) after subscribing to learn
     /// the WAL replay offset and committed output prefix.
     pub fn checkpointed(
-        mut self,
+        self,
         dir: impl Into<PathBuf>,
         every_n_punctuations: u32,
     ) -> Result<(Streamable<P>, CheckpointCtx), SnapshotError> {
         let checkpointer = Checkpointer::open(dir)?;
         let ctx = CheckpointCtx::new();
-        self.ctx.ckpt = Some(ctx.clone());
+        let mut this = self.settle();
+        this.ctx.ckpt = Some(ctx.clone());
         let gate_ctx = ctx.clone();
-        let stream = self.apply_named("checkpoint", move |sink| {
+        let stream = this.apply_named("checkpoint", move |sink| {
             Box::new(CheckpointGate::new(
                 gate_ctx,
                 checkpointer,
@@ -445,7 +469,22 @@ impl<P: Payload> Streamable<P> {
     }
 
     /// Windowed aggregate per grouping key.
-    pub fn group_aggregate<A: ops::Aggregate<P>>(self, agg: A) -> Streamable<A::Out> {
+    ///
+    /// On a ladder rung whose sort runs the bucket sorter — the PIQ opens
+    /// with this call over window-aligned input — the aggregate fuses into
+    /// the sort: the stage folds each admitted event into its window's
+    /// table instead of buffering and sorting it (see
+    /// [`Streamable::ladder`]). The fused stage reports as the sort; the
+    /// aggregate still takes its stage number, so later stages keep their
+    /// labels.
+    pub fn group_aggregate<A: ops::Aggregate<P>>(mut self, agg: A) -> Streamable<A::Out> {
+        if let Some(step) = self.unplaced.as_ref().and_then(|stage| stage.bucket) {
+            let stage = self.unplaced.take().expect("an unplaced sort");
+            self.ctx.claim_stage();
+            return self.place_with(stage, move |_bucket| {
+                Box::new(ops::WindowTables::new(agg, step))
+            });
+        }
         self.apply_stateful("group_aggregate", move |sink| {
             ops::GroupedAggregateOp::new(agg, sink)
         })
@@ -516,7 +555,7 @@ impl<P: Payload> Streamable<P> {
     /// the core, which forwards one typed error to the sink and stops all
     /// further output.
     fn binary<R, Out, LeftIn, RightIn>(
-        mut self,
+        self,
         other: Streamable<R>,
         op: &'static str,
         build: impl FnOnce(Box<dyn Observer<Out>>) -> (LeftIn, RightIn) + Send + 'static,
@@ -527,9 +566,10 @@ impl<P: Payload> Streamable<P> {
         LeftIn: Observer<P> + Checkpointable + Clone + 'static,
         RightIn: Observer<R> + Clone + 'static,
     {
-        let ckpt = self.ctx.ckpt.clone();
-        let (plan, _) = self.ctx.next_stage(op);
-        let (left_connect, right_connect) = (self.connect, other.connect);
+        let (mut this, other) = (self.settle(), other.settle());
+        let ckpt = this.ctx.ckpt.clone();
+        let (plan, _) = this.ctx.next_stage(op);
+        let (left_connect, right_connect) = (this.connect, other.connect);
         let connect = move |sink: Box<dyn Observer<Out>>| {
             let (l, r) = build(plan.outlet(sink));
             if let Some(ctx) = &ckpt {
@@ -548,13 +588,14 @@ impl<P: Payload> Streamable<P> {
         };
         Streamable {
             connect: Box::new(connect),
-            ctx: self.ctx,
+            ctx: this.ctx,
+            unplaced: None,
         }
     }
 
     /// Terminal: connects an arbitrary observer.
     pub fn subscribe_observer(self, sink: Box<dyn Observer<P>>) {
-        (self.connect)(sink);
+        (self.settle().connect)(sink);
     }
 
     /// Terminal: invokes `f` per visible event (the paper's
@@ -653,6 +694,7 @@ impl<P: Payload> Streamable<P> {
         Ok(SortStage {
             slot,
             sorter,
+            bucket: None,
             meter: meter.clone(),
             policy,
             gauges,
@@ -662,28 +704,62 @@ impl<P: Payload> Streamable<P> {
         })
     }
 
+    /// A ladder rung's sort: claims the stage `choice` picks and leaves it
+    /// unplaced, so the PIQ's first stage decides where it goes — a
+    /// `group_aggregate` over the bucket sorter fuses with it, anything
+    /// else places it first.
+    pub(crate) fn sorted_unplaced(
+        mut self,
+        choice: SorterChoice,
+        meter: &MemoryMeter,
+        policy: ops::SortPolicy<P>,
+    ) -> Result<Streamable<P>, StreamError> {
+        let mut stage = self.claim_sort(choice.sorter(None), meter, policy)?;
+        if let SorterChoice::Bucket { step } = choice {
+            stage.bucket = Some(step);
+        }
+        self.unplaced = Some(stage);
+        Ok(self)
+    }
+
     /// Decides lateness *here*, on original event times, for a sort placed
     /// further down: a [`LateGateOp`](ops::LateGateOp) under `stage`'s
     /// policy and counters. It is the front half of that stage, so it
     /// takes no stage number and no shell of its own; it owns a watermark,
     /// so it is a checkpoint participant.
     pub(crate) fn late_gate(self, stage: &mut SortStage<P>) -> Streamable<P> {
+        let this = self.settle();
         stage.behind_gate = true;
         let gate = ops::LateGate::new(&stage.policy, stage.faults.clone());
-        let ckpt = self.ctx.ckpt.clone();
-        let upstream = self.connect;
+        let ckpt = this.ctx.ckpt.clone();
+        let upstream = this.connect;
         Streamable {
             connect: Box::new(move |sink| upstream(enrol(ckpt, ops::LateGateOp::new(gate, sink)))),
-            ctx: self.ctx,
+            ctx: this.ctx,
+            unplaced: None,
         }
     }
 
     /// The second half of [`sorted`](Self::sorted): the sorting operator
     /// at this point of the chain, under the number `stage` claimed.
     pub(crate) fn place_sort(self, stage: SortStage<P>) -> Streamable<P> {
+        self.place_with(stage, |sorter| sorter)
+    }
+
+    /// [`place_sort`](Self::place_sort) running the sorter `swap` makes of
+    /// the one `stage` claimed — the same one, or one that emits `Q`.
+    fn place_with<Q: Payload>(
+        self,
+        stage: SortStage<P>,
+        swap: impl FnOnce(Box<dyn OnlineSorter<Event<P>>>) -> Box<dyn OnlineSorter<Event<P>, Event<Q>>>
+            + Send
+            + 'static,
+    ) -> Streamable<Q> {
         let ckpt = self.ctx.ckpt.clone();
-        self.apply_at(stage.slot, "sort", move |sink| {
-            let mut op = ops::SortOp::with_policy(stage.sorter, stage.meter, stage.policy, sink)
+        let slot = stage.slot;
+        self.apply_at(slot, "sort", move |sink| {
+            let sorter = swap(stage.sorter);
+            let mut op = ops::SortOp::with_policy(sorter, stage.meter, stage.policy, sink)
                 .with_fault_counters(stage.faults);
             if let Some(g) = stage.gauges {
                 op = op.with_gauges(g);
@@ -704,6 +780,9 @@ impl<P: Payload> Streamable<P> {
 pub(crate) struct SortStage<P: Payload> {
     slot: StageSlot,
     sorter: Box<dyn OnlineSorter<Event<P>>>,
+    /// The window step when `sorter` is a ladder rung's bucket sorter,
+    /// which a `group_aggregate` may fuse with.
+    bucket: Option<TickDuration>,
     meter: MemoryMeter,
     policy: ops::SortPolicy<P>,
     gauges: Option<SorterGauges>,

@@ -2,12 +2,15 @@
 //! [`Streamable::ladder`] inherits the source chain's instruments (under
 //! `partitionNN`), fence, trace (under `partitionNN`, lane `NN`) and
 //! checkpoint context, while its merge and output relays carry only the
-//! fence and the checkpoint context.
+//! fence and the checkpoint context — whether the rung sorts first or, over
+//! window-aligned input with a PIQ that opens with `group_aggregate`, fuses
+//! the two into its sort stage.
 
 use impatience_core::trace::{TraceClock, TraceConfig, TraceSink};
 use impatience_core::{
     Event, MemoryMeter, MetricsRegistry, StreamError, StreamMessage, TickDuration, Timestamp,
 };
+use impatience_engine::ops::Aggregate;
 use impatience_engine::{input_stream, FrameworkPolicy, Output, Streamable, TraceCtx};
 
 /// The key whose event only rung 1 sees, and on which its PIQ panics.
@@ -147,6 +150,189 @@ fn rungs_inherit_the_chains_instruments_trace_and_fence() {
         spans.iter().all(|s| s.op.starts_with("partition")),
         "a span outside the rungs"
     );
+}
+
+/// A count whose fold panics on the key only rung 1 sees.
+#[derive(Clone)]
+struct CountUnlessBad;
+
+impl Aggregate<u32> for CountUnlessBad {
+    type Acc = u64;
+    type Out = u64;
+    fn init(&self) -> u64 {
+        0
+    }
+    fn fold(&self, acc: &mut u64, e: &Event<u32>) {
+        assert!(e.key != BAD, "rung under test blew up");
+        *acc += 1;
+    }
+    fn output(&self, acc: &u64) -> u64 {
+        *acc
+    }
+    fn combine(&self, a: &u64, b: &u64) -> u64 {
+        a + b
+    }
+}
+
+/// The twin of the case above over 10-tick window starts, whose PIQ opens
+/// with `group_aggregate`: each rung's sort and aggregate are one stage,
+/// which inherits the chain's settings under the sort's label.
+#[test]
+fn fused_rungs_inherit_the_chains_instruments_trace_and_fence() {
+    let r = MetricsRegistry::new();
+    let sink = TraceSink::with(TraceClock::logical(), TraceConfig::default());
+    let meter = MemoryMeter::new();
+    let (handle, stream) = input_stream::<u32>();
+    let mut ss = stream
+        .instrument(&r, "q")
+        .traced(TraceCtx::new(&sink))
+        .hardened()
+        .ladder(
+            Some(TickDuration::ticks(10)),
+            &ladder(),
+            |s: Streamable<u32>| s.group_aggregate(CountUnlessBad),
+            |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
+            &meter,
+            FrameworkPolicy::default(),
+        )
+        .expect("valid ladder");
+    let outs: Vec<Output<u64>> = (0..3)
+        .map(|i| {
+            ss.take_stream(i)
+                .expect("take output stream")
+                .collect_output()
+        })
+        .collect();
+    let window = |start: i64, key: u32| {
+        Event::interval(Timestamp::new(start), Timestamp::new(start + 10), key, key)
+    };
+    // Delays 0, 0, 20 (rung 1, which records its spans), then 0, 20 (the
+    // bad key: rung 1), 70 (rung 2), 0.
+    handle.push_events(vec![window(100, 0), window(110, 1), window(90, 5)]);
+    handle.push_punctuation(Timestamp::new(110));
+    handle.push_events(vec![
+        window(120, 2),
+        window(100, BAD),
+        window(50, 3),
+        window(130, 4),
+    ]);
+    handle.push_punctuation(Timestamp::new(130));
+    handle.complete();
+
+    let groups = |o: &Output<u64>| -> Vec<(i64, u32, u64)> {
+        o.events()
+            .iter()
+            .map(|e| (e.sync_time.ticks(), e.key, e.payload))
+            .collect()
+    };
+    assert!(outs[0].is_completed() && outs[0].error().is_none());
+    assert_eq!(
+        groups(&outs[0]),
+        vec![(100, 0, 1), (110, 1, 1), (120, 2, 1), (130, 4, 1)]
+    );
+    for out in &outs[1..] {
+        match out.error() {
+            Some(StreamError::OperatorPanicked { operator, message }) => {
+                assert_eq!(operator, "partition01.00.sort");
+                assert!(message.contains("rung under test blew up"), "{message}");
+            }
+            other => panic!("expected OperatorPanicked, got {other:?}"),
+        }
+        assert!(!out.is_completed(), "error and completion both delivered");
+    }
+
+    let snap = r.snapshot();
+    let counter = |name: &str| {
+        snap.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .unwrap_or_else(|| panic!("{name} not registered"))
+            .1
+    };
+    assert_eq!(counter("partition01.operator_panics"), 1);
+    assert_eq!(counter("partition00.operator_panics"), 0);
+    assert_eq!(counter("partition02.operator_panics"), 0);
+    assert_eq!(counter("partition00.00.sort.events_in"), 4);
+    assert_eq!(counter("partition00.00.sort.events_out"), 4);
+    assert_eq!(counter("partition02.00.sort.events_in"), 1);
+    let names = snap
+        .counters
+        .iter()
+        .map(|(n, _)| n)
+        .chain(snap.gauges.iter().map(|(n, _)| n))
+        .chain(snap.histograms.iter().map(|(n, _)| n));
+    for name in names {
+        assert!(
+            !name.contains("group_aggregate"),
+            "the fused aggregate registered {name}"
+        );
+    }
+    assert!(snap
+        .gauges
+        .iter()
+        .any(|(n, g)| n == "partition02.00.sorter.state_bytes" && g.high_water > 0));
+
+    // Rung 1's one stage died mid-handler; it surrenders its spans when the
+    // chain is dropped.
+    drop(handle);
+    let spans = sink.spans();
+    for i in 0..3u32 {
+        let tag = format!("partition{i:02}.");
+        let mine: Vec<_> = spans.iter().filter(|s| s.op.starts_with(&tag)).collect();
+        assert!(!mine.is_empty(), "no spans for rung {i}");
+        assert!(mine.iter().all(|s| s.shard == i), "rung {i} off its lane");
+        assert!(
+            mine.iter()
+                .all(|s| s.op.starts_with(&format!("{tag}00.sort"))),
+            "rung {i} recorded a stage besides its sort"
+        );
+    }
+    assert!(
+        spans.iter().all(|s| s.op.starts_with("partition")),
+        "a span outside the rungs"
+    );
+}
+
+/// A fused stage's `state_bytes` gauge reads what it charges the meter:
+/// with one rung there is no union, so the meter holds the stage alone.
+#[test]
+fn a_fused_stage_gauges_what_it_charges() {
+    let r = MetricsRegistry::new();
+    let meter = MemoryMeter::new();
+    let (handle, stream) = input_stream::<u32>();
+    let mut ss = stream
+        .instrument(&r, "q")
+        .ladder(
+            Some(TickDuration::ticks(10)),
+            &ladder()[2..],
+            |s: Streamable<u32>| s.group_aggregate(CountUnlessBad),
+            |s: Streamable<u64>| s,
+            &meter,
+            FrameworkPolicy::default(),
+        )
+        .expect("valid ladder");
+    let out = ss
+        .take_stream(0)
+        .expect("take output stream")
+        .collect_output();
+    let gauge = r.gauge("partition00.00.sorter.state_bytes");
+    let window = |start: i64, key: u32| {
+        Event::interval(Timestamp::new(start), Timestamp::new(start + 10), key, key)
+    };
+    handle.push_events(
+        (0..50)
+            .map(|i| window(10 * (i % 7), i as u32 % 5))
+            .collect(),
+    );
+    handle.push_punctuation(Timestamp::new(60));
+    assert!(meter.current() > 0, "open windows are charged");
+    assert_eq!(gauge.get(), meter.current() as i64);
+    handle.push_events(vec![window(70, 1)]);
+    handle.push_punctuation(Timestamp::new(200));
+    assert_eq!(gauge.get(), meter.current() as i64);
+    handle.complete();
+    assert!(out.is_completed());
+    assert_eq!((gauge.get(), meter.current()), (0, 0));
 }
 
 /// In-order arrivals 1..=10, each punctuated: every one raises the

@@ -23,9 +23,13 @@ use impatience_engine::{FrameworkPolicy, Streamable, Streamables};
 /// window `ds` was aligned to.
 ///
 /// `piq` is instantiated once per partition on the partition's *sorted*
-/// stream; `merge` once per union output. For correct results the pair
-/// must satisfy the usual partial-aggregation law (e.g. per-window partial
-/// counts + addition). Returns the `k` output streams.
+/// stream — except that over windowed input a PIQ opening with
+/// `group_aggregate` fuses with the sort, folding each event into its
+/// window's table as it arrives, with the same output (see
+/// [`impatience_engine::ladder`]); `merge` once per union output. For
+/// correct results the pair must satisfy the usual partial-aggregation
+/// law (e.g. per-window partial counts + addition). Returns the `k`
+/// output streams.
 pub fn to_streamables_advanced<P, Q>(
     ds: DisorderedStreamable<P>,
     latencies: &[TickDuration],

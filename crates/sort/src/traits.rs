@@ -6,7 +6,9 @@
 //!   on every punctuation `T`, must emit all buffered items with
 //!   `event_time <= T` in nondecreasing order. Impatience sort and Heapsort
 //!   support this natively; the offline algorithms are adapted via
-//!   [`crate::incremental::CutBuffer`].
+//!   [`crate::incremental::CutBuffer`]. A sorter may hand on something
+//!   other than its items — a fold of them, as long as what it emits at a
+//!   punctuation depends only on the items at or below it.
 //! * **Offline algorithms** ([`SortAlgorithm`]) sort a slice in one shot.
 
 use crate::gauges::SorterGauges;
@@ -17,10 +19,16 @@ use impatience_core::{
 /// An incremental sorter for out-of-order streams (§III-A's sorting
 /// operator contract).
 ///
+/// `T` is what the sorter buffers and `O` what a punctuation hands on:
+/// the items themselves for every sorter in this crate (the default), or
+/// a fold of them — the engine's fused sort + grouped aggregate emits one
+/// group per window and key. Shedding hands back buffered `T`s either
+/// way.
+///
 /// `Send` is a supertrait so a boxed sorter can live inside a sharded
 /// pipeline's worker thread (`engine::sharded`); every sorter here is a
 /// plain owned data structure, so the bound costs nothing.
-pub trait OnlineSorter<T: EventTimed>: Send {
+pub trait OnlineSorter<T: EventTimed, O = T>: Send {
     /// Buffers one out-of-order item.
     fn push(&mut self, item: T);
 
@@ -29,10 +37,10 @@ pub trait OnlineSorter<T: EventTimed>: Send {
     /// them from the buffer.
     ///
     /// Punctuations must be nondecreasing; debug builds assert this.
-    fn punctuate(&mut self, t: Timestamp, out: &mut Vec<T>);
+    fn punctuate(&mut self, t: Timestamp, out: &mut Vec<O>);
 
     /// Flushes everything (a punctuation at `+∞`).
-    fn drain_all(&mut self, out: &mut Vec<T>) {
+    fn drain_all(&mut self, out: &mut Vec<O>) {
         self.punctuate(Timestamp::MAX, out);
     }
 

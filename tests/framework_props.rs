@@ -5,11 +5,21 @@
 //! windowed input the basic framework's streams must order equal times
 //! exactly: by partition, then by arrival.
 //!
+//! Over windowed input each advanced rung fuses its sort with the PIQ's
+//! `group_aggregate` (one table per open window, no event buffered); the
+//! basic framework plus the query per output is the sort-first spelling of
+//! the same plan. The two must agree under every late policy, dead letters
+//! included; fused rungs must stay ordered and release their memory under
+//! a budget that forces cuts; and a PIQ that opens with anything else
+//! keeps the sort first.
+//!
 //! On failure the harness prints the failing case seed; replay with
 //! `IMPATIENCE_PROP_SEED=0x<seed> cargo test <test name>`.
 
 use impatience::prelude::*;
+use impatience_core::{validate_ordered_stream, DeadLetterQueue, LatePolicy};
 use impatience_engine::Streamable;
+use impatience_framework::FrameworkPolicy;
 use impatience_testkit::prop::{vec as pvec, weighted_bool, Strategy};
 use impatience_testkit::props;
 use std::collections::BTreeMap;
@@ -73,64 +83,124 @@ fn oracle(arrivals: &[Event<u32>], max_latency: TickDuration) -> BTreeMap<(i64, 
     m
 }
 
-/// Per-rung keyed window counts plus the measured work ratio.
-type LadderOutputs = (Vec<BTreeMap<(i64, u32), u64>>, f64);
+/// One output stream's keyed window counts.
+type Counts = BTreeMap<(i64, u32), u64>;
 
-fn run_advanced(
+/// Dead letters as `(sync_time, key, payload, reason)`, in diversion order.
+type Letters = Vec<(i64, u32, u32, String)>;
+
+fn counts(o: &Output<u64>) -> Counts {
+    o.events()
+        .iter()
+        .map(|e| ((e.sync_time.ticks(), e.key), e.payload))
+        .collect()
+}
+
+/// `late` as a framework policy, diverting into the returned queue.
+fn late_policy(late: LatePolicy) -> (FrameworkPolicy<u32>, DeadLetterQueue<u32>) {
+    let dlq = DeadLetterQueue::new();
+    let policy = FrameworkPolicy {
+        late,
+        dead_letters: Some(dlq.clone()),
+        ..FrameworkPolicy::default()
+    };
+    (policy, dlq)
+}
+
+fn letters(dlq: &DeadLetterQueue<u32>) -> Letters {
+    dlq.drain()
+        .into_iter()
+        .map(|l| {
+            let e = l.event;
+            (
+                e.sync_time.ticks(),
+                e.key,
+                e.payload,
+                format!("{:?}", l.reason),
+            )
+        })
+        .collect()
+}
+
+/// The advanced framework over the windowed arrivals with `piq` and the
+/// additive merge, every output collected and checked ordered and
+/// complete.
+fn run_piq(
     arrivals: Vec<Event<u32>>,
     latencies: &[TickDuration],
     freq: usize,
-) -> LadderOutputs {
-    let meter = MemoryMeter::new();
+    piq: impl Fn(Streamable<u32>) -> Streamable<u64> + 'static,
+    meter: &MemoryMeter,
+    registry: Option<&MetricsRegistry>,
+    framework: FrameworkPolicy<u32>,
+) -> Vec<Output<u64>> {
     let ds = DisorderedStreamable::from_arrivals(arrivals, &policy(freq)).tumbling_window(window());
+    let ds = match registry {
+        Some(r) => ds.instrument(r, "framework"),
+        None => ds,
+    };
     let mut ss = to_streamables_advanced(
         ds,
         latencies,
-        |s: Streamable<u32>| s.group_aggregate(CountAgg),
+        piq,
         |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
-        &meter,
-        Default::default(),
+        meter,
+        framework,
     )
     .unwrap();
-    let outs: Vec<BTreeMap<(i64, u32), u64>> = (0..latencies.len())
+    (0..latencies.len())
         .map(|i| {
             let o = ss
                 .take_stream(i)
                 .expect("take output stream")
                 .collect_output();
             assert!(o.is_completed());
-            assert!(impatience_core::validate_ordered_stream(&o.messages()).is_ok());
-            o.events()
-                .iter()
-                .map(|e| ((e.sync_time.ticks(), e.key), e.payload))
-                .collect()
+            assert!(validate_ordered_stream(&o.messages()).is_ok());
+            o
         })
-        .collect();
-    let leak = meter.current() as f64;
-    (outs, leak)
+        .collect()
 }
 
+/// Per-rung keyed window counts, the bytes left charged to the meter, and
+/// the dead letters, under the late policy `late`.
+type LadderOutputs = (Vec<Counts>, f64, Letters);
+
+fn run_advanced(
+    arrivals: Vec<Event<u32>>,
+    latencies: &[TickDuration],
+    freq: usize,
+    late: LatePolicy,
+) -> LadderOutputs {
+    let meter = MemoryMeter::new();
+    let (framework, dlq) = late_policy(late);
+    let piq = |s: Streamable<u32>| s.group_aggregate(CountAgg);
+    let outs = run_piq(arrivals, latencies, freq, piq, &meter, None, framework);
+    let leak = meter.current() as f64;
+    (outs.iter().map(counts).collect(), leak, letters(&dlq))
+}
+
+/// The sort-first spelling: the basic framework, the query per output.
 fn run_basic_with_query(
     arrivals: Vec<Event<u32>>,
     latencies: &[TickDuration],
     freq: usize,
-) -> Vec<BTreeMap<(i64, u32), u64>> {
+    late: LatePolicy,
+) -> (Vec<Counts>, Letters) {
     let meter = MemoryMeter::new();
+    let (framework, dlq) = late_policy(late);
     let ds = DisorderedStreamable::from_arrivals(arrivals, &policy(freq)).tumbling_window(window());
-    let mut ss = to_streamables_basic(ds, latencies, &meter).unwrap();
-    (0..latencies.len())
+    let mut ss = to_streamables_advanced(ds, latencies, |s| s, |s| s, &meter, framework).unwrap();
+    let outs = (0..latencies.len())
         .map(|i| {
             let o = ss
                 .take_stream(i)
                 .expect("take output stream")
                 .group_aggregate(CountAgg)
                 .collect_output();
-            o.events()
-                .iter()
-                .map(|e| ((e.sync_time.ticks(), e.key), e.payload))
-                .collect()
+            counts(&o)
         })
-        .collect()
+        .collect();
+    (outs, letters(&dlq))
 }
 
 /// What each output stream of the basic framework over the windowed input
@@ -202,7 +272,7 @@ props! {
             TickDuration::ticks(400),
         ];
         let expect = oracle(&arrivals, ls[2]);
-        let (outs, leak) = run_advanced(arrivals, &ls, freq);
+        let (outs, leak, _) = run_advanced(arrivals, &ls, freq, LatePolicy::RerouteNextPartition);
         assert_eq!(outs[2], expect);
         assert_eq!(leak, 0.0, "buffered state leaked");
     }
@@ -212,11 +282,66 @@ props! {
         freq in 1usize..40,
     ) {
         let ls = vec![TickDuration::ticks(32), TickDuration::ticks(256)];
-        let (adv, _) = run_advanced(arrivals.clone(), &ls, freq);
-        let basic = run_basic_with_query(arrivals, &ls, freq);
-        // Same query, same partitions: identical results stream by stream.
-        assert_eq!(adv[0], basic[0]);
-        assert_eq!(adv[1], basic[1]);
+        for late in [LatePolicy::RerouteNextPartition, LatePolicy::Drop, LatePolicy::DeadLetter] {
+            let (adv, _, adv_letters) = run_advanced(arrivals.clone(), &ls, freq, late);
+            let (basic, basic_letters) = run_basic_with_query(arrivals.clone(), &ls, freq, late);
+            // Same query, same partitions: identical results stream by
+            // stream, and the same events diverted the same way.
+            assert_eq!(adv, basic, "{late:?}");
+            assert_eq!(adv_letters, basic_letters, "{late:?}");
+        }
+    }
+
+    fn fused_rungs_cut_under_a_tight_budget(
+        arrivals in arrivals_strategy(),
+        freq in 1usize..40,
+    ) {
+        // Smaller than one window table: every batch a rung admits forces
+        // a cut, which closes its windows early.
+        let meter = MemoryMeter::with_budget(64);
+        let registry = MetricsRegistry::new();
+        let ls = [TickDuration::ticks(16), TickDuration::ticks(64), TickDuration::ticks(400)];
+        let piq = |s: Streamable<u32>| s.group_aggregate(CountAgg);
+        run_piq(arrivals, &ls, freq, piq, &meter, Some(&registry), FrameworkPolicy::default());
+        let forced: u64 = (0..ls.len())
+            .map(|i| registry.counter(&format!("partition{i:02}.00.sort.forced_punctuations")).get())
+            .sum();
+        assert!(forced > 0, "the budget forced no cut");
+        assert_eq!(meter.current(), 0, "state left charged at completion");
+    }
+
+    fn a_piq_opening_with_another_stage_keeps_the_sort_first(
+        arrivals in arrivals_strategy(),
+        freq in 1usize..40,
+    ) {
+        let ls = [TickDuration::ticks(32), TickDuration::ticks(256)];
+        let (fused, sorted) = (MetricsRegistry::new(), MetricsRegistry::new());
+        let run = |piq: fn(Streamable<u32>) -> Streamable<u64>, registry| {
+            let outs = run_piq(
+                arrivals.clone(),
+                &ls,
+                freq,
+                piq,
+                &MemoryMeter::new(),
+                Some(registry),
+                FrameworkPolicy::default(),
+            );
+            outs.iter().map(counts).collect::<Vec<_>>()
+        };
+        let a = run(|s| s.group_aggregate(CountAgg), &fused);
+        let b = run(|s| s.where_(|_| true).group_aggregate(CountAgg), &sorted);
+        assert_eq!(a, b);
+        let names = |r: &MetricsRegistry| -> Vec<String> {
+            r.snapshot().counters.into_iter().map(|(n, _)| n).collect()
+        };
+        let (fused, sorted) = (names(&fused), names(&sorted));
+        for i in 0..ls.len() {
+            let row = |stage: &str| format!("partition{i:02}.{stage}.events_in");
+            assert!(sorted.contains(&row("01.where")), "rung {i}");
+            assert!(sorted.contains(&row("02.group_aggregate")), "rung {i}");
+            assert!(fused.contains(&row("00.sort")), "rung {i}");
+            assert!(!fused.iter().any(|n| n.contains("group_aggregate")), "rung {i}");
+        }
     }
 
     fn completeness_monotone_in_latency(
@@ -228,7 +353,7 @@ props! {
             TickDuration::ticks(128),
             TickDuration::ticks(1024),
         ];
-        let (outs, _) = run_advanced(arrivals, &ls, freq);
+        let (outs, ..) = run_advanced(arrivals, &ls, freq, LatePolicy::RerouteNextPartition);
         for i in 0..outs.len() - 1 {
             for (wk, n) in &outs[i] {
                 let later = outs[i + 1].get(wk).copied().unwrap_or(0);
@@ -247,7 +372,7 @@ props! {
         // oracle instead, which models exactly that clock.
         let ls = vec![TickDuration::ticks(64)];
         let expect = oracle(&arrivals, ls[0]);
-        let (outs, _) = run_advanced(arrivals, &ls, freq);
+        let (outs, ..) = run_advanced(arrivals, &ls, freq, LatePolicy::RerouteNextPartition);
         assert_eq!(outs[0], expect);
     }
 }

@@ -35,7 +35,9 @@
 //! checkpoint written by the sort-first plan, or by the same plan while it
 //! ran Impatience, is refused with a typed error instead of being
 //! reinterpreted. `framework_refuses_an_impatience_state_slot` holds the
-//! same rule for the framework, whose rungs bucket windowed input.
+//! same rule for the framework, whose rungs bucket windowed input, and
+//! `framework_refuses_a_slot_across_the_fused_plan_change` for the rungs
+//! that fuse their sort with a grouped aggregate.
 
 use impatience::prelude::*;
 use impatience_core::{ShedPolicy, StreamError, StreamMessage};
@@ -998,4 +1000,86 @@ fn framework_refuses_an_impatience_state_slot() {
     }
     assert!(ctx.recovery().is_none());
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// The same rule across the plan change that fuses a rung's sort with the
+/// `group_aggregate` its PIQ opens with. Under `ShedOldestRuns` the rungs
+/// keep Impatience and run sort → aggregate as two stateful stages; under
+/// the default policy each rung is one fused stage holding window tables.
+/// A durable slot written by either plan is refused by the other — every
+/// output stream ends in a typed `RecoveryFailed`, never a panic or a
+/// silent fresh start.
+#[test]
+fn framework_refuses_a_slot_across_the_fused_plan_change() {
+    use impatience_framework::FrameworkPolicy;
+    let ladder = [TickDuration::ticks(100), TickDuration::ticks(1_000)];
+    for (written, restored) in [
+        (ShedPolicy::ShedOldestRuns, ShedPolicy::default()),
+        (ShedPolicy::default(), ShedPolicy::ShedOldestRuns),
+    ] {
+        let dir = base_dir("framework-fused-slot");
+        let build = |shed: ShedPolicy| {
+            let (handle, ds) = DisorderedStreamable::<i64>::live();
+            let (ds, ctx) = ds
+                .tumbling_window(TickDuration::ticks(100))
+                .checkpointed(&dir, 1)
+                .expect("open checkpoint dir");
+            let mut ss = to_streamables_advanced(
+                ds,
+                &ladder,
+                |s| s.group_aggregate(CountAgg),
+                |s| s.reduce_by_key(|a, b| *a += b),
+                &MemoryMeter::new(),
+                FrameworkPolicy {
+                    shed,
+                    ..FrameworkPolicy::default()
+                },
+            )
+            .expect("valid ladder");
+            let outs: Vec<Output<u64>> = (0..ladder.len())
+                .map(|i| {
+                    ss.take_stream(i)
+                        .expect("take output stream")
+                        .checkpoint_egress()
+                        .collect_output()
+                })
+                .collect();
+            (handle, ctx, outs)
+        };
+        {
+            let (handle, ctx, outs) = build(written);
+            assert!(ctx.recovery().is_none(), "first incarnation is fresh");
+            handle
+                .push(StreamMessage::batch(vec![
+                    keyed(205, 1),
+                    keyed(431, 2),
+                    keyed(310, 4),
+                ]))
+                .expect("push");
+            handle
+                .push(StreamMessage::Punctuation(Timestamp::new(230)))
+                .expect("push");
+            assert!(outs.iter().all(|o| o.error().is_none()));
+        }
+        let (handle, ctx, outs) = build(restored);
+        let _ = handle.push(StreamMessage::batch(vec![keyed(500, 8)]));
+        for (i, out) in outs.iter().enumerate() {
+            match out.error() {
+                Some(StreamError::RecoveryFailed { detail }) => assert!(
+                    detail.contains("operator states"),
+                    "{written:?} → {restored:?}, stream {i}: {detail}"
+                ),
+                other => panic!(
+                    "{written:?} → {restored:?}, stream {i}: a slot of the other plan must be \
+                     refused typed, got {other:?}"
+                ),
+            }
+            assert!(
+                !out.is_completed(),
+                "{written:?} → {restored:?}, stream {i}"
+            );
+        }
+        assert!(ctx.recovery().is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

@@ -102,18 +102,38 @@ const DEAD_LETTER_CAPACITY: usize = 64 * 1024;
 /// instrumenting the disordered section under `framework` itself: the
 /// source chain registers `"framework.operator_panics":0` eagerly, and
 /// that row is the whole difference. Every other digest is the same.
+/// The four `*.output` digests, `metered.metrics`, `traced.spans` and
+/// `durable.checkpoints` were re-pinned when each rung began fusing its
+/// sort with the PIQ's `group_aggregate` (window tables in place of the
+/// bucket sorter, one stage where there were two). The output texts lost
+/// only batch marks, one per punctuation where sort → aggregate handed on
+/// two: `b` lines 17 → 15 in the plain, metered, traced and durable
+/// texts (streams 0 / 1 / 2: 6 → 5, 6 → 6, 5 → 4), 15 → 14 under the
+/// dead-letter policy (6 → 5, 6 → 6, 3 → 3); every event and punctuation
+/// line is the same. `metered.metrics` lost the eighteen
+/// `partition0{0,1,2}.01.group_aggregate.*` counters; each
+/// `partition0{0,1,2}.00.sort.events_out` now counts the groups the
+/// aggregate emitted (1 016 / 5 022 / 19 238 → 458 / 453 / 400), and each
+/// `.00.sorter` gauge reads the tables — `buffered_events` high water
+/// 292 / 3 946 / 18 564 → 123 / 149 / 300, `state_bytes` 27 872 /
+/// 262 016 / 1 369 472 → 10 740 / 9 440 / 12 464 B. Every other row is the
+/// same. `traced.spans` lost the 36 `partition0{0,1,2}.01.group_aggregate`
+/// spans, every other span byte for byte. The checkpoint files hold window
+/// tables instead of buckets and one participant per rung fewer (53 395 /
+/// 133 395 / 625 911 / 655 → 12 384 / 16 201 / 17 197 / 532 B). Routing,
+/// dead letters and the canonical runs are the same.
 const PINNED: [(&str, &str); 14] = [
-    ("plain.output", "72983:3ce905e1"),
+    ("plain.output", "72975:4a3bd592"),
     ("plain.routing", "85:25f664b1"),
-    ("metered.output", "72983:3ce905e1"),
-    ("metered.metrics", "5360:0c171237"),
-    ("dead_letter.output", "61573:f6f1008c"),
+    ("metered.output", "72975:4a3bd592"),
+    ("metered.metrics", "4472:5f110f10"),
+    ("dead_letter.output", "61569:125042cf"),
     ("dead_letter.routing", "79:e274b6fa"),
     ("dead_letter.letters", "1174337:4584eb02"),
-    ("traced.output", "72983:3ce905e1"),
-    ("traced.spans", "13389:887edd11"),
-    ("durable.output", "73023:5666eaa3"),
-    ("durable.checkpoints", "104:3bbd7e6f"),
+    ("traced.output", "72975:4a3bd592"),
+    ("traced.spans", "11386:d3d745a2"),
+    ("durable.output", "73015:6fc8435a"),
+    ("durable.checkpoints", "102:45aefb99"),
     ("canonical.plain", "2072:635155b1"),
     ("canonical.budgeted", "2093:d75bc915"),
     ("canonical.spilled", "2664:81ee7e3d"),
