@@ -33,16 +33,18 @@
 //!
 //! # Fused rungs
 //!
-//! A bucket-sorting rung whose PIQ opens with
-//! [`group_aggregate`](Streamable::group_aggregate) does not sort: the two
+//! A bucket-sorting rung whose PIQ opens with the grouped operator —
+//! [`group_aggregate`](Streamable::group_aggregate) or
+//! [`reduce_by_key`](Streamable::reduce_by_key) — does not sort: the two
 //! stages fuse into the rung's sort stage, which folds each admitted
 //! event into one group table per open window start and, on a
 //! punctuation, closes every window at or below it — in window order,
 //! keys ascending. It is legal because the PIQ regroups: over
-//! window-aligned input a grouped aggregate's output depends only on the
-//! multiset of `(window, key)` per window, folded in arrival order within
-//! a window, which is the order the bucket sorter keeps. The stage emits
-//! exactly the events sort → aggregate would, in fewer batches, and keeps
+//! window-aligned input a grouped operator's output depends only on each
+//! `(window, key)` group's events, folded in arrival order within a
+//! window, which is the order the bucket sorter keeps — so a combine need
+//! not be commutative. The stage emits exactly the events sort → grouped
+//! operator would, in fewer batches, and keeps
 //! the sort's late gate, budget ladder, gauges and counters
 //! (`partitionNN.00.sorter.*`, `.00.sort.*`) and its checkpoint frame,
 //! whose sorter state is then the open windows' groups; the rung holds
@@ -394,7 +396,8 @@ impl<P: Payload> Streamable<P> {
     /// aligned to, if any: it picks each rung's sorter.
     ///
     /// `piq` is instantiated once per rung on the rung's *sorted* stream —
-    /// or, when it opens with `group_aggregate` on a bucket-sorting rung,
+    /// or, when it opens with `group_aggregate` or `reduce_by_key` on a
+    /// bucket-sorting rung,
     /// fused with the sort ([fused rungs](self#fused-rungs)); `merge` once
     /// per union output. For correct results the pair must
     /// satisfy the usual partial-aggregation law (e.g. per-window partial
@@ -470,8 +473,8 @@ impl<P: Payload> Streamable<P> {
 
         // Rungs: relay → sort → PIQ → stage sink. The sorter is the
         // planner's pick for this input: buckets when a window aligned it.
-        // It is left unplaced for the PIQ, whose opening `group_aggregate`
-        // fuses with a bucket sort. The partitioner already filtered
+        // It is left unplaced for the PIQ, whose opening grouped operator
+        // (`group_aggregate` or `reduce_by_key`) fuses with a bucket sort. The partitioner already filtered
         // per-rung late events, so any residual late event at a sorter is
         // dropped (and counted).
         let sorter_choice = SorterChoice::for_input(window, false, policy.shed);

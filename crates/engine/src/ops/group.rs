@@ -1,6 +1,7 @@
-//! The per-window group store of `reduce_by_key` and `group_aggregate`,
-//! and [`WindowTables`], one store per open window, which a ladder rung's
-//! sort and its PIQ's `group_aggregate` fuse into.
+//! The per-window group store of the grouped operator
+//! (`group_aggregate` and `reduce_by_key`), its checkpoint frame, and
+//! [`WindowTables`], one store per open window, which a ladder rung's sort
+//! and its PIQ's opening grouped operator fuse into.
 //!
 //! Log streams group by a key set that recurs window after window, so the
 //! table is built once and *outlives* the window: a key keeps its slot, a
@@ -251,7 +252,7 @@ impl<V, O> GroupTable<V, O> {
     }
 
     /// The open window's groups, ascending by key (the checkpoint order).
-    pub(crate) fn live_sorted(&self) -> Vec<(u32, &V)> {
+    fn live_sorted(&self) -> Vec<(u32, &V)> {
         let mut live: Vec<(u32, &V)> = self
             .slots
             .iter()
@@ -261,17 +262,36 @@ impl<V, O> GroupTable<V, O> {
         live.sort_unstable_by_key(|&(key, _)| key);
         live
     }
+}
 
-    /// A table holding `window` and `groups` (in any order) as decoded
-    /// from a checkpoint of the operator `op`; a repeated key is corrupt.
-    pub(crate) fn restored(
-        op: &str,
-        window: Option<(Timestamp, Timestamp)>,
-        groups: Vec<(u32, V)>,
-    ) -> Result<Self, SnapshotError> {
-        let mut table = Self::starting_at(0, groups.len());
+/// The group frame, the one checkpoint layout of a table: the open window,
+/// then its `(key, value)` pairs ascending by key.
+impl<V: StateCodec, O> GroupTable<V, O> {
+    pub(crate) fn encode(&self, w: &mut SnapshotWriter) {
+        let live = self.live_sorted();
+        self.window.encode(w);
+        w.put_u64(live.len() as u64);
+        for (key, value) in live {
+            key.encode(w);
+            value.encode(w);
+        }
+    }
+
+    /// A table decoded from a group frame of the operator `op`. Groups
+    /// with no open window, or a key repeated, are corrupt: the writer
+    /// produces neither.
+    pub(crate) fn decode(op: &str, r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let window = Option::<(Timestamp, Timestamp)>::decode(r)?;
+        let n = r.get_count()?;
+        if window.is_none() && n > 0 {
+            let detail = format!("{op} snapshot holds {n} groups but no open window");
+            return Err(SnapshotError::corrupt(detail));
+        }
+        let mut table = Self::starting_at(0, n);
         table.window = window;
-        for (key, value) in groups {
+        for _ in 0..n {
+            let key = u32::decode(r)?;
+            let value = V::decode(r)?;
             if table.upsert(key, move || value).1 {
                 let detail = format!("{op} snapshot repeats key {key}");
                 return Err(SnapshotError::corrupt(detail));
@@ -289,17 +309,19 @@ const TABLES_TAG: u8 = b'W';
 /// The group table of `A`'s accumulators over `P`.
 type Table<P, A> = GroupTable<<A as Aggregate<P>>::Acc, <A as Aggregate<P>>::Out>;
 
-/// A ladder rung's sort fused with the `group_aggregate` that opens its
-/// PIQ: one [`GroupTable`] per open window start. Each admitted event is
+/// A ladder rung's sort fused with the grouped operator that opens its
+/// PIQ (`group_aggregate` or `reduce_by_key`): one [`GroupTable`] per open
+/// window start. Each admitted event is
 /// folded into its window's table as it arrives; a punctuation closes
 /// every window at or below it, in window order, keys ascending, so it
 /// hands on exactly the groups the aggregate would have emitted over the
 /// sorted events — with no event buffered and none sorted.
 ///
 /// * **Legal because the PIQ regroups.** Over window-aligned input a
-///   grouped aggregate's output is a function of the multiset of
-///   `(window, key)` per window, folded in arrival order within a window
-///   — the order the bucket sorter it replaces would have kept.
+///   grouped operator's output is a function of each `(window, key)`
+///   group's events, folded in arrival order within a window — the order
+///   the bucket sorter it replaces would have kept, so even a
+///   non-commutative `reduce_by_key` combine sees the same sequence.
 /// * **Finding the window** is the bucket sorter's: tables sit in a
 ///   `VecDeque` in ascending start order, a push guesses the index
 ///   `(t − front) / step` and falls back to a binary search, which opens
@@ -394,7 +416,10 @@ impl<P: Payload, A: Aggregate<P>> OnlineSorter<Event<P>, Event<A::Out>> for Wind
         );
         let at = self.position(e.sync_time, e.other_time);
         let agg = &self.agg;
-        agg.fold(self.windows[at].1.upsert(e.key, || agg.init()).0, &e);
+        let (acc, live) = self.windows[at].1.upsert(e.key, || agg.first(&e));
+        if live {
+            agg.fold(acc, &e);
+        }
     }
 
     fn punctuate(&mut self, t: Timestamp, out: &mut Vec<Event<A::Out>>) {
@@ -442,20 +467,13 @@ impl<P: Payload, A: Aggregate<P>> OnlineSorter<Event<P>, Event<A::Out>> for Wind
         "WindowTables"
     }
 
-    /// Tag, last punctuation, then each window: its bounds, then its
-    /// `(key, accumulator)` pairs ascending by key.
+    /// Tag, last punctuation, then each window's group frame.
     fn encode_state(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
         w.put_u8(TABLES_TAG);
         w.put_i64(self.last_punctuation.ticks());
         w.put_u64(self.windows.len() as u64);
         for (_, table) in &self.windows {
-            table.window().encode(w);
-            let live = table.live_sorted();
-            w.put_u64(live.len() as u64);
-            for (key, acc) in live {
-                key.encode(w);
-                acc.encode(w);
-            }
+            table.encode(w);
         }
         Ok(())
     }
@@ -475,23 +493,19 @@ impl<P: Payload, A: Aggregate<P>> OnlineSorter<Event<P>, Event<A::Out>> for Wind
         let count = r.get_count()?;
         let mut windows = VecDeque::with_capacity(count);
         for _ in 0..count {
-            let Some(window) = Option::<(Timestamp, Timestamp)>::decode(r)? else {
+            let table = Table::<P, A>::decode("window table", r)?;
+            let Some((start, _)) = table.window() else {
                 return Err(SnapshotError::corrupt("closed window in snapshot"));
             };
-            let n = r.get_count()?;
-            if n == 0 {
+            if table.live() == 0 {
                 return Err(SnapshotError::corrupt("empty window in snapshot"));
             }
-            if windows.back().is_some_and(|(start, _)| *start >= window.0) {
+            if windows.back().is_some_and(|(last, _)| *last >= start) {
                 return Err(SnapshotError::corrupt(
                     "window starts not strictly ascending in snapshot",
                 ));
             }
-            let groups = (0..n)
-                .map(|_| Ok((u32::decode(r)?, A::Acc::decode(r)?)))
-                .collect::<Result<Vec<_>, SnapshotError>>()?;
-            let table = GroupTable::restored("window table", Some(window), groups)?;
-            windows.push_back((window.0, table));
+            windows.push_back((start, table));
         }
         self.windows = windows;
         self.spares = Vec::new();
@@ -794,20 +808,5 @@ mod tests {
             "{err:?}"
         );
         assert_eq!(target.buffered_len(), 0);
-    }
-
-    #[test]
-    fn restored_rejects_a_repeated_key() {
-        type Table = GroupTable<u64, u64>;
-        let ok = Table::restored("op", None, vec![(2, 20), (1, 10)]).expect("distinct keys");
-        let live: Vec<(u32, u64)> = ok.live_sorted().into_iter().map(|(k, v)| (k, *v)).collect();
-        assert_eq!(live, vec![(1, 10), (2, 20)]);
-        let err = Table::restored("op", None, vec![(2, 20), (1, 10), (2, 5)])
-            .err()
-            .expect("a repeated key is refused");
-        assert!(
-            err.to_string().contains("op snapshot repeats key 2"),
-            "{err}"
-        );
     }
 }

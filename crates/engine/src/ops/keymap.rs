@@ -1,7 +1,7 @@
 //! The key-indexed map of the operators that keep per-key state across
 //! windows: `temporal_join`'s buffered sides and `followed_by`'s open
-//! matches. (`reduce_by_key` and `group_aggregate` group per window, in
-//! [`super::group`]'s table.)
+//! matches. (The grouped operator behind `group_aggregate` and
+//! `reduce_by_key` groups per window, in [`super::group`]'s table.)
 //!
 //! Events carry `hash = hash_key(key)`, computed once at ingress (§VI-C);
 //! [`KeyMap`] indexes by that same function instead of re-hashing each

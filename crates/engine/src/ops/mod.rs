@@ -20,20 +20,18 @@ mod join;
 mod keymap;
 pub mod pattern;
 pub mod project;
-pub mod reduce;
 pub mod sort;
 mod sync;
 pub mod topk;
 mod union;
 pub mod window;
 
-pub use aggregate::{Aggregate, CountAgg, GroupedAggregateOp, SumAgg, WindowAggregateOp};
+pub use aggregate::{Aggregate, CountAgg, GroupedAggregateOp, Reduce, SumAgg, WindowAggregateOp};
 pub use filter::FilterOp;
 pub(crate) use group::WindowTables;
 pub use join::{temporal_join, JoinInput};
 pub use pattern::FollowedByOp;
 pub use project::{ReKeyOp, SelectOp};
-pub use reduce::ReduceByKeyOp;
 pub use sort::{LateGate, LateGateOp, SortFaultCounters, SortOp, SortPolicy};
 pub use topk::TopKOp;
 pub use union::{union, UnionInput};

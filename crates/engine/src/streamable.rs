@@ -222,8 +222,8 @@ pub struct Streamable<P: Payload> {
     pub(crate) ctx: ChainCtx,
     /// A sorting stage claimed but not yet placed: only a ladder rung
     /// carries one (see [`sorted_unplaced`](Self::sorted_unplaced)).
-    /// Whatever comes next [`settle`](Self::settle)s it first — except a
-    /// `group_aggregate` over the bucket sorter, which fuses with it.
+    /// Whatever comes next [`settle`](Self::settle)s it first — except the
+    /// grouped operator over the bucket sorter, which fuses with it.
     unplaced: Option<SortStage<P>>,
 }
 
@@ -469,25 +469,8 @@ impl<P: Payload> Streamable<P> {
     }
 
     /// Windowed aggregate per grouping key.
-    ///
-    /// On a ladder rung whose sort runs the bucket sorter — the PIQ opens
-    /// with this call over window-aligned input — the aggregate fuses into
-    /// the sort: the stage folds each admitted event into its window's
-    /// table instead of buffering and sorting it (see
-    /// [`Streamable::ladder`]). The fused stage reports as the sort; the
-    /// aggregate still takes its stage number, so later stages keep their
-    /// labels.
-    pub fn group_aggregate<A: ops::Aggregate<P>>(mut self, agg: A) -> Streamable<A::Out> {
-        if let Some(step) = self.unplaced.as_ref().and_then(|stage| stage.bucket) {
-            let stage = self.unplaced.take().expect("an unplaced sort");
-            self.ctx.claim_stage();
-            return self.place_with(stage, move |_bucket| {
-                Box::new(ops::WindowTables::new(agg, step))
-            });
-        }
-        self.apply_stateful("group_aggregate", move |sink| {
-            ops::GroupedAggregateOp::new(agg, sink)
-        })
+    pub fn group_aggregate<A: ops::Aggregate<P>>(self, agg: A) -> Streamable<A::Out> {
+        self.grouped("group_aggregate", agg)
     }
 
     /// `COUNT(*)` per window — the paper's `.Count()`.
@@ -497,11 +480,33 @@ impl<P: Payload> Streamable<P> {
         })
     }
 
-    /// Combines same-(window, key) events with `combine`.
-    pub fn reduce_by_key(self, combine: impl FnMut(&mut P, P) + Send + 'static) -> Streamable<P> {
-        self.apply_stateful("reduce_by_key", move |sink| {
-            ops::ReduceByKeyOp::new(combine, sink)
-        })
+    /// Combines same-(window, key) events: a group keeps its first payload
+    /// and `combine(value, later)` merges each later one into it, in order.
+    pub fn reduce_by_key(
+        self,
+        combine: impl Fn(&mut P, P) + Clone + Send + 'static,
+    ) -> Streamable<P> {
+        self.grouped("reduce_by_key", ops::Reduce(combine))
+    }
+
+    /// The grouped operator under `label`.
+    ///
+    /// On a ladder rung whose sort runs the bucket sorter — the PIQ opens
+    /// with this call over window-aligned input — the operator fuses into
+    /// the sort: the stage folds each admitted event into its window's
+    /// table instead of buffering and sorting it (see
+    /// [`Streamable::ladder`]). The fused stage reports as the sort; the
+    /// grouped operator still takes its stage number, so later stages keep
+    /// their labels.
+    fn grouped<A: ops::Aggregate<P>>(mut self, label: &str, agg: A) -> Streamable<A::Out> {
+        if let Some(step) = self.unplaced.as_ref().and_then(|stage| stage.bucket) {
+            let stage = self.unplaced.take().expect("an unplaced sort");
+            self.ctx.claim_stage();
+            return self.place_with(stage, move |_bucket| {
+                Box::new(ops::WindowTables::new(agg, step))
+            });
+        }
+        self.apply_stateful(label, move |sink| ops::GroupedAggregateOp::new(agg, sink))
     }
 
     /// Keeps the `k` highest-scored events per window.
@@ -706,8 +711,8 @@ impl<P: Payload> Streamable<P> {
 
     /// A ladder rung's sort: claims the stage `choice` picks and leaves it
     /// unplaced, so the PIQ's first stage decides where it goes — a
-    /// `group_aggregate` over the bucket sorter fuses with it, anything
-    /// else places it first.
+    /// `group_aggregate` or `reduce_by_key` over the bucket sorter fuses
+    /// with it, anything else places it first.
     pub(crate) fn sorted_unplaced(
         mut self,
         choice: SorterChoice,
@@ -781,7 +786,7 @@ pub(crate) struct SortStage<P: Payload> {
     slot: StageSlot,
     sorter: Box<dyn OnlineSorter<Event<P>>>,
     /// The window step when `sorter` is a ladder rung's bucket sorter,
-    /// which a `group_aggregate` may fuse with.
+    /// which the grouped operator may fuse with.
     bucket: Option<TickDuration>,
     meter: MemoryMeter,
     policy: ops::SortPolicy<P>,

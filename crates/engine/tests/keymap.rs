@@ -1,10 +1,11 @@
-//! Grouped operators over adversarial key sets: correct output, and
-//! checkpoint bytes that do not depend on the process (the operators'
+//! The grouped operator over adversarial key sets, as `reduce_by_key`
+//! (over [`Reduce`]) and as `group_aggregate` (over [`CountAgg`]): correct
+//! output, and checkpoint bytes that do not depend on the process (the
 //! group table probes with a fixed multiplicative hash, not a per-process
 //! random state — and writes its keys ascending either way).
 
 use impatience_core::{crc32c, Event, EventBatch, SnapshotWriter, Timestamp};
-use impatience_engine::ops::{CountAgg, GroupedAggregateOp, ReduceByKeyOp};
+use impatience_engine::ops::{CountAgg, GroupedAggregateOp, Reduce};
 use impatience_engine::{Checkpointable, Observer, Output};
 use std::collections::BTreeMap;
 
@@ -38,7 +39,7 @@ fn adversarial_key_sets_stay_correct() {
             keys.iter().map(|&k| (k, 2 * (u64::from(k) + 1))).collect();
 
         let (out, sink) = Output::<u64>::new();
-        let mut reduce = ReduceByKeyOp::new(|a: &mut u64, b: u64| *a += b, sink);
+        let mut reduce = GroupedAggregateOp::new(Reduce(|a: &mut u64, b: u64| *a += b), sink);
         reduce.on_batch(window_of(&keys));
         reduce.on_completed();
         let got: Vec<(u32, u64)> = out.events().iter().map(|e| (e.key, e.payload)).collect();
@@ -55,13 +56,13 @@ fn adversarial_key_sets_stay_correct() {
     }
 }
 
-/// Length and CRC-32C of the checkpoint bytes of both operators, each
+/// Length and CRC-32C of the checkpoint bytes of both aggregates, each
 /// holding an open window over every adversarial key set.
 fn checkpoint_digest() -> String {
     let mut w = SnapshotWriter::new();
     for (_, keys) in adversarial_keys() {
         let (_out, sink) = Output::<u64>::new();
-        let mut reduce = ReduceByKeyOp::new(|a: &mut u64, b: u64| *a += b, sink);
+        let mut reduce = GroupedAggregateOp::new(Reduce(|a: &mut u64, b: u64| *a += b), sink);
         reduce.on_batch(window_of(&keys));
         reduce.encode_state(&mut w).expect("reduce_by_key encodes");
         let (_out, sink) = Output::<u64>::new();

@@ -3,8 +3,9 @@
 //! `partitionNN`), fence, trace (under `partitionNN`, lane `NN`) and
 //! checkpoint context, while its merge and output relays carry only the
 //! fence and the checkpoint context — whether the rung sorts first or, over
-//! window-aligned input with a PIQ that opens with `group_aggregate`, fuses
-//! the two into its sort stage.
+//! window-aligned input with a PIQ that opens with a grouped operator
+//! (`group_aggregate` or `reduce_by_key`), fuses the two into its sort
+//! stage.
 
 use impatience_core::trace::{TraceClock, TraceConfig, TraceSink};
 use impatience_core::{
@@ -152,25 +153,22 @@ fn rungs_inherit_the_chains_instruments_trace_and_fence() {
     );
 }
 
-/// A count whose fold panics on the key only rung 1 sees.
+/// A count that panics on the key only rung 1 sees.
 #[derive(Clone)]
 struct CountUnlessBad;
 
 impl Aggregate<u32> for CountUnlessBad {
     type Acc = u64;
     type Out = u64;
-    fn init(&self) -> u64 {
-        0
+    fn first(&self, e: &Event<u32>) -> u64 {
+        assert!(e.key != BAD, "rung under test blew up");
+        1
     }
     fn fold(&self, acc: &mut u64, e: &Event<u32>) {
-        assert!(e.key != BAD, "rung under test blew up");
-        *acc += 1;
+        *acc += self.first(e);
     }
     fn output(&self, acc: &u64) -> u64 {
         *acc
-    }
-    fn combine(&self, a: &u64, b: &u64) -> u64 {
-        a + b
     }
 }
 

@@ -24,7 +24,7 @@ use impatience_engine::{FrameworkPolicy, Streamable, Streamables};
 ///
 /// `piq` is instantiated once per partition on the partition's *sorted*
 /// stream — except that over windowed input a PIQ opening with
-/// `group_aggregate` fuses with the sort, folding each event into its
+/// `group_aggregate` or `reduce_by_key` fuses with the sort, folding each event into its
 /// window's table as it arrives, with the same output (see
 /// [`impatience_engine::ladder`]); `merge` once per union output. For
 /// correct results the pair must satisfy the usual partial-aggregation

@@ -105,26 +105,30 @@ echo "== framework differential (ladder rungs under the planner's sorter rule) =
 # by the planner's rule: where a tumbling window runs below the framework
 # every rung runs the bucket sorter, elsewhere (and under ShedOldestRuns)
 # Impatience. A bucket-sorting rung whose PIQ opens with group_aggregate
-# fuses the two: its sort stage folds each event into one table per open
-# window and emits the groups sort -> aggregate would, holding no raw
-# event, under the sort's label. The props
+# or reduce_by_key (one grouped operator) fuses the two: its sort stage
+# folds each event into one table per open window, in arrival order, and
+# emits the groups sort -> grouped operator would, holding no raw event,
+# under the sort's label. The props
 # hold every tier to a batch oracle, the basic framework's tiers over
 # windowed input to an exact tie order (time, then partition, then
 # arrival), and the fused rungs to the sort-first spelling under every
-# late policy, dead letters included, and under a budget that forces
+# late policy, dead letters included (for a count and for a reduce_by_key
+# that keeps each group's first payload), and under a budget that forces
 # cuts. surface_differential pins the ladder's output, routing, dead
 # letters and spans byte for byte; its metered.metrics and
 # durable.checkpoints digests record the fused rungs (sort rows only,
 # window-table snapshots), and the checkpoint digest covers each slot's
 # bytes, not only its size. A durable slot written while the rungs ran
-# Impatience, or sort-first where they now fuse (and the reverse), is
-# refused with a typed RecoveryFailed. Both inheritance tests run by name:
+# Impatience, or sort-first where they now fuse (and the reverse), or
+# while reduce_by_key was an operator of its own (its merge frames carry
+# engine.reduce_by_key), is refused with a typed RecoveryFailed. Both inheritance tests run by name:
 # the sort-first test's name is a substring of its fused twin's.
 # The engine's tests/ladder.rs, tests/framework_props.rs and
 # tests/surface_differential.rs run whole above.
 cargo test -q --offline -p impatience-engine --test ladder rungs_inherit_the_chains_instruments_trace_and_fence
 cargo test -q --offline --test recovery framework_refuses_an_impatience_state_slot
 cargo test -q --offline --test recovery framework_refuses_a_slot_across_the_fused_plan_change
+cargo test -q --offline --test recovery framework_refuses_a_slot_of_the_old_reduce_by_key_operator
 
 echo "== two-input stages (union and join on one synchronizer) =="
 # Union and join share one synchronizer (ops::sync) and differ only in

@@ -5,13 +5,15 @@
 //! windowed input the basic framework's streams must order equal times
 //! exactly: by partition, then by arrival.
 //!
-//! Over windowed input each advanced rung fuses its sort with the PIQ's
-//! `group_aggregate` (one table per open window, no event buffered); the
-//! basic framework plus the query per output is the sort-first spelling of
-//! the same plan. The two must agree under every late policy, dead letters
-//! included; fused rungs must stay ordered and release their memory under
-//! a budget that forces cuts; and a PIQ that opens with anything else
-//! keeps the sort first.
+//! Over windowed input each advanced rung fuses its sort with the grouped
+//! operator its PIQ opens with — `group_aggregate` or `reduce_by_key`, one
+//! table per open window, no event buffered; the basic framework plus the
+//! query per output is the sort-first spelling of the same plan. The two
+//! must agree under every late policy, dead letters included, for an
+//! additive count and for a combine that keeps the first payload (which
+//! only arrival order within a window decides); fused rungs must stay
+//! ordered and release their memory under a budget that forces cuts; and
+//! a PIQ that opens with anything else keeps the sort first.
 //!
 //! On failure the harness prints the failing case seed; replay with
 //! `IMPATIENCE_PROP_SEED=0x<seed> cargo test <test name>`.
@@ -83,15 +85,15 @@ fn oracle(arrivals: &[Event<u32>], max_latency: TickDuration) -> BTreeMap<(i64, 
     m
 }
 
-/// One output stream's keyed window counts.
-type Counts = BTreeMap<(i64, u32), u64>;
+/// One output stream's keyed window results (counts by default).
+type Counts<Q = u64> = BTreeMap<(i64, u32), Q>;
 
 /// Dead letters as `(sync_time, key, payload, reason)`, in diversion order.
 type Letters = Vec<(i64, u32, u32, String)>;
 
-fn counts(o: &Output<u64>) -> Counts {
+fn counts<Q: Payload>(o: &Output<Q>) -> Counts<Q> {
     o.events()
-        .iter()
+        .into_iter()
         .map(|e| ((e.sync_time.ticks(), e.key), e.payload))
         .collect()
 }
@@ -122,32 +124,36 @@ fn letters(dlq: &DeadLetterQueue<u32>) -> Letters {
         .collect()
 }
 
-/// The advanced framework over the windowed arrivals with `piq` and the
-/// additive merge, every output collected and checked ordered and
-/// complete.
-fn run_piq(
+/// The additive merge of partial counts.
+fn add(s: Streamable<u64>) -> Streamable<u64> {
+    s.reduce_by_key(|a, b| *a += b)
+}
+
+/// Keeps each (window, key) group's first payload: not commutative, so
+/// only the order a group's events arrive in decides it.
+fn keep_first(s: Streamable<u32>) -> Streamable<u32> {
+    s.reduce_by_key(|_, _| {})
+}
+
+/// The advanced framework over the windowed arrivals with `piq` and
+/// `merge`, every output collected and checked ordered and complete.
+#[allow(clippy::too_many_arguments)]
+fn run_piq<Q: Payload>(
     arrivals: Vec<Event<u32>>,
     latencies: &[TickDuration],
     freq: usize,
-    piq: impl Fn(Streamable<u32>) -> Streamable<u64> + 'static,
+    piq: impl Fn(Streamable<u32>) -> Streamable<Q> + 'static,
+    merge: fn(Streamable<Q>) -> Streamable<Q>,
     meter: &MemoryMeter,
     registry: Option<&MetricsRegistry>,
     framework: FrameworkPolicy<u32>,
-) -> Vec<Output<u64>> {
+) -> Vec<Output<Q>> {
     let ds = DisorderedStreamable::from_arrivals(arrivals, &policy(freq)).tumbling_window(window());
     let ds = match registry {
         Some(r) => ds.instrument(r, "framework"),
         None => ds,
     };
-    let mut ss = to_streamables_advanced(
-        ds,
-        latencies,
-        piq,
-        |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
-        meter,
-        framework,
-    )
-    .unwrap();
+    let mut ss = to_streamables_advanced(ds, latencies, piq, merge, meter, framework).unwrap();
     (0..latencies.len())
         .map(|i| {
             let o = ss
@@ -165,6 +171,10 @@ fn run_piq(
 /// the dead letters, under the late policy `late`.
 type LadderOutputs = (Vec<Counts>, f64, Letters);
 
+fn count(s: Streamable<u32>) -> Streamable<u64> {
+    s.group_aggregate(CountAgg)
+}
+
 fn run_advanced(
     arrivals: Vec<Event<u32>>,
     latencies: &[TickDuration],
@@ -173,30 +183,28 @@ fn run_advanced(
 ) -> LadderOutputs {
     let meter = MemoryMeter::new();
     let (framework, dlq) = late_policy(late);
-    let piq = |s: Streamable<u32>| s.group_aggregate(CountAgg);
-    let outs = run_piq(arrivals, latencies, freq, piq, &meter, None, framework);
+    let outs = run_piq(
+        arrivals, latencies, freq, count, add, &meter, None, framework,
+    );
     let leak = meter.current() as f64;
     (outs.iter().map(counts).collect(), leak, letters(&dlq))
 }
 
-/// The sort-first spelling: the basic framework, the query per output.
-fn run_basic_with_query(
+/// The sort-first spelling: the basic framework, `query` per output.
+fn run_basic_with_query<Q: Payload>(
     arrivals: Vec<Event<u32>>,
     latencies: &[TickDuration],
     freq: usize,
     late: LatePolicy,
-) -> (Vec<Counts>, Letters) {
+    query: fn(Streamable<u32>) -> Streamable<Q>,
+) -> (Vec<Counts<Q>>, Letters) {
     let meter = MemoryMeter::new();
     let (framework, dlq) = late_policy(late);
     let ds = DisorderedStreamable::from_arrivals(arrivals, &policy(freq)).tumbling_window(window());
     let mut ss = to_streamables_advanced(ds, latencies, |s| s, |s| s, &meter, framework).unwrap();
     let outs = (0..latencies.len())
         .map(|i| {
-            let o = ss
-                .take_stream(i)
-                .expect("take output stream")
-                .group_aggregate(CountAgg)
-                .collect_output();
+            let o = query(ss.take_stream(i).expect("take output stream")).collect_output();
             counts(&o)
         })
         .collect();
@@ -228,6 +236,53 @@ fn tier_oracle(arrivals: &[Event<u32>], latencies: &[TickDuration]) -> Vec<Vec<(
                 .map(|&(t, _, key, payload)| (t, key, payload))
                 .collect()
         })
+        .collect()
+}
+
+/// The advanced framework with `piq` and `merge` against the basic one
+/// with `query` per output, under every late policy: the same query over
+/// the same partitions gives identical results stream by stream, and the
+/// same events diverted the same way. Returns the counter names of the
+/// advanced runs.
+fn agree<Q: Payload>(
+    arrivals: Vec<Event<u32>>,
+    freq: usize,
+    piq: fn(Streamable<u32>) -> Streamable<Q>,
+    merge: fn(Streamable<Q>) -> Streamable<Q>,
+    query: fn(Streamable<u32>) -> Streamable<Q>,
+) -> Vec<String> {
+    let ls = [TickDuration::ticks(32), TickDuration::ticks(256)];
+    let registry = MetricsRegistry::new();
+    for late in [
+        LatePolicy::RerouteNextPartition,
+        LatePolicy::Drop,
+        LatePolicy::DeadLetter,
+    ] {
+        let (framework, dlq) = late_policy(late);
+        let meter = MemoryMeter::new();
+        let adv = run_piq(
+            arrivals.clone(),
+            &ls,
+            freq,
+            piq,
+            merge,
+            &meter,
+            Some(&registry),
+            framework,
+        );
+        let (basic, basic_letters) = run_basic_with_query(arrivals.clone(), &ls, freq, late, query);
+        assert_eq!(
+            adv.iter().map(counts).collect::<Vec<_>>(),
+            basic,
+            "{late:?}"
+        );
+        assert_eq!(letters(&dlq), basic_letters, "{late:?}");
+    }
+    registry
+        .snapshot()
+        .counters
+        .into_iter()
+        .map(|(n, _)| n)
         .collect()
 }
 
@@ -281,14 +336,21 @@ props! {
         arrivals in arrivals_strategy(),
         freq in 1usize..40,
     ) {
-        let ls = vec![TickDuration::ticks(32), TickDuration::ticks(256)];
-        for late in [LatePolicy::RerouteNextPartition, LatePolicy::Drop, LatePolicy::DeadLetter] {
-            let (adv, _, adv_letters) = run_advanced(arrivals.clone(), &ls, freq, late);
-            let (basic, basic_letters) = run_basic_with_query(arrivals.clone(), &ls, freq, late);
-            // Same query, same partitions: identical results stream by
-            // stream, and the same events diverted the same way.
-            assert_eq!(adv, basic, "{late:?}");
-            assert_eq!(adv_letters, basic_letters, "{late:?}");
+        agree(arrivals, freq, count, add, count);
+    }
+
+    fn a_fused_reduce_by_key_piq_agrees_with_the_sort_first_plan(
+        arrivals in scattered_arrivals_strategy(),
+        freq in 1usize..40,
+    ) {
+        let names = agree(arrivals, freq, keep_first, keep_first, keep_first);
+        for i in 0..2 {
+            let rung = format!("partition{i:02}.");
+            assert!(names.contains(&format!("{rung}00.sort.events_in")), "rung {i}");
+            assert!(
+                !names.iter().any(|n| n.starts_with(&rung) && n.contains("reduce_by_key")),
+                "rung {i}: the PIQ's reduce_by_key ran as its own stage"
+            );
         }
     }
 
@@ -301,8 +363,7 @@ props! {
         let meter = MemoryMeter::with_budget(64);
         let registry = MetricsRegistry::new();
         let ls = [TickDuration::ticks(16), TickDuration::ticks(64), TickDuration::ticks(400)];
-        let piq = |s: Streamable<u32>| s.group_aggregate(CountAgg);
-        run_piq(arrivals, &ls, freq, piq, &meter, Some(&registry), FrameworkPolicy::default());
+        run_piq(arrivals, &ls, freq, count, add, &meter, Some(&registry), FrameworkPolicy::default());
         let forced: u64 = (0..ls.len())
             .map(|i| registry.counter(&format!("partition{i:02}.00.sort.forced_punctuations")).get())
             .sum();
@@ -322,13 +383,14 @@ props! {
                 &ls,
                 freq,
                 piq,
+                add,
                 &MemoryMeter::new(),
                 Some(registry),
                 FrameworkPolicy::default(),
             );
             outs.iter().map(counts).collect::<Vec<_>>()
         };
-        let a = run(|s| s.group_aggregate(CountAgg), &fused);
+        let a = run(count, &fused);
         let b = run(|s| s.where_(|_| true).group_aggregate(CountAgg), &sorted);
         assert_eq!(a, b);
         let names = |r: &MetricsRegistry| -> Vec<String> {

@@ -38,6 +38,8 @@
 //! same rule for the framework, whose rungs bucket windowed input, and
 //! `framework_refuses_a_slot_across_the_fused_plan_change` for the rungs
 //! that fuse their sort with a grouped aggregate.
+//! `framework_refuses_a_slot_of_the_old_reduce_by_key_operator` holds it
+//! for a slot written while `reduce_by_key` was an operator of its own.
 
 use impatience::prelude::*;
 use impatience_core::{ShedPolicy, StreamError, StreamMessage};
@@ -1002,52 +1004,78 @@ fn framework_refuses_an_impatience_state_slot() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A durable count ladder over 100-tick windows — `group_aggregate` as
+/// PIQ, `reduce_by_key` adding partials as merge — checkpointing into
+/// `dir` at every punctuation, rungs sorting under `shed`.
+fn count_ladder(
+    dir: &Path,
+    shed: ShedPolicy,
+) -> (InputHandle<i64>, CheckpointCtx, Vec<Output<u64>>) {
+    use impatience_framework::FrameworkPolicy;
+    let ladder = [TickDuration::ticks(100), TickDuration::ticks(1_000)];
+    let (handle, ds) = DisorderedStreamable::<i64>::live();
+    let (ds, ctx) = ds
+        .tumbling_window(TickDuration::ticks(100))
+        .checkpointed(dir, 1)
+        .expect("open checkpoint dir");
+    let mut ss = to_streamables_advanced(
+        ds,
+        &ladder,
+        |s| s.group_aggregate(CountAgg),
+        |s| s.reduce_by_key(|a, b| *a += b),
+        &MemoryMeter::new(),
+        FrameworkPolicy {
+            shed,
+            ..FrameworkPolicy::default()
+        },
+    )
+    .expect("valid ladder");
+    let outs = (0..ladder.len())
+        .map(|i| {
+            ss.take_stream(i)
+                .expect("take output stream")
+                .checkpoint_egress()
+                .collect_output()
+        })
+        .collect();
+    (handle, ctx, outs)
+}
+
+/// Every output stream of a restored ladder ended in a typed
+/// `RecoveryFailed` whose detail holds `needle` — never a panic, a
+/// completion or a silent fresh start — even after more input.
+fn assert_refused(
+    (handle, ctx, outs): (InputHandle<i64>, CheckpointCtx, Vec<Output<u64>>),
+    needle: &str,
+    case: &str,
+) {
+    let _ = handle.push(StreamMessage::batch(vec![keyed(500, 8)]));
+    for (i, out) in outs.iter().enumerate() {
+        match out.error() {
+            Some(StreamError::RecoveryFailed { detail }) => {
+                assert!(detail.contains(needle), "{case}, stream {i}: {detail}")
+            }
+            other => panic!("{case}, stream {i}: the slot must be refused typed, got {other:?}"),
+        }
+        assert!(!out.is_completed(), "{case}, stream {i}");
+    }
+    assert!(ctx.recovery().is_none(), "{case}");
+}
+
 /// The same rule across the plan change that fuses a rung's sort with the
 /// `group_aggregate` its PIQ opens with. Under `ShedOldestRuns` the rungs
 /// keep Impatience and run sort → aggregate as two stateful stages; under
 /// the default policy each rung is one fused stage holding window tables.
-/// A durable slot written by either plan is refused by the other — every
-/// output stream ends in a typed `RecoveryFailed`, never a panic or a
-/// silent fresh start.
+/// A durable slot written by either plan is refused by the other.
 #[test]
 fn framework_refuses_a_slot_across_the_fused_plan_change() {
-    use impatience_framework::FrameworkPolicy;
-    let ladder = [TickDuration::ticks(100), TickDuration::ticks(1_000)];
     for (written, restored) in [
         (ShedPolicy::ShedOldestRuns, ShedPolicy::default()),
         (ShedPolicy::default(), ShedPolicy::ShedOldestRuns),
     ] {
         let dir = base_dir("framework-fused-slot");
-        let build = |shed: ShedPolicy| {
-            let (handle, ds) = DisorderedStreamable::<i64>::live();
-            let (ds, ctx) = ds
-                .tumbling_window(TickDuration::ticks(100))
-                .checkpointed(&dir, 1)
-                .expect("open checkpoint dir");
-            let mut ss = to_streamables_advanced(
-                ds,
-                &ladder,
-                |s| s.group_aggregate(CountAgg),
-                |s| s.reduce_by_key(|a, b| *a += b),
-                &MemoryMeter::new(),
-                FrameworkPolicy {
-                    shed,
-                    ..FrameworkPolicy::default()
-                },
-            )
-            .expect("valid ladder");
-            let outs: Vec<Output<u64>> = (0..ladder.len())
-                .map(|i| {
-                    ss.take_stream(i)
-                        .expect("take output stream")
-                        .checkpoint_egress()
-                        .collect_output()
-                })
-                .collect();
-            (handle, ctx, outs)
-        };
         {
-            let (handle, ctx, outs) = build(written);
+            let (handle, ctx, outs) = count_ladder(&dir, written);
             assert!(ctx.recovery().is_none(), "first incarnation is fresh");
             handle
                 .push(StreamMessage::batch(vec![
@@ -1061,25 +1089,78 @@ fn framework_refuses_a_slot_across_the_fused_plan_change() {
                 .expect("push");
             assert!(outs.iter().all(|o| o.error().is_none()));
         }
-        let (handle, ctx, outs) = build(restored);
-        let _ = handle.push(StreamMessage::batch(vec![keyed(500, 8)]));
-        for (i, out) in outs.iter().enumerate() {
-            match out.error() {
-                Some(StreamError::RecoveryFailed { detail }) => assert!(
-                    detail.contains("operator states"),
-                    "{written:?} → {restored:?}, stream {i}: {detail}"
-                ),
-                other => panic!(
-                    "{written:?} → {restored:?}, stream {i}: a slot of the other plan must be \
-                     refused typed, got {other:?}"
-                ),
-            }
-            assert!(
-                !out.is_completed(),
-                "{written:?} → {restored:?}, stream {i}"
-            );
-        }
-        assert!(ctx.recovery().is_none());
+        let case = format!("{written:?} → {restored:?}");
+        assert_refused(count_ladder(&dir, restored), "operator states", &case);
         let _ = fs::remove_dir_all(&dir);
     }
+}
+
+/// Rewrites each checkpoint slot in `dir` as it was written while
+/// `reduce_by_key` was an operator of its own: its frame carried the state
+/// id `engine.reduce_by_key`. After a punctuation that stage holds no open
+/// window, and an idle table's frame (no window, zero groups) is the same
+/// nine bytes in the old layout (window, keys, then values) and the new
+/// one (window, then `(key, value)` pairs); only the id differs.
+fn as_written_by_the_old_reduce_by_key(dir: &Path) {
+    use impatience_core::{SnapshotReader, SnapshotWriter, SNAPSHOT_VERSION};
+    use impatience_engine::CHECKPOINT_MAGIC;
+    for name in ["ckpt-a.bin", "ckpt-b.bin"] {
+        let path = dir.join(name);
+        let Ok(bytes) = fs::read(&path) else {
+            continue;
+        };
+        let mut r = SnapshotReader::unseal(&bytes, CHECKPOINT_MAGIC, SNAPSHOT_VERSION)
+            .expect("a valid slot");
+        let mut w = SnapshotWriter::new();
+        for _ in 0..3 {
+            // Generation, messages seen, egress events.
+            w.put_u64(r.get_u64().expect("slot header"));
+        }
+        let frames = r.get_count().expect("frame count");
+        w.put_u64(frames as u64);
+        for _ in 0..frames {
+            let id = r.get_str().expect("state id");
+            let body = r.get_bytes().expect("state frame");
+            if id == "engine.grouped_aggregate" {
+                assert_eq!(body.len(), 9, "an idle table's frame");
+                w.put_str("engine.reduce_by_key");
+            } else {
+                w.put_str(id);
+            }
+            w.put_bytes(body);
+        }
+        assert!(r.is_exhausted());
+        fs::write(&path, w.seal(CHECKPOINT_MAGIC, SNAPSHOT_VERSION)).expect("rewrite slot");
+    }
+}
+
+/// A durable ladder slot written while `reduce_by_key` was an operator of
+/// its own carries the state id `engine.reduce_by_key` in each merge
+/// stage's frame. The merges now register as the grouped aggregate, so
+/// recovery fails typed on the id instead of reading the old frame as the
+/// new one.
+#[test]
+fn framework_refuses_a_slot_of_the_old_reduce_by_key_operator() {
+    let dir = base_dir("old-reduce-by-key-slot");
+    {
+        let (handle, ctx, outs) = count_ladder(&dir, ShedPolicy::default());
+        assert!(ctx.recovery().is_none(), "first incarnation is fresh");
+        handle
+            .push(StreamMessage::batch(vec![keyed(105, 1), keyed(205, 2)]))
+            .expect("push");
+        handle
+            .push(StreamMessage::Punctuation(Timestamp::new(230)))
+            .expect("push");
+        assert!(outs.iter().all(|o| o.error().is_none()));
+        assert_eq!(outs[0].event_count(), 1, "window 100 closed");
+    }
+    as_written_by_the_old_reduce_by_key(&dir);
+    let refusal =
+        "checkpoint state 'engine.reduce_by_key' does not match operator 'engine.grouped_aggregate'";
+    assert_refused(
+        count_ladder(&dir, ShedPolicy::default()),
+        refusal,
+        "old slot",
+    );
+    let _ = fs::remove_dir_all(&dir);
 }

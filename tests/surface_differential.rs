@@ -122,6 +122,15 @@ const DEAD_LETTER_CAPACITY: usize = 64 * 1024;
 /// tables instead of buckets and one participant per rung fewer (53 395 /
 /// 133 395 / 625 911 / 655 → 12 384 / 16 201 / 17 197 / 532 B). Routing,
 /// dead letters and the canonical runs are the same.
+/// `durable.checkpoints` was re-pinned (`102:45aefb99` → `102:36b4ed0f`)
+/// when `reduce_by_key` became the grouped aggregate over `Reduce`: in each
+/// slot the two merge stages' frames changed state id
+/// (`engine.reduce_by_key` → `engine.grouped_aggregate`, 4 B longer each)
+/// and layout (keys then values → `(key, value)` pairs); at every
+/// checkpoint the merges hold no open window, so their 9-byte bodies are
+/// the same bytes. The slots grew 8 B (12 384 / 16 201 / 17 197 / 532 →
+/// 12 392 / 16 209 / 17 205 / 540 B); every other frame, and every other
+/// digest, is the same.
 const PINNED: [(&str, &str); 14] = [
     ("plain.output", "72975:4a3bd592"),
     ("plain.routing", "85:25f664b1"),
@@ -133,7 +142,7 @@ const PINNED: [(&str, &str); 14] = [
     ("traced.output", "72975:4a3bd592"),
     ("traced.spans", "11386:d3d745a2"),
     ("durable.output", "73015:6fc8435a"),
-    ("durable.checkpoints", "102:45aefb99"),
+    ("durable.checkpoints", "102:36b4ed0f"),
     ("canonical.plain", "2072:635155b1"),
     ("canonical.budgeted", "2093:d75bc915"),
     ("canonical.spilled", "2664:81ee7e3d"),
