@@ -21,6 +21,14 @@
 //! at `high − l_i` on every input punctuation that advances the clock, so
 //! its sorter flushes on exactly the cadence its latency promises.
 //!
+//! Each rung gets at most one batch per input batch. The partitioner
+//! decides every event's rung in arrival order, noting the batch's maximal
+//! same-rung runs, then copies each run into its rung's buffer as one
+//! slice, sized to what the rung receives; when every visible event goes
+//! to one rung, that rung takes the batch's own storage and nothing is
+//! copied. Dropped and dead-lettered events are handled one by one, in
+//! arrival order.
+//!
 //! Every rung picks its sorter by the planner's rule,
 //! [`SorterChoice::for_input`], from the `window` the caller aligned the
 //! input to: over window starts a rung runs the
@@ -82,6 +90,7 @@ use impatience_core::{
     Payload, ShedPolicy, SnapshotError, SnapshotReader, SnapshotWriter, StateCodec, StreamError,
     TickDuration, Timestamp, WatermarkClock,
 };
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// Failure-model configuration for a ladder.
@@ -240,7 +249,12 @@ impl<Q: Payload> Streamables<Q> {
 struct Partitioner<P: Payload> {
     latencies: Vec<TickDuration>,
     parts: Vec<InputHandle<P>>,
+    /// Each rung's share of the current batch, sized to it before the
+    /// copy.
     scratch: Vec<Vec<Event<P>>>,
+    /// The current batch's maximal same-rung runs of routed events, as
+    /// `(rung, rows)`: the routing pass fills it, the copy pass reads it.
+    runs: Vec<(usize, Range<usize>)>,
     /// Events routed to each rung in the current batch, added to
     /// `stats.routed` once per batch rather than once per event.
     tally: Vec<u64>,
@@ -283,9 +297,9 @@ impl<P: Payload> Partitioner<P> {
 }
 
 /// The partitioner's durable state is its watermark clock, framed as the
-/// high watermark then each rung's last punctuation. `scratch` and
-/// `tally` are always empty at a punctuation boundary (every batch flushes
-/// them), and the routing stats are advisory metrics rather than
+/// high watermark then each rung's last punctuation. `scratch`, `runs`
+/// and `tally` are always empty at a punctuation boundary (every batch
+/// flushes them), and the routing stats are advisory metrics rather than
 /// replay-critical state.
 impl<P: Payload> Checkpointable for Partitioner<P> {
     fn state_id(&self) -> &'static str {
@@ -321,7 +335,8 @@ impl<P: Payload> Checkpointable for Partitioner<P> {
 
 impl<P: Payload> Observer<P> for Partitioner<P> {
     fn on_batch(&mut self, batch: EventBatch<P>) {
-        for e in batch.iter_visible() {
+        let events = batch.into_visible();
+        for (row, e) in events.iter().enumerate() {
             let i = WatermarkClock::rung(self.clock.arrive(e.sync_time), &self.latencies);
             // An event that missed the fastest rung is *late*; walking to
             // rung i is the reroute policy. Past the largest latency no
@@ -329,15 +344,38 @@ impl<P: Payload> Observer<P> for Partitioner<P> {
             if i < self.latencies.len() && (i == 0 || self.late == LatePolicy::RerouteNextPartition)
             {
                 self.tally[i] += 1;
-                self.scratch[i].push(e.clone());
+                match self.runs.last_mut() {
+                    Some((rung, rows)) if *rung == i && rows.end == row => rows.end += 1,
+                    _ => self.runs.push((i, row..row + 1)),
+                }
             } else if self.late == LatePolicy::DeadLetter {
                 self.divert(e);
             } else {
                 self.stats.dropped.inc();
             }
         }
-        self.publish_tally();
-        self.flush_scratch();
+        match self.runs.as_slice() {
+            // Every visible event goes to one rung: it takes the batch's
+            // own storage.
+            [(i, rows)] if rows.len() == events.len() => {
+                let i = *i;
+                self.publish_tally();
+                self.parts[i].push_events(events);
+            }
+            // Each run is one slice copy into a buffer sized to its rung's
+            // share of the batch.
+            runs => {
+                for (buf, &n) in self.scratch.iter_mut().zip(&self.tally) {
+                    buf.reserve_exact(n as usize);
+                }
+                for (i, rows) in runs {
+                    self.scratch[*i].extend_from_slice(&events[rows.clone()]);
+                }
+                self.publish_tally();
+                self.flush_scratch();
+            }
+        }
+        self.runs.clear();
     }
 
     fn on_punctuation(&mut self, _t: Timestamp) {
@@ -497,6 +535,7 @@ impl<P: Payload> Streamable<P> {
         let partitioner = Partitioner {
             latencies: latencies.to_vec(),
             scratch: (0..k).map(|_| Vec::new()).collect(),
+            runs: Vec::new(),
             tally: vec![0; k],
             parts,
             clock: WatermarkClock::NEW,

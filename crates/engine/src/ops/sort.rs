@@ -37,9 +37,13 @@
 //! `sync_time − last punctuation received` in ticks, clamped at zero —
 //! how far ahead of the watermark the input runs, the slack a reorder
 //! latency must cover (Fig 5's disorder quantity). Events seen before any
-//! punctuation are not sampled. It is tallied in the loop that admits the
-//! batch and merged into the histogram under one lock per batch
-//! ([`Histogram::record_batch`]).
+//! punctuation are not sampled. It is merged into the histogram under one
+//! lock per batch ([`Histogram::record_batch`]).
+//!
+//! A batch is admitted whole. One read pass over its visible events
+//! tallies their lag, takes the highest admitted `sync_time` and counts
+//! the late ones; the late events are then diverted, in arrival order, and
+//! the rest go to the sorter in one [`OnlineSorter::push_batch`] call.
 
 use crate::checkpoint::Checkpointable;
 use crate::observer::Observer;
@@ -589,33 +593,37 @@ impl<P: Payload, S: Observer<Q>, Q: Payload> Observer<P> for SortOp<P, S, Q> {
         if self.failed {
             return;
         }
+        let mut events = batch.into_visible();
+        // One read pass: every event's lag, the highest admitted time, and
+        // how many are late — none unless this stage judges lateness.
         let judge = !self.behind_gate || self.watermark_forced;
-        let SortOp {
-            gate, high, sorter, ..
-        } = self;
-        let mut admit = |e: Event<P>| {
+        let (gate, mut high, mut late) = (&self.gate, self.high, 0usize);
+        let from = self.last_punctuation.map_or(0, Timestamp::ticks);
+        let lags = events.iter().map(|e| {
             if judge && gate.is_late(e.sync_time) {
-                gate.divert(|| e);
+                late += 1;
             } else {
-                *high = (*high).max(e.sync_time);
-                sorter.push(e);
+                high = high.max(e.sync_time);
             }
-        };
-        let events = batch.into_visible();
-        match (&self.watermark_lag, self.last_punctuation) {
-            (Some(histogram), Some(watermark)) => {
-                #[cfg(test)]
-                if !events.is_empty() {
-                    LAG_FLUSHES.with(|n| n.set(n.get() + 1));
-                }
-                histogram.record_batch(events.into_iter().map(|e| {
-                    let lag = e.sync_time.ticks().saturating_sub(watermark.ticks()).max(0);
-                    admit(e);
-                    lag as u64
-                }));
+            e.sync_time.ticks().saturating_sub(from).max(0) as u64
+        });
+        let sampled = self.last_punctuation.and(self.watermark_lag.as_ref());
+        if let Some(histogram) = sampled {
+            #[cfg(test)]
+            if !events.is_empty() {
+                LAG_FLUSHES.with(|n| n.set(n.get() + 1));
             }
-            _ => events.into_iter().for_each(admit),
+            histogram.record_batch(lags);
+        } else {
+            lags.for_each(drop);
         }
+        self.high = high;
+        if late > 0 {
+            for e in events.extract_if(.., |e| self.gate.is_late(e.sync_time)) {
+                self.gate.divert(|| e);
+            }
+        }
+        self.sorter.push_batch(events);
         self.sync_meter();
         self.enforce_budget();
     }
@@ -768,23 +776,24 @@ mod tests {
             policy,
             sink,
         );
-        op.on_batch(batch(&[10]));
+        op.on_batch(batch(&[8]));
         op.on_punctuation(Timestamp::new(10));
-        op.on_batch(batch(&[5, 10, 11]));
+        op.on_batch(batch(&[9, 10])); // all late: `high` stays at 8
+        assert_eq!(op.high, Timestamp::new(8));
+        op.on_batch(batch(&[5, 12, 10, 11, 3])); // 5, 10 and 3 are late
+        assert_eq!(op.high, Timestamp::new(12));
         op.on_completed();
         assert_eq!(op.dropped_late(), 0);
-        assert_eq!(op.dead_lettered(), 2);
+        assert_eq!(op.dead_lettered(), 5);
         let letters = dlq.drain();
-        assert_eq!(letters.len(), 2);
-        assert_eq!(letters[0].event.sync_time, Timestamp::new(5));
-        assert_eq!(
-            letters[0].reason,
-            DeadLetterReason::Late {
+        let late: Vec<i64> = letters.iter().map(|l| l.event.sync_time.ticks()).collect();
+        assert_eq!(late, vec![9, 10, 5, 10, 3], "diverted in arrival order");
+        assert!(letters.iter().all(|l| l.reason
+            == DeadLetterReason::Late {
                 watermark: Timestamp::new(10)
-            }
-        );
+            }));
         let ts: Vec<i64> = out.events().iter().map(|e| e.sync_time.ticks()).collect();
-        assert_eq!(ts, vec![10, 11], "on-time output unaffected");
+        assert_eq!(ts, vec![8, 11, 12], "on-time output unaffected");
     }
 
     #[test]
@@ -819,18 +828,51 @@ mod tests {
     #[test]
     fn watermark_lag_is_measured_against_received_punctuations() {
         // A forced cut moves the watermark to 19; lag still counts from
-        // the last punctuation the input carried.
+        // the last punctuation the input carried. The batch after the cut
+        // mixes late and on-time events, for a plain sort and for one
+        // behind a late gate, which judges lateness itself once a cut
+        // forced its watermark.
         let budget = 4 * core::mem::size_of::<Event<u32>>();
-        let lag = Histogram::new();
-        let (_out, sink) = Output::<u32>::new();
-        let mut op =
-            sort_op(sink, MemoryMeter::with_budget(budget)).with_watermark_lag(lag.clone());
-        op.on_punctuation(Timestamp::new(10));
-        op.on_batch(batch(&[11, 12, 13, 14, 15, 16, 17, 18, 19]));
-        assert!(op.forced_punctuations() > 0);
-        op.on_batch(batch(&[20]));
-        assert_eq!(lag.count(), 10);
-        assert_eq!(lag.sum(), (1..=10).sum::<u64>());
+        for behind_gate in [false, true] {
+            let lag = Histogram::new();
+            let dlq = DeadLetterQueue::new();
+            let (out, sink) = Output::<u32>::new();
+            let policy = SortPolicy::new()
+                .with_late(LatePolicy::DeadLetter)
+                .with_dead_letters(dlq.clone());
+            let mut op = SortOp::with_policy(
+                Box::new(ImpatienceSorter::new()),
+                MemoryMeter::with_budget(budget),
+                policy,
+                sink,
+            )
+            .with_watermark_lag(lag.clone());
+            if behind_gate {
+                op = op.behind_late_gate();
+            }
+            op.on_punctuation(Timestamp::new(10));
+            op.on_batch(batch(&[11, 12, 13, 14, 15, 16, 17, 18, 19]));
+            assert!(op.forced_punctuations() > 0);
+            assert_eq!(out.last_punctuation(), Some(Timestamp::new(19)));
+            // Lags 10, 0 (late), 15, 9 (late), 0 (late), 12.
+            op.on_batch(batch(&[20, 7, 25, 19, 3, 22]));
+            let letters = dlq.drain();
+            let late: Vec<i64> = letters.iter().map(|l| l.event.sync_time.ticks()).collect();
+            assert_eq!(late, vec![7, 19, 3], "behind gate: {behind_gate}");
+            assert!(letters.iter().all(|l| l.reason
+                == DeadLetterReason::Late {
+                    watermark: Timestamp::new(19)
+                }));
+            assert_eq!((op.dead_lettered(), op.dropped_late()), (3, 0));
+            assert_eq!(lag.count(), 15, "every visible event, late ones too");
+            assert_eq!(lag.sum(), (1..=9).sum::<u64>() + 46);
+            // The next forced cut lands on the highest admitted time.
+            assert_eq!(op.high, Timestamp::new(25));
+            op.forced_cut();
+            assert_eq!(out.last_punctuation(), Some(Timestamp::new(25)));
+            let ts: Vec<i64> = out.events().iter().map(|e| e.sync_time.ticks()).collect();
+            assert_eq!(ts, (11..=20).chain([22, 25]).collect::<Vec<_>>());
+        }
     }
 
     #[test]

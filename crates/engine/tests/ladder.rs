@@ -5,14 +5,16 @@
 //! fence and the checkpoint context — whether the rung sorts first or, over
 //! window-aligned input with a PIQ that opens with a grouped operator
 //! (`group_aggregate` or `reduce_by_key`), fuses the two into its sort
-//! stage.
+//! stage. The partitioner copies each routed event at most once.
 
 use impatience_core::trace::{TraceClock, TraceConfig, TraceSink};
 use impatience_core::{
-    Event, MemoryMeter, MetricsRegistry, StreamError, StreamMessage, TickDuration, Timestamp,
+    Event, MemoryMeter, MetricsRegistry, Payload, SnapshotError, SnapshotReader, SnapshotWriter,
+    StateCodec, StreamError, StreamMessage, TickDuration, Timestamp,
 };
 use impatience_engine::ops::Aggregate;
 use impatience_engine::{input_stream, FrameworkPolicy, Output, Streamable, TraceCtx};
+use std::cell::Cell;
 
 /// The key whose event only rung 1 sees, and on which its PIQ panics.
 const BAD: u32 = 7;
@@ -373,6 +375,96 @@ fn arrivals_that_raise_the_watermark_fit_a_zero_tick_rung() {
             .collect();
         assert_eq!(ts, (1..=10).collect::<Vec<_>>(), "{latencies:?}");
     }
+}
+
+thread_local! {
+    static CLONES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// A payload whose clones are counted on this thread.
+#[derive(Debug, PartialEq)]
+struct Counted(u32);
+
+impl Clone for Counted {
+    fn clone(&self) -> Self {
+        CLONES.with(|c| c.set(c.get() + 1));
+        Counted(self.0)
+    }
+}
+
+impl StateCodec for Counted {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        self.0.encode(w);
+    }
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        u32::decode(r).map(Counted)
+    }
+}
+
+impl Payload for Counted {}
+
+/// The partitioner hands a batch that falls wholly in one rung over as it
+/// is, and copies each event of a batch with rung changes inside it once.
+/// Each count is read before a punctuation, while the rungs' sorters hold
+/// what they were handed and nothing has flowed on.
+#[test]
+fn the_partitioner_copies_each_routed_event_at_most_once() {
+    let r = MetricsRegistry::new();
+    let (handle, stream) = input_stream::<Counted>();
+    let mut ss = stream
+        .instrument(&r, "q")
+        .ladder(
+            None,
+            &ladder(),
+            |s: Streamable<Counted>| s,
+            |s: Streamable<Counted>| s,
+            &MemoryMeter::new(),
+            FrameworkPolicy::default(),
+        )
+        .expect("valid ladder");
+    let outs: Vec<Output<Counted>> = (0..3)
+        .map(|i| {
+            ss.take_stream(i)
+                .expect("take output stream")
+                .collect_output()
+        })
+        .collect();
+    let push = |ts: &[i64]| {
+        let events = ts
+            .iter()
+            .map(|&t| Event::point(Timestamp::new(t), Counted(t as u32)))
+            .collect();
+        let before = CLONES.with(Cell::get);
+        handle.push_events(events);
+        CLONES.with(Cell::get) - before
+    };
+    let routed = || -> Vec<u64> {
+        (0..3)
+            .map(|i| {
+                r.counter(&format!("framework.partition{i:02}.routed"))
+                    .get()
+            })
+            .collect()
+    };
+
+    // Every event raises the watermark: all of it goes to rung 0.
+    assert_eq!(push(&[100, 110, 120, 130]), 0, "a one-rung batch is moved");
+    assert_eq!(routed(), vec![4, 0, 0]);
+    // Delays -5, 15, 14, -5, 65, 2: runs of rungs 0, 1, 0, 2, 0.
+    assert_eq!(
+        push(&[135, 120, 121, 140, 75, 138]),
+        6,
+        "one copy per event"
+    );
+    assert_eq!(routed(), vec![4 + 3, 2, 1]);
+
+    handle.push_punctuation(Timestamp::new(140));
+    handle.complete();
+    let ts = |o: &Output<Counted>| -> Vec<i64> {
+        o.events().iter().map(|e| e.sync_time.ticks()).collect()
+    };
+    assert_eq!(ts(&outs[0]), vec![100, 110, 120, 130, 135, 138, 140]);
+    assert_eq!(ts(&outs[2]).len(), 10);
 }
 
 /// The tape the durable case feeds: batches and punctuations interleaved

@@ -32,6 +32,16 @@ pub trait OnlineSorter<T: EventTimed, O = T>: Send {
     /// Buffers one out-of-order item.
     fn push(&mut self, item: T);
 
+    /// Buffers a batch of out-of-order items, as `push` would one by one in
+    /// the batch's order. The default does exactly that; being compiled
+    /// per sorter, it costs a boxed sorter one dynamic call per batch
+    /// rather than one per item.
+    fn push_batch(&mut self, items: Vec<T>) {
+        for item in items {
+            self.push(item);
+        }
+    }
+
     /// Handles a punctuation: appends to `out` every buffered item with
     /// `event_time <= t`, in nondecreasing event-time order, and removes
     /// them from the buffer.
@@ -82,9 +92,13 @@ pub trait OnlineSorter<T: EventTimed, O = T>: Send {
 
     /// Takes the pending typed fault, if any. Spill-capable sorters record
     /// disk faults hit inside [`punctuate`](OnlineSorter::punctuate) (whose
-    /// signature cannot fail) here; the engine polls after every push and
-    /// punctuation and poisons the chain with the returned error. The
-    /// default never faults.
+    /// signature cannot fail) here. The engine's sorting stage polls after
+    /// every punctuation, drain and forced cut, and poisons the chain with
+    /// the returned error; it does not poll after
+    /// [`push`](OnlineSorter::push) or
+    /// [`push_batch`](OnlineSorter::push_batch), which no sorter faults
+    /// in — a spill's own fault comes back from
+    /// [`spill_cold`](OnlineSorter::spill_cold). The default never faults.
     fn take_fault(&mut self) -> Option<StreamError> {
         None
     }

@@ -123,12 +123,28 @@ echo "== framework differential (ladder rungs under the planner's sorter rule) =
 # while reduce_by_key was an operator of its own (its merge frames carry
 # engine.reduce_by_key), is refused with a typed RecoveryFailed. Both inheritance tests run by name:
 # the sort-first test's name is a substring of its fused twin's.
-# The engine's tests/ladder.rs, tests/framework_props.rs and
+# Batches enter the ladder whole: the partitioner hands a batch that falls
+# wholly in one rung over as it is and copies each event of a batch with
+# rung changes inside it once, which a clone-counting payload checks by
+# name. The engine's tests/ladder.rs, tests/framework_props.rs and
 # tests/surface_differential.rs run whole above.
 cargo test -q --offline -p impatience-engine --test ladder rungs_inherit_the_chains_instruments_trace_and_fence
+cargo test -q --offline -p impatience-engine --test ladder the_partitioner_copies_each_routed_event_at_most_once
 cargo test -q --offline --test recovery framework_refuses_an_impatience_state_slot
 cargo test -q --offline --test recovery framework_refuses_a_slot_across_the_fused_plan_change
 cargo test -q --offline --test recovery framework_refuses_a_slot_of_the_old_reduce_by_key_operator
+
+echo "== sorting stage (a batch admitted in one pass and one sorter call) =="
+# SortOp reads a batch once — watermark lag for every visible event, the
+# highest admitted time, the late count — then diverts the late events in
+# arrival order and hands the rest to the sorter in one push_batch call.
+# The late-path cases run by name: a plain sort under DeadLetter, and a
+# plain sort and one behind a late gate after a forced cut, each with a
+# batch that mixes late and on-time events (letters and counters exact,
+# `high` at the admitted maximum, lag tallied for every event).
+cargo test -q --offline -p impatience-engine --lib -- \
+    ops::sort::tests::dead_letter_policy_diverts_late_events \
+    ops::sort::tests::watermark_lag_is_measured_against_received_punctuations
 
 echo "== two-input stages (union and join on one synchronizer) =="
 # Union and join share one synchronizer (ops::sync) and differ only in

@@ -31,7 +31,11 @@ fn window() -> TickDuration {
 }
 
 /// Arbitrary arrival sequence: mostly advancing with occasional big
-/// regressions (late stragglers).
+/// regressions (late stragglers). Ingress cuts batches of up to 32
+/// events, so most batches of a multi-rung ladder change rung inside the
+/// batch under reroute, and mix routed and diverted events under the other
+/// late policies; a punctuation every few events leaves one-rung batches
+/// too.
 fn arrivals_strategy() -> impl Strategy<Value = Vec<Event<u32>>> {
     pvec((0i64..40, weighted_bool(0.15), 0u32..8), 1..400).prop_map(|steps| {
         let mut t = 0i64;
