@@ -30,35 +30,38 @@
 //! arrival order.
 //!
 //! Every rung picks its sorter by the planner's rule,
-//! [`SorterChoice::for_input`], from the `window` the caller aligned the
-//! input to: over window starts a rung runs the
+//! [`SorterChoice::for_input`](crate::spec::SorterChoice::for_input): over
+//! the window starts of a `window`-aligned input a rung runs the
 //! [`BucketSorter`](impatience_sort::BucketSorter), one bucket per start;
-//! without a window, or under [`ShedPolicy::ShedOldestRuns`], it runs
-//! Impatience. The ladder never spills. The bucket sorter keeps arrival
+//! without a window, or under [`ShedPolicy::ShedOldestRuns`], Impatience.
+//! The ladder never spills. The bucket sorter keeps arrival
 //! order among equal times and a union takes ties from its faster (left)
 //! side first, so with it the basic framework's output streams order
 //! equal times by rung, then by arrival.
 //!
 //! # Fused rungs
 //!
-//! A bucket-sorting rung whose PIQ opens with the grouped operator —
+//! A rung's sort is placed by its PIQ, under the planner's rule
+//! ([`PipelineSpec::plan`](crate::spec::PipelineSpec::plan)): filters
+//! ahead of a grouped operator —
 //! [`group_aggregate`](Streamable::group_aggregate) or
-//! [`reduce_by_key`](Streamable::reduce_by_key) — does not sort: the two
-//! stages fuse into the rung's sort stage, which folds each admitted
-//! event into one group table per open window start and, on a
-//! punctuation, closes every window at or below it — in window order,
-//! keys ascending. It is legal because the PIQ regroups: over
-//! window-aligned input a grouped operator's output depends only on each
+//! [`reduce_by_key`](Streamable::reduce_by_key) — run below it, and the
+//! window that aligned the input is the one window ahead. On a
+//! bucket-sorting rung the grouped operator then fuses into the sort
+//! stage, which folds each admitted event into one group table per open
+//! window start and, on a punctuation, closes every window at or below
+//! it — in window order, keys ascending. It is legal because the PIQ
+//! regroups: over window-aligned input its output depends only on each
 //! `(window, key)` group's events, folded in arrival order within a
-//! window, which is the order the bucket sorter keeps — so a combine need
-//! not be commutative. The stage emits exactly the events sort → grouped
-//! operator would, in fewer batches, and keeps
-//! the sort's late gate, budget ladder, gauges and counters
-//! (`partitionNN.00.sorter.*`, `.00.sort.*`) and its checkpoint frame,
-//! whose sorter state is then the open windows' groups; the rung holds
-//! groups, never raw events. Every other rung — an identity PIQ, any other
-//! first stage, no window, `ShedOldestRuns` — sorts, then runs the PIQ. A
-//! durable slot written by one plan is refused, typed, by the other.
+//! window, the order the bucket sorter keeps — so a combine need not be
+//! commutative. The stage emits exactly the events sort → grouped
+//! operator would, in fewer batches, and keeps the sort's late gate,
+//! budget ladder, gauges and counters (`partitionNN.00.sorter.*`,
+//! `.00.sort.*`) and its checkpoint frame, whose sorter state is then the
+//! open windows' groups. Every other rung — an identity PIQ, a `re_key`,
+//! a second window or any other op first, no window, `ShedOldestRuns` —
+//! sorts, then runs the PIQ. A durable slot written by one plan is
+//! refused, typed, by the other.
 //!
 //! The latencies must pass [`validate_ladder`], the rule every latency
 //! ladder in the workspace shares: non-empty, at most 255 rungs,
@@ -82,7 +85,6 @@
 use crate::checkpoint::Checkpointable;
 use crate::observer::Observer;
 use crate::ops::{union as build_union, SortPolicy};
-use crate::spec::SorterChoice;
 use crate::streamable::{enrol, input_stream, InputHandle, Streamable};
 use impatience_core::metrics::{Counter, MetricsRegistry};
 use impatience_core::{
@@ -433,11 +435,9 @@ impl<P: Payload> Streamable<P> {
     /// output streams. `window` is the tumbling window the input is
     /// aligned to, if any: it picks each rung's sorter.
     ///
-    /// `piq` is instantiated once per rung on the rung's *sorted* stream —
-    /// or, when it opens with `group_aggregate` or `reduce_by_key` on a
-    /// bucket-sorting rung,
-    /// fused with the sort ([fused rungs](self#fused-rungs)); `merge` once
-    /// per union output. For correct results the pair must
+    /// `piq` is instantiated once per rung on the rung's unplaced sort,
+    /// which it places ([fused rungs](self#fused-rungs)); `merge` once per
+    /// union output. For correct results the pair must
     /// satisfy the usual partial-aggregation law (e.g. per-window partial
     /// counts + addition). Each rung inherits this chain's instruments,
     /// fence, trace and checkpoint context ([the boundary carries the
@@ -509,13 +509,9 @@ impl<P: Payload> Streamable<P> {
         sinks.push(stage_sink);
         sinks.reverse();
 
-        // Rungs: relay → sort → PIQ → stage sink. The sorter is the
-        // planner's pick for this input: buckets when a window aligned it.
-        // It is left unplaced for the PIQ, whose opening grouped operator
-        // (`group_aggregate` or `reduce_by_key`) fuses with a bucket sort. The partitioner already filtered
-        // per-rung late events, so any residual late event at a sorter is
-        // dropped (and counted).
-        let sorter_choice = SorterChoice::for_input(window, false, policy.shed);
+        // Rungs: relay → sort → PIQ → stage sink, the sort placed by the
+        // PIQ. The partitioner already filtered per-rung late events, so
+        // any residual late event at a sorter is dropped (and counted).
         let mut parts = Vec::with_capacity(k);
         for (i, sink) in sinks.into_iter().enumerate() {
             let (h, mut rung) = input_stream::<P>();
@@ -526,7 +522,7 @@ impl<P: Payload> Streamable<P> {
                 shed: policy.shed,
                 dead_letters: policy.dead_letters.clone(),
             };
-            piq(rung.sorted_unplaced(sorter_choice, meter, sort_policy)?).subscribe_observer(sink);
+            piq(rung.sorted_unplaced(window, None, meter, sort_policy)?).subscribe_observer(sink);
         }
 
         // Subscribing the partitioner connects the source's checkpoint gate

@@ -24,10 +24,9 @@
 //! 3. `checkpointed(dir, every_n)` — two-slot durable snapshots;
 //! 4. `instrument(registry, name)` + checkpoint metric binding;
 //! 5. `hardened()` — panic isolation;
-//! 6. `sorted(sorter, meter, policy)` — the only disorder-tolerant stage
-//!    (in-memory Impatience sort, the external spilling sorter when the
-//!    spec opts into `spill`, or the bucket sorter when a window runs
-//!    below it — see below);
+//! 6. `sorted_unplaced(..)` — the only disorder-tolerant stage, placed by
+//!    the op chain (Impatience sort, spilling under `spill`, or the bucket
+//!    sorter when a window runs below it — see below);
 //! 7. the [`OpSpec`] chain;
 //! 8. `checkpoint_egress()` — committed-output accounting;
 //!
@@ -37,22 +36,16 @@
 //! chain: spans under `{trace prefix}.shard{NN}` on lane `NN`, instruments
 //! under `{name}.shard{NN}`, and the fence.
 //!
-//! Steps 6–7 are **sort-as-needed** (paper §IV): [`PipelineSpec::plan`]
-//! moves the leading filters and windows of the op chain *below* the sort
-//! when what consumes the sorted stream cannot tell the difference, so the
-//! sorter sees fewer events and fewer distinct timestamps. The stages then
-//! run `late gate → hoisted ops → sort → remaining ops`; their labels
-//! still name spec positions (`{name}.00.sort`, op *i* at
-//! `{name}.{i+1:02}`), wherever the plan put them. When a tumbling window
-//! is among the hoisted ops, every event reaching the sort carries a
-//! window start, and the plan sorts them with a
-//! [`BucketSorter`] — one bucket per window start — instead of building
-//! Impatience runs, unless the `sort` section asks for something only
-//! Impatience runs can do (spilling, or shedding the oldest run).
+//! Steps 6–7 are **sort-as-needed** (paper §IV): the op chain places the
+//! sort, moving leading filters and windows *below* it when what consumes
+//! the sorted stream cannot tell the difference — `late gate → hoisted ops
+//! → sort → remaining ops` — and [`PipelineSpec::plan`] displays what it
+//! decides. Labels still name spec positions (`{name}.00.sort`, op *i* at
+//! `{name}.{i+1:02}`), wherever the ops run.
 
 use crate::checkpoint::CheckpointCtx;
 use crate::observer::Observer;
-use crate::ops::SortPolicy;
+use crate::ops::{self, SortPolicy};
 use crate::streamable::{input_stream, InputHandle, Streamable};
 use crate::traced::TraceCtx;
 use impatience_core::json::Json;
@@ -176,16 +169,16 @@ impl OpSpec {
         }
     }
 
-    /// Does running this per-event op below the sort shrink what is
-    /// sorted? A filter removes events and a window collapses distinct
-    /// timestamps (Proposition 3.2). `Scale` maps i64 to i64 — Fig 9(b)'s
-    /// gain is narrower events — and a later `FilterMin` reads the scaled
-    /// payload; chaos drills pin *when* `PanicOn` fires.
-    fn shrinks_sort(&self) -> bool {
-        matches!(
-            self,
-            OpSpec::FilterMin { .. } | OpSpec::TumblingWindow { .. }
-        )
+    /// What running this per-event op below the sort does. A filter
+    /// removes events and a window collapses distinct timestamps
+    /// (Proposition 3.2); `Scale` shrinks nothing (i64 → i64) and chaos
+    /// drills pin *when* `PanicOn` fires.
+    fn hoist(&self) -> Hoist {
+        match self {
+            OpSpec::FilterMin { .. } => Hoist::Shrinks,
+            OpSpec::TumblingWindow { size } => Hoist::Window(*size),
+            _ => Hoist::Stays,
+        }
     }
 
     /// The operator name in this op's stage label (`{name}.{stage:02}.*`).
@@ -199,16 +192,26 @@ impl OpSpec {
         }
     }
 
+    /// Chains this op. `Scale` and `PanicOn` go through the per-event
+    /// entry that does not shrink the sort, not `select` (which places an
+    /// unplaced sort first) or `where_` (which may run below it).
     fn apply(&self, s: Streamable<i64>) -> Streamable<i64> {
+        let (name, hoist) = (self.stage_name(), self.hoist());
         match self.clone() {
             OpSpec::FilterMin { min } => s.where_(move |e| e.payload >= min),
-            OpSpec::Scale { factor } => s.select(move |p| p.wrapping_mul(factor)),
+            OpSpec::Scale { factor } => s.per_event(name, hoist, move |sink| {
+                let scale = move |p: &i64| p.wrapping_mul(factor);
+                Box::new(ops::SelectOp::new(scale, sink))
+            }),
             OpSpec::TumblingWindow { size } => s.tumbling_window(size),
             OpSpec::SumByKey => s.reduce_by_key(|acc, p| *acc = acc.wrapping_add(p)),
             OpSpec::TopK { k } => s.top_k(k, |p| *p),
-            OpSpec::PanicOn { value } => s.where_(move |e| {
-                assert!(e.payload != value, "chaos op: poison payload {value}");
-                true
+            OpSpec::PanicOn { value } => s.per_event(name, hoist, move |sink| {
+                let poison = move |e: &Event<i64>| {
+                    assert!(e.payload != value, "chaos op: poison payload {value}");
+                    true
+                };
+                Box::new(ops::FilterOp::new(poison, sink))
             }),
         }
     }
@@ -242,10 +245,9 @@ pub enum SorterChoice {
 }
 
 impl SorterChoice {
-    /// The one rule for which sorter sorts an input, shared by
-    /// [`PipelineSpec::plan`] and the framework's rungs. `window` is the
-    /// size of the tumbling window that aligned the input below the sort,
-    /// if any. Aligned input carries a few window starts, one bucket each,
+    /// The one rule for which sorter sorts an input, applied wherever a
+    /// sort is placed and read by [`PipelineSpec::plan`]. `window` is the
+    /// size of the tumbling window that last aligned the input, if any. Aligned input carries a few window starts, one bucket each,
     /// so it runs the [`BucketSorter`] — unless `spill` is set or `shed` is
     /// [`ShedPolicy::ShedOldestRuns`]: spilling and shedding the oldest run
     /// work on Impatience's runs.
@@ -268,6 +270,46 @@ impl SorterChoice {
             (SorterChoice::Impatience, None) => Box::new(ImpatienceSorter::new()),
         }
     }
+}
+
+/// What running a per-event op below a sort does: it drops events
+/// (`Shrinks`), aligns them to a tumbling window of the given size, which
+/// collapses distinct times, or neither (`Stays`, and so do the ops after it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Hoist {
+    Shrinks,
+    Window(TickDuration),
+    Stays,
+}
+
+/// Sort-as-needed (§IV), the one rule for what runs below a sort that a
+/// regrouping consumer reads, asked by [`PipelineSpec::plan`] and by the
+/// grouped operator over an unplaced sort: how many of the per-event ops
+/// `ahead` of the consumer go below, and the window that last aligned
+/// what reaches the sort — the last one below, else `aligned`, the one
+/// that aligned the input before the sort was claimed.
+///
+/// The leading run of ops that shrink the sort goes below, a window only
+/// when it is the one window ahead, `aligned` counted: it translates
+/// punctuation `p` to `start(p) − 1`, exactly the last window the consumer
+/// may close, so the sorter cuts where the consumer would have emitted.
+/// Two in cascade translate conservatively, and the sorter would hold a
+/// finished window longer than the sort-first chain (DESIGN.md §5); then
+/// only the filters ahead of the first window move.
+pub(crate) fn below_sort(
+    ahead: impl Iterator<Item = Hoist> + Clone,
+    aligned: Option<TickDuration>,
+) -> (usize, Option<TickDuration>) {
+    let window = |h: Hoist| match h {
+        Hoist::Window(size) => Some(size),
+        _ => None,
+    };
+    let lone = ahead.clone().filter_map(window).count() + usize::from(aligned.is_some()) == 1;
+    let below = (ahead.clone())
+        .take_while(|h| *h == Hoist::Shrinks || lone && window(*h).is_some())
+        .count();
+    let last = ahead.take(below).filter_map(window).last();
+    (below, last.or(aligned))
 }
 
 /// The order a spec's stages run in and the sorter its sort stage runs
@@ -829,52 +871,27 @@ impl core::fmt::Debug for BuiltPipeline {
 
 impl PipelineSpec {
     /// Sort-as-needed (§IV): which leading ops [`build`](Self::build) runs
-    /// below the sort, and which sorter sorts what they leave. A pure
-    /// function of `ops` and the `sort` section.
+    /// below the sort, and which sorter sorts what they leave — a pure
+    /// function of `ops` and `sort`, by the rule the built chain decides by.
     ///
     /// The *consumer* is the first op that is not [`OpClass::PerEvent`].
-    /// The leading run of ops that shrink the sort (`FilterMin`,
-    /// `TumblingWindow`) is hoisted when the consumer is
+    /// Ops ahead of it may move below the sort only when it is
     /// [`OpClass::Regrouping`]: the sorter's order among equal timestamps
     /// depends on its merge shape, and so on what was filtered or aligned
     /// before it, and only a consumer that cannot see that order keeps the
     /// rewrite byte-identical. With an order-reading consumer, or none (the
-    /// sink itself then sees tie order), the plan is sort-first.
-    ///
-    /// A window is hoisted only when it is the one window ahead of the
-    /// consumer. One window translates punctuation `p` to `start(p) − 1`,
-    /// exactly the last window the consumer may close, so the sorter cuts
-    /// where the consumer would have emitted. Two in cascade translate
-    /// conservatively (`start₂(start₁(p) − 1) − 1` lags `start₂(p) − 1`
-    /// while `p` is in the first sub-window of a big one), and the sorter
-    /// would hold a finished window a few punctuations longer than the
-    /// sort-first chain does: same batches, different interleaving. Then
-    /// only the filters ahead of the first window move.
-    ///
-    /// With a window hoisted, the sort stage runs a [`BucketSorter`]: the
-    /// few dozen window starts in flight get one bucket each. Its order
-    /// among equal times is arrival order, not Impatience's merge order,
-    /// which is legal for the same reason the hoist is: the consumer is
-    /// regrouping. `sort.spill` and [`ShedPolicy::ShedOldestRuns`] keep
-    /// Impatience, because spilling and shedding work on its runs
-    /// ([`SorterChoice::for_input`], the rule the framework's rungs share).
+    /// sink itself then sees tie order), the plan is sort-first. With a
+    /// window below, the sort runs a [`BucketSorter`]
+    /// ([`SorterChoice::for_input`]), whose order among equal times —
+    /// arrival order — the regrouping consumer cannot see either.
     pub fn plan(&self) -> Plan {
         let consumer = self
             .ops
             .iter()
             .position(|op| op.class() != OpClass::PerEvent)
             .filter(|&at| self.ops[at].class() == OpClass::Regrouping);
-        let ahead = &self.ops[..consumer.unwrap_or(0)];
-        let is_window = |op: &OpSpec| matches!(op, OpSpec::TumblingWindow { .. });
-        let lone_window = ahead.iter().filter(|op| is_window(op)).count() == 1;
-        let hoisted = ahead
-            .iter()
-            .take_while(|op| op.shrinks_sort() && (lone_window || !is_window(op)))
-            .count();
-        let window = ahead[..hoisted].iter().find_map(|op| match op {
-            OpSpec::TumblingWindow { size } => Some(*size),
-            _ => None,
-        });
+        let ahead = self.ops[..consumer.unwrap_or(0)].iter().map(OpSpec::hoist);
+        let (hoisted, window) = below_sort(ahead, None);
         Plan {
             hoisted,
             sorter: SorterChoice::for_input(window, self.sort.spill, self.sort.shed),
@@ -939,32 +956,20 @@ impl PipelineSpec {
             s = s.hardened();
         }
 
-        // Steps 6–7, once per pipeline or once per shard: the sorter under
-        // the spec's policy and the op chain, the planned prefix of it
-        // below the sort. Only a `spill` spec's sorter is given a directory.
+        // Steps 6–7, once per pipeline or once per shard: the sort under
+        // the spec's policy, claimed unplaced, and the op chain, which
+        // places it. Only a `spill` spec's sorter is given a directory.
         let spill_root = env.spill_dir.clone().filter(|_| self.sort.spill);
         let sort_then_ops = {
-            let spec = self.clone();
-            let plan = self.plan();
-            let meter = env.meter.clone();
-            let dead_letters = dead_letters.clone();
+            let (ops, meter) = (self.ops.clone(), env.meter.clone());
+            let policy = SortPolicy {
+                late: self.sort.late,
+                shed: self.sort.shed,
+                dead_letters: dead_letters.clone(),
+            };
             move |s: Streamable<i64>, spill_dir: Option<PathBuf>| {
-                let sorter = plan.sorter().sorter(spill_dir);
-                let mut policy = SortPolicy::new()
-                    .with_late(spec.sort.late)
-                    .with_shed(spec.sort.shed);
-                if let Some(dlq) = &dead_letters {
-                    policy = policy.with_dead_letters(dlq.clone());
-                }
-                let mut s = s;
-                let mut sort = s.claim_sort(sorter, &meter, policy)?;
-                let (below, above) = spec.ops.split_at(plan.hoisted());
-                if !below.is_empty() {
-                    s = s.late_gate(&mut sort);
-                }
-                s = below.iter().fold(s, |s, op| op.apply(s));
-                s = s.place_sort(sort);
-                Ok::<_, StreamError>(above.iter().fold(s, |s, op| op.apply(s)))
+                let s = s.sorted_unplaced(None, spill_dir, &meter, policy.clone())?;
+                Ok::<_, StreamError>(ops.iter().fold(s, |s, op| op.apply(s)))
             }
         };
         if self.shards > 1 {
@@ -1346,7 +1351,10 @@ mod tests {
             for ops in &shapes {
                 let mut spec = PipelineSpec::new("p");
                 spec.ops = ops.clone();
-                assert_eq!(spec.plan().hoisted(), expected(ops), "{ops:?}");
+                let plan = spec.plan();
+                assert_eq!(plan.hoisted(), expected(ops), "{ops:?}");
+                // What the chain built is what the plan says.
+                assert_eq!(built_order(&spec), plan.to_string(), "{ops:?}");
                 checked += 1;
             }
             shapes = shapes
@@ -1361,6 +1369,64 @@ mod tests {
                 .collect();
         }
         assert_eq!(checked, 1 + 6 + 36 + 216 + 1296);
+    }
+
+    /// Forty events, disordered within each batch and none late, and one
+    /// punctuation after the first twenty that leaves events in any sort.
+    /// No payload is 13, the shape test's `PanicOn` value.
+    fn short_stream() -> Vec<StreamMessage<i64>> {
+        let events = |from: i64| {
+            let evs = (from..from + 20).map(|i| ev(10 * (i ^ 1), (i % 3) as u32, 2 * i));
+            StreamMessage::batch(evs.collect())
+        };
+        vec![
+            events(0),
+            StreamMessage::Punctuation(Timestamp::new(150)),
+            events(20),
+        ]
+    }
+
+    /// The physical order of `spec`'s built stages, displayed as [`Plan`]
+    /// displays it, read from the counters of a [`short_stream`] run. The
+    /// sort holds events at the end, so a stage below it takes in more
+    /// events than the sort lets out and a stage above it at most as many;
+    /// a sorter that never built a run is the bucket sorter.
+    fn built_order(spec: &PipelineSpec) -> String {
+        let registry = MetricsRegistry::new();
+        let (out, sink) = crate::observer::Output::new();
+        let env = PipelineEnv::new().with_registry(&registry);
+        let built = spec.build(&env, Box::new(sink)).expect("build");
+        for m in short_stream() {
+            built.handle.push(m).expect("push");
+        }
+        let count = |stage: &str, side: &str| {
+            let label = stage.trim_end_matches("[bucket]");
+            registry.counter(&format!("p.{label}.events_{side}")).get()
+        };
+        let sort_out = count("00.sort", "out");
+        assert!(sort_out < count("00.sort", "in"), "the sort holds events");
+        let (below, above): (Vec<_>, Vec<_>) = (spec.ops.iter().enumerate())
+            .map(|(i, op)| format!("{:02}.{}", i + 1, op.stage_name()))
+            .partition(|stage| count(stage, "in") > sort_out);
+        let sort = match registry.gauge("p.00.sorter.runs").high_water() {
+            0 => "00.sort[bucket]",
+            _ => "00.sort",
+        };
+        let stages: Vec<String> = (below.iter().cloned())
+            .chain([sort.to_string()])
+            .chain(above)
+            .collect();
+        // Each stage hands on what the next takes in, from the first, which
+        // takes in every event, to the sink.
+        assert_eq!(count(&stages[0], "in"), 40);
+        for pair in stages.windows(2) {
+            assert_eq!(count(&pair[0], "out"), count(&pair[1], "in"), "{pair:?}");
+        }
+        let last = stages.last().expect("a sort");
+        assert_eq!(count(last, "out"), out.events().len() as u64);
+        let gate = (!below.is_empty()).then(|| "gate".to_string());
+        let shown: Vec<String> = gate.into_iter().chain(stages).collect();
+        shown.join(" → ")
     }
 
     #[test]

@@ -18,9 +18,9 @@ use crate::lock;
 use crate::observer::{FnSink, Observer, Output, SharedSink};
 use crate::ops;
 use crate::shell::{OperatorMetrics, StagePlan};
-use crate::spec::SorterChoice;
+use crate::spec::{below_sort, Hoist, SorterChoice};
 use crate::traced::{TraceCtx, TraceState};
-use impatience_core::metrics::{Counter, Histogram};
+use impatience_core::metrics::Counter;
 use impatience_core::trace::TraceSink;
 use impatience_core::{
     Event, EventBatch, LatePolicy, MemoryMeter, MetricsRegistry, Payload, SnapshotError,
@@ -64,8 +64,8 @@ pub(crate) struct ChainCtx {
 
 /// A stage's number in its chain's labels (`{prefix}.{stage:02}.{name}`),
 /// on the metrics side and on the trace side. Claimed in the order stages
-/// are *described*, which need not be the order they run in: the spec
-/// builder describes the sort first and may place per-event operators
+/// are *described*, which need not be the order they run in: an unplaced
+/// sort is described before the per-event operators that may be placed
 /// ahead of it, and a label names the described position.
 #[derive(Clone, Copy)]
 struct StageSlot {
@@ -192,12 +192,6 @@ impl ChainCtx {
         };
         (plan, label)
     }
-
-    /// Claims and plans the next stage.
-    fn next_stage(&mut self, name: &str) -> (StagePlan, String) {
-        let slot = self.claim_stage();
-        self.plan_stage(slot, name)
-    }
 }
 
 /// Shares a stateful operator with the chain's checkpoint context, when it
@@ -220,10 +214,8 @@ where
 pub struct Streamable<P: Payload> {
     pub(crate) connect: Connector<P>,
     pub(crate) ctx: ChainCtx,
-    /// A sorting stage claimed but not yet placed: only a ladder rung
-    /// carries one (see [`sorted_unplaced`](Self::sorted_unplaced)).
-    /// Whatever comes next [`settle`](Self::settle)s it first — except the
-    /// grouped operator over the bucket sorter, which fuses with it.
+    /// A sorting stage claimed but not yet placed, with the per-event ops
+    /// chained since (see [`sorted_unplaced`](Self::sorted_unplaced)).
     unplaced: Option<SortStage<P>>,
 }
 
@@ -237,15 +229,24 @@ impl<P: Payload> Streamable<P> {
         }
     }
 
-    /// Places the sorting stage this stream carries unplaced, if any — the
-    /// first step of anything that builds on the stream, reads its
-    /// connector or changes its settings, so the sort runs where it was
-    /// claimed and under the settings it was claimed with.
-    pub(crate) fn settle(mut self) -> Self {
-        match self.unplaced.take() {
-            Some(stage) => self.place_sort(stage),
-            None => self,
-        }
+    /// Places the sort this stream carries unplaced, if any, with the ops
+    /// recorded since above it: the first step of anything but a per-event
+    /// op or the grouped operator that builds on the stream or changes its
+    /// settings, so the sort runs where and as it was claimed.
+    pub(crate) fn settle(self) -> Self {
+        self.place_unplaced(false)
+    }
+
+    /// Places the unplaced sort, if any, and the ops recorded since, as
+    /// [`SortStage::decide`] splits them for a `regrouping` consumer or not.
+    fn place_unplaced(mut self, regrouping: bool) -> Self {
+        let Some(mut stage) = self.unplaced.take() else {
+            return self;
+        };
+        let (below, choice) = stage.decide(regrouping);
+        let (above, spill_dir) = (stage.recorded.split_off(below), stage.spill_dir.take());
+        let sorted = self.place(stage, choice.sorter(spill_dir));
+        above.into_iter().fold(sorted, |s, op| (op.apply)(s))
     }
 
     /// Enables per-operator instrumentation: every stage chained after this
@@ -444,9 +445,27 @@ impl<P: Payload> Streamable<P> {
         }
     }
 
+    /// A per-event operator `P → P` under `name`. Chained onto an unplaced
+    /// sort it is recorded — under the stage number it claims here, with
+    /// what it does below a sort (`hoist`) — until the sort is placed.
+    pub(crate) fn per_event(
+        mut self,
+        name: &'static str,
+        hoist: Hoist,
+        build: impl FnOnce(Box<dyn Observer<P>>) -> Box<dyn Observer<P>> + Send + 'static,
+    ) -> Streamable<P> {
+        let slot = self.ctx.claim_stage();
+        let Some(stage) = &mut self.unplaced else {
+            return self.apply_at(slot, name, build);
+        };
+        let apply = Box::new(move |s: Streamable<P>| s.apply_at(slot, name, build));
+        stage.recorded.push(PerEventOp { hoist, apply });
+        self
+    }
+
     /// Selection: keeps events matching `pred` (bitmap-marking, §VI-C).
     pub fn where_(self, pred: impl FnMut(&Event<P>) -> bool + Send + 'static) -> Streamable<P> {
-        self.apply_named("where", move |sink| {
+        self.per_event("where", Hoist::Shrinks, move |sink| {
             Box::new(ops::FilterOp::new(pred, sink))
         })
     }
@@ -458,12 +477,14 @@ impl<P: Payload> Streamable<P> {
 
     /// Re-keys events (grouping key + hash).
     pub fn re_key(self, f: impl FnMut(&Event<P>) -> u32 + Send + 'static) -> Streamable<P> {
-        self.apply_named("re_key", move |sink| Box::new(ops::ReKeyOp::new(f, sink)))
+        self.per_event("re_key", Hoist::Stays, move |sink| {
+            Box::new(ops::ReKeyOp::new(f, sink))
+        })
     }
 
     /// Tumbling window of `size`: aligns event lifetimes to fixed windows.
     pub fn tumbling_window(self, size: TickDuration) -> Streamable<P> {
-        self.apply_named("tumbling_window", move |sink| {
+        self.per_event("tumbling_window", Hoist::Window(size), move |sink| {
             Box::new(ops::TumblingWindowOp::new(size, sink))
         })
     }
@@ -489,24 +510,24 @@ impl<P: Payload> Streamable<P> {
         self.grouped("reduce_by_key", ops::Reduce(combine))
     }
 
-    /// The grouped operator under `label`.
-    ///
-    /// On a ladder rung whose sort runs the bucket sorter — the PIQ opens
-    /// with this call over window-aligned input — the operator fuses into
-    /// the sort: the stage folds each admitted event into its window's
-    /// table instead of buffering and sorting it (see
-    /// [`Streamable::ladder`]). The fused stage reports as the sort; the
-    /// grouped operator still takes its stage number, so later stages keep
-    /// their labels.
+    /// The grouped operator under `label`: its sort's recorded ops may run
+    /// below it ([`SortStage::decide`]). On a ladder rung — input aligned
+    /// at the claim — whose bucket sort has every recorded op below it, it
+    /// fuses into the sort, which folds each event into its window's
+    /// table instead of sorting it (see [`Streamable::ladder`]), reports
+    /// as the sort, and still takes the operator's stage number.
     fn grouped<A: ops::Aggregate<P>>(mut self, label: &str, agg: A) -> Streamable<A::Out> {
-        if let Some(step) = self.unplaced.as_ref().and_then(|stage| stage.bucket) {
-            let stage = self.unplaced.take().expect("an unplaced sort");
-            self.ctx.claim_stage();
-            return self.place_with(stage, move |_bucket| {
-                Box::new(ops::WindowTables::new(agg, step))
-            });
+        if let Some(stage) = &self.unplaced {
+            let (below, choice) = stage.decide(true);
+            let fuses = below == stage.recorded.len() && stage.aligned.is_some();
+            if let (SorterChoice::Bucket { step }, true) = (choice, fuses) {
+                let stage = self.unplaced.take().expect("the unplaced sort");
+                self.ctx.claim_stage();
+                return self.place(stage, Box::new(ops::WindowTables::new(agg, step)));
+            }
         }
-        self.apply_stateful(label, move |sink| ops::GroupedAggregateOp::new(agg, sink))
+        let grouped = move |sink| ops::GroupedAggregateOp::new(agg, sink);
+        self.place_unplaced(true).apply_stateful(label, grouped)
     }
 
     /// Keeps the `k` highest-scored events per window.
@@ -573,7 +594,8 @@ impl<P: Payload> Streamable<P> {
     {
         let (mut this, other) = (self.settle(), other.settle());
         let ckpt = this.ctx.ckpt.clone();
-        let (plan, _) = this.ctx.next_stage(op);
+        let slot = this.ctx.claim_stage();
+        let (plan, _) = this.ctx.plan_stage(slot, op);
         let (left_connect, right_connect) = (this.connect, other.connect);
         let connect = move |sink: Box<dyn Observer<Out>>| {
             let (l, r) = build(plan.outlet(sink));
@@ -651,26 +673,27 @@ impl<P: Payload> Streamable<P> {
     /// and [`SortFaultCounters`](ops::SortFaultCounters) and the input's
     /// watermark-lag histogram under `{prefix}.{stage:02}.sort.*`.
     pub fn sorted(
-        mut self,
+        self,
         sorter: Box<dyn OnlineSorter<Event<P>>>,
         meter: &MemoryMeter,
         policy: ops::SortPolicy<P>,
     ) -> Result<Streamable<P>, StreamError> {
-        let stage = self.claim_sort(sorter, meter, policy)?;
-        Ok(self.place_sort(stage))
+        let mut this = self.sorted_unplaced(None, None, meter, policy)?;
+        let stage = this.unplaced.take().expect("the sort just claimed");
+        Ok(this.place(stage, sorter))
     }
 
-    /// The first half of [`sorted`](Self::sorted): checks `policy`, takes
-    /// the sorting stage's number and registers its gauges and fault
-    /// counters under it. Stages applied between this call and
-    /// [`place_sort`](Self::place_sort) run *below* the sort (§IV) yet are
-    /// numbered after it.
-    pub(crate) fn claim_sort(
-        &mut self,
-        sorter: Box<dyn OnlineSorter<Event<P>>>,
+    /// A sorting stage claimed here and placed later, with the per-event
+    /// ops chained next (see [`Streamable::grouped`]). `aligned` is the
+    /// window that aligned the input before the claim, if any; the sorter
+    /// is chosen at placement, and spills into `spill_dir` when given one.
+    pub(crate) fn sorted_unplaced(
+        self,
+        aligned: Option<TickDuration>,
+        spill_dir: Option<PathBuf>,
         meter: &MemoryMeter,
         policy: ops::SortPolicy<P>,
-    ) -> Result<SortStage<P>, StreamError> {
+    ) -> Result<Streamable<P>, StreamError> {
         if policy.late == LatePolicy::RerouteNextPartition {
             return Err(StreamError::InvalidConfig(
                 "LatePolicy::RerouteNextPartition requires the partitioned framework; \
@@ -678,101 +701,56 @@ impl<P: Payload> Streamable<P> {
                     .into(),
             ));
         }
-        let slot = self.ctx.claim_stage();
-        let (gauges, faults, watermark_lag) = match self.ctx.instr.as_ref() {
-            Some(ins) => {
-                let base = format!("{}.{:02}", ins.prefix, slot.instr);
-                (
-                    Some(SorterGauges::register(
-                        &ins.registry,
-                        &format!("{base}.sorter"),
-                    )),
-                    ops::SortFaultCounters::register(&ins.registry, &format!("{base}.sort")),
-                    Some(
-                        ins.registry
-                            .histogram(&format!("{base}.sort.watermark_lag")),
-                    ),
-                )
-            }
-            None => (None, ops::SortFaultCounters::new(), None),
-        };
-        Ok(SortStage {
-            slot,
-            sorter,
-            bucket: None,
+        let mut this = self.settle();
+        this.unplaced = Some(SortStage {
+            slot: this.ctx.claim_stage(),
             meter: meter.clone(),
             policy,
-            gauges,
-            faults,
-            watermark_lag,
-            behind_gate: false,
-        })
+            aligned,
+            spill_dir,
+            recorded: Vec::new(),
+        });
+        Ok(this)
     }
 
-    /// A ladder rung's sort: claims the stage `choice` picks and leaves it
-    /// unplaced, so the PIQ's first stage decides where it goes — a
-    /// `group_aggregate` or `reduce_by_key` over the bucket sorter fuses
-    /// with it, anything else places it first.
-    pub(crate) fn sorted_unplaced(
-        mut self,
-        choice: SorterChoice,
-        meter: &MemoryMeter,
-        policy: ops::SortPolicy<P>,
-    ) -> Result<Streamable<P>, StreamError> {
-        let mut stage = self.claim_sort(choice.sorter(None), meter, policy)?;
-        if let SorterChoice::Bucket { step } = choice {
-            stage.bucket = Some(step);
-        }
-        self.unplaced = Some(stage);
-        Ok(self)
-    }
-
-    /// Decides lateness *here*, on original event times, for a sort placed
-    /// further down: a [`LateGateOp`](ops::LateGateOp) under `stage`'s
-    /// policy and counters. It is the front half of that stage, so it
-    /// takes no stage number and no shell of its own; it owns a watermark,
-    /// so it is a checkpoint participant.
-    pub(crate) fn late_gate(self, stage: &mut SortStage<P>) -> Streamable<P> {
-        let this = self.settle();
-        stage.behind_gate = true;
-        let gate = ops::LateGate::new(&stage.policy, stage.faults.clone());
-        let ckpt = this.ctx.ckpt.clone();
-        let upstream = this.connect;
-        Streamable {
-            connect: Box::new(move |sink| upstream(enrol(ckpt, ops::LateGateOp::new(gate, sink)))),
-            ctx: this.ctx,
-            unplaced: None,
-        }
-    }
-
-    /// The second half of [`sorted`](Self::sorted): the sorting operator
-    /// at this point of the chain, under the number `stage` claimed.
-    pub(crate) fn place_sort(self, stage: SortStage<P>) -> Streamable<P> {
-        self.place_with(stage, |sorter| sorter)
-    }
-
-    /// [`place_sort`](Self::place_sort) running the sorter `swap` makes of
-    /// the one `stage` claimed — the same one, or one that emits `Q`.
-    fn place_with<Q: Payload>(
+    /// The sort `stage` claimed, running `sorter` (or one that emits `Q`),
+    /// behind the ops still recorded in `stage` and one late gate ahead of
+    /// them: the sort's front half, judging lateness on original times
+    /// under its policy and counters, with no stage number or shell.
+    fn place<Q: Payload>(
         self,
         stage: SortStage<P>,
-        swap: impl FnOnce(Box<dyn OnlineSorter<Event<P>>>) -> Box<dyn OnlineSorter<Event<P>, Event<Q>>>
-            + Send
-            + 'static,
+        sorter: Box<dyn OnlineSorter<Event<P>, Event<Q>>>,
     ) -> Streamable<Q> {
-        let ckpt = self.ctx.ckpt.clone();
-        let slot = stage.slot;
-        self.apply_at(slot, "sort", move |sink| {
-            let sorter = swap(stage.sorter);
+        let instr = self.ctx.instr.as_ref();
+        let at = |ins: &Instrument, what| format!("{}.{:02}.{what}", ins.prefix, stage.slot.instr);
+        let gauges = instr.map(|ins| SorterGauges::register(&ins.registry, &at(ins, "sorter")));
+        let lag = instr.map(|ins| ins.registry.histogram(&at(ins, "sort.watermark_lag")));
+        let faults = instr.map_or_else(ops::SortFaultCounters::new, |ins| {
+            ops::SortFaultCounters::register(&ins.registry, &at(ins, "sort"))
+        });
+        let behind_gate = !stage.recorded.is_empty();
+        let mut s = self;
+        if behind_gate {
+            let gate = ops::LateGate::new(&stage.policy, faults.clone());
+            let (ckpt, upstream, ctx) = (s.ctx.ckpt.clone(), s.connect, s.ctx);
+            s = Streamable::from_connector(move |sink| {
+                upstream(enrol(ckpt, ops::LateGateOp::new(gate, sink)))
+            });
+            s.ctx = ctx;
+        }
+        let s = stage.recorded.into_iter().fold(s, |s, op| (op.apply)(s));
+        let ckpt = s.ctx.ckpt.clone();
+        s.apply_at(stage.slot, "sort", move |sink| {
             let mut op = ops::SortOp::with_policy(sorter, stage.meter, stage.policy, sink)
-                .with_fault_counters(stage.faults);
-            if let Some(g) = stage.gauges {
+                .with_fault_counters(faults);
+            if let Some(g) = gauges {
                 op = op.with_gauges(g);
             }
-            if let Some(h) = stage.watermark_lag {
+            if let Some(h) = lag {
                 op = op.with_watermark_lag(h);
             }
-            if stage.behind_gate {
+            if behind_gate {
                 op = op.behind_late_gate();
             }
             enrol(ckpt, op)
@@ -780,22 +758,38 @@ impl<P: Payload> Streamable<P> {
     }
 }
 
-/// A sorting stage between [`Streamable::claim_sort`] and
-/// [`Streamable::place_sort`].
+/// A sorting stage between its claim and its placement.
 pub(crate) struct SortStage<P: Payload> {
     slot: StageSlot,
-    sorter: Box<dyn OnlineSorter<Event<P>>>,
-    /// The window step when `sorter` is a ladder rung's bucket sorter,
-    /// which the grouped operator may fuse with.
-    bucket: Option<TickDuration>,
     meter: MemoryMeter,
     policy: ops::SortPolicy<P>,
-    gauges: Option<SorterGauges>,
-    faults: ops::SortFaultCounters,
-    watermark_lag: Option<Histogram>,
-    /// A [`late_gate`](Streamable::late_gate) stands in front of the
-    /// stages placed below the sort.
-    behind_gate: bool,
+    /// The window that aligned the input before the claim (a ladder rung's).
+    aligned: Option<TickDuration>,
+    spill_dir: Option<PathBuf>,
+    /// The per-event ops chained since the claim, in chain order.
+    recorded: Vec<PerEventOp<P>>,
+}
+
+impl<P: Payload> SortStage<P> {
+    /// The one decision point: how many recorded ops run below the sort —
+    /// by the planner's rule ([`below_sort`]) when a `regrouping` consumer
+    /// follows, else none — and the sorter for what reaches it.
+    fn decide(&self, regrouping: bool) -> (usize, SorterChoice) {
+        let ahead = self.recorded.iter().filter(|_| regrouping);
+        let (below, window) = below_sort(ahead.map(|op| op.hoist), self.aligned);
+        let spill = self.spill_dir.is_some();
+        (
+            below,
+            SorterChoice::for_input(window, spill, self.policy.shed),
+        )
+    }
+}
+
+/// A per-event op chained onto an unplaced sort: what it does below a
+/// sort, and how it is applied once the sort is placed.
+struct PerEventOp<P: Payload> {
+    hoist: Hoist,
+    apply: Box<dyn FnOnce(Streamable<P>) -> Streamable<P> + Send>,
 }
 
 /// Counts visible output events into the checkpoint context's egress

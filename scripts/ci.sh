@@ -91,7 +91,12 @@ echo "== plan differential (sort-as-needed plan vs hand-stacked sort-first chain
 # gate's watermark and the bucket sorter's buffered windows survive a
 # crash, and a sort-first slot or an Impatience-state slot is refused with
 # a typed RecoveryFailed. tests/plan_differential.rs runs whole above.
+# The plan is what the chain built: the chain decides at the grouped
+# operator, by the one rule plan() reads, and the shape test builds every
+# spec of up to four ops (1 555 shapes), reads each physical stage order
+# back from its counters and holds it to plan()'s display.
 cargo test -q --offline --test recovery hoisted_plan
+cargo test -q --offline -p impatience-engine --lib spec::tests::planner_rule_holds_for_every_shape_up_to_four_ops
 
 echo "== framework differential (ladder rungs under the planner's sorter rule) =="
 # The framework gate. The ladder is a boundary the chain owns: each rung
@@ -126,8 +131,12 @@ echo "== framework differential (ladder rungs under the planner's sorter rule) =
 # Batches enter the ladder whole: the partitioner hands a batch that falls
 # wholly in one rung over as it is and copies each event of a batch with
 # rung changes inside it once, which a clone-counting payload checks by
-# name. The engine's tests/ladder.rs, tests/framework_props.rs and
+# name. Rungs place their sort by the planner's rule: a filter opening
+# the PIQ runs below the sort, which still fuses; a re_key, or a second
+# window over aligned input, stays above it. Those rung cases run by name.
+# The engine's tests/ladder.rs, tests/framework_props.rs and
 # tests/surface_differential.rs run whole above.
+cargo test -q --offline --test framework_props a_piq_opening_with_another_stage_keeps_the_sort_first
 cargo test -q --offline -p impatience-engine --test ladder rungs_inherit_the_chains_instruments_trace_and_fence
 cargo test -q --offline -p impatience-engine --test ladder the_partitioner_copies_each_routed_event_at_most_once
 cargo test -q --offline --test recovery framework_refuses_an_impatience_state_slot

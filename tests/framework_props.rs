@@ -13,7 +13,10 @@
 //! additive count and for a combine that keeps the first payload (which
 //! only arrival order within a window decides); fused rungs must stay
 //! ordered and release their memory under a budget that forces cuts; and
-//! a PIQ that opens with anything else keeps the sort first.
+//! a PIQ that opens with anything else keeps the sort first — a `re_key`,
+//! or a second window over the aligned input — except a filter, which
+//! runs below the sort by the planner's rule and leaves the grouped
+//! operator to fuse.
 //!
 //! On failure the harness prints the failing case seed; replay with
 //! `IMPATIENCE_PROP_SEED=0x<seed> cargo test <test name>`.
@@ -380,7 +383,7 @@ props! {
         freq in 1usize..40,
     ) {
         let ls = [TickDuration::ticks(32), TickDuration::ticks(256)];
-        let (fused, sorted) = (MetricsRegistry::new(), MetricsRegistry::new());
+        let [fused, hoisted, rekeyed, windowed] = [(); 4].map(|_| MetricsRegistry::new());
         let run = |piq: fn(Streamable<u32>) -> Streamable<u64>, registry| {
             let outs = run_piq(
                 arrivals.clone(),
@@ -395,18 +398,35 @@ props! {
             outs.iter().map(counts).collect::<Vec<_>>()
         };
         let a = run(count, &fused);
-        let b = run(|s| s.where_(|_| true).group_aggregate(CountAgg), &sorted);
+        let b = run(|s| s.where_(|_| true).group_aggregate(CountAgg), &hoisted);
         assert_eq!(a, b);
-        let names = |r: &MetricsRegistry| -> Vec<String> {
-            r.snapshot().counters.into_iter().map(|(n, _)| n).collect()
+        let c = run(|s| s.re_key(|e| e.key).group_aggregate(CountAgg), &rekeyed);
+        let d = run(|s| s.tumbling_window(window()).group_aggregate(CountAgg), &windowed);
+        assert_eq!((&a, &a), (&c, &d));
+        let rows = |r: &MetricsRegistry| -> BTreeMap<String, u64> {
+            r.snapshot().counters.into_iter().collect()
         };
-        let (fused, sorted) = (names(&fused), names(&sorted));
+        let [fused, hoisted, rekeyed, windowed] = [fused, hoisted, rekeyed, windowed].map(|r| rows(&r));
         for i in 0..ls.len() {
-            let row = |stage: &str| format!("partition{i:02}.{stage}.events_in");
-            assert!(sorted.contains(&row("01.where")), "rung {i}");
-            assert!(sorted.contains(&row("02.group_aggregate")), "rung {i}");
-            assert!(fused.contains(&row("00.sort")), "rung {i}");
-            assert!(!fused.iter().any(|n| n.contains("group_aggregate")), "rung {i}");
+            let row = |stage: &str, count: &str| format!("partition{i:02}.{stage}.{count}");
+            let has = |rows: &BTreeMap<String, u64>, stage| rows.contains_key(&row(stage, "events_in"));
+            let grouped = |rows: &BTreeMap<String, u64>| rows.keys().any(|n| n.contains("group_aggregate"));
+            assert!(has(&fused, "00.sort") && !grouped(&fused), "rung {i}");
+            // A filter opening the PIQ runs below the sort, which then fuses.
+            assert!(has(&hoisted, "01.where") && has(&hoisted, "00.sort"), "rung {i}");
+            assert!(!grouped(&hoisted), "rung {i}");
+            // `re_key` does not shrink the sort: sort first, no fusion.
+            assert!(has(&rekeyed, "01.re_key") && has(&rekeyed, "02.group_aggregate"), "rung {i}");
+            // Over aligned input a second window is not the one window
+            // ahead: it stays above the sort, which it takes all output of.
+            assert!(has(&windowed, "02.group_aggregate"), "rung {i}");
+            for count in ["events", "batches", "punctuations"] {
+                assert_eq!(
+                    windowed[&row("00.sort", &format!("{count}_out"))],
+                    windowed[&row("01.tumbling_window", &format!("{count}_in"))],
+                    "rung {i}: {count}"
+                );
+            }
         }
     }
 

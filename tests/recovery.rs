@@ -28,6 +28,9 @@
 //!
 //! One `#[ignore]`d timing test holds the checkpointing budget (≤ 10%
 //! over the plain pipeline); `scripts/ci.sh` runs it in a release build.
+//! What it guards is also counted, untimed, on the same pipeline at a
+//! small size: checkpoints written and their bytes, exactly
+//! (`checkpointing_every_16_punctuations_writes_a_counted_cost`).
 //!
 //! Four `hoisted_plan_…` cases cover the `PipelineSpec` plan that runs a
 //! window below the sort, whose sort stage runs the bucket sorter: the
@@ -645,6 +648,48 @@ fn checkpointing_every_16_punctuations_costs_at_most_10_percent() {
         overhead_pct <= 10.0,
         "checkpoint overhead {overhead_pct:.2}% exceeds the 10% budget"
     );
+}
+
+/// What the checkpointing budget guards, counted rather than timed: the
+/// budget test's pipeline, at 40 000 events and so 40 punctuations, writes
+/// a checkpoint at punctuations 16 and 32 and one at completion, and every
+/// one of them is as large as the sorter's, window's and count's state and
+/// the gate's frame make it — a fixed number of bytes for a fixed input.
+/// (One `sync_data` per checkpoint has no counter of its own.)
+#[test]
+fn checkpointing_every_16_punctuations_writes_a_counted_cost() {
+    const EVENTS: usize = 40_000;
+    let ds = generate_cloudlog(&CloudLogConfig::sized(EVENTS));
+    let span = ds.events.iter().map(|e| e.sync_time.ticks()).max();
+    let window = TickDuration::ticks((span.unwrap_or(1) / 50).max(1));
+    let policy = IngressPolicy {
+        punctuation_frequency: (EVENTS / 40).max(1_000),
+        reorder_latency: TickDuration::secs(1),
+        batch_size: 4_096,
+    };
+    let base = base_dir("counted-cost");
+    let registry = MetricsRegistry::new();
+    let (handle, s) = input_stream::<EvalPayload>();
+    let (s, ctx) = s.checkpointed(base.join("ckpt"), 16).expect("open dir");
+    ctx.bind_metrics(&registry, "budget");
+    let out = s
+        .sorted(
+            Box::new(ImpatienceSorter::new()),
+            &MemoryMeter::new(),
+            Default::default(),
+        )
+        .expect("default sort policy")
+        .tumbling_window(window)
+        .count()
+        .checkpoint_egress()
+        .collect_output();
+    for msg in punctuate_arrivals(ds.events, &policy) {
+        handle.push(msg).expect("push");
+    }
+    assert!(out.is_completed());
+    let counter = |name: &str| registry.counter(&format!("budget.checkpoint.{name}")).get();
+    assert_eq!((counter("written"), counter("bytes")), (3, 560_186));
+    let _ = fs::remove_dir_all(&base);
 }
 
 fn copy_tree(from: &Path, to: &Path) {
