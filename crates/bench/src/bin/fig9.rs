@@ -13,8 +13,7 @@
 
 use impatience_bench::{assert_speedup, BenchArgs, Row, Table};
 use impatience_core::{EvalPayload, Event, MemoryMeter, Payload, TickDuration};
-use impatience_engine::{BlackHoleSink, IngressPolicy, Streamable};
-use impatience_framework::DisorderedStreamable;
+use impatience_engine::{BlackHoleSink, DisorderedStreamable, IngressPolicy, Streamable};
 use impatience_workloads::{
     generate_androidlog, generate_cloudlog, generate_synthetic, AndroidLogConfig, CloudLogConfig,
     Dataset, SyntheticConfig,

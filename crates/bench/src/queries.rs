@@ -2,8 +2,9 @@
 //! of Fig 10 / Table II, shared by the `fig10` and `table2` binaries.
 
 use impatience_core::{EvalPayload, MemoryMeter, TickDuration};
-use impatience_engine::{punctuate_arrivals, BlackHoleSink, IngressPolicy, Streamable};
-use impatience_framework::{to_streamables_advanced, DisorderedStreamable};
+use impatience_engine::{
+    punctuate_arrivals, BlackHoleSink, DisorderedStreamable, IngressPolicy, Streamable,
+};
 use impatience_workloads::Dataset;
 use std::time::Instant;
 
@@ -137,9 +138,9 @@ pub fn run_query(
             // single-latency baselines are its one-rung spelling, so they
             // measure sort-then-query: a one-rung *advanced* ladder would
             // fuse the grouped queries' aggregate into the rung's sort.
-            let mut ss =
-                to_streamables_advanced(prepped, &ladder, |s| s, |s| s, &meter, Default::default())
-                    .expect("ladder");
+            let mut ss = prepped
+                .to_streamables(&ladder, |s| s, |s| s, &meter, Default::default())
+                .expect("ladder");
             stats = ss.stats();
             for i in 0..ladder.len() {
                 apply_query_and_sink(query, ss.take_stream(i).expect("take output stream"));
@@ -147,16 +148,14 @@ pub fn run_query(
         }
         Method::Advanced => {
             let mut ss = match query {
-                Query::Q1 => to_streamables_advanced(
-                    prepped,
+                Query::Q1 => prepped.to_streamables(
                     &ladder,
                     |s: Streamable<EvalPayload>| s.count(),
                     |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
                     &meter,
                     Default::default(),
                 ),
-                _ => to_streamables_advanced(
-                    prepped,
+                _ => prepped.to_streamables(
                     &ladder,
                     |s: Streamable<EvalPayload>| {
                         s.group_aggregate(impatience_engine::ops::CountAgg)

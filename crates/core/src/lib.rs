@@ -20,9 +20,8 @@
 //!   deterministic JSON snapshot export ([`MetricsSnapshot`]).
 //!
 //! Higher layers: `impatience-sort` (the sorting algorithms),
-//! `impatience-engine` (the in-order operator substrate),
-//! `impatience-framework` (sort-as-needed + the Impatience framework), and
-//! `impatience-workloads` (the datasets).
+//! `impatience-engine` (the in-order operator substrate, sort-as-needed and
+//! the Impatience framework), and `impatience-workloads` (the datasets).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

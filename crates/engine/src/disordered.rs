@@ -1,20 +1,21 @@
 //! `DisorderedStreamable`: the sort-as-needed programming surface (§IV-B).
 //!
 //! A [`DisorderedStreamable`] represents a stream that has **not** been
-//! sorted yet. It is an engine [`Streamable`] whose surface exposes only
+//! sorted yet. It is a [`Streamable`] whose surface exposes only
 //! order-insensitive operators — selection, projection, re-keying, and
 //! the (timestamp-adjusting) tumbling window, each the engine's own
 //! combinator — and two ways out:
 //!
 //! * [`DisorderedStreamable::to_streamable`] — run a sorting operator and
 //!   obtain an ordered [`Streamable`] (the paper's first code sample);
-//! * `to_streamables` (in [`crate::framework`]) — enter the Impatience
-//!   framework with a set of reorder latencies.
+//! * [`DisorderedStreamable::to_streamables`] — enter the Impatience
+//!   framework with a set of reorder latencies (the [`ladder`](crate::ladder)).
 //!
-//! The settings a chain carries — a registry, a trace sink, a checkpoint
-//! directory — are set here with the engine's own combinators
+//! The settings a chain carries — a registry, a trace sink, a fence, a
+//! checkpoint directory — are set here with the engine's own combinators
 //! ([`instrument`](DisorderedStreamable::instrument),
 //! [`traced`](DisorderedStreamable::traced),
+//! [`hardened`](DisorderedStreamable::hardened),
 //! [`checkpointed`](DisorderedStreamable::checkpointed)), and the ladder
 //! hands them to every rung.
 //!
@@ -25,16 +26,17 @@
 //!
 //! The surface remembers the size of its last tumbling window: selection,
 //! projection and re-keying never touch `sync_time`, so what leaves them is
-//! still aligned. The framework reads that record to give each rung the
-//! sorter [`SorterChoice::for_input`](impatience_engine::SorterChoice::for_input)
+//! still aligned. The ladder reads that record to give each rung the
+//! sorter [`SorterChoice::for_input`](crate::SorterChoice::for_input)
 //! picks for aligned input. [`DisorderedStreamable::to_streamable`] ignores
 //! it and always sorts with Impatience (see its docs).
 
+use crate::checkpoint::CheckpointCtx;
+use crate::ingress::{punctuate_arrivals, IngressPolicy};
+use crate::streamable::{input_stream, InputHandle, Streamable};
+use crate::traced::TraceCtx;
 use impatience_core::{
     Event, MemoryMeter, MetricsRegistry, Payload, SnapshotError, StreamMessage, TickDuration,
-};
-use impatience_engine::{
-    input_stream, CheckpointCtx, IngressPolicy, InputHandle, Streamable, TraceCtx,
 };
 use impatience_sort::ImpatienceSorter;
 use std::path::PathBuf;
@@ -66,7 +68,7 @@ impl<P: Payload> DisorderedStreamable<P> {
     /// A static disordered source from arrival-ordered events, punctuated
     /// per `policy` — the paper's `File.ToDisorderedStreamable()`.
     pub fn from_arrivals(arrivals: Vec<Event<P>>, policy: &IngressPolicy) -> Self {
-        Self::from_messages(impatience_engine::punctuate_arrivals(arrivals, policy))
+        Self::from_messages(punctuate_arrivals(arrivals, policy))
     }
 
     /// A live disordered input.
@@ -121,6 +123,12 @@ impl<P: Payload> DisorderedStreamable<P> {
         self.map(|s| s.traced(ctx))
     }
 
+    /// Fences every stage chained after this call, and every ladder rung
+    /// and relay (see [`Streamable::hardened`]).
+    pub fn hardened(self) -> Self {
+        self.map(Streamable::hardened)
+    }
+
     /// Makes the section durable from this point, the ladder built on it
     /// included (see [`Streamable::checkpointed`]). Query the returned
     /// context's [`recovery`](CheckpointCtx::recovery) after subscribing
@@ -150,7 +158,7 @@ impl<P: Payload> DisorderedStreamable<P> {
     /// Ends the disordered section with an Impatience sorting operator —
     /// the paper's `ToStreamable()`.
     ///
-    /// Always Impatience, even over windowed input, where the framework's
+    /// Always Impatience, even over windowed input, where the ladder's
     /// rungs run the bucket sorter: this is §IV-B's first code sample, and
     /// Fig 9(c) uses it to measure what a pushed-down window does to
     /// *Impatience* sort.

@@ -1,5 +1,6 @@
-//! The Impatience framework's latency ladder (§V), as one combinator:
-//! [`Streamable::ladder`].
+//! The Impatience framework's latency ladder (§V), as one method of the
+//! disordered section: [`DisorderedStreamable::to_streamables`], the
+//! paper's `ToStreamables`.
 //!
 //! Given reorder latencies `{l₁ < l₂ < … < l_k}`, the ladder partitions a
 //! disordered input by *event delay* into k in-order streams (the rungs)
@@ -30,10 +31,12 @@
 //! arrival order.
 //!
 //! Every rung picks its sorter by the planner's rule,
-//! [`SorterChoice::for_input`](crate::spec::SorterChoice::for_input): over
-//! the window starts of a `window`-aligned input a rung runs the
-//! [`BucketSorter`](impatience_sort::BucketSorter), one bucket per start;
-//! without a window, or under [`ShedPolicy::ShedOldestRuns`], Impatience.
+//! [`SorterChoice::for_input`](crate::spec::SorterChoice::for_input), from
+//! the window the disordered section recorded: over the window starts of
+//! input that [`DisorderedStreamable::tumbling_window`] aligned a rung runs
+//! the [`BucketSorter`](impatience_sort::BucketSorter), one bucket per
+//! start; without a window, or under [`ShedPolicy::ShedOldestRuns`],
+//! Impatience.
 //! The ladder never spills. The bucket sorter keeps arrival
 //! order among equal times and a union takes ties from its faster (left)
 //! side first, so with it the basic framework's output streams order
@@ -70,19 +73,20 @@
 //! # The boundary carries the chain
 //!
 //! As [`Streamable::sharded`] does for a shard, the ladder hands the
-//! source chain's settings to every rung: rung `i`'s input is instrumented
-//! and traced under `partition{i:02}` (the trace on lane `i`), fenced when
-//! the chain is hardened, and — unlike a shard's — carries the checkpoint
-//! context, since a ladder runs on the source's one thread. The merge and
-//! output relays carry the fence and the checkpoint context only. The
-//! routing split (`framework.partition{i:02}.routed`, `framework.dropped`,
-//! `framework.dead_lettered`) and each rung's latency
+//! disordered section's settings to every rung: rung `i`'s input is
+//! instrumented and traced under `partition{i:02}` (the trace on lane
+//! `i`), fenced when the chain is hardened, and — unlike a shard's —
+//! carries the checkpoint context, since a ladder runs on the source's one
+//! thread. The merge and output relays carry the fence and the checkpoint
+//! context only. The routing split (`framework.partition{i:02}.routed`,
+//! `framework.dropped`, `framework.dead_lettered`) and each rung's latency
 //! (`framework.partition{i:02}.latency_ticks`) land in the chain's
 //! registry. Subscribe all outputs before feeding a durable ladder:
 //! traffic buffered in an unsubscribed output relay is not part of any
 //! operator's checkpointed state.
 
 use crate::checkpoint::Checkpointable;
+use crate::disordered::DisorderedStreamable;
 use crate::observer::Observer;
 use crate::ops::{union as build_union, SortPolicy};
 use crate::streamable::{enrol, input_stream, InputHandle, Streamable};
@@ -206,7 +210,6 @@ impl core::fmt::Debug for FrameworkStats {
 /// `Streamables` abstraction (§V-C).
 pub struct Streamables<Q: Payload> {
     streams: Vec<Option<Streamable<Q>>>,
-    latencies: Vec<TickDuration>,
     stats: FrameworkStats,
 }
 
@@ -225,20 +228,15 @@ impl<Q: Payload> Streamables<Q> {
     /// `ss.Streamable(i)`), returning a typed error for an out-of-range
     /// index or an already-taken stream.
     pub fn take_stream(&mut self, i: usize) -> Result<Streamable<Q>, StreamError> {
+        let k = self.len();
         let slot = self.streams.get_mut(i).ok_or_else(|| {
             StreamError::InvalidConfig(format!(
-                "output stream {i} out of range (framework has {} streams)",
-                self.latencies.len()
+                "output stream {i} out of range (framework has {k} streams)"
             ))
         })?;
         slot.take().ok_or_else(|| {
             StreamError::InvalidConfig(format!("output stream {i} already subscribed"))
         })
-    }
-
-    /// Reorder latency of output stream `i`.
-    pub fn latency(&self, i: usize) -> TickDuration {
-        self.latencies[i]
     }
 
     /// Routing statistics (completeness per stream).
@@ -429,25 +427,29 @@ impl<P: Payload, A: Observer<P>, B: Observer<P>> Observer<P> for Tee<A, B> {
     }
 }
 
-impl<P: Payload> Streamable<P> {
-    /// Runs this (disordered) stream through the Impatience framework's
-    /// latency ladder (see the [module docs](self)) and returns its `k`
-    /// output streams. `window` is the tumbling window the input is
-    /// aligned to, if any: it picks each rung's sorter.
+impl<P: Payload> DisorderedStreamable<P> {
+    /// Enters the Impatience framework (§V-C's `ToStreamables`): runs this
+    /// section through the latency ladder (see the [module docs](self))
+    /// and returns its `k` output streams, stream `i` holding every event
+    /// that arrived within `latencies[i]`. Each rung's sorter is picked
+    /// for the window this section was aligned to.
     ///
     /// `piq` is instantiated once per rung on the rung's unplaced sort,
-    /// which it places ([fused rungs](self#fused-rungs)); `merge` once per
-    /// union output. For correct results the pair must
-    /// satisfy the usual partial-aggregation law (e.g. per-window partial
-    /// counts + addition). Each rung inherits this chain's instruments,
-    /// fence, trace and checkpoint context ([the boundary carries the
-    /// chain](self#the-boundary-carries-the-chain)).
+    /// which it places: a PIQ that opens with filters and a grouped
+    /// operator runs the filters below the sort and, over window-aligned
+    /// input, fuses the grouped operator into it ([fused
+    /// rungs](self#fused-rungs)); any other PIQ runs on the sorted rung.
+    /// `merge` is instantiated once per union output. For correct results
+    /// the pair must satisfy the usual partial-aggregation law (e.g.
+    /// per-window partial counts + addition); identity PIQ and merge give
+    /// the basic framework (Fig 6(a)). Each rung inherits this section's
+    /// instruments, fence, trace and checkpoint context ([the boundary
+    /// carries the chain](self#the-boundary-carries-the-chain)).
     ///
     /// The ladder is built, and the source subscribed, by this call; an
     /// invalid ladder is refused before any rung or relay is built.
-    pub fn ladder<Q: Payload>(
+    pub fn to_streamables<Q: Payload>(
         self,
-        window: Option<TickDuration>,
         latencies: &[TickDuration],
         piq: impl Fn(Streamable<P>) -> Streamable<Q> + 'static,
         merge: impl Fn(Streamable<Q>) -> Streamable<Q> + 'static,
@@ -455,11 +457,12 @@ impl<P: Payload> Streamable<P> {
         policy: FrameworkPolicy<P>,
     ) -> Result<Streamables<Q>, StreamError> {
         validate_ladder(latencies)?;
+        let DisorderedStreamable { stream, window } = self;
         let Streamable {
             connect: source,
             ctx,
             ..
-        } = self.settle();
+        } = stream.settle();
         let ckpt = ctx.checkpoint();
         let k = latencies.len();
         let stats = FrameworkStats::registered(k, ctx.registry());
@@ -543,7 +546,6 @@ impl<P: Payload> Streamable<P> {
 
         Ok(Streamables {
             streams: out_streams,
-            latencies: latencies.to_vec(),
             stats,
         })
     }

@@ -29,10 +29,14 @@
 //! * [`sharded`] — multi-core execution: [`Streamable::sharded`] runs N
 //!   hash-partitioned copies of a pipeline on worker threads behind bounded
 //!   channels and re-joins them with a deterministic low-watermark merge;
+//! * [`disordered`] — the sort-as-needed surface (§IV-B):
+//!   [`DisorderedStreamable`] admits only order-insensitive operators,
+//!   which run below the sort, and remembers the window that aligned it;
 //! * [`ladder`] — the Impatience framework's latency ladder (§V):
-//!   [`Streamable::ladder`] partitions a disordered stream by delay into
-//!   in-order rungs, runs a partial query per rung and merges them through
-//!   unions into one output stream per reorder latency;
+//!   [`DisorderedStreamable::to_streamables`] partitions a disordered
+//!   stream by delay into in-order rungs, runs a partial query per rung and
+//!   merges them through unions into one output stream per reorder
+//!   latency;
 //! * [`traced`] — opt-in structured tracing ([`Streamable::traced`]):
 //!   per-stage span recording into lock-free rings, shard-queue wait
 //!   timing, and sampled ingress→egress latency provenance decomposed by
@@ -57,6 +61,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod checkpoint;
+pub mod disordered;
 pub mod ingress;
 pub mod ladder;
 pub mod observer;
@@ -71,6 +76,7 @@ pub use checkpoint::{
     CheckpointCtx, CheckpointGate, CheckpointMetrics, CheckpointNote, Checkpointable, Checkpointer,
     RecoveryInfo, CHECKPOINT_MAGIC,
 };
+pub use disordered::DisorderedStreamable;
 pub use ingress::{punctuate_arrivals, IngressPolicy, WalIngress};
 pub use ladder::{FrameworkPolicy, FrameworkStats, Streamables};
 pub use observer::{BlackHoleSink, CollectorSink, FnSink, Observer, Output, SharedSink};

@@ -118,7 +118,7 @@ impl ChainCtx {
         self.branch(|prefix| format!("{prefix}.shard{index:02}"), index)
     }
 
-    /// What rung `index` of a [`Streamable::ladder`] inherits: the
+    /// What rung `index` of a [ladder](crate::ladder) inherits: the
     /// instruments and the trace context under `partition{index:02}`, the
     /// trace on lane `index`, the fence, and — unlike a shard — the
     /// checkpoint context, since a ladder runs on the source's one thread.
@@ -514,7 +514,7 @@ impl<P: Payload> Streamable<P> {
     /// below it ([`SortStage::decide`]). On a ladder rung — input aligned
     /// at the claim — whose bucket sort has every recorded op below it, it
     /// fuses into the sort, which folds each event into its window's
-    /// table instead of sorting it (see [`Streamable::ladder`]), reports
+    /// table instead of sorting it (see [`crate::ladder`]), reports
     /// as the sort, and still takes the operator's stage number.
     fn grouped<A: ops::Aggregate<P>>(mut self, label: &str, agg: A) -> Streamable<A::Out> {
         if let Some(stage) = &self.unplaced {
@@ -663,9 +663,9 @@ impl<P: Payload> Streamable<P> {
     ///
     /// Returns [`StreamError::InvalidConfig`] for
     /// [`LatePolicy::RerouteNextPartition`]: reroute requires the
-    /// partitioned Impatience framework ([`Streamable::ladder`]), which
-    /// routes late events *before* they reach a sorter; a standalone
-    /// sorting stage has no next partition to hand them to.
+    /// partitioned Impatience framework ([`crate::ladder`]), which routes
+    /// late events *before* they reach a sorter; a standalone sorting
+    /// stage has no next partition to hand them to.
     ///
     /// On an instrumented chain the stage additionally publishes
     /// [`SorterGauges`] (run count, buffered events, state-byte high-water

@@ -1,5 +1,8 @@
-//! The ladder boundary carries the chain: every rung of
-//! [`Streamable::ladder`] inherits the source chain's instruments (under
+//! The Impatience framework's latency ladder,
+//! [`DisorderedStreamable::to_streamables`]: delay partitioning and its
+//! late policies, the per-rung sorter choice, the output streams and their
+//! routing statistics, and the boundary that carries the chain — every
+//! rung inherits the disordered section's instruments (under
 //! `partitionNN`), fence, trace (under `partitionNN`, lane `NN`) and
 //! checkpoint context, while its merge and output relays carry only the
 //! fence and the checkpoint context — whether the rung sorts first or, over
@@ -9,11 +12,14 @@
 
 use impatience_core::trace::{TraceClock, TraceConfig, TraceSink};
 use impatience_core::{
-    Event, MemoryMeter, MetricsRegistry, Payload, SnapshotError, SnapshotReader, SnapshotWriter,
-    StateCodec, StreamError, StreamMessage, TickDuration, Timestamp,
+    validate_ordered_stream, Event, LatePolicy, MemoryMeter, MetricsRegistry, Payload, ShedPolicy,
+    SnapshotError, SnapshotReader, SnapshotWriter, StateCodec, StreamError, StreamMessage,
+    TickDuration, Timestamp,
 };
 use impatience_engine::ops::Aggregate;
-use impatience_engine::{input_stream, FrameworkPolicy, Output, Streamable, TraceCtx};
+use impatience_engine::{
+    DisorderedStreamable, FrameworkPolicy, IngressPolicy, Output, Streamable, Streamables, TraceCtx,
+};
 use std::cell::Cell;
 
 /// The key whose event only rung 1 sees, and on which its PIQ panics.
@@ -36,13 +42,12 @@ fn rungs_inherit_the_chains_instruments_trace_and_fence() {
     let r = MetricsRegistry::new();
     let sink = TraceSink::with(TraceClock::logical(), TraceConfig::default());
     let meter = MemoryMeter::new();
-    let (handle, stream) = input_stream::<u32>();
-    let mut ss = stream
+    let (handle, ds) = DisorderedStreamable::<u32>::live();
+    let mut ss = ds
         .instrument(&r, "q")
         .traced(TraceCtx::new(&sink))
         .hardened()
-        .ladder(
-            None,
+        .to_streamables(
             &ladder(),
             |s: Streamable<u32>| {
                 s.where_(|e| {
@@ -176,19 +181,20 @@ impl Aggregate<u32> for CountUnlessBad {
 
 /// The twin of the case above over 10-tick window starts, whose PIQ opens
 /// with `group_aggregate`: each rung's sort and aggregate are one stage,
-/// which inherits the chain's settings under the sort's label.
+/// which inherits the chain's settings under the sort's label. The window
+/// runs ahead of the settings, so it records nothing itself.
 #[test]
 fn fused_rungs_inherit_the_chains_instruments_trace_and_fence() {
     let r = MetricsRegistry::new();
     let sink = TraceSink::with(TraceClock::logical(), TraceConfig::default());
     let meter = MemoryMeter::new();
-    let (handle, stream) = input_stream::<u32>();
-    let mut ss = stream
+    let (handle, ds) = DisorderedStreamable::<u32>::live();
+    let mut ss = ds
+        .tumbling_window(TickDuration::ticks(10))
         .instrument(&r, "q")
         .traced(TraceCtx::new(&sink))
         .hardened()
-        .ladder(
-            Some(TickDuration::ticks(10)),
+        .to_streamables(
             &ladder(),
             |s: Streamable<u32>| s.group_aggregate(CountUnlessBad),
             |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
@@ -299,11 +305,11 @@ fn fused_rungs_inherit_the_chains_instruments_trace_and_fence() {
 fn a_fused_stage_gauges_what_it_charges() {
     let r = MetricsRegistry::new();
     let meter = MemoryMeter::new();
-    let (handle, stream) = input_stream::<u32>();
-    let mut ss = stream
+    let (handle, ds) = DisorderedStreamable::<u32>::live();
+    let mut ss = ds
+        .tumbling_window(TickDuration::ticks(10))
         .instrument(&r, "q")
-        .ladder(
-            Some(TickDuration::ticks(10)),
+        .to_streamables(
             &ladder()[2..],
             |s: Streamable<u32>| s.group_aggregate(CountUnlessBad),
             |s: Streamable<u64>| s,
@@ -342,10 +348,9 @@ fn a_fused_stage_gauges_what_it_charges() {
 fn arrivals_that_raise_the_watermark_fit_a_zero_tick_rung() {
     for latencies in [vec![0], vec![0, 5]] {
         let latencies: Vec<TickDuration> = latencies.into_iter().map(TickDuration::ticks).collect();
-        let (handle, stream) = input_stream::<u32>();
-        let mut ss = stream
-            .ladder(
-                None,
+        let (handle, ds) = DisorderedStreamable::<u32>::live();
+        let mut ss = ds
+            .to_streamables(
                 &latencies,
                 |s: Streamable<u32>| s,
                 |s: Streamable<u32>| s,
@@ -410,11 +415,10 @@ impl Payload for Counted {}
 #[test]
 fn the_partitioner_copies_each_routed_event_at_most_once() {
     let r = MetricsRegistry::new();
-    let (handle, stream) = input_stream::<Counted>();
-    let mut ss = stream
+    let (handle, ds) = DisorderedStreamable::<Counted>::live();
+    let mut ss = ds
         .instrument(&r, "q")
-        .ladder(
-            None,
+        .to_streamables(
             &ladder(),
             |s: Streamable<Counted>| s,
             |s: Streamable<Counted>| s,
@@ -487,11 +491,10 @@ fn tape() -> Vec<StreamMessage<u32>> {
 /// `until`, and returns that offset with each output's events.
 fn durable_run(dir: &std::path::Path, until: usize) -> (u64, Vec<Output<u64>>) {
     let meter = MemoryMeter::new();
-    let (handle, stream) = input_stream::<u32>();
-    let (stream, ctx) = stream.checkpointed(dir, 1).expect("open checkpoint dir");
-    let mut ss = stream
-        .ladder(
-            None,
+    let (handle, ds) = DisorderedStreamable::<u32>::live();
+    let (ds, ctx) = ds.checkpointed(dir, 1).expect("open checkpoint dir");
+    let mut ss = ds
+        .to_streamables(
             &ladder()[..2],
             |s: Streamable<u32>| s.tumbling_window(TickDuration::ticks(10)).count(),
             |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
@@ -507,7 +510,10 @@ fn durable_run(dir: &std::path::Path, until: usize) -> (u64, Vec<Output<u64>>) {
                 .collect_output()
         })
         .collect();
-    let from = ctx.recovery().map_or(0, |rec| rec.messages_seen);
+    let from = ctx.recovery().map_or(0, |rec| {
+        assert!(rec.fallback.is_none(), "recovered from the newest slot");
+        rec.messages_seen
+    });
     for m in &tape()[from as usize..until] {
         handle.push(m.clone()).expect("push");
     }
@@ -541,4 +547,307 @@ fn a_checkpointed_source_restores_the_ladder_across_a_crash() {
         );
     }
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// A point event at `t` carrying `t`.
+fn at(t: i64) -> Event<u32> {
+    Event::point(Timestamp::new(t), t as u32)
+}
+
+/// Arrivals with known delays against the watermark before each:
+/// watermark 10, 20, 20, 30, 30, 40, 40; delay 0, 0, 5, 0, 25, 0, 35.
+fn arrivals() -> Vec<Event<u32>> {
+    [10, 20, 15, 30, 5, 40, 5].into_iter().map(at).collect()
+}
+
+/// One arrival per batch, each punctuated.
+fn one_by_one() -> IngressPolicy {
+    IngressPolicy {
+        punctuation_frequency: 1,
+        reorder_latency: TickDuration::ZERO,
+        batch_size: 1,
+    }
+}
+
+/// [`arrivals`] as a disordered source, one arrival per batch.
+fn source() -> DisorderedStreamable<u32> {
+    DisorderedStreamable::from_arrivals(arrivals(), &one_by_one())
+}
+
+/// The basic framework (identity PIQ and merge) over `ds` under `policy`.
+fn basic(
+    ds: DisorderedStreamable<u32>,
+    latencies: &[TickDuration],
+    meter: &MemoryMeter,
+    policy: FrameworkPolicy<u32>,
+) -> Streamables<u32> {
+    ds.to_streamables(latencies, |s| s, |s| s, meter, policy)
+        .expect("valid ladder")
+}
+
+/// Every output stream of `ss`, collected.
+fn collect_all<Q: Payload>(ss: &mut Streamables<Q>) -> Vec<Output<Q>> {
+    (0..ss.len())
+        .map(|i| {
+            ss.take_stream(i)
+                .expect("take output stream")
+                .collect_output()
+        })
+        .collect()
+}
+
+fn times<Q: Payload>(o: &Output<Q>) -> Vec<i64> {
+    o.events().iter().map(|e| e.sync_time.ticks()).collect()
+}
+
+#[test]
+fn validates_latency_config() {
+    let meter = MemoryMeter::new();
+    let bad: Vec<(Vec<TickDuration>, &str)> = vec![
+        (vec![], "empty"),
+        (
+            vec![TickDuration::ticks(5), TickDuration::ticks(5)],
+            "non-increasing",
+        ),
+        (
+            vec![TickDuration::ticks(9), TickDuration::ticks(3)],
+            "decreasing",
+        ),
+        (vec![TickDuration::ticks(-1)], "negative"),
+        ((0..256).map(TickDuration::ticks).collect(), "256 rungs"),
+    ];
+    for (ls, label) in bad {
+        let ds = DisorderedStreamable::<u32>::from_messages(vec![]);
+        let built = ds.to_streamables(&ls, |s| s, |s| s, &meter, FrameworkPolicy::default());
+        assert!(built.is_err(), "{label} accepted");
+    }
+}
+
+#[test]
+fn basic_framework_stream_i_contains_partitions_up_to_i() {
+    let meter = MemoryMeter::new();
+    let mut ss = basic(source(), &ladder(), &meter, FrameworkPolicy::default());
+    let outs = collect_all(&mut ss);
+    // Delays 0, 0, 5, 0, 25, 0, 35 → rungs 0, 0, 0, 0, 1, 0, 2; none dropped.
+    assert_eq!(times(&outs[0]), vec![10, 15, 20, 30, 40]);
+    assert_eq!(times(&outs[1]), vec![5, 10, 15, 20, 30, 40]);
+    assert_eq!(times(&outs[2]), vec![5, 5, 10, 15, 20, 30, 40]);
+    for o in &outs {
+        assert!(validate_ordered_stream(&o.messages()).is_ok());
+        assert!(o.is_completed());
+    }
+    let stats = ss.stats();
+    assert_eq!(stats.routed(0), 5);
+    assert_eq!(stats.routed(1), 1);
+    assert_eq!(stats.routed(2), 1);
+    assert_eq!(stats.dropped(), 0);
+    assert!((stats.completeness(0) - 5.0 / 7.0).abs() < 1e-9);
+    assert!((stats.completeness(2) - 1.0).abs() < 1e-9);
+}
+
+#[test]
+fn events_beyond_max_latency_are_dropped() {
+    let meter = MemoryMeter::new();
+    // Max latency 30: the delay-35 event is dropped.
+    let mut ss = basic(source(), &ladder()[..2], &meter, FrameworkPolicy::default());
+    let out_last = ss
+        .take_stream(1)
+        .expect("take output stream")
+        .collect_output();
+    assert_eq!(out_last.event_count(), 6);
+    assert_eq!(ss.stats().dropped(), 1);
+    assert!(ss.stats().completeness(1) < 1.0);
+}
+
+/// The Fig 10(b) effect in miniature: the basic framework's unions buffer
+/// raw events; the advanced one buffers per-window partials.
+#[test]
+fn advanced_buffers_less_than_basic() {
+    let window = TickDuration::ticks(100);
+    // Sorted arrivals with occasional stragglers delayed ~5000 ticks.
+    let arrivals: Vec<Event<u32>> = (0..20_000i64)
+        .map(|i| at(if i % 100 == 99 { i - 5_000 } else { i }.max(0)))
+        .collect();
+    let ls = [TickDuration::ticks(10), TickDuration::ticks(10_000)];
+    let pol = IngressPolicy {
+        punctuation_frequency: 100,
+        reorder_latency: TickDuration::ZERO,
+        batch_size: 512,
+    };
+    let windowed =
+        || DisorderedStreamable::from_arrivals(arrivals.clone(), &pol).tumbling_window(window);
+
+    let basic_meter = MemoryMeter::new();
+    let mut ss = basic(windowed(), &ls, &basic_meter, FrameworkPolicy::default());
+    // Both outputs subscribed, the query applied per stream, redundantly.
+    let _basic: Vec<Output<u64>> = (0..2)
+        .map(|i| {
+            ss.take_stream(i)
+                .expect("take output stream")
+                .count()
+                .collect_output()
+        })
+        .collect();
+
+    let adv_meter = MemoryMeter::new();
+    let mut ss = windowed()
+        .to_streamables(
+            &ls,
+            |s: Streamable<u32>| s.count(),
+            |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
+            &adv_meter,
+            FrameworkPolicy::default(),
+        )
+        .expect("valid ladder");
+    let _advanced = collect_all(&mut ss);
+
+    assert!(
+        adv_meter.peak() * 3 < basic_meter.peak(),
+        "advanced peak {} not well below basic peak {}",
+        adv_meter.peak(),
+        basic_meter.peak()
+    );
+}
+
+#[test]
+fn streams_complete_and_carry_final_punctuation() {
+    let meter = MemoryMeter::new();
+    let mut ss = basic(source(), &ladder(), &meter, FrameworkPolicy::default());
+    for (i, out) in collect_all(&mut ss).iter().enumerate() {
+        assert!(out.is_completed(), "stream {i}");
+        assert!(matches!(
+            out.messages().last(),
+            Some(StreamMessage::Completed)
+        ));
+    }
+    assert_eq!(meter.current(), 0, "all buffered state released");
+}
+
+/// `ds`, aligned by a tumbling window of `window` when one is given.
+fn maybe_windowed(
+    ds: DisorderedStreamable<u32>,
+    window: Option<TickDuration>,
+) -> DisorderedStreamable<u32> {
+    match window {
+        Some(w) => ds.tumbling_window(w),
+        None => ds,
+    }
+}
+
+/// Each rung picks its sorter by the planner's rule: over window starts
+/// it buckets (no Impatience runs), also behind a later `where_`;
+/// without the window, or under `ShedOldestRuns`, it keeps Impatience.
+#[test]
+fn rungs_bucket_window_aligned_input() {
+    let window = Some(TickDuration::ticks(20));
+    let cases = [
+        (window, ShedPolicy::default(), true),
+        (None, ShedPolicy::default(), false),
+        (window, ShedPolicy::ShedOldestRuns, false),
+    ];
+    for (window, shed, bucket) in cases {
+        let registry = MetricsRegistry::new();
+        let meter = MemoryMeter::new();
+        let ds = maybe_windowed(source(), window)
+            .where_(|e| e.payload != 7)
+            .instrument(&registry, "framework");
+        let policy = FrameworkPolicy {
+            shed,
+            ..FrameworkPolicy::default()
+        };
+        let mut ss = basic(ds, &ladder(), &meter, policy);
+        for (i, out) in collect_all(&mut ss).iter().enumerate() {
+            assert!(out.is_completed());
+            let runs = registry
+                .gauge(&format!("partition{i:02}.00.sorter.runs"))
+                .high_water();
+            assert_eq!(
+                runs == 0,
+                bucket,
+                "rung {i} runs high water {runs} ({window:?}, {shed:?})"
+            );
+        }
+    }
+}
+
+/// An arrival at `i64::MIN + 5` behind a watermark of 1000: its delay
+/// does not fit in an `i64` and exceeds every latency, so the event is
+/// dropped, neither wrapped into the fastest rung nor a panic. A window
+/// aligns it to `MIN`, which changes nothing.
+#[test]
+fn delay_between_the_ends_of_i64_drops_the_event() {
+    for window in [None, Some(TickDuration::ticks(10))] {
+        let meter = MemoryMeter::new();
+        let ds =
+            DisorderedStreamable::from_arrivals(vec![at(1000), at(i64::MIN + 5)], &one_by_one());
+        let mut ss = basic(
+            maybe_windowed(ds, window),
+            &ladder(),
+            &meter,
+            FrameworkPolicy::default(),
+        );
+        for (i, out) in collect_all(&mut ss).iter().enumerate() {
+            assert_eq!(times(out), vec![1000], "stream {i} ({window:?})");
+        }
+        let stats = ss.stats();
+        let routed: Vec<u64> = (0..3).map(|i| stats.routed(i)).collect();
+        assert_eq!(routed, vec![1, 0, 0], "{window:?}");
+        assert_eq!(stats.dropped(), 1, "{window:?}");
+    }
+}
+
+#[test]
+fn drop_policy_discards_events_that_miss_the_fastest_partition() {
+    let meter = MemoryMeter::new();
+    let policy = FrameworkPolicy {
+        late: LatePolicy::Drop,
+        ..FrameworkPolicy::default()
+    };
+    let mut ss = basic(source(), &ladder(), &meter, policy);
+    let outs = collect_all(&mut ss);
+    // Delays 0, 0, 5, 0, 25, 0, 35: only the five delay < 10 events
+    // survive; the two reroutable stragglers are dropped instead.
+    let stats = ss.stats();
+    assert_eq!(stats.routed(0), 5);
+    assert_eq!(stats.routed(1), 0);
+    assert_eq!(stats.routed(2), 0);
+    assert_eq!(stats.dropped(), 2);
+    assert_eq!(stats.total(), 7);
+    for o in &outs {
+        assert_eq!(o.event_count(), 5);
+        assert!(o.is_completed());
+    }
+}
+
+/// Under `DeadLetter` every straggler is diverted — the delay-25 event
+/// past the fastest rung and the delay-35 one past every rung — and
+/// counted, also without a queue attached.
+#[test]
+fn dead_lettered_registry_counter_is_published() {
+    let registry = MetricsRegistry::new();
+    let meter = MemoryMeter::new();
+    let ds = source().instrument(&registry, "framework");
+    let policy = FrameworkPolicy {
+        late: LatePolicy::DeadLetter,
+        ..FrameworkPolicy::default()
+    };
+    let mut ss = basic(ds, &ladder(), &meter, policy);
+    let _outs = collect_all(&mut ss);
+    assert_eq!(registry.counter("framework.dead_lettered").get(), 2);
+    assert_eq!(ss.stats().dead_lettered(), 2);
+}
+
+#[test]
+fn take_stream_returns_typed_errors() {
+    let meter = MemoryMeter::new();
+    let mut ss = basic(source(), &ladder()[..1], &meter, FrameworkPolicy::default());
+    assert!(ss.take_stream(5).is_err(), "out of range");
+    assert!(ss.take_stream(0).is_ok());
+    match ss.take_stream(0) {
+        Err(StreamError::InvalidConfig(msg)) => {
+            assert!(msg.contains("already subscribed"), "{msg}")
+        }
+        Err(other) => panic!("expected InvalidConfig, got {other:?}"),
+        Ok(_) => panic!("expected an error for a taken stream"),
+    }
 }

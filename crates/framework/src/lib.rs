@@ -1,61 +1,42 @@
 //! # impatience-framework
 //!
-//! The user-facing layer of the Impatience stack, reproducing §IV-B and §V
-//! of the paper:
-//!
-//! * [`DisorderedStreamable`] — sort-as-needed execution: order-insensitive
-//!   operators (selection, projection, windowing) run *below* the sorting
-//!   operator, then `to_streamable()` sorts once, as late and as cheaply
-//!   as possible;
-//! * [`to_streamables_advanced`] — the **Impatience framework**: a set of
-//!   reorder latencies yields a set of output streams trading latency
-//!   against completeness, with user PIQ/merge functions for single-pass
-//!   evaluation and tiny union buffers ([`to_streamables_basic`] is the
-//!   identity-PIQ spelling). Each is one expression over the engine's
-//!   [`Streamable::ladder`](impatience_engine::Streamable::ladder); the
-//!   failure model is a [`FrameworkPolicy`], and metrics, tracing and
-//!   durability are set on the disordered section
-//!   ([`DisorderedStreamable::instrument`] / `traced` / `checkpointed`),
-//!   whose settings every rung of the ladder inherits.
-//!
-//! ```
-//! use impatience_core::{Event, MemoryMeter, TickDuration, Timestamp};
-//! use impatience_engine::{IngressPolicy, Streamable};
-//! use impatience_framework::{to_streamables_advanced, DisorderedStreamable};
-//!
-//! // One-second windowed count with reorder latencies {1s, 1min}.
-//! let arrivals: Vec<Event<u32>> = (0..10_000)
-//!     .map(|i| Event::point(Timestamp::new(i as i64), 0u32))
-//!     .collect();
-//! let meter = MemoryMeter::new();
-//! let ds = DisorderedStreamable::from_arrivals(
-//!     arrivals,
-//!     &IngressPolicy::new(1_000, TickDuration::ZERO),
-//! )
-//! .tumbling_window(TickDuration::secs(1));
-//! let mut ss = to_streamables_advanced(
-//!     ds,
-//!     &[TickDuration::secs(1), TickDuration::minutes(1)],
-//!     |s: Streamable<u32>| s.count(),
-//!     |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
-//!     &meter,
-//!     Default::default(),
-//! )
-//! .unwrap();
-//! let quick = ss.take_stream(0).expect("take output stream").collect_output();
-//! let complete = ss.take_stream(1).expect("take output stream").collect_output();
-//! assert_eq!(complete.events().len(), 10); // ten 1s windows
-//! assert!(quick.event_count() <= complete.event_count());
-//! ```
+//! A shim that keeps the frozen `stackbench/` benchmark building: it holds
+//! exactly the names `stackbench/src/framework.rs` imports. The Impatience
+//! framework itself is the engine's —
+//! [`DisorderedStreamable::to_streamables`] — and nothing in the workspace
+//! depends on this crate.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod disordered;
-pub mod framework;
+use impatience_core::{MemoryMeter, MetricsRegistry, Payload, StreamError, TickDuration};
+use impatience_engine::{Streamable, Streamables};
 
-pub use disordered::DisorderedStreamable;
-pub use framework::{
-    to_streamables_advanced, to_streamables_advanced_metered, to_streamables_basic,
-};
-pub use impatience_engine::{FrameworkPolicy, FrameworkStats, Streamables};
+pub use impatience_engine::{DisorderedStreamable, FrameworkStats};
+
+/// The basic framework (Fig 6(a)): [`DisorderedStreamable::to_streamables`]
+/// with identity PIQ and merge and the default policy.
+pub fn to_streamables_basic<P: Payload>(
+    ds: DisorderedStreamable<P>,
+    latencies: &[TickDuration],
+    meter: &MemoryMeter,
+) -> Result<Streamables<P>, StreamError> {
+    ds.to_streamables(latencies, |s| s, |s| s, meter, Default::default())
+}
+
+/// [`DisorderedStreamable::to_streamables`] with the default policy over
+/// `ds` instrumented into `registry` under `framework`, when one is given.
+pub fn to_streamables_advanced_metered<P: Payload, Q: Payload>(
+    ds: DisorderedStreamable<P>,
+    latencies: &[TickDuration],
+    piq: impl Fn(Streamable<P>) -> Streamable<Q> + 'static,
+    merge: impl Fn(Streamable<Q>) -> Streamable<Q> + 'static,
+    meter: &MemoryMeter,
+    registry: Option<&MetricsRegistry>,
+) -> Result<Streamables<Q>, StreamError> {
+    let ds = match registry {
+        Some(r) => ds.instrument(r, "framework"),
+        None => ds,
+    };
+    ds.to_streamables(latencies, piq, merge, meter, Default::default())
+}

@@ -51,15 +51,15 @@ fn main() {
     )
     .tumbling_window(TickDuration::secs(1));
 
-    let mut ss = to_streamables_advanced(
-        ds,
-        &latencies,
-        |s: Streamable<u32>| s.group_aggregate(CountAgg),
-        |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
-        &meter,
-        Default::default(),
-    )
-    .expect("valid latencies");
+    let mut ss = ds
+        .to_streamables(
+            &latencies,
+            |s: Streamable<u32>| s.group_aggregate(CountAgg),
+            |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
+            &meter,
+            Default::default(),
+        )
+        .expect("valid latencies");
 
     // ss.Streamable(0).Subscribe(...): live per-ad counts.
     let live = ss

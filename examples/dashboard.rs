@@ -36,15 +36,15 @@ fn main() {
     // PIQ: per-partition windowed count. Merge: add partial counts.
     let ds = DisorderedStreamable::from_arrivals(dataset.events, &policy)
         .tumbling_window(TickDuration::secs(10));
-    let mut ss = to_streamables_advanced(
-        ds,
-        &latencies,
-        |s: Streamable<EvalPayload>| s.count(),
-        |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
-        &meter,
-        Default::default(),
-    )
-    .expect("valid latency ladder");
+    let mut ss = ds
+        .to_streamables(
+            &latencies,
+            |s: Streamable<EvalPayload>| s.count(),
+            |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
+            &meter,
+            Default::default(),
+        )
+        .expect("valid latency ladder");
 
     // The "dashboard": window start → (live, 1min-refined, 1h-refined).
     let outs: Vec<Output<u64>> = (0..3)

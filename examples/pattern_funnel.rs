@@ -54,12 +54,15 @@ fn main() {
     )
     .where_(|e| e.payload == AD_X || e.payload == AD_Y);
 
-    let mut ss = to_streamables_basic(
-        ds,
-        &[TickDuration::minutes(5), TickDuration::hours(1)],
-        &meter,
-    )
-    .expect("valid latencies");
+    let mut ss = ds
+        .to_streamables(
+            &[TickDuration::minutes(5), TickDuration::hours(1)],
+            |s| s,
+            |s| s,
+            &meter,
+            Default::default(),
+        )
+        .expect("valid latencies");
 
     // PatternMatch per output stream (redundant computation — the price
     // of the basic framework for non-decomposable queries, §V-C).

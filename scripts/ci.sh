@@ -134,10 +134,14 @@ echo "== framework differential (ladder rungs under the planner's sorter rule) =
 # name. Rungs place their sort by the planner's rule: a filter opening
 # the PIQ runs below the sort, which still fuses; a re_key, or a second
 # window over aligned input, stays above it. Those rung cases run by name.
-# The engine's tests/ladder.rs, tests/framework_props.rs and
+# The ladder is DisorderedStreamable::to_streamables, and its own cases —
+# delay partitioning, the late policies, the per-rung sorter choice, the
+# boundary, the partitioner's copies, typed take_stream errors — live in
+# the engine's tests/ladder.rs. That file, tests/framework_props.rs and
 # tests/surface_differential.rs run whole above.
 cargo test -q --offline --test framework_props a_piq_opening_with_another_stage_keeps_the_sort_first
 cargo test -q --offline -p impatience-engine --test ladder rungs_inherit_the_chains_instruments_trace_and_fence
+cargo test -q --offline -p impatience-engine --test ladder rungs_bucket_window_aligned_input
 cargo test -q --offline -p impatience-engine --test ladder the_partitioner_copies_each_routed_event_at_most_once
 cargo test -q --offline --test recovery framework_refuses_an_impatience_state_slot
 cargo test -q --offline --test recovery framework_refuses_a_slot_across_the_fused_plan_change
@@ -252,13 +256,16 @@ echo "== stack benchmark (unit tests + smoke: every workload, both passes, oracl
 # the workspace steps above never build it. Its unit tests and a 1/100-size
 # run of every workload, untraced then traced, keep it compiling against
 # the crates and fail CI when any served or in-process output mismatches
-# its independent reference.
-cargo test --release --offline --manifest-path stackbench/Cargo.toml
+# its independent reference. Every build of it is --locked: the benchmark
+# builds against its own Cargo.lock, so a change to a path crate's
+# dependency list fails here instead of rewriting that lock when the
+# benchmark runs.
+cargo test --release --offline --locked --manifest-path stackbench/Cargo.toml
 # The benchmark reads the spill gauges by name (`eng.00.sorter.spill.*`): a
 # zero here means the sort stage's label moved, not that nothing spilled.
 smoke_json="$(mktemp)"
 trap 'rm -f "$smoke_json"' EXIT
-cargo run --release --offline --manifest-path stackbench/Cargo.toml -- run --smoke --out "$smoke_json"
+cargo run --release --offline --locked --manifest-path stackbench/Cargo.toml -- run --smoke --out "$smoke_json"
 grep -q '"sort.external.runs_spilled":{"value":[1-9]' "$smoke_json" || {
     echo "stack smoke: sort.external.runs_spilled read 0 (stage 00 label lost?)"
     exit 1
@@ -275,7 +282,7 @@ echo "== stage-shell gate (engine-inmem traced: shell <= 15% of end-to-end) =="
 # either way: the gate fails only when three attempts in a row exceed it.
 shell_gate() {
     local out shell e2e
-    out="$(cargo run --release --offline --quiet --manifest-path stackbench/Cargo.toml -- \
+    out="$(cargo run --release --offline --locked --quiet --manifest-path stackbench/Cargo.toml -- \
         bench --workload engine-inmem --seconds 2 --trace 1)"
     grep -q '"correct":true' <<<"$out" || { echo "engine-inmem: oracle mismatch"; return 2; }
     metric() { sed -n "s/.*\"$1\":{\"value\":\([^,}]*\).*/\1/p" <<<"$out"; }

@@ -13,8 +13,7 @@
 //! | [`core`] | `impatience-core` | events, batches, punctuations, memory accounting |
 //! | [`disorder`] | `impatience-disorder` | inversions / distance / runs / interleaved |
 //! | [`sort`] | `impatience-sort` | Impatience & Patience sort + baselines |
-//! | [`engine`] | `impatience-engine` | in-order streaming operators |
-//! | [`framework`] | `impatience-framework` | DisorderedStreamable + Impatience framework |
+//! | [`engine`] | `impatience-engine` | in-order streaming operators, `DisorderedStreamable` and the Impatience framework |
 //! | [`workloads`] | `impatience-workloads` | CloudLog / AndroidLog / synthetic generators |
 //!
 //! ## Quickstart
@@ -40,7 +39,6 @@
 pub use impatience_core as core;
 pub use impatience_disorder as disorder;
 pub use impatience_engine as engine;
-pub use impatience_framework as framework;
 pub use impatience_sort as sort;
 pub use impatience_workloads as workloads;
 
@@ -52,9 +50,8 @@ pub mod prelude {
     };
     pub use impatience_disorder::DisorderReport;
     pub use impatience_engine::ops::{CountAgg, SumAgg};
-    pub use impatience_engine::{IngressPolicy, InputHandle, Output, Streamable};
-    pub use impatience_framework::{
-        to_streamables_advanced, to_streamables_basic, DisorderedStreamable, Streamables,
+    pub use impatience_engine::{
+        DisorderedStreamable, IngressPolicy, InputHandle, Output, Streamable, Streamables,
     };
     pub use impatience_sort::{
         CutBuffer, HeapSorter, ImpatienceConfig, ImpatienceSorter, OnlineSorter, PatienceSort,

@@ -89,15 +89,15 @@ fn q1_windowed_count_advanced_framework_matches_oracle() {
         let expect = oracle_q1(&surviving_events(&ds, *latencies().last().unwrap()));
         let meter = MemoryMeter::new();
         let d = DisorderedStreamable::from_arrivals(ds.events, &policy()).tumbling_window(WINDOW);
-        let mut ss = to_streamables_advanced(
-            d,
-            &latencies(),
-            |s: Streamable<EvalPayload>| s.count(),
-            |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
-            &meter,
-            Default::default(),
-        )
-        .unwrap();
+        let mut ss = d
+            .to_streamables(
+                &latencies(),
+                |s: Streamable<EvalPayload>| s.count(),
+                |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
+                &meter,
+                Default::default(),
+            )
+            .unwrap();
         let complete = ss
             .take_stream(ss.len() - 1)
             .expect("take output stream")
@@ -122,15 +122,15 @@ fn q2_grouped_count_matches_oracle() {
         let d = DisorderedStreamable::from_arrivals(ds.events, &policy())
             .re_key(|e| e.key % GROUPS)
             .tumbling_window(WINDOW);
-        let mut ss = to_streamables_advanced(
-            d,
-            &latencies(),
-            |s: Streamable<EvalPayload>| s.group_aggregate(CountAgg),
-            |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
-            &meter,
-            Default::default(),
-        )
-        .unwrap();
+        let mut ss = d
+            .to_streamables(
+                &latencies(),
+                |s: Streamable<EvalPayload>| s.group_aggregate(CountAgg),
+                |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
+                &meter,
+                Default::default(),
+            )
+            .unwrap();
         let complete = ss
             .take_stream(ss.len() - 1)
             .expect("take output stream")
@@ -157,15 +157,15 @@ fn q4_top5_is_consistent_with_grouped_oracle() {
     // Top-k is not mergeable: truncating inside the merge function would
     // lose partial counts feeding the next union. The merge recombines
     // counts; top-k runs on the consumed output stream.
-    let mut ss = to_streamables_advanced(
-        d,
-        &latencies(),
-        |s: Streamable<EvalPayload>| s.group_aggregate(CountAgg),
-        |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
-        &meter,
-        Default::default(),
-    )
-    .unwrap();
+    let mut ss = d
+        .to_streamables(
+            &latencies(),
+            |s: Streamable<EvalPayload>| s.group_aggregate(CountAgg),
+            |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
+            &meter,
+            Default::default(),
+        )
+        .unwrap();
     let complete = ss
         .take_stream(ss.len() - 1)
         .expect("take output stream")
@@ -209,15 +209,15 @@ fn earlier_streams_are_prefixes_in_completeness() {
     let meter = MemoryMeter::new();
     let d = DisorderedStreamable::from_arrivals(ds.events.clone(), &policy())
         .tumbling_window(TickDuration::minutes(10));
-    let mut ss = to_streamables_advanced(
-        d,
-        &ls,
-        |s: Streamable<EvalPayload>| s.count(),
-        |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
-        &meter,
-        Default::default(),
-    )
-    .unwrap();
+    let mut ss = d
+        .to_streamables(
+            &ls,
+            |s: Streamable<EvalPayload>| s.count(),
+            |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
+            &meter,
+            Default::default(),
+        )
+        .unwrap();
     let outs: Vec<_> = (0..3)
         .map(|i| {
             ss.take_stream(i)

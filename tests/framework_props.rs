@@ -23,8 +23,7 @@
 
 use impatience::prelude::*;
 use impatience_core::{validate_ordered_stream, DeadLetterQueue, LatePolicy};
-use impatience_engine::Streamable;
-use impatience_framework::FrameworkPolicy;
+use impatience_engine::{FrameworkPolicy, Streamable};
 use impatience_testkit::prop::{vec as pvec, weighted_bool, Strategy};
 use impatience_testkit::props;
 use std::collections::BTreeMap;
@@ -160,7 +159,9 @@ fn run_piq<Q: Payload>(
         Some(r) => ds.instrument(r, "framework"),
         None => ds,
     };
-    let mut ss = to_streamables_advanced(ds, latencies, piq, merge, meter, framework).unwrap();
+    let mut ss = ds
+        .to_streamables(latencies, piq, merge, meter, framework)
+        .unwrap();
     (0..latencies.len())
         .map(|i| {
             let o = ss
@@ -208,7 +209,9 @@ fn run_basic_with_query<Q: Payload>(
     let meter = MemoryMeter::new();
     let (framework, dlq) = late_policy(late);
     let ds = DisorderedStreamable::from_arrivals(arrivals, &policy(freq)).tumbling_window(window());
-    let mut ss = to_streamables_advanced(ds, latencies, |s| s, |s| s, &meter, framework).unwrap();
+    let mut ss = ds
+        .to_streamables(latencies, |s| s, |s| s, &meter, framework)
+        .unwrap();
     let outs = (0..latencies.len())
         .map(|i| {
             let o = query(ss.take_stream(i).expect("take output stream")).collect_output();
@@ -308,7 +311,7 @@ props! {
         let expect = tier_oracle(&arrivals, &ls);
         let meter = MemoryMeter::new();
         let ds = DisorderedStreamable::from_arrivals(arrivals, &policy(freq)).tumbling_window(window());
-        let mut ss = to_streamables_basic(ds, &ls, &meter).unwrap();
+        let mut ss = ds.to_streamables(&ls, |s| s, |s| s, &meter, Default::default()).unwrap();
         for (i, expect) in expect.iter().enumerate() {
             let o = ss
                 .take_stream(i)

@@ -984,7 +984,7 @@ fn hoisted_plan_refuses_an_impatience_state_slot() {
 /// typed `RecoveryFailed`, never a panic or a silent fresh start.
 #[test]
 fn framework_refuses_an_impatience_state_slot() {
-    use impatience_framework::FrameworkPolicy;
+    use impatience_engine::FrameworkPolicy;
     let dir = base_dir("framework-impatience-slot");
     let ladder = [TickDuration::ticks(100), TickDuration::ticks(1_000)];
     let build = |shed: ShedPolicy| {
@@ -993,18 +993,18 @@ fn framework_refuses_an_impatience_state_slot() {
             .tumbling_window(TickDuration::ticks(100))
             .checkpointed(&dir, 1)
             .expect("open checkpoint dir");
-        let mut ss = to_streamables_advanced(
-            ds,
-            &ladder,
-            |s| s,
-            |s| s,
-            &MemoryMeter::new(),
-            FrameworkPolicy {
-                shed,
-                ..FrameworkPolicy::default()
-            },
-        )
-        .expect("valid ladder");
+        let mut ss = ds
+            .to_streamables(
+                &ladder,
+                |s| s,
+                |s| s,
+                &MemoryMeter::new(),
+                FrameworkPolicy {
+                    shed,
+                    ..FrameworkPolicy::default()
+                },
+            )
+            .expect("valid ladder");
         let outs: Vec<Output<i64>> = (0..ladder.len())
             .map(|i| {
                 ss.take_stream(i)
@@ -1056,25 +1056,25 @@ fn count_ladder(
     dir: &Path,
     shed: ShedPolicy,
 ) -> (InputHandle<i64>, CheckpointCtx, Vec<Output<u64>>) {
-    use impatience_framework::FrameworkPolicy;
+    use impatience_engine::FrameworkPolicy;
     let ladder = [TickDuration::ticks(100), TickDuration::ticks(1_000)];
     let (handle, ds) = DisorderedStreamable::<i64>::live();
     let (ds, ctx) = ds
         .tumbling_window(TickDuration::ticks(100))
         .checkpointed(dir, 1)
         .expect("open checkpoint dir");
-    let mut ss = to_streamables_advanced(
-        ds,
-        &ladder,
-        |s| s.group_aggregate(CountAgg),
-        |s| s.reduce_by_key(|a, b| *a += b),
-        &MemoryMeter::new(),
-        FrameworkPolicy {
-            shed,
-            ..FrameworkPolicy::default()
-        },
-    )
-    .expect("valid ladder");
+    let mut ss = ds
+        .to_streamables(
+            &ladder,
+            |s| s.group_aggregate(CountAgg),
+            |s| s.reduce_by_key(|a, b| *a += b),
+            &MemoryMeter::new(),
+            FrameworkPolicy {
+                shed,
+                ..FrameworkPolicy::default()
+            },
+        )
+        .expect("valid ladder");
     let outs = (0..ladder.len())
         .map(|i| {
             ss.take_stream(i)

@@ -37,11 +37,8 @@ use impatience_core::{
 };
 use impatience_engine::ops::{CountAgg, SortPolicy};
 use impatience_engine::{
-    input_stream, punctuate_arrivals, BlackHoleSink, CheckpointCtx, IngressPolicy, Output,
-    Streamable, TraceCtx,
-};
-use impatience_framework::{
-    to_streamables_advanced, DisorderedStreamable, FrameworkPolicy, FrameworkStats,
+    input_stream, punctuate_arrivals, BlackHoleSink, CheckpointCtx, DisorderedStreamable,
+    FrameworkPolicy, FrameworkStats, IngressPolicy, Output, Streamable, TraceCtx,
 };
 use impatience_sort::{ExternalImpatienceSorter, ImpatienceSorter, OnlineSorter};
 use impatience_workloads::{
@@ -214,15 +211,15 @@ fn build(settings: Settings<'_>, policy: FrameworkPolicy<EvalPayload>) -> Built 
             (ds, Some(ctx))
         }
     };
-    let mut ss = to_streamables_advanced(
-        ds,
-        &ladder(),
-        |s: Streamable<EvalPayload>| s.group_aggregate(CountAgg),
-        |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
-        &meter,
-        policy,
-    )
-    .expect("the pinned ladder is valid");
+    let mut ss = ds
+        .to_streamables(
+            &ladder(),
+            |s: Streamable<EvalPayload>| s.group_aggregate(CountAgg),
+            |s: Streamable<u64>| s.reduce_by_key(|a, b| *a += b),
+            &meter,
+            policy,
+        )
+        .expect("the pinned ladder is valid");
     let stats = ss.stats();
     let outs = (0..ss.len())
         .map(|i| {
