@@ -80,11 +80,17 @@ pub fn validate_ladder(ladder: &[TickDuration]) -> core::result::Result<(), Conf
     Ok(())
 }
 
+/// The largest adaptive window, in arrivals. The controller allocates a
+/// byte per arrival up front, outside any tenant's memory account, so a
+/// client-sent window must not be able to ask for gigabytes.
+pub const MAX_ADAPTIVE_WINDOW: usize = 1 << 20;
+
 /// The one rule for an adaptive controller's settings — a spec's
 /// `reorder` in adaptive mode and the controller's own config: the ladder
 /// passes [`validate_ladder`], the quality target is in `(0, 1]` and the
-/// window holds at least one arrival. The error names the field (`ladder`,
-/// `quality`, `window`); callers scope it (`reorder.quality`).
+/// window holds 1 to [`MAX_ADAPTIVE_WINDOW`] arrivals. The error names the
+/// field (`ladder`, `quality`, `window`); callers scope it
+/// (`reorder.quality`).
 pub fn validate_adaptive(
     ladder: &[TickDuration],
     quality: f64,
@@ -96,6 +102,12 @@ pub fn validate_adaptive(
     }
     if window == 0 {
         return Err(ConfigError::new("window", "must be >= 1"));
+    }
+    if window > MAX_ADAPTIVE_WINDOW {
+        return Err(ConfigError::new(
+            "window",
+            format!("must be <= {MAX_ADAPTIVE_WINDOW} arrivals"),
+        ));
     }
     Ok(())
 }

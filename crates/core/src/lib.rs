@@ -42,7 +42,7 @@ pub mod trace;
 
 pub use batch::{EventBatch, DEFAULT_BATCH_SIZE};
 pub use bitmap::FilterBitmap;
-pub use config::{validate_adaptive, validate_ladder, ConfigError, Validate};
+pub use config::{validate_adaptive, validate_ladder, ConfigError, Validate, MAX_ADAPTIVE_WINDOW};
 pub use error::{Result, StreamError};
 pub use event::{hash_key, EvalPayload, Event, EventTimed, Payload};
 pub use json::{Json, JsonError};

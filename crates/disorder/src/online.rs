@@ -558,6 +558,17 @@ mod tests {
     }
 
     #[test]
+    fn window_is_bounded_before_anything_is_allocated() {
+        use impatience_core::MAX_ADAPTIVE_WINDOW;
+        let largest = AdaptiveConfig::new().with_window(MAX_ADAPTIVE_WINDOW);
+        assert!(largest.validate().is_ok());
+        let huge = AdaptiveConfig::new().with_window(1_000_000_000_000);
+        assert_eq!(huge.validate().unwrap_err().field, "window");
+        let refused = AdaptiveLatency::new(huge);
+        assert!(matches!(refused, Err(e) if e.field == "window"));
+    }
+
+    #[test]
     fn gauges_mirror_decisions() {
         use impatience_core::metrics::MetricsRegistry;
         let registry = MetricsRegistry::new();

@@ -496,6 +496,13 @@ impl<P: Payload, S: Observer<Q>, Q: Payload> SortOp<P, S, Q> {
     /// watermark to it. The effective reorder latency degrades — events at
     /// or below this cut become late and fall under the late policy.
     fn forced_cut(&mut self) {
+        // With nothing buffered — all shed, or the budget held by others
+        // sharing the meter — the cut frees nothing, and punctuating the
+        // sorter anyway would raise its floor above the gate's watermark:
+        // the next event at the cut would be admitted below it.
+        if self.sorter.buffered_len() == 0 {
+            return;
+        }
         let cut = self.high.max(self.gate.watermark);
         let mut out = Vec::new();
         self.sorter.punctuate(cut, &mut out);

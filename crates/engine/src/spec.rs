@@ -411,6 +411,10 @@ impl Default for ReorderSpec {
     }
 }
 
+/// The most worker shards a spec may ask for: each is a thread, and a
+/// client's spec must not start thousands.
+pub const MAX_SHARDS: usize = 8;
+
 /// A complete declarative pipeline: what used to be six hand-stacked
 /// combinator calls, as validated data. See the module docs for the
 /// lowering order and [`PipelineSpec::from_json`] for the wire schema.
@@ -748,6 +752,12 @@ impl Validate for PipelineSpec {
         if self.shards == 0 {
             return Err(ConfigError::new("shards", "must be >= 1"));
         }
+        if self.shards > MAX_SHARDS {
+            return Err(ConfigError::new(
+                "shards",
+                format!("must be <= {MAX_SHARDS} (each shard is a worker thread)"),
+            ));
+        }
         if self.shards > 1 && self.checkpoint.is_some() {
             return Err(ConfigError::new(
                 "shards",
@@ -1053,6 +1063,12 @@ mod tests {
         let cases: Vec<(Json, &str)> = vec![
             (json!({"shards": 2}), "name"),
             (json!({"name": "x", "shards": 0}), "shards"),
+            (json!({"name": "x", "shards": 1_000_000}), "shards"),
+            (
+                json!({"name": "x", "reorder": json!({"mode": "adaptive",
+                    "ladder": json!([1, 2]), "window": 1_000_000_000_000i64})}),
+                "reorder.window",
+            ),
             (
                 json!({"name": "x", "shards": 4, "checkpoint": json!({"every_n": 8})}),
                 "shards",

@@ -6,14 +6,11 @@
 //! `IMPATIENCE_PROP_SEED=0x<seed> cargo test <test name>`.
 
 use impatience_core::{
-    validate_ordered_stream, Event, EventBatch, MemoryMeter, MetricsRegistry, SnapshotReader,
-    SnapshotWriter, StreamError, StreamMessage, TickDuration, Timestamp,
+    validate_ordered_stream, Event, EventBatch, MemoryMeter, SnapshotReader, SnapshotWriter,
+    StreamError, StreamMessage, TickDuration, Timestamp,
 };
-use impatience_engine::ops::{self, CountAgg};
-use impatience_engine::{
-    input_stream, Checkpointable, InputHandle, Observer, OperatorMetrics, Output, StageShell,
-    Streamable,
-};
+use impatience_engine::ops;
+use impatience_engine::{input_stream, Checkpointable, InputHandle, Observer, Output, Streamable};
 use impatience_testkit::prop::{vec, Strategy};
 use impatience_testkit::props;
 use std::collections::BTreeMap;
@@ -59,32 +56,6 @@ fn flat_events(msgs: &[StreamMessage<u32>]) -> Vec<Event<u32>> {
 props! {
     cases = 96;
 
-    fn filter_matches_oracle(msgs in ordered_messages(), m in 1u32..6) {
-        let input = flat_events(&msgs);
-        let out = Streamable::from_messages(msgs)
-            .where_(move |e| e.payload % m == 0)
-            .collect_output();
-        let expect: Vec<u32> = input
-            .iter()
-            .map(|e| e.payload)
-            .filter(|p| p % m == 0)
-            .collect();
-        let got: Vec<u32> = out.events().iter().map(|e| e.payload).collect();
-        assert_eq!(got, expect);
-        assert!(validate_ordered_stream(&out.messages()).is_ok());
-    }
-
-    fn select_preserves_count_and_order(msgs in ordered_messages()) {
-        let input = flat_events(&msgs);
-        let out = Streamable::from_messages(msgs)
-            .select(|p| (*p as u64) * 3 + 1)
-            .collect_output();
-        let got: Vec<u64> = out.events().iter().map(|e| e.payload).collect();
-        let expect: Vec<u64> = input.iter().map(|e| (e.payload as u64) * 3 + 1).collect();
-        assert_eq!(got, expect);
-        assert!(validate_ordered_stream(&out.messages()).is_ok());
-    }
-
     fn windowed_count_matches_oracle(msgs in ordered_messages(), w in 1i64..50) {
         let input = flat_events(&msgs);
         let size = TickDuration::ticks(w);
@@ -107,28 +78,6 @@ props! {
             .map(|e| e.sync_time).collect::<std::collections::BTreeSet<_>>().len());
     }
 
-    fn grouped_count_matches_oracle(msgs in ordered_messages(), w in 1i64..50) {
-        let input = flat_events(&msgs);
-        let size = TickDuration::ticks(w);
-        let out = Streamable::from_messages(msgs)
-            .tumbling_window(size)
-            .group_aggregate(CountAgg)
-            .collect_output();
-        let mut expect: BTreeMap<(i64, u32), u64> = BTreeMap::new();
-        for e in &input {
-            *expect
-                .entry((e.sync_time.align_down(size).ticks(), e.key))
-                .or_insert(0) += 1;
-        }
-        let got: BTreeMap<(i64, u32), u64> = out
-            .events()
-            .iter()
-            .map(|e| ((e.sync_time.ticks(), e.key), e.payload))
-            .collect();
-        assert_eq!(got, expect);
-        assert!(validate_ordered_stream(&out.messages()).is_ok());
-    }
-
     fn union_is_a_sorted_merge(
         a in ordered_messages(),
         b in ordered_messages(),
@@ -148,70 +97,6 @@ props! {
         assert!(validate_ordered_stream(&out.messages()).is_ok());
         assert!(out.is_completed());
         assert_eq!(meter.current(), 0);
-    }
-
-    fn metered_identity_is_exact_and_inert(msgs in ordered_messages()) {
-        // A metering StageShell around an identity operator (here: a bare
-        // collector) must forward every message unchanged while counting
-        // each event and punctuation exactly once.
-        let input = flat_events(&msgs);
-        let punctuations = msgs
-            .iter()
-            .filter(|m| matches!(m, StreamMessage::Punctuation(_)))
-            .count() as u64;
-        let batches = msgs
-            .iter()
-            .filter(|m| matches!(m, StreamMessage::Batch(_)))
-            .count() as u64;
-        let registry = MetricsRegistry::new();
-        let metrics = OperatorMetrics::register(&registry, "identity");
-        let (plain_out, plain_sink) = Output::<u32>::new();
-        let (metered_out, metered_sink) = Output::<u32>::new();
-        let mut plain: Box<dyn Observer<u32>> = Box::new(plain_sink);
-        let mut metered: Box<dyn Observer<u32>> =
-            Box::new(StageShell::new(Box::new(metered_sink)).metered(metrics.clone()));
-        for m in &msgs {
-            plain.on_message(m.clone());
-            metered.on_message(m.clone());
-        }
-        assert_eq!(plain_out.messages(), metered_out.messages());
-        assert_eq!(metrics.events_in.get(), input.len() as u64);
-        assert_eq!(metrics.punctuations_in.get(), punctuations);
-        assert_eq!(metrics.batches_in.get(), batches);
-        assert!(validate_ordered_stream(&metered_out.messages()).is_ok());
-    }
-
-    fn top_k_returns_k_best_per_window(
-        msgs in ordered_messages(),
-        k in 1usize..5,
-        w in 5i64..50,
-    ) {
-        let input = flat_events(&msgs);
-        let size = TickDuration::ticks(w);
-        // Build per-(window,key) counts, then take top-k as oracle.
-        let mut counts: BTreeMap<(i64, u32), u64> = BTreeMap::new();
-        for e in &input {
-            *counts.entry((e.sync_time.align_down(size).ticks(), e.key)).or_insert(0) += 1;
-        }
-        let out = Streamable::from_messages(msgs)
-            .tumbling_window(size)
-            .group_aggregate(CountAgg)
-            .top_k(k, |c| *c as i64)
-            .collect_output();
-        let mut got: BTreeMap<i64, Vec<(u64, u32)>> = BTreeMap::new();
-        for e in out.events() {
-            got.entry(e.sync_time.ticks()).or_default().push((e.payload, e.key));
-        }
-        let mut windows: BTreeMap<i64, Vec<(u64, u32)>> = BTreeMap::new();
-        for ((win, key), c) in counts {
-            windows.entry(win).or_default().push((c, key));
-        }
-        for (win, mut oracle) in windows {
-            oracle.sort_by_key(|&(c, key)| (core::cmp::Reverse(c), key));
-            oracle.truncate(k);
-            assert_eq!(got.get(&win).cloned().unwrap_or_default(), oracle,
-                "window {win}");
-        }
     }
 }
 

@@ -30,21 +30,6 @@ fn empty_stream_through_full_pipeline() {
 }
 
 #[test]
-fn punctuation_only_stream() {
-    let msgs: Vec<StreamMessage<u32>> = (1..=50)
-        .map(|i| StreamMessage::punctuation(i * 10))
-        .chain([StreamMessage::Completed])
-        .collect();
-    let out = Streamable::from_messages(msgs)
-        .tumbling_window(TickDuration::ticks(7))
-        .group_aggregate(CountAgg)
-        .collect_output();
-    assert!(out.is_completed());
-    assert_eq!(out.event_count(), 0);
-    assert!(out.last_punctuation().is_some());
-}
-
-#[test]
 fn single_event_per_batch_deep_chain() {
     let msgs: Vec<StreamMessage<u32>> = (0..200)
         .flat_map(|i| {
@@ -71,16 +56,6 @@ fn single_event_per_batch_deep_chain() {
     assert!(out.is_completed());
     assert!(validate_ordered_stream(&out.messages()).is_ok());
     assert!(out.event_count() > 0);
-}
-
-#[test]
-fn all_events_identical_timestamp() {
-    let events: Vec<Event<u32>> = (0..1000).map(|_| ev(42)).collect();
-    let out = Streamable::from_ordered_events(events)
-        .tumbling_window(TickDuration::ticks(10))
-        .count()
-        .into_payloads();
-    assert_eq!(out, vec![1000]);
 }
 
 #[test]

@@ -22,6 +22,8 @@
 //! * [`netchaos`] — a seeded in-process TCP fault proxy (kills, resets,
 //!   stalls, partial writes, duplicate frames at frame boundaries) and a
 //!   malformed-frame fuzzer for wire-protocol robustness suites;
+//! * [`spec`] — a seeded, shrinking generator of `(PipelineSpec,
+//!   arrivals)` cases for the spec-path differential;
 //! * [`trace`] — structural assertions over recorded trace spans
 //!   (the laminar-nesting invariant) for the trace conformance suite.
 //!
@@ -48,6 +50,7 @@ pub mod crash;
 pub mod netchaos;
 pub mod prop;
 pub mod rng;
+pub mod spec;
 pub mod trace;
 
 pub use chaos::{ChaosConfig, ChaosCounts, ChaosObserver};
@@ -57,4 +60,5 @@ pub use crash::{
 };
 pub use netchaos::{seeded_fault_plan, Attack, FaultProxy, NetFault, WireFuzzer};
 pub use rng::{Rng, SeedableRng, StdRng};
+pub use spec::{SpecCase, SpecCases};
 pub use trace::assert_laminar;

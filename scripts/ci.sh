@@ -65,32 +65,41 @@ cargo run --release --offline -q -p impatience-bench --bin fig5 -- --events 5000
     2> /dev/null || status=$?
 [ "$status" -eq 2 ] || { echo "fig5 --events 5000 exited $status, not 2"; exit 1; }
 
-echo "== shard conformance (byte-identical output across shard counts) =="
-# The determinism gate for multi-core execution: ~500 seeded streams, each
-# run at shard counts {1, 2, 4, 8}, must produce byte-identical message
-# sequences, and their canonical traces must match the unsharded pipeline.
+echo "== spec differential (generated specs and streams against one oracle) =="
+# The spec path's gate: seeded (PipelineSpec, arrivals) cases from
+# impatience_testkit::SpecCases — 0-4 ops in any order, either late
+# policy, each shed policy and spill under a budget that trips them, shards
+# {1, 2, 4, 8}, checkpoints, instrument/traced/hardened — each built
+# through PipelineSpec::build (after a round trip through its JSON wire
+# form) and held to one oracle: the admitted events, cut at each
+# punctuation and sorted by sync_time, through a naive interpreter of the
+# ops, the shards joined as the lockstep merge joins them. It holds what
+# the plan differential held (a plan that runs filters and windows below
+# the sort emits what the sort-first chain does; the sorter that ran, read
+# from its gauges, is the plan's) and what shard conformance held (a
+# sharded run is the one-shard run split by key and merged), plus flags
+# and crash/restore/replay leaving the output bytes unchanged. Each
+# relation is a test of its own, asserting its own coverage floors.
+# 2 000 cases per test, release, timed.
+start=$(date +%s)
+IMPATIENCE_PROP_CASES=2000 cargo test --release -q --offline --test spec_differential
+echo "spec differential: 2000 cases in $(( $(date +%s) - start ))s"
+
+echo "== sharded plumbing and the plan's recovery cases =="
 # The engine's `sharded` suite holds the plumbing: seeded producer and
 # worker pacing must not change a byte, an idle source must not end the
 # stream, and a dead shard must stop routing and let every thread join.
 # The boundary carries the chain: each shard inherits the chain's
 # instruments (under `{prefix}.shardNN`), fence and trace, and the
 # `shard.*` counters land in the chain's registry. The inheritance test
-# runs by name, so a regression names itself (tests/shard_conformance.rs
-# and the engine's tests/sharded.rs run whole above).
+# runs by name, so a regression names itself (the engine's tests/sharded.rs
+# runs whole above).
 cargo test -q --offline -p impatience-engine --test sharded shards_inherit_the_chains_instruments_and_fence
 
-echo "== plan differential (sort-as-needed plan vs hand-stacked sort-first chain) =="
-# The planner gate: 210 seeded CloudLog/synthetic streams x {drop,
-# dead-letter} x {1, 2 shards} through PipelineSpec::build, whose plan runs
-# filters and windows below the sort, must match the sort-first chain
-# stacked by hand through the Streamable API — messages, dead letters
-# (original events) and late counters. Where a window runs below the sort
-# (three of the five shapes) the planned sort stage runs the bucket sorter,
-# elsewhere Impatience; each run asserts which one ran. The four
-# hoisted_plan recovery cases hold the plan/checkpoint rule: the late
-# gate's watermark and the bucket sorter's buffered windows survive a
+# The four hoisted_plan recovery cases hold the plan/checkpoint rule: the
+# late gate's watermark and the bucket sorter's buffered windows survive a
 # crash, and a sort-first slot or an Impatience-state slot is refused with
-# a typed RecoveryFailed. tests/plan_differential.rs runs whole above.
+# a typed RecoveryFailed.
 # The plan is what the chain built: the chain decides at the grouped
 # operator, by the one rule plan() reads, and the shape test builds every
 # spec of up to four ops (1 555 shapes), reads each physical stage order
