@@ -558,7 +558,7 @@ impl ProvenanceTracker {
     /// Stamps every given identity *now*, bypassing the sampling
     /// predicate — for callers that own the sampling decision. An
     /// identity already in flight is not re-stamped. One lock per call.
-    pub fn stamp_many(&self, ids: impl IntoIterator<Item = (i64, u32)>) {
+    fn stamp_many(&self, ids: impl IntoIterator<Item = (i64, u32)>) {
         let now = self.clock.now_ns();
         let mut inner = lock(&self.inner);
         for id in ids {
@@ -697,7 +697,7 @@ impl ProvenanceTracker {
     }
 
     /// The `provenance` object of [`TraceSink::summary`].
-    pub fn summary_json(&self) -> Json {
+    fn summary_json(&self) -> Json {
         let (sampled, completed, in_flight) = {
             let inner = lock(&self.inner);
             (inner.sampled, inner.completed, inner.live.len())

@@ -89,6 +89,9 @@ pub struct CheckpointMetrics {
     pub written: Counter,
     /// Total checkpoint frame bytes written (`checkpoint.bytes`).
     pub bytes: Counter,
+    /// Syncs those writes made (`checkpoint.fsyncs`): each slot's
+    /// `sync_data`, and the directory sync of a slot-creating write.
+    pub fsyncs: Counter,
     /// Checkpoints skipped because a participant does not support state
     /// encoding (`checkpoint.skipped`).
     pub skipped: Counter,
@@ -118,6 +121,7 @@ impl CheckpointMetrics {
         CheckpointMetrics {
             written: registry.counter(&format!("{prefix}.checkpoint.written")),
             bytes: registry.counter(&format!("{prefix}.checkpoint.bytes")),
+            fsyncs: registry.counter(&format!("{prefix}.checkpoint.fsyncs")),
             skipped: registry.counter(&format!("{prefix}.checkpoint.skipped")),
             errors: registry.counter(&format!("{prefix}.checkpoint.errors")),
             restores: registry.counter(&format!("{prefix}.recovery.restores")),
@@ -246,6 +250,7 @@ impl CheckpointCtx {
         // chance to attach its registry.
         new.written.add(inner.metrics.written.get());
         new.bytes.add(inner.metrics.bytes.get());
+        new.fsyncs.add(inner.metrics.fsyncs.get());
         new.skipped.add(inner.metrics.skipped.get());
         new.errors.add(inner.metrics.errors.get());
         new.restores.add(inner.metrics.restores.get());
@@ -382,13 +387,13 @@ impl Checkpointer {
     /// below [`Self::safe_truncate_index`]. A slot with no valid
     /// generation yet goes through `<slot>.tmp`, a rename and a directory
     /// sync: torn in place, a lone first slot could not be told from a
-    /// damaged one. Returns the frame size in bytes.
+    /// damaged one. Returns the frame size in bytes and the syncs made.
     pub fn write(
         &mut self,
         messages_seen: u64,
         egress_events: u64,
         participants: &[Arc<Mutex<dyn Checkpointable>>],
-    ) -> Result<u64, SnapshotError> {
+    ) -> Result<(u64, u64), SnapshotError> {
         let generation = self.next_generation;
         let mut w = SnapshotWriter::new();
         w.put_u64(generation);
@@ -423,7 +428,7 @@ impl Checkpointer {
         }
         self.retained[slot] = Some((generation, messages_seen));
         self.next_generation += 1;
-        Ok(len)
+        Ok((len, 1 + u64::from(creating)))
     }
 
     /// Reads the newest checksum-valid checkpoint, if any.
@@ -578,9 +583,10 @@ impl<P: Payload> CheckpointGate<P> {
             .checkpointer
             .write(self.messages_seen, egress, &participants)
         {
-            Ok(bytes) => {
+            Ok((bytes, fsyncs)) => {
                 metrics.written.inc();
                 metrics.bytes.add(bytes);
+                metrics.fsyncs.add(fsyncs);
                 // The generation is durable: let every operator advance
                 // deferred cleanup (e.g. spill-file GC) that must lag the
                 // retained checkpoint slots.
@@ -796,7 +802,9 @@ mod tests {
         let p = [participant(5) as Arc<Mutex<dyn Checkpointable>>];
         let (slot_a, tmp) = (dir.join(SLOT_FILES[0]), dir.join("ckpt-a.bin.tmp"));
         let mut ck = Checkpointer::open(&dir).unwrap();
-        let len = ck.write(10, 0, &p).unwrap() as usize;
+        let (len, fsyncs) = ck.write(10, 0, &p).unwrap();
+        assert_eq!(fsyncs, 2, "a created slot syncs itself and its directory");
+        let len = len as usize;
         let frame = fs::read(&slot_a).unwrap();
         assert!(!tmp.exists(), "the temp file was renamed into place");
         // A crash inside the first write leaves a prefix of the temp file
@@ -833,9 +841,10 @@ mod tests {
         let p = participant(7) as Arc<Mutex<dyn Checkpointable>>;
         let (three, one) = ([p.clone(), p.clone(), p.clone()], [p]);
         let mut ck = Checkpointer::open(&dir).unwrap();
-        let long = ck.write(10, 0, &three).unwrap(); // slot a
+        let (long, _) = ck.write(10, 0, &three).unwrap(); // slot a
         ck.write(20, 0, &one).unwrap(); // slot b
-        let short = ck.write(30, 0, &one).unwrap(); // slot a, in place
+        let (short, fsyncs) = ck.write(30, 0, &one).unwrap(); // slot a, in place
+        assert_eq!(fsyncs, 1, "a slot written in place syncs once");
         assert!(short < long);
         assert_eq!(fs::metadata(dir.join(SLOT_FILES[0])).unwrap().len(), short);
         let (slot, fallback) = Checkpointer::open(&dir)

@@ -53,7 +53,9 @@
 //! bucket-sorting rung the grouped operator then fuses into the sort
 //! stage, which folds each admitted event into one group table per open
 //! window start and, on a punctuation, closes every window at or below
-//! it — in window order, keys ascending. It is legal because the PIQ
+//! it — in window order, keys ascending. The tables sit on the bucket
+//! sorter's own grid ([`BucketGrid`](impatience_sort::BucketGrid)), which
+//! finds, opens, reuses and closes them as it does buckets of events. It is legal because the PIQ
 //! regroups: over window-aligned input its output depends only on each
 //! `(window, key)` group's events, folded in arrival order within a
 //! window, the order the bucket sorter keeps — so a combine need not be

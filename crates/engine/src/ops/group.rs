@@ -1,7 +1,9 @@
 //! The per-window group store of the grouped operator
 //! (`group_aggregate` and `reduce_by_key`), its checkpoint frame, and
-//! [`WindowTables`], one store per open window, which a ladder rung's sort
-//! and its PIQ's opening grouped operator fuse into.
+//! [`WindowTables`], which a ladder rung's sort and its PIQ's opening
+//! grouped operator fuse into: the bucket grid the bucket sorter runs on
+//! ([`BucketGrid`]), over one store per open window instead of a `Vec` of
+//! events.
 //!
 //! Log streams group by a key set that recurs window after window, so the
 //! table is built once and *outlives* the window: a key keeps its slot, a
@@ -20,10 +22,9 @@ use crate::observer::Observer;
 use crate::ops::Aggregate;
 use impatience_core::{
     hash_key, Event, EventBatch, Payload, SnapshotError, SnapshotReader, SnapshotWriter,
-    StateCodec, TickDuration, Timestamp,
+    StateCodec, Timestamp,
 };
-use impatience_sort::OnlineSorter;
-use std::collections::VecDeque;
+use impatience_sort::{Bucket, BucketGrid};
 
 /// An index cell pointing at no slot.
 const EMPTY: u32 = u32::MAX;
@@ -301,222 +302,89 @@ impl<V: StateCodec, O> GroupTable<V, O> {
     }
 }
 
-/// First byte of a [`WindowTables`] snapshot. The bucket sorter's opens
-/// with `B` and Impatience's with its Huffman flag, 0 or 1, so each refuses
-/// the others' state as corrupt.
-const TABLES_TAG: u8 = b'W';
-
 /// The group table of `A`'s accumulators over `P`.
 type Table<P, A> = GroupTable<<A as Aggregate<P>>::Acc, <A as Aggregate<P>>::Out>;
 
 /// A ladder rung's sort fused with the grouped operator that opens its
-/// PIQ (`group_aggregate` or `reduce_by_key`): one [`GroupTable`] per open
-/// window start. Each admitted event is
-/// folded into its window's table as it arrives; a punctuation closes
-/// every window at or below it, in window order, keys ascending, so it
-/// hands on exactly the groups the aggregate would have emitted over the
-/// sorted events — with no event buffered and none sorted.
-///
-/// * **Legal because the PIQ regroups.** Over window-aligned input a
-///   grouped operator's output is a function of each `(window, key)`
-///   group's events, folded in arrival order within a window — the order
-///   the bucket sorter it replaces would have kept, so even a
-///   non-commutative `reduce_by_key` combine sees the same sequence.
-/// * **Finding the window** is the bucket sorter's: tables sit in a
-///   `VecDeque` in ascending start order, a push guesses the index
-///   `(t − front) / step` and falls back to a binary search, which opens
-///   a table for an unseen start. Before guessing it tries the table the
-///   last push landed in: log arrivals come in runs within one window.
-/// * **Few allocations.** A closed table keeps its key slots and becomes a
-///   spare for the next window to open, so windows over a recurring key
-///   set allocate nothing. Spares the next batch leaves unused go at the
-///   next punctuation, and one that drains every window frees them all.
-///
-/// State bytes count every table's capacity, spares included; buffered
-/// items are the open groups.
-pub(crate) struct WindowTables<P: Payload, A: Aggregate<P>> {
-    agg: A,
-    /// `(start, table)` in ascending start order; every table is open and
-    /// holds at least one group.
-    windows: VecDeque<(Timestamp, Table<P, A>)>,
-    /// Tables the last punctuation closed, kept for the windows the next
-    /// batch opens.
-    spares: Vec<Table<P, A>>,
-    /// The expected distance between adjacent window starts, ticks.
-    step: u64,
-    /// Index of the table the last push landed in.
-    hit: usize,
-    last_punctuation: Timestamp,
-    _payload: core::marker::PhantomData<fn(P)>,
-}
+/// PIQ (`group_aggregate` or `reduce_by_key`): the bucket grid over one
+/// [`GroupTable`] per open window start, built by
+/// [`with_shared`](BucketGrid::with_shared)`(agg, window size)`. Each
+/// admitted event is folded into its window's table as it arrives; a
+/// punctuation closes every window at or below it, in window order, keys
+/// ascending — exactly the groups the aggregate would have emitted over the
+/// sorted events, with no event buffered and none sorted. That is legal
+/// because the PIQ regroups: over window-aligned input its output is a
+/// function of each `(window, key)` group's events, folded in arrival
+/// order within a window — the order the bucket sorter it replaces would
+/// have kept, so even a non-commutative `reduce_by_key` combine sees the
+/// same sequence.
+pub(crate) type WindowTables<P, A> = BucketGrid<WindowTable<P, A>>;
 
-impl<P: Payload, A: Aggregate<P>> WindowTables<P, A> {
-    /// Tables for `agg` over windows expected `step` ticks apart (the
-    /// window's size). Any positive `step` groups correctly.
-    pub(crate) fn new(agg: A, step: TickDuration) -> Self {
-        assert!(step.is_positive(), "window step must be positive");
-        WindowTables {
-            agg,
-            windows: VecDeque::new(),
-            spares: Vec::new(),
-            step: step.as_ticks() as u64,
-            hit: 0,
-            last_punctuation: Timestamp::MIN,
-            _payload: core::marker::PhantomData,
-        }
+/// One open window's groups, a [`Bucket`] that folds each event into its
+/// key's slot; its frame is the table's group frame. A closed table keeps
+/// its key slots as the grid's spare, so windows over a recurring key set
+/// allocate nothing.
+pub(crate) struct WindowTable<P: Payload, A: Aggregate<P>>(Table<P, A>);
+
+impl<P: Payload, A: Aggregate<P>> Bucket for WindowTable<P, A> {
+    type Item = Event<P>;
+    type Out = Event<A::Out>;
+    type Shared = A;
+    /// The bucket sorter's snapshot opens with `B` and Impatience's with
+    /// its Huffman flag, 0 or 1, so each refuses the others' state.
+    const TAG: u8 = b'W';
+    const NAME: &'static str = "WindowTables";
+    const SNAPSHOT: &'static str = "window-table";
+
+    fn open(spare: Option<Self>, first: &Event<P>, _: usize) -> Self {
+        let mut table = spare.unwrap_or_else(|| WindowTable(GroupTable::new()));
+        table.0.open((first.sync_time, first.other_time));
+        table
     }
 
-    /// The index of the table for start `t`, opening one ending at `end`
-    /// if there is none. Arrivals come in runs within one window, so the
-    /// table the last push landed in is tried first, then the guess.
     #[inline]
-    fn position(&mut self, t: Timestamp, end: Timestamp) -> usize {
-        let last = self.windows.get(self.hit);
-        if last.is_none_or(|(start, _)| *start != t) {
-            self.hit = self.guess(t).unwrap_or_else(|| self.searched(t, end));
-        }
-        self.hit
-    }
-
-    /// The index `(t − front) / step`, if the table there starts at `t`.
-    #[inline]
-    fn guess(&self, t: Timestamp) -> Option<usize> {
-        let (front, _) = self.windows.front()?;
-        // `abs_diff` cannot overflow, even between `MIN` and `MAX`.
-        let last = self.windows.len() as u64 - 1;
-        let guess = (t.abs_diff(*front) / self.step).min(last) as usize;
-        (self.windows[guess].0 == t).then_some(guess)
-    }
-
-    /// The guess missed: binary search, opening a table for a new start.
-    #[cold]
-    fn searched(&mut self, t: Timestamp, end: Timestamp) -> usize {
-        match self.windows.binary_search_by_key(&t, |(start, _)| *start) {
-            Ok(at) => at,
-            Err(at) => {
-                let mut table = self.spares.pop().unwrap_or_else(GroupTable::new);
-                table.open((t, end));
-                self.windows.insert(at, (t, table));
-                at
-            }
-        }
-    }
-}
-
-impl<P: Payload, A: Aggregate<P>> OnlineSorter<Event<P>, Event<A::Out>> for WindowTables<P, A> {
-    #[inline]
-    fn push(&mut self, e: Event<P>) {
-        // A window start saturated at `Timestamp::MIN` may arrive while
-        // `last_punctuation` still reads `MIN`, meaning "none yet".
-        debug_assert!(
-            e.sync_time > self.last_punctuation || e.sync_time == Timestamp::MIN,
-            "event at {:?} violates punctuation {:?}",
-            e.sync_time,
-            self.last_punctuation
-        );
-        let at = self.position(e.sync_time, e.other_time);
-        let agg = &self.agg;
-        let (acc, live) = self.windows[at].1.upsert(e.key, || agg.first(&e));
+    fn add(&mut self, agg: &A, e: Event<P>) -> bool {
+        let (acc, live) = self.0.upsert(e.key, || agg.first(&e));
         if live {
             agg.fold(acc, &e);
         }
+        !live
     }
 
-    fn punctuate(&mut self, t: Timestamp, out: &mut Vec<Event<A::Out>>) {
-        debug_assert!(
-            t >= self.last_punctuation,
-            "punctuation regressed: {t:?} after {:?}",
-            self.last_punctuation
-        );
-        self.last_punctuation = t;
-        // Spares the last batch did not use go.
-        self.spares.clear();
-        let ready = self.windows.partition_point(|(start, _)| *start <= t);
-        out.reserve(self.windows.range(..ready).map(|(_, w)| w.live()).sum());
-        let agg = &self.agg;
-        for (_, mut table) in self.windows.drain(..ready) {
-            // The table closes into `out`, lent to it as its `closed` list.
-            core::mem::swap(&mut table.closed, out);
-            table.close(|acc| agg.output(acc));
-            core::mem::swap(&mut table.closed, out);
-            self.spares.push(table);
+    fn buffered(&self) -> usize {
+        self.0.live()
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.0.heap_bytes()
+    }
+
+    fn close(&mut self, agg: &A, out: &mut Vec<Event<A::Out>>) {
+        // The table closes into `out`, lent to it as its `closed` list.
+        core::mem::swap(&mut self.0.closed, out);
+        self.0.close(|acc| agg.output(acc));
+        core::mem::swap(&mut self.0.closed, out);
+    }
+
+    fn encode(&self, w: &mut SnapshotWriter) {
+        self.0.encode(w);
+    }
+
+    /// Also refuses a closed window and a key repeated within one.
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<(Timestamp, Self), SnapshotError> {
+        let table = Table::<P, A>::decode("window table", r)?;
+        match table.window() {
+            Some((start, _)) => Ok((start, WindowTable(table))),
+            None => Err(SnapshotError::corrupt("closed window in snapshot")),
         }
-        if self.windows.is_empty() {
-            // Fully drained — a forced cut always is: an idle stage
-            // accounts for zero bytes.
-            self.windows = VecDeque::new();
-            self.spares = Vec::new();
-        }
-    }
-
-    fn buffered_len(&self) -> usize {
-        self.windows.iter().map(|(_, table)| table.live()).sum()
-    }
-
-    fn state_bytes(&self) -> usize {
-        let tables = self.windows.iter().map(|(_, table)| table);
-        tables
-            .chain(&self.spares)
-            .map(GroupTable::heap_bytes)
-            .sum::<usize>()
-            + self.windows.capacity() * core::mem::size_of::<(Timestamp, Table<P, A>)>()
-            + self.spares.capacity() * core::mem::size_of::<Table<P, A>>()
-    }
-
-    fn name(&self) -> &'static str {
-        "WindowTables"
-    }
-
-    /// Tag, last punctuation, then each window's group frame.
-    fn encode_state(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
-        w.put_u8(TABLES_TAG);
-        w.put_i64(self.last_punctuation.ticks());
-        w.put_u64(self.windows.len() as u64);
-        for (_, table) in &self.windows {
-            table.encode(w);
-        }
-        Ok(())
-    }
-
-    /// Re-validates what `push` guarantees — every window open and
-    /// non-empty, starts strictly ascending, each key once per window — so
-    /// corrupt data that survives the frame checksum still cannot poison
-    /// the stage. A failed restore leaves the tables untouched.
-    fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        let tag = r.get_u8()?;
-        if tag != TABLES_TAG {
-            return Err(SnapshotError::corrupt(format!(
-                "not a window-table snapshot (tag {tag})"
-            )));
-        }
-        let last_punctuation = Timestamp::new(r.get_i64()?);
-        let count = r.get_count()?;
-        let mut windows = VecDeque::with_capacity(count);
-        for _ in 0..count {
-            let table = Table::<P, A>::decode("window table", r)?;
-            let Some((start, _)) = table.window() else {
-                return Err(SnapshotError::corrupt("closed window in snapshot"));
-            };
-            if table.live() == 0 {
-                return Err(SnapshotError::corrupt("empty window in snapshot"));
-            }
-            if windows.back().is_some_and(|(last, _)| *last >= start) {
-                return Err(SnapshotError::corrupt(
-                    "window starts not strictly ascending in snapshot",
-                ));
-            }
-            windows.push_back((start, table));
-        }
-        self.windows = windows;
-        self.spares = Vec::new();
-        self.last_punctuation = last_punctuation;
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use impatience_core::TickDuration;
+    use impatience_sort::OnlineSorter;
     use impatience_testkit::prop::vec;
     use std::collections::BTreeMap;
 
@@ -621,12 +489,13 @@ mod tests {
     type Tables = WindowTables<u32, crate::ops::CountAgg>;
 
     fn tables() -> Tables {
-        WindowTables::new(crate::ops::CountAgg, TickDuration::ticks(10))
+        WindowTables::with_shared(crate::ops::CountAgg, TickDuration::ticks(10))
     }
 
     /// An event in the 10-tick window starting at `start`.
     fn windowed(start: i64, key: u32) -> Event<u32> {
-        Event::interval(Timestamp::new(start), Timestamp::new(start + 10), key, key)
+        let end = Timestamp::new(start.saturating_add(10));
+        Event::interval(Timestamp::new(start), end, key, key)
     }
 
     /// `(start, key, count)` per emitted group, checking each one's bounds.
@@ -682,131 +551,292 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_closed_table_is_the_next_windows_and_keeps_its_keys() {
-        let mut t = tables();
-        for key in 0..40 {
-            t.push(windowed(0, key));
-            t.push(windowed(10, key));
-        }
-        let mut out = Vec::new();
-        t.punctuate(Timestamp::new(0), &mut out);
-        assert_eq!(out.len(), 40);
-        assert_eq!(t.spares.len(), 1, "the closed window became a spare");
-        let before = t.state_bytes();
-        for key in 0..40 {
-            t.push(windowed(20, key));
-        }
-        assert!(t.spares.is_empty(), "the new window took the spare");
-        assert_eq!(t.state_bytes(), before, "known keys: nothing allocated");
-        t.punctuate(Timestamp::new(10), &mut Vec::new());
-        t.push(windowed(30, 1));
-        t.punctuate(Timestamp::new(20), &mut Vec::new());
-        assert_eq!(
-            t.spares.len(),
-            1,
-            "unused spares go at the next punctuation"
-        );
-    }
+    /// The lifecycle the grid gives both bucket kinds, one row per test,
+    /// each run over the bucket sorter's buckets and the fused rung's
+    /// window tables.
+    mod lifecycle {
+        use super::*;
+        use impatience_sort::{BucketSorter, ImpatienceSorter};
 
-    fn encode(tables: &dyn OnlineSorter<Event<u32>, Event<u64>>) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        tables.encode_state(&mut w).expect("encodes");
-        w.into_body()
-    }
-
-    #[test]
-    fn window_tables_round_trip_mid_window() {
-        let mut live = tables();
-        for (start, key) in [(0, 3), (10, 1), (20, 5), (10, 1), (20, 2), (0, 3)] {
-            live.push(windowed(start, key));
+        /// A bucket kind under test, fed [`windowed`] events.
+        trait Kind: Bucket<Item = Event<u32>, Shared: Send> + Send {
+            /// A grid over times `step` apart.
+            fn grid(step: i64) -> BucketGrid<Self>;
+            /// `(start, key)` of each event `out` stands for, in order.
+            fn emitted(out: &[Self::Out]) -> Vec<(i64, u32)>;
+            /// Appends a bucket frame of one event per key at `start`.
+            fn bucket_frame(w: &mut SnapshotWriter, start: i64, keys: &[u32]);
+            /// Frames only this kind refuses, with what each refusal says.
+            fn own_refusals() -> Vec<(Vec<u8>, &'static str)>;
         }
-        live.punctuate(Timestamp::new(5), &mut Vec::new());
-        let mut restored = tables();
-        restored
-            .restore_state(&mut SnapshotReader::new(&encode(&live)))
-            .expect("restores");
-        assert_eq!(restored.buffered_len(), live.buffered_len());
-        assert_eq!(restored.last_punctuation, live.last_punctuation);
-        assert_eq!(encode(&restored), encode(&live), "re-encodes byte for byte");
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for t in [&mut live, &mut restored] {
-            t.push(windowed(20, 2));
-            t.push(windowed(30, 0));
-        }
-        live.drain_all(&mut a);
-        restored.drain_all(&mut b);
-        assert_eq!(groups(&a), groups(&b));
-        assert_eq!(
-            groups(&a),
-            vec![(10, 1, 2), (20, 2, 2), (20, 5, 1), (30, 0, 1)]
-        );
-    }
 
-    /// A window-table frame written window by window, as `encode_state`
-    /// lays it out.
-    fn frame(windows: &[(i64, &[(u32, u64)])]) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
-        w.put_u8(TABLES_TAG);
-        w.put_i64(i64::MIN);
-        w.put_u64(windows.len() as u64);
-        for &(start, groups) in windows {
-            Some((Timestamp::new(start), Timestamp::new(start + 10))).encode(&mut w);
-            w.put_u64(groups.len() as u64);
-            for (key, count) in groups {
-                key.encode(&mut w);
-                count.encode(&mut w);
+        impl Kind for Vec<Event<u32>> {
+            fn grid(step: i64) -> BucketGrid<Self> {
+                BucketSorter::new(TickDuration::ticks(step))
+            }
+
+            fn emitted(out: &[Event<u32>]) -> Vec<(i64, u32)> {
+                out.iter().map(|e| (e.sync_time.ticks(), e.key)).collect()
+            }
+
+            fn bucket_frame(w: &mut SnapshotWriter, start: i64, keys: &[u32]) {
+                w.put_u64(keys.len() as u64);
+                for &key in keys {
+                    windowed(start, key).encode(w);
+                }
+            }
+
+            fn own_refusals() -> Vec<(Vec<u8>, &'static str)> {
+                let mut w = header::<Self>(1);
+                w.put_u64(2);
+                windowed(0, 1).encode(&mut w);
+                windowed(10, 1).encode(&mut w);
+                vec![(w.into_body(), "mixes event times")]
             }
         }
-        w.into_body()
-    }
 
-    fn refusal(bytes: &[u8]) -> String {
-        let mut target = tables();
-        target.push(windowed(40, 9));
-        let before = encode(&target);
-        let err = target
-            .restore_state(&mut SnapshotReader::new(bytes))
-            .expect_err("refused");
-        assert_eq!(encode(&target), before, "a failed restore left state");
-        match err {
-            SnapshotError::Corrupt { detail } => detail,
-            other => panic!("expected Corrupt, got {other:?}"),
+        impl Kind for WindowTable<u32, crate::ops::CountAgg> {
+            fn grid(step: i64) -> BucketGrid<Self> {
+                WindowTables::with_shared(crate::ops::CountAgg, TickDuration::ticks(step))
+            }
+
+            fn emitted(out: &[Event<u64>]) -> Vec<(i64, u32)> {
+                let each = |e: &Event<u64>| vec![(e.sync_time.ticks(), e.key); e.payload as usize];
+                out.iter().flat_map(each).collect()
+            }
+
+            fn bucket_frame(w: &mut SnapshotWriter, start: i64, keys: &[u32]) {
+                Some((Timestamp::new(start), Timestamp::new(start + 10))).encode(w);
+                w.put_u64(keys.len() as u64);
+                for key in keys {
+                    key.encode(w);
+                    1u64.encode(w);
+                }
+            }
+
+            fn own_refusals() -> Vec<(Vec<u8>, &'static str)> {
+                let mut w = header::<Self>(1);
+                None::<(Timestamp, Timestamp)>.encode(&mut w);
+                w.put_u64(0);
+                let repeated = frame::<Self>(&[(0, &[3, 3])]);
+                vec![
+                    (repeated, "repeats key 3"),
+                    (w.into_body(), "closed window"),
+                ]
+            }
         }
-    }
 
-    #[test]
-    fn window_table_restore_refuses_what_push_could_not_have_built() {
-        let ok = frame(&[(0, &[(1, 2), (4, 1)]), (10, &[(1, 1)])]);
-        tables()
-            .restore_state(&mut SnapshotReader::new(&ok))
-            .expect("a valid layout restores");
-        assert!(refusal(&frame(&[(10, &[(1, 1)]), (0, &[(2, 1)])])).contains("strictly ascending"));
-        assert!(refusal(&frame(&[(0, &[(1, 1)]), (0, &[(2, 1)])])).contains("strictly ascending"));
-        assert!(refusal(&frame(&[(0, &[(3, 1), (3, 2)])])).contains("repeats key 3"));
-        assert!(refusal(&frame(&[(0, &[])])).contains("empty window"));
-    }
+        /// The rows, each a test per kind: `<row>::bucket_sorter` and
+        /// `<row>::window_tables`.
+        macro_rules! rows {
+            ($($row:ident),* $(,)?) => {$(
+                mod $row {
+                    #[test]
+                    fn bucket_sorter() {
+                        super::$row::<Vec<super::Event<u32>>>();
+                    }
 
-    #[test]
-    fn a_bucket_frame_and_a_table_frame_refuse_each_other() {
-        use impatience_sort::BucketSorter;
-        let mut bucket: BucketSorter<Event<u32>> = BucketSorter::new(TickDuration::ticks(10));
-        let mut table = tables();
-        for start in [20, 0, 10] {
-            bucket.push(windowed(start, 1));
-            table.push(windowed(start, 1));
+                    #[test]
+                    fn window_tables() {
+                        super::$row::<super::WindowTable<u32, crate::ops::CountAgg>>();
+                    }
+                }
+            )*};
         }
-        let mut w = SnapshotWriter::new();
-        bucket.encode_state(&mut w).expect("encodes");
-        assert!(refusal(&w.into_body()).contains("not a window-table snapshot"));
-        let mut target: BucketSorter<Event<u32>> = BucketSorter::new(TickDuration::ticks(10));
-        let err = target
-            .restore_state(&mut SnapshotReader::new(&encode(&table)))
-            .expect_err("refused");
-        assert!(
-            matches!(&err, SnapshotError::Corrupt { detail } if detail.contains("not a bucket sorter snapshot")),
-            "{err:?}"
+
+        rows!(
+            extremes_cost_one_bucket_each,
+            state_bytes_follow_capacity,
+            a_draining_punctuation_frees_everything,
+            a_closed_table_is_the_next_windows_and_keeps_its_keys,
+            a_snapshot_round_trip_preserves_behaviour,
+            restore_refuses_what_push_could_not_have_built,
+            each_sorter_refuses_the_others_snapshot,
         );
-        assert_eq!(target.buffered_len(), 0);
+
+        fn encode<O>(sorter: &dyn OnlineSorter<Event<u32>, O>) -> Vec<u8> {
+            let mut w = SnapshotWriter::new();
+            sorter.encode_state(&mut w).expect("encodes");
+            w.into_body()
+        }
+
+        /// `K`'s tag, no punctuation yet, and `buckets` buckets to follow.
+        fn header<K: Kind>(buckets: u64) -> SnapshotWriter {
+            let mut w = SnapshotWriter::new();
+            w.put_u8(K::TAG);
+            w.put_i64(i64::MIN);
+            w.put_u64(buckets);
+            w
+        }
+
+        /// A `K` snapshot written bucket by bucket, as the grid lays it out.
+        fn frame<K: Kind>(buckets: &[(i64, &[u32])]) -> Vec<u8> {
+            let mut w = header::<K>(buckets.len() as u64);
+            for &(start, keys) in buckets {
+                K::bucket_frame(&mut w, start, keys);
+            }
+            w.into_body()
+        }
+
+        /// Why a `K` grid holding one event refused `bytes`, checking that
+        /// the refusal left it as it was.
+        fn refusal<K: Kind>(bytes: &[u8]) -> String {
+            let mut target = K::grid(10);
+            target.push(windowed(40, 9));
+            let before = encode(&target);
+            let err = target
+                .restore_state(&mut SnapshotReader::new(bytes))
+                .expect_err("refused");
+            assert_eq!(encode(&target), before, "a failed restore left state");
+            assert_eq!(target.buffered_len(), 1);
+            match err {
+                SnapshotError::Corrupt { detail } => detail,
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
+
+        fn extremes_cost_one_bucket_each<K: Kind>() {
+            let mut g = K::grid(100);
+            let times = [0, i64::MAX - 5, 100, i64::MIN, 0, i64::MAX - 5];
+            for (key, t) in (1..).zip(times) {
+                g.push(windowed(t, key));
+            }
+            assert_eq!(g.bucket_count(), 4, "no bucket for the windows between");
+            assert_eq!(g.buffered_len(), 6);
+            let mut out = Vec::new();
+            g.punctuate(Timestamp::new(100), &mut out);
+            assert_eq!(K::emitted(&out), [(i64::MIN, 4), (0, 1), (0, 5), (100, 3)]);
+            assert_eq!((g.bucket_count(), g.buffered_len()), (1, 2));
+            out.clear();
+            g.drain_all(&mut out);
+            assert_eq!(K::emitted(&out), [(i64::MAX - 5, 2), (i64::MAX - 5, 6)]);
+            assert_eq!(g.buffered_len(), 0);
+        }
+
+        fn state_bytes_follow_capacity<K: Kind>() {
+            let mut g = K::grid(1);
+            assert_eq!(g.state_bytes(), 0);
+            for i in 0..100u32 {
+                g.push(windowed(i64::from(i % 10), i / 10));
+            }
+            let full = g.state_bytes();
+            let mut out = Vec::new();
+            g.punctuate(Timestamp::new(4), &mut out);
+            assert_eq!(g.spare_count(), 5, "five buckets emptied into one output");
+            assert!(g.state_bytes() >= full, "spares are held memory");
+            let held = g.state_bytes();
+            g.push(windowed(20, 0));
+            g.push(windowed(30, 0));
+            assert_eq!(g.spare_count(), 3, "new windows take spares");
+            assert_eq!(g.state_bytes(), held, "a spare taken allocates nothing");
+            g.punctuate(Timestamp::new(5), &mut out);
+            assert_eq!(
+                g.spare_count(),
+                1,
+                "unused spares go at the next punctuation"
+            );
+            assert!(g.state_bytes() < held);
+        }
+
+        fn a_draining_punctuation_frees_everything<K: Kind>() {
+            let mut g = K::grid(100);
+            for t in [0, 100, 200, 0, 300] {
+                g.push(windowed(t, 1));
+            }
+            let mut out = Vec::new();
+            g.punctuate(Timestamp::new(300), &mut out);
+            assert_eq!(
+                K::emitted(&out),
+                [(0, 1), (0, 1), (100, 1), (200, 1), (300, 1)]
+            );
+            let left = (g.buffered_len(), g.spare_count(), g.state_bytes());
+            assert_eq!(left, (0, 0, 0), "no spares kept by an emptied grid");
+        }
+
+        fn a_closed_table_is_the_next_windows_and_keeps_its_keys<K: Kind>() {
+            let mut g = K::grid(10);
+            for key in 0..40 {
+                for start in [0, 10, 20] {
+                    g.push(windowed(start, key));
+                }
+            }
+            let mut out = Vec::new();
+            g.punctuate(Timestamp::new(10), &mut out);
+            assert_eq!(K::emitted(&out).len(), 80);
+            assert_eq!(g.spare_count(), 2, "the closed windows became spares");
+            let before = g.state_bytes();
+            for key in 0..40 {
+                g.push(windowed(30, key));
+            }
+            assert_eq!(g.spare_count(), 1, "the new window took a spare");
+            assert_eq!(g.state_bytes(), before, "known keys: nothing allocated");
+        }
+
+        fn a_snapshot_round_trip_preserves_behaviour<K: Kind>() {
+            let mut live = K::grid(10);
+            for (start, key) in [(0, 3), (10, 1), (20, 5), (10, 1), (20, 2), (0, 3)] {
+                live.push(windowed(start, key));
+            }
+            live.punctuate(Timestamp::new(5), &mut Vec::new());
+            let mut restored = K::grid(10);
+            restored
+                .restore_state(&mut SnapshotReader::new(&encode(&live)))
+                .expect("restores");
+            assert_eq!(restored.buffered_len(), live.buffered_len());
+            assert_eq!(restored.bucket_count(), live.bucket_count());
+            assert_eq!(encode(&restored), encode(&live), "re-encodes byte for byte");
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            for g in [&mut live, &mut restored] {
+                g.push(windowed(20, 2));
+                g.push(windowed(30, 0));
+            }
+            live.drain_all(&mut a);
+            restored.drain_all(&mut b);
+            assert_eq!(K::emitted(&a), K::emitted(&b));
+            let mut a = K::emitted(&a);
+            assert!(a.is_sorted_by_key(|&(start, _)| start));
+            a.sort_unstable();
+            assert_eq!(a, [(10, 1), (10, 1), (20, 2), (20, 2), (20, 5), (30, 0)]);
+        }
+
+        fn restore_refuses_what_push_could_not_have_built<K: Kind>() {
+            let ok = frame::<K>(&[(0, &[1, 4]), (10, &[1])]);
+            K::grid(10)
+                .restore_state(&mut SnapshotReader::new(&ok))
+                .expect("a valid layout restores");
+            let refused = |buckets: &[(i64, &[u32])]| refusal::<K>(&frame::<K>(buckets));
+            assert!(refused(&[(0, &[1]), (10, &[])]).contains("empty bucket"));
+            assert!(refused(&[(5, &[1]), (5, &[2])]).contains("strictly ascending"));
+            assert!(refused(&[(10, &[1]), (0, &[2])]).contains("strictly ascending"));
+            for (bytes, says) in K::own_refusals() {
+                assert!(refusal::<K>(&bytes).contains(says), "{says}");
+            }
+        }
+
+        fn each_sorter_refuses_the_others_snapshot<K: Kind>() {
+            let mut impatience: ImpatienceSorter<Event<u32>> = ImpatienceSorter::new();
+            let mut bucket = <Vec<Event<u32>> as Kind>::grid(10);
+            let (mut tables, mut own) = (tables(), K::grid(10));
+            for start in [20, 0, 10] {
+                let e = windowed(start, 1);
+                impatience.push(e);
+                bucket.push(e);
+                tables.push(e);
+                own.push(e);
+            }
+            let refused = format!("not a {} snapshot", K::SNAPSHOT);
+            for other in [encode(&impatience), encode(&bucket), encode(&tables)] {
+                if other[0] != K::TAG {
+                    assert!(refusal::<K>(&other).contains(&refused));
+                }
+            }
+            let err = ImpatienceSorter::<Event<u32>>::new()
+                .restore_state(&mut SnapshotReader::new(&encode(&own)))
+                .expect_err("refused");
+            assert!(
+                matches!(&err, SnapshotError::Corrupt { detail } if detail.contains("huffman flag")),
+                "{err:?}"
+            );
+        }
     }
 }

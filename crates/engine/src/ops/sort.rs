@@ -83,24 +83,6 @@ impl<P: Payload> SortPolicy<P> {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Sets the late-event policy.
-    pub fn with_late(mut self, late: LatePolicy) -> Self {
-        self.late = late;
-        self
-    }
-
-    /// Sets the shed policy.
-    pub fn with_shed(mut self, shed: ShedPolicy) -> Self {
-        self.shed = shed;
-        self
-    }
-
-    /// Attaches a dead-letter queue.
-    pub fn with_dead_letters(mut self, queue: DeadLetterQueue<P>) -> Self {
-        self.dead_letters = Some(queue);
-        self
-    }
 }
 
 /// Shared counters for the sorter boundary's fault handling, registered
@@ -844,9 +826,11 @@ mod tests {
             let lag = Histogram::new();
             let dlq = DeadLetterQueue::new();
             let (out, sink) = Output::<u32>::new();
-            let policy = SortPolicy::new()
-                .with_late(LatePolicy::DeadLetter)
-                .with_dead_letters(dlq.clone());
+            let policy = SortPolicy {
+                late: LatePolicy::DeadLetter,
+                dead_letters: Some(dlq.clone()),
+                ..SortPolicy::new()
+            };
             let mut op = SortOp::with_policy(
                 Box::new(ImpatienceSorter::new()),
                 MemoryMeter::with_budget(budget),

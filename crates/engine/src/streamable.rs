@@ -523,7 +523,7 @@ impl<P: Payload> Streamable<P> {
             if let (SorterChoice::Bucket { step }, true) = (choice, fuses) {
                 let stage = self.unplaced.take().expect("the unplaced sort");
                 self.ctx.claim_stage();
-                return self.place(stage, Box::new(ops::WindowTables::new(agg, step)));
+                return self.place(stage, Box::new(ops::WindowTables::with_shared(agg, step)));
             }
         }
         let grouped = move |sink| ops::GroupedAggregateOp::new(agg, sink);

@@ -629,7 +629,7 @@ impl<T: EventTimed + Clone + StateCodec> ExternalImpatienceSorter<T> {
     }
 
     /// Unconsumed items currently on disk.
-    pub fn spilled_items(&self) -> u64 {
+    fn spilled_items(&self) -> u64 {
         self.frozen.iter().map(FrozenRun::live_items).sum()
     }
 

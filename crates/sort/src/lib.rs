@@ -13,7 +13,9 @@
 //! * [`HeapSorter`] — the priority-queue incremental sorter of
 //!   first-generation SPEs;
 //! * [`BucketSorter`] — one bucket per distinct time, for input a tumbling
-//!   window below the sort has already aligned (§IV);
+//!   window below the sort has already aligned (§IV): the [`BucketGrid`]
+//!   over buckets that keep their items, which the engine's fused ladder
+//!   rungs run over group tables instead;
 //! * [`merge`] — binary / Huffman run merging; [`loser_tree`] — the
 //!   fallible k-way merge the external sorter runs over spilled runs.
 //!
@@ -32,6 +34,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod bucket;
+pub mod buckets;
 pub mod external;
 pub mod gauges;
 pub mod heapsort;
@@ -47,6 +50,7 @@ pub mod timsort;
 pub mod traits;
 
 pub use bucket::BucketSorter;
+pub use buckets::{Bucket, BucketGrid};
 pub use external::{
     ExternalImpatienceSorter, ExternalSortConfig, SpillStats, Tagged, RUN_MAGIC, RUN_VERSION,
 };

@@ -152,6 +152,11 @@ cargo test -q --offline --test framework_props a_piq_opening_with_another_stage_
 cargo test -q --offline -p impatience-engine --test ladder rungs_inherit_the_chains_instruments_trace_and_fence
 cargo test -q --offline -p impatience-engine --test ladder rungs_bucket_window_aligned_input
 cargo test -q --offline -p impatience-engine --test ladder the_partitioner_copies_each_routed_event_at_most_once
+# Both bucket kinds (the bucket sorter's Vecs, a fused rung's group tables)
+# share one bucket grid: its lifecycle table runs over each, by name.
+cargo test -q --offline -p impatience-engine --lib -- \
+    ops::group::tests::lifecycle \
+    ops::group::tests::window_tables_match_sort_then_group
 cargo test -q --offline --test recovery framework_refuses_an_impatience_state_slot
 cargo test -q --offline --test recovery framework_refuses_a_slot_across_the_fused_plan_change
 cargo test -q --offline --test recovery framework_refuses_a_slot_of_the_old_reduce_by_key_operator

@@ -15,7 +15,9 @@
 //! empty and singleton inputs, sorted/reversed extremes, and varied
 //! punctuation cadences and lags.
 
-use impatience_core::{SnapshotReader, SnapshotWriter, TickDuration, Timestamp};
+use impatience_core::{
+    EventTimed, SnapshotReader, SnapshotWriter, StateCodec, TickDuration, Timestamp,
+};
 use impatience_sort::{
     online_sorter_by_name, BucketSorter, CutBuffer, ExternalImpatienceSorter, ExternalSortConfig,
     HeapsortAlgorithm, ImpatienceSorter, OnlineSorter, TieredMergePolicy, ONLINE_SORTER_NAMES,
@@ -24,7 +26,7 @@ use impatience_testkit::rng::{Rng, SeedableRng, StdRng};
 
 /// A bucket sorter guessing buckets 16 ticks apart: the streams below are
 /// not aligned to any grid, so its guess misses as often as it hits.
-fn bucket_sorter<T: impatience_core::EventTimed>() -> BucketSorter<T> {
+fn bucket_sorter<T: EventTimed + StateCodec>() -> BucketSorter<T> {
     BucketSorter::new(TickDuration::ticks(16))
 }
 

@@ -285,19 +285,28 @@ impl Run {
 
 static RUNS: AtomicUsize = AtomicUsize::new(0);
 
-/// A fresh directory for one run's checkpoints and spill files.
-fn scratch_dir() -> PathBuf {
+/// A fresh directory for one run's checkpoints and spill files, removed
+/// when the guard drops: on a panic too, so a failing case leaves none.
+struct ScratchDir(PathBuf);
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn scratch_dir() -> ScratchDir {
     let n = RUNS.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!("impatience-specdiff-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    ScratchDir(dir)
 }
 
 /// Builds `spec` over `dir` (a fresh one, removed after, if `None`) and
 /// pushes `input` past what a checkpoint there restored.
 fn run(case: &SpecCase, spec: &PipelineSpec, dir: Option<&Path>, input: &[Msg]) -> Run {
     let fresh = scratch_dir();
-    let dir = dir.unwrap_or(&fresh);
+    let dir = dir.unwrap_or(&fresh.0);
     let registry = MetricsRegistry::new();
     let trace = TraceSink::with(TraceClock::logical(), TraceConfig::default());
     let meter = case
@@ -322,7 +331,6 @@ fn run(case: &SpecCase, spec: &PipelineSpec, dir: Option<&Path>, input: &[Msg]) 
     }
     let dead_letters = built.dead_letters.clone();
     drop(built);
-    let _ = std::fs::remove_dir_all(&fresh);
     let (msgs, errors) = std::mem::take(&mut *recorder.0.lock().unwrap());
     let mut letters = dead_letters.map(|q| q.drain()).unwrap_or_default();
     letters.sort_by_cached_key(|l| format!("{l:?}"));
@@ -538,9 +546,8 @@ fn crash_restore_and_replay_is_the_uninterrupted_run() {
             return;
         }
         let at = input.len() * case.crash_permille as usize / 1_000;
-        let crashed = run(&case, spec, Some(&dir), &input[..at]);
-        let replayed = run(&case, spec, Some(&dir), &input);
-        let _ = std::fs::remove_dir_all(&dir);
+        let crashed = run(&case, spec, Some(&dir.0), &input[..at]);
+        let replayed = run(&case, spec, Some(&dir.0), &input);
         let (skipped, egress) = replayed.restored.unwrap_or((0, 0));
         let committed = &crashed.msgs[..skipped.checked_sub(1).map_or(0, |i| crashed.marks[i])];
         let committed_events = events(&items(committed)).len() as u64;
