@@ -274,8 +274,9 @@ pub struct SortOp<P: Payload, S, Q: Payload = P> {
     high: Timestamp,
     /// True once a forced cut has advanced the watermark past the
     /// upstream's punctuations. Part of the checkpointed state: after a
-    /// restore the operator must still recognise replayed stale
-    /// punctuations as progress rather than regressions.
+    /// restore, before the first input punctuation, the operator must
+    /// still recognise replayed stale punctuations as progress rather
+    /// than regressions.
     watermark_forced: bool,
     /// True when a [`LateGateOp`] upstream already judged lateness on
     /// original times: the own gate then judges only what a forced cut
@@ -288,8 +289,9 @@ pub struct SortOp<P: Payload, S, Q: Payload = P> {
     gauges: Option<SorterGauges>,
     watermark_lag: Option<Histogram>,
     /// The last punctuation received — not the watermark, which a forced
-    /// cut moves and a checkpoint restores: lag is measured against the
-    /// input's own punctuations since this operator was built.
+    /// cut moves and a checkpoint restores: lag is measured, and a
+    /// regression judged, against the input's own punctuations since this
+    /// operator was built.
     last_punctuation: Option<Timestamp>,
     next: S,
 }
@@ -621,23 +623,25 @@ impl<P: Payload, S: Observer<Q>, Q: Payload> Observer<P> for SortOp<P, S, Q> {
         if self.failed {
             return;
         }
-        self.last_punctuation = Some(t);
+        let previous = self.last_punctuation.replace(t);
         if t < self.gate.watermark {
-            // After a forced cut the operator's watermark runs ahead of the
-            // upstream's; punctuations behind it are stale progress, not
-            // regressions, and are swallowed to keep downstream order
-            // intact. Absent a forced cut, a backwards punctuation is a
-            // real contract violation: poison the chain with a typed error
-            // instead of corrupting the output order. The flag (not the
-            // metrics counter) decides: it survives checkpoint/restore, so
-            // a recovered operator whose restored watermark ran ahead via
-            // a pre-crash forced cut still swallows replayed punctuations.
-            if self.watermark_forced {
+            // A regression is judged against the input's own punctuations.
+            // A forced cut runs the watermark ahead of them, and what lies
+            // between the last one and the cut is stale progress, swallowed
+            // to keep downstream order intact; below the last one it is a
+            // contract violation, forced cut or not: poison the chain with
+            // a typed error instead of corrupting the output order. After a
+            // restore, before the first input punctuation, there is no last
+            // one and the restored flag decides: an operator whose watermark
+            // ran ahead via a pre-crash forced cut swallows replayed
+            // punctuations.
+            let stale = previous.map_or(self.watermark_forced, |p| t >= p);
+            if stale {
                 return;
             }
             self.failed = true;
             self.next.on_error(StreamError::PunctuationRegressed {
-                previous: self.gate.watermark,
+                previous: previous.unwrap_or(self.gate.watermark),
                 attempted: t,
             });
             return;

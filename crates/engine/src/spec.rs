@@ -81,10 +81,10 @@ pub enum OpSpec {
         /// Events retained per window.
         k: usize,
     },
-    /// Deterministic fault injector for chaos drills: panics the operator
-    /// when it sees `payload == value`. Under a `hardened` spec the panic
-    /// becomes a typed [`StreamError::OperatorPanicked`] on this pipeline
-    /// only.
+    /// Deterministic fault injector for the failure-model tests: panics
+    /// the operator when it sees `payload == value`. Under a `hardened`
+    /// spec the panic becomes a typed [`StreamError::OperatorPanicked`] on
+    /// this pipeline only.
     PanicOn {
         /// The poison payload.
         value: i64,
@@ -171,8 +171,8 @@ impl OpSpec {
 
     /// What running this per-event op below the sort does. A filter
     /// removes events and a window collapses distinct timestamps
-    /// (Proposition 3.2); `Scale` shrinks nothing (i64 → i64) and chaos
-    /// drills pin *when* `PanicOn` fires.
+    /// (Proposition 3.2); `Scale` shrinks nothing (i64 → i64) and the
+    /// spec differential pins *when* `PanicOn` fires.
     fn hoist(&self) -> Hoist {
         match self {
             OpSpec::FilterMin { .. } => Hoist::Shrinks,
@@ -1482,99 +1482,6 @@ mod tests {
         assert_eq!(registry.gauge("h.00.sorter.runs").high_water(), 0);
     }
 
-    /// Each event and punctuation of `msgs`, one line each: where a run of
-    /// events is cut into batches is the consumer's business.
-    fn lines(msgs: Vec<StreamMessage<i64>>) -> Vec<String> {
-        let mut lines = Vec::new();
-        for m in msgs {
-            match m {
-                StreamMessage::Batch(b) => lines.extend(b.iter_visible().map(|e| format!("{e:?}"))),
-                other => lines.push(format!("{other:?}")),
-            }
-        }
-        lines
-    }
-
-    /// The spec's window, run sort-first by hand.
-    fn sort_first_sums(msgs: &[StreamMessage<i64>]) -> Vec<StreamMessage<i64>> {
-        let (handle, s) = input_stream::<i64>();
-        let out = s
-            .hardened()
-            .sorted(
-                Box::new(ImpatienceSorter::new()),
-                &MemoryMeter::new(),
-                SortPolicy::default(),
-            )
-            .expect("sorted")
-            .tumbling_window(TickDuration::ticks(100))
-            .reduce_by_key(|acc, p| *acc = acc.wrapping_add(p))
-            .collect_output();
-        for m in msgs {
-            handle.push(m.clone()).expect("push");
-        }
-        out.messages()
-    }
-
-    #[test]
-    fn windows_at_both_ends_of_i64_match_the_sort_first_chain() {
-        let spec = PipelineSpec::new("ends")
-            .with_op(OpSpec::TumblingWindow {
-                size: TickDuration::ticks(100),
-            })
-            .with_op(OpSpec::SumByKey);
-        assert!(matches!(spec.plan().sorter(), SorterChoice::Bucket { .. }));
-        // Before the first punctuation the gate admits even `MIN + 5`; its
-        // window start saturates at `MIN`, and the end of `MAX − 5`'s
-        // window at `MAX`. Punctuation `MIN + 3` translates to `MIN` too,
-        // and `MIN + 7` after it is still on time.
-        let msgs = vec![
-            StreamMessage::batch(vec![
-                ev(i64::MAX - 5, 1, 1),
-                ev(i64::MIN + 5, 1, 2),
-                ev(0, 1, 4),
-            ]),
-            StreamMessage::Punctuation(Timestamp::new(i64::MIN + 3)),
-            StreamMessage::batch(vec![
-                ev(i64::MIN + 7, 1, 8),
-                ev(i64::MIN + 60, 1, 16),
-                ev(i64::MAX - 1, 1, 32),
-            ]),
-            StreamMessage::Punctuation(Timestamp::new(0)),
-            StreamMessage::Completed,
-        ];
-        let (out, sink) = crate::observer::Output::new();
-        let built = spec
-            .build(&PipelineEnv::new(), Box::new(sink))
-            .expect("build");
-        for m in &msgs {
-            built.handle.push(m.clone()).expect("push");
-        }
-        assert_eq!(out.error(), None);
-        assert_eq!(lines(out.messages()), lines(sort_first_sums(&msgs)));
-        let windows: Vec<(Timestamp, Timestamp, i64)> = out
-            .events()
-            .iter()
-            .map(|e| (e.sync_time, e.other_time, e.payload))
-            .collect();
-        assert_eq!(
-            windows,
-            vec![
-                (Timestamp::MIN, Timestamp::new(i64::MIN + 8), 2 + 8),
-                (
-                    Timestamp::new(i64::MIN + 8),
-                    Timestamp::new(i64::MIN + 108),
-                    16
-                ),
-                (Timestamp::new(0), Timestamp::new(100), 4),
-                (
-                    Timestamp::new(9_223_372_036_854_775_800),
-                    Timestamp::MAX,
-                    1 + 32
-                ),
-            ]
-        );
-    }
-
     #[test]
     fn plan_names_every_op_as_its_stage_registers() {
         // `Plan` prints labels it does not mint; `Streamable` mints them.
@@ -1608,96 +1515,6 @@ mod tests {
                 "{stage} is not a registered stage"
             );
         }
-    }
-
-    #[test]
-    fn late_is_decided_on_original_time_in_a_hoisted_plan() {
-        let spec = PipelineSpec::new("late")
-            .with_op(OpSpec::TumblingWindow {
-                size: TickDuration::ticks(100),
-            })
-            .with_op(OpSpec::SumByKey)
-            .with_sort(SortSpec {
-                late: LatePolicy::DeadLetter,
-                dead_letter_capacity: Some(8),
-                ..SortSpec::default()
-            });
-        let (out, sink) = crate::observer::Output::new();
-        let built = spec
-            .build(&PipelineEnv::new(), Box::new(sink))
-            .expect("build");
-        let push = |m| built.handle.push(m).expect("push");
-        push(StreamMessage::batch(vec![ev(205, 1, 1), ev(231, 1, 2)]));
-        push(StreamMessage::Punctuation(Timestamp::new(230)));
-        // Window 200 is still open and its start is above the translated
-        // cut 199, yet an event at 210 is behind punctuation 230: late.
-        push(StreamMessage::batch(vec![ev(210, 1, 100), ev(240, 1, 4)]));
-        push(StreamMessage::Completed);
-        let sums: Vec<i64> = out.events().iter().map(|e| e.payload).collect();
-        assert_eq!(sums, vec![1 + 2 + 4]);
-        let letters = built.dead_letters.as_ref().expect("queue").drain();
-        assert_eq!(letters.len(), 1);
-        assert_eq!(letters[0].event, ev(210, 1, 100), "the original event");
-        assert_eq!(
-            letters[0].reason,
-            impatience_core::DeadLetterReason::Late {
-                watermark: Timestamp::new(230)
-            }
-        );
-    }
-
-    #[test]
-    fn hoisted_plan_still_fails_a_regressed_punctuation_typed() {
-        let spec = PipelineSpec::new("regress")
-            .with_op(OpSpec::TumblingWindow {
-                size: TickDuration::ticks(100),
-            })
-            .with_op(OpSpec::SumByKey);
-        let (out, sink) = crate::observer::Output::new();
-        let built = spec
-            .build(&PipelineEnv::new(), Box::new(sink))
-            .expect("build");
-        // 230 and 210 both translate to 199: only the gate can see it.
-        for t in [230, 210] {
-            built
-                .handle
-                .push(StreamMessage::Punctuation(Timestamp::new(t)))
-                .expect("push");
-        }
-        assert_eq!(
-            out.error(),
-            Some(StreamError::PunctuationRegressed {
-                previous: Timestamp::new(230),
-                attempted: Timestamp::new(210),
-            })
-        );
-    }
-
-    #[test]
-    fn sharded_spec_matches_unsharded_output() {
-        let sharded = PipelineSpec::new("sh")
-            .with_shards(4)
-            .with_op(OpSpec::SumByKey)
-            .with_op(OpSpec::TumblingWindow {
-                size: TickDuration::ticks(50),
-            });
-        // Key-local ops: same canonical trace across shard counts (emission
-        // order within a punctuation segment is merge-order dependent, so we
-        // compare under the shard-conformance sort key).
-        let solo = sharded.clone().with_shards(1);
-        let run = |spec: &PipelineSpec| {
-            let (out, sink) = crate::observer::Output::new();
-            let built = spec
-                .build(&PipelineEnv::new(), Box::new(sink))
-                .expect("build");
-            for m in disordered_messages() {
-                built.handle.push(m).expect("push");
-            }
-            let mut events = out.events();
-            events.sort_by_key(|e| (e.sync_time, e.key, e.payload, e.other_time));
-            events
-        };
-        assert_eq!(run(&sharded), run(&solo));
     }
 
     #[test]
@@ -1749,27 +1566,6 @@ mod tests {
         assert!(info.messages_seen > 0);
         drop(out);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn panic_op_surfaces_typed_error_when_hardened() {
-        let spec = PipelineSpec::new("boom").with_op(OpSpec::PanicOn { value: 13 });
-        let (out, sink) = crate::observer::Output::new();
-        let built = spec
-            .build(&PipelineEnv::new(), Box::new(sink))
-            .expect("build");
-        built
-            .handle
-            .push(StreamMessage::batch(vec![ev(1, 0, 13)]))
-            .expect("push");
-        built
-            .handle
-            .push(StreamMessage::Punctuation(Timestamp::new(5)))
-            .expect("punct");
-        match out.error() {
-            Some(StreamError::OperatorPanicked { .. }) => {}
-            other => panic!("expected OperatorPanicked, got {other:?}"),
-        }
     }
 
     #[test]

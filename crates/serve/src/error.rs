@@ -4,7 +4,7 @@
 //! invalid" from "your operator panicked" from "the service is full" —
 //! and, critically, a tenant only ever sees *its own* errors: a fault in
 //! one tenant's pipeline surfaces on that tenant's connection and nowhere
-//! else (the isolation contract, exercised by the chaos suite).
+//! else (the isolation contract, exercised by `tests/tenant_isolation.rs`).
 
 use impatience_core::{json, ConfigError, Json, StreamError};
 

@@ -6,8 +6,8 @@
 //! and shares only the admission budget with its neighbours. A panic,
 //! budget breach, or disk fault inside one tenant therefore surfaces as
 //! a typed [`ServeError`] frame **on that connection only**; the accept
-//! loop and every other session never observe it (the property the chaos
-//! suite replays a few hundred seeded times).
+//! loop and every other session never observe it (the property
+//! `tests/tenant_isolation.rs` replays a few hundred seeded times).
 //!
 //! **Survivability.** Connections are expendable; sessions are not. A
 //! connection carrying a resumable session that dies (reset, stall past
@@ -102,18 +102,6 @@ impl ServerConfig {
         }
     }
 
-    /// Sets the bind address.
-    pub fn with_addr(mut self, addr: impl Into<String>) -> Self {
-        self.addr = addr.into();
-        self
-    }
-
-    /// Sets the concurrent-tenant cap.
-    pub fn with_max_tenants(mut self, n: usize) -> Self {
-        self.max_tenants = n;
-        self
-    }
-
     /// Sets the service-wide admission budget (bytes).
     pub fn with_memory_budget(mut self, bytes: usize) -> Self {
         self.memory_budget = Some(bytes);
@@ -132,12 +120,6 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the socket write deadline.
-    pub fn with_write_deadline(mut self, d: Duration) -> Self {
-        self.write_deadline = d;
-        self
-    }
-
     /// Sets how long a disconnected resumable session stays parked.
     pub fn with_park_timeout(mut self, d: Duration) -> Self {
         self.park_timeout = d;
@@ -147,12 +129,6 @@ impl ServerConfig {
     /// Sets the per-session reply-cache (slow-consumer) bound.
     pub fn with_reply_cache_bytes(mut self, bytes: usize) -> Self {
         self.reply_cache_bytes = bytes;
-        self
-    }
-
-    /// Sets the graceful-drain join deadline.
-    pub fn with_drain_deadline(mut self, d: Duration) -> Self {
-        self.drain_deadline = d;
         self
     }
 }

@@ -10,10 +10,11 @@
 //!
 //! The protocol is strict request/reply ordering: the server answers
 //! client frames in arrival order, one reply per request, so lockstep
-//! clients never deadlock on socket buffers and the chaos suite can diff
-//! byte streams. (The server may additionally send one unsolicited
-//! [`ServerMsg::Close`] frame right before it hangs up — a drain
-//! shutdown, an idle-deadline eviction, or a slow-consumer eviction.)
+//! clients never deadlock on socket buffers and the network-fault suite
+//! (`tests/session_resume.rs`) can diff byte streams. (The server may
+//! additionally send one unsolicited [`ServerMsg::Close`] frame right
+//! before it hangs up — a drain shutdown, an idle-deadline eviction, or a
+//! slow-consumer eviction.)
 //!
 //! **Sessions.** Every frame travels inside an envelope. Client frames
 //! ([`ClientFrame`]) carry a session **sequence number** `seq` (1-based;

@@ -159,8 +159,10 @@ impl<T: EventTimed + Clone> Default for ImpatienceSorter<T> {
 
 impl<T: EventTimed + Clone + StateCodec + Send> OnlineSorter<T> for ImpatienceSorter<T> {
     fn push(&mut self, item: T) {
+        // A window start at `Timestamp::MIN` may arrive while
+        // `last_punctuation` still reads `MIN`, meaning "none yet".
         debug_assert!(
-            item.event_time() > self.last_punctuation,
+            item.event_time() > self.last_punctuation || item.event_time() == Timestamp::MIN,
             "item at {:?} violates punctuation {:?}",
             item.event_time(),
             self.last_punctuation

@@ -14,16 +14,15 @@
 //!   ([`prop::vec`], integer ranges, tuples, [`prop::Strategy::prop_map`]),
 //!   a case runner with greedy input shrinking, and fixed-seed replay via
 //!   `IMPATIENCE_PROP_SEED`;
-//! * [`chaos`] — a seeded fault-injecting observer (duplicates, late
-//!   stragglers, punctuation regressions, payload corruption, injected
-//!   panics) for exercising the failure model end to end;
 //! * [`crash`] — seeded crash-point selection plus on-disk damage
 //!   (bit flips, torn tails) for the checkpoint/WAL recovery suite;
 //! * [`netchaos`] — a seeded in-process TCP fault proxy (kills, resets,
 //!   stalls, partial writes, duplicate frames at frame boundaries) and a
 //!   malformed-frame fuzzer for wire-protocol robustness suites;
 //! * [`spec`] — a seeded, shrinking generator of `(PipelineSpec,
-//!   arrivals)` cases for the spec-path differential;
+//!   arrivals)` cases for the spec-path differential, with stream faults
+//!   (duplicates, far stragglers, a regressed punctuation, extreme
+//!   payloads) laid over the arrivals;
 //! * [`trace`] — structural assertions over recorded trace spans
 //!   (the laminar-nesting invariant) for the trace conformance suite.
 //!
@@ -45,7 +44,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod chaos;
 pub mod crash;
 pub mod netchaos;
 pub mod prop;
@@ -53,12 +51,11 @@ pub mod rng;
 pub mod spec;
 pub mod trace;
 
-pub use chaos::{ChaosConfig, ChaosCounts, ChaosObserver};
 pub use crash::{
     corrupt_byte, corrupt_random_byte, crash_point, files_with_suffix, inject_disk_fault,
     newest_with_suffix, tear_tail, truncate_file, CrashPoint, DiskFault,
 };
 pub use netchaos::{seeded_fault_plan, Attack, FaultProxy, NetFault, WireFuzzer};
 pub use rng::{Rng, SeedableRng, StdRng};
-pub use spec::{SpecCase, SpecCases};
+pub use spec::{Faults, FaultsLaid, SpecCase, SpecCases};
 pub use trace::assert_laminar;

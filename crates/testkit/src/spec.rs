@@ -1,6 +1,7 @@
 //! A seeded, shrinking generator of whole spec-path cases: a
 //! [`PipelineSpec`] and the arrivals it is fed, punctuated through
-//! [`punctuate_arrivals`] at the spec's fixed reorder latency.
+//! [`punctuate_arrivals`] at the spec's fixed reorder latency, with stream
+//! faults laid over the punctuated messages.
 //!
 //! [`SpecCases`] draws 0–4 ops from [`OpSpec`] in any order
 //! ([`OpSpec::PanicOn`] only under `hardened`), either [`LatePolicy`]
@@ -9,13 +10,16 @@
 //! whatever the budget costs is reported), shards from {1, 2, 4, 8}, a
 //! checkpoint cadence (unsharded only, as the spec requires), and the
 //! `instrument` / `traced` / `hardened` flags. Streams run from empty to a
-//! few hundred events: heavy ties, negative times and times near
-//! `i64::MAX`, one or many keys, in order or far out of it.
+//! few hundred events: heavy ties, times near both ends of `i64` and
+//! around zero, one or many keys, in order or far out of it. [`Faults`]
+//! adds duplicates, far stragglers, one regressed punctuation and extreme
+//! payloads.
 //!
-//! A failing case shrinks to fewer events, fewer ops and unset settings.
+//! A failing case shrinks to fewer events, fewer ops, no faults and unset
+//! settings.
 
 use crate::prop::Strategy;
-use crate::rng::{Rng, StdRng};
+use crate::rng::{Rng, SeedableRng, StdRng};
 use impatience_core::{Event, LatePolicy, ShedPolicy, StreamMessage, TickDuration, Timestamp};
 use impatience_engine::{
     punctuate_arrivals, IngressPolicy, OpSpec, PipelineSpec, ReorderSpec, SortSpec,
@@ -34,12 +38,129 @@ pub struct SpecCase {
     pub budget: Option<usize>,
     /// Where a durable case crashes, per mille of its input messages.
     pub crash_permille: u32,
+    /// The stream faults laid over the punctuated arrivals.
+    pub faults: Faults,
+}
+
+/// Stream faults, laid over a case's punctuated arrivals where `seed`
+/// places them; the default lays none.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Faults {
+    /// Where the faults fall.
+    pub seed: u64,
+    /// Events delivered twice: again in their batch, or again in a batch
+    /// of their own right after the next punctuation.
+    pub duplicates: bool,
+    /// Events retimed 5 000 ticks behind the last punctuation (or their
+    /// own time, before the first), beyond any drawn latency.
+    pub stragglers: bool,
+    /// One punctuation below the one before it, after the batches that
+    /// follow a drawn punctuation.
+    pub regression: bool,
+    /// Payloads replaced by `i64::MIN`, `i64::MAX` or a neighbour.
+    pub extremes: bool,
+}
+
+/// How far behind the watermark a straggler lands, in ticks.
+const STRAGGLER_DELAY: i64 = 5_000;
+
+/// What [`SpecCase::messages`] laid, per fault kind.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultsLaid {
+    /// Events repeated in their own batch.
+    pub duplicates: usize,
+    /// Events repeated across a punctuation.
+    pub replays: usize,
+    /// Events retimed behind the watermark.
+    pub stragglers: usize,
+    /// Regressed punctuations: 0 or 1.
+    pub regressions: usize,
+    /// Extreme payloads.
+    pub extremes: usize,
+}
+
+impl FaultsLaid {
+    /// Did the draw lay any fault at all?
+    pub fn any(&self) -> bool {
+        *self != FaultsLaid::default()
+    }
+}
+
+impl Faults {
+    /// Lays the faults over `msgs`.
+    fn lay(&self, msgs: Vec<StreamMessage<i64>>) -> (Vec<StreamMessage<i64>>, FaultsLaid) {
+        let mut laid = FaultsLaid::default();
+        if *self == Faults::default() {
+            return (msgs, laid);
+        }
+        let mut rng = StdRng::seed_from_u64(self.seed);
+        let puncts = msgs.iter().filter(|m| m.is_punctuation()).count();
+        let mut regress_in = (self.regression && puncts > 0).then(|| rng.gen_range(1..=puncts));
+        let (mut out, mut last, mut replays) = (Vec::with_capacity(msgs.len()), None, vec![]);
+        for m in msgs {
+            if let (StreamMessage::Punctuation(_) | StreamMessage::Completed, Some(0)) =
+                (&m, regress_in)
+            {
+                let p: Timestamp = last.expect("after a punctuation");
+                let back = Timestamp::new(p.ticks().saturating_sub(rng.gen_range(1i64..1_000)));
+                if back < p {
+                    out.push(StreamMessage::Punctuation(back));
+                    laid.regressions += 1;
+                }
+                regress_in = None;
+            }
+            match m {
+                StreamMessage::Batch(b) => {
+                    let mut events = Vec::with_capacity(b.visible_len());
+                    for mut e in b.iter_visible().copied() {
+                        if self.extremes && rng.gen_bool(0.1) {
+                            e.payload =
+                                pick(&mut rng, &[i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX]);
+                            laid.extremes += 1;
+                        }
+                        if self.stragglers && rng.gen_bool(0.05) {
+                            let anchor = last.unwrap_or(e.sync_time).ticks();
+                            let t = anchor.saturating_sub(STRAGGLER_DELAY).max(i64::MIN + 1);
+                            e = Event::keyed(Timestamp::new(t), e.key, e.payload);
+                            laid.stragglers += 1;
+                        }
+                        events.push(e);
+                        if self.duplicates && rng.gen_bool(0.05) {
+                            events.push(e);
+                            laid.duplicates += 1;
+                        }
+                        if self.duplicates && rng.gen_bool(0.05) {
+                            replays.push(e);
+                        }
+                    }
+                    out.push(StreamMessage::batch(events));
+                }
+                StreamMessage::Punctuation(t) => {
+                    out.push(m);
+                    last = Some(t);
+                    regress_in = regress_in.map(|n| n - 1);
+                    if !replays.is_empty() {
+                        laid.replays += replays.len();
+                        out.push(StreamMessage::batch(std::mem::take(&mut replays)));
+                    }
+                }
+                StreamMessage::Completed => out.push(m),
+            }
+        }
+        (out, laid)
+    }
 }
 
 impl SpecCase {
-    /// The messages a client sends: the arrivals, punctuated.
+    /// The messages a client sends: the arrivals, punctuated, with the
+    /// faults laid over them.
     pub fn messages(&self) -> Vec<StreamMessage<i64>> {
-        punctuate_arrivals(self.arrivals.clone(), &self.ingress)
+        self.laid().0
+    }
+
+    /// [`SpecCase::messages`], and what faults it laid.
+    pub fn laid(&self) -> (Vec<StreamMessage<i64>>, FaultsLaid) {
+        (self.faults).lay(punctuate_arrivals(self.arrivals.clone(), &self.ingress))
     }
 
     /// Can this case be run? `PanicOn` needs `hardened`, a budget needs
@@ -77,14 +198,14 @@ fn op(rng: &mut StdRng, hardened: bool) -> OpSpec {
             k: rng.gen_range(1usize..4),
         },
         _ => OpSpec::PanicOn {
-            value: rng.gen_range(0i64..400),
+            value: rng.gen_range(0i64..100),
         },
     }
 }
 
 fn arrivals(rng: &mut StdRng) -> Vec<Event<i64>> {
     let n = [rng.gen_range(3usize..300), rng.gen_range(0usize..3)][usize::from(rng.gen_bool(0.1))];
-    let base = pick(rng, &[0, -3_000, i64::MAX - 1_000_000]);
+    let base = pick(rng, &[0, -3_000, i64::MIN + 600, i64::MAX - 1_000_000]);
     let spacing = pick(rng, &[0, 1, 3, 10]);
     let (late_share, reach) = (pick(rng, &[0.0, 0.1, 0.5]), pick(rng, &[5i64, 50, 500]));
     let keys = pick(rng, &[1u32, 3, 16]);
@@ -142,15 +263,29 @@ impl Strategy for SpecCases {
         let budget = (late == LatePolicy::DeadLetter && rng.gen_bool(0.5))
             .then(|| pick(rng, &[256, 1_024, 4_096]));
         SpecCase {
-            spec,
             arrivals: arrivals(rng),
             ingress,
             budget,
             crash_permille: rng.gen_range(0u32..1_000),
+            // A regression ends the run: drawn more often under a budget,
+            // where it may follow a forced cut, than where it would cost
+            // the crash relation its restores.
+            faults: match rng.gen_bool(0.8) {
+                true => Faults {
+                    seed: rng.gen(),
+                    duplicates: rng.gen_bool(0.5),
+                    stragglers: rng.gen_bool(0.5),
+                    regression: rng.gen_bool([0.25, 0.6][usize::from(budget.is_some())]),
+                    extremes: rng.gen_bool(0.5),
+                },
+                false => Faults::default(),
+            },
+            spec,
         }
     }
 
-    /// Fewer events, then fewer ops, then each setting unset.
+    /// Fewer events, then fewer ops, then no faults, then each setting
+    /// unset.
     fn shrink(&self, case: &SpecCase) -> Vec<SpecCase> {
         let mut out = Vec::new();
         let with = |f: &dyn Fn(&mut SpecCase)| {
@@ -167,6 +302,15 @@ impl Strategy for SpecCases {
             out.extend((0..n.min(32)).map(remove));
         }
         out.extend((0..case.spec.ops.len()).map(|i| with(&|c| drop(c.spec.ops.drain(i..=i)))));
+        out.push(with(&|c| c.faults = Faults::default()));
+        for off in [
+            |f: &mut Faults| f.duplicates = false,
+            |f: &mut Faults| f.stragglers = false,
+            |f: &mut Faults| f.regression = false,
+            |f: &mut Faults| f.extremes = false,
+        ] {
+            out.push(with(&|c| off(&mut c.faults)));
+        }
         out.push(with(&|c| c.budget = None));
         out.push(with(&|c| c.spec.shards = 1));
         out.push(with(&|c| c.spec.checkpoint = None));

@@ -37,13 +37,6 @@ cargo test -q --offline --workspace --exclude impatience
 # tests by name (so a regression names itself), release-mode properties,
 # the ignored timing budgets, the exhibits and the stack benchmark.
 
-# == chaos suite (pinned seed, >=1000 fault-injected pipelines): tests/chaos.rs ==
-# The failure-model gate: seeded fault injection (duplicates, stragglers,
-# punctuation regressions, corruption, operator panics) must never abort
-# the process — only typed errors or contract-valid output. Case seeds are
-# derived deterministically from each property's name, so runs replay
-# bit-for-bit; a reported failure replays with IMPATIENCE_PROP_SEED=<seed>.
-
 # == spill conformance (external sorter vs oracle, disk faults, crashes):
 # tests/sorter_conformance.rs, tests/spill_faults.rs ==
 # The external-sort gate: 1000 seeded streams with mid-stream budget trips
@@ -80,6 +73,15 @@ echo "== spec differential (generated specs and streams against one oracle) =="
 # sharded run is the one-shard run split by key and merged), plus flags
 # and crash/restore/replay leaving the output bytes unchanged. Each
 # relation is a test of its own, asserting its own coverage floors.
+# It is also the failure-model gate: a seeded fault draw lays duplicates
+# (in a batch and across a punctuation), stragglers 5 000 ticks behind the
+# watermark, one regressed punctuation and payloads at both ends of i64
+# over the messages, and every run must end in the oracle's output or one
+# typed error, a regression refused typed in every plan and under every
+# budget, a budgeted meter within its budget after every push. The
+# oracle test asserts and prints a floor per fault kind (a regression in
+# a hoisted plan, one after a forced cut, extremes through Scale and
+# SumByKey) and that at least 1 170 of the 2 000 cases bear a fault.
 # 2 000 cases per test, release, timed.
 start=$(date +%s)
 IMPATIENCE_PROP_CASES=2000 cargo test --release -q --offline --test spec_differential

@@ -20,6 +20,15 @@
 //!   input less the letters (see `admitted_under_budget`).
 //! * **`PanicOn`.** A run whose poison reaches the op ends in exactly one
 //!   `OperatorPanicked` and no completion.
+//! * **Stream faults** (`impatience_testkit::Faults`). Duplicates and far
+//!   stragglers are admitted or late by the late rule above. A regressed
+//!   punctuation ends the run in exactly one `PunctuationRegressed` and no
+//!   completion, whatever the plan and the budget (unless a poison ends it
+//!   first); unsharded and unbudgeted, what came before it is the oracle's
+//!   output for the messages before it. Extreme payloads fold as the
+//!   interpreter folds them, wrapping.
+//! * **Under a budget** the meter stays within it and never releases more
+//!   than it was charged, after every push and at rest.
 //!
 //! Failures shrink to fewer events, ops and settings and print their
 //! `IMPATIENCE_PROP_SEED`; `IMPATIENCE_PROP_CASES` sets the case count.
@@ -27,11 +36,12 @@
 use impatience_core::trace::{TraceClock, TraceConfig, TraceSink};
 use impatience_core::{
     hash_key, validate_ordered_stream, DeadLetter, DeadLetterReason, Event, EventBatch, LatePolicy,
-    MemoryMeter, MetricsRegistry, ShedPolicy, StreamError, StreamMessage, Timestamp,
+    MemoryMeter, MetricsRegistry, ShedPolicy, StreamError, StreamMessage, TickDuration, Timestamp,
 };
-use impatience_engine::{Observer, OpSpec, PipelineEnv, PipelineSpec, SortSpec, SorterChoice};
+use impatience_engine::{punctuate_arrivals, IngressPolicy, ReorderSpec, SorterChoice};
+use impatience_engine::{Observer, OpSpec, PipelineEnv, PipelineSpec, SortSpec};
 use impatience_engine::{OpSpec::*, TraceCtx};
-use impatience_testkit::{prop::check, props, SpecCase, SpecCases};
+use impatience_testkit::{prop::check, props, Faults, FaultsLaid, SpecCase, SpecCases};
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -325,12 +335,21 @@ fn run(case: &SpecCase, spec: &PipelineSpec, dir: Option<&Path>, input: &[Msg]) 
     let restored = built.ckpt.as_ref().and_then(|c| c.recovery());
     let restored = restored.map(|r| (r.messages_seen as usize, r.egress_events));
     let mut marks = Vec::new();
+    // Shards share the budget but each enforces it on its own state, on its
+    // own thread, so only the release count is held for them. The bucket
+    // sorter keeps the buckets a punctuation empties as spares, and no
+    // budget check follows a punctuation: it is bounded after batches.
+    let budget = case.budget.filter(|_| spec.shards == 1);
+    let bucket = spec.plan().sorter() != SorterChoice::Impatience;
     for m in &input[restored.map_or(0, |r| r.0)..] {
         built.handle.push(m.clone()).expect("push");
         marks.push(recorder.0.lock().unwrap().0.len());
+        let budget = budget.filter(|_| !(bucket && m.is_punctuation()));
+        assert!(within(&meter, budget), "after {m:?}");
     }
     let dead_letters = built.dead_letters.clone();
     drop(built);
+    assert!(within(&meter, budget), "at rest");
     let (msgs, errors) = std::mem::take(&mut *recorder.0.lock().unwrap());
     let mut letters = dead_letters.map(|q| q.drain()).unwrap_or_default();
     letters.sort_by_cached_key(|l| format!("{l:?}"));
@@ -344,11 +363,18 @@ fn run(case: &SpecCase, spec: &PipelineSpec, dir: Option<&Path>, input: &[Msg]) 
     }
 }
 
+/// The meter holds no more than `budget` and has never released more than
+/// it was charged.
+fn within(meter: &MemoryMeter, budget: Option<usize>) -> bool {
+    budget.is_none_or(|b| meter.current() <= b) && meter.over_releases() == 0
+}
+
 /// What the cases covered, for the floors the tests assert: `ops` by
 /// `OpSpec` variant in declaration order; cases with late events under
 /// `Drop` and `DeadLetter`; budgets that forced a cut, shed, spilled; the
 /// Impatience, bucket and external sorters seen sorting events; shard
-/// counts 1, 2, 4, 8; crashes restored from a checkpoint.
+/// counts 1, 2, 4, 8; crashes restored from a checkpoint; runs a poison
+/// ended typed.
 #[derive(Debug, Default)]
 struct Seen {
     cases: usize,
@@ -358,6 +384,56 @@ struct Seen {
     sorters: [usize; 3],
     shards: [usize; 4],
     restores: usize,
+    panicked: usize,
+    faults: FaultsSeen,
+}
+
+/// Cases that laid a stream fault, and by kind: duplicates in a batch and
+/// across a punctuation, stragglers, regressions refused (in all, in a
+/// hoisted plan, after a forced cut), extreme payloads through `Scale` and
+/// through `SumByKey`.
+#[derive(Debug, Default)]
+struct FaultsSeen {
+    faulted: usize,
+    duplicates: usize,
+    replays: usize,
+    stragglers: usize,
+    refused: usize,
+    refused_hoisted: usize,
+    refused_after_a_cut: usize,
+    extremes_scaled: usize,
+    extremes_summed: usize,
+}
+
+impl FaultsSeen {
+    /// Every kind seen, and at least 1 170 in 2 000 cases fault-bearing.
+    fn floor(&self, cases: usize) -> bool {
+        let kinds = [self.duplicates, self.replays, self.stragglers, self.refused];
+        let where_ = [self.refused_hoisted, self.refused_after_a_cut];
+        let extremes = [self.extremes_scaled, self.extremes_summed];
+        covers(&[&kinds, &where_, &extremes]) && self.faulted * 2_000 >= cases * 1_170
+    }
+}
+
+/// The regressed punctuation in `input`, if any: where it is, and the
+/// error that must end the run there.
+fn regression(input: &[Msg]) -> Option<(usize, StreamError)> {
+    let mut previous = Timestamp::MIN;
+    for (at, m) in input.iter().enumerate() {
+        if let StreamMessage::Punctuation(attempted) = *m {
+            if attempted < previous {
+                return Some((
+                    at,
+                    StreamError::PunctuationRegressed {
+                        previous,
+                        attempted,
+                    },
+                ));
+            }
+            previous = attempted;
+        }
+    }
+    None
 }
 
 /// The input less the letters, sorted stably by time. Each letter is an
@@ -422,6 +498,7 @@ fn check_cases(name: &str, floor: fn(&Seen) -> bool, prop: impl Fn(SpecCase, &mu
         seen.borrow_mut().cases += 1;
     });
     let seen = seen.into_inner();
+    eprintln!("{name}: {seen:?}");
     let replayed = std::env::var_os("IMPATIENCE_PROP_SEED").is_some();
     assert!(replayed || floor(&seen), "coverage: {seen:?}");
 }
@@ -430,57 +507,109 @@ fn covers(tallies: &[&[usize]]) -> bool {
     tallies.iter().all(|t| t.iter().all(|&n| n > 0))
 }
 
-/// The oracle: letters, output, and (where a poison is reached) the one
-/// typed panic.
+/// The oracle: letters, output, and (where a poison is reached or a
+/// punctuation regresses) the one typed error.
 #[test]
 fn generated_specs_match_the_oracle() {
-    let floor = |s: &Seen| covers(&[&s.ops, &s.late, &s.shards]);
-    check_cases("generated_specs_match_the_oracle", floor, |case, seen| {
-        let (spec, input, budget) = (&case.spec, case.messages(), case.budget.is_some());
-        let main = run(&case, spec, None, &input);
-        let (failed, (mut sorted, late)) = (!main.errors.is_empty(), sort_stage(&input));
-        match spec.sort.late {
-            _ if budget => sorted = admitted_under_budget(&case, &main),
-            LatePolicy::DeadLetter if failed => {}
-            LatePolicy::DeadLetter => {
-                let letter = |(event, watermark)| DeadLetter {
-                    event,
-                    reason: DeadLetterReason::Late { watermark },
-                };
-                let mut want: Vec<_> = late.iter().cloned().map(letter).collect();
-                want.sort_by_cached_key(|l| format!("{l:?}"));
-                assert_eq!(main.letters, want, "dead letters");
+    let floor =
+        |s: &Seen| covers(&[&s.ops, &s.late, &s.shards, &[s.panicked]]) && s.faults.floor(s.cases);
+    check_cases("generated_specs_match_the_oracle", floor, oracle);
+}
+
+/// Holds one case's run to the oracle and tallies what it covered.
+fn oracle(case: SpecCase, seen: &mut Seen) {
+    let (spec, (input, laid), budget) = (&case.spec, case.laid(), case.budget.is_some());
+    let main = run(&case, spec, None, &input);
+    // The oracle runs up to the regressed punctuation, if any.
+    let (at, refusal) = regression(&input).unzip();
+    let upto = &input[..at.unwrap_or(input.len())];
+    let (failed, (mut sorted, late)) = (!main.errors.is_empty(), sort_stage(upto));
+    let refused = refusal.is_some() && refusal.iter().eq(&main.errors);
+    let unsharded = spec.shards == 1;
+    match spec.sort.late {
+        _ if budget => sorted = admitted_under_budget(&case, &main),
+        LatePolicy::DeadLetter if failed && !(refused && unsharded) => {}
+        LatePolicy::DeadLetter => {
+            let letter = |(event, watermark)| DeadLetter {
+                event,
+                reason: DeadLetterReason::Late { watermark },
+            };
+            let mut want: Vec<_> = late.iter().cloned().map(letter).collect();
+            want.sort_by_cached_key(|l| format!("{l:?}"));
+            assert_eq!(main.letters, want, "dead letters");
+        }
+        _ => assert!(main.letters.is_empty()),
+    }
+    let ties = |items| ties(&case, items);
+    let flat = |items: &[Item]| events(items).into_iter().map(Item::E).collect::<Vec<_>>();
+    let (got, plan) = (items(&main.msgs), spec.plan());
+    let has = |variant: &str| {
+        spec.ops
+            .iter()
+            .any(|op| format!("{op:?}").starts_with(variant))
+    };
+    // A failed run's letters stop where it stopped: under a budget they
+    // do not say what it admitted, and only the typed error is checked.
+    match (
+        expected(spec, &sorted).filter(|_| !(failed && budget)),
+        refusal,
+    ) {
+        // Refused typed, or stopped first by a poison it reached.
+        (want, Some(refusal)) => {
+            assert!(!got.contains(&Item::Done), "a refused run completed");
+            match &main.errors[..] {
+                [e] if *e == refusal && unsharded && !budget => {
+                    let want = want.expect("a poison before the regression");
+                    assert_eq!(ties(got), ties(want), "plan {plan}")
+                }
+                [e] if *e == refusal => {}
+                [StreamError::OperatorPanicked { .. }] if has("PanicOn") => {
+                    assert!(!unsharded || budget || want.is_none(), "plan {plan}")
+                }
+                errors => panic!("not one {refusal:?}: {errors:?}"),
             }
-            _ => assert!(main.letters.is_empty()),
         }
-        let ties = |items| ties(&case, items);
-        let flat = |items: &[Item]| events(items).into_iter().map(Item::E).collect::<Vec<_>>();
-        let (got, plan) = (items(&main.msgs), spec.plan());
-        // A failed run's letters stop where it stopped: under a budget they
-        // do not say what it admitted, and only the typed panic is checked.
-        match expected(spec, &sorted).filter(|_| !(failed && budget)) {
-            None => {
-                let one_panic = matches!(main.errors[..], [StreamError::OperatorPanicked { .. }]);
-                assert!(one_panic, "one typed panic: {:?}", main.errors);
-                assert!(!got.contains(&Item::Done), "a failed run completed");
-            }
-            Some(_) if failed => panic!("{:?}", main.errors),
-            Some(want) if budget => assert_eq!(ties(flat(&got)), ties(flat(&want)), "plan {plan}"),
-            Some(want) => assert_eq!(ties(got), ties(want), "plan {plan}"),
+        (None, None) => {
+            let one_panic = matches!(main.errors[..], [StreamError::OperatorPanicked { .. }]);
+            assert!(one_panic, "one typed panic: {:?}", main.errors);
+            assert!(!got.contains(&Item::Done), "a failed run completed");
         }
-        if !failed {
-            validate_ordered_stream(&main.msgs).expect("an ordered stream");
+        (Some(_), None) if failed => panic!("{:?}", main.errors),
+        (Some(want), None) if budget => {
+            assert_eq!(ties(flat(&got)), ties(flat(&want)), "plan {plan}")
         }
-        let variants = ["Fil", "Sca", "Tum", "Sum", "Top", "Pan"];
-        for op in spec.ops.iter().map(|op| format!("{op:?}")) {
-            let at = variants.iter().position(|v| op.starts_with(v));
-            seen.ops[at.expect("a variant")] += 1;
-        }
-        if !late.is_empty() {
-            seen.late[usize::from(spec.sort.late == LatePolicy::DeadLetter)] += 1;
-        }
-        seen.shards[spec.shards.trailing_zeros() as usize] += 1;
-    });
+        (Some(want), None) => assert_eq!(ties(got), ties(want), "plan {plan}"),
+    }
+    if !failed {
+        validate_ordered_stream(&main.msgs).expect("an ordered stream");
+    }
+    let variants = ["Fil", "Sca", "Tum", "Sum", "Top", "Pan"];
+    for op in spec.ops.iter().map(|op| format!("{op:?}")) {
+        let at = variants.iter().position(|v| op.starts_with(v));
+        seen.ops[at.expect("a variant")] += 1;
+    }
+    if !late.is_empty() {
+        seen.late[usize::from(spec.sort.late == LatePolicy::DeadLetter)] += 1;
+    }
+    seen.shards[spec.shards.trailing_zeros() as usize] += 1;
+    let typed_panic = |e: &StreamError| matches!(e, StreamError::OperatorPanicked { .. });
+    seen.panicked += usize::from(main.errors.iter().any(typed_panic));
+    let cut = main.stat(spec, "sort", "forced_punctuations") > 0;
+    let f = &mut seen.faults;
+    let counts = [
+        (&mut f.faulted, laid.any()),
+        (&mut f.duplicates, laid.duplicates > 0),
+        (&mut f.replays, laid.replays > 0),
+        (&mut f.stragglers, laid.stragglers > 0),
+        (&mut f.refused, refused),
+        (&mut f.refused_hoisted, refused && plan.hoisted() > 0),
+        (&mut f.refused_after_a_cut, refused && cut),
+        (&mut f.extremes_scaled, laid.extremes > 0 && has("Scale")),
+        (&mut f.extremes_summed, laid.extremes > 0 && has("SumByKey")),
+    ];
+    for (count, hit) in counts {
+        *count += usize::from(hit);
+    }
 }
 
 /// The sorter that ran, read from its gauges and counters, is
@@ -537,6 +666,13 @@ fn crash_restore_and_replay_is_the_uninterrupted_run() {
     let floor = |s: &Seen| s.restores * 20 >= s.cases;
     let name = "crash_restore_and_replay_is_the_uninterrupted_run";
     check_cases(name, floor, |case, seen| {
+        // A failed run has no replay to compare, and a regressed
+        // punctuation fails it: the relation holds on the other faults.
+        let faults = Faults {
+            regression: false,
+            ..case.faults
+        };
+        let case = SpecCase { faults, ..case };
         let (spec, input) = (&case.spec, case.messages());
         if spec.checkpoint.is_none() || case.budget.is_some() {
             return;
@@ -633,4 +769,213 @@ fn a_cut_that_flushes_nothing_leaves_the_sorter_open() {
     let (msgs, errors) = std::mem::take(&mut *recorder.0.lock().unwrap());
     assert_eq!(errors, vec![]);
     assert_eq!(msgs.last(), Some(&StreamMessage::Completed));
+}
+
+/// Shrunk from a generated case: under a budget, forced cuts run the
+/// sort's watermark ahead of the input's punctuations, yet a punctuation
+/// below the last input punctuation is a regression, refused typed as it
+/// is without a budget and in a hoisted plan, not swallowed as stale.
+#[test]
+fn a_regression_after_a_forced_cut_is_refused() {
+    let meter = MemoryMeter::with_budget(1_024);
+    let spec = PipelineSpec::new("gen").with_sort(SortSpec {
+        late: LatePolicy::DeadLetter,
+        shed: ShedPolicy::ForcePunctuation,
+        dead_letter_capacity: Some(16),
+        spill: false,
+    });
+    let recorder = Recorder::default();
+    let env = PipelineEnv::new().with_meter(&meter);
+    let built = spec
+        .build(&env, Box::new(recorder.clone()))
+        .expect("builds");
+    let batch = |ts: &[i64]| {
+        StreamMessage::batch(
+            ts.iter()
+                .map(|&t| Event::keyed(Timestamp::new(t), 0, t))
+                .collect(),
+        )
+    };
+    let punct = |t| StreamMessage::Punctuation(Timestamp::new(t));
+    let input = [
+        batch(&[0, 10, 20, 30]),
+        batch(&[40, 50, 60, 70]),
+        batch(&[80, 90]),
+        punct(26),
+        batch(&[100, 110, 120, 130]),
+        batch(&[140, 150, 160]),
+        punct(20),
+        StreamMessage::Completed,
+    ];
+    for m in input {
+        built.handle.push(m).expect("push");
+    }
+    let (msgs, errors) = std::mem::take(&mut *recorder.0.lock().unwrap());
+    let cut = |m: &Msg| matches!(m, StreamMessage::Punctuation(t) if t.ticks() > 26);
+    assert!(msgs.iter().any(cut), "a forced cut ran ahead: {msgs:?}");
+    let (previous, attempted) = (Timestamp::new(26), Timestamp::new(20));
+    assert_eq!(
+        errors,
+        vec![StreamError::PunctuationRegressed {
+            previous,
+            attempted
+        }]
+    );
+    assert!(
+        !msgs.contains(&StreamMessage::Completed),
+        "a refused run completed"
+    );
+}
+
+/// A hand-made case: `n` events over `keys` keys, every fifth 20 ticks
+/// late, punctuated every 8 at a reorder latency of 16, in batches of 4.
+fn named_case(spec: PipelineSpec, n: i64, keys: u32, faults: Faults) -> SpecCase {
+    let ingress = IngressPolicy {
+        punctuation_frequency: 8,
+        reorder_latency: TickDuration::ticks(16),
+        batch_size: 4,
+    };
+    let at = |i: i64| Timestamp::new(1_000 + 3 * i - 20 * i64::from(i % 5 == 0));
+    let arrivals = (0..n)
+        .map(|i| Event::keyed(at(i), i as u32 % keys, i % 50))
+        .collect();
+    let latency = ingress.reorder_latency;
+    SpecCase {
+        spec: spec.with_reorder(ReorderSpec::Fixed { latency }),
+        arrivals,
+        ingress,
+        budget: None,
+        crash_permille: 0,
+        faults,
+    }
+}
+
+/// `named_case` held to the generated cases' oracle: what it laid and
+/// what it covered.
+fn held(case: SpecCase) -> (FaultsLaid, Seen) {
+    let (laid, mut seen) = (case.laid().1, Seen::default());
+    oracle(case, &mut seen);
+    (laid, seen)
+}
+
+fn dead_letters(shed: ShedPolicy) -> SortSpec {
+    SortSpec {
+        late: LatePolicy::DeadLetter,
+        shed,
+        dead_letter_capacity: Some(1 << 16),
+        spill: false,
+    }
+}
+
+/// No faults lay nothing; the same faults lay the same messages.
+#[test]
+fn the_fault_draw_is_seeded_and_none_lays_nothing() {
+    let plain = named_case(PipelineSpec::new("gen"), 200, 3, Faults::default());
+    let punctuated = punctuate_arrivals(plain.arrivals.clone(), &plain.ingress);
+    assert_eq!(plain.laid(), (punctuated, FaultsLaid::default()));
+    let faults = Faults {
+        seed: 11,
+        duplicates: true,
+        stragglers: true,
+        regression: true,
+        extremes: true,
+    };
+    let faulty = SpecCase { faults, ..plain };
+    let (msgs, laid) = faulty.laid();
+    assert!(
+        laid.duplicates + laid.replays > 0 && laid.regressions == 1,
+        "{laid:?}"
+    );
+    assert!(laid.stragglers > 0 && laid.extremes > 0, "{laid:?}");
+    assert_eq!(faulty.laid(), (msgs, laid), "the same seed");
+}
+
+/// A window and its sum hoisted below the sort, whose gate judges input
+/// punctuations: a regressed one ends the run in one typed error.
+#[test]
+fn a_regression_in_a_hoisted_plan_is_refused_typed() {
+    let spec = PipelineSpec::new("gen")
+        .with_sort(dead_letters(ShedPolicy::ForcePunctuation))
+        .with_op(TumblingWindow {
+            size: TickDuration::ticks(16),
+        })
+        .with_op(SumByKey);
+    assert!(spec.plan().hoisted() > 0, "{}", spec.plan());
+    let faults = Faults {
+        seed: 3,
+        regression: true,
+        ..Faults::default()
+    };
+    let (laid, seen) = held(named_case(spec, 200, 3, faults));
+    assert_eq!(laid.regressions, 1);
+    assert_eq!(seen.faults.refused_hoisted, 1, "{seen:?}");
+}
+
+/// `i64::MIN`, `i64::MAX` and their neighbours, scaled and summed per key
+/// and window, wrap exactly as the interpreter wraps them.
+#[test]
+fn extreme_payloads_wrap_through_scale_and_sum_by_key() {
+    let spec = PipelineSpec::new("gen")
+        .with_op(Scale { factor: 3 })
+        .with_op(TumblingWindow {
+            size: TickDuration::ticks(16),
+        })
+        .with_op(SumByKey);
+    let faults = Faults {
+        seed: 5,
+        extremes: true,
+        ..Faults::default()
+    };
+    let (laid, seen) = held(named_case(spec, 300, 2, faults));
+    assert!(laid.extremes > 0);
+    let extremes = (seen.faults.extremes_scaled, seen.faults.extremes_summed);
+    assert_eq!(extremes, (1, 1), "{seen:?}");
+}
+
+/// A poison on one of four shards, among duplicates and stragglers: the
+/// whole run ends in exactly one typed panic and no completion.
+#[test]
+fn a_poisoned_shard_ends_the_run_in_one_typed_panic() {
+    let spec = PipelineSpec::new("gen")
+        .with_hardened(true)
+        .with_shards(4)
+        .with_op(PanicOn { value: 37 });
+    let faults = Faults {
+        seed: 9,
+        duplicates: true,
+        stragglers: true,
+        ..Faults::default()
+    };
+    let (laid, seen) = held(named_case(spec, 200, 16, faults));
+    assert!(laid.duplicates + laid.replays > 0 && laid.stragglers > 0);
+    assert_eq!(seen.panicked, 1, "{seen:?}");
+}
+
+/// Duplicates and stragglers under a budget small enough to force cuts:
+/// the meter stays within it and is never released more than charged
+/// (`run` checks both after every push and at rest), and the output is the
+/// admitted events.
+#[test]
+fn a_budgeted_run_under_faults_stays_within_its_budget() {
+    let spec = PipelineSpec::new("gen")
+        .with_instrument(true)
+        .with_sort(dead_letters(ShedPolicy::ForcePunctuation));
+    let faults = Faults {
+        seed: 13,
+        duplicates: true,
+        stragglers: true,
+        ..Faults::default()
+    };
+    let case = SpecCase {
+        budget: Some(256),
+        ..named_case(spec, 300, 3, faults)
+    };
+    let main = run(&case, &case.spec, None, &case.messages());
+    assert!(
+        main.stat(&case.spec, "sort", "forced_punctuations") > 0,
+        "no cut"
+    );
+    let (laid, seen) = held(case);
+    assert!(laid.duplicates + laid.replays > 0 && laid.stragglers > 0);
+    assert_eq!((seen.panicked, seen.faults.refused), (0, 0), "{seen:?}");
 }
