@@ -659,6 +659,14 @@ impl<P: Payload, S: Observer<Q>, Q: Payload> Observer<P> for SortOp<P, S, Q> {
             self.next.on_batch(EventBatch::from_events(out));
         }
         self.next.on_punctuation(t);
+        if self.meter.over_budget() {
+            // Capacity the sorter keeps for reuse goes before anything
+            // buffered does; only then does the shed policy run.
+            self.sorter.release_idle();
+            self.sync_meter();
+            self.sync_gauges();
+            self.enforce_budget();
+        }
     }
 
     fn on_completed(&mut self) {

@@ -21,8 +21,8 @@
 use crate::error::ServeError;
 use crate::tenant::{Released, TenantConfig};
 use crate::wire::{
-    read_server_frame, write_client_frame, ClientFrame, ClientMsg, ServerMsg, WireMode,
-    BINARY_MAGIC,
+    read_server_frame, write_client_frame, write_client_msg, ClientFrame, ClientMsg, ServerMsg,
+    WireMode, BINARY_MAGIC,
 };
 use impatience_core::{Event, Json, Timestamp};
 use std::collections::VecDeque;
@@ -103,12 +103,7 @@ impl Client {
         } else {
             0
         };
-        let frame = ClientFrame {
-            seq,
-            ack: self.processed,
-            msg: msg.clone(),
-        };
-        write_client_frame(&mut self.writer, self.mode, &frame)?;
+        write_client_msg(&mut self.writer, self.mode, seq, self.processed, msg)?;
         loop {
             match read_server_frame(&mut self.reader, self.mode)? {
                 Some(reply) => {
@@ -435,22 +430,33 @@ impl SessionClient {
         // Resend the whole unacked window in order: the server answers
         // the already-applied prefix from its reply cache and applies
         // only the fresh suffix.
-        let pending: Vec<ClientFrame> = self.window.iter().cloned().collect();
-        for mut frame in pending {
+        let pending: Vec<u64> = self.window.iter().map(|f| f.seq).collect();
+        for seq in pending {
+            let (writer, _) = self.conn.as_mut().ok_or_else(not_connected)?;
+            let Some(frame) = self.window.iter_mut().find(|f| f.seq == seq) else {
+                continue;
+            };
             frame.ack = self.processed;
             self.stats.resends += 1;
-            self.write_frame(&frame)?;
+            write_client_frame(writer, self.mode, frame)?;
             self.read_one_reply()?;
         }
         Ok(())
     }
 
     fn write_frame(&mut self, frame: &ClientFrame) -> Result<(), ServeError> {
-        let (writer, _) = self.conn.as_mut().ok_or_else(|| ServeError::Session {
-            detail: "not connected".to_string(),
-            retryable: true,
-        })?;
+        let (writer, _) = self.conn.as_mut().ok_or_else(not_connected)?;
         write_client_frame(writer, self.mode, frame)
+    }
+
+    /// Writes the window's frame `seq` as the window holds it, if it is
+    /// still there.
+    fn write_window_frame(&mut self, seq: u64) -> Result<(), ServeError> {
+        let (writer, _) = self.conn.as_mut().ok_or_else(not_connected)?;
+        match self.window.iter().find(|f| f.seq == seq) {
+            Some(frame) => write_client_frame(writer, self.mode, frame),
+            None => Ok(()),
+        }
     }
 
     /// One raw request/reply on the live connection (open handshake).
@@ -478,10 +484,7 @@ impl SessionClient {
     /// duplicates. Server errors surface as `Err`.
     fn read_one_reply(&mut self) -> Result<(), ServeError> {
         loop {
-            let (_, reader) = self.conn.as_mut().ok_or_else(|| ServeError::Session {
-                detail: "not connected".to_string(),
-                retryable: true,
-            })?;
+            let (_, reader) = self.conn.as_mut().ok_or_else(not_connected)?;
             let reply = match read_server_frame(reader, self.mode) {
                 Ok(Some(r)) => r,
                 Ok(None) => {
@@ -535,21 +538,23 @@ impl SessionClient {
     /// Submits one sequenced message, retrying through connection
     /// failures; blocks only when the send window is full.
     fn submit(&mut self, msg: ClientMsg) -> Result<(), ServeError> {
-        let frame = ClientFrame {
-            seq: self.next_seq,
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        // The window holds the one copy of the frame, and it is written
+        // from there.
+        self.window.push_back(ClientFrame {
+            seq,
             ack: self.processed,
             msg,
-        };
-        self.next_seq += 1;
-        self.window.push_back(frame.clone());
+        });
         let mut cycles = 0u32;
         loop {
             let step = (|me: &mut Self| -> Result<(), ServeError> {
                 me.ensure_connected()?;
                 // The frame may already have been delivered by the
                 // window resend inside a reconnect.
-                if me.window.iter().any(|f| f.seq == frame.seq) && me.processed < frame.seq {
-                    me.write_frame(&frame)?;
+                if me.processed < seq {
+                    me.write_window_frame(seq)?;
                 }
                 while me.window.len() >= me.window_cap {
                     me.read_one_reply()?;
@@ -647,6 +652,13 @@ impl SessionClient {
                 detail: format!("expected pong({nonce}), got {other:?}"),
             }),
         }
+    }
+}
+
+fn not_connected() -> ServeError {
+    ServeError::Session {
+        detail: "not connected".to_string(),
+        retryable: true,
     }
 }
 

@@ -511,7 +511,14 @@ fn session_loop(
             Err(_) => return ConnEnd::Disconnect,
         };
         let (reply, evict) = handle_frame(frame, session, shared);
-        if write_server_frame(writer, mode, &reply).is_err() {
+        let reply = match &reply {
+            Reply::Built(frame) => frame,
+            Reply::Cached(seq) => session
+                .as_ref()
+                .and_then(|s| s.cached_reply(*seq))
+                .expect("the reply cache holds the reply it was just handed"),
+        };
+        if write_server_frame(writer, mode, reply).is_err() {
             return ConnEnd::Disconnect;
         }
         if evict {
@@ -613,6 +620,15 @@ fn out_msg(released: Released) -> ServerMsg {
     }
 }
 
+/// What answers a client frame.
+enum Reply {
+    /// A reply built for this frame alone.
+    Built(ServerFrame),
+    /// The session's cached reply to sequence `seq`: written from the
+    /// cache, which holds the one copy.
+    Cached(u64),
+}
+
 /// Applies one client frame to the session, mapping every failure —
 /// including a panic that escapes an unhardened tenant pipeline — to an
 /// error frame scoped to this connection. Returns the reply and whether
@@ -621,7 +637,7 @@ fn handle_frame(
     frame: ClientFrame,
     session: &mut Option<SessionState>,
     shared: &Shared,
-) -> (ServerFrame, bool) {
+) -> (Reply, bool) {
     let ClientFrame { seq, ack, msg } = frame;
 
     // The ack horizon frees cached replies regardless of what follows —
@@ -635,60 +651,53 @@ fn handle_frame(
     // Heartbeats are envelope-level: no session required, never cached.
     if let ClientMsg::Ping { nonce } = msg {
         shared.session_counters.heartbeats.inc();
-        return (ServerFrame::unsequenced(ServerMsg::Pong { nonce }), false);
+        let pong = ServerFrame::unsequenced(ServerMsg::Pong { nonce });
+        return (Reply::Built(pong), false);
     }
 
     // Sequenced requests get exactly-once treatment: an already-applied
     // sequence is answered from the cache (a retry) or dropped as a
     // duplicate; only `applied + 1` reaches the pipeline; a gap is a
     // typed session error.
+    let built = |msg| Reply::Built(ServerFrame { seq, msg });
     if seq > 0 && msg.is_sequenced() {
         let Some(s) = session.as_mut() else {
             return (
-                ServerFrame {
-                    seq,
-                    msg: ServerMsg::Error {
-                        error: ServeError::Protocol {
-                            detail: "no tenant open on this connection (send \"open\" first)"
-                                .to_string(),
-                        },
+                built(ServerMsg::Error {
+                    error: ServeError::Protocol {
+                        detail: "no tenant open on this connection (send \"open\" first)"
+                            .to_string(),
                     },
-                },
+                }),
                 false,
             );
         };
         let applied = s.applied_seq();
         if seq <= applied {
-            if let Some(cached) = s.cached_reply(seq) {
+            if s.cached_reply(seq).is_some() {
                 shared.session_counters.retries.inc();
-                return (cached.clone(), false);
+                return (Reply::Cached(seq), false);
             }
             // Applied and acked (or pre-resume): nothing to re-deliver.
             shared.session_counters.duplicates_dropped.inc();
             let completed = s.runtime.is_completed();
             return (
-                ServerFrame {
-                    seq,
-                    msg: ServerMsg::Out {
-                        batch: vec![],
-                        puncts: vec![],
-                        completed,
-                    },
-                },
+                built(ServerMsg::Out {
+                    batch: vec![],
+                    puncts: vec![],
+                    completed,
+                }),
                 false,
             );
         }
         if seq > applied + 1 {
             return (
-                ServerFrame {
-                    seq,
-                    msg: ServerMsg::Error {
-                        error: ServeError::Session {
-                            detail: format!("sequence gap: got {seq}, expected {}", applied + 1),
-                            retryable: false,
-                        },
+                built(ServerMsg::Error {
+                    error: ServeError::Session {
+                        detail: format!("sequence gap: got {seq}, expected {}", applied + 1),
+                        retryable: false,
                     },
-                },
+                }),
                 false,
             );
         }
@@ -699,31 +708,29 @@ fn handle_frame(
             seq,
             msg: dispatch(msg, session, shared),
         };
-        if let Some(s) = session.as_mut() {
-            s.cache_reply(reply.clone());
-            if s.reply_bytes() > shared.reply_cache_bytes {
-                shared.session_counters.slow_client_evictions.inc();
-                let tenant = s.runtime.name().to_string();
-                let buffered = s.reply_bytes() as u64;
-                *session = None;
-                return (
-                    ServerFrame {
-                        seq,
-                        msg: ServerMsg::Error {
-                            error: ServeError::SlowConsumer { tenant, buffered },
-                        },
-                    },
-                    true,
-                );
-            }
+        // A failure that evicted the tenant leaves no cache to hold it.
+        let Some(s) = session.as_mut() else {
+            return (Reply::Built(reply), false);
+        };
+        s.cache_reply(reply);
+        if s.reply_bytes() > shared.reply_cache_bytes {
+            shared.session_counters.slow_client_evictions.inc();
+            let tenant = s.runtime.name().to_string();
+            let buffered = s.reply_bytes() as u64;
+            *session = None;
+            return (
+                built(ServerMsg::Error {
+                    error: ServeError::SlowConsumer { tenant, buffered },
+                }),
+                true,
+            );
         }
-        return (reply, false);
+        return (Reply::Cached(seq), false);
     }
 
     // Unsequenced path: opens, metrics, and legacy lockstep clients
     // that never stamp sequences (they forgo retry dedup).
-    let msg = dispatch(msg, session, shared);
-    (ServerFrame { seq, msg }, false)
+    (built(dispatch(msg, session, shared)), false)
 }
 
 /// Applies one request, already past sequence dedup, mapping every

@@ -622,6 +622,10 @@ impl TenantRuntime {
         let mut released = Released::default();
         for msg in self.out.take_messages() {
             match msg {
+                // The first batch moves in whole; later ones append.
+                StreamMessage::Batch(b) if released.events.is_empty() => {
+                    released.events = b.into_visible();
+                }
                 StreamMessage::Batch(b) => released.events.extend(b.into_visible()),
                 StreamMessage::Punctuation(t) => released.puncts.push(t),
                 StreamMessage::Completed => released.completed = true,

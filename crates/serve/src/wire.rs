@@ -33,7 +33,7 @@
 
 use crate::error::ServeError;
 use impatience_core::{json, Event, Json, Timestamp};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Connection magic opening a binary-framed session.
 pub const BINARY_MAGIC: &[u8; 4] = b"IMPB";
@@ -466,14 +466,60 @@ impl ServerFrame {
 
 // ---- binary event codec -------------------------------------------------
 
-fn encode_events_raw(out: &mut Vec<u8>, batch: &[Event<i64>]) {
-    out.extend_from_slice(&(batch.len() as u32).to_le_bytes());
-    for e in batch {
-        out.extend_from_slice(&e.sync_time.ticks().to_le_bytes());
-        out.extend_from_slice(&e.other_time.ticks().to_le_bytes());
-        out.extend_from_slice(&e.key.to_le_bytes());
-        out.extend_from_slice(&e.payload.to_le_bytes());
+/// Bytes of one binary event record: `sync | other | key | payload`,
+/// little-endian — the bytes `StateCodec for Event<i64>` writes, so a
+/// batch on the wire reads like a batch in the WAL.
+const RECORD: usize = 28;
+
+/// Bytes of an event frame staged before each write: a frame goes out in
+/// slices this size, each still in cache when it is written, so no copy
+/// of a whole batch is ever built in wire form.
+const STAGE_BYTES: usize = 64 << 10;
+
+/// Appends every event as one fixed-stride record, into room made once.
+fn encode_records(out: &mut Vec<u8>, batch: &[Event<i64>]) {
+    let start = out.len();
+    out.resize(start + RECORD * batch.len(), 0);
+    for (record, e) in out[start..].chunks_exact_mut(RECORD).zip(batch) {
+        record[..8].copy_from_slice(&e.sync_time.ticks().to_le_bytes());
+        record[8..16].copy_from_slice(&e.other_time.ticks().to_le_bytes());
+        record[16..20].copy_from_slice(&e.key.to_le_bytes());
+        record[20..].copy_from_slice(&e.payload.to_le_bytes());
     }
+}
+
+/// Writes one binary event frame: the length prefix, `head` (tag and
+/// envelope), the batch's count and records, then `tail`, staging at most
+/// about [`STAGE_BYTES`] at a time.
+fn write_events_frame(
+    w: &mut impl Write,
+    head: &[u8],
+    batch: &[Event<i64>],
+    tail: &[u8],
+) -> Result<(), ServeError> {
+    let len = head.len() + 4 + RECORD * batch.len() + tail.len();
+    let mut stage = Vec::with_capacity((4 + len).min(STAGE_BYTES + 64));
+    stage.extend_from_slice(&(len as u32).to_le_bytes());
+    stage.extend_from_slice(head);
+    stage.extend_from_slice(&(batch.len() as u32).to_le_bytes());
+    let io = |e| ServeError::io("write frame", e);
+    for slice in batch.chunks(STAGE_BYTES / RECORD) {
+        encode_records(&mut stage, slice);
+        if stage.len() >= STAGE_BYTES {
+            w.write_all(&stage).map_err(io)?;
+            stage.clear();
+        }
+    }
+    stage.extend_from_slice(tail);
+    w.write_all(&stage).and_then(|_| w.flush()).map_err(io)
+}
+
+fn decode_record(record: &[u8]) -> Event<i64> {
+    let word = |at: usize| i64::from_le_bytes(record[at..at + 8].try_into().expect("8 bytes"));
+    let key = u32::from_le_bytes(record[16..20].try_into().expect("4 bytes"));
+    let mut e = Event::keyed(Timestamp::new(word(0)), key, word(20));
+    e.other_time = Timestamp::new(word(8));
+    e
 }
 
 struct RawReader<'a> {
@@ -483,15 +529,22 @@ struct RawReader<'a> {
 
 impl<'a> RawReader<'a> {
     fn take<const N: usize>(&mut self) -> Result<[u8; N], ServeError> {
-        let end = self.at + N;
-        let slice = self
-            .buf
-            .get(self.at..end)
+        Ok(self.records(1, N)?.try_into().expect("length checked"))
+    }
+
+    /// The next `count` records of `stride` bytes, checked against the
+    /// frame once.
+    fn records(&mut self, count: usize, stride: usize) -> Result<&'a [u8], ServeError> {
+        let end = count
+            .checked_mul(stride)
+            .and_then(|bytes| bytes.checked_add(self.at))
+            .filter(|end| *end <= self.buf.len())
             .ok_or_else(|| ServeError::Protocol {
                 detail: "binary frame truncated".to_string(),
             })?;
+        let records = &self.buf[self.at..end];
         self.at = end;
-        Ok(slice.try_into().expect("length checked"))
+        Ok(records)
     }
 
     fn u32(&mut self) -> Result<u32, ServeError> {
@@ -502,28 +555,331 @@ impl<'a> RawReader<'a> {
         Ok(u64::from_le_bytes(self.take::<8>()?))
     }
 
-    fn i64(&mut self) -> Result<i64, ServeError> {
-        Ok(i64::from_le_bytes(self.take::<8>()?))
-    }
-
     fn events(&mut self) -> Result<Vec<Event<i64>>, ServeError> {
         let n = self.u32()? as usize;
-        if n.saturating_mul(28) > self.buf.len() {
-            return Err(ServeError::Protocol {
-                detail: "binary batch count exceeds frame".to_string(),
-            });
+        let records = self.records(n, RECORD).map_err(|_| ServeError::Protocol {
+            detail: "binary batch count exceeds frame".to_string(),
+        })?;
+        Ok(records.chunks_exact(RECORD).map(decode_record).collect())
+    }
+
+    fn timestamps(&mut self) -> Result<Vec<Timestamp>, ServeError> {
+        let n = self.u32()? as usize;
+        let words = self.records(n, 8)?.chunks_exact(8);
+        Ok(words
+            .map(|w| Timestamp::new(i64::from_le_bytes(w.try_into().expect("8 bytes"))))
+            .collect())
+    }
+}
+
+// ---- NDJSON event frames ------------------------------------------------
+//
+// `events` and `out` frames carry the bulk of an NDJSON session, so they
+// skip the `Json` tree: the writer prints exactly what
+// `to_json().to_string()` prints, and the scanner reads exactly that shape
+// back. Any other spelling of the same frame — another key order,
+// whitespace, the 3-field point form, a number out of range — makes the
+// scanner give up, and the line goes through `core::json` instead.
+
+/// Most bytes one event takes in a batch: `[`, four integers of at most
+/// 20 characters, three commas, `]` and the separating comma.
+const TEXT_EVENT_MAX: usize = 4 * 20 + 5;
+
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends `n` in decimal, two digits per step.
+fn push_u64(out: &mut Vec<u8>, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + n as u8;
+    }
+    out.extend_from_slice(&buf[at..]);
+}
+
+fn push_i64(out: &mut Vec<u8>, n: i64) {
+    if n < 0 {
+        out.push(b'-');
+    }
+    push_u64(out, n.unsigned_abs());
+}
+
+/// `[[sync,other,key,payload],...]`, as [`events_to_json`] prints it.
+fn push_events(out: &mut Vec<u8>, batch: &[Event<i64>]) {
+    out.reserve(2 + TEXT_EVENT_MAX * batch.len());
+    out.push(b'[');
+    for (i, e) in batch.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
         }
-        let mut batch = Vec::with_capacity(n);
-        for _ in 0..n {
-            let sync = self.i64()?;
-            let other = self.i64()?;
-            let key = self.u32()?;
-            let payload = self.i64()?;
+        out.push(b'[');
+        push_i64(out, e.sync_time.ticks());
+        out.push(b',');
+        push_i64(out, e.other_time.ticks());
+        out.push(b',');
+        push_u64(out, u64::from(e.key));
+        out.push(b',');
+        push_i64(out, e.payload);
+        out.push(b']');
+    }
+    out.push(b']');
+}
+
+/// The nonzero envelope fields, as [`with_envelope`] appends them.
+fn push_envelope(out: &mut Vec<u8>, seq: u64, ack: u64) {
+    if seq != 0 {
+        out.extend_from_slice(b",\"seq\":");
+        push_u64(out, seq);
+    }
+    if ack != 0 {
+        out.extend_from_slice(b",\"ack\":");
+        push_u64(out, ack);
+    }
+}
+
+/// The line of an `events` frame.
+fn events_line(seq: u64, ack: u64, batch: &[Event<i64>]) -> Vec<u8> {
+    let mut line = Vec::new();
+    line.extend_from_slice(b"{\"type\":\"events\",\"batch\":");
+    push_events(&mut line, batch);
+    push_envelope(&mut line, seq, ack);
+    line.extend_from_slice(b"}\n");
+    line
+}
+
+/// The line of an `out` frame.
+fn out_line(seq: u64, batch: &[Event<i64>], puncts: &[Timestamp], completed: bool) -> Vec<u8> {
+    let mut line = Vec::with_capacity(64 + 21 * puncts.len());
+    line.extend_from_slice(b"{\"type\":\"out\",\"batch\":");
+    push_events(&mut line, batch);
+    line.extend_from_slice(b",\"puncts\":[");
+    for (i, t) in puncts.iter().enumerate() {
+        if i > 0 {
+            line.push(b',');
+        }
+        push_i64(&mut line, t.ticks());
+    }
+    line.extend_from_slice(if completed {
+        b"],\"completed\":true"
+    } else {
+        b"],\"completed\":false"
+    });
+    push_envelope(&mut line, seq, 0);
+    line.extend_from_slice(b"}\n");
+    line
+}
+
+/// A cursor over one frame's text that accepts only the writer's shape;
+/// every method answers `None` at the first byte that deviates.
+struct Scan<'a> {
+    text: &'a [u8],
+    at: usize,
+}
+
+impl Scan<'_> {
+    fn literal(&mut self, word: &[u8]) -> Option<()> {
+        self.text[self.at..]
+            .starts_with(word)
+            .then(|| self.at += word.len())
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.get(self.at).copied()
+    }
+
+    /// An integer in `i64`, in at most 19 digits (so the sum cannot
+    /// overflow); anything longer goes to the generic parser.
+    fn int(&mut self) -> Option<i64> {
+        let negative = self.peek() == Some(b'-');
+        self.at += usize::from(negative);
+        let start = self.at;
+        let mut n = 0u64;
+        while let Some(d) = self
+            .peek()
+            .map(|b| b.wrapping_sub(b'0'))
+            .filter(|d| *d < 10)
+        {
+            if self.at - start == 19 {
+                return None;
+            }
+            n = n * 10 + u64::from(d);
+            self.at += 1;
+        }
+        match (self.at == start, negative) {
+            (true, _) => None,
+            (false, false) => i64::try_from(n).ok(),
+            (false, true) => (n <= 1 << 63).then(|| (n as i64).wrapping_neg()),
+        }
+    }
+
+    /// A non-negative envelope field after its `,"name":`, or 0 when the
+    /// field is absent.
+    fn envelope(&mut self, field: &[u8]) -> Option<u64> {
+        if self.literal(field).is_none() {
+            return Some(0);
+        }
+        self.int().and_then(|n| u64::try_from(n).ok())
+    }
+
+    /// `[[sync,other,key,payload],...]`.
+    fn events(&mut self) -> Option<Vec<Event<i64>>> {
+        self.literal(b"[")?;
+        // Each event closes one bracket and takes at least ten bytes, so
+        // both bound the count: room for the batch is made once, and never
+        // more than a few times the line. The brackets are tallied in byte
+        // lanes, 255 bytes at a time, so the count runs vectorised, and it
+        // stops at the line's end.
+        let rest = &self.text[self.at..];
+        let mut closes = 0;
+        for chunk in rest.chunks(255) {
+            closes += chunk.iter().fold(0u8, |n, b| n + u8::from(*b == b']')) as usize;
+            if chunk.contains(&b'\n') {
+                break;
+            }
+        }
+        let mut batch = Vec::with_capacity(closes.min(rest.len() / 10 + 1));
+        if self.peek() == Some(b']') {
+            self.at += 1;
+            return Some(batch);
+        }
+        loop {
+            self.literal(b"[")?;
+            let sync = self.int()?;
+            self.literal(b",")?;
+            let other = self.int()?;
+            self.literal(b",")?;
+            let key = u32::try_from(self.int()?).ok()?;
+            self.literal(b",")?;
+            let payload = self.int()?;
+            self.literal(b"]")?;
             let mut e = Event::keyed(Timestamp::new(sync), key, payload);
             e.other_time = Timestamp::new(other);
             batch.push(e);
+            match self.peek()? {
+                b',' => self.at += 1,
+                b']' => {
+                    self.at += 1;
+                    return Some(batch);
+                }
+                _ => return None,
+            }
         }
-        Ok(batch)
+    }
+
+    /// `[t,...]`.
+    fn timestamps(&mut self) -> Option<Vec<Timestamp>> {
+        self.literal(b"[")?;
+        let mut puncts = Vec::new();
+        if self.peek() == Some(b']') {
+            self.at += 1;
+            return Some(puncts);
+        }
+        loop {
+            puncts.push(Timestamp::new(self.int()?));
+            match self.peek()? {
+                b',' => self.at += 1,
+                b']' => {
+                    self.at += 1;
+                    return Some(puncts);
+                }
+                _ => return None,
+            }
+        }
+    }
+
+    /// The closing brace; where the frame ends.
+    fn end(&mut self) -> Option<usize> {
+        self.literal(b"}")?;
+        Some(self.at)
+    }
+}
+
+/// An `events` frame in exactly the shape [`events_line`] writes, at the
+/// start of `text`, and where it ends.
+fn scan_events_frame(text: &[u8]) -> Option<(ClientFrame, usize)> {
+    let mut scan = Scan { text, at: 0 };
+    scan.literal(b"{\"type\":\"events\",\"batch\":")?;
+    let batch = scan.events()?;
+    let seq = scan.envelope(b",\"seq\":")?;
+    let ack = scan.envelope(b",\"ack\":")?;
+    let end = scan.end()?;
+    let msg = ClientMsg::Events { batch };
+    Some((ClientFrame { seq, ack, msg }, end))
+}
+
+/// An `out` frame in exactly the shape [`out_line`] writes, at the start
+/// of `text`, and where it ends.
+fn scan_out_frame(text: &[u8]) -> Option<(ServerFrame, usize)> {
+    let mut scan = Scan { text, at: 0 };
+    scan.literal(b"{\"type\":\"out\",\"batch\":")?;
+    let batch = scan.events()?;
+    scan.literal(b",\"puncts\":")?;
+    let puncts = scan.timestamps()?;
+    scan.literal(b",\"completed\":")?;
+    let completed = if scan.literal(b"true").is_some() {
+        true
+    } else {
+        scan.literal(b"false")?;
+        false
+    };
+    let seq = scan.envelope(b",\"seq\":")?;
+    let end = scan.end()?;
+    let msg = ServerMsg::Out {
+        batch,
+        puncts,
+        completed,
+    };
+    Some((ServerFrame { seq, msg }, end))
+}
+
+/// A frame the scanner reads straight out of `r`'s buffer: a whole line
+/// in the writer's shape, which is then consumed. `None` leaves the
+/// buffer as it was, for [`read_line`] and the generic parse.
+fn scan_buffered<T>(
+    r: &mut impl BufRead,
+    scan: fn(&[u8]) -> Option<(T, usize)>,
+) -> Result<Option<T>, ServeError> {
+    let buf = match r.fill_buf() {
+        Ok(buf) => buf,
+        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => return Ok(None),
+        Err(e) => return Err(ServeError::io("read frame", e)),
+    };
+    let line = scan(buf).filter(|(_, end)| buf.get(*end) == Some(&b'\n'));
+    Ok(line.map(|(frame, end)| {
+        r.consume(end + 1);
+        frame
+    }))
+}
+
+/// A client frame's JSON text: the scanner's shape, else the generic parse.
+fn client_frame_of_text(text: &str) -> Result<ClientFrame, ServeError> {
+    match scan_events_frame(text.as_bytes()) {
+        Some((frame, end)) if end == text.len() => Ok(frame),
+        _ => ClientFrame::from_json(&json_of_line(text)?),
+    }
+}
+
+/// A server frame's JSON text: the scanner's shape, else the generic parse.
+fn server_frame_of_text(text: &str) -> Result<ServerFrame, ServeError> {
+    match scan_out_frame(text.as_bytes()) {
+        Some((frame, end)) if end == text.len() => Ok(frame),
+        _ => ServerFrame::from_json(&json_of_line(text)?),
     }
 }
 
@@ -538,40 +894,24 @@ fn json_of_line(line: &str) -> Result<Json, ServeError> {
 fn write_ndjson(w: &mut impl Write, v: &Json) -> Result<(), ServeError> {
     let mut line = v.to_string();
     line.push('\n');
-    w.write_all(line.as_bytes())
+    write_whole(w, line.as_bytes())
+}
+
+/// Writes one whole frame at once, then flushes.
+fn write_whole(w: &mut impl Write, frame: &[u8]) -> Result<(), ServeError> {
+    w.write_all(frame)
         .and_then(|_| w.flush())
         .map_err(|e| ServeError::io("write frame", e))
 }
 
-/// A binary frame under construction: room for the 4-byte length prefix,
-/// then capacity for a payload of `payload_bytes`.
-fn binary_frame(payload_bytes: usize) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(4 + payload_bytes);
-    frame.extend_from_slice(&[0; 4]);
-    frame
-}
-
-/// Bytes [`encode_events_raw`] appends for `n` events.
-fn raw_events_bytes(n: usize) -> usize {
-    4 + 28 * n
-}
-
-/// Patches the length prefix of a [`binary_frame`] and writes it once.
-fn write_binary(w: &mut impl Write, mut frame: Vec<u8>) -> Result<(), ServeError> {
-    let len = (frame.len() - 4) as u32;
-    frame[..4].copy_from_slice(&len.to_le_bytes());
-    w.write_all(&frame)
-        .and_then(|_| w.flush())
-        .map_err(|e| ServeError::io("write frame", e))
-}
-
-/// A control message as a binary frame: tag `J`, then its JSON text.
-fn json_frame(v: &Json) -> Vec<u8> {
+/// Writes a control message as a binary frame: tag `J`, then its JSON text.
+fn write_json_frame(w: &mut impl Write, v: &Json) -> Result<(), ServeError> {
     let text = v.to_string();
-    let mut frame = binary_frame(1 + text.len());
+    let mut frame = Vec::with_capacity(5 + text.len());
+    frame.extend_from_slice(&(1 + text.len() as u32).to_le_bytes());
     frame.push(b'J');
     frame.extend_from_slice(text.as_bytes());
-    frame
+    write_whole(w, &frame)
 }
 
 fn read_binary_payload(r: &mut impl BufRead) -> Result<Option<Vec<u8>>, ServeError> {
@@ -599,18 +939,18 @@ fn read_binary_payload(r: &mut impl BufRead) -> Result<Option<Vec<u8>>, ServeErr
             detail: format!("frame length {len} out of range"),
         });
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload).map_err(|e| {
+    // Filled straight into spare capacity: the payload is never zeroed.
+    let mut payload = Vec::with_capacity(len);
+    r.take(len as u64)
+        .read_to_end(&mut payload)
+        .map_err(|e| ServeError::io("read frame payload", e))?;
+    if payload.len() < len {
         // EOF inside a declared payload is a protocol violation by the
-        // peer (mid-frame hangup); anything else is transport trouble.
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            ServeError::Protocol {
-                detail: format!("mid-frame EOF: frame declared {len} payload bytes"),
-            }
-        } else {
-            ServeError::io("read frame payload", e)
-        }
-    })?;
+        // peer (mid-frame hangup), not transport trouble.
+        return Err(ServeError::Protocol {
+            detail: format!("mid-frame EOF: frame declared {len} payload bytes"),
+        });
+    }
     Ok(Some(payload))
 }
 
@@ -620,22 +960,55 @@ pub fn write_client_frame(
     mode: WireMode,
     frame: &ClientFrame,
 ) -> Result<(), ServeError> {
-    match mode {
-        WireMode::Ndjson => write_ndjson(w, &frame.to_json()),
-        WireMode::Binary => {
-            let buf = if let ClientMsg::Events { batch } = &frame.msg {
-                let mut buf = binary_frame(1 + 16 + raw_events_bytes(batch.len()));
-                buf.push(b'E');
-                buf.extend_from_slice(&frame.seq.to_le_bytes());
-                buf.extend_from_slice(&frame.ack.to_le_bytes());
-                encode_events_raw(&mut buf, batch);
-                buf
-            } else {
-                json_frame(&frame.to_json())
-            };
-            write_binary(w, buf)
+    write_client_msg(w, mode, frame.seq, frame.ack, &frame.msg)
+}
+
+/// Writes `msg` inside the envelope `seq`, `ack` — the frame
+/// [`write_client_frame`] writes, without a frame that owns the message.
+pub(crate) fn write_client_msg(
+    w: &mut impl Write,
+    mode: WireMode,
+    seq: u64,
+    ack: u64,
+    msg: &ClientMsg,
+) -> Result<(), ServeError> {
+    match (mode, msg) {
+        (WireMode::Ndjson, ClientMsg::Events { batch }) => {
+            write_whole(w, &events_line(seq, ack, batch))
+        }
+        (WireMode::Ndjson, msg) => write_ndjson(w, &with_envelope(msg.to_json(), seq, ack)),
+        (WireMode::Binary, ClientMsg::Events { batch }) => {
+            let mut head = [b'E'; 17];
+            head[1..9].copy_from_slice(&seq.to_le_bytes());
+            head[9..].copy_from_slice(&ack.to_le_bytes());
+            write_events_frame(w, &head, batch, &[])
+        }
+        (WireMode::Binary, msg) => write_json_frame(w, &with_envelope(msg.to_json(), seq, ack)),
+    }
+}
+
+/// Reads one NDJSON line, skipping blank ones; `None` at end of stream.
+fn read_line(r: &mut impl BufRead) -> Result<Option<String>, ServeError> {
+    let mut line = String::new();
+    loop {
+        line.clear();
+        let n = r
+            .read_line(&mut line)
+            .map_err(|e| ServeError::io("read frame", e))?;
+        if n == 0 {
+            return Ok(None);
+        }
+        if !line.trim().is_empty() {
+            return Ok(Some(line));
         }
     }
+}
+
+/// The JSON text of a binary `J` frame.
+fn control_text(payload: &[u8]) -> Result<&str, ServeError> {
+    std::str::from_utf8(&payload[1..]).map_err(|_| ServeError::Protocol {
+        detail: "control frame is not UTF-8".to_string(),
+    })
 }
 
 /// Reads one client frame; `Ok(None)` is a clean end of stream.
@@ -645,17 +1018,13 @@ pub fn read_client_frame(
 ) -> Result<Option<ClientFrame>, ServeError> {
     match mode {
         WireMode::Ndjson => {
-            let mut line = String::new();
-            let n = r
-                .read_line(&mut line)
-                .map_err(|e| ServeError::io("read frame", e))?;
-            if n == 0 {
-                return Ok(None);
+            if let Some(frame) = scan_buffered(r, scan_events_frame)? {
+                return Ok(Some(frame));
             }
-            if line.trim().is_empty() {
-                return read_client_frame(r, mode);
+            match read_line(r)? {
+                Some(line) => client_frame_of_text(line.trim()).map(Some),
+                None => Ok(None),
             }
-            ClientFrame::from_json(&json_of_line(line.trim())?).map(Some)
         }
         WireMode::Binary => {
             let Some(payload) = read_binary_payload(r)? else {
@@ -677,13 +1046,7 @@ pub fn read_client_frame(
                         },
                     }))
                 }
-                Some(b'J') => {
-                    let text =
-                        std::str::from_utf8(&payload[1..]).map_err(|_| ServeError::Protocol {
-                            detail: "control frame is not UTF-8".to_string(),
-                        })?;
-                    ClientFrame::from_json(&json_of_line(text)?).map(Some)
-                }
+                Some(b'J') => client_frame_of_text(control_text(&payload)?).map(Some),
                 tag => Err(ServeError::Protocol {
                     detail: format!("unknown client frame tag {tag:?}"),
                 }),
@@ -698,31 +1061,35 @@ pub fn write_server_frame(
     mode: WireMode,
     frame: &ServerFrame,
 ) -> Result<(), ServeError> {
-    match mode {
-        WireMode::Ndjson => write_ndjson(w, &frame.to_json()),
-        WireMode::Binary => {
-            let buf = if let ServerMsg::Out {
+    match (mode, &frame.msg) {
+        (
+            WireMode::Ndjson,
+            ServerMsg::Out {
                 batch,
                 puncts,
                 completed,
-            } = &frame.msg
-            {
-                let mut buf =
-                    binary_frame(1 + 8 + raw_events_bytes(batch.len()) + 4 + 8 * puncts.len() + 1);
-                buf.push(b'O');
-                buf.extend_from_slice(&frame.seq.to_le_bytes());
-                encode_events_raw(&mut buf, batch);
-                buf.extend_from_slice(&(puncts.len() as u32).to_le_bytes());
-                for t in puncts {
-                    buf.extend_from_slice(&t.ticks().to_le_bytes());
-                }
-                buf.push(u8::from(*completed));
-                buf
-            } else {
-                json_frame(&frame.to_json())
-            };
-            write_binary(w, buf)
+            },
+        ) => write_whole(w, &out_line(frame.seq, batch, puncts, *completed)),
+        (WireMode::Ndjson, _) => write_ndjson(w, &frame.to_json()),
+        (
+            WireMode::Binary,
+            ServerMsg::Out {
+                batch,
+                puncts,
+                completed,
+            },
+        ) => {
+            let mut head = [b'O'; 9];
+            head[1..].copy_from_slice(&frame.seq.to_le_bytes());
+            let mut tail = Vec::with_capacity(4 + 8 * puncts.len() + 1);
+            tail.extend_from_slice(&(puncts.len() as u32).to_le_bytes());
+            for t in puncts {
+                tail.extend_from_slice(&t.ticks().to_le_bytes());
+            }
+            tail.push(u8::from(*completed));
+            write_events_frame(w, &head, batch, &tail)
         }
+        (WireMode::Binary, _) => write_json_frame(w, &frame.to_json()),
     }
 }
 
@@ -733,17 +1100,13 @@ pub fn read_server_frame(
 ) -> Result<Option<ServerFrame>, ServeError> {
     match mode {
         WireMode::Ndjson => {
-            let mut line = String::new();
-            let n = r
-                .read_line(&mut line)
-                .map_err(|e| ServeError::io("read frame", e))?;
-            if n == 0 {
-                return Ok(None);
+            if let Some(frame) = scan_buffered(r, scan_out_frame)? {
+                return Ok(Some(frame));
             }
-            if line.trim().is_empty() {
-                return read_server_frame(r, mode);
+            match read_line(r)? {
+                Some(line) => server_frame_of_text(line.trim()).map(Some),
+                None => Ok(None),
             }
-            ServerFrame::from_json(&json_of_line(line.trim())?).map(Some)
         }
         WireMode::Binary => {
             let Some(payload) = read_binary_payload(r)? else {
@@ -757,11 +1120,7 @@ pub fn read_server_frame(
                     };
                     let seq = raw.u64()?;
                     let batch = raw.events()?;
-                    let n = raw.u32()? as usize;
-                    let mut puncts = Vec::with_capacity(n.min(1024));
-                    for _ in 0..n {
-                        puncts.push(Timestamp::new(raw.i64()?));
-                    }
+                    let puncts = raw.timestamps()?;
                     let completed = raw.take::<1>()?[0] != 0;
                     Ok(Some(ServerFrame {
                         seq,
@@ -772,13 +1131,7 @@ pub fn read_server_frame(
                         },
                     }))
                 }
-                Some(b'J') => {
-                    let text =
-                        std::str::from_utf8(&payload[1..]).map_err(|_| ServeError::Protocol {
-                            detail: "control frame is not UTF-8".to_string(),
-                        })?;
-                    ServerFrame::from_json(&json_of_line(text)?).map(Some)
-                }
+                Some(b'J') => server_frame_of_text(control_text(&payload)?).map(Some),
                 tag => Err(ServeError::Protocol {
                     detail: format!("unknown server frame tag {tag:?}"),
                 }),

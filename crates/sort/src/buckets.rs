@@ -24,7 +24,9 @@
 //!   and keeps the emptied ones as spares for the times the next batch
 //!   opens. Unused spares go at the next punctuation, and one that drains
 //!   the grid — a forced cut always does — frees everything. State bytes
-//!   count spares: they are held memory.
+//!   count spares: they are held memory, and
+//!   [`OnlineSorter::release_idle`] drops them when a punctuation leaves
+//!   the stage over its budget.
 //!
 //! Budget shedding and spilling keep the [`OnlineSorter`] defaults (shed
 //! nothing, spill nothing): the grid has no run structure to shed from.
@@ -225,6 +227,11 @@ where
 
     fn buffered_len(&self) -> usize {
         self.len
+    }
+
+    /// The spares go: they are the grid's only capacity without items.
+    fn release_idle(&mut self) {
+        self.spares = Vec::new();
     }
 
     fn state_bytes(&self) -> usize {

@@ -103,6 +103,13 @@ pub trait OnlineSorter<T: EventTimed, O = T>: Send {
         None
     }
 
+    /// Drops capacity held for reuse that holds no item, so that
+    /// [`state_bytes`](OnlineSorter::state_bytes) counts only what is
+    /// buffered. The engine's sorting stage calls it first when it is over
+    /// its memory budget after a punctuation, before any rung of its shed
+    /// policy. The default holds no such capacity and does nothing.
+    fn release_idle(&mut self) {}
+
     /// Garbage-collects spill files that are provably unreferenced by every
     /// retained checkpoint generation. The engine forwards its
     /// checkpoint-committed notification here; deletion must be deferred to

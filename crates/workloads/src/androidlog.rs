@@ -13,7 +13,7 @@
 //!   granularity — the mirror image of CloudLog).
 
 use crate::dataset::Dataset;
-use crate::rand_util::{exponential, log_normal};
+use crate::rand_util::{exponential, log_normal, ordered_bits};
 use impatience_core::{Event, Timestamp};
 use impatience_testkit::rng::{Rng, SeedableRng, StdRng};
 
@@ -70,16 +70,31 @@ pub fn generate_androidlog(cfg: &AndroidLogConfig) -> Dataset {
     let per_device = cfg.events / cfg.devices;
     let remainder = cfg.events % cfg.devices;
 
-    // (upload_time, device, within-upload sequence, event)
-    let mut staged: Vec<(i64, u32, u32, Event<impatience_core::EvalPayload>)> =
-        Vec::with_capacity(cfg.events);
+    // Arrival order is (upload_time, device, within-upload sequence),
+    // generation order breaking what ties remain: by upload time; within
+    // one upload, device order is preserved (the batch arrives as one
+    // ordered blob). The four pack into one 16-byte key that sorts the
+    // same way — upload time in the high word; device, sequence and
+    // generation index in the low one, each in as few bits as its range
+    // needs — so the sort moves keys, not events.
+    let width = |max: usize| usize::BITS - max.leading_zeros();
+    let index_bits = width(cfg.events);
+    let seq_bits = width(per_device + 1);
+    let device_bits = width(cfg.devices);
+    assert!(
+        index_bits + seq_bits + device_bits <= 64,
+        "AndroidLog's arrival key needs {} bits of device, sequence and index",
+        index_bits + seq_bits + device_bits
+    );
+    let mut generated: Vec<Event<impatience_core::EvalPayload>> = Vec::with_capacity(cfg.events);
+    let mut order: Vec<u128> = Vec::with_capacity(cfg.events);
 
     for dev in 0..cfg.devices {
         let n = per_device + usize::from(dev < remainder);
         // Devices start phase-shifted so their timelines interleave.
         let mut t = rng.gen_range(0.0..cfg.event_gap * 10.0);
         let mut next_upload = t + log_normal(&mut rng, cfg.upload_median, cfg.upload_sigma);
-        let mut seq_in_upload = 0u32;
+        let mut seq_in_upload = 0u64;
         for i in 0..n {
             t += exponential(&mut rng, cfg.event_gap);
             if t > next_upload {
@@ -91,21 +106,24 @@ pub fn generate_androidlog(cfg: &AndroidLogConfig) -> Dataset {
                 seq_in_upload = 0;
             }
             let payload = [dev as u32, i as u32, rng.gen(), rng.gen()];
-            staged.push((
-                next_upload as i64,
-                dev as u32,
-                seq_in_upload,
-                Event::keyed(Timestamp::new(t as i64), dev as u32, payload),
-            ));
+            let low = (dev as u64) << (seq_bits + index_bits)
+                | seq_in_upload << index_bits
+                | generated.len() as u64;
+            order.push(u128::from(ordered_bits(next_upload as i64)) << 64 | u128::from(low));
+            generated.push(Event::keyed(Timestamp::new(t as i64), dev as u32, payload));
             seq_in_upload += 1;
         }
     }
-    // Arrival order: by upload time; within one upload, device order is
-    // preserved (the batch arrives as one ordered blob).
-    staged.sort_by_key(|&(up, dev, seq, _)| (up, dev, seq));
+    // Every key is distinct (it holds its index), so the unstable sort
+    // gives the one order there is.
+    order.sort_unstable();
+    let index_mask = (1u64 << index_bits) - 1;
     Dataset {
         name: "AndroidLog".into(),
-        events: staged.into_iter().map(|(_, _, _, e)| e).collect(),
+        events: order
+            .iter()
+            .map(|key| generated[(*key as u64 & index_mask) as usize])
+            .collect(),
     }
 }
 

@@ -18,7 +18,7 @@
 //! event times at one event per tick overall.
 
 use crate::dataset::Dataset;
-use crate::rand_util::{exponential, normal};
+use crate::rand_util::{exponential, normal, ordered_bits};
 use impatience_core::{Event, Timestamp};
 use impatience_testkit::rng::{Rng, SeedableRng, StdRng};
 
@@ -128,11 +128,18 @@ pub fn generate_cloudlog(cfg: &CloudLogConfig) -> Dataset {
         }
     }
 
-    // (arrival_time, tiebreak, seq, event) — events landing on the same
-    // arrival tick are delivered in arbitrary order (random tiebreak), as
-    // a real collector would see them; seq keeps generation deterministic.
-    let mut staged: Vec<(i64, u32, usize, Event<impatience_core::EvalPayload>)> =
-        Vec::with_capacity(cfg.events);
+    // Arrival order is (arrival_time, tiebreak, seq): events landing on
+    // the same arrival tick are delivered in arbitrary order (random
+    // tiebreak), as a real collector would see them; seq keeps generation
+    // deterministic. The three pack into one 16-byte key that sorts the
+    // same way, and seq is the event's index, so the sort moves keys, not
+    // events.
+    assert!(
+        u32::try_from(cfg.events).is_ok(),
+        "CloudLog numbers its events in u32"
+    );
+    let mut generated: Vec<Event<impatience_core::EvalPayload>> = Vec::with_capacity(cfg.events);
+    let mut order: Vec<u128> = Vec::with_capacity(cfg.events);
     let mut burst_idx = 0usize;
     for i in 0..cfg.events {
         while burst_idx < bursts.len() && i >= bursts[burst_idx].1 {
@@ -161,17 +168,23 @@ pub fn generate_cloudlog(cfg: &CloudLogConfig) -> Dataset {
                 event_time + cfg.burst_delay + exponential(&mut rng, cfg.burst_rejitter) as i64;
         }
         let payload = [server as u32, i as u32, rng.gen(), rng.gen()];
-        staged.push((
-            arrival,
-            rng.gen(),
-            i,
-            Event::keyed(Timestamp::new(event_time), server as u32, payload),
+        let tie: u32 = rng.gen();
+        order.push(u128::from(ordered_bits(arrival)) << 64 | u128::from(tie) << 32 | i as u128);
+        generated.push(Event::keyed(
+            Timestamp::new(event_time),
+            server as u32,
+            payload,
         ));
     }
-    staged.sort_by_key(|&(arrival, tie, seq, _)| (arrival, tie, seq));
+    // Every key is distinct (it holds its index), so the unstable sort
+    // gives the one order there is.
+    order.sort_unstable();
     Dataset {
         name: "CloudLog".into(),
-        events: staged.into_iter().map(|(_, _, _, e)| e).collect(),
+        events: order
+            .iter()
+            .map(|key| generated[*key as u32 as usize])
+            .collect(),
     }
 }
 

@@ -78,7 +78,8 @@ echo "== spec differential (generated specs and streams against one oracle) =="
 # watermark, one regressed punctuation and payloads at both ends of i64
 # over the messages, and every run must end in the oracle's output or one
 # typed error, a regression refused typed in every plan and under every
-# budget, a budgeted meter within its budget after every push. The
+# budget, a budgeted meter within its budget after every push, a
+# punctuation into a bucket sort included. The
 # oracle test asserts and prints a floor per fault kind (a regression in
 # a hoisted plan, one after a forced cut, extremes through Scale and
 # SumByKey) and that at least 1 170 of the 2 000 cases bear a fault.
@@ -239,6 +240,25 @@ cargo test -q --offline -p impatience-serve --lib -- \
 # end in a typed error frame or a clean close within a bounded window —
 # never a hang or panic — while a healthy tenant streams unperturbed on
 # the same server.
+
+echo "== wire codecs (fixed-stride binary records, NDJSON event frames without a tree) =="
+# The served path's event-frame codecs, held to their generic forms: a
+# binary batch decodes to itself; the NDJSON writer prints exactly what
+# to_json().to_string() prints; and the NDJSON scanner agrees with
+# core::json plus from_json on canonical frames, on perturbed ones (key
+# order, whitespace, the 3-field point form, keys outside u32,
+# non-integers, cut and corrupted lines) and on the wire fuzzer's attacks
+# (the seed tests/wire_fuzz.rs throws). The golden frames, the truncation
+# table and tests/batch_copies.rs (a counting allocator pins the
+# batch-sized blocks of one served request) run whole above.
+# 2 000 cases per property, release, timed.
+start=$(date +%s)
+IMPATIENCE_PROP_CASES=2000 cargo test --release -q --offline -p impatience-serve --test wire_codec -- \
+    binary_event_frames_round_trip \
+    ndjson_event_lines_print_the_json_tree \
+    ndjson_scanner_agrees_with_the_generic_parser \
+    ndjson_scanner_agrees_on_the_fuzzers_attacks
+echo "wire codecs: 2000 cases per property in $(( $(date +%s) - start ))s"
 
 # A gate on a ratio of two timings taken inside one process survives host
 # drift without a recorded history, but a load spike can still push one

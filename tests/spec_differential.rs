@@ -336,15 +336,11 @@ fn run(case: &SpecCase, spec: &PipelineSpec, dir: Option<&Path>, input: &[Msg]) 
     let restored = restored.map(|r| (r.messages_seen as usize, r.egress_events));
     let mut marks = Vec::new();
     // Shards share the budget but each enforces it on its own state, on its
-    // own thread, so only the release count is held for them. The bucket
-    // sorter keeps the buckets a punctuation empties as spares, and no
-    // budget check follows a punctuation: it is bounded after batches.
+    // own thread, so only the release count is held for them.
     let budget = case.budget.filter(|_| spec.shards == 1);
-    let bucket = spec.plan().sorter() != SorterChoice::Impatience;
     for m in &input[restored.map_or(0, |r| r.0)..] {
         built.handle.push(m.clone()).expect("push");
         marks.push(recorder.0.lock().unwrap().0.len());
-        let budget = budget.filter(|_| !(bucket && m.is_punctuation()));
         assert!(within(&meter, budget), "after {m:?}");
     }
     let dead_letters = built.dead_letters.clone();
