@@ -467,8 +467,8 @@ impatience_testkit::props! {
     }
 }
 
-/// Lines read one after another off one stream agree with the generic
-/// path line by line: whichever path reads a line consumes exactly it.
+/// Lines read one after another off one stream by `read_*_frame` agree
+/// with the generic path line by line.
 fn assert_agrees_in_sequence(lines: &[String]) {
     let lines: Vec<&String> = lines
         .iter()
