@@ -11,7 +11,7 @@
 //! throughput while using ~27–29× less memory than MaxLatency.
 //! (AndroidLog): advanced ≈ 1.9–2.2× basic, ~1.9× less memory.
 
-use impatience_bench::{assert_speedup, BenchArgs, Method, Query, Row, Table};
+use impatience_bench::{check_speedup, BenchArgs, Method, Query, Row, Table};
 use impatience_core::{format_bytes, TickDuration};
 use impatience_workloads::{
     generate_androidlog, generate_cloudlog, AndroidLogConfig, CloudLogConfig, Dataset,
@@ -122,28 +122,26 @@ fn main() {
         };
         println!("shape checks ({}):", setup.ds.name);
         for (qi, q) in Query::all().iter().enumerate() {
-            assert_speedup(
+            check_speedup(
                 &format!("{} advanced vs basic throughput", q.name()),
                 adv[qi].0,
                 basic[qi].0,
                 tp_factor,
-                args.check,
             );
-            assert_speedup(
+            check_speedup(
                 &format!("{} advanced memory saving vs basic", q.name()),
                 basic[qi].1 as f64,
                 adv[qi].1 as f64,
                 mem_basic_factor,
-                args.check,
             );
-            assert_speedup(
+            check_speedup(
                 &format!("{} advanced memory saving vs MaxLatency", q.name()),
                 maxl[qi].1 as f64,
                 adv[qi].1 as f64,
                 mem_max_factor,
-                args.check,
             );
         }
         println!();
     }
+    args.finish();
 }

@@ -7,7 +7,7 @@
 //! never recovering; Impatience periodically cleans out burst-created runs
 //! and returns to a low, steady level.
 
-use impatience_bench::{BenchArgs, Row, Table};
+use impatience_bench::{check_shape, BenchArgs, Row, Table};
 use impatience_core::{EventTimed, TickDuration, Timestamp};
 use impatience_sort::{ImpatienceSorter, OnlineSorter, RunSet};
 use impatience_workloads::{generate_cloudlog, CloudLogConfig};
@@ -90,18 +90,14 @@ fn main() {
     let imp_recovered = second_half.iter().map(|&(_, _, i)| i).min().unwrap();
     let imp_peak = series.iter().map(|&(_, _, i)| i).max().unwrap();
     println!("shape checks:");
-    println!(
-        "  Patience run count monotone nondecreasing ... {}",
-        if monotone { "ok" } else { "FAILED" }
-    );
+    check_shape("Patience run count monotone nondecreasing", monotone);
     let recovers = imp_recovered * 3 <= p_final.max(1) || imp_recovered * 2 <= imp_peak;
-    println!(
-        "  Impatience recovers after bursts (dips to {imp_recovered}, peak {imp_peak}, \
-         Patience ends at {p_final}) ... {}",
-        if recovers { "ok" } else { "FAILED" }
+    check_shape(
+        &format!(
+            "Impatience recovers after bursts (dips to {imp_recovered}, peak {imp_peak}, \
+             Patience ends at {p_final})"
+        ),
+        recovers,
     );
-    if args.check {
-        assert!(monotone);
-        assert!(recovers, "cleanup effect missing");
-    }
+    args.finish();
 }

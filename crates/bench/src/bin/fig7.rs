@@ -15,7 +15,7 @@
 //! grows as disorder shrinks; Heapsort is flat and worst.
 
 use impatience_bench::{
-    assert_speedup, offline_sorter_names, run_offline_sorter, BenchArgs, Row, Table,
+    check_shape, check_speedup, offline_sorter_names, run_offline_sorter, BenchArgs, Row, Table,
 };
 use impatience_core::{EvalPayload, Event};
 use impatience_workloads::{
@@ -72,37 +72,33 @@ fn main() {
     for (col, d) in real.iter().enumerate() {
         let imp = tp_real[0][col];
         let best_other = tp_real[3..].iter().map(|r| r[col]).fold(f64::MIN, f64::max);
-        assert_speedup(
+        check_speedup(
             &format!("Impatience within 2.5x of best on {}", d.name),
             imp,
             best_other,
             0.4,
-            args.check,
         );
-        assert_speedup(
+        check_speedup(
             &format!("Impatience vs Heapsort on {}", d.name),
             imp,
             tp_real[5][col],
             1.0,
-            args.check,
         );
     }
     // HM and SRS must each help (≤30% / ≤15% in the paper); the gate
     // tolerates the sandbox's timing noise.
     for (col, d) in real.iter().enumerate() {
-        assert_speedup(
+        check_speedup(
             &format!("Huffman merge helps on {}", d.name),
             tp_real[0][col],
             tp_real[1][col],
             0.9,
-            args.check,
         );
-        assert_speedup(
+        check_speedup(
             &format!("SRS helps on {}", d.name),
             tp_real[1][col],
             tp_real[2][col],
             0.9,
-            args.check,
         );
     }
     drop(real);
@@ -140,29 +136,22 @@ fn main() {
     // Shape: Impatience is adaptive — its throughput must not degrade as
     // disorder shrinks, and it must stay ahead of the non-adaptive
     // Heapsort at the lowest disorder.
-    assert_speedup(
+    check_speedup(
         "Impatience at d=4 vs d=1024 (adaptivity)",
         tp_b[0][4],
         tp_b[0][0],
         0.95,
-        args.check,
     );
-    assert_speedup(
-        "Impatience vs Heapsort at d=4",
-        tp_b[0][4],
-        tp_b[5][4],
-        1.0,
-        args.check,
-    );
+    check_speedup("Impatience vs Heapsort at d=4", tp_b[0][4], tp_b[5][4], 1.0);
     // Heapsort is roughly flat: max/min within 3x while Impatience's
     // throughput grows as disorder shrinks.
     let heap = &tp_b[5];
     let flat =
         heap.iter().fold(f64::MIN, |a, &b| a.max(b)) / heap.iter().fold(f64::MAX, |a, &b| a.min(b));
-    println!("  [shape] Heapsort flatness ratio {flat:.2} (expect < 3)");
-    if args.check {
-        assert!(flat < 3.0);
-    }
+    check_shape(
+        &format!("[shape] Heapsort flatness ratio {flat:.2} (expect < 3)"),
+        flat < 3.0,
+    );
 
     // ---------------- Fig 7(c): varying percentage of disorder --------------
     let percents = [1.0, 0.30, 0.10, 0.03, 0.01];
@@ -198,11 +187,6 @@ fn main() {
     }
     t7c.print();
     // Shape: Impatience's own throughput rises as disorder falls.
-    assert_speedup(
-        "Impatience at p=1% vs p=100%",
-        tp_c[0][4],
-        tp_c[0][0],
-        1.2,
-        args.check,
-    );
+    check_speedup("Impatience at p=1% vs p=100%", tp_c[0][4], tp_c[0][0], 1.2);
+    args.finish();
 }

@@ -12,7 +12,7 @@
 //! punctuation; Impatience's throughput depends only on punctuation
 //! frequency, not buffered volume.
 
-use impatience_bench::{assert_speedup, drive_online_sorter, BenchArgs, Row, Table};
+use impatience_bench::{check_speedup, drive_online_sorter, BenchArgs, Row, Table};
 use impatience_core::{EvalPayload, Event, TickDuration};
 use impatience_sort::online_sorter_by_name;
 use impatience_workloads::{
@@ -79,7 +79,7 @@ fn run_dataset(
     all
 }
 
-fn check_impatience_wins(label: &str, tp: &[Vec<f64>], min_factor: f64, args: &BenchArgs) {
+fn check_impatience_wins(label: &str, tp: &[Vec<f64>], min_factor: f64) {
     // At every punctuation frequency where sorting is actually incremental,
     // Impatience ≥ min_factor × best competitor (paper: ≥1.3× across the
     // board). The last column at full dataset size is a single punctuation
@@ -90,12 +90,11 @@ fn check_impatience_wins(label: &str, tp: &[Vec<f64>], min_factor: f64, args: &B
         let best_other = tp[1..].iter().map(|r| r[c]).fold(f64::MIN, f64::max);
         worst_ratio = worst_ratio.min(tp[0][c] / best_other);
     }
-    assert_speedup(
+    check_speedup(
         &format!("{label}: min Impatience/best-competitor ratio"),
         worst_ratio,
         1.0,
         min_factor,
-        args.check,
     );
 }
 
@@ -110,14 +109,13 @@ fn main() {
     // At the highest frequencies (one punctuation ≈ offline sorting) a
     // galloping cut-buffer Timsort reaches parity on this small-buffer
     // workload; everywhere buffering matters Impatience must win.
-    check_impatience_wins("Fig 8(a) synthetic", &tp, 0.8, &args);
+    check_impatience_wins("Fig 8(a) synthetic", &tp, 0.8);
     let best_other_mid = tp[1..].iter().map(|r| r[2]).fold(f64::MIN, f64::max);
-    assert_speedup(
+    check_speedup(
         "Fig 8(a): Impatience vs best competitor @freq=1000",
         tp[0][2],
         best_other_mid,
         1.2,
-        args.check,
     );
     drop(synth);
 
@@ -129,28 +127,27 @@ fn main() {
     let span_ticks = (args.events / 8) as i64;
     let cloud_latency = TickDuration::ticks(80_000.min(span_ticks / 2).max(1));
     let tp = run_dataset(&cloud, cloud_latency, &args, "Fig 8(b)");
-    check_impatience_wins("Fig 8(b) CloudLog", &tp, 1.0, &args);
+    check_impatience_wins("Fig 8(b) CloudLog", &tp, 1.0);
     // The flagship shape: with a large buffered volume (generous latency),
     // the gap at high punctuation frequency is large.
     let best_other_hi = tp[1..].iter().map(|r| r[1]).fold(f64::MIN, f64::max);
-    assert_speedup(
+    check_speedup(
         "Fig 8(b): Impatience vs best competitor @freq=100",
         tp[0][1],
         best_other_hi,
         1.3,
-        args.check,
     );
     drop(cloud);
 
     let android = generate_androidlog(&AndroidLogConfig::sized(args.events));
     let tp = run_dataset(&android, TickDuration::days(1), &args, "Fig 8(c)");
-    check_impatience_wins("Fig 8(c) AndroidLog", &tp, 0.8, &args);
+    check_impatience_wins("Fig 8(c) AndroidLog", &tp, 0.8);
     let best_other_hi = tp[1..].iter().map(|r| r[1]).fold(f64::MIN, f64::max);
-    assert_speedup(
+    check_speedup(
         "Fig 8(c): Impatience vs best competitor @freq=100",
         tp[0][1],
         best_other_hi,
         1.3,
-        args.check,
     );
+    args.finish();
 }

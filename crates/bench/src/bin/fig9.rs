@@ -11,7 +11,7 @@
 //!
 //! Speedup = throughput(operator below sort) / throughput(sort first).
 
-use impatience_bench::{assert_speedup, BenchArgs, Row, Table};
+use impatience_bench::{check_speedup, BenchArgs, Row, Table};
 use impatience_core::{EvalPayload, Event, MemoryMeter, Payload, TickDuration};
 use impatience_engine::{BlackHoleSink, DisorderedStreamable, IngressPolicy, Streamable};
 use impatience_workloads::{
@@ -100,12 +100,11 @@ fn main() {
     t.print();
     // Shape: at low selectivity, push-down wins clearly; at 100% it is
     // roughly neutral.
-    assert_speedup(
+    check_speedup(
         "Fig 9(a): max speedup at 10% selectivity",
         first_col_speedups.iter().fold(f64::MIN, |a, &b| a.max(b)),
         1.0,
         1.5,
-        args.check,
     );
 
     // ---------------- (b) projection ----------------
@@ -138,12 +137,11 @@ fn main() {
         });
     }
     t.print();
-    assert_speedup(
+    check_speedup(
         "Fig 9(b): projection to 1 column helps somewhere",
         one_col_speedups.iter().fold(f64::MIN, |a, &b| a.max(b)),
         1.0,
         1.05,
-        args.check,
     );
 
     // ---------------- (c) tumbling window ----------------
@@ -184,20 +182,19 @@ fn main() {
     // Shape: window push-down helps most on synthetic/CloudLog, less on
     // AndroidLog (already long runs) — require a clear win on the first
     // two and allow AndroidLog to be modest.
-    assert_speedup(
+    check_speedup(
         "Fig 9(c): best window speedup on synthetic",
         best_by_ds[0],
         1.0,
         1.2,
-        args.check,
     );
-    assert_speedup(
+    check_speedup(
         "Fig 9(c): best window speedup on CloudLog",
         best_by_ds[1],
         1.0,
         1.1,
-        args.check,
     );
+    args.finish();
 }
 
 fn projection_speedup<const N: usize>(d: &Dataset, pol: &IngressPolicy) -> f64 {

@@ -6,7 +6,7 @@
 //! absolute numbers scale down but the *contrast* must hold: AndroidLog
 //! has far more inversions and far fewer (longer) runs than CloudLog.
 
-use impatience_bench::{BenchArgs, Row, Table};
+use impatience_bench::{check_shape, BenchArgs, Row, Table};
 use impatience_disorder::DisorderReport;
 use impatience_workloads::{
     generate_androidlog, generate_cloudlog, generate_synthetic, AndroidLogConfig, CloudLogConfig,
@@ -95,9 +95,7 @@ fn main() {
         ),
     ];
     for (label, ok) in checks {
-        println!("  {} ... {}", label, if ok { "ok" } else { "FAILED" });
-        if args.check {
-            assert!(ok, "shape check failed: {label}");
-        }
+        check_shape(label, ok);
     }
+    args.finish();
 }

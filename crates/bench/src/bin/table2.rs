@@ -7,7 +7,7 @@
 //! for its low latency; the Impatience framework reaches MaxLatency's
 //! completeness while *also* serving the MinLatency tier.
 
-use impatience_bench::{BenchArgs, Method, Query, Row, Table};
+use impatience_bench::{check_shape, BenchArgs, Method, Query, Row, Table};
 use impatience_core::TickDuration;
 use impatience_workloads::{
     generate_androidlog, generate_cloudlog, AndroidLogConfig, CloudLogConfig, Dataset,
@@ -117,9 +117,7 @@ fn main() {
         ),
     ];
     for (label, ok) in checks {
-        println!("  {} ... {}", label, if ok { "ok" } else { "FAILED" });
-        if args.check {
-            assert!(ok, "shape check failed: {label}");
-        }
+        check_shape(label, ok);
     }
+    args.finish();
 }

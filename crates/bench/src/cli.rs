@@ -11,7 +11,8 @@ const MIN_EVENTS: usize = 10_000;
 pub struct BenchArgs {
     /// Dataset size in events (paper: 20M; default here is smaller).
     pub events: usize,
-    /// Assert the paper's qualitative shapes, aborting on mismatch.
+    /// Check the paper's qualitative shapes: after every table has
+    /// printed, [`finish`](BenchArgs::finish) exits 1 if any failed.
     pub check: bool,
     /// Optional path to append JSON-lines results to.
     pub json: Option<String>,
@@ -68,6 +69,18 @@ impl BenchArgs {
                 .open(path)
                 .expect("open json output");
             writeln!(f, "{value}").expect("write json output");
+        }
+    }
+}
+
+impl BenchArgs {
+    /// Ends a repro binary: under `--check`, exits with status 1 if any
+    /// shape check failed.
+    pub fn finish(&self) {
+        let failed = crate::failed_shapes();
+        if self.check && failed > 0 {
+            eprintln!("{failed} shape check(s) failed");
+            std::process::exit(1);
         }
     }
 }

@@ -32,18 +32,31 @@ pub use drive::{drive_online_sorter, offline_sorter_names, run_offline_sorter, D
 pub use queries::{run_query, Method, Query, QueryRunOutcome};
 pub use report::{Row, Table};
 
-/// Shape-check helper: assert `a >= factor * b` with a readable message.
-///
-/// Used by the `--check` mode of the repro binaries to encode the paper's
-/// qualitative claims ("Impatience beats the best competitor by ≥ X").
-pub fn assert_speedup(label: &str, a: f64, b: f64, factor: f64, check: bool) {
-    let ok = a >= factor * b;
-    let verdict = if ok { "ok" } else { "FAILED" };
-    println!("  [shape] {label}: {a:.2} vs {b:.2} (need {factor:.2}x) ... {verdict}");
-    if check {
-        assert!(
-            ok,
-            "shape check failed: {label}: {a:.2} < {factor:.2} x {b:.2}"
-        );
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Shape checks failed so far in this process.
+static FAILED_SHAPES: AtomicUsize = AtomicUsize::new(0);
+
+/// Prints one shape check's verdict and records a failure; under
+/// `--check`, [`BenchArgs::finish`] turns any failure into exit status 1
+/// once every table has printed.
+pub fn check_shape(label: &str, ok: bool) {
+    println!("  {label} ... {}", if ok { "ok" } else { "FAILED" });
+    if !ok {
+        FAILED_SHAPES.fetch_add(1, Ordering::Relaxed);
     }
+}
+
+/// Shape check `a >= factor * b`, with a readable verdict line.
+///
+/// Used by the repro binaries to encode the paper's qualitative claims
+/// ("Impatience beats the best competitor by ≥ X").
+pub fn check_speedup(label: &str, a: f64, b: f64, factor: f64) {
+    let line = format!("[shape] {label}: {a:.2} vs {b:.2} (need {factor:.2}x)");
+    check_shape(&line, a >= factor * b);
+}
+
+/// Shape checks that failed so far.
+pub fn failed_shapes() -> usize {
+    FAILED_SHAPES.load(Ordering::Relaxed)
 }

@@ -154,19 +154,6 @@ impl<P: Payload> EventBatch<P> {
         }
         out
     }
-
-    /// Bytes of state this batch occupies when buffered: the event storage
-    /// (capacity, not length — that is what an allocator would hold), the
-    /// bitmap words, and payload heap data of live rows.
-    pub fn state_bytes(&self) -> usize {
-        self.events.capacity() * core::mem::size_of::<Event<P>>()
-            + self.filter.heap_bytes()
-            + self
-                .events
-                .iter()
-                .map(|e| e.payload.heap_bytes())
-                .sum::<usize>()
-    }
 }
 
 impl<P: Payload> Default for EventBatch<P> {
@@ -291,15 +278,6 @@ mod tests {
         assert_eq!(m.len(), 2);
         let payloads: Vec<u64> = m.iter_visible().map(|e| e.payload).collect();
         assert_eq!(payloads, vec![10, 20]);
-    }
-
-    #[test]
-    fn state_bytes_tracks_capacity() {
-        let mut b: EventBatch<u32> = EventBatch::with_capacity(100);
-        let base = b.state_bytes();
-        assert!(base >= 100 * core::mem::size_of::<Event<u32>>());
-        b.push(Event::point(Timestamp::ZERO, 1));
-        assert!(b.state_bytes() >= base, "bitmap word added");
     }
 
     #[test]

@@ -111,11 +111,6 @@ impl FilterBitmap {
             }
         }
     }
-
-    /// Heap bytes held by the bitmap (for memory accounting).
-    pub fn heap_bytes(&self) -> usize {
-        self.words.capacity() * core::mem::size_of::<u64>()
-    }
 }
 
 impl core::fmt::Debug for FilterBitmap {

@@ -95,7 +95,7 @@ impl<V, O> GroupTable<V, O> {
     }
 
     /// Bytes of capacity the table holds.
-    fn heap_bytes(&self) -> usize {
+    fn capacity_bytes(&self) -> usize {
         self.cells.capacity() * core::mem::size_of::<u32>()
             + self.slots.capacity() * core::mem::size_of::<Slot<V>>()
             + (self.order.capacity() + self.fresh.capacity()) * core::mem::size_of::<u32>()
@@ -335,6 +335,10 @@ impl<P: Payload, A: Aggregate<P>> Bucket for WindowTable<P, A> {
     const TAG: u8 = b'W';
     const NAME: &'static str = "WindowTables";
     const SNAPSHOT: &'static str = "window-table";
+    /// A group's slot, its place in the key order and the two index cells
+    /// a table at most half full keeps per slot.
+    const ENTRY_BYTES: usize =
+        core::mem::size_of::<Slot<A::Acc>>() + 3 * core::mem::size_of::<u32>();
 
     fn open(spare: Option<Self>, first: &Event<P>, _: usize) -> Self {
         let mut table = spare.unwrap_or_else(|| WindowTable(GroupTable::new()));
@@ -355,8 +359,8 @@ impl<P: Payload, A: Aggregate<P>> Bucket for WindowTable<P, A> {
         self.0.live()
     }
 
-    fn heap_bytes(&self) -> usize {
-        self.0.heap_bytes()
+    fn capacity_bytes(&self) -> usize {
+        self.0.capacity_bytes()
     }
 
     fn close(&mut self, agg: &A, out: &mut Vec<Event<A::Out>>) {
@@ -646,8 +650,8 @@ mod tests {
 
         rows!(
             extremes_cost_one_bucket_each,
-            state_bytes_follow_capacity,
-            a_draining_punctuation_frees_everything,
+            capacity_bytes_follow_allocation,
+            a_draining_punctuation_charges_nothing,
             a_closed_table_is_the_next_windows_and_keeps_its_keys,
             a_snapshot_round_trip_preserves_behaviour,
             restore_refuses_what_push_could_not_have_built,
@@ -713,32 +717,37 @@ mod tests {
             assert_eq!(g.buffered_len(), 0);
         }
 
-        fn state_bytes_follow_capacity<K: Kind>() {
+        /// State bytes are the entries and buckets buffered; the spares
+        /// show only in capacity bytes.
+        fn capacity_bytes_follow_allocation<K: Kind>() {
             let mut g = K::grid(1);
-            assert_eq!(g.state_bytes(), 0);
+            assert_eq!((g.state_bytes(), g.capacity_bytes()), (0, 0));
             for i in 0..100u32 {
                 g.push(windowed(i64::from(i % 10), i / 10));
             }
-            let full = g.state_bytes();
+            let bucket = core::mem::size_of::<(Timestamp, K)>();
+            assert_eq!(g.state_bytes(), 100 * K::ENTRY_BYTES + 10 * bucket);
+            let full = g.capacity_bytes();
             let mut out = Vec::new();
             g.punctuate(Timestamp::new(4), &mut out);
             assert_eq!(g.spare_count(), 5, "five buckets emptied into one output");
-            assert!(g.state_bytes() >= full, "spares are held memory");
-            let held = g.state_bytes();
+            assert_eq!(g.state_bytes(), 50 * K::ENTRY_BYTES + 5 * bucket);
+            assert!(g.capacity_bytes() >= full, "spares are held memory");
+            let held = g.capacity_bytes();
             g.push(windowed(20, 0));
             g.push(windowed(30, 0));
             assert_eq!(g.spare_count(), 3, "new windows take spares");
-            assert_eq!(g.state_bytes(), held, "a spare taken allocates nothing");
+            assert_eq!(g.capacity_bytes(), held, "a spare taken allocates nothing");
             g.punctuate(Timestamp::new(5), &mut out);
             assert_eq!(
                 g.spare_count(),
                 1,
                 "unused spares go at the next punctuation"
             );
-            assert!(g.state_bytes() < held);
+            assert!(g.capacity_bytes() < held);
         }
 
-        fn a_draining_punctuation_frees_everything<K: Kind>() {
+        fn a_draining_punctuation_charges_nothing<K: Kind>() {
             let mut g = K::grid(100);
             for t in [0, 100, 200, 0, 300] {
                 g.push(windowed(t, 1));
@@ -750,7 +759,9 @@ mod tests {
                 [(0, 1), (0, 1), (100, 1), (200, 1), (300, 1)]
             );
             let left = (g.buffered_len(), g.spare_count(), g.state_bytes());
-            assert_eq!(left, (0, 0, 0), "no spares kept by an emptied grid");
+            assert_eq!(left, (0, 4, 0), "spares are charged nothing");
+            g.punctuate(Timestamp::new(400), &mut out);
+            assert_eq!(g.spare_count(), 0, "and go at the next punctuation");
         }
 
         fn a_closed_table_is_the_next_windows_and_keeps_its_keys<K: Kind>() {
@@ -764,12 +775,12 @@ mod tests {
             g.punctuate(Timestamp::new(10), &mut out);
             assert_eq!(K::emitted(&out).len(), 80);
             assert_eq!(g.spare_count(), 2, "the closed windows became spares");
-            let before = g.state_bytes();
+            let before = g.capacity_bytes();
             for key in 0..40 {
                 g.push(windowed(30, key));
             }
             assert_eq!(g.spare_count(), 1, "the new window took a spare");
-            assert_eq!(g.state_bytes(), before, "known keys: nothing allocated");
+            assert_eq!(g.capacity_bytes(), before, "known keys: nothing allocated");
         }
 
         fn a_snapshot_round_trip_preserves_behaviour<K: Kind>() {
@@ -784,6 +795,11 @@ mod tests {
                 .expect("restores");
             assert_eq!(restored.buffered_len(), live.buffered_len());
             assert_eq!(restored.bucket_count(), live.bucket_count());
+            assert_eq!(
+                restored.state_bytes(),
+                live.state_bytes(),
+                "the same charge"
+            );
             assert_eq!(encode(&restored), encode(&live), "re-encodes byte for byte");
             let (mut a, mut b) = (Vec::new(), Vec::new());
             for g in [&mut live, &mut restored] {

@@ -460,10 +460,11 @@ impl<P: Payload, S: Observer<Q>, Q: Payload> SortOp<P, S, Q> {
             let Some(budget) = self.meter.budget() else {
                 return false;
             };
-            // The meter may account more than this sorter; spill only this
-            // sorter's share of the overage.
+            // The meter may account more than this sorter; spill down to
+            // half this sorter's share of the budget, so the next few
+            // batches fit before it spills again.
             let overage = self.meter.current().saturating_sub(budget);
-            let target = self.sorter.state_bytes().saturating_sub(overage);
+            let target = self.sorter.state_bytes().saturating_sub(overage) / 2;
             match self.sorter.spill_cold(target) {
                 Ok(0) => return false, // no spill support / nothing cold left
                 Ok(_) => self.sync_meter(),
@@ -659,14 +660,6 @@ impl<P: Payload, S: Observer<Q>, Q: Payload> Observer<P> for SortOp<P, S, Q> {
             self.next.on_batch(EventBatch::from_events(out));
         }
         self.next.on_punctuation(t);
-        if self.meter.over_budget() {
-            // Capacity the sorter keeps for reuse goes before anything
-            // buffered does; only then does the shed policy run.
-            self.sorter.release_idle();
-            self.sync_meter();
-            self.sync_gauges();
-            self.enforce_budget();
-        }
     }
 
     fn on_completed(&mut self) {

@@ -49,6 +49,7 @@ impl<T: EventTimed + StateCodec> Bucket for Vec<T> {
     const TAG: u8 = b'B';
     const NAME: &'static str = "Bucket";
     const SNAPSHOT: &'static str = "bucket sorter";
+    const ENTRY_BYTES: usize = core::mem::size_of::<T>();
 
     /// Without a spare, a new bucket is sized like the last one emitted,
     /// plus an eighth, so it rarely regrows.
@@ -66,7 +67,7 @@ impl<T: EventTimed + StateCodec> Bucket for Vec<T> {
         self.len()
     }
 
-    fn heap_bytes(&self) -> usize {
+    fn capacity_bytes(&self) -> usize {
         self.capacity() * core::mem::size_of::<T>()
     }
 

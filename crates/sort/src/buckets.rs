@@ -22,11 +22,11 @@
 //! * **Few allocations.** A punctuation closes the ready buckets into one
 //!   output (a lone one its kind can hand over whole becomes the output)
 //!   and keeps the emptied ones as spares for the times the next batch
-//!   opens. Unused spares go at the next punctuation, and one that drains
-//!   the grid — a forced cut always does — frees everything. State bytes
-//!   count spares: they are held memory, and
-//!   [`OnlineSorter::release_idle`] drops them when a punctuation leaves
-//!   the stage over its budget.
+//!   opens. Unused spares go at the next punctuation.
+//! * **Charged by what is buffered.** State bytes are each kind's bytes per
+//!   buffered entry plus a fixed overhead per bucket, whatever capacity the
+//!   buckets and spares hold; that heap shows in
+//!   [`OnlineSorter::capacity_bytes`].
 //!
 //! Budget shedding and spilling keep the [`OnlineSorter`] defaults (shed
 //! nothing, spill nothing): the grid has no run structure to shed from.
@@ -52,6 +52,8 @@ pub trait Bucket: Sized {
     const NAME: &'static str;
     /// What a snapshot of this kind is called in a refusal.
     const SNAPSHOT: &'static str;
+    /// Bytes charged per buffered entry.
+    const ENTRY_BYTES: usize;
 
     /// A bucket for the time `first` opens: `spare`, an emptied bucket,
     /// when there is one. `last_len` is what the last closed bucket held.
@@ -64,7 +66,7 @@ pub trait Bucket: Sized {
     fn buffered(&self) -> usize;
 
     /// Bytes of capacity the bucket holds.
-    fn heap_bytes(&self) -> usize;
+    fn capacity_bytes(&self) -> usize;
 
     /// A lone ready bucket handed over whole as the output, when the kind
     /// can; the bucket is left empty and dropped.
@@ -217,28 +219,21 @@ where
             bucket.close(&self.shared, out);
             self.spares.push(bucket);
         }
-        if self.buckets.is_empty() {
-            // Fully drained — a forced cut always is: an idle grid
-            // accounts for zero bytes.
-            self.buckets = VecDeque::new();
-            self.spares = Vec::new();
-        }
     }
 
     fn buffered_len(&self) -> usize {
         self.len
     }
 
-    /// The spares go: they are the grid's only capacity without items.
-    fn release_idle(&mut self) {
-        self.spares = Vec::new();
+    fn state_bytes(&self) -> usize {
+        self.len * B::ENTRY_BYTES + self.buckets.len() * core::mem::size_of::<(Timestamp, B)>()
     }
 
-    fn state_bytes(&self) -> usize {
+    fn capacity_bytes(&self) -> usize {
         let buckets = self.buckets.iter().map(|(_, bucket)| bucket);
         buckets
             .chain(&self.spares)
-            .map(B::heap_bytes)
+            .map(B::capacity_bytes)
             .sum::<usize>()
             + self.buckets.capacity() * core::mem::size_of::<(Timestamp, B)>()
             + self.spares.capacity() * core::mem::size_of::<B>()

@@ -840,17 +840,19 @@ impl<T: EventTimed + Clone + StateCodec + Send> OnlineSorter<T> for ExternalImpa
     }
 
     fn state_bytes(&self) -> usize {
-        // In-memory footprint only: the hot run set plus the per-file
-        // bookkeeping (block indexes). File bytes live on disk.
-        let meta: usize = self
-            .frozen
-            .iter()
-            .map(|f| {
-                core::mem::size_of::<FrozenRun>()
-                    + f.blocks.capacity() * core::mem::size_of::<BlockMeta>()
-            })
-            .sum();
-        self.hot.state_bytes() + meta
+        // In memory only: the hot run set plus each spilled file's record
+        // and block index. File bytes live on disk.
+        let blocks: usize = self.frozen.iter().map(|f| f.blocks.len()).sum();
+        self.hot.state_bytes()
+            + self.frozen.len() * core::mem::size_of::<FrozenRun>()
+            + blocks * core::mem::size_of::<BlockMeta>()
+    }
+
+    fn capacity_bytes(&self) -> usize {
+        let blocks: usize = self.frozen.iter().map(|f| f.blocks.capacity()).sum();
+        self.hot.capacity_bytes()
+            + self.frozen.capacity() * core::mem::size_of::<FrozenRun>()
+            + blocks * core::mem::size_of::<BlockMeta>()
     }
 
     fn name(&self) -> &'static str {
@@ -910,6 +912,7 @@ impl<T: EventTimed + Clone + StateCodec + Send> OnlineSorter<T> for ExternalImpa
     fn sync_gauges(&self, gauges: &SorterGauges) {
         gauges.buffered.set(self.buffered_len() as i64);
         gauges.state_bytes.set(self.state_bytes() as i64);
+        gauges.capacity_bytes.set(self.capacity_bytes() as i64);
         gauges.runs.set(self.hot.run_count() as i64);
         gauges
             .speculative_hits
@@ -1223,6 +1226,7 @@ mod tests {
         assert_eq!(b.watermark(), a.watermark());
         assert_eq!(b.buffered_len(), a.buffered_len());
         assert_eq!(b.frozen_run_count(), a.frozen_run_count());
+        assert_eq!(b.state_bytes(), a.state_bytes(), "the same charge");
 
         let mut rest_a = Vec::new();
         let mut rest_b = Vec::new();

@@ -22,9 +22,12 @@ pub struct SorterGauges {
     pub runs: Gauge,
     /// Events currently buffered.
     pub buffered: Gauge,
-    /// Bytes of sorter state held (buffers at capacity); the high-water
-    /// mark is the Fig 10 memory footprint.
+    /// Bytes of sorter state buffered (the items plus a fixed overhead per
+    /// run, bucket and spilled file); what a memory budget charges, and
+    /// the high-water mark is the Fig 10 memory footprint.
     pub state_bytes: Gauge,
+    /// Bytes of heap the sorter's buffers hold, spare capacity included.
+    pub capacity_bytes: Gauge,
     /// Lifetime speculation fast-path hits (§III-E2).
     pub speculative_hits: Gauge,
     /// Lifetime speculation misses; hit rate is `hits / (hits + misses)`.
@@ -53,6 +56,7 @@ impl SorterGauges {
 
     /// Gauges backed by `registry` under `{prefix}.runs`,
     /// `{prefix}.buffered_events`, `{prefix}.state_bytes`,
+    /// `{prefix}.capacity_bytes`,
     /// `{prefix}.speculative_hits`, `{prefix}.speculative_misses`, and the
     /// external-sort spill family `{prefix}.spill.runs_spilled`,
     /// `{prefix}.spill.bytes_on_disk`, `{prefix}.spill.merge_passes`,
@@ -63,6 +67,7 @@ impl SorterGauges {
             runs: registry.gauge(&format!("{prefix}.runs")),
             buffered: registry.gauge(&format!("{prefix}.buffered_events")),
             state_bytes: registry.gauge(&format!("{prefix}.state_bytes")),
+            capacity_bytes: registry.gauge(&format!("{prefix}.capacity_bytes")),
             speculative_hits: registry.gauge(&format!("{prefix}.speculative_hits")),
             speculative_misses: registry.gauge(&format!("{prefix}.speculative_misses")),
             spill_runs_spilled: registry.gauge(&format!("{prefix}.spill.runs_spilled")),
@@ -75,7 +80,7 @@ impl SorterGauges {
     }
 
     /// Tombstones the *live* state gauges (runs, buffered events, state
-    /// bytes, bytes on disk) back to zero. Called when the owning sorter
+    /// and capacity bytes, bytes on disk) back to zero. Called when the owning sorter
     /// dies — error, panic-unwind, teardown — so a registry snapshot never
     /// reports a dead sorter's buffers as live. High-water marks and the
     /// lifetime counters (speculation, runs spilled, merge passes, spill
@@ -84,6 +89,7 @@ impl SorterGauges {
         self.runs.set(0);
         self.buffered.set(0);
         self.state_bytes.set(0);
+        self.capacity_bytes.set(0);
         self.spill_bytes_on_disk.set(0);
     }
 }

@@ -143,6 +143,10 @@ impl<T: EventTimed + Clone + Send> OnlineSorter<T> for HeapSorter<T> {
     }
 
     fn state_bytes(&self) -> usize {
+        self.heap.len() * core::mem::size_of::<HeapItem<T>>()
+    }
+
+    fn capacity_bytes(&self) -> usize {
         self.heap.capacity() * core::mem::size_of::<HeapItem<T>>()
     }
 

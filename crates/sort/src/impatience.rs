@@ -198,6 +198,10 @@ impl<T: EventTimed + Clone + StateCodec + Send> OnlineSorter<T> for ImpatienceSo
         self.runs.state_bytes()
     }
 
+    fn capacity_bytes(&self) -> usize {
+        self.runs.capacity_bytes()
+    }
+
     fn name(&self) -> &'static str {
         "Impatience"
     }
@@ -212,6 +216,7 @@ impl<T: EventTimed + Clone + StateCodec + Send> OnlineSorter<T> for ImpatienceSo
     fn sync_gauges(&self, gauges: &crate::gauges::SorterGauges) {
         gauges.buffered.set(self.buffered_len() as i64);
         gauges.state_bytes.set(self.state_bytes() as i64);
+        gauges.capacity_bytes.set(self.capacity_bytes() as i64);
         gauges.runs.set(self.run_count() as i64);
         gauges.speculative_hits.set(self.speculative_hits() as i64);
         gauges

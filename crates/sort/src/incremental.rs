@@ -92,6 +92,10 @@ impl<T: EventTimed + Clone + Send, A: SortAlgorithm + Send> OnlineSorter<T> for 
     }
 
     fn state_bytes(&self) -> usize {
+        self.buffered_len() * core::mem::size_of::<T>()
+    }
+
+    fn capacity_bytes(&self) -> usize {
         (self.sorted.capacity() + self.unsorted.capacity()) * core::mem::size_of::<T>()
     }
 

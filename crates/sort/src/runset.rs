@@ -93,24 +93,29 @@ impl<T: EventTimed> SortedRun<T> {
         cut
     }
 
-    /// Reclaims consumed prefix storage once it dominates the allocation.
-    /// Moves the live items down and shrinks to exactly the live length,
-    /// so memory accounting (and the allocator) actually get the bytes
-    /// back.
+    /// Reclaims consumed prefix storage once it dominates the allocation:
+    /// moves the live items down, then bounds the capacity.
     fn maybe_compact(&mut self) {
         if self.head >= 64 && self.head * 2 >= self.data.len() {
             self.data.drain(..self.head);
-            self.data.shrink_to_fit();
             self.head = 0;
+            self.bound_capacity();
+        }
+    }
+
+    /// The one capacity rule: a run whose capacity exceeds 4× the items it
+    /// holds shrinks to 2×, so heap stays within a small factor of what
+    /// [`state_bytes`](SortedRun::state_bytes) charges without a
+    /// reallocation at every cut.
+    fn bound_capacity(&mut self) {
+        if self.data.capacity() > 4 * self.data.len() {
+            self.data.shrink_to(2 * self.data.len());
         }
     }
 
     /// Removes the first `n` live items (the earliest — most severely
-    /// delayed), returning them in sorted order. Unlike
-    /// [`cut_head`](SortedRun::cut_head)'s lazy compaction, the storage is
-    /// compacted to exactly the surviving live length unconditionally, so a
-    /// partial shed frees bytes the moment it happens — the memory meter
-    /// must see the reclaim, not wait for a later threshold crossing.
+    /// delayed), returning them in sorted order, and drops the consumed
+    /// prefix with them.
     pub fn shed_head(&mut self, n: usize) -> Vec<T> {
         let n = n.min(self.len());
         if n == 0 {
@@ -118,12 +123,19 @@ impl<T: EventTimed> SortedRun<T> {
         }
         let shed = self.data.drain(..self.head + n).skip(self.head).collect();
         self.head = 0;
-        self.data.shrink_to_fit();
+        self.bound_capacity();
         shed
     }
 
-    /// Bytes held (capacity-based, matching allocator behaviour).
+    /// Bytes of the live items: what the run buffers, however its storage
+    /// grew.
     pub fn state_bytes(&self) -> usize {
+        self.len() * core::mem::size_of::<T>()
+    }
+
+    /// Bytes of storage the run holds, consumed prefix and spare capacity
+    /// included.
+    pub fn capacity_bytes(&self) -> usize {
         self.data.capacity() * core::mem::size_of::<T>()
     }
 }
@@ -265,12 +277,6 @@ impl<T: EventTimed + Clone> RunSet<T> {
             });
             self.runs.retain(|run| !run.is_empty());
             self.last_insert = 0;
-            if self.runs.is_empty() {
-                // Fully drained: hand all capacity back so an idle sorter
-                // accounts for zero bytes.
-                self.runs = Vec::new();
-                self.tails = Vec::new();
-            }
         }
         debug_assert!(self.tails_strictly_descending());
         heads
@@ -297,11 +303,10 @@ impl<T: EventTimed + Clone> RunSet<T> {
     /// Sheds up to `max_items` of the most severely delayed buffered items:
     /// the head (earliest) items of the smallest-tail run. A cap covering
     /// the whole run degenerates to [`shed_oldest_run`]; a partial shed
-    /// compacts the run's storage so the freed bytes are visible in
-    /// [`state_bytes`](RunSet::state_bytes) immediately — the fix for
-    /// whole-run shedding dead-lettering more than the budget overage
-    /// required. The tail is untouched by a head shed, so the strictly
-    /// descending tails invariant holds trivially.
+    /// frees exactly what it sheds in [`state_bytes`](RunSet::state_bytes),
+    /// so it dead-letters no more than the budget overage requires. The
+    /// tail is untouched by a head shed, so the strictly descending tails
+    /// invariant holds trivially.
     ///
     /// [`shed_oldest_run`]: RunSet::shed_oldest_run
     pub fn shed_oldest_items(&mut self, max_items: usize) -> Vec<T> {
@@ -327,9 +332,20 @@ impl<T: EventTimed + Clone> RunSet<T> {
         shed
     }
 
-    /// Bytes held across all runs plus the tails cache.
+    /// Bytes of the buffered items plus one cached tail per run: a
+    /// function of the items and the run structure only, so a restored run
+    /// set charges what the one it was taken from did.
     pub fn state_bytes(&self) -> usize {
         self.runs.iter().map(SortedRun::state_bytes).sum::<usize>()
+            + self.tails.len() * core::mem::size_of::<Timestamp>()
+    }
+
+    /// Bytes of storage held across all runs and the tails cache.
+    pub fn capacity_bytes(&self) -> usize {
+        self.runs
+            .iter()
+            .map(SortedRun::capacity_bytes)
+            .sum::<usize>()
             + self.tails.capacity() * core::mem::size_of::<Timestamp>()
     }
 
@@ -636,26 +652,41 @@ mod tests {
         let shed = run.shed_head(500);
         assert_eq!(shed.len(), 500);
         assert_eq!(run.len(), 12);
-        assert!(
-            run.state_bytes() <= 12 * core::mem::size_of::<i64>(),
-            "partial shed must compact to the live length ({} B held)",
-            run.state_bytes()
+        assert_eq!(run.state_bytes(), 12 * core::mem::size_of::<i64>());
+        assert_eq!(
+            before - run.state_bytes(),
+            500 * core::mem::size_of::<i64>()
         );
-        assert!(before > run.state_bytes());
+        assert!(
+            run.capacity_bytes() <= 4 * run.state_bytes(),
+            "the capacity bound"
+        );
         assert_eq!(run.head_time(), Timestamp::new(500));
         assert_eq!(run.tail_time(), Timestamp::new(511));
     }
 
+    /// The charge is the live items plus a tail per run, however the
+    /// storage grew: a restored run set, rebuilt at other capacities,
+    /// charges the same.
     #[test]
-    fn state_bytes_reflects_buffering() {
-        let mut rs: RunSet<i64> = RunSet::new(false);
-        assert_eq!(rs.buffered_len(), 0);
-        for x in 0..1000 {
+    fn state_bytes_count_what_is_buffered_and_survive_a_restore() {
+        let mut rs: RunSet<i64> = RunSet::new(true);
+        for x in (0..1000).map(|i| (i * 37) % 997) {
             rs.insert(x);
         }
-        assert!(rs.state_bytes() >= 1000 * core::mem::size_of::<i64>());
+        rs.cut_heads(Timestamp::new(300));
+        let (live, runs) = (rs.buffered_len(), rs.run_count());
+        assert_eq!(
+            rs.state_bytes(),
+            (live + runs) * core::mem::size_of::<i64>()
+        );
+        assert!(rs.capacity_bytes() >= rs.state_bytes());
+        let mut w = SnapshotWriter::new();
+        rs.encode_state(&mut w);
+        let body = w.into_body();
+        let restored = RunSet::<i64>::decode_state(&mut SnapshotReader::new(&body)).unwrap();
+        assert_eq!(restored.state_bytes(), rs.state_bytes());
         rs.cut_heads(Timestamp::MAX);
-        assert!(rs.is_empty());
-        assert_eq!(rs.run_count(), 0);
+        assert_eq!((rs.run_count(), rs.state_bytes()), (0, 0));
     }
 }

@@ -57,9 +57,18 @@ pub trait OnlineSorter<T: EventTimed, O = T>: Send {
     /// Items currently buffered.
     fn buffered_len(&self) -> usize;
 
-    /// Bytes of state currently held (buffers at capacity). Used by the
-    /// engine's deterministic memory accounting.
+    /// Bytes of state buffered: the buffered items at their size plus a
+    /// fixed overhead per run, bucket and spilled file (with its block
+    /// index) — a function of the
+    /// items and the run structure only, never of how a buffer grew, so a
+    /// restored sorter charges what the one it was taken from did. The
+    /// engine's memory budget charges this.
     fn state_bytes(&self) -> usize;
+
+    /// Bytes of heap the sorter's buffers hold, spare capacity included:
+    /// what [`state_bytes`](OnlineSorter::state_bytes) leaves out, published
+    /// beside it and charged to no budget.
+    fn capacity_bytes(&self) -> usize;
 
     /// Human-readable algorithm name (figure legends).
     fn name(&self) -> &'static str;
@@ -103,13 +112,6 @@ pub trait OnlineSorter<T: EventTimed, O = T>: Send {
         None
     }
 
-    /// Drops capacity held for reuse that holds no item, so that
-    /// [`state_bytes`](OnlineSorter::state_bytes) counts only what is
-    /// buffered. The engine's sorting stage calls it first when it is over
-    /// its memory budget after a punctuation, before any rung of its shed
-    /// policy. The default holds no such capacity and does nothing.
-    fn release_idle(&mut self) {}
-
     /// Garbage-collects spill files that are provably unreferenced by every
     /// retained checkpoint generation. The engine forwards its
     /// checkpoint-committed notification here; deletion must be deferred to
@@ -119,12 +121,13 @@ pub trait OnlineSorter<T: EventTimed, O = T>: Send {
     fn spill_gc(&mut self) {}
 
     /// Publishes current sorter state into `gauges`. The default covers the
-    /// universal quantities (buffered events, state bytes); sorters with a
-    /// run structure override it to also publish run counts and speculation
-    /// counters.
+    /// universal quantities (buffered events, state and capacity bytes);
+    /// sorters with a run structure override it to also publish run counts
+    /// and speculation counters.
     fn sync_gauges(&self, gauges: &SorterGauges) {
         gauges.buffered.set(self.buffered_len() as i64);
         gauges.state_bytes.set(self.state_bytes() as i64);
+        gauges.capacity_bytes.set(self.capacity_bytes() as i64);
     }
 
     /// Appends a snapshot of all buffered state to `w`, for checkpointing.

@@ -71,8 +71,12 @@ echo "== spec differential (generated specs and streams against one oracle) =="
 # the sort emits what the sort-first chain does; the sorter that ran, read
 # from its gauges, is the plan's) and what shard conformance held (a
 # sharded run is the one-shard run split by key and merged), plus flags
-# and crash/restore/replay leaving the output bytes unchanged. Each
-# relation is a test of its own, asserting its own coverage floors.
+# and crash/restore/replay leaving the output bytes unchanged, under a
+# budget too: a sorter charges the bytes it buffers, not its buffers'
+# capacity, so a restored one cuts where the uninterrupted one did (the
+# crash relation floors restores in all, under a budget and in a hoisted
+# plan). Each relation is a test of its own, asserting its own coverage
+# floors.
 # It is also the failure-model gate: a seeded fault draw lays duplicates
 # (in a batch and across a punctuation), stragglers 5 000 ticks behind the
 # watermark, one regressed punctuation and payloads at both ends of i64
@@ -87,6 +91,9 @@ echo "== spec differential (generated specs and streams against one oracle) =="
 start=$(date +%s)
 IMPATIENCE_PROP_CASES=2000 cargo test --release -q --offline --test spec_differential
 echo "spec differential: 2000 cases in $(( $(date +%s) - start ))s"
+# The budgeted crash shrunk from a generated case, by name: a restored
+# sorter that charged other bytes cut elsewhere on replay.
+cargo test --release -q --offline --test spec_differential a_budgeted_crash_replays_the_uninterrupted_cuts
 
 echo "== sharded plumbing and the plan's recovery cases =="
 # The engine's `sharded` suite holds the plumbing: seeded producer and
@@ -99,10 +106,10 @@ echo "== sharded plumbing and the plan's recovery cases =="
 # runs whole above).
 cargo test -q --offline -p impatience-engine --test sharded shards_inherit_the_chains_instruments_and_fence
 
-# The four hoisted_plan recovery cases hold the plan/checkpoint rule: the
-# late gate's watermark and the bucket sorter's buffered windows survive a
-# crash, and a sort-first slot or an Impatience-state slot is refused with
-# a typed RecoveryFailed.
+# The two hoisted_plan recovery cases hold the plan/checkpoint rule: a
+# sort-first slot or an Impatience-state slot is refused with a typed
+# RecoveryFailed. (That the late gate's watermark and the bucket sorter's
+# buffered windows survive a crash is the crash relation's, above.)
 # The plan is what the chain built: the chain decides at the grouped
 # operator, by the one rule plan() reads, and the shape test builds every
 # spec of up to four ops (1 555 shapes), reads each physical stage order

@@ -369,8 +369,8 @@ fn within(meter: &MemoryMeter, budget: Option<usize>) -> bool {
 /// `OpSpec` variant in declaration order; cases with late events under
 /// `Drop` and `DeadLetter`; budgets that forced a cut, shed, spilled; the
 /// Impatience, bucket and external sorters seen sorting events; shard
-/// counts 1, 2, 4, 8; crashes restored from a checkpoint; runs a poison
-/// ended typed.
+/// counts 1, 2, 4, 8; crashes restored from a checkpoint, in all, under a
+/// budget and in a hoisted plan; runs a poison ended typed.
 #[derive(Debug, Default)]
 struct Seen {
     cases: usize,
@@ -379,7 +379,7 @@ struct Seen {
     tripped: [usize; 3],
     sorters: [usize; 3],
     shards: [usize; 4],
-    restores: usize,
+    restores: [usize; 3],
     panicked: usize,
     faults: FaultsSeen,
 }
@@ -654,41 +654,49 @@ fn the_instruments_say_what_ran() {
 }
 
 /// Crash at a seeded point, restore, replay: the committed output and the
-/// replayed output are the uninterrupted run's. Not under a budget: a
-/// restored sorter holds its state in buffers of other capacities, so its
-/// forced cuts fall elsewhere.
+/// replayed output are the uninterrupted run's, under a budget too — a
+/// restored sorter charges what the uninterrupted one did, so its forced
+/// cuts fall in the same places.
 #[test]
 fn crash_restore_and_replay_is_the_uninterrupted_run() {
-    let floor = |s: &Seen| s.restores * 20 >= s.cases;
+    let floor = |s: &Seen| s.restores[0] * 20 >= s.cases && covers(&[&s.restores]);
     let name = "crash_restore_and_replay_is_the_uninterrupted_run";
-    check_cases(name, floor, |case, seen| {
-        // A failed run has no replay to compare, and a regressed
-        // punctuation fails it: the relation holds on the other faults.
-        let faults = Faults {
-            regression: false,
-            ..case.faults
-        };
-        let case = SpecCase { faults, ..case };
-        let (spec, input) = (&case.spec, case.messages());
-        if spec.checkpoint.is_none() || case.budget.is_some() {
-            return;
+    check_cases(name, floor, crash_relation);
+}
+
+/// Holds one case to the crash relation and tallies its restores.
+fn crash_relation(case: SpecCase, seen: &mut Seen) {
+    // A failed run has no replay to compare, and a regressed punctuation
+    // fails it: the relation holds on the other faults.
+    let faults = Faults {
+        regression: false,
+        ..case.faults
+    };
+    let case = SpecCase { faults, ..case };
+    let (spec, input) = (&case.spec, case.messages());
+    if spec.checkpoint.is_none() {
+        return;
+    }
+    let (main, dir) = (run(&case, spec, None, &input), scratch_dir());
+    if !main.errors.is_empty() {
+        return;
+    }
+    let at = input.len() * case.crash_permille as usize / 1_000;
+    let crashed = run(&case, spec, Some(&dir.0), &input[..at]);
+    let replayed = run(&case, spec, Some(&dir.0), &input);
+    let (skipped, egress) = replayed.restored.unwrap_or((0, 0));
+    let committed = &crashed.msgs[..skipped.checked_sub(1).map_or(0, |i| crashed.marks[i])];
+    let committed_events = events(&items(committed)).len() as u64;
+    assert_eq!(committed_events, egress, "committed events");
+    let whole = [committed, &replayed.msgs].concat();
+    let what = format!("crash after {at} messages, restored past {skipped}");
+    assert_eq!(whole, main.msgs, "{what}");
+    if replayed.restored.is_some() {
+        let kinds = [true, case.budget.is_some(), spec.plan().hoisted() > 0];
+        for (count, kind) in seen.restores.iter_mut().zip(kinds) {
+            *count += usize::from(kind);
         }
-        let (main, dir) = (run(&case, spec, None, &input), scratch_dir());
-        if !main.errors.is_empty() {
-            return;
-        }
-        let at = input.len() * case.crash_permille as usize / 1_000;
-        let crashed = run(&case, spec, Some(&dir.0), &input[..at]);
-        let replayed = run(&case, spec, Some(&dir.0), &input);
-        let (skipped, egress) = replayed.restored.unwrap_or((0, 0));
-        let committed = &crashed.msgs[..skipped.checked_sub(1).map_or(0, |i| crashed.marks[i])];
-        let committed_events = events(&items(committed)).len() as u64;
-        assert_eq!(committed_events, egress, "committed events");
-        let whole = [committed, &replayed.msgs].concat();
-        let what = format!("crash after {at} messages, restored past {skipped}");
-        assert_eq!(whole, main.msgs, "{what}");
-        seen.restores += usize::from(replayed.restored.is_some());
-    });
+    }
 }
 
 props! {
@@ -773,7 +781,7 @@ fn a_cut_that_flushes_nothing_leaves_the_sorter_open() {
 /// is without a budget and in a hoisted plan, not swallowed as stale.
 #[test]
 fn a_regression_after_a_forced_cut_is_refused() {
-    let meter = MemoryMeter::with_budget(1_024);
+    let meter = MemoryMeter::with_budget(256);
     let spec = PipelineSpec::new("gen").with_sort(SortSpec {
         late: LatePolicy::DeadLetter,
         shed: ShedPolicy::ForcePunctuation,
@@ -821,6 +829,30 @@ fn a_regression_after_a_forced_cut_is_refused() {
         !msgs.contains(&StreamMessage::Completed),
         "a refused run completed"
     );
+}
+
+/// Shrunk from a generated case: a plan that does nothing under a budget
+/// that forces cuts, checkpointed every 2 punctuations and crashed after
+/// 14 messages. While the budget charged capacity, the restored sorter,
+/// rebuilt at exact capacity, cut elsewhere than the uninterrupted one:
+/// the fifth batch held 13 events where the uninterrupted run's held 9.
+#[test]
+fn a_budgeted_crash_replays_the_uninterrupted_cuts() {
+    let spec = PipelineSpec::new("gen")
+        .with_checkpoint(2)
+        .with_sort(dead_letters(ShedPolicy::ForcePunctuation));
+    let case = SpecCase {
+        budget: Some(512),
+        crash_permille: 369,
+        ..named_case(spec, 100, 3, Faults::default())
+    };
+    assert_eq!(case.messages().len() * 369 / 1_000, 14);
+    let main = run(&case, &case.spec, None, &case.messages());
+    let forced = main.stat(&case.spec, "sort", "forced_punctuations");
+    assert!(forced > 0, "no cut");
+    let mut seen = Seen::default();
+    crash_relation(case, &mut seen);
+    assert_eq!(seen.restores[..2], [1, 1], "{seen:?}");
 }
 
 /// A hand-made case: `n` events over `keys` keys, every fifth 20 ticks
