@@ -32,13 +32,12 @@
 //! small size: checkpoints written and their bytes, exactly
 //! (`checkpointing_every_16_punctuations_writes_a_counted_cost`).
 //!
-//! Two `hoisted_plan_…` cases cover the `PipelineSpec` plan that runs a
-//! window below the sort, whose sort stage runs the bucket sorter: a
+//! Four `hoisted_plan_…` cases cover the `PipelineSpec` plan that runs a
+//! window below the sort, whose sort stage runs the bucket sorter: the
+//! late gate's watermark and the sorter's buckets survive a crash, and a
 //! checkpoint written by the sort-first plan, or by the same plan while it
 //! ran Impatience, is refused with a typed error instead of being
-//! reinterpreted. That the late gate's watermark and the sorter's buckets
-//! survive a crash is `tests/spec_differential.rs`'s crash relation, which
-//! floors its restores of a hoisted plan. `framework_refuses_an_impatience_state_slot` holds the
+//! reinterpreted. `framework_refuses_an_impatience_state_slot` holds the
 //! same rule for the framework, whose rungs bucket windowed input, and
 //! `framework_refuses_a_slot_across_the_fused_plan_change` for the rungs
 //! that fuse their sort with a grouped aggregate.
@@ -787,6 +786,46 @@ fn keyed(t: i64, payload: i64) -> Event<i64> {
     Event::keyed(Timestamp::new(t), 1, payload)
 }
 
+/// Crash between a punctuation and a late event of the window that is
+/// still open. The sorter's own watermark is the *translated* cut (199),
+/// which the event's window start (200) clears; only the gate's restored
+/// watermark (230) can still drop it.
+#[test]
+fn hoisted_plan_restores_the_late_gate_watermark() {
+    use impatience_engine::PipelineEnv;
+    let dir = base_dir("hoisted-gate");
+    let spec = hoisted_spec();
+    {
+        let (out, sink) = Output::new();
+        let built = spec
+            .build(
+                &PipelineEnv::new().with_checkpoint_dir(&dir),
+                Box::new(sink),
+            )
+            .expect("build");
+        let push = |m| built.handle.push(m).expect("push");
+        push(StreamMessage::batch(vec![keyed(205, 1), keyed(231, 2)]));
+        push(StreamMessage::Punctuation(Timestamp::new(230)));
+        assert!(out.events().is_empty(), "window 200 is still open");
+        // Crash: dropped without completing.
+    }
+    let registry = MetricsRegistry::new();
+    let env = PipelineEnv::new()
+        .with_checkpoint_dir(&dir)
+        .with_registry(&registry);
+    let (out, sink) = Output::new();
+    let built = spec.build(&env, Box::new(sink)).expect("rebuild");
+    let rec = built.ckpt.as_ref().expect("durable").recovery();
+    assert_eq!(rec.expect("restored").messages_seen, 2);
+    let push = |m| built.handle.push(m).expect("push");
+    push(StreamMessage::batch(vec![keyed(210, 100), keyed(240, 4)]));
+    push(StreamMessage::Completed);
+    let sums: Vec<i64> = out.events().iter().map(|e| e.payload).collect();
+    assert_eq!(sums, vec![1 + 2 + 4], "the event at 210 is behind 230");
+    assert_eq!(registry.counter("hoisted.00.sort.late_dropped").get(), 1);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// A slot written by the sort-first plan — the same spec lowered by the
 /// parent of the planner, reproduced here by stacking the chain by hand —
 /// holds no late-gate state. The hoisted plan registers one participant
@@ -829,6 +868,62 @@ fn hoisted_plan_refuses_a_sort_first_checkpoint() {
         other => panic!("a sort-first slot must be refused typed, got {other:?}"),
     }
     assert!(built.ckpt.as_ref().expect("durable").recovery().is_none());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Crash while the bucket sorter holds three open windows: the recovered
+/// pipeline, fed the rest of the input, emits exactly what an uncrashed
+/// one does.
+#[test]
+fn hoisted_plan_bucket_state_survives_a_crash() {
+    use impatience_engine::{PipelineEnv, SorterChoice};
+    let spec = hoisted_spec();
+    assert!(matches!(spec.plan().sorter(), SorterChoice::Bucket { .. }));
+    let before = [
+        StreamMessage::batch(vec![
+            keyed(205, 1),
+            keyed(431, 2),
+            keyed(310, 4),
+            keyed(231, 8),
+        ]),
+        StreamMessage::Punctuation(Timestamp::new(230)),
+    ];
+    let after = [
+        StreamMessage::batch(vec![keyed(250, 16), keyed(399, 32), keyed(500, 64)]),
+        StreamMessage::Punctuation(Timestamp::new(420)),
+        StreamMessage::Completed,
+    ];
+    let run = |dir: &Path, meter: &MemoryMeter, msgs: &[StreamMessage<i64>]| {
+        let (out, sink) = Output::new();
+        let env = PipelineEnv::new()
+            .with_checkpoint_dir(dir)
+            .with_meter(meter);
+        let built = spec.build(&env, Box::new(sink)).expect("build");
+        let recovered = built.ckpt.as_ref().expect("durable").recovery();
+        let charged = meter.current();
+        for m in msgs {
+            built.handle.push(m.clone()).expect("push");
+        }
+        assert_eq!(out.error(), None);
+        (out.messages(), recovered, charged)
+    };
+
+    let reference_dir = base_dir("hoisted-bucket-reference");
+    let whole: Vec<_> = before.iter().chain(&after).cloned().collect();
+    let (reference, _, _) = run(&reference_dir, &MemoryMeter::new(), &whole);
+
+    let dir = base_dir("hoisted-bucket-crash");
+    let (crashed, _, _) = run(&dir, &MemoryMeter::new(), &before);
+    assert_eq!(
+        crashed,
+        vec![StreamMessage::Punctuation(Timestamp::new(199))],
+        "windows 200, 300 and 400 are all still buffered"
+    );
+    let (recovered, info, charged) = run(&dir, &MemoryMeter::new(), &after);
+    assert_eq!(info.expect("restored").messages_seen, 2);
+    assert!(charged > 0, "the restored buckets are charged to the meter");
+    assert_eq!([crashed, recovered].concat(), reference);
+    let _ = fs::remove_dir_all(&reference_dir);
     let _ = fs::remove_dir_all(&dir);
 }
 
